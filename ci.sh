@@ -15,6 +15,14 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> one home for the ICS-04 relay rule"
+# Which path proves a recv/ack/timeout lives in relayer::msg (and ibc-core's own handlers).
+if grep -rnE 'packet_(commitment|ack|receipt)\(' crates/*/src --include='*.rs' |
+    grep -vE '^crates/(ibc-core/|relayer/src/msg\.rs:)'; then
+    echo "packet path functions called outside crates/ibc-core and relayer/src/msg.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p bench --bin fig6_block_interval -- [--days N] [--quiet] [--json <path>]`
 
 use bench::{cdf_section, paper_report, RunOptions};
-use testnet::{evaluate, Artifact, TestnetConfig, DAY_MS, HOUR_MS};
+use testnet::{evaluate, Artifact, ChaosPlan, TestnetConfig, DAY_MS, HOUR_MS};
 
 fn main() {
     let options = RunOptions::from_args();
@@ -42,10 +42,8 @@ fn main() {
         let mut config = TestnetConfig::paper();
         config.seed = options.seed + delta_h;
         config.guest.delta_ms = delta_h * HOUR_MS;
-        // Drop the outage for a clean sweep.
-        for profile in &mut config.validators {
-            profile.outage = None;
-        }
+        // Drop the day-11 outage plan for a clean sweep.
+        config.chaos = ChaosPlan::default();
         let sweep = evaluate(config, sweep_days * DAY_MS);
         let v = &sweep.fig6_block_intervals_min;
         let cutoff_min = delta_h as f64 * 60.0;

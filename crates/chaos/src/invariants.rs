@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestEvent};
 use ibc_core::channel::Timeout;
-use ibc_core::ics20::TransferModule;
+use ibc_core::ics20::{voucher_backing, TransferModule};
 use ibc_core::{ChannelId, ClientId, IbcEvent, PortId};
 use serde::{Deserialize, Serialize};
 use sim_crypto::Hash;
@@ -108,10 +108,6 @@ pub struct CheckContext<'a> {
     pub guest_client_on_cp: ClientId,
     /// The client tracking the counterparty, hosted on the guest.
     pub cp_client_on_guest: ClientId,
-    /// The guest-native denomination (escrowed on the guest side).
-    pub guest_denom: &'a str,
-    /// The counterparty-native denomination (escrowed on the cp side).
-    pub cp_denom: &'a str,
 }
 
 /// State of one tracked outbound packet commitment.
@@ -283,42 +279,26 @@ impl InvariantSuite {
             return;
         };
 
-        // Guest-native tokens: escrowed on the guest, vouchers on the cp.
-        let outbound_voucher = format!("{}/{}/{}", ctx.port, ctx.cp_channel, ctx.guest_denom);
-        let escrowed =
-            guest_bank.balance(&format!("escrow:{}", ctx.guest_channel), ctx.guest_denom);
-        let minted = cp_bank.total_supply(&outbound_voucher);
-        if minted > escrowed {
-            self.record(
-                ctx.now_ms,
-                ctx.faults,
-                InvariantKind::Ics20Conservation,
-                format!("conservation:{}", ctx.guest_denom),
-                format!(
-                    "{minted} {outbound_voucher} vouchers on the counterparty exceed the \
-                     {escrowed} {} escrowed on the guest",
-                    ctx.guest_denom
-                ),
-            );
-        }
-
-        // Counterparty-native tokens: escrowed on the cp, vouchers on the
-        // guest.
-        let inbound_voucher = format!("{}/{}/{}", ctx.port, ctx.guest_channel, ctx.cp_denom);
-        let escrowed = cp_bank.balance(&format!("escrow:{}", ctx.cp_channel), ctx.cp_denom);
-        let minted = guest_bank.total_supply(&inbound_voucher);
-        if minted > escrowed {
-            self.record(
-                ctx.now_ms,
-                ctx.faults,
-                InvariantKind::Ics20Conservation,
-                format!("conservation:{}", ctx.cp_denom),
-                format!(
-                    "{minted} {inbound_voucher} vouchers on the guest exceed the \
-                     {escrowed} {} escrowed on the counterparty",
-                    ctx.cp_denom
-                ),
-            );
+        for row in
+            voucher_backing(&ctx.port, guest_bank, &ctx.guest_channel, cp_bank, &ctx.cp_channel)
+        {
+            if row.unbacked() > 0 {
+                let (holder, backer) = if row.held_on_a {
+                    ("guest", "counterparty")
+                } else {
+                    ("counterparty", "guest")
+                };
+                self.record(
+                    ctx.now_ms,
+                    ctx.faults,
+                    InvariantKind::Ics20Conservation,
+                    format!("conservation:{}", row.inner),
+                    format!(
+                        "{} {} vouchers on the {holder} exceed the {} {} escrowed on the {backer}",
+                        row.minted, row.voucher, row.escrowed, row.inner
+                    ),
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The Guest Contract (Alg. 1): block production, finalisation, packets.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
@@ -9,7 +9,7 @@ use ibc_core::client::ConsensusState;
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
 use ibc_core::types::{ChannelId, ClientId, ConnectionId, IbcError, PortId};
 use ibc_core::{LightClient, Module, Ordering};
-use sealable_trie::Trie;
+use sealable_trie::{Trie, TrieHistory};
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
 use sim_crypto::Hash;
@@ -204,13 +204,12 @@ pub struct GuestContract {
     reward_balances: HashMap<PublicKey, u64>,
     /// The protocol's share of fees (everything not paid out as rewards).
     treasury: u64,
-    /// Bounded history of `(height, trie)` snapshots taken at block
-    /// generation — the proof-at-height service a full node offers
-    /// relayers. Without it, sustained traffic mutates the live trie
-    /// between block generation and relay, proofs against the finalised
-    /// root stop verifying, and the relayer's backlog grows without
-    /// bound.
-    proof_snapshots: VecDeque<(u64, Trie)>,
+    /// The state each generated block committed to, for
+    /// [`Self::prove_at`]. Without it, sustained traffic mutates the live
+    /// trie between block generation and relay, proofs against the
+    /// finalised root stop verifying, and the relayer's backlog grows
+    /// without bound.
+    proof_snapshots: TrieHistory,
 }
 
 /// How many block-generation snapshots [`GuestContract::prove_at`] keeps.
@@ -240,7 +239,8 @@ impl GuestContract {
         let blocks = Rc::new(RefCell::new(Vec::new()));
         ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
         let genesis = GuestBlock::genesis(&epoch, ibc.root(), now_ms, host_height);
-        let genesis_snapshot = (genesis.height, ibc.store().clone());
+        let mut proof_snapshots = TrieHistory::new(PROOF_SNAPSHOT_HISTORY);
+        proof_snapshots.snapshot(genesis.height, ibc.store());
         blocks.borrow_mut().push(genesis);
         Self {
             config,
@@ -258,7 +258,7 @@ impl GuestContract {
             undistributed_fees: 0,
             reward_balances: HashMap::new(),
             treasury: 0,
-            proof_snapshots: VecDeque::from([genesis_snapshot]),
+            proof_snapshots,
         }
     }
 
@@ -318,8 +318,7 @@ impl GuestContract {
     /// [`PROOF_SNAPSHOT_HISTORY`] generated blocks) or the key cannot be
     /// proven at that height.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
-        let (_, trie) = self.proof_snapshots.iter().rev().find(|(h, _)| *h == height)?;
-        trie.prove(key).ok()
+        self.proof_snapshots.prove_at(height, key)
     }
 
     /// Removes and returns all pending events.
@@ -385,10 +384,7 @@ impl GuestContract {
         self.events.push(GuestEvent::NewBlock { block: block.clone() });
         // Snapshot the state this block committed to, so proofs against
         // its root keep verifying after the live trie moves on.
-        self.proof_snapshots.push_back((block.height, self.ibc.store().clone()));
-        while self.proof_snapshots.len() > PROOF_SNAPSHOT_HISTORY {
-            self.proof_snapshots.pop_front();
-        }
+        self.proof_snapshots.snapshot(block.height, self.ibc.store());
         Ok(block)
     }
 

@@ -22,8 +22,7 @@ use host_sim::compute::costs;
 use host_sim::{Event, InvokeContext, Program, ProgramError, Pubkey};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::handler::ProofData;
-use ibc_core::types::{ChannelId, ClientId, ConnectionId, PortId};
-use ibc_core::Ordering;
+use ibc_core::types::{ChannelId, ClientId, PortId};
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
 use telemetry::{names, Telemetry};
@@ -147,59 +146,6 @@ pub enum GuestOp {
     },
     /// §VI-A: release all stakes once the chain is abandoned.
     SelfDestruct,
-    /// Start a connection handshake from the guest side.
-    ConnOpenInit {
-        /// Guest's client of the counterparty.
-        client: ClientId,
-        /// Counterparty's client of the guest.
-        counterparty_client: ClientId,
-    },
-    /// Finish the connection handshake (guest was the initiator).
-    ConnOpenAck {
-        /// Guest-side connection.
-        connection: ConnectionId,
-        /// Counterparty's connection id.
-        counterparty_connection: ConnectionId,
-        /// Counterparty height of the proof.
-        proof_height: u64,
-        /// Proof of the counterparty's TryOpen end.
-        proof: sealable_trie::Proof,
-    },
-    /// Confirm the connection handshake (guest was the responder).
-    ConnOpenConfirm {
-        /// Guest-side connection.
-        connection: ConnectionId,
-        /// Counterparty height of the proof.
-        proof_height: u64,
-        /// Proof of the counterparty's Open end.
-        proof: sealable_trie::Proof,
-    },
-    /// Start a channel handshake from the guest side.
-    ChanOpenInit {
-        /// Local port.
-        port: PortId,
-        /// Connection to run over.
-        connection: ConnectionId,
-        /// Counterparty port.
-        counterparty_port: PortId,
-        /// Ordering.
-        ordering: Ordering,
-        /// Version string.
-        version: String,
-    },
-    /// Finish the channel handshake (guest was the initiator).
-    ChanOpenAck {
-        /// Local port.
-        port: PortId,
-        /// Local channel.
-        channel: ChannelId,
-        /// Counterparty channel id.
-        counterparty_channel: ChannelId,
-        /// Counterparty height of the proof.
-        proof_height: u64,
-        /// Proof of the counterparty's TryOpen end.
-        proof: sealable_trie::Proof,
-    },
 }
 
 impl GuestOp {
@@ -221,11 +167,6 @@ impl GuestOp {
             GuestOp::ReportMisbehaviour { .. } => "report_misbehaviour",
             GuestOp::ClaimRewards { .. } => "claim_rewards",
             GuestOp::SelfDestruct => "self_destruct",
-            GuestOp::ConnOpenInit { .. } => "conn_open_init",
-            GuestOp::ConnOpenAck { .. } => "conn_open_ack",
-            GuestOp::ConnOpenConfirm { .. } => "conn_open_confirm",
-            GuestOp::ChanOpenInit { .. } => "chan_open_init",
-            GuestOp::ChanOpenAck { .. } => "chan_open_ack",
         }
     }
 
@@ -520,53 +461,6 @@ impl GuestProgram {
                 // distributes off-chain in this simulation).
                 ctx.transfer(&self.vault, &ctx.payer.clone(), total)?;
             }
-            GuestOp::ConnOpenInit { client, counterparty_client } => {
-                ctx.consume(5_000)?;
-                contract
-                    .ibc_mut()
-                    .conn_open_init(client, counterparty_client)
-                    .map_err(|e| Self::reject(e.to_string()))?;
-            }
-            GuestOp::ConnOpenAck { connection, counterparty_connection, proof_height, proof } => {
-                ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()) + 10_000)?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .ibc_mut()
-                    .conn_open_ack(
-                        &connection,
-                        counterparty_connection,
-                        ProofData { height: proof_height, bytes },
-                        None,
-                    )
-                    .map_err(|e| Self::reject(e.to_string()))?;
-            }
-            GuestOp::ConnOpenConfirm { connection, proof_height, proof } => {
-                ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()) + 10_000)?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .ibc_mut()
-                    .conn_open_confirm(&connection, ProofData { height: proof_height, bytes })
-                    .map_err(|e| Self::reject(e.to_string()))?;
-            }
-            GuestOp::ChanOpenInit { port, connection, counterparty_port, ordering, version } => {
-                ctx.consume(5_000)?;
-                contract
-                    .chan_open_init(port, connection, counterparty_port, ordering, &version)
-                    .map_err(|e| Self::reject(e.to_string()))?;
-            }
-            GuestOp::ChanOpenAck { port, channel, counterparty_channel, proof_height, proof } => {
-                ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()) + 10_000)?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .ibc_mut()
-                    .chan_open_ack(
-                        &port,
-                        &channel,
-                        counterparty_channel,
-                        ProofData { height: proof_height, bytes },
-                    )
-                    .map_err(|e| Self::reject(e.to_string()))?;
-            }
         }
 
         // Surface guest events as host events so off-chain actors see them.
@@ -620,53 +514,21 @@ impl GuestProgram {
                 );
             }
             GuestEvent::Ibc(ibc) => {
-                // The trace key needs the packet's *origin* chain: a packet
-                // received or acknowledged-on-arrival here originated on the
-                // counterparty, everything else originated on the guest.
-                let (name, packet, origin) = match ibc {
-                    ibc_core::IbcEvent::SendPacket { packet } => {
-                        self.telemetry.counter_add("guest.packets.sent", 1);
-                        (names::PACKET_SEND, packet, "guest")
-                    }
-                    ibc_core::IbcEvent::RecvPacket { packet } => (names::PACKET_RECV, packet, "cp"),
-                    ibc_core::IbcEvent::WriteAcknowledgement { packet, ack } => {
-                        // An app-level rejection on this chain is a distinct
-                        // delivery outcome — tally it so `generated -
-                        // delivered` gaps stay explained.
-                        if !ack.is_success() {
-                            self.telemetry.counter_add("guest.acks.error", 1);
-                        }
-                        (names::PACKET_ACK_WRITTEN, packet, "cp")
-                    }
-                    ibc_core::IbcEvent::AcknowledgePacket { packet } => {
-                        self.telemetry.counter_add("guest.packets.acked", 1);
-                        (names::PACKET_ACK, packet, "guest")
-                    }
-                    ibc_core::IbcEvent::TimeoutPacket { packet } => {
-                        self.telemetry.counter_add("guest.packets.timed_out", 1);
-                        (names::PACKET_TIMEOUT, packet, "guest")
-                    }
-                    _ => return,
-                };
+                let Some(step) = ibc.packet_step() else { return };
+                if let Some(counter) = step.counter {
+                    self.telemetry.counter_add(&format!("guest.{counter}"), 1);
+                }
+                // The trace key needs the packet's *origin* chain.
+                let (packet, origin) = (step.packet, if step.sent_here { "guest" } else { "cp" });
                 let trace = self.telemetry.trace_for_packet(
                     origin,
                     packet.source_channel.as_str(),
                     packet.sequence,
                 );
                 let traces: Vec<_> = trace.into_iter().collect();
-                self.telemetry.event(
-                    now_ms,
-                    name,
-                    &traces,
-                    &[
-                        ("chain", "guest".into()),
-                        ("src_port", packet.source_port.as_str().into()),
-                        ("src_channel", packet.source_channel.as_str().into()),
-                        ("dst_channel", packet.destination_channel.as_str().into()),
-                        ("sequence", packet.sequence.into()),
-                        ("payload_bytes", packet.payload.len().into()),
-                    ],
-                );
+                let mut fields = step.fields("guest");
+                fields.push(("payload_bytes", packet.payload.len().into()));
+                self.telemetry.event(now_ms, step.name, &traces, &fields);
             }
         }
     }

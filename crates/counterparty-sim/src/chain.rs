@@ -3,10 +3,10 @@
 use ibc_core::handler::{HandlerConfig, HostTime, IbcHandler};
 use ibc_core::IbcEvent;
 use profiler::Profiler;
-use sealable_trie::Trie;
+use sealable_trie::{Trie, TrieHistory};
 use sim_crypto::rng::SplitMix64;
 use sim_crypto::schnorr::{Keypair, PublicKey};
-use telemetry::{names, Telemetry};
+use telemetry::Telemetry;
 
 use crate::header::CpHeader;
 
@@ -58,12 +58,8 @@ pub struct CounterpartyChain {
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
     profiler: Profiler,
-    /// Bounded `(height, trie)` history snapshotted at block production —
-    /// the proof-at-height service a full node offers relayers. Proofs
-    /// generated from live state stop verifying against a header's
-    /// app-hash as soon as later transactions touch the proof path, which
-    /// under sustained traffic is always.
-    proof_snapshots: std::collections::VecDeque<(u64, Trie)>,
+    /// The state each header committed to, for [`Self::prove_at`].
+    proof_snapshots: TrieHistory,
 }
 
 /// Snapshot history depth. Covers the gap between a guest-side client
@@ -101,7 +97,7 @@ impl CounterpartyChain {
             headers: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
-            proof_snapshots: std::collections::VecDeque::new(),
+            proof_snapshots: TrieHistory::new(PROOF_SNAPSHOT_HISTORY),
         }
     }
 
@@ -110,8 +106,7 @@ impl CounterpartyChain {
     /// snapshot has been evicted or the key cannot be proven there.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
         let _prove = self.profiler.scope("cp.prove");
-        let (_, trie) = self.proof_snapshots.iter().rev().find(|(h, _)| *h == height)?;
-        trie.prove(key).ok()
+        self.proof_snapshots.prove_at(height, key)
     }
 
     /// Installs an observability sink. Counterparty-side packet lifecycle
@@ -179,10 +174,7 @@ impl CounterpartyChain {
         {
             // Snapshot the state this header commits to for prove_at.
             let _snapshot = self.profiler.scope("cp.snapshot");
-            self.proof_snapshots.push_back((self.height, self.ibc.store().clone()));
-            while self.proof_snapshots.len() > PROOF_SNAPSHOT_HISTORY {
-                self.proof_snapshots.pop_front();
-            }
+            self.proof_snapshots.snapshot(self.height, self.ibc.store());
         }
 
         // Epoch boundary: announce a reshuffled validator set, signed by
@@ -262,52 +254,21 @@ impl CounterpartyChain {
         let events = self.ibc.drain_events();
         if self.telemetry.is_recording() {
             for event in &events {
-                // Mirror of the guest's mapping: packets received or
-                // ack-written here originated on the guest, the rest
-                // originated on this chain.
-                let (name, packet, origin) = match event {
-                    IbcEvent::SendPacket { packet } => {
-                        self.telemetry.counter_add("cp.packets.sent", 1);
-                        (names::PACKET_SEND, packet, "cp")
-                    }
-                    IbcEvent::RecvPacket { packet } => (names::PACKET_RECV, packet, "guest"),
-                    IbcEvent::WriteAcknowledgement { packet, ack } => {
-                        // App-level rejection written on this chain: a
-                        // distinct delivery outcome worth its own tally.
-                        if !ack.is_success() {
-                            self.telemetry.counter_add("cp.acks.error", 1);
-                        }
-                        (names::PACKET_ACK_WRITTEN, packet, "guest")
-                    }
-                    IbcEvent::AcknowledgePacket { packet } => {
-                        self.telemetry.counter_add("cp.packets.acked", 1);
-                        (names::PACKET_ACK, packet, "cp")
-                    }
-                    IbcEvent::TimeoutPacket { packet } => {
-                        self.telemetry.counter_add("cp.packets.timed_out", 1);
-                        (names::PACKET_TIMEOUT, packet, "cp")
-                    }
-                    _ => continue,
-                };
+                let Some(step) = event.packet_step() else { continue };
+                if let Some(counter) = step.counter {
+                    self.telemetry.counter_add(&format!("cp.{counter}"), 1);
+                }
+                // The trace key needs the packet's *origin* chain.
+                let (packet, origin) = (step.packet, if step.sent_here { "cp" } else { "guest" });
                 let trace = self.telemetry.trace_for_packet(
                     origin,
                     packet.source_channel.as_str(),
                     packet.sequence,
                 );
                 let traces: Vec<_> = trace.into_iter().collect();
-                self.telemetry.event(
-                    self.time_ms,
-                    name,
-                    &traces,
-                    &[
-                        ("chain", "cp".into()),
-                        ("src_port", packet.source_port.as_str().into()),
-                        ("src_channel", packet.source_channel.as_str().into()),
-                        ("dst_channel", packet.destination_channel.as_str().into()),
-                        ("sequence", packet.sequence.into()),
-                        ("height", self.height.into()),
-                    ],
-                );
+                let mut fields = step.fields("cp");
+                fields.push(("height", self.height.into()));
+                self.telemetry.event(self.time_ms, step.name, &traces, &fields);
             }
         }
         events

@@ -69,3 +69,63 @@ pub enum IbcEvent {
         packet: Packet,
     },
 }
+
+/// One step of a packet's life as chain observers journal it: the single
+/// `IbcEvent → lifecycle` table the guest program, the counterparty chain
+/// and the mesh all record through (each adds its own chain label,
+/// counter prefix and trailing fields).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PacketStep<'a> {
+    /// Journal event name (`packet.send`, `packet.recv`, …).
+    pub name: &'static str,
+    /// The packet.
+    pub packet: &'a Packet,
+    /// Whether the chain that emitted the event is the one that sent the
+    /// packet (send, ack, timeout) or its peer is (recv, ack written).
+    /// The *sender's* label keys the packet's trace.
+    pub sent_here: bool,
+    /// The per-chain counter the step bumps, as a suffix to the chain's
+    /// prefix (`packets.sent`, …); `None` for steps nobody tallies.
+    pub counter: Option<&'static str>,
+}
+
+impl<'a> PacketStep<'a> {
+    /// The identity fields every observer's journal entry for the step
+    /// leads with, `chain` being the observer's own label. Generic over
+    /// the journal's value type, which this crate does not know.
+    pub fn fields<V: From<&'a str> + From<u64>>(&self, chain: &'a str) -> Vec<(&'static str, V)> {
+        let packet = self.packet;
+        let mut fields = Vec::with_capacity(6); // room for one trailing field
+        fields.extend([
+            ("chain", chain.into()),
+            ("src_port", packet.source_port.as_str().into()),
+            ("src_channel", packet.source_channel.as_str().into()),
+            ("dst_channel", packet.destination_channel.as_str().into()),
+            ("sequence", packet.sequence.into()),
+        ]);
+        fields
+    }
+}
+
+impl IbcEvent {
+    /// The packet-lifecycle step this event marks, if it is a packet event.
+    pub fn packet_step(&self) -> Option<PacketStep<'_>> {
+        let (name, packet, sent_here, counter) = match self {
+            Self::SendPacket { packet } => ("packet.send", packet, true, Some("packets.sent")),
+            Self::RecvPacket { packet } => ("packet.recv", packet, false, None),
+            // An app-level rejection is a distinct delivery outcome —
+            // tallied so `generated - delivered` gaps stay explained.
+            Self::WriteAcknowledgement { packet, ack } => {
+                ("packet.ack_written", packet, false, (!ack.is_success()).then_some("acks.error"))
+            }
+            Self::AcknowledgePacket { packet } => {
+                ("packet.ack", packet, true, Some("packets.acked"))
+            }
+            Self::TimeoutPacket { packet } => {
+                ("packet.timeout", packet, true, Some("packets.timed_out"))
+            }
+            _ => return None,
+        };
+        Some(PacketStep { name, packet, sent_here, counter })
+    }
+}

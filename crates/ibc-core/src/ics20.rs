@@ -4,7 +4,7 @@
 //! assets between Solana and Picasso. Implements escrow/mint voucher
 //! semantics with denomination tracing and refunds on failure or timeout.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +71,64 @@ pub fn split_voucher<'a>(
     let channel = segments.next()?;
     let base = segments.next()?;
     (port == port_id.as_str() && channel == channel_id.as_str() && !base.is_empty()).then_some(base)
+}
+
+/// One voucher denomination on one end of a link, with what backs it on
+/// the other end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct VoucherBacking<'a> {
+    /// Whether the voucher circulates on the link's `a` end (and is
+    /// backed on `b`) or the other way round.
+    pub held_on_a: bool,
+    /// The voucher denomination as named where it circulates.
+    pub voucher: &'a str,
+    /// The denomination it wraps, as named on the backing end.
+    pub inner: &'a str,
+    /// The voucher's total supply.
+    pub minted: u128,
+    /// The backing end's escrow of `inner` for this link's channel.
+    pub escrowed: u128,
+}
+
+impl VoucherBacking<'_> {
+    /// Units in circulation beyond their backing: zero unless value was
+    /// created out of thin air.
+    pub fn unbacked(&self) -> u128 {
+        self.minted.saturating_sub(self.escrowed)
+    }
+}
+
+/// The voucher-backing audit of one link, both directions: every
+/// denomination either end holds that was minted over its own channel of
+/// the link, matched segment-wise ([`split_voucher`]) against the other
+/// end's `escrow:{channel}` balance of the inner denomination. Stacked
+/// multi-hop prefixes unwind one layer per link, so on a clean link
+/// `minted ≤ escrowed` in every row (strictly below while transfers are
+/// in flight). Rows held on `b` come first, each end's sorted by name.
+pub fn voucher_backing<'a>(
+    port: &PortId,
+    a: &'a TransferModule,
+    a_channel: &ChannelId,
+    b: &'a TransferModule,
+    b_channel: &ChannelId,
+) -> Vec<VoucherBacking<'a>> {
+    let mut rows = Vec::new();
+    for (held_on_a, holder, channel, backer, backer_channel) in
+        [(false, b, b_channel, a, a_channel), (true, a, a_channel, b, b_channel)]
+    {
+        let mut minted: BTreeMap<&str, (&str, u128)> = BTreeMap::new();
+        for ((_, denom), amount) in &holder.balances {
+            if let Some(inner) = split_voucher(denom, port, channel) {
+                minted.entry(denom).or_insert((inner, 0)).1 += amount;
+            }
+        }
+        let escrow = escrow_account(backer_channel);
+        rows.extend(minted.into_iter().map(|(voucher, (inner, minted))| {
+            let escrowed = backer.balance(&escrow, inner);
+            VoucherBacking { held_on_a, voucher, inner, minted, escrowed }
+        }));
+    }
+    rows
 }
 
 /// Splits one voucher-prefix layer off `denom` regardless of which
@@ -511,6 +569,37 @@ mod tests {
         assert_eq!(split_voucher("transfer/channel-1/pica", &port, &chan), None);
         assert_eq!(split_voucher("transfer/channel-0", &port, &chan), None);
         assert_eq!(split_voucher("pica", &port, &chan), None);
+    }
+
+    #[test]
+    fn voucher_backing_matches_each_voucher_to_its_one_hop_escrow() {
+        let port = PortId::transfer();
+        let (a_chan, b_chan) = (ChannelId::new(7), ChannelId::new(0));
+        let mut a = TransferModule::new();
+        a.mint("escrow:channel-7", "sol", 100);
+        a.mint("escrow:channel-7", "transfer/channel-9/pica", 5);
+        a.mint("dave", "transfer/channel-7/atom", 2); // b escrows nothing for it
+        let mut b = TransferModule::new();
+        b.mint("bob", "transfer/channel-0/sol", 60);
+        b.mint("carol", "transfer/channel-0/sol", 40);
+        b.mint("bob", "transfer/channel-0/transfer/channel-9/pica", 8); // 3 unbacked
+        b.mint("bob", "transfer/channel-1/sol", 1_000); // another link's voucher
+        b.mint("bob", "native", 1_000);
+
+        let rows = voucher_backing(&port, &a, &a_chan, &b, &b_chan);
+        let summary: Vec<_> = rows
+            .iter()
+            .map(|r| (r.held_on_a, r.inner, r.minted, r.escrowed, r.unbacked()))
+            .collect();
+        assert_eq!(
+            summary,
+            [
+                (false, "sol", 100, 100, 0),
+                (false, "transfer/channel-9/pica", 8, 5, 3),
+                (true, "atom", 2, 0, 2),
+            ]
+        );
+        assert_eq!(rows[1].voucher, "transfer/channel-0/transfer/channel-9/pica");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod types;
 pub use channel::{Acknowledgement, ChannelEnd, ChannelState, Ordering, Packet, Timeout};
 pub use client::{ConsensusState, LightClient};
 pub use connection::{ConnectionEnd, ConnectionState};
-pub use events::IbcEvent;
+pub use events::{IbcEvent, PacketStep};
 pub use forward::{ForwardKind, ForwardMetadata, MemoEnvelope, RefundMetadata};
 pub use handler::{
     HandlerConfig, HostTime, IbcHandler, ProofData, SelfConsensusProof, SelfHistory,

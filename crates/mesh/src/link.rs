@@ -2,37 +2,16 @@
 //! pending work, and its running tallies.
 //!
 //! Both ends of a mesh link are counterparty-style chains (native IBC, no
-//! resource constraints), so — unlike the guest↔counterparty bootstrap in
-//! `relayer::bootstrap` — the handshake and all packet relaying use direct
-//! handler calls with real proofs on both sides.
+//! resource constraints), so the handshake uses direct handler calls with
+//! real proofs on both sides. Packet relaying is the same
+//! [`relayer::RelayMsg`] rule the guest link follows; here both
+//! directions take its native transport.
 
 use counterparty_sim::{CounterpartyChain, CpLightClient};
-use ibc_core::channel::{Acknowledgement, Packet};
 use ibc_core::handler::ProofData;
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
 use ibc_core::{path, Ordering, ProvableStore};
-use relayer::LinkFee;
-
-/// Pending relay work in one proving direction: everything below is
-/// proven against the same chain's store and delivered to the other.
-#[derive(Debug, Default)]
-pub(crate) struct Flow {
-    /// Packets committed on the proving chain, awaiting delivery.
-    pub to_recv: Vec<Packet>,
-    /// Acknowledgements written on the proving chain, awaiting delivery
-    /// to the packets' source.
-    pub to_ack: Vec<(Packet, Acknowledgement)>,
-    /// Packets (sent by the *other* chain) that expired unreceived on the
-    /// proving chain, awaiting a timeout message to their source.
-    pub to_timeout: Vec<Packet>,
-}
-
-impl Flow {
-    /// Total queued messages.
-    pub fn backlog(&self) -> usize {
-        self.to_recv.len() + self.to_ack.len() + self.to_timeout.len()
-    }
-}
+use relayer::{LinkFee, RelayMsg};
 
 /// A live link: handshake products, the embedded relayer's schedule and
 /// queues, and fee/delivery tallies.
@@ -72,16 +51,25 @@ pub struct Link {
     pub deliveries: u64,
     /// Client updates submitted by this link's relayer.
     pub client_updates: u64,
-    /// Work proven against A, delivered to B.
-    pub(crate) from_a: Flow,
-    /// Work proven against B, delivered to A.
-    pub(crate) from_b: Flow,
+    /// Steps seen on A: proven against A's store, delivered to B.
+    pub(crate) from_a: Vec<RelayMsg>,
+    /// Steps seen on B: proven against B's store, delivered to A.
+    pub(crate) from_b: Vec<RelayMsg>,
 }
 
 impl Link {
     /// Messages queued in both directions.
     pub fn backlog(&self) -> usize {
-        self.from_a.backlog() + self.from_b.backlog()
+        self.from_a.len() + self.from_b.len()
+    }
+
+    /// The queue of steps `node` proves.
+    pub(crate) fn queue_of(&mut self, node: usize) -> &mut Vec<RelayMsg> {
+        if node == self.a {
+            &mut self.from_a
+        } else {
+            &mut self.from_b
+        }
     }
 
     /// The remote endpoint of `node` on this link.
@@ -148,7 +136,7 @@ pub(crate) fn link_ports() -> [(PortId, &'static str); 3] {
 /// A proof of `key` from `chain`'s current store, attributed to its
 /// latest committed height. Valid only while the store root still equals
 /// that header's app hash — callers commit a block immediately before.
-pub(crate) fn prove(chain: &CounterpartyChain, key: &[u8]) -> Result<ProofData, IbcError> {
+fn prove(chain: &CounterpartyChain, key: &[u8]) -> Result<ProofData, IbcError> {
     let bytes = ProvableStore::prove(chain.ibc().store(), key)?;
     Ok(ProofData { height: chain.height(), bytes })
 }

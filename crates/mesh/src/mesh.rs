@@ -33,18 +33,19 @@ use apps::{
 use chaos::ChaosController;
 use counterparty_sim::{CounterpartyChain, CpHeader};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
+use ibc_core::client::ConsensusState;
 use ibc_core::forward::{ForwardKind, ForwardMetadata};
-use ibc_core::handler::ProofData;
 use ibc_core::ics20::{self, TransferModule};
 use ibc_core::types::{IbcError, PortId};
-use ibc_core::{path, IbcEvent, Module};
+use ibc_core::{IbcEvent, Module, PacketStep};
 use monitor::{
     AlertRecord, FeeConservationDetector, LatencyRegressionDetector, Monitor, MonitorConfig,
     StalenessDetector, StuckPacketDetector, SupplyDriftDetector,
 };
+use relayer::msg::{Proof, RelayMsg, Submitted, Unproven};
 use telemetry::{names, RunReport, Telemetry, TraceId};
 
-use crate::link::{open_link, prove, Link};
+use crate::link::{open_link, Link};
 use crate::routing::{PathPolicy, RouteHop, RoutingTable};
 use crate::topology::MeshConfig;
 
@@ -216,22 +217,10 @@ pub struct TrafficOutcome {
     pub in_flight: usize,
 }
 
-/// One proven message awaiting submission to a link's far end.
-enum RelayMsg {
-    Recv { packet: Packet, proof: ProofData },
-    Ack { packet: Packet, ack: Acknowledgement, proof: ProofData },
-    Timeout { packet: Packet, proof: ProofData },
-}
-
-/// One relay direction's proven work, read from the source chain before
-/// any submission mutates state.
-#[derive(Default)]
-struct Prepared {
-    /// The header the proofs were taken at (None: source unprovable).
-    header: Option<CpHeader>,
-    msgs: Vec<RelayMsg>,
-    errors: u64,
-}
+/// One relay direction's proven work — the header the proofs were taken
+/// under and each message with its proof — read from the source chain
+/// before any submission mutates state.
+type Proven = (CpHeader, Vec<(RelayMsg, Proof)>);
 
 /// Mutably borrows two distinct slice elements.
 fn pair<T>(slice: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
@@ -301,10 +290,7 @@ impl Mesh {
     /// when a handshake fails.
     pub fn build(config: MeshConfig) -> Result<Self, MeshError> {
         config.validate().map_err(MeshError::Config)?;
-        let telemetry = match config.sample_traces {
-            Some(keep_one_in) => Telemetry::sampled(keep_one_in, config.seed),
-            None => Telemetry::recording(),
-        };
+        let telemetry = Telemetry::recording();
         // Per-app send→ack latency: one histogram per bound port, read by
         // the per-app regression detectors and the attribution bench.
         for app in ["transfer", "nft", "ica"] {
@@ -413,8 +399,8 @@ impl Mesh {
                 fees_charged: 0,
                 deliveries: 0,
                 client_updates: 0,
-                from_a: Default::default(),
-                from_b: Default::default(),
+                from_a: Vec::new(),
+                from_b: Vec::new(),
             });
         }
 
@@ -1059,28 +1045,14 @@ impl Mesh {
     /// prefixes unwind one layer per link, so a clean mesh always nets to
     /// zero and only an unbacked mint (or a conservation bug) shows up.
     pub fn supply_drift(&self) -> u128 {
-        let mut drift = 0u128;
-        for link in &self.links {
-            let pairs = [
-                (link.a, &link.a_channel, link.b, &link.b_channel),
-                (link.b, &link.b_channel, link.a, &link.a_channel),
-            ];
-            for (sender, sender_channel, receiver, receiver_channel) in pairs {
-                let receiver_bank = self.nodes[receiver].transfers();
-                let sender_bank = self.nodes[sender].transfers();
-                let escrow = ics20::escrow_account(sender_channel);
-                for denom in receiver_bank.denoms() {
-                    let Some(rest) = ics20::split_voucher(&denom, &self.port, receiver_channel)
-                    else {
-                        continue;
-                    };
-                    let minted = receiver_bank.total_supply(&denom);
-                    let backing = sender_bank.balance(&escrow, rest);
-                    drift += minted.saturating_sub(backing);
-                }
-            }
-        }
-        drift
+        let bank = |node: usize| self.nodes[node].transfers();
+        self.links
+            .iter()
+            .flat_map(|l| {
+                ics20::voucher_backing(&self.port, bank(l.a), &l.a_channel, bank(l.b), &l.b_channel)
+            })
+            .map(|row| row.unbacked())
+            .sum()
     }
 
     /// NFT analogue of [`Mesh::supply_drift`]: voucher tokens whose
@@ -1428,24 +1400,29 @@ impl Mesh {
         for i in 0..self.nodes.len() {
             let events = self.nodes[i].chain.ibc_mut().drain_events();
             for event in events {
-                match event {
-                    IbcEvent::SendPacket { packet } => self.on_send(i, packet, now),
-                    IbcEvent::RecvPacket { packet } => self.on_recv(i, packet, now),
-                    IbcEvent::WriteAcknowledgement { packet, ack } => {
-                        self.on_ack_written(i, packet, ack, now);
+                let Some(step) = event.packet_step() else { continue };
+                // The link a peer's packet arrived over (`None`: sent here).
+                let arrival = if step.sent_here {
+                    None
+                } else {
+                    let channel = step.packet.destination_channel.as_str().to_string();
+                    let Some(&li) = self.channel_links.get(&(i, channel)) else { continue };
+                    Some(li)
+                };
+                let origin = arrival.map_or(i, |li| self.links[li].peer_of(i));
+                self.emit_packet_event(&step, origin, now);
+                match (event, arrival) {
+                    (IbcEvent::SendPacket { packet }, _) => self.on_send(i, packet, now),
+                    (IbcEvent::RecvPacket { packet }, Some(li)) => {
+                        self.on_recv(i, li, packet, now);
                     }
-                    IbcEvent::AcknowledgePacket { packet } => {
-                        self.emit_packet_event(names::PACKET_ACK, i, &packet, now);
-                        self.emit_app_dispatch(
-                            i,
-                            i,
-                            &packet.source_port.clone(),
-                            &packet,
-                            now,
-                            "ack",
-                        );
+                    (IbcEvent::WriteAcknowledgement { packet, ack }, Some(li)) => {
+                        self.on_ack_written(i, li, packet, ack, now);
                     }
-                    IbcEvent::TimeoutPacket { packet } => self.on_timeout(i, packet, now),
+                    (IbcEvent::AcknowledgePacket { packet }, _) => {
+                        self.emit_app_dispatch(i, i, &packet.source_port, &packet, now, "ack");
+                    }
+                    (IbcEvent::TimeoutPacket { packet }, _) => self.on_timeout(i, packet, now),
                     _ => {}
                 }
             }
@@ -1453,18 +1430,17 @@ impl Mesh {
     }
 
     /// Emits one packet-lifecycle event, linked to the packet trace (keyed
-    /// by the *sending* chain) and, when the leg belongs to a route, the
-    /// route trace.
-    fn emit_packet_event(&self, name: &str, origin: usize, packet: &Packet, now: u64) {
+    /// by the *sending* chain `origin`) and, when the leg belongs to a
+    /// route, the route trace.
+    fn emit_packet_event(&self, step: &PacketStep<'_>, origin: usize, now: u64) {
         if !self.telemetry.is_recording() {
             return;
         }
+        let (packet, chain) = (step.packet, self.nodes[origin].name.as_str());
         let mut traces = Vec::new();
-        if let Some(trace) = self.telemetry.trace_for_packet(
-            &self.nodes[origin].name,
-            packet.source_channel.as_str(),
-            packet.sequence,
-        ) {
+        if let Some(trace) =
+            self.telemetry.trace_for_packet(chain, packet.source_channel.as_str(), packet.sequence)
+        {
             traces.push(trace);
         }
         if let Some(leg) =
@@ -1474,18 +1450,7 @@ impl Mesh {
                 traces.push(route_trace);
             }
         }
-        self.telemetry.event(
-            now,
-            name,
-            &traces,
-            &[
-                ("chain", self.nodes[origin].name.as_str().into()),
-                ("src_port", packet.source_port.as_str().into()),
-                ("src_channel", packet.source_channel.as_str().into()),
-                ("dst_channel", packet.destination_channel.as_str().into()),
-                ("sequence", packet.sequence.into()),
-            ],
-        );
+        self.telemetry.event(now, step.name, &traces, &step.fields(chain));
     }
 
     /// Emits the zero-width `app.dispatch` milestone: `chain`'s module
@@ -1534,26 +1499,17 @@ impl Mesh {
 
     fn on_send(&mut self, i: usize, packet: Packet, now: u64) {
         self.telemetry.counter_add("mesh.packets.sent", 1);
-        self.emit_packet_event(names::PACKET_SEND, i, &packet, now);
         self.app_sent_ms
             .insert((i, packet.source_channel.as_str().to_string(), packet.sequence), now);
         if let Some(&li) = self.channel_links.get(&(i, packet.source_channel.as_str().to_string()))
         {
-            let link = &mut self.links[li];
-            let flow = if link.a == i { &mut link.from_a } else { &mut link.from_b };
-            flow.to_recv.push(packet);
+            self.links[li].queue_of(i).push(RelayMsg::Recv { packet });
         }
     }
 
-    fn on_recv(&mut self, i: usize, packet: Packet, now: u64) {
+    fn on_recv(&mut self, i: usize, li: usize, packet: Packet, now: u64) {
         self.telemetry.counter_add("mesh.packets.delivered", 1);
-        let Some(&li) =
-            self.channel_links.get(&(i, packet.destination_channel.as_str().to_string()))
-        else {
-            return;
-        };
         let peer = self.links[li].peer_of(i);
-        self.emit_packet_event(names::PACKET_RECV, peer, &packet, now);
         self.emit_app_dispatch(i, peer, &packet.destination_port.clone(), &packet, now, "recv");
 
         let key = (peer, packet.source_channel.as_str().to_string(), packet.sequence);
@@ -1604,7 +1560,6 @@ impl Mesh {
     /// the middleware's refund transfers.
     fn on_timeout(&mut self, i: usize, packet: Packet, now: u64) {
         self.telemetry.counter_add("mesh.packets.timed_out", 1);
-        self.emit_packet_event(names::PACKET_TIMEOUT, i, &packet, now);
         self.emit_app_dispatch(i, i, &packet.source_port.clone(), &packet, now, "timeout");
         let key = (i, packet.source_channel.as_str().to_string(), packet.sequence);
         self.app_sent_ms.remove(&key);
@@ -1628,14 +1583,15 @@ impl Mesh {
     /// route's final leg counts as delivered here — on a *success* ack —
     /// not on packet receipt: an error ack (receiver rejected the
     /// credit) settles through the refund path instead.
-    fn on_ack_written(&mut self, i: usize, packet: Packet, ack: Acknowledgement, now: u64) {
-        let Some(&li) =
-            self.channel_links.get(&(i, packet.destination_channel.as_str().to_string()))
-        else {
-            return;
-        };
+    fn on_ack_written(
+        &mut self,
+        i: usize,
+        li: usize,
+        packet: Packet,
+        ack: Acknowledgement,
+        now: u64,
+    ) {
         let peer = self.links[li].peer_of(i);
-        self.emit_packet_event(names::PACKET_ACK_WRITTEN, peer, &packet, now);
         if !ack.is_success() {
             self.telemetry.counter_add("mesh.acks.error", 1);
         }
@@ -1668,42 +1624,32 @@ impl Mesh {
                 }
             }
         }
-        let link = &mut self.links[li];
-        let flow = if link.a == i { &mut link.from_a } else { &mut link.from_b };
-        flow.to_ack.push((packet, ack));
+        self.links[li].queue_of(i).push(RelayMsg::Ack { packet, ack });
     }
 
-    /// Phase 4: packets whose destination clock passed their timeout move
-    /// from the recv queue to the reverse direction's timeout queue (the
-    /// proof of non-receipt comes from the destination).
+    /// Phase 4: receives whose packet expired on the destination's clock
+    /// become timeout messages in the reverse direction (the proof of
+    /// non-receipt comes from the destination).
     fn expire_pending(&mut self, _now: u64) {
         for link in &mut self.links {
-            for (src, dst) in [(link.a, link.b), (link.b, link.a)] {
-                let Some(header) = self.nodes[dst].chain.latest_header() else { continue };
-                let (height, timestamp) = (header.height, header.timestamp_ms);
-                let (flow, reverse) = if src == link.a {
-                    (&mut link.from_a, &mut link.from_b)
+            for from_a in [true, false] {
+                let (dst, queue, reverse) = if from_a {
+                    (link.b, &mut link.from_a, &mut link.from_b)
                 } else {
-                    (&mut link.from_b, &mut link.from_a)
+                    (link.a, &mut link.from_b, &mut link.from_a)
                 };
-                if flow.to_recv.is_empty() {
-                    continue;
-                }
-                let pending = std::mem::take(&mut flow.to_recv);
-                for packet in pending {
-                    if packet.timeout.has_expired(height, timestamp) {
-                        reverse.to_timeout.push(packet);
-                    } else {
-                        flow.to_recv.push(packet);
-                    }
+                let Some(header) = self.nodes[dst].chain.latest_header() else { continue };
+                for msg in std::mem::take(queue) {
+                    let (msg, turned) = msg.expire(header.height, header.timestamp_ms);
+                    if turned { &mut *reverse } else { &mut *queue }.push(msg);
                 }
             }
         }
     }
 
     /// Phase 5: wake due link relayers. Per link, *all* proofs for both
-    /// directions are prepared first (pure reads), and only then are
-    /// client updates and messages submitted: a submission mutates the
+    /// directions are taken first (pure reads), and only then are client
+    /// updates and messages submitted: a submission mutates the
     /// destination's store, and collecting proofs up front keeps one
     /// direction's client update from invalidating the other direction's
     /// source-side proofs within the same tick.
@@ -1725,145 +1671,96 @@ impl Mesh {
             if self.links[li].backlog() == 0 {
                 continue;
             }
-            let from_a = self.prepare_direction(li, true);
-            let from_b = self.prepare_direction(li, false);
+            let from_a = self.prove_direction(li, true);
+            let from_b = self.prove_direction(li, false);
             self.submit_direction(li, true, from_a);
             self.submit_direction(li, false, from_b);
         }
     }
 
-    /// Drains one direction's queues into proven messages, without
-    /// touching either chain's state. When the source store has moved
-    /// past its latest committed header the queues are left untouched for
-    /// the next tick (a fresh block restores provability).
-    fn prepare_direction(&mut self, li: usize, from_a: bool) -> Prepared {
+    /// Step one for one direction: drains its queue into proven messages
+    /// — receives, then acks, then timeouts — without touching either
+    /// chain's state. When the source store has moved past its latest
+    /// committed header the queue is left untouched for the next tick (a
+    /// fresh block restores provability). `None`: nothing to submit.
+    fn prove_direction(&mut self, li: usize, from_a: bool) -> Option<Proven> {
         let link = &mut self.links[li];
-        let src_i = if from_a { link.a } else { link.b };
-        let flow = if from_a { &mut link.from_a } else { &mut link.from_b };
+        let (src_i, queue) =
+            if from_a { (link.a, &mut link.from_a) } else { (link.b, &mut link.from_b) };
         let src = &self.nodes[src_i].chain;
-        let mut prepared = Prepared::default();
-
-        let Some(header) = src.latest_header().cloned() else { return prepared };
+        let header = src.latest_header()?;
         if header.app_hash != src.ibc().root() {
-            return prepared;
+            return None;
         }
+        let consensus = ConsensusState { root: header.app_hash, timestamp_ms: header.timestamp_ms };
 
-        for packet in std::mem::take(&mut flow.to_recv) {
-            let key = path::packet_commitment(
-                &packet.source_port,
-                &packet.source_channel,
-                packet.sequence,
-            );
-            match prove(src, &key) {
-                Ok(proof) => prepared.msgs.push(RelayMsg::Recv { packet, proof }),
-                Err(_) => prepared.errors += 1,
+        let mut pending = std::mem::take(queue);
+        pending.sort_by_key(|msg| msg.kind() as u8);
+        let mut proven = Vec::new();
+        let mut errors = 0;
+        for msg in pending {
+            match msg.prove(header.height, &consensus, |key| src.ibc().store().prove(key).ok()) {
+                Ok(proof) => proven.push((msg, proof)),
+                // Only a timeout waits: the proven consensus state itself
+                // must be past the expiry.
+                Err(Unproven::NotYet) => queue.push(msg),
+                Err(Unproven::Never) => errors += 1,
             }
         }
-        for (packet, ack) in std::mem::take(&mut flow.to_ack) {
-            let key = path::packet_ack(
-                &packet.destination_port,
-                &packet.destination_channel,
-                packet.sequence,
-            );
-            match prove(src, &key) {
-                Ok(proof) => prepared.msgs.push(RelayMsg::Ack { packet, ack, proof }),
-                Err(_) => prepared.errors += 1,
-            }
-        }
-        // Timeouts additionally need the proven consensus state itself to
-        // be past the expiry; until then the packet stays queued.
-        for packet in std::mem::take(&mut flow.to_timeout) {
-            if !packet.timeout.has_expired(header.height, header.timestamp_ms) {
-                flow.to_timeout.push(packet);
-                continue;
-            }
-            let key = path::packet_receipt(
-                &packet.destination_port,
-                &packet.destination_channel,
-                packet.sequence,
-            );
-            match prove(src, &key) {
-                Ok(proof) => prepared.msgs.push(RelayMsg::Timeout { packet, proof }),
-                Err(_) => prepared.errors += 1,
-            }
-        }
-        prepared.header = Some(header);
-        prepared
+        let proven = (!proven.is_empty()).then(|| (header.clone(), proven));
+        self.count_relay_errors(errors);
+        proven
     }
 
-    /// Submits one direction's prepared messages: a client update first
-    /// when the destination's view is stale (and there is something to
-    /// verify against it), then every message.
-    fn submit_direction(&mut self, li: usize, from_a: bool, prepared: Prepared) {
-        let mut fees = 0u64;
-        let mut deliveries = 0u64;
-        let mut client_updates = 0u64;
-        let mut errors = prepared.errors;
-
+    /// Step two for one direction: a client update first when the
+    /// destination's view is stale, then every proven message.
+    fn submit_direction(&mut self, li: usize, from_a: bool, proven: Option<Proven>) {
+        let Some((header, proven)) = proven else { return };
         let link = &mut self.links[li];
-        let dst_i = if from_a { link.b } else { link.a };
-        let client = if from_a { link.b_client.clone() } else { link.a_client.clone() };
+        let (dst_i, client, reverse) = if from_a {
+            (link.b, &link.b_client, &mut link.from_b)
+        } else {
+            (link.a, &link.a_client, &mut link.from_a)
+        };
         let fee = link.fee;
         let dst = &mut self.nodes[dst_i].chain;
+        let (mut fees, mut errors) = (0u64, 0u64);
 
-        if let (Some(header), false) = (&prepared.header, prepared.msgs.is_empty()) {
-            let latest = dst.ibc().client(&client).expect("link clients exist").latest_height();
-            if header.height > latest {
-                if dst.ibc_mut().update_client(&client, &header.encode()).is_ok() {
-                    fees += fee.update_cost(header.signatures.len() as u64);
-                    client_updates += 1;
-                } else {
-                    errors += 1;
-                }
+        let latest = dst.ibc().client(client).expect("link clients exist").latest_height();
+        if header.height > latest {
+            if dst.ibc_mut().update_client(client, &header.encode()).is_ok() {
+                fees += fee.update_cost(header.signatures.len() as u64);
+                link.client_updates += 1;
+            } else {
+                errors += 1;
             }
         }
-
-        let mut expired = Vec::new();
-        for msg in prepared.msgs {
-            match msg {
-                RelayMsg::Recv { packet, proof } => {
-                    let host_time = dst.host_time();
-                    match dst.ibc_mut().recv_packet(&packet, proof, host_time) {
-                        Ok(_) => {
-                            fees += fee.message_cost();
-                            deliveries += 1;
-                        }
-                        // Expired in the gap since the last expiry scan:
-                        // prove the timeout from this side next tick.
-                        Err(IbcError::Timeout(_)) => expired.push(packet),
-                        Err(IbcError::DuplicatePacket) => {}
-                        Err(_) => errors += 1,
-                    }
+        for (msg, proof) in proven {
+            let is_recv = matches!(msg, RelayMsg::Recv { .. });
+            let now = dst.host_time();
+            match msg.submit(dst.ibc_mut(), header.height, &proof, now) {
+                Submitted::Accepted => {
+                    fees += fee.message_cost();
+                    link.deliveries += u64::from(is_recv);
                 }
-                RelayMsg::Ack { packet, ack, proof } => {
-                    match dst.ibc_mut().acknowledge_packet(&packet, &ack, proof) {
-                        Ok(()) => fees += fee.message_cost(),
-                        Err(IbcError::DuplicatePacket) => {}
-                        Err(_) => errors += 1,
-                    }
-                }
-                RelayMsg::Timeout { packet, proof } => {
-                    match dst.ibc_mut().timeout_packet(&packet, proof) {
-                        Ok(()) => fees += fee.message_cost(),
-                        Err(IbcError::DuplicatePacket) => {}
-                        Err(_) => errors += 1,
-                    }
-                }
+                Submitted::Duplicate => {}
+                // Expired in the gap since the last expiry scan: this
+                // side proves the timeout, next tick.
+                Submitted::Expired(timeout) => reverse.push(timeout),
+                Submitted::Rejected(_) => errors += 1,
             }
         }
-        // Packets the destination rejected as expired wait for a timeout
-        // proof *from* the destination, i.e. the reverse direction.
-        let reverse = if from_a { &mut link.from_b } else { &mut link.from_a };
-        reverse.to_timeout.extend(expired);
 
         link.fees_charged += fees;
-        link.deliveries += deliveries;
-        link.client_updates += client_updates;
-        self.relay_errors += errors;
         if fees > 0 {
             self.telemetry.counter_add("mesh.fees", fees);
         }
+        self.count_relay_errors(errors);
+    }
+
+    fn count_relay_errors(&mut self, errors: u64) {
         if errors > 0 {
+            self.relay_errors += errors;
             self.telemetry.counter_add("mesh.relay.errors", errors);
         }
     }

@@ -134,11 +134,6 @@ pub struct MeshConfig {
     /// Scheduled faults (empty = clean run).
     #[serde(default)]
     pub chaos: ChaosPlan,
-    /// Head-sample packet/route traces, keeping 1-in-N (`None` = keep
-    /// everything). Metrics and trace-status aggregates stay unsampled;
-    /// anomalous traces are always kept.
-    #[serde(default)]
-    pub sample_traces: Option<u64>,
     /// ICS-29-style packet fee escrowed (in the origin chain's native
     /// denom, paid by the sender) for every routed transfer's first leg.
     /// `None` (the default) sends fee-free, byte-identical to meshes
@@ -188,7 +183,6 @@ impl MeshConfig {
             chains: Vec::new(),
             links: Vec::new(),
             chaos: ChaosPlan::default(),
-            sample_traces: None,
             packet_fee: None,
         }
     }

@@ -8,7 +8,12 @@
 //! under a configurable fee strategy ([`fees`], §VI-B).
 //!
 //! * [`bootstrap`] — one-time client/connection/channel establishment.
-//! * [`Relayer`] — the per-tick event loop.
+//! * [`msg`] — the ICS-04 relay rule ([`RelayMsg`]): proof key, expected
+//!   value or absence, handler entry point, error classification. Shared
+//!   with the mesh's link relayer; only the submission transport differs.
+//! * [`Relayer`] — the per-tick event loop around it: scheduling, chunked
+//!   host-bound submission, client updates.
+//! * [`fleet`] — several relayers on one link, and the mesh's link fees.
 //! * [`records`] — the measurements driving Figs. 4–5 and §V-A/§V-B.
 //!
 //! # Examples
@@ -38,11 +43,13 @@ pub mod bootstrap;
 pub mod chunking;
 pub mod fees;
 pub mod fleet;
+pub mod msg;
 pub mod records;
 mod relayer;
 
 pub use bootstrap::{connect_chains, finalise_guest_block, Endpoints};
 pub use fees::FeeStrategy;
 pub use fleet::{LinkFee, RelayerFleet};
+pub use msg::{RelayMsg, Submitted, Unproven};
 pub use records::{JobKind, JobRecord};
 pub use relayer::{ChunkFaults, Relayer, RelayerConfig, RESUBMIT_AFTER_SLOTS};

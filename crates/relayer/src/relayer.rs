@@ -14,8 +14,7 @@ use std::rc::Rc;
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestEvent, GuestHeader, GuestInstruction, GuestOp};
 use host_sim::{FeePolicy, HostChain, HostProfile, Instruction, Pubkey, Transaction};
-use ibc_core::channel::{Acknowledgement, Packet};
-use ibc_core::handler::ProofData;
+use ibc_core::client::ConsensusState;
 use ibc_core::IbcEvent;
 use profiler::Profiler;
 use sim_crypto::rng::SplitMix64;
@@ -24,6 +23,7 @@ use telemetry::{names, SpanId, Telemetry, TraceId};
 use crate::bootstrap::Endpoints;
 use crate::chunking::{plan_op_for, sig_checks_per_tx_for};
 use crate::fees::FeeStrategy;
+use crate::msg::{RelayMsg, Submitted, Unproven};
 use crate::records::{JobKind, JobRecord};
 
 /// Relayer configuration.
@@ -32,9 +32,6 @@ pub struct RelayerConfig {
     /// How relay transactions pay for inclusion. The paper's relayer used
     /// the default fee model (§V-B), i.e. [`FeeStrategy::Base`].
     pub fee_strategy: FeeStrategy,
-    /// Whether the relayer also invokes `GenerateBlock` when due (Alg. 1
-    /// allows anyone to).
-    pub drive_blocks: bool,
     /// The host chain's runtime limits, used for transaction building and
     /// chunk planning (§VI-D).
     pub host_profile: HostProfile,
@@ -42,11 +39,7 @@ pub struct RelayerConfig {
 
 impl Default for RelayerConfig {
     fn default() -> Self {
-        Self {
-            fee_strategy: FeeStrategy::Base,
-            drive_blocks: true,
-            host_profile: HostProfile::SOLANA,
-        }
+        Self { fee_strategy: FeeStrategy::Base, host_profile: HostProfile::SOLANA }
     }
 }
 
@@ -88,25 +81,14 @@ impl ChunkFaults {
 /// the simulated mempool never loses transactions.
 pub const RESUBMIT_AFTER_SLOTS: u64 = 64;
 
-/// Work the relayer has noticed but not yet pushed to the guest.
+/// Work the relayer has noticed on the counterparty but not yet pushed to
+/// the guest.
 #[derive(Debug)]
-#[allow(clippy::enum_variant_names)] // "ToGuest" is the point: this is the guest-bound queue
-enum Intent {
-    DeliverToGuest {
-        packet: Packet,
-        seen_cp_height: u64,
-    },
-    AckToGuest {
-        packet: Packet,
-        ack: Acknowledgement,
-        seen_cp_height: u64,
-    },
-    /// A guest-sent packet expired before delivery: prove non-receipt on
-    /// the counterparty and refund on the guest.
-    TimeoutToGuest {
-        packet: Packet,
-        seen_cp_height: u64,
-    },
+struct Intent {
+    msg: RelayMsg,
+    /// The counterparty height the step was seen at; provable only under
+    /// a later header.
+    seen_cp_height: u64,
 }
 
 /// A multi-transaction job in flight on the host chain.
@@ -143,8 +125,9 @@ pub struct Relayer {
     next_buffer: u64,
     last_host_slot: u64,
     recent_load: f64,
-    pending_guest_packets: Vec<Packet>,
-    pending_guest_acks: Vec<(Packet, Acknowledgement)>,
+    /// Guest-side steps waiting for a finalised guest header to prove
+    /// under, packets ahead of acks (the order they are submitted in).
+    pending_to_cp: Vec<RelayMsg>,
     intents: VecDeque<Intent>,
     active: Option<ActiveJob>,
     generate_in_flight: Option<u64>,
@@ -184,8 +167,7 @@ impl Relayer {
             next_buffer: 1,
             last_host_slot: 0,
             recent_load: 0.0,
-            pending_guest_packets: Vec::new(),
-            pending_guest_acks: Vec::new(),
+            pending_to_cp: Vec::new(),
             intents: VecDeque::new(),
             active: None,
             generate_in_flight: None,
@@ -282,12 +264,12 @@ impl Relayer {
 
     /// Packets sent by the guest still awaiting relay to the counterparty.
     pub fn backlog(&self) -> usize {
-        self.pending_guest_packets.len() + self.intents.len()
+        self.pending_packets() + self.intents.len()
     }
 
     /// Guest-sent packets waiting for a finalised header to prove under.
     pub fn pending_packets(&self) -> usize {
-        self.pending_guest_packets.len()
+        self.pending_to_cp.partition_point(|msg| msg.kind() == JobKind::RecvPacket)
     }
 
     /// Queued guest-bound work items (deliveries, acks, timeouts).
@@ -338,9 +320,7 @@ impl Relayer {
             self.process_guest_events(guest_events, cp, contract, now_ms);
         }
         self.process_cp_events(cp);
-        if self.config.drive_blocks {
-            self.maybe_generate_block(host, contract);
-        }
+        self.maybe_generate_block(host, contract);
         {
             let _activate = self.profiler.scope("job.activate");
             self.activate_next_intent(host, cp, contract);
@@ -433,28 +413,13 @@ impl Relayer {
         for event in events {
             match event {
                 GuestEvent::Ibc(IbcEvent::SendPacket { packet }) => {
-                    let trace = self.telemetry.trace_for_packet(
-                        "guest",
-                        packet.source_channel.as_str(),
-                        packet.sequence,
-                    );
-                    self.link_cp_update_wait(now_ms, trace);
-                    self.pending_guest_packets.push(packet);
+                    self.queue_for_cp(now_ms, RelayMsg::Recv { packet });
                 }
                 GuestEvent::Ibc(IbcEvent::WriteAcknowledgement { packet, ack }) => {
-                    // The ack travels back to the packet's origin — the cp.
-                    let trace = self.telemetry.trace_for_packet(
-                        "cp",
-                        packet.source_channel.as_str(),
-                        packet.sequence,
-                    );
-                    self.link_cp_update_wait(now_ms, trace);
-                    self.pending_guest_acks.push((packet, ack));
+                    self.queue_for_cp(now_ms, RelayMsg::Ack { packet, ack });
                 }
                 GuestEvent::FinalisedBlock { block, signatures } => {
-                    let has_work = !self.pending_guest_packets.is_empty()
-                        || !self.pending_guest_acks.is_empty();
-                    if !has_work && !block.is_last_in_epoch() {
+                    if self.pending_to_cp.is_empty() && !block.is_last_in_epoch() {
                         continue; // Alg. 2 line 5: nothing worth relaying.
                     }
                     let header = GuestHeader { block: block.clone(), signatures };
@@ -473,18 +438,52 @@ impl Relayer {
         }
     }
 
-    /// Links `trace` to the open guest→cp client-update wait span, opening
-    /// one if necessary. The span measures how long guest-side work waits
-    /// for the next finalised guest header to reach the counterparty.
-    fn link_cp_update_wait(&mut self, now_ms: u64, trace: Option<TraceId>) {
-        let Some(trace) = trace else { return };
-        match self.cp_update_span {
-            Some(span) => self.telemetry.span_link(span, trace),
-            None => {
-                self.cp_update_span =
-                    self.telemetry.span_start(now_ms, names::CP_CLIENT_UPDATE, &[trace]);
+    /// The telemetry trace of the packet `msg` is about, given which chain
+    /// proves the message and which receives it.
+    fn trace_of(&self, msg: &RelayMsg, prover: &str, receiver: &str) -> Option<TraceId> {
+        let packet = msg.packet();
+        self.telemetry.trace_for_packet(
+            msg.origin(prover, receiver),
+            packet.source_channel.as_str(),
+            packet.sequence,
+        )
+    }
+
+    /// The distinct traces of a queue of messages, in queue order.
+    fn traces_of<'m>(
+        &self,
+        msgs: impl Iterator<Item = &'m RelayMsg>,
+        prover: &str,
+        receiver: &str,
+    ) -> Vec<TraceId> {
+        // Set-backed dedup: a heavy-traffic backlog makes a linear
+        // `contains` scan quadratic.
+        let mut seen = std::collections::HashSet::new();
+        msgs.filter_map(|msg| self.trace_of(msg, prover, receiver))
+            .filter(|trace| seen.insert(*trace))
+            .collect()
+    }
+
+    /// Queues a guest-side step for the counterparty and links its trace
+    /// to the open guest→cp client-update wait span, opening one if
+    /// necessary. The span measures how long guest-side work waits for the
+    /// next finalised guest header to reach the counterparty.
+    fn queue_for_cp(&mut self, now_ms: u64, msg: RelayMsg) {
+        if let Some(trace) = self.trace_of(&msg, "guest", "cp") {
+            match self.cp_update_span {
+                Some(span) => self.telemetry.span_link(span, trace),
+                None => {
+                    self.cp_update_span =
+                        self.telemetry.span_start(now_ms, names::CP_CLIENT_UPDATE, &[trace]);
+                }
             }
         }
+        // Packets stay ahead of acks, so `pending_packets` counts a prefix.
+        let at = match msg {
+            RelayMsg::Recv { .. } => self.pending_packets(),
+            _ => self.pending_to_cp.len(),
+        };
+        self.pending_to_cp.insert(at, msg);
     }
 
     /// Closes the guest→cp client-update wait span after a header landed,
@@ -492,32 +491,7 @@ impl Relayer {
     fn close_cp_update_wait(&mut self, now_ms: u64) {
         let Some(span) = self.cp_update_span.take() else { return };
         self.telemetry.span_end(now_ms, span);
-        // Set-backed dedup: a heavy-traffic backlog makes the linear
-        // `contains` scan quadratic per finalised block.
-        let mut seen = std::collections::HashSet::new();
-        let mut leftover = Vec::new();
-        for packet in &self.pending_guest_packets {
-            if let Some(trace) = self.telemetry.trace_for_packet(
-                "guest",
-                packet.source_channel.as_str(),
-                packet.sequence,
-            ) {
-                if seen.insert(trace) {
-                    leftover.push(trace);
-                }
-            }
-        }
-        for (packet, _) in &self.pending_guest_acks {
-            if let Some(trace) = self.telemetry.trace_for_packet(
-                "cp",
-                packet.source_channel.as_str(),
-                packet.sequence,
-            ) {
-                if seen.insert(trace) {
-                    leftover.push(trace);
-                }
-            }
-        }
+        let leftover = self.traces_of(self.pending_to_cp.iter(), "guest", "cp");
         if !leftover.is_empty() {
             self.cp_update_span =
                 self.telemetry.span_start(now_ms, names::CP_CLIENT_UPDATE, &leftover);
@@ -534,91 +508,53 @@ impl Relayer {
     ) {
         let guest = contract.borrow();
         let store = guest.ibc().store();
+        let consensus = ConsensusState { root: block.state_root, timestamp_ms: block.timestamp_ms };
 
         let mut remaining = Vec::new();
-        for packet in self.pending_guest_packets.drain(..) {
-            let key = ibc_core::path::packet_commitment(
-                &packet.source_port,
-                &packet.source_channel,
-                packet.sequence,
-            );
+        for msg in self.pending_to_cp.drain(..) {
             // Only deliverable if the commitment is inside this block's
             // state root (it may have been sent after block creation).
             // Prefer the node's proof-at-height service: under sustained
             // traffic the live trie has already moved past this block, so
             // a proof from current state would no longer verify.
-            let proof = guest.prove_at(block.height, &key).or_else(|| store.prove(&key).ok());
-            let Some(proof) = proof else {
-                remaining.push(packet);
+            let proof = msg.prove(block.height, &consensus, |key| {
+                guest.prove_at(block.height, key).or_else(|| store.prove(key).ok())
+            });
+            let Ok(proof) = proof else {
+                remaining.push(msg);
                 continue;
             };
-            if !proof.verify_member(&block.state_root, &key, packet.commitment().as_bytes()) {
-                remaining.push(packet);
-                continue;
-            }
-            let proof_data =
-                ProofData { height: block.height, bytes: ibc_core::store::encode_proof(&proof) };
-            // The counterparty writes the ack; we pick it up from its
-            // events and queue an AckToGuest intent.
+            // For a delivered packet the counterparty writes the ack; we
+            // pick it up from its events and queue it toward the guest.
             let now = cp.host_time();
-            match cp.ibc_mut().recv_packet(&packet, proof_data, now) {
-                Ok(_) => {}
-                Err(ibc_core::IbcError::Timeout(_)) => {
-                    // Expired before delivery: refund the sender via a
-                    // guest-side TimeoutPacket once non-receipt is provable.
-                    self.intents
-                        .push_back(Intent::TimeoutToGuest { packet, seen_cp_height: now.height });
+            match msg.submit(cp.ibc_mut(), block.height, &proof, now) {
+                Submitted::Accepted | Submitted::Duplicate => {}
+                // Expired before delivery: refund the sender via a
+                // guest-side TimeoutPacket once non-receipt is provable.
+                Submitted::Expired(timeout) => {
+                    self.intents.push_back(Intent { msg: timeout, seen_cp_height: now.height });
                 }
-                Err(_) => {
-                    self.failed_jobs += 1;
-                }
+                Submitted::Rejected(_) => self.failed_jobs += 1,
             }
         }
-        self.pending_guest_packets = remaining;
-
-        let mut remaining = Vec::new();
-        for (packet, ack) in self.pending_guest_acks.drain(..) {
-            let key = ibc_core::path::packet_ack(
-                &packet.destination_port,
-                &packet.destination_channel,
-                packet.sequence,
-            );
-            let proof = guest.prove_at(block.height, &key).or_else(|| store.prove(&key).ok());
-            let Some(proof) = proof else {
-                remaining.push((packet, ack));
-                continue;
-            };
-            if !proof.verify_member(&block.state_root, &key, ack.commitment().as_bytes()) {
-                remaining.push((packet, ack));
-                continue;
-            }
-            let proof_data =
-                ProofData { height: block.height, bytes: ibc_core::store::encode_proof(&proof) };
-            let _ = cp.ibc_mut().acknowledge_packet(&packet, &ack, proof_data);
-        }
-        self.pending_guest_acks = remaining;
+        self.pending_to_cp = remaining;
     }
 
     /// Queues counterparty events as work toward the guest.
     fn process_cp_events(&mut self, cp: &mut CounterpartyChain) {
         let height = cp.height();
         for event in cp.drain_events() {
-            match event {
-                IbcEvent::SendPacket { packet } => {
-                    self.intents
-                        .push_back(Intent::DeliverToGuest { packet, seen_cp_height: height });
-                }
+            let msg = match event {
+                IbcEvent::SendPacket { packet } => RelayMsg::Recv { packet },
                 IbcEvent::WriteAcknowledgement { packet, ack }
                     // Only acks for packets the *guest* sent travel this way.
-                    if packet.source_channel == self.endpoints.guest_channel => {
-                        self.intents.push_back(Intent::AckToGuest {
-                            packet,
-                            ack,
-                            seen_cp_height: height,
-                        });
-                    }
-                _ => {}
-            }
+                    if packet.source_channel == self.endpoints.guest_channel =>
+                {
+                    RelayMsg::Ack { packet, ack }
+                }
+                _ => continue,
+            };
+            self.intents.push_back(Intent { msg, seen_cp_height: height });
         }
     }
 
@@ -663,12 +599,8 @@ impl Relayer {
         }
         let Some(intent) = self.intents.front() else { return };
 
-        // Every intent kind needs a counterparty header covering the event.
-        let seen_height = match intent {
-            Intent::DeliverToGuest { seen_cp_height, .. } => *seen_cp_height,
-            Intent::AckToGuest { seen_cp_height, .. } => *seen_cp_height,
-            Intent::TimeoutToGuest { seen_cp_height, .. } => *seen_cp_height,
-        };
+        // Every intent needs a counterparty header covering the event.
+        let seen_height = intent.seen_cp_height;
         if cp.height() <= seen_height {
             return; // Wait for the counterparty to commit the state.
         }
@@ -716,7 +648,9 @@ impl Relayer {
             header: String::from_utf8(target.encode()).expect("JSON is UTF-8"),
             num_signatures: target.signatures.len(),
         };
-        self.start_job(host, JobKind::ClientUpdate, &op, target.signatures.len());
+        // The update serves every packet whose delivery waits on it.
+        let traces = self.traces_of(self.intents.iter().map(|intent| &intent.msg), "cp", "guest");
+        self.start_job(host, JobKind::ClientUpdate, &op, target.signatures.len(), traces);
     }
 
     /// Attempts to build the front intent's packet job against the given
@@ -727,128 +661,46 @@ impl Relayer {
         host: &HostChain,
         cp: &CounterpartyChain,
         proof_height: u64,
-        consensus: &ibc_core::client::ConsensusState,
+        consensus: &ConsensusState,
     ) -> bool {
         let intent = self.intents.pop_front().expect("caller checked non-empty");
-        match intent {
-            Intent::DeliverToGuest { packet, seen_cp_height } => {
-                let key = ibc_core::path::packet_commitment(
-                    &packet.source_port,
-                    &packet.source_channel,
-                    packet.sequence,
-                );
-                // Prove at the trusted height; live state has usually
-                // moved past it under sustained traffic.
-                let proof =
-                    cp.prove_at(proof_height, &key).or_else(|| cp.ibc().store().prove(&key).ok());
-                let Some(proof) = proof else {
-                    self.failed_jobs += 1;
-                    return true;
-                };
-                if !proof.verify_member(&consensus.root, &key, packet.commitment().as_bytes()) {
-                    // The trusted root predates (or postdates) the
-                    // commitment; a fresher header is needed.
-                    self.intents.push_front(Intent::DeliverToGuest { packet, seen_cp_height });
-                    return false;
-                }
-                let op = GuestOp::RecvPacket { packet, proof_height, proof };
-                self.start_job(host, JobKind::RecvPacket, &op, 0);
+        // Prove at the trusted height; live state has usually moved past
+        // it under sustained traffic.
+        let proof = intent.msg.prove(proof_height, consensus, |key| {
+            cp.prove_at(proof_height, key).or_else(|| cp.ibc().store().prove(key).ok())
+        });
+        match proof {
+            Ok(proof) => {
+                // Packets delivered *to* the guest originated on the
+                // counterparty; acks and timeouts coming home concern
+                // guest-origin packets.
+                let traces = self.trace_of(&intent.msg, "cp", "guest").into_iter().collect();
+                let kind = intent.msg.kind();
+                let op = intent.msg.into_guest_op(proof_height, proof);
+                self.start_job(host, kind, &op, 0, traces);
                 true
             }
-            Intent::AckToGuest { packet, ack, seen_cp_height } => {
-                let key = ibc_core::path::packet_ack(
-                    &packet.destination_port,
-                    &packet.destination_channel,
-                    packet.sequence,
-                );
-                let proof =
-                    cp.prove_at(proof_height, &key).or_else(|| cp.ibc().store().prove(&key).ok());
-                let Some(proof) = proof else {
-                    self.failed_jobs += 1;
-                    return true;
-                };
-                if !proof.verify_member(&consensus.root, &key, ack.commitment().as_bytes()) {
-                    self.intents.push_front(Intent::AckToGuest { packet, ack, seen_cp_height });
-                    return false;
-                }
-                let op = GuestOp::AckPacket { packet, ack, proof_height, proof };
-                self.start_job(host, JobKind::AckPacket, &op, 0);
-                true
+            // The trusted root predates (or postdates) the commitment, or
+            // the expiry: a fresher header is needed.
+            Err(Unproven::NotYet) => {
+                self.intents.push_front(intent);
+                false
             }
-            Intent::TimeoutToGuest { packet, seen_cp_height } => {
-                // The guest's timeout handler checks expiry against the
-                // consensus at the proof height.
-                if !packet.timeout.has_expired(proof_height, consensus.timestamp_ms) {
-                    self.intents.push_front(Intent::TimeoutToGuest { packet, seen_cp_height });
-                    return false;
-                }
-                let key = ibc_core::path::packet_receipt(
-                    &packet.destination_port,
-                    &packet.destination_channel,
-                    packet.sequence,
-                );
-                let proof =
-                    cp.prove_at(proof_height, &key).or_else(|| cp.ibc().store().prove(&key).ok());
-                let Some(proof) = proof else {
-                    self.failed_jobs += 1;
-                    return true;
-                };
-                if !proof.verify_non_member(&consensus.root, &key) {
-                    // Delivered after all (raced by another relayer).
-                    self.failed_jobs += 1;
-                    return true;
-                }
-                let op = GuestOp::TimeoutPacket { packet, proof_height, proof };
-                self.start_job(host, JobKind::TimeoutPacket, &op, 0);
+            Err(Unproven::Never) => {
+                self.failed_jobs += 1;
                 true
             }
         }
     }
 
-    /// The packet traces a job serves: the op's own packet, or — for a
-    /// client update — every packet whose delivery waits on the update.
-    fn job_traces(&self, op: &GuestOp) -> Vec<TraceId> {
-        if !self.telemetry.is_recording() {
-            return Vec::new();
-        }
-        // Packets delivered *to* the guest originated on the counterparty;
-        // acks and timeouts coming home concern guest-origin packets.
-        match op {
-            GuestOp::RecvPacket { packet, .. } => self
-                .telemetry
-                .trace_for_packet("cp", packet.source_channel.as_str(), packet.sequence)
-                .into_iter()
-                .collect(),
-            GuestOp::AckPacket { packet, .. } | GuestOp::TimeoutPacket { packet, .. } => self
-                .telemetry
-                .trace_for_packet("guest", packet.source_channel.as_str(), packet.sequence)
-                .into_iter()
-                .collect(),
-            GuestOp::UpdateClient { .. } => {
-                let mut traces = Vec::new();
-                for intent in &self.intents {
-                    let (packet, origin) = match intent {
-                        Intent::DeliverToGuest { packet, .. } => (packet, "cp"),
-                        Intent::AckToGuest { packet, .. }
-                        | Intent::TimeoutToGuest { packet, .. } => (packet, "guest"),
-                    };
-                    if let Some(trace) = self.telemetry.trace_for_packet(
-                        origin,
-                        packet.source_channel.as_str(),
-                        packet.sequence,
-                    ) {
-                        if !traces.contains(&trace) {
-                            traces.push(trace);
-                        }
-                    }
-                }
-                traces
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    fn start_job(&mut self, host: &HostChain, kind: JobKind, op: &GuestOp, sig_checks: usize) {
+    fn start_job(
+        &mut self,
+        host: &HostChain,
+        kind: JobKind,
+        op: &GuestOp,
+        sig_checks: usize,
+        traces: Vec<TraceId>,
+    ) {
         let buffer = self.next_buffer;
         self.next_buffer += 1;
         let queue: VecDeque<GuestInstruction> = {
@@ -859,7 +711,6 @@ impl Relayer {
             sig_checks == 0
                 || queue.len() > sig_checks / sig_checks_per_tx_for(&self.config.host_profile)
         );
-        let traces = self.job_traces(op);
         let span = self.telemetry.span_start(
             host.now_ms(),
             &format!("{}.{}", names::RELAYER_JOB, kind.name()),

@@ -190,3 +190,63 @@ fn relayer_survives_a_cold_start_with_pending_events() {
     world.run_slots(300);
     assert_eq!(world.relayer.backlog(), 0);
 }
+
+#[test]
+fn a_second_relayers_duplicate_on_the_counterparty_is_not_a_failure() {
+    // Two relayers see the same finalised guest block and both submit its
+    // packet to the counterparty. The loser's `DuplicatePacket` is the
+    // replay protection working, not a failed job. (Counterparty events
+    // are drained by whoever ticks first, so the second relayer never has
+    // host-bound jobs to lose here; `tests/multi_relayer.rs` covers those.)
+    let mut world = World::new(4);
+    let second_payer = Pubkey::from_label("second-relayer-payer");
+    world.host.bank_mut().airdrop(second_payer, 1_000_000_000_000);
+    let mut second = Relayer::new(
+        RelayerConfig::default(),
+        second_payer,
+        world.program_id,
+        world.relayer.endpoints().clone(),
+    );
+    world.submit_op(GuestOp::SendTransfer {
+        port: world.relayer.endpoints().port.clone(),
+        channel: world.relayer.endpoints().guest_channel.clone(),
+        denom: "wsol".into(),
+        amount: 9,
+        sender: "alice".into(),
+        receiver: "bob".into(),
+        memo: String::new(),
+        timeout: Timeout::NEVER,
+    });
+    for _ in 0..400 {
+        world.step();
+        second.tick(&mut world.host, &mut world.cp, &world.contract);
+    }
+    let acks = world.relayer.records().iter().filter(|r| r.kind == JobKind::AckPacket).count();
+    assert_eq!(acks, 1, "the packet went through once");
+    assert_eq!(second.pending_packets(), 0, "the second relayer submitted it too");
+    assert_eq!((world.relayer.failed_jobs(), second.failed_jobs()), (0, 0));
+}
+
+#[test]
+fn an_ack_the_counterparty_rejects_is_counted() {
+    // A counterparty-origin packet the guest's transfer app cannot parse:
+    // the guest answers with an error ack, and the counterparty's app in
+    // turn fails to refund a payload it cannot parse either. That is not
+    // a duplicate, so the relayer must not swallow it.
+    let mut world = World::new(5);
+    let (port, channel) = {
+        let endpoints = world.relayer.endpoints();
+        (endpoints.port.clone(), endpoints.cp_channel.clone())
+    };
+    world
+        .cp
+        .ibc_mut()
+        .send_packet(&port, &channel, b"not ics-20".to_vec(), Timeout::NEVER)
+        .unwrap();
+    world.run_slots(400);
+
+    let recvs = world.relayer.records().iter().filter(|r| r.kind == JobKind::RecvPacket).count();
+    assert_eq!(recvs, 1, "the packet reached the guest");
+    assert_eq!(world.relayer.backlog(), 0);
+    assert_eq!(world.relayer.failed_jobs(), 1, "the rejected ack is visible");
+}

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod history;
 mod nibbles;
 pub mod node;
 pub mod proof;
@@ -62,6 +63,7 @@ pub mod store;
 mod trie;
 
 pub use error::TrieError;
+pub use history::TrieHistory;
 pub use nibbles::Nibbles;
 pub use proof::{Proof, VerifyOutcome};
 pub use store::{MemStore, NodeStore, StoreStats};

@@ -30,9 +30,6 @@ pub struct ValidatorProfile {
     /// signatures are always submitted; this controls the Table-I spread of
     /// per-validator signature counts).
     pub diligence: f64,
-    /// An outage interval during which the validator submits nothing; its
-    /// backlog is signed on return (validator #1's operator error, §V-C).
-    pub outage: Option<(u64, u64)>,
 }
 
 impl ValidatorProfile {
@@ -45,7 +42,6 @@ impl ValidatorProfile {
             latency_median_ms: 3_500,
             latency_sigma: 0.45,
             diligence: 1.0,
-            outage: None,
         }
     }
 }
@@ -107,7 +103,6 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
         latency_median_ms: 5_600,
         latency_sigma: 0.45,
         diligence: 1.0,
-        outage: None,
     }];
     for (diligence, cents, median_s) in rows {
         profiles.push(ValidatorProfile {
@@ -119,7 +114,6 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
             latency_median_ms: (median_s * 1_000.0) as u64,
             latency_sigma: 0.45,
             diligence,
-            outage: None,
         });
     }
     for i in 0..7 {
@@ -130,17 +124,16 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
             latency_median_ms: 4_000,
             latency_sigma: 0.45,
             diligence: 0.0,
-            outage: None,
         });
     }
     profiles
 }
 
 /// The deployment's one recorded incident as a chaos scenario: validator
-/// #1 crashes for 9 h 59 m starting on day 11 (§V-C). Same semantics as
-/// the old hard-coded `ValidatorProfile::outage` — signatures scheduled
-/// into the window fire right after it, the safety net skips the
-/// validator while it is down — so the Table I stall reproduces exactly.
+/// #1 crashes for 9 h 59 m starting on day 11 (§V-C). Signatures
+/// scheduled into the window fire right after it (the operator fixes the
+/// node and the backlog is signed) and the safety net skips the validator
+/// while it is down, which is what reproduces the Table I stall.
 pub fn paper_outage_plan(seed: u64) -> ChaosPlan {
     ChaosPlan::new(seed).with(
         11 * DAY_MS,

@@ -16,6 +16,7 @@ use guest_chain::{
 };
 use host_sim::{rent, FeePolicy, HostChain, Instruction, Pubkey, Transaction};
 use ibc_core::channel::Timeout;
+use ibc_core::ics20::voucher_backing;
 use monitor::{AlertRecord, Monitor};
 use profiler::{ProfileReport, Profiler};
 use relayer::{connect_chains, Endpoints, Relayer, RelayerFleet};
@@ -817,17 +818,12 @@ impl Testnet {
         let cp_bank = self.cp.ibc().module(&self.endpoints.port).and_then(|m| m.ics20());
         let (Some(guest_bank), Some(cp_bank)) = (guest_bank, cp_bank) else { return };
 
-        let outbound_voucher =
-            format!("{}/{}/{}", self.endpoints.port, self.endpoints.cp_channel, GUEST_DENOM);
-        let escrowed =
-            guest_bank.balance(&format!("escrow:{}", self.endpoints.guest_channel), GUEST_DENOM);
-        let mut drift = cp_bank.total_supply(&outbound_voucher).saturating_sub(escrowed);
-
-        let inbound_voucher =
-            format!("{}/{}/{}", self.endpoints.port, self.endpoints.guest_channel, CP_DENOM);
-        let escrowed = cp_bank.balance(&format!("escrow:{}", self.endpoints.cp_channel), CP_DENOM);
-        drift += guest_bank.total_supply(&inbound_voucher).saturating_sub(escrowed);
-
+        let e = &self.endpoints;
+        let drift: u128 =
+            voucher_backing(&e.port, guest_bank, &e.guest_channel, cp_bank, &e.cp_channel)
+                .iter()
+                .map(|row| row.unbacked())
+                .sum();
         self.telemetry.gauge_set_at(now, "supply.drift", drift as f64);
     }
 
@@ -856,8 +852,6 @@ impl Testnet {
             cp_channel: self.endpoints.cp_channel.clone(),
             guest_client_on_cp: self.endpoints.guest_client_on_cp.clone(),
             cp_client_on_guest: self.endpoints.cp_client_on_guest.clone(),
-            guest_denom: GUEST_DENOM,
-            cp_denom: CP_DENOM,
         });
     }
 
@@ -897,14 +891,8 @@ impl Testnet {
                 // cannot land before the block it signs exists.
                 fire_at = fire_at.saturating_add_signed(skew).max(now);
             }
-            if let Some((start, end)) = profile.outage {
-                if fire_at >= start && fire_at < end {
-                    // The operator fixes the node and the backlog is signed.
-                    fire_at = end + latency;
-                }
-            }
             if let Some((_, end)) = self.chaos.crash_window_at(index, fire_at) {
-                // Same recovery semantics as a profile outage.
+                // The operator fixes the node and the backlog is signed.
                 fire_at = end + latency;
             }
             self.schedule(fire_at, Action::Sign { validator: index, height, block_ms });
@@ -974,11 +962,6 @@ impl Testnet {
                     let profile = self.config.validators[index];
                     if !profile.active {
                         continue;
-                    }
-                    if let Some((start, end)) = profile.outage {
-                        if now >= start && now < end {
-                            continue;
-                        }
                     }
                     if self.chaos.crash_window_at(index, now).is_some() {
                         continue;

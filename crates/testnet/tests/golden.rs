@@ -1,0 +1,39 @@
+//! Cross-commit golden: the run report of a short heavy-traffic run,
+//! hashed. The determinism tests compare two runs of one build, so a
+//! refactor that shifts the sim timeline (an extra RNG draw, a reordered
+//! submission, a renamed telemetry field) passes them; this constant only
+//! survives when the timeline is byte-identical to the commit it was
+//! captured at. Re-capture it only for a change that *means* to move the
+//! timeline, and say so in the PR.
+
+use relayer::JobKind;
+use testnet::{Testnet, TestnetConfig};
+use workload::TrafficConfig;
+
+const MINUTE_MS: u64 = 60_000;
+
+/// Captured at 43bb6f3 (the commit before the relay core was unified).
+const GOLDEN_SHA256: &str = "3f2760e4de39b6d85138b0cccde46f70482705c067f3d4c31e22a9ead2647cd8";
+
+#[test]
+fn steady_half_hour_with_a_timeout_matches_the_golden_report() {
+    let mut config = TestnetConfig::small(7);
+    config.traffic = Some(TrafficConfig::steady(300, 20_000));
+    let mut net = Testnet::build(config);
+    net.run_heavy_for(5 * MINUTE_MS);
+    // One doomed transfer, already expired on the counterparty's clock
+    // (which only advances with its blocks, so a near-future deadline
+    // would race them): the recv → expired → timeout-message path is in
+    // the hash.
+    let timeout_at = net.cp.now_ms();
+    net.inject_outbound_transfer(777, timeout_at);
+    net.run_heavy_for(25 * MINUTE_MS);
+
+    let kinds = |kind| net.relayer.records().iter().filter(|r| r.kind == kind).count();
+    assert_eq!(kinds(JobKind::TimeoutPacket), 1, "the injected transfer timed out");
+    assert!(kinds(JobKind::RecvPacket) > 0 && kinds(JobKind::AckPacket) > 0);
+    assert_eq!(net.relayer.failed_jobs(), 0);
+
+    let digest = sim_crypto::sha256(net.run_report("golden").to_json().as_bytes());
+    assert_eq!(digest.to_hex(), GOLDEN_SHA256, "the sim timeline moved");
+}

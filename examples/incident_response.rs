@@ -16,7 +16,7 @@ use be_my_guest::guest_chain::{GuestInstruction, GuestOp};
 use be_my_guest::host_sim::{FeePolicy, Instruction, Pubkey, Transaction};
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::testnet::config::RogueConfig;
-use be_my_guest::testnet::{Testnet, TestnetConfig, ValidatorProfile};
+use be_my_guest::testnet::{ChaosPlan, Fault, Testnet, TestnetConfig, ValidatorProfile};
 
 fn submit(net: &mut Testnet, payer: Pubkey, op: GuestOp) {
     let tx = Transaction::build(
@@ -40,14 +40,13 @@ fn main() {
     println!("incident 1 — dominant validator outage");
     let mut config = TestnetConfig::small(7001);
     config.validators = vec![
-        ValidatorProfile {
-            stake: 1_000,
-            outage: Some((60_000, 6 * 60_000)), // down minutes 1–6
-            ..ValidatorProfile::reliable(1_000)
-        },
+        ValidatorProfile::reliable(1_000),
         ValidatorProfile::reliable(100),
         ValidatorProfile::reliable(100),
     ];
+    // Down minutes 1–6.
+    config.chaos =
+        ChaosPlan::new(7001).with(60_000, 6 * 60_000, Fault::ValidatorCrash { validator: 0 });
     config.workload.outbound_mean_gap_ms = 45_000;
     config.workload.inbound_mean_gap_ms = u64::MAX / 4;
     let mut net = Testnet::build(config);

@@ -7,7 +7,9 @@ use be_my_guest::host_sim::{FeePolicy, Instruction, Pubkey, Transaction};
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::sim_crypto::sha256;
 use be_my_guest::testnet::config::RogueConfig;
-use be_my_guest::testnet::{paper_validators, Testnet, TestnetConfig, ValidatorProfile, DAY_MS};
+use be_my_guest::testnet::{
+    paper_validators, ChaosPlan, Fault, Testnet, TestnetConfig, ValidatorProfile, DAY_MS,
+};
 
 fn submit_op(net: &mut Testnet, payer: Pubkey, op: GuestOp) -> u64 {
     let tx = Transaction::build(
@@ -105,17 +107,18 @@ fn self_destruct_via_transaction_after_abandonment() {
 #[test]
 fn dominant_validator_outage_stalls_and_recovers() {
     let mut config = TestnetConfig::small(43);
-    // Three validators; #0 dominant (its vote alone is quorum) with an
-    // outage between minutes 2 and 22.
+    // Three validators; #0 dominant (its vote alone is quorum), crashed
+    // between minutes 2 and 22.
     config.validators = vec![
-        ValidatorProfile {
-            stake: 1_000,
-            outage: Some((2 * 60 * 1_000, 22 * 60 * 1_000)),
-            ..ValidatorProfile::reliable(1_000)
-        },
+        ValidatorProfile::reliable(1_000),
         ValidatorProfile::reliable(100),
         ValidatorProfile::reliable(100),
     ];
+    config.chaos = ChaosPlan::new(43).with(
+        2 * 60 * 1_000,
+        22 * 60 * 1_000,
+        Fault::ValidatorCrash { validator: 0 },
+    );
     config.workload.outbound_mean_gap_ms = 90_000;
     config.workload.inbound_mean_gap_ms = u64::MAX / 4;
     let mut net = Testnet::build(config);
@@ -181,13 +184,12 @@ fn paper_validator_profiles_stay_consistent() {
     let total: u64 = profiles.iter().map(|p| p.stake).sum();
     let quorum = total * 2 / 3 + 1;
     assert!(profiles[0].stake >= quorum, "validator #1 alone reaches quorum");
-    // The §V-C outage moved from the profile into the paper chaos plan.
-    assert!(profiles.iter().all(|p| p.outage.is_none()));
+    // The §V-C outage lives in the paper chaos plan.
     let plan = TestnetConfig::paper().chaos;
     let crash = plan
         .events
         .iter()
-        .find(|e| matches!(e.fault, testnet::Fault::ValidatorCrash { validator: 0 }))
+        .find(|e| matches!(e.fault, Fault::ValidatorCrash { validator: 0 }))
         .expect("paper plan crashes validator #1");
     assert!(crash.from_ms < 28 * DAY_MS, "outage inside the run");
     assert_eq!(crash.until_ms - crash.from_ms, 35_940_000, "a 9h59m outage");
