@@ -23,6 +23,14 @@ if grep -rnE 'packet_(commitment|ack|receipt)\(' crates/*/src --include='*.rs' |
     exit 1
 fi
 
+echo "==> one home for the opening handshake"
+# Who answers an Init with a Try lives in ibc_core::handshake (and ibc-core's own handlers and tests).
+if grep -rnE '(conn|chan)_open_try\(' crates/*/src crates/bench/benches tests examples --include='*.rs' |
+    grep -vE '^crates/ibc-core/'; then
+    echo "handshake Try steps written out outside crates/ibc-core" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

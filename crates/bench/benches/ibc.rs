@@ -3,12 +3,11 @@
 
 use apps::{EchoApp, ModuleStack};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use ibc_core::channel::{Ordering, Packet, Timeout};
-use ibc_core::client::{MockClient, MockHeader};
-use ibc_core::handler::{HostTime, IbcHandler, ProofData};
+use ibc_core::channel::{Packet, Timeout};
+use ibc_core::client::MockChain;
+use ibc_core::handler::HostTime;
+use ibc_core::handshake::{open_link, prove, publish};
 use ibc_core::types::PortId;
-use ibc_core::ProvableStore;
-use sealable_trie::Trie;
 
 fn bench_commitment(c: &mut Criterion) {
     let packet = Packet {
@@ -23,96 +22,18 @@ fn bench_commitment(c: &mut Criterion) {
     c.bench_function("ibc/packet_commitment", |b| b.iter(|| packet.commitment()));
 }
 
-/// Builds two connected chains (mirrors the two_chains integration test).
-fn connected() -> (IbcHandler<Trie>, IbcHandler<Trie>, ibc_core::ChannelId) {
-    let mut a = IbcHandler::new(Trie::new());
-    let mut b = IbcHandler::new(Trie::new());
+/// Builds two connected chains with the shared handshake; returns them
+/// with A's channel and B's client of A.
+fn connected() -> (MockChain, MockChain, ibc_core::ChannelId, ibc_core::ClientId) {
+    let (mut a, mut b) = (MockChain::new(), MockChain::new());
     let port = PortId::named("echo");
     // The echo app rides in an empty (middleware-less) ModuleStack, so
     // the packet path measured here includes the stack dispatch overhead
     // every production app pays.
-    a.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
-    b.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
-    let ca = a.create_client(Box::new(MockClient::new()));
-    let cb = b.create_client(Box::new(MockClient::new()));
-
-    let mut ha = 0u64;
-    let mut hb = 0u64;
-    let sync_a = |a: &IbcHandler<Trie>, b: &mut IbcHandler<Trie>, h: &mut u64| {
-        *h += 1;
-        let header = serde_json::to_vec(&MockHeader {
-            height: *h,
-            root: a.root(),
-            timestamp_ms: *h * 1_000,
-        })
-        .unwrap();
-        b.update_client(&cb, &header).unwrap();
-        *h
-    };
-    let sync_b = |b: &IbcHandler<Trie>, a: &mut IbcHandler<Trie>, h: &mut u64| {
-        *h += 1;
-        let header = serde_json::to_vec(&MockHeader {
-            height: *h,
-            root: b.root(),
-            timestamp_ms: *h * 1_000,
-        })
-        .unwrap();
-        a.update_client(&ca, &header).unwrap();
-        *h
-    };
-
-    let conn_a = a.conn_open_init(ca.clone(), cb.clone()).unwrap();
-    let h = sync_a(&a, &mut b, &mut ha);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(a.store(), &ibc_core::path::connection(&conn_a)).unwrap(),
-    };
-    let conn_b = b.conn_open_try(cb.clone(), ca.clone(), conn_a.clone(), proof, None).unwrap();
-    let h = sync_b(&b, &mut a, &mut hb);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(b.store(), &ibc_core::path::connection(&conn_b)).unwrap(),
-    };
-    a.conn_open_ack(&conn_a, conn_b.clone(), proof, None).unwrap();
-    let h = sync_a(&a, &mut b, &mut ha);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(a.store(), &ibc_core::path::connection(&conn_a)).unwrap(),
-    };
-    b.conn_open_confirm(&conn_b, proof).unwrap();
-
-    let chan_a = a
-        .chan_open_init(port.clone(), conn_a, port.clone(), Ordering::Unordered, "echo-1")
-        .unwrap();
-    let h = sync_a(&a, &mut b, &mut ha);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(a.store(), &ibc_core::path::channel(&port, &chan_a)).unwrap(),
-    };
-    let chan_b = b
-        .chan_open_try(
-            port.clone(),
-            conn_b,
-            port.clone(),
-            chan_a.clone(),
-            Ordering::Unordered,
-            "echo-1",
-            proof,
-        )
-        .unwrap();
-    let h = sync_b(&b, &mut a, &mut hb);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(b.store(), &ibc_core::path::channel(&port, &chan_b)).unwrap(),
-    };
-    a.chan_open_ack(&port, &chan_a, chan_b.clone(), proof).unwrap();
-    let h = sync_a(&a, &mut b, &mut ha);
-    let proof = ProofData {
-        height: h,
-        bytes: ProvableStore::prove(a.store(), &ibc_core::path::channel(&port, &chan_a)).unwrap(),
-    };
-    b.chan_open_confirm(&port, &chan_b, proof).unwrap();
-    (a, b, chan_a)
+    a.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
+    b.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
+    let link = open_link(&mut a, &mut b, &[(port, "echo-1")], &mut 0).unwrap();
+    (a, b, link.channels[0].0.clone(), link.b_client)
 }
 
 fn bench_handshake(c: &mut Criterion) {
@@ -128,23 +49,15 @@ fn bench_packet_path(c: &mut Criterion) {
     group.bench_function("send_recv_roundtrip", |b| {
         b.iter_batched(
             connected,
-            |(mut a, mut b2, chan_a)| {
+            |(mut a, mut b2, chan_a, a_on_b)| {
                 let port = PortId::named("echo");
-                let packet = a.send_packet(&port, &chan_a, vec![0u8; 200], Timeout::NEVER).unwrap();
-                // Sync A's root to B at a fresh mock height.
-                let header = serde_json::to_vec(&MockHeader {
-                    height: 100,
-                    root: a.root(),
-                    timestamp_ms: 100_000,
-                })
-                .unwrap();
-                b2.update_client(&ibc_core::ClientId::new(0), &header).unwrap();
+                let packet =
+                    a.ibc.send_packet(&port, &chan_a, vec![0u8; 200], Timeout::NEVER).unwrap();
+                let height = publish(&mut a, &mut b2, &a_on_b, &mut 100_000).unwrap();
                 let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
-                let proof = ProofData {
-                    height: 100,
-                    bytes: ProvableStore::prove(a.store(), &key).unwrap(),
-                };
+                let proof = prove(&a.ibc, height, &key).unwrap();
                 let ack = b2
+                    .ibc
                     .recv_packet(&packet, proof, HostTime { height: 1, timestamp_ms: 1 })
                     .unwrap();
                 assert!(ack.is_success());

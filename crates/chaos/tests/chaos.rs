@@ -3,7 +3,8 @@
 //! and the audit story (real safety breaches are detected and attributed).
 
 use testnet::{
-    report_of, ChaosPlan, Fault, InvariantKind, Testnet, TestnetConfig, ValidatorProfile, DAY_MS,
+    report_of, ChaosPlan, Fault, InvariantKind, Testnet, TestnetConfig, ValidatorProfile, CP_USER,
+    DAY_MS, GUEST_DENOM,
 };
 
 const MINUTE_MS: u64 = 60 * 1_000;
@@ -169,6 +170,31 @@ fn relayer_halt_orphans_a_timed_out_packet() {
     net.run_for(70_000);
     net.inject_outbound_transfer(500, 2 * MINUTE_MS);
     net.run_for(6 * MINUTE_MS);
+    assert!(net.invariant_violations().is_empty(), "{:?}", net.invariant_violations());
+}
+
+/// A relayer that stays down longer than the host's block window (512
+/// slots, a few minutes) must still find what was sent meanwhile: the host
+/// keeps every block a relayer has yet to scan, so the send event is there
+/// when it comes back, and the packet is delivered late instead of never.
+#[test]
+fn long_relayer_halt_delays_but_does_not_lose_a_packet() {
+    let halt_until = 31 * MINUTE_MS;
+    let mut config = TestnetConfig::small(41);
+    config.workload.outbound_mean_gap_ms = u64::MAX / 4;
+    config.workload.inbound_mean_gap_ms = u64::MAX / 4;
+    config.chaos = ChaosPlan::new(41).with(MINUTE_MS, halt_until, Fault::RelayerHalt);
+    let mut net = Testnet::build(config);
+
+    net.run_for(70_000); // into the halt window
+    net.inject_outbound_transfer(500, net.host.now_ms() + DAY_MS);
+    net.run_for(halt_until + 15 * MINUTE_MS - 70_000);
+
+    let endpoints = net.endpoints();
+    let voucher = format!("transfer/{}/{GUEST_DENOM}", endpoints.cp_channel);
+    let bank = net.cp.ibc().module(&endpoints.port).and_then(|m| m.ics20()).expect("ICS-20 ledger");
+    assert_eq!(bank.balance(CP_USER, &voucher), 500, "delivered once the relayer recovered");
+    assert_eq!(net.relayer.backlog(), 0);
     assert!(net.invariant_violations().is_empty(), "{:?}", net.invariant_violations());
 }
 

@@ -7,8 +7,8 @@ use std::rc::Rc;
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::client::ConsensusState;
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
-use ibc_core::types::{ChannelId, ClientId, ConnectionId, IbcError, PortId};
-use ibc_core::{LightClient, Module, Ordering};
+use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
+use ibc_core::{LightClient, Module};
 use sealable_trie::{Trie, TrieHistory};
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
@@ -667,28 +667,6 @@ impl GuestContract {
     /// Binds an application module (e.g. ICS-20) to a port.
     pub fn bind_port(&mut self, port_id: PortId, module: Box<dyn Module>) {
         self.ibc.bind_port(port_id, module);
-    }
-
-    /// Opens a channel handshake from the guest side.
-    ///
-    /// # Errors
-    ///
-    /// The embedded IBC error.
-    pub fn chan_open_init(
-        &mut self,
-        port_id: PortId,
-        connection_id: ConnectionId,
-        counterparty_port_id: PortId,
-        ordering: Ordering,
-        version: &str,
-    ) -> Result<ChannelId, GuestError> {
-        Ok(self.ibc.chan_open_init(
-            port_id,
-            connection_id,
-            counterparty_port_id,
-            ordering,
-            version,
-        )?)
     }
 
     // ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 //! The counterparty chain itself.
 
 use ibc_core::handler::{HandlerConfig, HostTime, IbcHandler};
-use ibc_core::IbcEvent;
+use ibc_core::handshake::ChainEnd;
+use ibc_core::{ClientId, IbcError, IbcEvent, LightClient};
 use profiler::Profiler;
 use sealable_trie::{Trie, TrieHistory};
 use sim_crypto::rng::SplitMix64;
@@ -9,6 +10,7 @@ use sim_crypto::schnorr::{Keypair, PublicKey};
 use telemetry::Telemetry;
 
 use crate::header::CpHeader;
+use crate::light_client::CpLightClient;
 
 /// Counterparty chain parameters.
 #[derive(Clone, Copy, Debug)]
@@ -275,6 +277,28 @@ impl CounterpartyChain {
     }
 }
 
+/// A native chain opens links as itself, under whatever error type its
+/// peer reports in.
+impl<E: From<IbcError>> ChainEnd<E> for CounterpartyChain {
+    fn handler(&mut self) -> &mut IbcHandler<Trie> {
+        &mut self.ibc
+    }
+
+    fn light_client(&self) -> Box<dyn LightClient> {
+        Box::new(CpLightClient::new(self.validator_set()))
+    }
+
+    fn commit(&mut self, now_ms: u64) -> Result<(u64, Vec<u8>), E> {
+        let header = self.produce_block(now_ms);
+        Ok((header.height, header.encode()))
+    }
+
+    fn accept(&mut self, client: &ClientId, header: &[u8], _now_ms: u64) -> Result<(), E> {
+        self.ibc.update_client(client, header)?;
+        Ok(())
+    }
+}
+
 impl core::fmt::Debug for CounterpartyChain {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("CounterpartyChain")
@@ -287,8 +311,6 @@ impl core::fmt::Debug for CounterpartyChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CpLightClient;
-    use ibc_core::LightClient;
 
     #[test]
     fn produced_headers_verify_in_light_client() {

@@ -7,10 +7,13 @@
 //! guest light client in `guest-chain`, the Tendermint-like client in
 //! `counterparty-sim`); the handler talks to them through [`LightClient`].
 
+use sealable_trie::Trie;
 use serde::{Deserialize, Serialize};
 use sim_crypto::Hash;
 
-use crate::types::{Height, IbcError, TimestampMs};
+use crate::handler::IbcHandler;
+use crate::handshake::ChainEnd;
+use crate::types::{ClientId, Height, IbcError, TimestampMs};
 
 /// A consensus snapshot of the tracked chain at one height.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,10 +190,59 @@ impl LightClient for MockClient {
     }
 }
 
+/// A chain for tests and benches: a bare handler whose "blocks" are
+/// [`MockHeader`]s over its current root, one height per commit, which
+/// peers follow through [`MockClient`]s. The third [`ChainEnd`], so
+/// fixtures open their links with the same handshake production code does.
+pub struct MockChain {
+    /// The chain's handler; callers bind ports and drive packets on it
+    /// directly.
+    pub ibc: IbcHandler<Trie>,
+    height: Height,
+}
+
+impl MockChain {
+    /// A chain at height 0 with an empty store and no ports bound.
+    pub fn new() -> Self {
+        Self { ibc: IbcHandler::new(Trie::new()), height: 0 }
+    }
+
+    /// The height last committed at.
+    pub fn height(&self) -> Height {
+        self.height
+    }
+}
+
+impl Default for MockChain {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ChainEnd<IbcError> for MockChain {
+    fn handler(&mut self) -> &mut IbcHandler<Trie> {
+        &mut self.ibc
+    }
+
+    fn light_client(&self) -> Box<dyn LightClient> {
+        Box::new(MockClient::new())
+    }
+
+    fn commit(&mut self, now_ms: TimestampMs) -> Result<(Height, Vec<u8>), IbcError> {
+        self.height += 1;
+        let header =
+            MockHeader { height: self.height, root: self.ibc.root(), timestamp_ms: now_ms };
+        Ok((self.height, serde_json::to_vec(&header).expect("mock header serializes")))
+    }
+
+    fn accept(&mut self, client: &ClientId, header: &[u8], _: TimestampMs) -> Result<(), IbcError> {
+        self.ibc.update_client(client, header).map(drop)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sealable_trie::Trie;
     use sim_crypto::sha256;
 
     #[test]

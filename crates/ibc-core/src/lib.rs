@@ -14,6 +14,8 @@
 //!   absence keeps other ports incomplete.
 //! * [`channel`] (ICS-04) — channels, packets, commitments,
 //!   acknowledgements and timeouts.
+//! * [`handshake`] — the ICS-03/04 opening dance over a [`handshake::ChainEnd`]
+//!   seam, the one way any two ends here come to share a link.
 //! * [`router`] / [`handler`] — module routing and the full packet life
 //!   cycle (§II steps 1–6).
 //! * [`ics20`] — the token-transfer application with escrow/voucher
@@ -60,6 +62,7 @@ pub mod connection;
 pub mod events;
 pub mod forward;
 pub mod handler;
+pub mod handshake;
 pub mod ics20;
 pub mod path;
 pub mod router;

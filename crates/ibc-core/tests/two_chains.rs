@@ -6,161 +6,100 @@
 //! duplicate rejection, and timeout — plus an ICS-20 token round trip.
 
 use ibc_core::channel::{Ordering, Timeout};
-use ibc_core::client::{MockClient, MockHeader};
-use ibc_core::handler::{HostTime, IbcHandler, ProofData};
+use ibc_core::client::MockChain;
+use ibc_core::handler::{HostTime, ProofData};
+use ibc_core::handshake::{open_channel, open_connection, prove, publish, ChainEnd};
 use ibc_core::ics20::{self, TransferModule};
 use ibc_core::router::EchoModule;
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
-use ibc_core::{IbcEvent, ProvableStore};
-use sealable_trie::Trie;
+use ibc_core::{IbcEvent, Module};
 
-/// A pair of chains with mock clients of each other.
+/// A pair of mock chains with clients of each other. Headers carry the
+/// shared clock, which every sync moves on by one second.
 struct Net {
-    a: IbcHandler<Trie>,
-    b: IbcHandler<Trie>,
-    client_of_b_on_a: ClientId,
-    client_of_a_on_b: ClientId,
-    height_a: u64,
-    height_b: u64,
+    a: MockChain,
+    b: MockChain,
+    /// A's client of B.
+    on_a: ClientId,
+    /// B's client of A.
+    on_b: ClientId,
+    clock: u64,
 }
 
 impl Net {
+    /// Two chains that know of each other and nothing more: where the
+    /// by-hand handshake cases start.
     fn new() -> Self {
-        let mut a = IbcHandler::new(Trie::new());
-        let mut b = IbcHandler::new(Trie::new());
-        let client_of_b_on_a = a.create_client(Box::new(MockClient::new()));
-        let client_of_a_on_b = b.create_client(Box::new(MockClient::new()));
-        Self { a, b, client_of_b_on_a, client_of_a_on_b, height_a: 0, height_b: 0 }
+        let (mut a, mut b) = (MockChain::new(), MockChain::new());
+        let on_a = a.ibc.create_client(b.light_client());
+        let on_b = b.ibc.create_client(a.light_client());
+        Self { a, b, on_a, on_b, clock: 0 }
     }
 
-    /// "Produce a block" on A and update B's client of A.
+    /// Two chains with the given modules bound on `port` and one channel
+    /// of `ordering` open between them; returns its ids on A and on B.
+    fn open(
+        port: &PortId,
+        on_a: Box<dyn Module>,
+        on_b: Box<dyn Module>,
+        ordering: Ordering,
+    ) -> (Self, ChannelId, ChannelId) {
+        let (mut a, mut b, mut clock) = (MockChain::new(), MockChain::new(), 0);
+        a.ibc.bind_port(port.clone(), on_a);
+        b.ibc.bind_port(port.clone(), on_b);
+        let link = open_connection(&mut a, &mut b, &mut clock).unwrap();
+        let (chan_a, chan_b) =
+            open_channel(&mut a, &mut b, &link, port, ordering, "ics20-1", &mut clock).unwrap();
+        (Self { a, b, on_a: link.a_client, on_b: link.b_client, clock }, chan_a, chan_b)
+    }
+
+    /// Commits a block on A and updates B's client of A.
     fn sync_a_to_b(&mut self) -> u64 {
-        self.height_a += 1;
-        let header = serde_json::to_vec(&MockHeader {
-            height: self.height_a,
-            root: self.a.root(),
-            timestamp_ms: self.height_a * 1_000,
-        })
-        .unwrap();
-        self.b.update_client(&self.client_of_a_on_b, &header).unwrap();
-        self.height_a
+        publish(&mut self.a, &mut self.b, &self.on_b, &mut self.clock).unwrap()
     }
 
-    /// "Produce a block" on B and update A's client of B.
+    /// Commits a block on B and updates A's client of B.
     fn sync_b_to_a(&mut self) -> u64 {
-        self.height_b += 1;
-        let header = serde_json::to_vec(&MockHeader {
-            height: self.height_b,
-            root: self.b.root(),
-            timestamp_ms: self.height_b * 1_000,
-        })
-        .unwrap();
-        self.a.update_client(&self.client_of_b_on_a, &header).unwrap();
-        self.height_b
+        publish(&mut self.b, &mut self.a, &self.on_a, &mut self.clock).unwrap()
     }
 
     fn proof_a(&self, height: u64, key: &[u8]) -> ProofData {
-        ProofData { height, bytes: ProvableStore::prove(self.a.store(), key).unwrap() }
+        prove(&self.a.ibc, height, key).unwrap()
     }
 
     fn proof_b(&self, height: u64, key: &[u8]) -> ProofData {
-        ProofData { height, bytes: ProvableStore::prove(self.b.store(), key).unwrap() }
-    }
-
-    /// Runs the full connection handshake; returns (conn on A, conn on B).
-    fn connect(&mut self) -> (ibc_core::ConnectionId, ibc_core::ConnectionId) {
-        let conn_a = self
-            .a
-            .conn_open_init(self.client_of_b_on_a.clone(), self.client_of_a_on_b.clone())
-            .unwrap();
-        let h = self.sync_a_to_b();
-        let proof_init = self.proof_a(h, &ibc_core::path::connection(&conn_a));
-        let conn_b = self
-            .b
-            .conn_open_try(
-                self.client_of_a_on_b.clone(),
-                self.client_of_b_on_a.clone(),
-                conn_a.clone(),
-                proof_init,
-                None,
-            )
-            .unwrap();
-        let h = self.sync_b_to_a();
-        let proof_try = self.proof_b(h, &ibc_core::path::connection(&conn_b));
-        self.a.conn_open_ack(&conn_a, conn_b.clone(), proof_try, None).unwrap();
-        let h = self.sync_a_to_b();
-        let proof_ack = self.proof_a(h, &ibc_core::path::connection(&conn_a));
-        self.b.conn_open_confirm(&conn_b, proof_ack).unwrap();
-        (conn_a, conn_b)
-    }
-
-    /// Opens a channel over existing connections; returns channel ids.
-    fn open_channel(
-        &mut self,
-        conn_a: &ibc_core::ConnectionId,
-        conn_b: &ibc_core::ConnectionId,
-        port: &PortId,
-        ordering: Ordering,
-    ) -> (ChannelId, ChannelId) {
-        let chan_a = self
-            .a
-            .chan_open_init(port.clone(), conn_a.clone(), port.clone(), ordering, "ics20-1")
-            .unwrap();
-        let h = self.sync_a_to_b();
-        let proof_init = self.proof_a(h, &ibc_core::path::channel(port, &chan_a));
-        let chan_b = self
-            .b
-            .chan_open_try(
-                port.clone(),
-                conn_b.clone(),
-                port.clone(),
-                chan_a.clone(),
-                ordering,
-                "ics20-1",
-                proof_init,
-            )
-            .unwrap();
-        let h = self.sync_b_to_a();
-        let proof_try = self.proof_b(h, &ibc_core::path::channel(port, &chan_b));
-        self.a.chan_open_ack(port, &chan_a, chan_b.clone(), proof_try).unwrap();
-        let h = self.sync_a_to_b();
-        let proof_ack = self.proof_a(h, &ibc_core::path::channel(port, &chan_a));
-        self.b.chan_open_confirm(port, &chan_b, proof_ack).unwrap();
-        (chan_a, chan_b)
+        prove(&self.b.ibc, height, key).unwrap()
     }
 }
 
 fn echo_net() -> (Net, PortId, ChannelId, ChannelId) {
-    let mut net = Net::new();
     let port = PortId::named("echo");
-    net.a.bind_port(port.clone(), Box::new(EchoModule::default()));
-    net.b.bind_port(port.clone(), Box::new(EchoModule::default()));
-    let (conn_a, conn_b) = net.connect();
-    let (chan_a, chan_b) = net.open_channel(&conn_a, &conn_b, &port, Ordering::Unordered);
+    let echo = || Box::new(EchoModule::default());
+    let (net, chan_a, chan_b) = Net::open(&port, echo(), echo(), Ordering::Unordered);
     (net, port, chan_a, chan_b)
 }
 
 #[test]
 fn connection_and_channel_handshake_complete() {
     let (net, port, chan_a, chan_b) = echo_net();
-    assert!(net.a.channel(&port, &chan_a).unwrap().is_open());
-    assert!(net.b.channel(&port, &chan_b).unwrap().is_open());
+    assert!(net.a.ibc.channel(&port, &chan_a).unwrap().is_open());
+    assert!(net.b.ibc.channel(&port, &chan_b).unwrap().is_open());
 }
 
 #[test]
 fn handshake_with_forged_proof_fails() {
     let mut net = Net::new();
-    let conn_a =
-        net.a.conn_open_init(net.client_of_b_on_a.clone(), net.client_of_a_on_b.clone()).unwrap();
+    let conn_a = net.a.ibc.conn_open_init(net.on_a.clone(), net.on_b.clone()).unwrap();
     let h = net.sync_a_to_b();
     // Claiming a connection id that A never created: the (valid) proof for
     // the real path cannot vouch for the forged one.
     let real_proof = net.proof_a(h, &ibc_core::path::connection(&conn_a));
     let err = net
         .b
+        .ibc
         .conn_open_try(
-            net.client_of_a_on_b.clone(),
-            net.client_of_b_on_a.clone(),
+            net.on_b.clone(),
+            net.on_a.clone(),
             ibc_core::ConnectionId::new(99),
             real_proof,
             None,
@@ -171,16 +110,8 @@ fn handshake_with_forged_proof_fails() {
     // Tampered proof bytes are rejected outright.
     let mut bad = net.proof_a(h, &ibc_core::path::connection(&conn_a));
     bad.bytes[10] ^= 0xff;
-    let err = net
-        .b
-        .conn_open_try(
-            net.client_of_a_on_b.clone(),
-            net.client_of_b_on_a.clone(),
-            conn_a,
-            bad,
-            None,
-        )
-        .unwrap_err();
+    let err =
+        net.b.ibc.conn_open_try(net.on_b.clone(), net.on_a.clone(), conn_a, bad, None).unwrap_err();
     assert!(matches!(err, IbcError::InvalidProof(_)), "{err:?}");
 }
 
@@ -188,7 +119,8 @@ fn handshake_with_forged_proof_fails() {
 fn packet_roundtrip_with_ack() {
     let (mut net, port, chan_a, _chan_b) = echo_net();
 
-    let packet = net.a.send_packet(&port, &chan_a, b"hello ibc".to_vec(), Timeout::NEVER).unwrap();
+    let packet =
+        net.a.ibc.send_packet(&port, &chan_a, b"hello ibc".to_vec(), Timeout::NEVER).unwrap();
     assert_eq!(packet.sequence, 1);
 
     // Relay A → B.
@@ -196,7 +128,7 @@ fn packet_roundtrip_with_ack() {
     let commitment_key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
     let proof = net.proof_a(h, &commitment_key);
     let ack =
-        net.b.recv_packet(&packet, proof, HostTime { height: 1, timestamp_ms: 1_000 }).unwrap();
+        net.b.ibc.recv_packet(&packet, proof, HostTime { height: 1, timestamp_ms: 1_000 }).unwrap();
     assert!(ack.is_success());
 
     // Relay the ack B → A.
@@ -207,18 +139,21 @@ fn packet_roundtrip_with_ack() {
         packet.sequence,
     );
     let ack_proof = net.proof_b(h, &ack_key);
-    net.a.acknowledge_packet(&packet, &ack, ack_proof).unwrap();
+    net.a.ibc.acknowledge_packet(&packet, &ack, ack_proof).unwrap();
 
     // The commitment is cleared: double-acking fails.
     let h2 = net.sync_b_to_a();
     let ack_proof2 = net.proof_b(h2, &ack_key);
-    assert_eq!(net.a.acknowledge_packet(&packet, &ack, ack_proof2), Err(IbcError::DuplicatePacket));
+    assert_eq!(
+        net.a.ibc.acknowledge_packet(&packet, &ack, ack_proof2),
+        Err(IbcError::DuplicatePacket)
+    );
 
     // Events were emitted on both sides.
-    let events_a = net.a.drain_events();
+    let events_a = net.a.ibc.drain_events();
     assert!(events_a.iter().any(|e| matches!(e, IbcEvent::SendPacket { .. })));
     assert!(events_a.iter().any(|e| matches!(e, IbcEvent::AcknowledgePacket { .. })));
-    let events_b = net.b.drain_events();
+    let events_b = net.b.ibc.drain_events();
     assert!(events_b.iter().any(|e| matches!(e, IbcEvent::RecvPacket { .. })));
     assert!(events_b.iter().any(|e| matches!(e, IbcEvent::WriteAcknowledgement { .. })));
 }
@@ -226,15 +161,16 @@ fn packet_roundtrip_with_ack() {
 #[test]
 fn duplicate_delivery_rejected_via_sealed_receipt() {
     let (mut net, port, chan_a, _) = echo_net();
-    let packet = net.a.send_packet(&port, &chan_a, b"once only".to_vec(), Timeout::NEVER).unwrap();
+    let packet =
+        net.a.ibc.send_packet(&port, &chan_a, b"once only".to_vec(), Timeout::NEVER).unwrap();
     let h = net.sync_a_to_b();
     let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
     let now = HostTime { height: 1, timestamp_ms: 1_000 };
 
-    net.b.recv_packet(&packet, net.proof_a(h, &key), now).unwrap();
+    net.b.ibc.recv_packet(&packet, net.proof_a(h, &key), now).unwrap();
     // Second delivery with a perfectly valid proof still fails.
     assert_eq!(
-        net.b.recv_packet(&packet, net.proof_a(h, &key), now),
+        net.b.ibc.recv_packet(&packet, net.proof_a(h, &key), now),
         Err(IbcError::DuplicatePacket)
     );
 }
@@ -242,49 +178,55 @@ fn duplicate_delivery_rejected_via_sealed_receipt() {
 #[test]
 fn forged_packet_rejected() {
     let (mut net, port, chan_a, _) = echo_net();
-    let packet = net.a.send_packet(&port, &chan_a, b"real".to_vec(), Timeout::NEVER).unwrap();
+    let packet = net.a.ibc.send_packet(&port, &chan_a, b"real".to_vec(), Timeout::NEVER).unwrap();
     let h = net.sync_a_to_b();
     let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
     let proof = net.proof_a(h, &key);
     let mut forged = packet.clone();
     forged.payload = b"forged".to_vec();
-    let err =
-        net.b.recv_packet(&forged, proof, HostTime { height: 1, timestamp_ms: 1_000 }).unwrap_err();
+    let err = net
+        .b
+        .ibc
+        .recv_packet(&forged, proof, HostTime { height: 1, timestamp_ms: 1_000 })
+        .unwrap_err();
     assert!(matches!(err, IbcError::InvalidProof(_)));
 }
 
 #[test]
 fn expired_packet_rejected_on_recv_and_timed_out_at_source() {
     let (mut net, port, chan_a, _) = echo_net();
+    let expiry = net.clock + 5_000;
     let packet =
-        net.a.send_packet(&port, &chan_a, b"slow".to_vec(), Timeout::at_time(5_000)).unwrap();
+        net.a.ibc.send_packet(&port, &chan_a, b"slow".to_vec(), Timeout::at_time(expiry)).unwrap();
     let h = net.sync_a_to_b();
     let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
 
     // Destination clock has passed the timeout: delivery is refused.
     let err = net
         .b
-        .recv_packet(&packet, net.proof_a(h, &key), HostTime { height: 10, timestamp_ms: 6_000 })
+        .ibc
+        .recv_packet(&packet, net.proof_a(h, &key), HostTime { height: 10, timestamp_ms: expiry })
         .unwrap_err();
     assert!(matches!(err, IbcError::Timeout(_)));
 
-    // The source can now prove non-receipt and reclaim the packet. The
-    // mock header timestamps are height×1000, so height 6 ⇒ 6000 ms ≥ 5000.
-    while net.height_b < 6 {
-        net.sync_b_to_a();
+    // The source can prove non-receipt and reclaim the packet under a
+    // header of B's past the expiry; mock headers carry the shared clock.
+    let mut hb = net.sync_b_to_a();
+    while net.clock < expiry {
+        hb = net.sync_b_to_a();
     }
     let receipt_key = ibc_core::path::packet_receipt(
         &packet.destination_port,
         &packet.destination_channel,
         packet.sequence,
     );
-    let proof_unreceived = net.proof_b(6, &receipt_key);
-    net.a.timeout_packet(&packet, proof_unreceived).unwrap();
+    let proof_unreceived = net.proof_b(hb, &receipt_key);
+    net.a.ibc.timeout_packet(&packet, proof_unreceived).unwrap();
 
     // Premature/double timeout fails.
-    let proof_again = net.proof_b(6, &receipt_key);
+    let proof_again = net.proof_b(hb, &receipt_key);
     assert_eq!(
-        net.a.timeout_packet(&packet, proof_again),
+        net.a.ibc.timeout_packet(&packet, proof_again),
         Err(IbcError::DuplicatePacket),
         "commitment already cleared"
     );
@@ -295,6 +237,7 @@ fn premature_timeout_rejected() {
     let (mut net, port, chan_a, _) = echo_net();
     let packet = net
         .a
+        .ibc
         .send_packet(&port, &chan_a, b"patience".to_vec(), Timeout::at_time(1_000_000))
         .unwrap();
     let h = net.sync_b_to_a();
@@ -304,48 +247,42 @@ fn premature_timeout_rejected() {
         packet.sequence,
     );
     let proof = net.proof_b(h, &receipt_key);
-    let err = net.a.timeout_packet(&packet, proof).unwrap_err();
+    let err = net.a.ibc.timeout_packet(&packet, proof).unwrap_err();
     assert!(matches!(err, IbcError::Timeout(_)));
 }
 
 #[test]
 fn ordered_channel_enforces_sequence() {
-    let mut net = Net::new();
     let port = PortId::named("echo");
-    net.a.bind_port(port.clone(), Box::new(EchoModule::default()));
-    net.b.bind_port(port.clone(), Box::new(EchoModule::default()));
-    let (conn_a, conn_b) = net.connect();
-    let (chan_a, _chan_b) = net.open_channel(&conn_a, &conn_b, &port, Ordering::Ordered);
+    let echo = || Box::new(EchoModule::default());
+    let (mut net, chan_a, _chan_b) = Net::open(&port, echo(), echo(), Ordering::Ordered);
 
-    let p1 = net.a.send_packet(&port, &chan_a, b"first".to_vec(), Timeout::NEVER).unwrap();
-    let p2 = net.a.send_packet(&port, &chan_a, b"second".to_vec(), Timeout::NEVER).unwrap();
+    let p1 = net.a.ibc.send_packet(&port, &chan_a, b"first".to_vec(), Timeout::NEVER).unwrap();
+    let p2 = net.a.ibc.send_packet(&port, &chan_a, b"second".to_vec(), Timeout::NEVER).unwrap();
     let h = net.sync_a_to_b();
     let now = HostTime { height: 1, timestamp_ms: 1_000 };
 
     // Delivering #2 before #1 fails on an ordered channel.
     let key2 = ibc_core::path::packet_commitment(&port, &chan_a, p2.sequence);
-    let err = net.b.recv_packet(&p2, net.proof_a(h, &key2), now).unwrap_err();
+    let err = net.b.ibc.recv_packet(&p2, net.proof_a(h, &key2), now).unwrap_err();
     assert!(matches!(err, IbcError::InvalidState(_)));
 
     let key1 = ibc_core::path::packet_commitment(&port, &chan_a, p1.sequence);
-    net.b.recv_packet(&p1, net.proof_a(h, &key1), now).unwrap();
-    net.b.recv_packet(&p2, net.proof_a(h, &key2), now).unwrap();
+    net.b.ibc.recv_packet(&p1, net.proof_a(h, &key1), now).unwrap();
+    net.b.ibc.recv_packet(&p2, net.proof_a(h, &key2), now).unwrap();
 }
 
 #[test]
 fn ics20_token_round_trip() {
-    let mut net = Net::new();
     let port = PortId::transfer();
     let mut bank_a = TransferModule::new();
     bank_a.mint("alice", "sol", 1_000);
-    net.a.bind_port(port.clone(), Box::new(bank_a));
-    net.b.bind_port(port.clone(), Box::new(TransferModule::new()));
-    let (conn_a, conn_b) = net.connect();
-    let (chan_a, chan_b) = net.open_channel(&conn_a, &conn_b, &port, Ordering::Unordered);
+    let bank_b = Box::new(TransferModule::new());
+    let (mut net, chan_a, chan_b) = Net::open(&port, Box::new(bank_a), bank_b, Ordering::Unordered);
 
     // A → B: alice sends 250 sol to bob.
     let packet = ics20::send_transfer(
-        &mut net.a,
+        &mut net.a.ibc,
         &port,
         &chan_a,
         "sol",
@@ -360,20 +297,27 @@ fn ics20_token_round_trip() {
     let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
     let ack = net
         .b
+        .ibc
         .recv_packet(&packet, net.proof_a(h, &key), HostTime { height: 1, timestamp_ms: 1 })
         .unwrap();
     assert!(ack.is_success(), "{ack:?}");
 
     let voucher = format!("transfer/{chan_b}/sol");
     {
-        let bank_b =
-            net.b.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
+        let bank_b = net
+            .b
+            .ibc
+            .module_mut(&port)
+            .unwrap()
+            .as_any_mut()
+            .downcast_mut::<TransferModule>()
+            .unwrap();
         assert_eq!(bank_b.balance("bob", &voucher), 250);
     }
 
     // B → A: bob returns 100 back to alice.
     let back = ics20::send_transfer(
-        &mut net.b,
+        &mut net.b.ibc,
         &port,
         &chan_b,
         &voucher,
@@ -388,12 +332,13 @@ fn ics20_token_round_trip() {
     let key = ibc_core::path::packet_commitment(&port, &chan_b, back.sequence);
     let ack = net
         .a
+        .ibc
         .recv_packet(&back, net.proof_b(h, &key), HostTime { height: 1, timestamp_ms: 1 })
         .unwrap();
     assert!(ack.is_success(), "{ack:?}");
 
     let bank_a =
-        net.a.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
+        net.a.ibc.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
     // 1000 − 250 sent + 100 returned.
     assert_eq!(bank_a.balance("alice", "sol"), 850);
     assert_eq!(bank_a.balance(&format!("escrow:{chan_a}"), "sol"), 150);
@@ -401,17 +346,15 @@ fn ics20_token_round_trip() {
 
 #[test]
 fn ics20_timeout_refunds_sender() {
-    let mut net = Net::new();
     let port = PortId::transfer();
     let mut bank_a = TransferModule::new();
     bank_a.mint("alice", "sol", 500);
-    net.a.bind_port(port.clone(), Box::new(bank_a));
-    net.b.bind_port(port.clone(), Box::new(TransferModule::new()));
-    let (conn_a, conn_b) = net.connect();
-    let (chan_a, _chan_b) = net.open_channel(&conn_a, &conn_b, &port, Ordering::Unordered);
+    let bank_b = Box::new(TransferModule::new());
+    let (mut net, chan_a, _chan_b) =
+        Net::open(&port, Box::new(bank_a), bank_b, Ordering::Unordered);
 
     let packet = ics20::send_transfer(
-        &mut net.a,
+        &mut net.a.ibc,
         &port,
         &chan_a,
         "sol",
@@ -419,30 +362,36 @@ fn ics20_timeout_refunds_sender() {
         "alice",
         "bob",
         "",
-        Timeout::at_time(2_000),
+        Timeout::at_time(net.clock + 2_000),
     )
     .unwrap();
     // Funds are escrowed while in flight.
     {
-        let bank =
-            net.a.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
+        let bank = net
+            .a
+            .ibc
+            .module_mut(&port)
+            .unwrap()
+            .as_any_mut()
+            .downcast_mut::<TransferModule>()
+            .unwrap();
         assert_eq!(bank.balance("alice", "sol"), 300);
     }
 
-    // Never delivered; B's clock passes the timeout (height 3 ⇒ 3000 ms).
-    while net.height_b < 3 {
-        net.sync_b_to_a();
-    }
+    // Never delivered; B's headers (which carry the shared clock) pass
+    // the timeout two blocks on.
+    net.sync_b_to_a();
+    let hb = net.sync_b_to_a();
     let receipt_key = ibc_core::path::packet_receipt(
         &packet.destination_port,
         &packet.destination_channel,
         packet.sequence,
     );
-    let proof = net.proof_b(3, &receipt_key);
-    net.a.timeout_packet(&packet, proof).unwrap();
+    let proof = net.proof_b(hb, &receipt_key);
+    net.a.ibc.timeout_packet(&packet, proof).unwrap();
 
     let bank =
-        net.a.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
+        net.a.ibc.module_mut(&port).unwrap().as_any_mut().downcast_mut::<TransferModule>().unwrap();
     assert_eq!(bank.balance("alice", "sol"), 500, "escrow refunded");
 }
 
@@ -474,34 +423,26 @@ mod self_validation {
     fn handshake_self_client_validation() {
         let mut net = Net::new();
         let history = History::default();
-        net.a.set_self_history(Box::new(history.clone()));
+        net.a.ibc.set_self_history(Box::new(history.clone()));
 
-        let conn_a = net
-            .a
-            .conn_open_init(net.client_of_b_on_a.clone(), net.client_of_a_on_b.clone())
-            .unwrap();
+        let conn_a = net.a.ibc.conn_open_init(net.on_a.clone(), net.on_b.clone()).unwrap();
         let h = net.sync_a_to_b();
         // Record what A's consensus actually was at that height.
         history
             .states
             .borrow_mut()
-            .insert(h, ConsensusState { root: net.a.root(), timestamp_ms: h * 1_000 });
+            .insert(h, ConsensusState { root: net.a.ibc.root(), timestamp_ms: net.clock });
         let proof_init = net.proof_a(h, &ibc_core::path::connection(&conn_a));
         let conn_b = net
             .b
-            .conn_open_try(
-                net.client_of_a_on_b.clone(),
-                net.client_of_b_on_a.clone(),
-                conn_a.clone(),
-                proof_init,
-                None,
-            )
+            .ibc
+            .conn_open_try(net.on_b.clone(), net.on_a.clone(), conn_a.clone(), proof_init, None)
             .unwrap();
 
         // B's update_client recorded A's consensus state in B's provable
         // store; prove it back to A.
         let hb = net.sync_b_to_a();
-        let consensus_key = ibc_core::path::consensus_state(&net.client_of_a_on_b, h);
+        let consensus_key = ibc_core::path::consensus_state(&net.on_b, h);
         let consensus = history.states.borrow()[&h];
         let honest = SelfConsensusProof {
             self_height: h,
@@ -509,44 +450,37 @@ mod self_validation {
             proof: net.proof_b(hb, &consensus_key),
         };
         let proof_try = net.proof_b(hb, &ibc_core::path::connection(&conn_b));
-        net.a.conn_open_ack(&conn_a, conn_b.clone(), proof_try, Some(honest)).unwrap();
-        assert!(net.a.connection(&conn_a).unwrap().is_open());
+        net.a.ibc.conn_open_ack(&conn_a, conn_b.clone(), proof_try, Some(honest)).unwrap();
+        assert!(net.a.ibc.connection(&conn_a).unwrap().is_open());
 
         // A fork claim — a consensus state that differs from A's history —
         // is rejected even with a valid membership proof of *something*.
         let mut net2 = Net::new();
         let history2 = History::default();
-        net2.a.set_self_history(Box::new(history2.clone()));
-        let conn_a2 = net2
-            .a
-            .conn_open_init(net2.client_of_b_on_a.clone(), net2.client_of_a_on_b.clone())
-            .unwrap();
+        net2.a.ibc.set_self_history(Box::new(history2.clone()));
+        let conn_a2 = net2.a.ibc.conn_open_init(net2.on_a.clone(), net2.on_b.clone()).unwrap();
         let h2 = net2.sync_a_to_b();
         history2
             .states
             .borrow_mut()
-            .insert(h2, ConsensusState { root: net2.a.root(), timestamp_ms: h2 * 1_000 });
+            .insert(h2, ConsensusState { root: net2.a.ibc.root(), timestamp_ms: net2.clock });
         let proof_init2 = net2.proof_a(h2, &ibc_core::path::connection(&conn_a2));
         let conn_b2 = net2
             .b
-            .conn_open_try(
-                net2.client_of_a_on_b.clone(),
-                net2.client_of_b_on_a.clone(),
-                conn_a2.clone(),
-                proof_init2,
-                None,
-            )
+            .ibc
+            .conn_open_try(net2.on_b.clone(), net2.on_a.clone(), conn_a2.clone(), proof_init2, None)
             .unwrap();
         let hb2 = net2.sync_b_to_a();
         // Claim the consensus B stored but at a height A never had.
-        let stored = net2.b.client(&net2.client_of_a_on_b).unwrap().consensus_state(h2).unwrap();
+        let stored = net2.b.ibc.client(&net2.on_b).unwrap().consensus_state(h2).unwrap();
         let forged = SelfConsensusProof {
             self_height: h2 + 77, // A has no record of this height
             consensus: stored,
-            proof: net2.proof_b(hb2, &ibc_core::path::consensus_state(&net2.client_of_a_on_b, h2)),
+            proof: net2.proof_b(hb2, &ibc_core::path::consensus_state(&net2.on_b, h2)),
         };
         let proof_try2 = net2.proof_b(hb2, &ibc_core::path::connection(&conn_b2));
-        let err = net2.a.conn_open_ack(&conn_a2, conn_b2, proof_try2, Some(forged)).unwrap_err();
+        let err =
+            net2.a.ibc.conn_open_ack(&conn_a2, conn_b2, proof_try2, Some(forged)).unwrap_err();
         assert!(
             matches!(err, IbcError::InvalidProof(_) | IbcError::ClientVerification(_)),
             "{err:?}"
@@ -559,31 +493,33 @@ fn channel_close_handshake_and_post_close_rejections() {
     let (mut net, port, chan_a, chan_b) = echo_net();
 
     // A packet committed before the close can still be received…
-    let packet = net.a.send_packet(&port, &chan_a, b"in flight".to_vec(), Timeout::NEVER).unwrap();
+    let packet =
+        net.a.ibc.send_packet(&port, &chan_a, b"in flight".to_vec(), Timeout::NEVER).unwrap();
 
     // A closes its end.
-    net.a.chan_close_init(&port, &chan_a).unwrap();
-    assert_eq!(net.a.channel(&port, &chan_a).unwrap().state, ibc_core::ChannelState::Closed);
+    net.a.ibc.chan_close_init(&port, &chan_a).unwrap();
+    assert_eq!(net.a.ibc.channel(&port, &chan_a).unwrap().state, ibc_core::ChannelState::Closed);
     // Sends on a closed channel fail.
-    let err = net.a.send_packet(&port, &chan_a, b"too late".to_vec(), Timeout::NEVER).unwrap_err();
+    let err =
+        net.a.ibc.send_packet(&port, &chan_a, b"too late".to_vec(), Timeout::NEVER).unwrap_err();
     assert!(matches!(err, IbcError::InvalidState(_)));
     // Closing twice fails.
-    assert!(net.a.chan_close_init(&port, &chan_a).is_err());
+    assert!(net.a.ibc.chan_close_init(&port, &chan_a).is_err());
 
     // B cannot confirm without a proof of A's closed end…
     let h = net.sync_a_to_b();
     let wrong = net.proof_a(h, b"not/the/channel");
-    assert!(net.b.chan_close_confirm(&port, &chan_b, wrong).is_err());
+    assert!(net.b.ibc.chan_close_confirm(&port, &chan_b, wrong).is_err());
     // …and succeeds with one.
     let proof = net.proof_a(h, &ibc_core::path::channel(&port, &chan_a));
-    net.b.chan_close_confirm(&port, &chan_b, proof).unwrap();
-    assert_eq!(net.b.channel(&port, &chan_b).unwrap().state, ibc_core::ChannelState::Closed);
+    net.b.ibc.chan_close_confirm(&port, &chan_b, proof).unwrap();
+    assert_eq!(net.b.ibc.channel(&port, &chan_b).unwrap().state, ibc_core::ChannelState::Closed);
 
     // The in-flight packet is refused after the close (B's end is closed).
     let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
     let proof = net.proof_a(h, &key);
     let err =
-        net.b.recv_packet(&packet, proof, HostTime { height: 1, timestamp_ms: 1 }).unwrap_err();
+        net.b.ibc.recv_packet(&packet, proof, HostTime { height: 1, timestamp_ms: 1 }).unwrap_err();
     assert!(matches!(err, IbcError::InvalidState(_)));
 }
 
@@ -596,25 +532,25 @@ mod state_machine_errors {
         let (mut net, port, chan_a, chan_b) = echo_net();
 
         // Connection already Open: Ack and Confirm are stale.
-        let conn_a = net.a.channel(&port, &chan_a).unwrap().connection_id.clone();
-        let conn_b = net.b.channel(&port, &chan_b).unwrap().connection_id.clone();
+        let conn_a = net.a.ibc.channel(&port, &chan_a).unwrap().connection_id.clone();
+        let conn_b = net.b.ibc.channel(&port, &chan_b).unwrap().connection_id.clone();
         let h = net.sync_b_to_a();
         let proof = net.proof_b(h, &ibc_core::path::connection(&conn_b));
-        let err = net.a.conn_open_ack(&conn_a, conn_b.clone(), proof, None).unwrap_err();
+        let err = net.a.ibc.conn_open_ack(&conn_a, conn_b.clone(), proof, None).unwrap_err();
         assert!(matches!(err, IbcError::InvalidState(_)), "{err:?}");
         let h = net.sync_a_to_b();
         let proof = net.proof_a(h, &ibc_core::path::connection(&conn_a));
-        let err = net.b.conn_open_confirm(&conn_b, proof).unwrap_err();
+        let err = net.b.ibc.conn_open_confirm(&conn_b, proof).unwrap_err();
         assert!(matches!(err, IbcError::InvalidState(_)), "{err:?}");
 
         // Channel already Open: Ack and Confirm are stale too.
         let h = net.sync_b_to_a();
         let proof = net.proof_b(h, &ibc_core::path::channel(&port, &chan_b));
-        let err = net.a.chan_open_ack(&port, &chan_a, chan_b.clone(), proof).unwrap_err();
+        let err = net.a.ibc.chan_open_ack(&port, &chan_a, chan_b.clone(), proof).unwrap_err();
         assert!(matches!(err, IbcError::InvalidState(_)), "{err:?}");
         let h = net.sync_a_to_b();
         let proof = net.proof_a(h, &ibc_core::path::channel(&port, &chan_a));
-        let err = net.b.chan_open_confirm(&port, &chan_b, proof).unwrap_err();
+        let err = net.b.ibc.chan_open_confirm(&port, &chan_b, proof).unwrap_err();
         assert!(matches!(err, IbcError::InvalidState(_)), "{err:?}");
     }
 
@@ -623,15 +559,15 @@ mod state_machine_errors {
     fn unknown_identifiers_error_cleanly() {
         let net = Net::new();
         assert!(matches!(
-            net.a.connection(&ibc_core::ConnectionId::new(9)),
+            net.a.ibc.connection(&ibc_core::ConnectionId::new(9)),
             Err(IbcError::UnknownConnection(_))
         ));
         assert!(matches!(
-            net.a.channel(&PortId::transfer(), &ChannelId::new(9)),
+            net.a.ibc.channel(&PortId::transfer(), &ChannelId::new(9)),
             Err(IbcError::UnknownChannel(..))
         ));
         assert!(matches!(
-            net.a.client(&ibc_core::ClientId::new(9)),
+            net.a.ibc.client(&ibc_core::ClientId::new(9)),
             Err(IbcError::UnknownClient(_))
         ));
     }
@@ -642,14 +578,12 @@ mod state_machine_errors {
     fn channel_prerequisites_enforced() {
         let mut net = Net::new();
         let port = PortId::named("echo");
-        net.a.bind_port(port.clone(), Box::new(EchoModule::default()));
+        net.a.ibc.bind_port(port.clone(), Box::new(EchoModule::default()));
         // Connection exists but is only Init.
-        let conn_a = net
-            .a
-            .conn_open_init(net.client_of_b_on_a.clone(), net.client_of_a_on_b.clone())
-            .unwrap();
+        let conn_a = net.a.ibc.conn_open_init(net.on_a.clone(), net.on_b.clone()).unwrap();
         let err = net
             .a
+            .ibc
             .chan_open_init(port.clone(), conn_a.clone(), port.clone(), Ordering::Unordered, "v1")
             .unwrap_err();
         assert!(matches!(err, IbcError::InvalidState(_)), "{err:?}");
@@ -657,6 +591,7 @@ mod state_machine_errors {
         // Unbound port.
         let err = net
             .a
+            .ibc
             .chan_open_init(PortId::named("nobody-home"), conn_a, port, Ordering::Unordered, "v1")
             .unwrap_err();
         assert!(matches!(err, IbcError::UnboundPort(_)), "{err:?}");
@@ -668,11 +603,11 @@ mod state_machine_errors {
     fn acks_with_wrong_commitment_rejected() {
         let (mut net, port, chan_a, _) = echo_net();
         let packet =
-            net.a.send_packet(&port, &chan_a, b"payload".to_vec(), Timeout::NEVER).unwrap();
+            net.a.ibc.send_packet(&port, &chan_a, b"payload".to_vec(), Timeout::NEVER).unwrap();
         let h = net.sync_a_to_b();
         let key = ibc_core::path::packet_commitment(&port, &chan_a, packet.sequence);
         let now = HostTime { height: 1, timestamp_ms: 1 };
-        let ack = net.b.recv_packet(&packet, net.proof_a(h, &key), now).unwrap();
+        let ack = net.b.ibc.recv_packet(&packet, net.proof_a(h, &key), now).unwrap();
 
         // Tamper with the packet before acknowledging: the stored
         // commitment no longer matches.
@@ -684,7 +619,8 @@ mod state_machine_errors {
             &packet.destination_channel,
             packet.sequence,
         );
-        let err = net.a.acknowledge_packet(&tampered, &ack, net.proof_b(h, &ack_key)).unwrap_err();
+        let err =
+            net.a.ibc.acknowledge_packet(&tampered, &ack, net.proof_b(h, &ack_key)).unwrap_err();
         assert!(matches!(err, IbcError::InvalidProof(_)), "{err:?}");
     }
 }

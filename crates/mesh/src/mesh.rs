@@ -35,8 +35,9 @@ use counterparty_sim::{CounterpartyChain, CpHeader};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::client::ConsensusState;
 use ibc_core::forward::{ForwardKind, ForwardMetadata};
+use ibc_core::handshake::open_link;
 use ibc_core::ics20::{self, TransferModule};
-use ibc_core::types::{IbcError, PortId};
+use ibc_core::types::{ChannelId, IbcError, PortId};
 use ibc_core::{IbcEvent, Module, PacketStep};
 use monitor::{
     AlertRecord, FeeConservationDetector, LatencyRegressionDetector, Monitor, MonitorConfig,
@@ -45,7 +46,7 @@ use monitor::{
 use relayer::msg::{Proof, RelayMsg, Submitted, Unproven};
 use telemetry::{names, RunReport, Telemetry, TraceId};
 
-use crate::link::{open_link, Link};
+use crate::link::{link_ports, Link};
 use crate::routing::{PathPolicy, RouteHop, RoutingTable};
 use crate::topology::MeshConfig;
 
@@ -217,6 +218,25 @@ pub struct TrafficOutcome {
     pub in_flight: usize,
 }
 
+/// What the origin puts in a route's first packet, and what the route
+/// bookkeeping needs to know about it.
+struct FirstLeg {
+    origin: usize,
+    dest: usize,
+    /// Number of hops on the chosen path.
+    hops: usize,
+    /// The origin's channel of the first hop's link.
+    channel: ChannelId,
+    /// The first hop's receiver: the final one on a direct route, else
+    /// the next chain's forward account.
+    receiver: String,
+    memo: String,
+    timeout: Timeout,
+}
+
+/// Which of a link's channels a route rides, seen from a node.
+type ChannelPick = for<'l> fn(&'l Link, usize) -> &'l ChannelId;
+
 /// One relay direction's proven work — the header the proofs were taken
 /// under and each message with its proof — read from the source chain
 /// before any submission mutates state.
@@ -368,29 +388,27 @@ impl Mesh {
             let ib = config.chain_index(&spec.b).expect("validated");
             let ends = {
                 let (a, b) = pair(&mut nodes, ia, ib);
-                open_link(&mut a.chain, &mut b.chain, &mut clock_ms)?
+                open_link(&mut a.chain, &mut b.chain, &link_ports(), &mut clock_ms)
+                    .map_err(MeshError::Ibc)?
             };
             routing.add_edge(ia, ib, spec.fee.message_cost());
-            for (node, channel) in [
-                (ia, &ends.a_channel),
-                (ib, &ends.b_channel),
-                (ia, &ends.a_nft_channel),
-                (ib, &ends.b_nft_channel),
-                (ia, &ends.a_ica_channel),
-                (ib, &ends.b_ica_channel),
-            ] {
-                channel_links.insert((node, channel.as_str().to_string()), links.len());
+            for (a_channel, b_channel) in &ends.channels {
+                for (node, channel) in [(ia, a_channel), (ib, b_channel)] {
+                    channel_links.insert((node, channel.as_str().to_string()), links.len());
+                }
             }
+            let [transfer, nft, ica]: [(ChannelId, ChannelId); 3] =
+                ends.channels.try_into().expect("one channel pair per link port");
             links.push(Link {
                 label: spec.label(),
                 a: ia,
                 b: ib,
-                a_channel: ends.a_channel,
-                b_channel: ends.b_channel,
-                a_nft_channel: ends.a_nft_channel,
-                b_nft_channel: ends.b_nft_channel,
-                a_ica_channel: ends.a_ica_channel,
-                b_ica_channel: ends.b_ica_channel,
+                a_channel: transfer.0,
+                b_channel: transfer.1,
+                a_nft_channel: nft.0,
+                b_nft_channel: nft.1,
+                a_ica_channel: ica.0,
+                b_ica_channel: ica.1,
                 a_client: ends.a_client,
                 b_client: ends.b_client,
                 fee: spec.fee,
@@ -644,69 +662,21 @@ impl Mesh {
         amount: u128,
         policy: &PathPolicy,
     ) -> Result<usize, MeshError> {
-        let origin = self.require(from)?;
-        let dest = self.require(to)?;
-        let hops = self
-            .routing
-            .route(from, to, policy)
-            .filter(|hops| !hops.is_empty())
-            .ok_or_else(|| MeshError::NoRoute { from: from.to_string(), to: to.to_string() })?;
-
-        let memo = self.route_memo(&hops, receiver);
-        let first_channel = self.links[hops[0].edge].channel_of(origin).clone();
-        let first_receiver = if hops.len() == 1 {
-            receiver.to_string()
-        } else {
-            self.nodes[hops[0].to].forward_account.clone()
-        };
-        let timeout = Timeout::at_time(self.now_ms + self.config.hop_timeout_ms);
+        let leg = self.plan_first_leg(from, to, receiver, policy, Link::channel_of)?;
         let packet = ics20::send_transfer(
-            self.nodes[origin].chain.ibc_mut(),
+            self.nodes[leg.origin].chain.ibc_mut(),
             &self.port,
-            &first_channel,
+            &leg.channel,
             denom,
             amount,
             sender,
-            &first_receiver,
-            &memo,
-            timeout,
+            &leg.receiver,
+            &leg.memo,
+            leg.timeout,
         )?;
-        self.escrow_packet_fee(origin, &self.port.clone(), &first_channel, packet.sequence, sender);
-
-        let route = self.routes.len();
-        let label = format!("route-{route}:{from}->{to}");
-        let trace = self.telemetry.trace_for_route(&label);
-        if let Some(trace) = trace {
-            self.telemetry.event(
-                self.now_ms,
-                names::ROUTE_START,
-                &[trace],
-                &[
-                    ("from", from.into()),
-                    ("to", to.into()),
-                    ("hops", hops.len().into()),
-                    ("denom", denom.into()),
-                ],
-            );
-        }
-        self.routes.push(RouteStatus {
-            label,
-            origin,
-            dest,
-            receiver: receiver.to_string(),
-            denom: denom.to_string(),
-            amount,
-            trace,
-            delivered: false,
-            refunded: false,
-            sent_ms: self.now_ms,
-            settled_ms: None,
-        });
-        self.legs.insert(
-            (origin, first_channel.as_str().to_string(), packet.sequence),
-            LegInfo { route, refund: false, final_leg: hops.len() == 1 },
-        );
-        Ok(route)
+        let port = self.port.clone();
+        self.escrow_packet_fee(leg.origin, &port, &leg.channel, packet.sequence, sender);
+        Ok(self.track_route(from, to, leg, receiver, denom, amount, packet.sequence))
     }
 
     /// Starts a routed NFT transfer of `tokens` in `class` and returns
@@ -732,6 +702,33 @@ impl Mesh {
         tokens: &[String],
         policy: &PathPolicy,
     ) -> Result<usize, MeshError> {
+        let leg = self.plan_first_leg(from, to, receiver, policy, Link::nft_channel_of)?;
+        let packet = apps::send_nft(
+            self.nodes[leg.origin].chain.ibc_mut(),
+            &nft_port(),
+            &leg.channel,
+            class,
+            tokens,
+            sender,
+            &leg.receiver,
+            &leg.memo,
+            leg.timeout,
+        )?;
+        let amount = tokens.len() as u128;
+        Ok(self.track_route(from, to, leg, receiver, class, amount, packet.sequence))
+    }
+
+    /// The head every routed send shares: picks the path and works out
+    /// what the origin must put in the first hop's packet, on the per-link
+    /// channel `pick` selects.
+    fn plan_first_leg(
+        &self,
+        from: &str,
+        to: &str,
+        receiver: &str,
+        policy: &PathPolicy,
+        pick: ChannelPick,
+    ) -> Result<FirstLeg, MeshError> {
         let origin = self.require(from)?;
         let dest = self.require(to)?;
         let hops = self
@@ -739,27 +736,35 @@ impl Mesh {
             .route(from, to, policy)
             .filter(|hops| !hops.is_empty())
             .ok_or_else(|| MeshError::NoRoute { from: from.to_string(), to: to.to_string() })?;
+        Ok(FirstLeg {
+            origin,
+            dest,
+            hops: hops.len(),
+            channel: pick(&self.links[hops[0].edge], origin).clone(),
+            receiver: if hops.len() == 1 {
+                receiver.to_string()
+            } else {
+                self.nodes[hops[0].to].forward_account.clone()
+            },
+            memo: self.route_memo(&hops, receiver, pick),
+            timeout: Timeout::at_time(self.now_ms + self.config.hop_timeout_ms),
+        })
+    }
 
-        let memo = self.route_memo_via(&hops, receiver, Link::nft_channel_of);
-        let first_channel = self.links[hops[0].edge].nft_channel_of(origin).clone();
-        let first_receiver = if hops.len() == 1 {
-            receiver.to_string()
-        } else {
-            self.nodes[hops[0].to].forward_account.clone()
-        };
-        let timeout = Timeout::at_time(self.now_ms + self.config.hop_timeout_ms);
-        let packet = apps::send_nft(
-            self.nodes[origin].chain.ibc_mut(),
-            &nft_port(),
-            &first_channel,
-            class,
-            tokens,
-            sender,
-            &first_receiver,
-            &memo,
-            timeout,
-        )?;
-
+    /// The tail every routed send shares, once the origin committed the
+    /// first leg as `sequence`: opens the route trace, records the route
+    /// and ties the leg to it. Returns the route index.
+    #[allow(clippy::too_many_arguments)]
+    fn track_route(
+        &mut self,
+        from: &str,
+        to: &str,
+        leg: FirstLeg,
+        receiver: &str,
+        denom: &str,
+        amount: u128,
+        sequence: u64,
+    ) -> usize {
         let route = self.routes.len();
         let label = format!("route-{route}:{from}->{to}");
         let trace = self.telemetry.trace_for_route(&label);
@@ -771,18 +776,18 @@ impl Mesh {
                 &[
                     ("from", from.into()),
                     ("to", to.into()),
-                    ("hops", hops.len().into()),
-                    ("denom", class.into()),
+                    ("hops", leg.hops.into()),
+                    ("denom", denom.into()),
                 ],
             );
         }
         self.routes.push(RouteStatus {
             label,
-            origin,
-            dest,
+            origin: leg.origin,
+            dest: leg.dest,
             receiver: receiver.to_string(),
-            denom: class.to_string(),
-            amount: tokens.len() as u128,
+            denom: denom.to_string(),
+            amount,
             trace,
             delivered: false,
             refunded: false,
@@ -790,10 +795,10 @@ impl Mesh {
             settled_ms: None,
         });
         self.legs.insert(
-            (origin, first_channel.as_str().to_string(), packet.sequence),
-            LegInfo { route, refund: false, final_leg: hops.len() == 1 },
+            (leg.origin, leg.channel.as_str().to_string(), sequence),
+            LegInfo { route, refund: false, final_leg: leg.hops == 1 },
         );
-        Ok(route)
+        route
     }
 
     /// Registers an interchain account for `owner` on `host`, controlled
@@ -847,11 +852,7 @@ impl Mesh {
 
     /// The controller-side ica channel of the direct link between two
     /// named chains.
-    fn ica_endpoint(
-        &self,
-        controller: &str,
-        host: &str,
-    ) -> Result<(usize, ibc_core::types::ChannelId), MeshError> {
+    fn ica_endpoint(&self, controller: &str, host: &str) -> Result<(usize, ChannelId), MeshError> {
         let ci = self.require(controller)?;
         let hi = self.require(host)?;
         let link = self
@@ -872,7 +873,7 @@ impl Mesh {
         &mut self,
         origin: usize,
         port: &PortId,
-        channel: &ibc_core::types::ChannelId,
+        channel: &ChannelId,
         sequence: u64,
         payer: &str,
     ) {
@@ -886,19 +887,10 @@ impl Mesh {
     }
 
     /// Nested forward metadata for `hops[1..]`, rendered as a memo
-    /// (empty for direct transfers).
-    fn route_memo(&self, hops: &[RouteHop], receiver: &str) -> String {
-        self.route_memo_via(hops, receiver, Link::channel_of)
-    }
-
-    /// [`Mesh::route_memo`] with the per-link channel chosen by `pick`
-    /// (transfer channels for ICS-20 routes, NFT channels for NFT routes).
-    fn route_memo_via(
-        &self,
-        hops: &[RouteHop],
-        receiver: &str,
-        pick: for<'l> fn(&'l Link, usize) -> &'l ibc_core::types::ChannelId,
-    ) -> String {
+    /// (empty for direct transfers), with the per-link channel chosen by
+    /// `pick` (transfer channels for ICS-20 routes, NFT channels for NFT
+    /// routes).
+    fn route_memo(&self, hops: &[RouteHop], receiver: &str, pick: ChannelPick) -> String {
         let mut meta: Option<ForwardMetadata> = None;
         for (index, hop) in hops.iter().enumerate().skip(1).rev() {
             let channel = pick(&self.links[hop.edge], hop.from);

@@ -2,19 +2,22 @@
 //! and the counterparty.
 //!
 //! The handshake itself is not part of the paper's evaluation (it happens
-//! once at deployment), so this module drives it with direct contract
-//! calls — with *real* proofs and finalised guest blocks at every step —
-//! rather than through the transaction pipeline.
+//! once at deployment), so [`connect_chains`] drives it with direct
+//! contract calls — the shared [`ibc_core::handshake`], with *real* proofs
+//! and finalised guest blocks at every step — rather than through the
+//! transaction pipeline. [`GuestEnd`] is the guest's side of that seam.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
 use apps::{FeeMiddleware, MemoHookMiddleware, ModuleStack, TransferApp};
-use counterparty_sim::{CounterpartyChain, CpLightClient};
+use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestError, GuestHeader, GuestLightClient};
-use ibc_core::handler::ProofData;
+use ibc_core::handler::IbcHandler;
+use ibc_core::handshake::{open_link, ChainEnd};
 use ibc_core::types::{ChannelId, ClientId, ConnectionId, PortId};
-use ibc_core::{Ordering, ProvableStore};
+use ibc_core::LightClient;
+use sealable_trie::Trie;
 use sim_crypto::schnorr::Keypair;
 
 /// Everything the relayer needs to know about an established link.
@@ -36,6 +39,82 @@ pub struct Endpoints {
     pub cp_channel: ChannelId,
 }
 
+/// Host blocks that pass per handshake step the guest takes part in.
+const HOST_BLOCKS_PER_STEP: u64 = 2;
+
+/// Generates a guest block at `host_height` and gathers quorum signatures
+/// from `validators`; returns the finalised header.
+fn finalise(
+    contract: &mut GuestContract,
+    validators: &[Keypair],
+    now_ms: u64,
+    host_height: u64,
+) -> Result<GuestHeader, GuestError> {
+    let block = contract.generate_block(now_ms, host_height)?;
+    for keypair in validators {
+        if !contract.current_epoch().contains(&keypair.public()) {
+            continue;
+        }
+        let signature = keypair.sign(&block.signing_bytes());
+        if contract.sign(block.height, keypair.public(), signature)? {
+            break;
+        }
+    }
+    let signatures = contract.signatures_at(block.height);
+    Ok(GuestHeader { block, signatures })
+}
+
+/// The guest contract as a [`ChainEnd`]: committing means generate →
+/// quorum-sign → header, which needs the validators' keys at hand. That
+/// is a convenience of having deployed the validators ourselves, not a
+/// property of the chain, so the adapter lives here rather than beside
+/// the contract.
+///
+/// Holds the contract's `RefCell` borrow for as long as it lives; drop it
+/// before anything else touches the contract. Every step the guest takes
+/// part in — a commit or an accepted header — moves `host_height` on by
+/// two host blocks.
+pub struct GuestEnd<'a> {
+    contract: RefMut<'a, GuestContract>,
+    validators: &'a [Keypair],
+    host_height: &'a mut u64,
+}
+
+impl<'a> GuestEnd<'a> {
+    /// Wraps `contract`, signing with `validators` and counting host
+    /// blocks in `host_height`.
+    pub fn new(
+        contract: &'a Rc<RefCell<GuestContract>>,
+        validators: &'a [Keypair],
+        host_height: &'a mut u64,
+    ) -> Self {
+        Self { contract: contract.borrow_mut(), validators, host_height }
+    }
+}
+
+impl ChainEnd<GuestError> for GuestEnd<'_> {
+    fn handler(&mut self) -> &mut IbcHandler<Trie> {
+        self.contract.ibc_mut()
+    }
+
+    fn light_client(&self) -> Box<dyn LightClient> {
+        let genesis = self.contract.block_at(0).expect("genesis exists");
+        Box::new(GuestLightClient::from_genesis(&genesis, self.contract.current_epoch().clone()))
+    }
+
+    fn commit(&mut self, now_ms: u64) -> Result<(u64, Vec<u8>), GuestError> {
+        *self.host_height += HOST_BLOCKS_PER_STEP;
+        let header = finalise(&mut self.contract, self.validators, now_ms, *self.host_height)?;
+        Ok((header.block.height, header.encode()))
+    }
+
+    fn accept(&mut self, client: &ClientId, header: &[u8], now_ms: u64) -> Result<(), GuestError> {
+        *self.host_height += HOST_BLOCKS_PER_STEP;
+        self.contract.update_counterparty_client(client, header, now_ms)?;
+        Ok(())
+    }
+}
+
 /// Generates a guest block, gathers quorum signatures from `validators`,
 /// and pushes the finalised header into the counterparty's guest client.
 ///
@@ -53,37 +132,9 @@ pub fn finalise_guest_block(
     now_ms: u64,
     host_height: u64,
 ) -> Result<guest_chain::GuestBlock, GuestError> {
-    let block = contract.borrow_mut().generate_block(now_ms, host_height)?;
-    for keypair in validators {
-        let mut guard = contract.borrow_mut();
-        if !guard.current_epoch().contains(&keypair.public()) {
-            continue;
-        }
-        let finalised =
-            guard.sign(block.height, keypair.public(), keypair.sign(&block.signing_bytes()))?;
-        if finalised {
-            break;
-        }
-    }
-    let signatures = contract.borrow().signatures_at(block.height);
-    let header = GuestHeader { block: block.clone(), signatures };
-    cp.ibc_mut().update_client(guest_client_on_cp, &header.encode()).map_err(GuestError::Ibc)?;
-    Ok(block)
-}
-
-fn guest_proof(
-    contract: &Rc<RefCell<GuestContract>>,
-    height: u64,
-    key: &[u8],
-) -> Result<ProofData, GuestError> {
-    let bytes =
-        ProvableStore::prove(contract.borrow().ibc().store(), key).map_err(GuestError::Ibc)?;
-    Ok(ProofData { height, bytes })
-}
-
-fn cp_proof(cp: &CounterpartyChain, height: u64, key: &[u8]) -> Result<ProofData, GuestError> {
-    let bytes = ProvableStore::prove(cp.ibc().store(), key).map_err(GuestError::Ibc)?;
-    Ok(ProofData { height, bytes })
+    let header = finalise(&mut contract.borrow_mut(), validators, now_ms, host_height)?;
+    cp.ibc_mut().update_client(guest_client_on_cp, &header.encode())?;
+    Ok(header.block)
 }
 
 /// The transfer-port module stack both ends of the guest↔counterparty
@@ -100,11 +151,11 @@ fn transfer_stack() -> Box<ModuleStack> {
 }
 
 /// Establishes clients, a connection and an ICS-20 transfer channel between
-/// `contract` (the guest) and `cp`, binding a fresh transfer module stack
-/// (ICS-20 app + memo-hook + fee middleware) on each side.
+/// `contract` (the guest, which sends every Init) and `cp`, binding a fresh
+/// transfer module stack (ICS-20 app + memo-hook + fee middleware) on each
+/// side.
 ///
-/// `clock_ms` advances as the handshake progresses; host heights are taken
-/// from `host_height`.
+/// `clock_ms` and `host_height` advance as the handshake progresses.
 ///
 /// # Errors
 ///
@@ -116,151 +167,23 @@ pub fn connect_chains(
     clock_ms: &mut u64,
     host_height: &mut u64,
 ) -> Result<Endpoints, GuestError> {
-    let step = |clock_ms: &mut u64, host_height: &mut u64| {
-        *clock_ms += 1_000;
-        *host_height += 2;
-    };
-
-    // Clients on both sides.
-    let cp_client_on_guest = contract
-        .borrow_mut()
-        .create_counterparty_client(Box::new(CpLightClient::new(cp.validator_set())));
-    let genesis = contract.borrow().block_at(0).expect("genesis exists");
-    let genesis_epoch = contract.borrow().current_epoch().clone();
-    let guest_client_on_cp = cp
-        .ibc_mut()
-        .create_client(Box::new(GuestLightClient::from_genesis(&genesis, genesis_epoch)));
-
-    // Transfer module stacks.
     let port = PortId::transfer();
-    contract.borrow_mut().bind_port(port.clone(), transfer_stack());
+    let mut guest = GuestEnd::new(contract, validators, host_height);
+    guest.handler().bind_port(port.clone(), transfer_stack());
     cp.ibc_mut().bind_port(port.clone(), transfer_stack());
-
-    // Connection handshake: Init on the guest…
-    let guest_connection = contract
-        .borrow_mut()
-        .ibc_mut()
-        .conn_open_init(cp_client_on_guest.clone(), guest_client_on_cp.clone())
-        .map_err(GuestError::Ibc)?;
-    step(clock_ms, host_height);
-    let block = finalise_guest_block(
-        contract,
-        cp,
-        &guest_client_on_cp,
-        validators,
-        *clock_ms,
-        *host_height,
-    )?;
-
-    // …Try on the counterparty…
-    let proof_init =
-        guest_proof(contract, block.height, &ibc_core::path::connection(&guest_connection))?;
-    let cp_connection = cp
-        .ibc_mut()
-        .conn_open_try(
-            guest_client_on_cp.clone(),
-            cp_client_on_guest.clone(),
-            guest_connection.clone(),
-            proof_init,
-            None,
-        )
-        .map_err(GuestError::Ibc)?;
-    step(clock_ms, host_height);
-    let header = cp.produce_block(*clock_ms).clone();
-    contract.borrow_mut().update_counterparty_client(
-        &cp_client_on_guest,
-        header.encode().as_slice(),
-        *clock_ms,
-    )?;
-
-    // …Ack on the guest…
-    let proof_try = cp_proof(cp, header.height, &ibc_core::path::connection(&cp_connection))?;
-    contract
-        .borrow_mut()
-        .ibc_mut()
-        .conn_open_ack(&guest_connection, cp_connection.clone(), proof_try, None)
-        .map_err(GuestError::Ibc)?;
-    step(clock_ms, host_height);
-    let block = finalise_guest_block(
-        contract,
-        cp,
-        &guest_client_on_cp,
-        validators,
-        *clock_ms,
-        *host_height,
-    )?;
-
-    // …Confirm on the counterparty.
-    let proof_ack =
-        guest_proof(contract, block.height, &ibc_core::path::connection(&guest_connection))?;
-    cp.ibc_mut().conn_open_confirm(&cp_connection, proof_ack).map_err(GuestError::Ibc)?;
-
-    // Channel handshake, same dance.
-    let guest_channel = contract.borrow_mut().chan_open_init(
-        port.clone(),
-        guest_connection.clone(),
-        port.clone(),
-        Ordering::Unordered,
-        "ics20-1",
-    )?;
-    step(clock_ms, host_height);
-    let block = finalise_guest_block(
-        contract,
-        cp,
-        &guest_client_on_cp,
-        validators,
-        *clock_ms,
-        *host_height,
-    )?;
-    let proof_init =
-        guest_proof(contract, block.height, &ibc_core::path::channel(&port, &guest_channel))?;
-    let cp_channel = cp
-        .ibc_mut()
-        .chan_open_try(
-            port.clone(),
-            cp_connection.clone(),
-            port.clone(),
-            guest_channel.clone(),
-            Ordering::Unordered,
-            "ics20-1",
-            proof_init,
-        )
-        .map_err(GuestError::Ibc)?;
-    step(clock_ms, host_height);
-    let header = cp.produce_block(*clock_ms).clone();
-    contract.borrow_mut().update_counterparty_client(
-        &cp_client_on_guest,
-        header.encode().as_slice(),
-        *clock_ms,
-    )?;
-    let proof_try = cp_proof(cp, header.height, &ibc_core::path::channel(&port, &cp_channel))?;
-    contract
-        .borrow_mut()
-        .ibc_mut()
-        .chan_open_ack(&port, &guest_channel, cp_channel.clone(), proof_try)
-        .map_err(GuestError::Ibc)?;
-    step(clock_ms, host_height);
-    let block = finalise_guest_block(
-        contract,
-        cp,
-        &guest_client_on_cp,
-        validators,
-        *clock_ms,
-        *host_height,
-    )?;
-    let proof_ack =
-        guest_proof(contract, block.height, &ibc_core::path::channel(&port, &guest_channel))?;
-    cp.ibc_mut().chan_open_confirm(&port, &cp_channel, proof_ack).map_err(GuestError::Ibc)?;
+    let link = open_link(&mut guest, cp, &[(port.clone(), "ics20-1")], clock_ms)?;
 
     // Clear bootstrap events so the relayer starts from a clean slate.
-    contract.borrow_mut().drain_events();
+    guest.contract.drain_events();
     cp.drain_events();
 
+    let [(guest_channel, cp_channel)]: [_; 1] =
+        link.channels.try_into().expect("one channel per port");
     Ok(Endpoints {
-        cp_client_on_guest,
-        guest_client_on_cp,
-        guest_connection,
-        cp_connection,
+        cp_client_on_guest: link.a_client,
+        guest_client_on_cp: link.b_client,
+        guest_connection: link.a_connection,
+        cp_connection: link.b_connection,
         port,
         guest_channel,
         cp_channel,

@@ -1,4 +1,5 @@
-//! Relayer fee strategies (§V-A, §VI-B).
+//! Relayer fee strategies (§V-A, §VI-B), and the flat per-link fee
+//! schedules a multi-chain mesh prices its routes with.
 
 use host_sim::FeePolicy;
 use serde::{Deserialize, Serialize};
@@ -73,6 +74,48 @@ impl FeeStrategy {
     }
 }
 
+/// What relaying costs on one mesh link, in abstract fee units the
+/// routing table can compare across links.
+///
+/// Counterparty-to-counterparty links have no host-chain fee market, so
+/// costs here are flat schedules: a per-message charge for packet
+/// deliveries (recv/ack/timeout) and a per-signature charge for light
+/// client updates (verification cost scales with the validator count —
+/// the same shape that makes guest-bound updates expensive in the paper).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LinkFee {
+    /// Fee units per relayed packet message.
+    pub per_message: u64,
+    /// Fee units per header signature verified in a client update.
+    pub per_signature: u64,
+}
+
+impl LinkFee {
+    /// A free link (both charges zero).
+    pub const FREE: Self = Self { per_message: 0, per_signature: 0 };
+
+    /// A flat per-message schedule with free client updates.
+    pub const fn per_message(fee: u64) -> Self {
+        Self { per_message: fee, per_signature: 0 }
+    }
+
+    /// Cost of delivering one packet message.
+    pub const fn message_cost(&self) -> u64 {
+        self.per_message
+    }
+
+    /// Cost of one client update carrying `signatures` signatures.
+    pub const fn update_cost(&self, signatures: u64) -> u64 {
+        self.per_signature * signatures
+    }
+}
+
+impl Default for LinkFee {
+    fn default() -> Self {
+        Self::FREE
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,5 +154,14 @@ mod tests {
             panic!("expected priority");
         };
         assert!(high > mid, "{high} > {mid}");
+    }
+
+    #[test]
+    fn link_fee_schedules() {
+        assert_eq!(LinkFee::FREE.message_cost(), 0);
+        assert_eq!(LinkFee::per_message(7).message_cost(), 7);
+        let fee = LinkFee { per_message: 3, per_signature: 2 };
+        assert_eq!(fee.update_cost(10), 20);
+        assert_eq!(LinkFee::default(), LinkFee::FREE);
     }
 }

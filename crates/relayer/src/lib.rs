@@ -5,15 +5,16 @@
 //! interface, this is the same job a stock relayer does — except that the
 //! guest direction rides a resource-limited host chain, so large messages
 //! are chunked into many 1232-byte transactions ([`chunking`]) and paid for
-//! under a configurable fee strategy ([`fees`], §VI-B).
+//! under a configurable fee strategy ([`fees`], §VI-B; the mesh's flat
+//! per-link schedules live there too).
 //!
-//! * [`bootstrap`] — one-time client/connection/channel establishment.
+//! * [`bootstrap`] — one-time client/connection/channel establishment:
+//!   the shared [`ibc_core::handshake`] with the guest as one end.
 //! * [`msg`] — the ICS-04 relay rule ([`RelayMsg`]): proof key, expected
 //!   value or absence, handler entry point, error classification. Shared
 //!   with the mesh's link relayer; only the submission transport differs.
 //! * [`Relayer`] — the per-tick event loop around it: scheduling, chunked
 //!   host-bound submission, client updates.
-//! * [`fleet`] — several relayers on one link, and the mesh's link fees.
 //! * [`records`] — the measurements driving Figs. 4–5 and §V-A/§V-B.
 //!
 //! # Examples
@@ -42,14 +43,12 @@
 pub mod bootstrap;
 pub mod chunking;
 pub mod fees;
-pub mod fleet;
 pub mod msg;
 pub mod records;
 mod relayer;
 
-pub use bootstrap::{connect_chains, finalise_guest_block, Endpoints};
-pub use fees::FeeStrategy;
-pub use fleet::{LinkFee, RelayerFleet};
+pub use bootstrap::{connect_chains, finalise_guest_block, Endpoints, GuestEnd};
+pub use fees::{FeeStrategy, LinkFee};
 pub use msg::{RelayMsg, Submitted, Unproven};
 pub use records::{JobKind, JobRecord};
 pub use relayer::{ChunkFaults, Relayer, RelayerConfig, RESUBMIT_AFTER_SLOTS};

@@ -212,121 +212,77 @@ impl RelayMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibc_core::channel::{Ordering, Timeout};
-    use ibc_core::client::{MockClient, MockHeader};
+    use ibc_core::channel::Timeout;
+    use ibc_core::client::MockChain;
+    use ibc_core::handshake::{open_link, publish, LinkEnds};
     use ibc_core::router::EchoModule;
-    use ibc_core::{ChannelId, ClientId, PortId};
-    use sealable_trie::Trie;
+    use ibc_core::PortId;
 
     const A: usize = 0;
     const B: usize = 1;
 
-    /// Two native chains with one open channel; `clients[i]` lives on
-    /// `chains[i]` and tracks the other. Mock headers stamp 1 s per block.
+    /// Two mock chains with one open echo channel. Every block moves the
+    /// shared clock on 1 s.
     struct Pair {
-        chains: [IbcHandler<Trie>; 2],
-        clients: [ClientId; 2],
-        height: u64,
+        chains: [MockChain; 2],
+        link: LinkEnds,
+        clock: u64,
         port: PortId,
-        channel: ChannelId,
     }
 
     impl Pair {
-        /// What `src` commits to at the current height.
+        /// What `src` commits to now.
         fn consensus(&self, src: usize) -> ConsensusState {
-            ConsensusState { root: self.chains[src].root(), timestamp_ms: self.height * 1_000 }
+            ConsensusState { root: self.chains[src].ibc.root(), timestamp_ms: self.clock }
         }
 
-        /// "Commits a block" on `src` and relays its header to the other
+        /// Commits a block on `src` and relays its header to the other
         /// chain — one way only, since storing a header moves the storing
         /// chain's own root.
         fn sync(&mut self, src: usize) -> u64 {
-            self.height += 1;
-            let ConsensusState { root, timestamp_ms } = self.consensus(src);
-            let header = MockHeader { height: self.height, root, timestamp_ms };
-            let header = serde_json::to_vec(&header).unwrap();
-            self.chains[1 - src].update_client(&self.clients[1 - src], &header).unwrap();
-            self.height
-        }
-
-        /// Syncs, then proves `key` on `src` at the new height.
-        fn publish(&mut self, src: usize, key: Vec<u8>) -> ProofData {
-            let height = self.sync(src);
-            ProofData {
-                height,
-                bytes: ProvableStore::prove(self.chains[src].store(), &key).unwrap(),
-            }
+            let [a, b] = &mut self.chains;
+            let (from, to, client) =
+                if src == A { (a, b, &self.link.b_client) } else { (b, a, &self.link.a_client) };
+            publish(from, to, client, &mut self.clock).unwrap()
         }
 
         fn open() -> Self {
             let port = PortId::named("echo");
-            let mut chains = [IbcHandler::new(Trie::new()), IbcHandler::new(Trie::new())];
-            let clients = chains.each_mut().map(|chain| {
-                chain.bind_port(port.clone(), Box::new(EchoModule::default()));
-                chain.create_client(Box::new(MockClient::new()))
-            });
-            let channel = ChannelId::new(0);
-            let mut p = Self { chains, clients, height: 0, port: port.clone(), channel };
-            let [on_a, on_b] = p.clients.clone();
-
-            let conn_a = p.chains[A].conn_open_init(on_a.clone(), on_b.clone()).unwrap();
-            let init = p.publish(A, path::connection(&conn_a));
-            let conn_b = p.chains[B].conn_open_try(on_b, on_a, conn_a.clone(), init, None).unwrap();
-            let tried = p.publish(B, path::connection(&conn_b));
-            p.chains[A].conn_open_ack(&conn_a, conn_b.clone(), tried, None).unwrap();
-            let acked = p.publish(A, path::connection(&conn_a));
-            p.chains[B].conn_open_confirm(&conn_b, acked).unwrap();
-
-            let (unordered, v) = (Ordering::Unordered, "v");
-            let chan_a = p.chains[A]
-                .chan_open_init(port.clone(), conn_a, port.clone(), unordered, v)
-                .unwrap();
-            let init = p.publish(A, path::channel(&port, &chan_a));
-            let chan_b = p.chains[B]
-                .chan_open_try(
-                    port.clone(),
-                    conn_b,
-                    port.clone(),
-                    chan_a.clone(),
-                    unordered,
-                    v,
-                    init,
-                )
-                .unwrap();
-            let tried = p.publish(B, path::channel(&port, &chan_b));
-            p.chains[A].chan_open_ack(&port, &chan_a, chan_b.clone(), tried).unwrap();
-            let acked = p.publish(A, path::channel(&port, &chan_a));
-            p.chains[B].chan_open_confirm(&port, &chan_b, acked).unwrap();
-            p.channel = chan_a;
-            p
+            let mut chains = [MockChain::new(), MockChain::new()];
+            for chain in &mut chains {
+                chain.ibc.bind_port(port.clone(), Box::new(EchoModule::default()));
+            }
+            let [a, b] = &mut chains;
+            let mut clock = 0;
+            let link = open_link(a, b, &[(port.clone(), "v")], &mut clock).unwrap();
+            Self { chains, link, clock, port }
         }
 
         /// `A` sends a packet that expires `blocks` from now.
         fn send(&mut self, blocks: u64) -> Packet {
-            let timeout = Timeout::at_time((self.height + blocks) * 1_000);
-            self.chains[A]
-                .send_packet(&self.port, &self.channel, b"ping".to_vec(), timeout)
-                .unwrap()
+            let timeout = Timeout::at_time(self.clock + blocks * 1_000);
+            let channel = &self.link.channels[0].0;
+            self.chains[A].ibc.send_packet(&self.port, channel, b"ping".to_vec(), timeout).unwrap()
         }
 
         /// Step one against `src`'s live store at the current height.
         fn prove(&self, src: usize, msg: &RelayMsg) -> Result<Proof, Unproven> {
-            let live = |key: &[u8]| self.chains[src].store().prove(key).ok();
-            msg.prove(self.height, &self.consensus(src), live)
+            let live = |key: &[u8]| self.chains[src].ibc.store().prove(key).ok();
+            msg.prove(self.chains[src].height(), &self.consensus(src), live)
         }
 
         /// Relays `msg` from `src` to the other chain under a fresh header.
         fn relay(&mut self, src: usize, msg: RelayMsg) -> Submitted {
             let height = self.sync(src);
             let proof = self.prove(src, &msg).unwrap();
-            let now = HostTime { height, timestamp_ms: height * 1_000 };
-            msg.submit(&mut self.chains[1 - src], height, &proof, now)
+            let now = HostTime { height, timestamp_ms: self.clock };
+            msg.submit(&mut self.chains[1 - src].ibc, height, &proof, now)
         }
 
         /// Whether `src`'s store holds exactly what `msg` claims.
         fn holds_claim(&self, src: usize, msg: &RelayMsg) -> bool {
             let (key, expected) = msg.claim();
-            let stored = self.chains[src].store().get(&key).unwrap();
+            let stored = self.chains[src].ibc.store().get(&key).unwrap();
             stored == expected.map(|hash| hash.as_bytes().to_vec())
         }
     }
@@ -368,9 +324,10 @@ mod tests {
         let stale = p.consensus(A);
         let recv = RelayMsg::Recv { packet: p.send(9) };
         // The trusted root predates the commitment: a later header will do.
-        let live = |key: &[u8]| p.chains[A].store().prove(key).ok();
-        assert_eq!(recv.prove(p.height, &stale, live).unwrap_err(), Unproven::NotYet);
-        assert_eq!(recv.prove(p.height, &stale, |_| None).unwrap_err(), Unproven::Never);
+        let (height, live) =
+            (p.chains[A].height(), |key: &[u8]| p.chains[A].ibc.store().prove(key).ok());
+        assert_eq!(recv.prove(height, &stale, live).unwrap_err(), Unproven::NotYet);
+        assert_eq!(recv.prove(height, &stale, |_| None).unwrap_err(), Unproven::Never);
         assert!(p.prove(A, &recv).is_ok(), "under the root that covers it");
     }
 
@@ -382,9 +339,9 @@ mod tests {
 
         // A proof of the wrong thing is an error …
         let height = p.sync(A);
-        let wrong = p.chains[A].store().prove(b"some/other/key").unwrap();
+        let wrong = p.chains[A].ibc.store().prove(b"some/other/key").unwrap();
         let now = HostTime { height, timestamp_ms: 0 };
-        let bad = recv().submit(&mut p.chains[B], height, &wrong, now);
+        let bad = recv().submit(&mut p.chains[B].ibc, height, &wrong, now);
         assert!(matches!(bad, Submitted::Rejected(IbcError::InvalidProof(_))), "{bad:?}");
 
         // … every kind of duplicate is benign …
@@ -401,8 +358,8 @@ mod tests {
         let Submitted::Expired(timeout) = expired else { panic!("{expired:?}") };
         assert!(matches!(&timeout, RelayMsg::Timeout { packet } if *packet == doomed));
         assert!(matches!(p.relay(B, timeout), Submitted::Accepted));
-        let (again, turned) = RelayMsg::Recv { packet: doomed }.expire(0, p.height * 1_000);
+        let (again, turned) = RelayMsg::Recv { packet: doomed }.expire(0, p.clock);
         assert!(turned && matches!(p.relay(B, again), Submitted::Duplicate));
-        assert!(!recv().expire(0, p.height * 1_000).1, "live receives pass through");
+        assert!(!recv().expire(0, p.clock).1, "live receives pass through");
     }
 }

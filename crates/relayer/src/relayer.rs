@@ -283,6 +283,12 @@ impl Relayer {
         self.active.is_some()
     }
 
+    /// The host slot this relayer has scanned blocks up to. The host must
+    /// keep every later block until the relayer has looked at it.
+    pub fn host_cursor(&self) -> u64 {
+        self.last_host_slot
+    }
+
     /// The host account this relayer pays fees from.
     pub fn payer(&self) -> Pubkey {
         self.payer

@@ -19,7 +19,7 @@ use ibc_core::channel::Timeout;
 use ibc_core::ics20::voucher_backing;
 use monitor::{AlertRecord, Monitor};
 use profiler::{ProfileReport, Profiler};
-use relayer::{connect_chains, Endpoints, Relayer, RelayerFleet};
+use relayer::{connect_chains, Endpoints, Relayer};
 use sim_crypto::rng::{seed_stream, SplitMix64};
 use sim_crypto::schnorr::Keypair;
 use telemetry::{DeliveryAccounting, RunReport, Telemetry};
@@ -44,6 +44,8 @@ pub const CP_USER: &str =
 pub const GUEST_DENOM: &str = "wsol";
 /// The native denomination escrowed on the counterparty side.
 pub const CP_DENOM: &str = "pica";
+/// How long every workload transfer stays valid after it is sent.
+const TRANSFER_TIMEOUT_MS: u64 = 24 * 60 * 60 * 1_000;
 
 #[derive(Debug)]
 enum Action {
@@ -66,7 +68,7 @@ pub struct Testnet {
     /// Extra relayers added with [`Testnet::add_relayer`], ticked right
     /// after the primary inside [`Testnet::step`]. Empty by default, so a
     /// single-relayer run is bit-identical to the seed harness.
-    pub extra_relayers: RelayerFleet,
+    pub extra_relayers: Vec<Relayer>,
     /// End-to-end send measurements (Fig. 2 / Fig. 3).
     pub send_records: Vec<SendRecord>,
     /// Validator signature measurements (Table I).
@@ -268,35 +270,13 @@ impl Testnet {
         let traffic = config.traffic.as_ref().map(|traffic_config| {
             let generator = TrafficGenerator::new(traffic_config.clone(), config.seed);
             host.bank_mut().airdrop(client_payer, 1_000_000 * host_sim::LAMPORTS_PER_SOL);
-            {
-                let mut guard = contract.borrow_mut();
-                let module = guard
-                    .ibc_mut()
-                    .module_mut(&endpoints.port)
-                    .expect("transfer module bound")
-                    .ics20_mut()
-                    .expect("ICS-20 ledger");
+            let mut guard = contract.borrow_mut();
+            for (ibc, denom) in [(guard.ibc_mut(), GUEST_DENOM), (cp.ibc_mut(), CP_DENOM)] {
+                let module = ibc.module_mut(&endpoints.port).expect("transfer module bound");
+                let ledger = module.ics20_mut().expect("ICS-20 ledger");
                 for user in 0..generator.config().users {
-                    module.mint(
-                        &generator.population().name(user),
-                        GUEST_DENOM,
-                        generator.config().initial_balance,
-                    );
-                }
-            }
-            {
-                let module = cp
-                    .ibc_mut()
-                    .module_mut(&endpoints.port)
-                    .expect("transfer module bound")
-                    .ics20_mut()
-                    .expect("ICS-20 ledger");
-                for user in 0..generator.config().users {
-                    module.mint(
-                        &generator.population().name(user),
-                        CP_DENOM,
-                        generator.config().initial_balance,
-                    );
+                    let name = generator.population().name(user);
+                    ledger.mint(&name, denom, generator.config().initial_balance);
                 }
             }
             generator
@@ -314,7 +294,7 @@ impl Testnet {
             cp,
             contract,
             relayer,
-            extra_relayers: RelayerFleet::new(),
+            extra_relayers: Vec::new(),
             send_records: Vec::new(),
             sign_records: Vec::new(),
             config,
@@ -444,7 +424,8 @@ impl Testnet {
             Relayer::new(self.config.relayer, payer, self.program_id, self.endpoints.clone());
         relayer.set_telemetry(self.telemetry.clone());
         relayer.set_profiler(self.profiler.clone());
-        self.extra_relayers.add(relayer)
+        self.extra_relayers.push(relayer);
+        index
     }
 
     /// Runs the simulation for `duration_ms` of simulated time.
@@ -475,11 +456,7 @@ impl Testnet {
             let busy = self.host.mempool_len() > 0
                 || self.relayer.backlog() > 0
                 || self.relayer.job_in_flight()
-                || self
-                    .extra_relayers
-                    .relayers()
-                    .iter()
-                    .any(|r| r.backlog() > 0 || r.job_in_flight())
+                || self.extra_relayers.iter().any(|r| r.backlog() > 0 || r.job_in_flight())
                 || !self.gossip.is_empty();
             if !busy {
                 // The earliest instant anything new can happen; the audit
@@ -749,7 +726,9 @@ impl Testnet {
         }
         if !self.chaos.relayer_halted(now) {
             self.relayer.tick(&mut self.host, &mut self.cp, &self.contract);
-            self.extra_relayers.tick(&mut self.host, &mut self.cp, &self.contract);
+            for relayer in &mut self.extra_relayers {
+                relayer.tick(&mut self.host, &mut self.cp, &self.contract);
+            }
         }
         drop(relayer_scope);
 
@@ -764,8 +743,7 @@ impl Testnet {
         }
 
         // 10. Flush harness-level gauges (metrics only — no journal
-        // records at slot cadence), let the health monitor evaluate, and
-        // keep memory bounded on long runs.
+        // records at slot cadence) and let the health monitor evaluate.
         if self.telemetry.is_recording() {
             let _record = self.profiler.scope("telemetry.record");
             self.telemetry.gauge_set("relayer.backlog", self.relayer.backlog() as f64);
@@ -801,7 +779,16 @@ impl Testnet {
             let _monitor = self.profiler.scope("monitor.tick");
             monitor.tick(now, &self.telemetry);
         }
-        self.host.prune_blocks(512);
+        // Keep memory bounded on long runs, but never drop a block some
+        // relayer has yet to scan: a halted relayer would lose the events
+        // in it for good. Every cursor is at the tip unless one is halted.
+        let cursor = self
+            .extra_relayers
+            .iter()
+            .map(Relayer::host_cursor)
+            .fold(self.relayer.host_cursor(), u64::min);
+        let unscanned = self.host.blocks_since(cursor).len();
+        self.host.prune_blocks(unscanned.max(512));
     }
 
     /// Publishes the ICS-20 conservation drift as a gauge: the number of
@@ -1007,25 +994,25 @@ impl Testnet {
         self.sign_tx_inflight.insert(id, (validator, height, block_ms));
     }
 
-    /// A guest-side user sends tokens to the counterparty (Fig. 2 / Fig. 3
-    /// client perspective).
-    fn submit_outbound_transfer(&mut self, now: u64) {
-        self.outbound_counter += 1;
-        let use_bundle = self.rng.next_f64() < self.config.client_fees.bundle_fraction;
-        let policy = if use_bundle {
-            self.config.client_fees.bundle
-        } else {
-            self.config.client_fees.priority
-        };
+    /// Submits one guest→counterparty ICS-20 transfer as a host
+    /// transaction paying `policy`, tracked until its block lands.
+    fn submit_guest_transfer(
+        &mut self,
+        sender: String,
+        amount: u128,
+        memo: String,
+        timeout: Timeout,
+        policy: FeePolicy,
+    ) {
         let op = GuestOp::SendTransfer {
             port: self.endpoints.port.clone(),
             channel: self.endpoints.guest_channel.clone(),
             denom: GUEST_DENOM.to_string(),
-            amount: 100 + (self.outbound_counter as u128 % 900),
-            sender: GUEST_USER.to_string(),
+            amount,
+            sender,
             receiver: CP_USER.to_string(),
-            memo: format!("order/{:08}/routed-via=bmg-relay-1", self.outbound_counter),
-            timeout: Timeout::at_time(now + 24 * 60 * 60 * 1_000),
+            memo,
+            timeout,
         };
         let tx = Transaction::build_for(
             &self.config.host_profile,
@@ -1039,11 +1026,33 @@ impl Testnet {
             policy,
         )
         .expect("transfer op fits a transaction");
-        let id = match policy {
-            FeePolicy::Bundle { .. } => self.host.submit_bundle(vec![tx])[0],
-            _ => self.host.submit(tx),
-        };
-        self.send_tx_inflight.insert(id, (use_bundle, now));
+        let bundled = matches!(policy, FeePolicy::Bundle { .. });
+        let id = if bundled { self.host.submit_bundle(vec![tx])[0] } else { self.host.submit(tx) };
+        self.send_tx_inflight.insert(id, (bundled, self.host.now_ms()));
+    }
+
+    /// Draws how a client pays for its send: the configured bundle /
+    /// priority-fee mix of Fig. 3.
+    fn draw_client_policy(&mut self) -> FeePolicy {
+        if self.rng.next_f64() < self.config.client_fees.bundle_fraction {
+            self.config.client_fees.bundle
+        } else {
+            self.config.client_fees.priority
+        }
+    }
+
+    /// A guest-side user sends tokens to the counterparty (Fig. 2 / Fig. 3
+    /// client perspective).
+    fn submit_outbound_transfer(&mut self, now: u64) {
+        self.outbound_counter += 1;
+        let policy = self.draw_client_policy();
+        self.submit_guest_transfer(
+            GUEST_USER.to_string(),
+            100 + (self.outbound_counter as u128 % 900),
+            format!("order/{:08}/routed-via=bmg-relay-1", self.outbound_counter),
+            Timeout::at_time(now + TRANSFER_TIMEOUT_MS),
+            policy,
+        );
     }
 
     /// Timestamp of the buffered next traffic arrival (generating it on
@@ -1061,40 +1070,10 @@ impl Testnet {
     fn submit_traffic_outbound(&mut self, arrival: &Arrival, now: u64) {
         self.outbound_counter += 1;
         self.record_traffic_arrival(arrival, Direction::Outbound);
-        let use_bundle = self.rng.next_f64() < self.config.client_fees.bundle_fraction;
-        let policy = if use_bundle {
-            self.config.client_fees.bundle
-        } else {
-            self.config.client_fees.priority
-        };
+        let policy = self.draw_client_policy();
         let sender = self.traffic.as_ref().expect("traffic mode").population().name(arrival.user);
-        let op = GuestOp::SendTransfer {
-            port: self.endpoints.port.clone(),
-            channel: self.endpoints.guest_channel.clone(),
-            denom: GUEST_DENOM.to_string(),
-            amount: arrival.amount,
-            sender,
-            receiver: CP_USER.to_string(),
-            memo: arrival.memo.clone(),
-            timeout: Timeout::at_time(now + 24 * 60 * 60 * 1_000),
-        };
-        let tx = Transaction::build_for(
-            &self.config.host_profile,
-            self.client_payer,
-            1,
-            vec![Instruction::new(
-                self.program_id,
-                vec![Pubkey::from_label("guest-state")],
-                GuestInstruction::Inline { op }.encode(),
-            )],
-            policy,
-        )
-        .expect("transfer op fits a transaction");
-        let id = match policy {
-            FeePolicy::Bundle { .. } => self.host.submit_bundle(vec![tx])[0],
-            _ => self.host.submit(tx),
-        };
-        self.send_tx_inflight.insert(id, (use_bundle, now));
+        let timeout = Timeout::at_time(now + TRANSFER_TIMEOUT_MS);
+        self.submit_guest_transfer(sender, arrival.amount, arrival.memo.clone(), timeout, policy);
     }
 
     /// Pre-aggregated per-shape workload metrics: one counter bump per
@@ -1126,38 +1105,16 @@ impl Testnet {
             &sender,
             GUEST_USER,
             &arrival.memo,
-            Timeout::at_time(now + 24 * 60 * 60 * 1_000),
+            Timeout::at_time(now + TRANSFER_TIMEOUT_MS),
         );
     }
 
     /// Submits one outbound transfer with an explicit timeout — a test hook
     /// for exercising the relayer's timeout path.
     pub fn inject_outbound_transfer(&mut self, amount: u128, timeout_at_ms: u64) {
-        let op = GuestOp::SendTransfer {
-            port: self.endpoints.port.clone(),
-            channel: self.endpoints.guest_channel.clone(),
-            denom: GUEST_DENOM.to_string(),
-            amount,
-            sender: GUEST_USER.to_string(),
-            receiver: CP_USER.to_string(),
-            memo: String::new(),
-            timeout: Timeout::at_time(timeout_at_ms),
-        };
-        let tx = Transaction::build_for(
-            &self.config.host_profile,
-            self.client_payer,
-            1,
-            vec![Instruction::new(
-                self.program_id,
-                vec![Pubkey::from_label("guest-state")],
-                GuestInstruction::Inline { op }.encode(),
-            )],
-            FeePolicy::BaseOnly,
-        )
-        .expect("transfer op fits a transaction");
-        let submitted_ms = self.host.now_ms();
-        let id = self.host.submit(tx);
-        self.send_tx_inflight.insert(id, (false, submitted_ms));
+        let timeout = Timeout::at_time(timeout_at_ms);
+        let sender = GUEST_USER.to_string();
+        self.submit_guest_transfer(sender, amount, String::new(), timeout, FeePolicy::BaseOnly);
     }
 
     /// A counterparty-side user sends tokens to the guest (drives the
@@ -1190,7 +1147,7 @@ impl Testnet {
             CP_USER,
             GUEST_USER,
             &memo,
-            Timeout::at_time(now + 24 * 60 * 60 * 1_000),
+            Timeout::at_time(now + TRANSFER_TIMEOUT_MS),
         );
     }
 

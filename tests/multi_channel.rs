@@ -9,10 +9,10 @@ use std::rc::Rc;
 use be_my_guest::counterparty_sim::{CounterpartyChain, CounterpartyConfig};
 use be_my_guest::guest_chain::{GuestConfig, GuestContract};
 use be_my_guest::ibc_core::channel::Timeout;
-use be_my_guest::ibc_core::handler::ProofData;
+use be_my_guest::ibc_core::handshake::{open_channel, prove, publish, ChainEnd, LinkEnds};
 use be_my_guest::ibc_core::types::ChannelId;
-use be_my_guest::ibc_core::{Ordering, ProvableStore};
-use be_my_guest::relayer::{connect_chains, finalise_guest_block};
+use be_my_guest::ibc_core::Ordering;
+use be_my_guest::relayer::{connect_chains, GuestEnd};
 use be_my_guest::sim_crypto::schnorr::Keypair;
 
 #[test]
@@ -25,77 +25,24 @@ fn two_channels_multiplex_independently() {
     let mut height = 0u64;
     let endpoints = connect_chains(&contract, &mut cp, &keypairs, &mut clock, &mut height).unwrap();
 
-    // Open a SECOND channel over the same connection, by hand.
-    let guest_chan2 = contract
-        .borrow_mut()
-        .chan_open_init(
-            endpoints.port.clone(),
-            endpoints.guest_connection.clone(),
-            endpoints.port.clone(),
-            Ordering::Unordered,
-            "ics20-1",
-        )
-        .unwrap();
-    clock += 1_000;
-    height += 2;
-    let block = finalise_guest_block(
-        &contract,
+    // Open a SECOND channel over the live connection.
+    let link = LinkEnds {
+        a_client: endpoints.cp_client_on_guest.clone(),
+        b_client: endpoints.guest_client_on_cp.clone(),
+        a_connection: endpoints.guest_connection.clone(),
+        b_connection: endpoints.cp_connection.clone(),
+        channels: vec![(endpoints.guest_channel.clone(), endpoints.cp_channel.clone())],
+    };
+    let (guest_chan2, cp_chan2) = open_channel(
+        &mut GuestEnd::new(&contract, &keypairs, &mut height),
         &mut cp,
-        &endpoints.guest_client_on_cp,
-        &keypairs,
-        clock,
-        height,
+        &link,
+        &endpoints.port,
+        Ordering::Unordered,
+        "ics20-1",
+        &mut clock,
     )
     .unwrap();
-    let chan_key = be_my_guest::ibc_core::path::channel(&endpoints.port, &guest_chan2);
-    let proof_init = ProofData {
-        height: block.height,
-        bytes: ProvableStore::prove(contract.borrow().ibc().store(), &chan_key).unwrap(),
-    };
-    let cp_chan2 = cp
-        .ibc_mut()
-        .chan_open_try(
-            endpoints.port.clone(),
-            endpoints.cp_connection.clone(),
-            endpoints.port.clone(),
-            guest_chan2.clone(),
-            Ordering::Unordered,
-            "ics20-1",
-            proof_init,
-        )
-        .unwrap();
-    clock += 1_000;
-    let header = cp.produce_block(clock).clone();
-    contract
-        .borrow_mut()
-        .update_counterparty_client(&endpoints.cp_client_on_guest, &header.encode(), clock)
-        .unwrap();
-    let chan2_key = be_my_guest::ibc_core::path::channel(&endpoints.port, &cp_chan2);
-    let proof_try = ProofData {
-        height: header.height,
-        bytes: ProvableStore::prove(cp.ibc().store(), &chan2_key).unwrap(),
-    };
-    contract
-        .borrow_mut()
-        .ibc_mut()
-        .chan_open_ack(&endpoints.port, &guest_chan2, cp_chan2.clone(), proof_try)
-        .unwrap();
-    clock += 1_000;
-    height += 2;
-    let block = finalise_guest_block(
-        &contract,
-        &mut cp,
-        &endpoints.guest_client_on_cp,
-        &keypairs,
-        clock,
-        height,
-    )
-    .unwrap();
-    let proof_ack = ProofData {
-        height: block.height,
-        bytes: ProvableStore::prove(contract.borrow().ibc().store(), &chan_key).unwrap(),
-    };
-    cp.ibc_mut().chan_open_confirm(&endpoints.port, &cp_chan2, proof_ack).unwrap();
     assert_ne!(guest_chan2, endpoints.guest_channel);
     assert_eq!(guest_chan2, ChannelId::new(1));
 
@@ -150,27 +97,15 @@ fn two_channels_multiplex_independently() {
     }
 
     // Deliver both; the vouchers carry per-channel denominations.
-    clock += 1_000;
-    height += 2;
-    let block = finalise_guest_block(
-        &contract,
-        &mut cp,
-        &endpoints.guest_client_on_cp,
-        &keypairs,
-        clock,
-        height,
-    )
-    .unwrap();
+    let mut guest = GuestEnd::new(&contract, &keypairs, &mut height);
+    let proven_at = publish(&mut guest, &mut cp, &link.b_client, &mut clock).unwrap();
     for packet in [&p1, &p2] {
         let key = be_my_guest::ibc_core::path::packet_commitment(
             &packet.source_port,
             &packet.source_channel,
             packet.sequence,
         );
-        let proof = ProofData {
-            height: block.height,
-            bytes: ProvableStore::prove(contract.borrow().ibc().store(), &key).unwrap(),
-        };
+        let proof = prove(guest.handler(), proven_at, &key).unwrap();
         let now = cp.host_time();
         cp.ibc_mut().recv_packet(packet, proof, now).unwrap();
     }

@@ -27,7 +27,7 @@ fn two_relayers_race_without_violating_safety() {
 
     // Work happened, split across both relayers.
     let first_jobs = net.relayer.records().len();
-    let second_jobs = net.extra_relayers.relayers()[second].records().len();
+    let second_jobs = net.extra_relayers[second].records().len();
     assert!(first_jobs + second_jobs > 0, "the link is being served");
 
     // Deliveries happened exactly once each: the guest's voucher balance
@@ -61,7 +61,7 @@ fn two_relayers_race_without_violating_safety() {
     // Both relayers made at least some client updates (both watch the
     // host event stream), and any lost races are visible as failed jobs —
     // never as corrupted state.
-    let updates: usize = [net.relayer.records(), net.extra_relayers.relayers()[second].records()]
+    let updates: usize = [net.relayer.records(), net.extra_relayers[second].records()]
         .iter()
         .map(|r| r.iter().filter(|j| j.kind == JobKind::ClientUpdate).count())
         .sum();
