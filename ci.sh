@@ -31,6 +31,20 @@ if grep -rnE '(conn|chan)_open_try\(' crates/*/src crates/bench/benches tests ex
     exit 1
 fi
 
+echo "==> one home for proof-at-height history"
+# A past state is the nodes later writes retired (sealable_trie's history.rs), never a copy of
+# the trie. A tripwire for the spellings the old code used, not a type check: it matches only
+# `store().clone()`, `store_mut().clone()` and `trie.clone()` (not `to_owned()`, `Trie::clone(&t)` or
+# a trie bound to another name), and scans each file only up to its first column-0 #[cfg(test)].
+if find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(store(_mut)?\(\)|trie)\.clone\(\)/ { print FILENAME ":" FNR ":" $0 }' {} + |
+    grep .; then
+    echo "a whole trie or store cloned outside tests; checkpoint it instead" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks of the sealable trie (§III-A), including the
-//! seal-vs-no-seal ablation on write throughput.
+//! seal-vs-no-seal ablation on write throughput and the proof-at-height
+//! history.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sealable_trie::Trie;
@@ -94,5 +95,47 @@ fn bench_seal(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_get, bench_prove_and_verify, bench_seal);
+/// One block of a busy chain: checkpoint, then 16 overwrites spread over
+/// the key space. Returns the next height.
+fn block(trie: &mut Trie, height: u64, size: u64) -> u64 {
+    trie.checkpoint(height, 32);
+    for i in 0..16 {
+        let key = (height * 16 + i).wrapping_mul(0x9E37_79B9) % size;
+        trie.insert(&key.to_be_bytes(), &height.to_be_bytes()).unwrap();
+    }
+    height + 1
+}
+
+fn bench_history(c: &mut Criterion) {
+    let mut group = c.benchmark_group("trie/history");
+    // Proof-at-height costs what a block writes, not what the state
+    // holds: ten times the state may add one trie level to each write's
+    // path, never ten times the time.
+    for size in [10_000u64, 100_000] {
+        let (mut trie, mut height) = (populated(size), 1);
+        group.bench_function(format!("checkpoint_and_16_writes_on_{size}"), |b| {
+            b.iter(|| height = block(&mut trie, height, size));
+        });
+    }
+    let (mut trie, mut height) = (populated(10_000), 1);
+    while height <= 32 {
+        height = block(&mut trie, height, 10_000);
+    }
+    let key = 5_000u64.to_be_bytes();
+    for (name, at) in [("newest", 32), ("oldest", 1)] {
+        group.bench_function(format!("prove_at_{name}_of_32"), |b| {
+            b.iter(|| trie.prove_at(at, &key).unwrap());
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_get,
+    bench_prove_and_verify,
+    bench_seal,
+    bench_history
+);
 criterion_main!(benches);

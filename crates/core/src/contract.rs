@@ -9,7 +9,7 @@ use ibc_core::client::ConsensusState;
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
 use ibc_core::{LightClient, Module};
-use sealable_trie::{Trie, TrieHistory};
+use sealable_trie::Trie;
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
 use sim_crypto::Hash;
@@ -204,17 +204,14 @@ pub struct GuestContract {
     reward_balances: HashMap<PublicKey, u64>,
     /// The protocol's share of fees (everything not paid out as rewards).
     treasury: u64,
-    /// The state each generated block committed to, for
-    /// [`Self::prove_at`]. Without it, sustained traffic mutates the live
-    /// trie between block generation and relay, proofs against the
-    /// finalised root stop verifying, and the relayer's backlog grows
-    /// without bound.
-    proof_snapshots: TrieHistory,
 }
 
-/// How many block-generation snapshots [`GuestContract::prove_at`] keeps.
-/// Relayers prove against the latest finalised block, so a handful of
-/// heights of slack is plenty.
+/// How many generated blocks' committed states
+/// [`GuestContract::prove_at`] keeps. Without them, sustained traffic
+/// mutates the live trie between block generation and relay, proofs
+/// against the finalised root stop verifying, and the relayer's backlog
+/// grows without bound. Relayers prove against the latest finalised
+/// block, so a handful of heights of slack is plenty.
 const PROOF_SNAPSHOT_HISTORY: usize = 8;
 
 impl GuestContract {
@@ -239,8 +236,7 @@ impl GuestContract {
         let blocks = Rc::new(RefCell::new(Vec::new()));
         ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
         let genesis = GuestBlock::genesis(&epoch, ibc.root(), now_ms, host_height);
-        let mut proof_snapshots = TrieHistory::new(PROOF_SNAPSHOT_HISTORY);
-        proof_snapshots.snapshot(genesis.height, ibc.store());
+        ibc.store_mut().checkpoint(genesis.height, PROOF_SNAPSHOT_HISTORY);
         blocks.borrow_mut().push(genesis);
         Self {
             config,
@@ -258,7 +254,6 @@ impl GuestContract {
             undistributed_fees: 0,
             reward_balances: HashMap::new(),
             treasury: 0,
-            proof_snapshots,
         }
     }
 
@@ -314,11 +309,11 @@ impl GuestContract {
 
     /// Merkle proof of `key` as of block `height` — the proof-at-height
     /// query a full node answers for relayers. `None` when the height's
-    /// snapshot has been evicted (older than the last
+    /// checkpoint has been evicted (older than the last
     /// [`PROOF_SNAPSHOT_HISTORY`] generated blocks) or the key cannot be
     /// proven at that height.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
-        self.proof_snapshots.prove_at(height, key)
+        self.ibc.store().prove_at(height, key)
     }
 
     /// Removes and returns all pending events.
@@ -382,9 +377,9 @@ impl GuestContract {
         self.signatures.push(HashMap::new());
         self.finalised.push(false);
         self.events.push(GuestEvent::NewBlock { block: block.clone() });
-        // Snapshot the state this block committed to, so proofs against
+        // Checkpoint the state this block committed to, so proofs against
         // its root keep verifying after the live trie moves on.
-        self.proof_snapshots.snapshot(block.height, self.ibc.store());
+        self.ibc.store_mut().checkpoint(block.height, PROOF_SNAPSHOT_HISTORY);
         Ok(block)
     }
 

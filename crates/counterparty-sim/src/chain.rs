@@ -4,7 +4,7 @@ use ibc_core::handler::{HandlerConfig, HostTime, IbcHandler};
 use ibc_core::handshake::ChainEnd;
 use ibc_core::{ClientId, IbcError, IbcEvent, LightClient};
 use profiler::Profiler;
-use sealable_trie::{Trie, TrieHistory};
+use sealable_trie::Trie;
 use sim_crypto::rng::SplitMix64;
 use sim_crypto::schnorr::{Keypair, PublicKey};
 use telemetry::Telemetry;
@@ -60,11 +60,10 @@ pub struct CounterpartyChain {
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
     profiler: Profiler,
-    /// The state each header committed to, for [`Self::prove_at`].
-    proof_snapshots: TrieHistory,
 }
 
-/// Snapshot history depth. Covers the gap between a guest-side client
+/// How many headers' committed states [`CounterpartyChain::prove_at`]
+/// keeps. Covers the gap between a guest-side client
 /// update landing and the relayer proving packets at that height, even
 /// when several counterparty blocks commit in between.
 const PROOF_SNAPSHOT_HISTORY: usize = 32;
@@ -99,16 +98,15 @@ impl CounterpartyChain {
             headers: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
-            proof_snapshots: TrieHistory::new(PROOF_SNAPSHOT_HISTORY),
         }
     }
 
     /// Merkle proof of `key` as of block `height` — the proof-at-height
     /// query a full node answers for relayers. `None` when the height's
-    /// snapshot has been evicted or the key cannot be proven there.
+    /// checkpoint has been evicted or the key cannot be proven there.
     pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<sealable_trie::Proof> {
         let _prove = self.profiler.scope("cp.prove");
-        self.proof_snapshots.prove_at(height, key)
+        self.ibc.store().prove_at(height, key)
     }
 
     /// Installs an observability sink. Counterparty-side packet lifecycle
@@ -174,9 +172,9 @@ impl CounterpartyChain {
         self.time_ms = now_ms.max(self.time_ms + 1);
         let app_hash = self.ibc.root();
         {
-            // Snapshot the state this header commits to for prove_at.
+            // Checkpoint the state this header commits to for prove_at.
             let _snapshot = self.profiler.scope("cp.snapshot");
-            self.proof_snapshots.snapshot(self.height, self.ibc.store());
+            self.ibc.store_mut().checkpoint(self.height, PROOF_SNAPSHOT_HISTORY);
         }
 
         // Epoch boundary: announce a reshuffled validator set, signed by

@@ -21,13 +21,18 @@
 //! The trie is a hex (16-ary) Patricia trie with three node kinds
 //! ([`node::Node`]): leaves, branches and extensions. Node hashes commit to
 //! value *hashes*, so a value's bytes can be dropped (sealed) without
-//! disturbing the commitment. Nodes live in a content-addressed
-//! [`store::NodeStore`]; a node that is referenced by hash but absent from
-//! the store *is* a sealed node.
+//! disturbing the commitment. Nodes live in a location-addressed
+//! [`store::NodeStore`] (a parent holds its child's [`store::Ptr`] and
+//! hash); a node that is referenced but absent from the store *is* a
+//! sealed node.
 //!
 //! Membership and non-membership proofs ([`proof::Proof`]) are verified
 //! against a bare root hash by [`proof::Proof::verify`], with no access to
-//! the store — this is what a counterparty light client runs.
+//! the store — this is what a counterparty light client runs. A chain
+//! [`Trie::checkpoint`]s the state each block commits to, and relayers
+//! [`Trie::prove_at`] the height their light client trusts; the history
+//! behind that keeps the nodes later writes retired, never a copy of the
+//! state.
 //!
 //! # Examples
 //!
@@ -63,7 +68,6 @@ pub mod store;
 mod trie;
 
 pub use error::TrieError;
-pub use history::TrieHistory;
 pub use nibbles::Nibbles;
 pub use proof::{Proof, VerifyOutcome};
 pub use store::{MemStore, NodeStore, StoreStats};

@@ -2,9 +2,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::node::Node;
+use crate::history::TrieHistory;
+use crate::node::{ChildRef, Node};
 
 /// Location of a node within a [`NodeStore`].
 pub type Ptr = u64;
@@ -48,6 +49,10 @@ pub trait NodeStore {
 
 /// The default in-memory node store.
 ///
+/// `clone` is a deep copy of the state *and* of the checkpoint history
+/// (a clone proves at the same heights); the serialised form is the
+/// state alone.
+///
 /// # Examples
 ///
 /// ```
@@ -60,11 +65,32 @@ pub trait NodeStore {
 /// let ptr = store.put(node.clone());
 /// assert_eq!(store.get(ptr), Some(&node));
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct MemStore {
+    live: Live,
+    /// Full-node history, fed by [`NodeStore::remove`] and
+    /// [`NodeStore::replace`]; no part of the serialised form.
+    history: TrieHistory,
+}
+
+/// The on-chain state of a [`MemStore`], and all of its serialised form.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+struct Live {
     nodes: HashMap<Ptr, Node>,
     next: Ptr,
     stats: StoreStats,
+}
+
+impl Serialize for MemStore {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.live.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for MemStore {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Ok(Self { live: Live::deserialize(deserializer)?, history: TrieHistory::default() })
+    }
 }
 
 impl MemStore {
@@ -75,47 +101,80 @@ impl MemStore {
 
     /// Iterates over resident nodes (ptr, node).
     pub fn iter(&self) -> impl Iterator<Item = (Ptr, &Node)> {
-        self.nodes.iter().map(|(p, n)| (*p, n))
+        self.live.nodes.iter().map(|(p, n)| (*p, n))
+    }
+
+    /// Records the state under `root` as committed at `height`, keeping
+    /// the `keep` most recent checkpoints. O(1): nothing is copied.
+    pub(crate) fn checkpoint(&mut self, height: u64, root: Option<ChildRef>, keep: usize) {
+        self.history.checkpoint(height, root, self.live.next, keep);
+    }
+
+    /// The checkpoint taken at `height`, as an index for [`Self::get_at`],
+    /// and the root it committed; `None` when evicted or never taken.
+    pub(crate) fn find_checkpoint(&self, height: u64) -> Option<(usize, Option<ChildRef>)> {
+        self.history.find(height)
+    }
+
+    /// Reads `ptr` as of checkpoint `index`: the node retired since, else
+    /// the live one.
+    pub(crate) fn get_at(&self, index: usize, ptr: Ptr) -> Option<&Node> {
+        self.history.retired_since(index, ptr).or_else(|| self.live.nodes.get(&ptr))
+    }
+
+    /// Nodes held for history rather than as state.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.history.retained()
+    }
+
+    /// Nodes ever written.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> Ptr {
+        self.live.next
     }
 }
 
 impl NodeStore for MemStore {
     fn get(&self, ptr: Ptr) -> Option<&Node> {
-        self.nodes.get(&ptr)
+        self.live.nodes.get(&ptr)
     }
 
     fn put(&mut self, node: Node) -> Ptr {
-        let ptr = self.next;
-        self.next += 1;
-        self.stats.node_count += 1;
-        self.stats.byte_count += node.storage_size();
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.byte_count);
-        self.nodes.insert(ptr, node);
+        let Live { nodes, next, stats } = &mut self.live;
+        let ptr = *next;
+        *next += 1;
+        stats.node_count += 1;
+        stats.byte_count += node.storage_size();
+        stats.peak_bytes = stats.peak_bytes.max(stats.byte_count);
+        nodes.insert(ptr, node);
         ptr
     }
 
     fn remove(&mut self, ptr: Ptr, reclaim: bool) {
-        if let Some(node) = self.nodes.remove(&ptr) {
-            self.stats.node_count -= 1;
-            self.stats.byte_count -= node.storage_size();
+        if let Some(node) = self.live.nodes.remove(&ptr) {
+            let stats = &mut self.live.stats;
+            stats.node_count -= 1;
+            stats.byte_count -= node.storage_size();
             if reclaim {
-                self.stats.sealed_reclaimed += 1;
+                stats.sealed_reclaimed += 1;
             }
+            self.history.retire(ptr, node);
         }
     }
 
     fn replace(&mut self, ptr: Ptr, node: Node) {
-        let new_size = node.storage_size();
-        if let Some(slot) = self.nodes.get_mut(&ptr) {
-            self.stats.byte_count -= slot.storage_size();
-            self.stats.byte_count += new_size;
-            self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.byte_count);
-            *slot = node;
+        let Live { nodes, stats, .. } = &mut self.live;
+        if let Some(slot) = nodes.get_mut(&ptr) {
+            stats.byte_count -= slot.storage_size();
+            stats.byte_count += node.storage_size();
+            stats.peak_bytes = stats.peak_bytes.max(stats.byte_count);
+            self.history.retire(ptr, std::mem::replace(slot, node));
         }
     }
 
     fn stats(&self) -> StoreStats {
-        self.stats
+        self.live.stats
     }
 }
 

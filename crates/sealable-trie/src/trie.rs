@@ -4,7 +4,7 @@ use sim_crypto::Hash;
 
 use crate::node::{ChildRef, Node, Value, EMPTY_CHILDREN};
 use crate::proof::{Proof, ProofNode};
-use crate::store::{MemStore, NodeStore, StoreStats};
+use crate::store::{MemStore, NodeStore, Ptr, StoreStats};
 use crate::{Nibbles, TrieError};
 
 /// Internal key encoding: LEB128 length prefix followed by the key bytes.
@@ -62,7 +62,9 @@ pub enum EntryState {
 ///
 /// See the crate-level documentation for semantics and an example. With
 /// the default [`MemStore`] the whole trie (including sealed markers)
-/// serializes with serde, so chain state can be snapshotted and restored.
+/// serializes with serde, so chain state can be snapshotted and restored;
+/// the [`Self::checkpoint`] history is not state and is not serialized.
+/// `clone` is an independent deep copy and does carry that history.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Trie<S: NodeStore = MemStore> {
     store: S,
@@ -75,6 +77,23 @@ impl Trie<MemStore> {
     /// Creates an empty trie backed by an in-memory store.
     pub fn new() -> Self {
         Self::with_store(MemStore::new())
+    }
+
+    /// Records the current state as committed at block `height`, keeping
+    /// the `keep` most recent checkpoints for [`Self::prove_at`]. O(1):
+    /// later writes hand the nodes they retire to the history instead of
+    /// dropping them, and nothing is copied.
+    pub fn checkpoint(&mut self, height: u64, keep: usize) {
+        self.store.checkpoint(height, self.root, keep);
+    }
+
+    /// Merkle proof of `key` as of block `height`, checkable against the
+    /// root checkpointed there. `None` when the height's checkpoint has
+    /// been evicted (or was never taken) or the key cannot be proven
+    /// there.
+    pub fn prove_at(&self, height: u64, key: &[u8]) -> Option<Proof> {
+        let (checkpoint, root) = self.store.find_checkpoint(height)?;
+        prove_from(root, key, |ptr| self.store.get_at(checkpoint, ptr)).ok()
     }
 }
 
@@ -257,6 +276,11 @@ impl<S: NodeStore> Trie<S> {
     /// sealed — deliberately distinct from `Ok(None)`, which means the key
     /// was never stored.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, TrieError> {
+        Ok(self.lookup(key)?.map(<[u8]>::to_vec))
+    }
+
+    /// [`Self::get`] without copying the value bytes out.
+    fn lookup(&self, key: &[u8]) -> Result<Option<&[u8]>, TrieError> {
         let encoded = encode_key(key);
         let path = Nibbles::from_key(&encoded);
         let mut remaining = path.as_slice();
@@ -269,7 +293,7 @@ impl<S: NodeStore> Trie<S> {
                 Node::Leaf { path: leaf_path, value } => {
                     if leaf_path.as_slice() == remaining {
                         return match &value.data {
-                            Some(data) => Ok(Some(data.clone())),
+                            Some(data) => Ok(Some(data)),
                             None => Err(TrieError::Sealed),
                         };
                     }
@@ -305,7 +329,7 @@ impl<S: NodeStore> Trie<S> {
     /// Reports whether `key` is absent, live or sealed without copying the
     /// value bytes out.
     pub fn state(&self, key: &[u8]) -> EntryState {
-        match self.get(key) {
+        match self.lookup(key) {
             Ok(Some(_)) => EntryState::Live,
             Ok(None) => EntryState::Absent,
             Err(_) => EntryState::Sealed,
@@ -566,44 +590,7 @@ impl<S: NodeStore> Trie<S> {
     /// sealed node. (Proving a *sealed* key is impossible by design — the
     /// data backing the proof has been reclaimed.)
     pub fn prove(&self, key: &[u8]) -> Result<Proof, TrieError> {
-        let encoded = encode_key(key);
-        let path = Nibbles::from_key(&encoded);
-        let mut nodes = Vec::new();
-        let mut remaining = path.as_slice();
-        let Some(mut current) = self.root else {
-            // Empty trie: the empty proof shows non-membership.
-            return Ok(Proof::new(nodes));
-        };
-        loop {
-            let node = self.read(&current)?;
-            nodes.push(ProofNode::from_node(node));
-            match node {
-                Node::Leaf { .. } => return Ok(Proof::new(nodes)),
-                Node::Branch { children } => {
-                    let Some(&slot) = remaining.first() else {
-                        return Ok(Proof::new(nodes));
-                    };
-                    match children[slot as usize] {
-                        Some(child) => {
-                            current = child;
-                            remaining = &remaining[1..];
-                        }
-                        None => return Ok(Proof::new(nodes)),
-                    }
-                }
-                Node::Extension { path: ext_path, child } => {
-                    if remaining.len() >= ext_path.len()
-                        && &remaining[..ext_path.len()] == ext_path.as_slice()
-                    {
-                        let skip = ext_path.len();
-                        current = *child;
-                        remaining = &remaining[skip..];
-                    } else {
-                        return Ok(Proof::new(nodes));
-                    }
-                }
-            }
-        }
+        prove_from(self.root, key, |ptr| self.store.get(ptr))
     }
 
     /// Audits the structural integrity of the whole trie: every resident
@@ -695,6 +682,52 @@ impl<S: NodeStore> Trie<S> {
                 let mut next = prefix;
                 next.extend_from_slice(path.as_slice());
                 self.collect(*child, next, out);
+            }
+        }
+    }
+}
+
+/// The proof walk from `root` over any `Ptr → node` lookup, so proofs of
+/// live state and of a checkpointed state are one function.
+fn prove_from<'a>(
+    root: Option<ChildRef>,
+    key: &[u8],
+    get: impl Fn(Ptr) -> Option<&'a Node>,
+) -> Result<Proof, TrieError> {
+    let path = Nibbles::from_key(&encode_key(key));
+    let mut nodes = Vec::new();
+    let mut remaining = path.as_slice();
+    let Some(mut current) = root else {
+        // Empty trie: the empty proof shows non-membership.
+        return Ok(Proof::new(nodes));
+    };
+    loop {
+        let node = get(current.ptr).ok_or(TrieError::Sealed)?;
+        nodes.push(ProofNode::from_node(node));
+        match node {
+            Node::Leaf { .. } => return Ok(Proof::new(nodes)),
+            Node::Branch { children } => {
+                let Some(&slot) = remaining.first() else {
+                    return Ok(Proof::new(nodes));
+                };
+                match children[slot as usize] {
+                    Some(child) => {
+                        current = child;
+                        remaining = &remaining[1..];
+                    }
+                    None => return Ok(Proof::new(nodes)),
+                }
+            }
+            Node::Extension { path: ext_path, child } => {
+                if remaining.len() >= ext_path.len()
+                    && &remaining[..ext_path.len()] == ext_path.as_slice()
+                {
+                    let skip = ext_path.len();
+                    current = *child;
+                    remaining = &remaining[skip..];
+                } else {
+                    return Ok(Proof::new(nodes));
+                }
             }
         }
     }
@@ -993,6 +1026,7 @@ mod tests {
         for i in 0..64u64 {
             trie.insert(&i.to_be_bytes(), format!("value-{i}").as_bytes()).unwrap();
         }
+        trie.checkpoint(1, 8);
         for i in 0..16u64 {
             trie.seal(&i.to_be_bytes()).unwrap();
         }
@@ -1000,6 +1034,18 @@ mod tests {
 
         let snapshot = serde_json::to_vec(&trie).unwrap();
         let restored: Trie = serde_json::from_slice(&snapshot).unwrap();
+
+        // The checkpoint's history is not state: it is neither written
+        // nor restored.
+        let serde_json::Value::Object(store) = serde_json::to_value(&trie.store).unwrap() else {
+            panic!("a store serialises as an object");
+        };
+        assert_eq!(
+            store.iter().map(|(name, _)| name.as_str()).collect::<Vec<_>>(),
+            ["nodes", "next", "stats"]
+        );
+        assert!(trie.store.retained() > 0 && trie.prove_at(1, &5u64.to_be_bytes()).is_some());
+        assert!(restored.store.retained() == 0 && restored.prove_at(1, b"any").is_none());
 
         assert_eq!(restored.root_hash(), trie.root_hash());
         assert_eq!(restored.len(), trie.len());

@@ -28,8 +28,95 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Applies `op`, ignoring the refusals `matches_model` already pins down.
+fn apply(trie: &mut Trie, op: &Op) {
+    let _ = match op {
+        Op::Insert(key, value) => trie.insert(key, value),
+        Op::Remove(key) => trie.remove(key).map(drop),
+        Op::Seal(key) => trie.seal(key),
+    };
+}
+
+/// Checks `prove_at` at every height the oracle holds, over `keys`: the
+/// proof must be the very `Proof` the full copy of that height's state
+/// gives, and verify against the root recorded there.
+fn assert_history_matches(
+    trie: &Trie,
+    oracle: &[(u64, Trie)],
+    keep: usize,
+    keys: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
+    let retained = oracle.len().saturating_sub(keep);
+    for (height, _) in &oracle[..retained] {
+        prop_assert_eq!(trie.prove_at(*height, &keys[0]), None, "height {} evicted", height);
+    }
+    for (height, then) in &oracle[retained..] {
+        let root = then.root_hash();
+        for key in keys {
+            let proof = trie.prove_at(*height, key);
+            prop_assert_eq!(&proof, &then.prove(key).ok(), "height {} key {:?}", height, key);
+            match (proof, then.get(key)) {
+                (Some(proof), Ok(Some(value))) => {
+                    prop_assert!(proof.verify_member(&root, key, &value));
+                }
+                (Some(proof), Ok(None)) => prop_assert!(proof.verify_non_member(&root, key)),
+                // Sealed at that height: no value to check against.
+                (_, Err(_)) => {}
+                (None, Ok(_)) => prop_assert!(false, "readable at {} but unprovable", height),
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Trie::prove_at` against the implementation it replaced, kept here
+    /// as the oracle: a full `Trie::clone()` per checkpoint. `None` in the
+    /// op list is a checkpoint. The key sample is every key the run
+    /// touched plus one more, so at each retained height it holds keys
+    /// that are live, overwritten since, removed since, sealed since,
+    /// sealed before and never present.
+    #[test]
+    fn prove_at_matches_a_full_clone_per_checkpoint(
+        ops in proptest::collection::vec(
+            prop_oneof![5 => op_strategy().prop_map(Some), 1 => Just(None)], 1..90),
+        keep in 1usize..4,
+        probe in key_strategy(),
+    ) {
+        let mut keys = vec![probe];
+        keys.extend(ops.iter().flatten().map(|op| match op {
+            Op::Insert(key, _) | Op::Remove(key) | Op::Seal(key) => key.clone(),
+        }));
+        keys.sort();
+        keys.dedup();
+
+        let mut trie = Trie::new();
+        let mut oracle: Vec<(u64, Trie)> = Vec::new();
+        // Heights start at 1 and skip, so 0 and the gaps are never taken.
+        let mut height = 0;
+        for op in &ops {
+            match op {
+                Some(op) => apply(&mut trie, op),
+                None => {
+                    assert_history_matches(&trie, &oracle, keep, &keys)?;
+                    height += 1 + oracle.len() as u64 % 2;
+                    oracle.push((height, trie.clone()));
+                    trie.checkpoint(height, keep);
+                }
+            }
+        }
+        assert_history_matches(&trie, &oracle, keep, &keys)?;
+        for never_taken in [0, height + 1] {
+            prop_assert_eq!(trie.prove_at(never_taken, &keys[0]), None);
+        }
+        // History is not state: an un-checkpointed twin ends up identical.
+        let mut twin = Trie::new();
+        ops.iter().flatten().for_each(|op| apply(&mut twin, op));
+        prop_assert_eq!(trie.stats(), twin.stats());
+        prop_assert_eq!(trie.root_hash(), twin.root_hash());
+    }
 
     /// The trie agrees with a BTreeMap model under arbitrary interleavings
     /// of insert/remove/seal, with sealed keys tracked separately.
