@@ -45,6 +45,20 @@ if find crates/*/src -name '*.rs' -exec awk '
     exit 1
 fi
 
+echo "==> one codec path"
+# Typed values reach JSON text and come back through serde_json's streaming sink (write.rs) and
+# source (read.rs) alone: no `Value` tree in between, and `Value` itself written and read by the
+# same two, as one more Serialize/Deserialize type. The tree writer and parser survive only as the
+# oracle under vendor/serde_json/tests/. A tripwire for the two ways back, not a proof: it sees a
+# detour only when spelled `to_value(` / `from_value(` (the two public wrappers of those names
+# excepted; a `ValueSerializer` driven by hand passes), and a second writer or parser only when it
+# names `Value::Array` or `Value::Object`, as one that walks or builds the tree directly must.
+if grep -nE '(to|from)_value\(|Value::(Array|Object)' vendor/serde_json/src/*.rs |
+    grep -vE 'pub fn (to|from)_value|serde::(to|from)_value\(value\)\.map_err'; then
+    echo "vendor/serde_json/src builds or walks a Value tree; stream through write.rs/read.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -149,25 +149,36 @@ pub enum GuestOp {
 }
 
 impl GuestOp {
+    /// The operation's label and the name of its compute-unit counter,
+    /// both static: they are looked up once per instruction.
+    fn names(&self) -> (&'static str, &'static str) {
+        macro_rules! names {
+            ($kind:literal) => {
+                ($kind, concat!("guest.cu.op.", $kind))
+            };
+        }
+        match self {
+            GuestOp::SendPacket { .. } => names!("send_packet"),
+            GuestOp::SendTransfer { .. } => names!("send_transfer"),
+            GuestOp::GenerateBlock => names!("generate_block"),
+            GuestOp::SignBlock { .. } => names!("sign_block"),
+            GuestOp::UpdateClient { .. } => names!("update_client"),
+            GuestOp::RecvPacket { .. } => names!("recv_packet"),
+            GuestOp::AckPacket { .. } => names!("ack_packet"),
+            GuestOp::TimeoutPacket { .. } => names!("timeout_packet"),
+            GuestOp::Stake { .. } => names!("stake"),
+            GuestOp::RequestUnstake { .. } => names!("request_unstake"),
+            GuestOp::ClaimUnstaked { .. } => names!("claim_unstaked"),
+            GuestOp::ReportMisbehaviour { .. } => names!("report_misbehaviour"),
+            GuestOp::ClaimRewards { .. } => names!("claim_rewards"),
+            GuestOp::SelfDestruct => names!("self_destruct"),
+        }
+    }
+
     /// Stable snake-case label of the operation, used as the telemetry
     /// metrics key (`guest.cu.op.<kind>`).
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            GuestOp::SendPacket { .. } => "send_packet",
-            GuestOp::SendTransfer { .. } => "send_transfer",
-            GuestOp::GenerateBlock => "generate_block",
-            GuestOp::SignBlock { .. } => "sign_block",
-            GuestOp::UpdateClient { .. } => "update_client",
-            GuestOp::RecvPacket { .. } => "recv_packet",
-            GuestOp::AckPacket { .. } => "ack_packet",
-            GuestOp::TimeoutPacket { .. } => "timeout_packet",
-            GuestOp::Stake { .. } => "stake",
-            GuestOp::RequestUnstake { .. } => "request_unstake",
-            GuestOp::ClaimUnstaked { .. } => "claim_unstaked",
-            GuestOp::ReportMisbehaviour { .. } => "report_misbehaviour",
-            GuestOp::ClaimRewards { .. } => "claim_rewards",
-            GuestOp::SelfDestruct => "self_destruct",
-        }
+        self.names().0
     }
 
     /// Wire encoding.
@@ -245,17 +256,26 @@ impl GuestInstruction {
     /// Parses the wire encoding.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         match bytes.first()? {
-            0 => {
-                if bytes.len() < 13 {
-                    return None;
-                }
-                let buffer = u64::from_le_bytes(bytes[1..9].try_into().ok()?);
-                let offset = u32::from_le_bytes(bytes[9..13].try_into().ok()?) as usize;
-                Some(Self::WriteChunk { buffer, offset, data: bytes[13..].to_vec() })
-            }
+            0 => Self::chunk_frame(bytes).map(|(buffer, offset, data)| Self::WriteChunk {
+                buffer,
+                offset,
+                data: data.to_vec(),
+            }),
             1 => serde_json::from_slice(&bytes[1..]).ok(),
             _ => None,
         }
+    }
+
+    /// The `(buffer, offset, data)` of a binary `WriteChunk` frame, its data
+    /// still borrowed from `bytes`; `None` for any other encoding.
+    fn chunk_frame(bytes: &[u8]) -> Option<(u64, usize, &[u8])> {
+        let (header, data) = bytes.split_at_checked(Self::CHUNK_FRAME_OVERHEAD)?;
+        if header[0] != 0 {
+            return None;
+        }
+        let buffer = u64::from_le_bytes(header[1..9].try_into().ok()?);
+        let offset = u32::from_le_bytes(header[9..13].try_into().ok()?) as usize;
+        Some((buffer, offset, data))
     }
 
     /// The per-transaction byte overhead of a `WriteChunk` frame.
@@ -314,18 +334,39 @@ impl GuestProgram {
         ProgramError::Rejected(msg.into())
     }
 
+    /// Appends `data` to the payer's staging buffer (sequential offsets only).
+    fn write_chunk(
+        &mut self,
+        ctx: &mut InvokeContext<'_>,
+        buffer: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), ProgramError> {
+        ctx.consume(costs::DATA_PER_BYTE * data.len() as u64)?;
+        ctx.alloc(data.len())?;
+        let entry = self.buffers.entry((ctx.payer, buffer)).or_default();
+        if entry.data.len() != offset {
+            return Err(Self::reject(format!(
+                "non-sequential chunk: buffer at {}, offset {offset}",
+                entry.data.len()
+            )));
+        }
+        entry.data.extend_from_slice(data);
+        Ok(())
+    }
+
     fn execute_op(
         &mut self,
         ctx: &mut InvokeContext<'_>,
         op: GuestOp,
         verified_sigs: usize,
     ) -> Result<(), ProgramError> {
-        let op_kind = op.kind_name();
+        let (op_kind, cu_counter) = op.names();
         let cu_before = ctx.compute_used();
         let result = self.execute_op_inner(ctx, op, verified_sigs);
         if self.telemetry.is_recording() {
             let spent = ctx.compute_used().saturating_sub(cu_before);
-            self.telemetry.counter_add(&format!("guest.cu.op.{op_kind}"), spent);
+            self.telemetry.counter_add(cu_counter, spent);
             if result.is_err() {
                 self.telemetry.counter_add(&format!("guest.op.rejected.{op_kind}"), 1);
             }
@@ -540,67 +581,65 @@ impl Program for GuestProgram {
         ctx: &mut InvokeContext<'_>,
         data: &[u8],
     ) -> Result<(), ProgramError> {
-        let instruction = GuestInstruction::decode(data)
-            .ok_or_else(|| ProgramError::InvalidInstruction("undecodable".into()))?;
-        let kind = match &instruction {
-            GuestInstruction::Inline { .. } => "inline",
-            GuestInstruction::WriteChunk { .. } => "write_chunk",
-            GuestInstruction::VerifySigs { .. } => "verify_sigs",
-            GuestInstruction::ExecStaged { .. } => "exec_staged",
-            GuestInstruction::DropBuffer { .. } => "drop_buffer",
-        };
+        macro_rules! counters {
+            ($kind:literal) => {
+                (concat!("guest.instructions.", $kind), concat!("guest.cu.instruction.", $kind))
+            };
+        }
         let cu_before = ctx.compute_used();
-        let result = match instruction {
-            GuestInstruction::Inline { op } => self.execute_op(ctx, op, 0),
-            GuestInstruction::WriteChunk { buffer, offset, data } => {
-                ctx.consume(costs::DATA_PER_BYTE * data.len() as u64)?;
-                ctx.alloc(data.len())?;
-                let entry = self.buffers.entry((ctx.payer, buffer)).or_default();
-                if entry.data.len() != offset {
-                    return Err(Self::reject(format!(
-                        "non-sequential chunk: buffer at {}, offset {offset}",
-                        entry.data.len()
-                    )));
+        // Every `?` below leaves before the counters, a failed chunk included.
+        let ((count_counter, cu_counter), result) = match GuestInstruction::chunk_frame(data) {
+            // Chunks are most of the instructions: append one straight from
+            // the transaction's bytes, not through an owned `WriteChunk`.
+            Some((buffer, offset, chunk)) => {
+                self.write_chunk(ctx, buffer, offset, chunk)?;
+                (counters!("write_chunk"), Ok(()))
+            }
+            None => match GuestInstruction::decode(data)
+                .ok_or_else(|| ProgramError::InvalidInstruction("undecodable".into()))?
+            {
+                GuestInstruction::Inline { op } => {
+                    (counters!("inline"), self.execute_op(ctx, op, 0))
                 }
-                entry.data.extend_from_slice(&data);
-                Ok(())
-            }
-            GuestInstruction::VerifySigs { buffer, count } => {
-                ctx.consume(costs::SIGNATURE_VERIFY * count as u64)?;
-                let entry = self
-                    .buffers
-                    .get_mut(&(ctx.payer, buffer))
-                    .ok_or_else(|| Self::reject("unknown staging buffer"))?;
-                entry.verified_sigs += count;
-                Ok(())
-            }
-            GuestInstruction::ExecStaged { buffer } => {
-                let key = (ctx.payer, buffer);
-                let staged = self
-                    .buffers
-                    .remove(&key)
-                    .ok_or_else(|| Self::reject("unknown staging buffer"))?;
-                let op = GuestOp::decode(&staged.data)
-                    .ok_or_else(|| Self::reject("staged bytes do not decode to an op"))?;
-                match self.execute_op(ctx, op, staged.verified_sigs) {
-                    Ok(()) => Ok(()),
-                    Err(err) => {
+                GuestInstruction::WriteChunk { buffer, offset, data } => {
+                    self.write_chunk(ctx, buffer, offset, &data)?;
+                    (counters!("write_chunk"), Ok(()))
+                }
+                GuestInstruction::VerifySigs { buffer, count } => {
+                    ctx.consume(costs::SIGNATURE_VERIFY * count as u64)?;
+                    let entry = self
+                        .buffers
+                        .get_mut(&(ctx.payer, buffer))
+                        .ok_or_else(|| Self::reject("unknown staging buffer"))?;
+                    entry.verified_sigs += count;
+                    (counters!("verify_sigs"), Ok(()))
+                }
+                GuestInstruction::ExecStaged { buffer } => {
+                    let key = (ctx.payer, buffer);
+                    let staged = self
+                        .buffers
+                        .remove(&key)
+                        .ok_or_else(|| Self::reject("unknown staging buffer"))?;
+                    let op = GuestOp::decode(&staged.data)
+                        .ok_or_else(|| Self::reject("staged bytes do not decode to an op"))?;
+                    let result = self.execute_op(ctx, op, staged.verified_sigs);
+                    if result.is_err() {
                         // Keep the buffer so the relayer can retry (e.g.
                         // more VerifySigs transactions needed).
                         self.buffers.insert(key, staged);
-                        Err(err)
                     }
+                    (counters!("exec_staged"), result)
                 }
-            }
-            GuestInstruction::DropBuffer { buffer } => {
-                self.buffers.remove(&(ctx.payer, buffer));
-                Ok(())
-            }
+                GuestInstruction::DropBuffer { buffer } => {
+                    self.buffers.remove(&(ctx.payer, buffer));
+                    (counters!("drop_buffer"), Ok(()))
+                }
+            },
         };
         if self.telemetry.is_recording() {
-            self.telemetry.counter_add(&format!("guest.instructions.{kind}"), 1);
+            self.telemetry.counter_add(count_counter, 1);
             let spent = ctx.compute_used().saturating_sub(cu_before);
-            self.telemetry.counter_add(&format!("guest.cu.instruction.{kind}"), spent);
+            self.telemetry.counter_add(cu_counter, spent);
         }
         result
     }

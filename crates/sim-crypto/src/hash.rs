@@ -32,14 +32,14 @@ pub struct Hash([u8; HASH_LEN]);
 // accounting depends on it) and readable in logs and fixtures.
 impl Serialize for Hash {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex())
+        let hex = self.hex_digits();
+        serializer.serialize_str(core::str::from_utf8(&hex).expect("hex digits are ASCII"))
     }
 }
 
 impl<'de> Deserialize<'de> for Hash {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let text = String::deserialize(deserializer)?;
-        Hash::from_hex(&text).map_err(D::Error::custom)
+        Hash::from_hex(&deserializer.de_string()?).map_err(D::Error::custom)
     }
 }
 
@@ -67,14 +67,21 @@ impl Hash {
         *self == Self::ZERO
     }
 
-    /// Lowercase hex encoding (64 characters).
-    pub fn to_hex(&self) -> String {
-        let mut out = String::with_capacity(HASH_LEN * 2);
-        for byte in self.0 {
-            out.push(char::from_digit((byte >> 4) as u32, 16).expect("nibble < 16"));
-            out.push(char::from_digit((byte & 0xf) as u32, 16).expect("nibble < 16"));
+    /// The 64 lowercase hex digits, on the stack: hashes are the most
+    /// common field on the wire, and serializing one should not allocate.
+    fn hex_digits(&self) -> [u8; HASH_LEN * 2] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; HASH_LEN * 2];
+        for (pair, byte) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = DIGITS[usize::from(byte >> 4)];
+            pair[1] = DIGITS[usize::from(byte & 0xf)];
         }
         out
+    }
+
+    /// Lowercase hex encoding (64 characters).
+    pub fn to_hex(&self) -> String {
+        String::from_utf8(self.hex_digits().to_vec()).expect("hex digits are ASCII")
     }
 
     /// Parses a 64-character hex string.

@@ -526,30 +526,34 @@ impl Testnet {
             let mut sign_results = Vec::new();
             let mut send_results = Vec::new();
             let mut fisherman_fees = 0u64;
+            // `block.events` is the transactions' events in order; walking
+            // them per transaction decodes each guest event once, for the
+            // reactions below and for the sequence a tracked send was given.
+            let mut guest_events = Vec::new();
             for (tx_id, outcome) in &block.transactions {
+                let emitted_from = guest_events.len();
+                guest_events.extend(
+                    outcome
+                        .events
+                        .iter()
+                        .filter(|event| event.program_id == self.program_id)
+                        .filter_map(|event| {
+                            serde_json::from_slice::<GuestEvent>(&event.payload).ok()
+                        }),
+                );
                 if self.sign_tx_inflight.contains_key(tx_id) {
                     sign_results.push((*tx_id, outcome.is_ok(), outcome.fee_lamports));
                 } else if self.fisherman_tx_inflight.remove(tx_id) {
                     fisherman_fees += outcome.fee_lamports;
                 } else if self.send_tx_inflight.contains_key(tx_id) {
-                    let sequence = outcome.events.iter().find_map(|event| {
-                        let guest: GuestEvent = serde_json::from_slice(&event.payload).ok()?;
-                        match guest {
+                    let sequence =
+                        guest_events[emitted_from..].iter().find_map(|event| match event {
                             GuestEvent::Ibc(ibc_core::IbcEvent::SendPacket { packet }) => {
                                 Some(packet.sequence)
                             }
                             _ => None,
-                        }
-                    });
+                        });
                     send_results.push((*tx_id, sequence, outcome.fee_lamports));
-                }
-            }
-            let mut guest_events = Vec::new();
-            for event in &block.events {
-                if event.program_id == self.program_id {
-                    if let Ok(guest_event) = serde_json::from_slice::<GuestEvent>(&event.payload) {
-                        guest_events.push(guest_event);
-                    }
                 }
             }
             (now, sign_results, send_results, guest_events, fisherman_fees)
