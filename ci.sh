@@ -343,7 +343,7 @@ PY
 
 echo "==> telemetry overhead (sampled pipeline budget gate)"
 cargo run --release --offline -p bench --bin telemetry_overhead -- \
-    --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --keep 8 --reps 3 \
+    --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --keep 8 --reps 9 \
     --quiet --json BENCH_overhead.json
 python3 - <<'PY'
 import json, sys
@@ -352,15 +352,17 @@ with open("BENCH_overhead.json") as f:
     bench = json.load(f)
 values = {k: v for s in bench["sections"] for k, v in s["values"].items()}
 
-# Budget: sampled telemetry within 10% of running blind, full within 25%.
-sampled = values.get("sampled_overhead_pct")
-full = values.get("full_overhead_pct")
-if sampled is None or sampled > 10:
-    sys.exit(f"telemetry_overhead: sampled mode costs {sampled:.1f}% over the "
-             "disabled baseline — the 10% budget is blown")
-if full is None or full > 25:
-    sys.exit(f"telemetry_overhead: full mode costs {full:.1f}% over the "
-             "disabled baseline — the 25% budget is blown")
+# Budget: the pipeline's own cost — the median paired difference to the
+# blind run of the same repetition, per journal line of the full run. An
+# absolute figure, so a faster simulator cannot blow it. Ten gate runs on
+# the CI VM read 3-12 us at nine repetitions (-2 to 22 at five, too close
+# to the budget to call the gate stable).
+BUDGET_US_PER_LINE = 25
+costs = {m: values.get(f"{m}_cost_us_per_line") for m in ("sampled", "full")}
+for mode, cost in costs.items():
+    if cost is None or cost > BUDGET_US_PER_LINE:
+        sys.exit(f"telemetry_overhead: {mode} mode costs {cost} us per full-mode "
+                 f"journal line — the {BUDGET_US_PER_LINE} us budget is blown")
 if values.get("sampled_deterministic") != 1:
     sys.exit("telemetry_overhead: same-seed sampled reruns are not byte-identical")
 if values.get("monitor_parity") != 1:
@@ -369,9 +371,10 @@ if values.get("monitor_parity") != 1:
 if values.get("traces_dropped", 0) <= 0:
     sys.exit("telemetry_overhead: sampling dropped no traces — the sampler "
              "is not thinning anything")
-print(f"telemetry overhead OK: sampled {sampled:+.1f}%, full {full:+.1f}% vs "
-      f"disabled (budgets 10%/25%); {values['thinned_pct']:.0f}% of traces "
-      "thinned; deterministic with monitor parity")
+print(f"telemetry overhead OK: sampled {costs['sampled']:+.1f}, full {costs['full']:+.1f} us per "
+      f"journal line vs disabled (budget {BUDGET_US_PER_LINE}); "
+      f"{values['thinned_pct']:.0f}% of traces thinned; deterministic with "
+      "monitor parity")
 PY
 
 echo "CI green."

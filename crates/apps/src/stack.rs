@@ -536,18 +536,13 @@ impl ModuleStack {
         self.counters
     }
 
-    /// Per-layer dispatch counts, outermost first, ending with the
-    /// application: how many lifecycle callbacks (recv, ack, timeout)
-    /// reached each layer. A short-circuiting middleware (e.g. a memo
-    /// hook answering with `Stop`) shows up as a falloff between
-    /// adjacent layers.
-    pub fn layer_dispatches(&self) -> Vec<(&'static str, u64)> {
-        let names = self.layer_names();
-        names
-            .into_iter()
-            .enumerate()
-            .map(|(i, name)| (name, self.layer_dispatches.get(i).copied().unwrap_or(0)))
-            .collect()
+    /// Per-layer dispatch counts in [`Self::layer_names`] order: how many
+    /// lifecycle callbacks (recv, ack, timeout) reached each layer. A
+    /// short-circuiting middleware (e.g. a memo hook answering with
+    /// `Stop`) shows up as a falloff between adjacent layers. Slots are
+    /// added at the first dispatch; a missing slot counts zero.
+    pub fn dispatch_counts(&self) -> &[u64] {
+        &self.layer_dispatches
     }
 
     /// Ensures the per-layer tally covers every current layer (`with`

@@ -22,6 +22,25 @@ fn dominant_validator_config(seed: u64) -> TestnetConfig {
     config
 }
 
+/// The differential check on the ICS-20 banks' per-denom running totals:
+/// every scenario ends by recounting both banks account by account. A
+/// counterfeit mint passes too — it breaks backing, not book-keeping.
+fn assert_banks_recount(net: &Testnet) {
+    let port = &net.endpoints().port;
+    let contract = net.contract.borrow();
+    let banks = [
+        ("guest", contract.ibc().module(port).and_then(|m| m.ics20())),
+        ("counterparty", net.cp.ibc().module(port).and_then(|m| m.ics20())),
+    ];
+    for (side, bank) in banks {
+        let bank = bank.expect("ICS-20 ledger");
+        for denom in bank.denoms() {
+            let recount: u128 = bank.holders(&denom).map(|(_, amount)| amount).sum();
+            assert_eq!(recount, bank.total_supply(&denom), "{denom} on the {side}");
+        }
+    }
+}
+
 /// The whole chaos machinery must be inert until a fault window opens: a
 /// run under a plan whose events all lie beyond the horizon is
 /// byte-identical to a run under the empty plan.
@@ -32,6 +51,7 @@ fn fault_free_plan_reproduces_baseline() {
     let baseline = {
         let mut net = Testnet::build(TestnetConfig::small(11));
         net.run_for(duration);
+        assert_banks_recount(&net);
         serde_json::to_string(&report_of(&net, duration)).unwrap()
     };
 
@@ -45,6 +65,7 @@ fn fault_free_plan_reproduces_baseline() {
         let mut net = Testnet::build(config);
         net.run_for(duration);
         assert!(net.invariant_violations().is_empty());
+        assert_banks_recount(&net);
         serde_json::to_string(&report_of(&net, duration)).unwrap()
     };
 
@@ -74,6 +95,7 @@ fn validator_crash_stalls_and_recovers() {
     assert!(contract.is_finalised(contract.head_height()), "liveness restored");
     drop(contract);
     assert!(net.invariant_violations().is_empty(), "an outage is not a safety breach");
+    assert_banks_recount(&net);
 }
 
 /// A latency spike on the quorum-carrying validator (plus clock skew on a
@@ -110,6 +132,7 @@ fn latency_spike_delays_signatures() {
         median(&normal)
     );
     assert!(net.invariant_violations().is_empty());
+    assert_banks_recount(&net);
 }
 
 /// A congestion storm with an inclusion-failure burst: the deployment
@@ -131,6 +154,7 @@ fn congestion_storm_degrades_but_preserves_safety() {
     assert!(contract.is_finalised(contract.head_height().saturating_sub(1)));
     drop(contract);
     assert!(net.invariant_violations().is_empty());
+    assert_banks_recount(&net);
 }
 
 /// With the relayer down past a packet's timeout, the commitment is
@@ -159,6 +183,7 @@ fn relayer_halt_orphans_a_timed_out_packet() {
         "the violation names the halt: {:?}",
         violation.faults
     );
+    assert_banks_recount(&net);
 
     // Control: same timeline with the relayer running resolves the packet
     // (delivered or properly timed out) — no orphan.
@@ -171,6 +196,7 @@ fn relayer_halt_orphans_a_timed_out_packet() {
     net.inject_outbound_transfer(500, 2 * MINUTE_MS);
     net.run_for(6 * MINUTE_MS);
     assert!(net.invariant_violations().is_empty(), "{:?}", net.invariant_violations());
+    assert_banks_recount(&net);
 }
 
 /// A relayer that stays down longer than the host's block window (512
@@ -196,6 +222,7 @@ fn long_relayer_halt_delays_but_does_not_lose_a_packet() {
     assert_eq!(bank.balance(CP_USER, &voucher), 500, "delivered once the relayer recovered");
     assert_eq!(net.relayer.backlog(), 0);
     assert!(net.invariant_violations().is_empty(), "{:?}", net.invariant_violations());
+    assert_banks_recount(&net);
 }
 
 /// Dropped chunk submissions: the relayer re-submits after its timeout and
@@ -222,6 +249,7 @@ fn chunk_drops_are_resubmitted() {
     let report = report_of(&net, 10 * MINUTE_MS);
     assert!(report.completed_sends > 0);
     assert!(net.invariant_violations().is_empty());
+    assert_banks_recount(&net);
 }
 
 /// Duplicated and reordered chunk submissions: the guest contract must
@@ -242,6 +270,7 @@ fn chunk_duplicates_and_reorders_keep_conservation() {
         "replayed submissions never mint value: {:?}",
         net.invariant_violations()
     );
+    assert_banks_recount(&net);
 }
 
 /// A seeded conservation violation: counterfeit vouchers minted on the
@@ -275,6 +304,14 @@ fn counterfeit_mint_is_detected() {
         violation.faults
     );
     assert!(violation.details.contains("exceed"), "{}", violation.details);
+
+    // The audit reads the bank's running totals, not a scan; it must still
+    // see the mint at the first audit after it, the instant the scan did.
+    assert_eq!(violation.at_ms, 127_596, "detection instant of the account-scanning audit");
+    let drift_at = |ms| net.telemetry().gauge_value_at("supply.drift", ms);
+    assert_eq!(drift_at(violation.at_ms - 1), Some(0.0));
+    assert_eq!(drift_at(violation.at_ms), Some(1_000_000_000.0));
+    assert_banks_recount(&net);
 }
 
 /// A halted counterparty stops advancing; the guest side keeps finalising
@@ -295,11 +332,13 @@ fn counterparty_halt_is_survivable() {
         assert!(head - finalised <= 2, "guest liveness unaffected (head {head}, fin {finalised})");
         drop(contract);
         assert!(net.invariant_violations().is_empty());
+        assert_banks_recount(&net);
         net.cp.height()
     };
     let baseline_height = {
         let mut net = Testnet::build(TestnetConfig::small(91));
         net.run_for(6 * MINUTE_MS);
+        assert_banks_recount(&net);
         net.cp.height()
     };
     assert!(
@@ -331,6 +370,7 @@ fn slashing_preserves_stake_accounting() {
         "burned stake is accounted for: {:?}",
         net.invariant_violations()
     );
+    assert_banks_recount(&net);
 }
 
 /// A violation's forensic links must name the packets that were in flight
@@ -381,6 +421,7 @@ fn violations_link_in_flight_packet_traces() {
         assert_eq!(packet.origin, "guest", "tracked in-flight packets are guest outbound");
         assert!(!packet.completed, "an in-flight packet has no ack yet");
     }
+    assert_banks_recount(&net);
 }
 
 /// A finality stall must be legible in the telemetry run report: a packet
@@ -414,4 +455,5 @@ fn outage_is_visible_as_lc_update_span() {
         end - start < 13 * MINUTE_MS,
         "the span closes after recovery instead of hanging forever"
     );
+    assert_banks_recount(&net);
 }

@@ -116,16 +116,11 @@ pub fn voucher_backing<'a>(
     for (held_on_a, holder, channel, backer, backer_channel) in
         [(false, b, b_channel, a, a_channel), (true, a, a_channel, b, b_channel)]
     {
-        let mut minted: BTreeMap<&str, (&str, u128)> = BTreeMap::new();
-        for ((_, denom), amount) in &holder.balances {
-            if let Some(inner) = split_voucher(denom, port, channel) {
-                minted.entry(denom).or_insert((inner, 0)).1 += amount;
-            }
-        }
         let escrow = escrow_account(backer_channel);
-        rows.extend(minted.into_iter().map(|(voucher, (inner, minted))| {
+        rows.extend(holder.denoms.iter().filter_map(|(voucher, ledger)| {
+            let inner = split_voucher(voucher, port, channel)?;
             let escrowed = backer.balance(&escrow, inner);
-            VoucherBacking { held_on_a, voucher, inner, minted, escrowed }
+            Some(VoucherBacking { held_on_a, voucher, inner, minted: ledger.total, escrowed })
         }));
     }
     rows
@@ -172,7 +167,15 @@ pub fn base_denom(denom: &str) -> (&str, usize) {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TransferModule {
-    balances: HashMap<(String, String), u128>,
+    denoms: BTreeMap<String, DenomLedger>,
+}
+
+/// One denomination's books. `total == Σ accounts` always: [`TransferModule::mint`]
+/// and [`TransferModule::burn`] are the only functions that move either.
+#[derive(Clone, Debug, Default)]
+struct DenomLedger {
+    total: u128,
+    accounts: HashMap<String, u128>,
 }
 
 impl TransferModule {
@@ -183,22 +186,39 @@ impl TransferModule {
 
     /// Credits `amount` of `denom` to `account` (genesis/faucet/mint).
     pub fn mint(&mut self, account: &str, denom: &str, amount: u128) {
-        *self.balances.entry((account.to_string(), denom.to_string())).or_default() += amount;
+        if !self.denoms.contains_key(denom) {
+            self.denoms.insert(denom.to_string(), DenomLedger::default());
+        }
+        let ledger = self.denoms.get_mut(denom).expect("registered above");
+        ledger.total += amount;
+        if let Some(balance) = ledger.accounts.get_mut(account) {
+            *balance += amount;
+        } else {
+            ledger.accounts.insert(account.to_string(), amount);
+        }
     }
 
     /// Burns `amount` of `denom` from `account`.
     ///
     /// # Errors
     ///
-    /// [`IbcError::AppError`] when the balance is insufficient.
+    /// [`IbcError::AppError`] when the balance is insufficient; the ledger
+    /// is then exactly as it was (an unknown denom is not registered).
     pub fn burn(&mut self, account: &str, denom: &str, amount: u128) -> Result<(), IbcError> {
-        let balance = self.balances.entry((account.to_string(), denom.to_string())).or_default();
-        if *balance < amount {
+        let held = self
+            .denoms
+            .get_mut(denom)
+            .and_then(|ledger| Some((ledger.accounts.get_mut(account)?, &mut ledger.total)));
+        let balance = held.as_ref().map_or(0, |(balance, _)| **balance);
+        if balance < amount {
             return Err(IbcError::AppError(format!(
                 "insufficient {denom} balance: {balance} < {amount}"
             )));
         }
-        *balance -= amount;
+        if let Some((balance, total)) = held {
+            *balance -= amount;
+            *total -= amount;
+        }
         Ok(())
     }
 
@@ -221,14 +241,14 @@ impl TransferModule {
 
     /// Balance of `account` in `denom`.
     pub fn balance(&self, account: &str, denom: &str) -> u128 {
-        self.balances.get(&(account.to_string(), denom.to_string())).copied().unwrap_or(0)
+        self.denoms.get(denom).and_then(|ledger| ledger.accounts.get(account)).copied().unwrap_or(0)
     }
 
     /// Total amount of `denom` across every ledger account (escrows
     /// included) — the supply an invariant checker audits against the
     /// remote escrow backing it.
     pub fn total_supply(&self, denom: &str) -> u128 {
-        self.balances.iter().filter(|((_, d), _)| d == denom).map(|(_, amount)| *amount).sum()
+        self.denoms.get(denom).map_or(0, |ledger| ledger.total)
     }
 
     /// The book-keeping run when this chain *sends* `data` over
@@ -324,13 +344,18 @@ impl TransferModule {
         }
     }
 
-    /// Every denomination the ledger has ever held a balance in, sorted —
-    /// deterministic iteration for supply audits over the internal map.
+    /// Every denomination ever minted here (a mint of zero counts), sorted.
+    /// A denom stays listed after its supply returns to zero; a burn never
+    /// adds one, so a denom only a rejected burn has named is not listed.
     pub fn denoms(&self) -> Vec<String> {
-        let mut denoms: Vec<String> = self.balances.keys().map(|(_, d)| d.clone()).collect();
-        denoms.sort();
-        denoms.dedup();
-        denoms
+        self.denoms.keys().cloned().collect()
+    }
+
+    /// Every account that has been credited `denom`, with its balance, in
+    /// no particular order — what a recount of [`Self::total_supply`] walks.
+    pub fn holders<'a>(&'a self, denom: &str) -> impl Iterator<Item = (&'a str, u128)> {
+        let accounts = self.denoms.get(denom).map(|ledger| &ledger.accounts);
+        accounts.into_iter().flatten().map(|(account, amount)| (account.as_str(), *amount))
     }
 }
 
@@ -551,6 +576,21 @@ mod tests {
         module.mint("a", "x", 5);
         assert!(module.burn("a", "x", 6).is_err());
         assert_eq!(module.balance("a", "x"), 5);
+        assert_eq!(module.total_supply("x"), 5);
+    }
+
+    #[test]
+    fn rejected_burn_leaves_the_ledger_untouched() {
+        // Regression: the funds check used to run after a zero entry had
+        // been inserted, so a relayed packet naming an unknown denom grew
+        // the ledger and registered the denom.
+        let mut module = TransferModule::new();
+        module.mint("a", "x", 5);
+        assert!(module.burn("a", "unknown", 1).is_err());
+        assert!(module.burn("stranger", "x", 1).is_err());
+        assert_eq!(module.denoms(), ["x"]);
+        assert_eq!(module.holders("x").collect::<Vec<_>>(), [("a", 5)]);
+        assert_eq!(module.holders("unknown").count(), 0);
     }
 
     #[test]

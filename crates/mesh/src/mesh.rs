@@ -299,6 +299,54 @@ pub struct Mesh {
     relay_errors: u64,
     /// Online health monitor (installed by [`Mesh::enable_monitor`]).
     monitor: Option<Monitor>,
+    health_gauges: HealthGaugeNames,
+}
+
+/// Names of the gauges [`Mesh::publish_health_gauges`] sets on every
+/// step, formatted once in [`Mesh::build`].
+struct HealthGaugeNames {
+    /// `mesh.{chain}.head`, one per node.
+    heads: Vec<String>,
+    apps: Vec<AppGaugeNames>,
+}
+
+/// One app port's `mesh.apps.{label}.*` gauge names.
+struct AppGaugeNames {
+    port: PortId,
+    received: String,
+    recv_errors: String,
+    acked: String,
+    timed_out: String,
+    /// `layer.{slot}.{name}.dispatches`, outermost layer first; every
+    /// chain binds the same stack, so the first chain's names serve all.
+    layers: Vec<String>,
+}
+
+impl HealthGaugeNames {
+    fn new(nodes: &[Node], transfer_port: &PortId) -> Self {
+        let apps = [("transfer", transfer_port.clone()), ("nft", nft_port()), ("ica", ica_port())]
+            .into_iter()
+            .map(|(label, port)| AppGaugeNames {
+                received: format!("mesh.apps.{label}.received"),
+                recv_errors: format!("mesh.apps.{label}.recv_errors"),
+                acked: format!("mesh.apps.{label}.acked"),
+                timed_out: format!("mesh.apps.{label}.timed_out"),
+                layers: nodes.first().map_or_else(Vec::new, |node| {
+                    stack(&node.chain, &port)
+                        .layer_names()
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, name)| {
+                            format!("mesh.apps.{label}.layer.{slot}.{name}.dispatches")
+                        })
+                        .collect()
+                }),
+                port,
+            })
+            .collect();
+        let heads = nodes.iter().map(|node| format!("mesh.{}.head", node.name)).collect();
+        Self { heads, apps }
+    }
 }
 
 impl Mesh {
@@ -433,6 +481,7 @@ impl Mesh {
 
         let pending_forward = vec![Vec::new(); nodes.len()];
         let chaos = ChaosController::new(config.chaos.clone());
+        let health_gauges = HealthGaugeNames::new(&nodes, &port);
         Ok(Self {
             config,
             port,
@@ -450,6 +499,7 @@ impl Mesh {
             stuck_refunds: 0,
             relay_errors: 0,
             monitor: None,
+            health_gauges,
         })
     }
 
@@ -937,64 +987,36 @@ impl Mesh {
         if !self.telemetry.is_recording() {
             return;
         }
-        for node in &self.nodes {
-            self.telemetry.gauge_set_at(
-                now,
-                &format!("mesh.{}.head", node.name),
-                node.chain.height() as f64,
-            );
+        for (node, head) in self.nodes.iter().zip(&self.health_gauges.heads) {
+            self.telemetry.gauge_set_at(now, head, node.chain.height() as f64);
         }
         self.telemetry.gauge_set_at(now, "mesh.supply.drift", self.supply_drift() as f64);
         self.telemetry.gauge_set_at(now, "mesh.fees.imbalance", self.fee_imbalance() as f64);
-        for (label, port) in
-            [("transfer", self.port.clone()), ("nft", nft_port()), ("ica", ica_port())]
-        {
+        for app in &self.health_gauges.apps {
             let mut received = 0u64;
             let mut recv_errors = 0u64;
             let mut acked = 0u64;
             let mut timed_out = 0u64;
+            // Per-middleware-layer dispatch depth, summed mesh-wide: a
+            // short-circuiting layer shows as a falloff between slots.
+            let mut dispatches = vec![0u64; app.layers.len()];
             for node in &self.nodes {
-                let counters = stack(&node.chain, &port).counters();
+                let stack = stack(&node.chain, &app.port);
+                let counters = stack.counters();
                 received += counters.received;
                 recv_errors += counters.recv_errors;
                 acked += counters.acked;
                 timed_out += counters.timed_out;
-            }
-            self.telemetry.gauge_set_at(
-                now,
-                &format!("mesh.apps.{label}.received"),
-                received as f64,
-            );
-            self.telemetry.gauge_set_at(
-                now,
-                &format!("mesh.apps.{label}.recv_errors"),
-                recv_errors as f64,
-            );
-            self.telemetry.gauge_set_at(now, &format!("mesh.apps.{label}.acked"), acked as f64);
-            self.telemetry.gauge_set_at(
-                now,
-                &format!("mesh.apps.{label}.timed_out"),
-                timed_out as f64,
-            );
-            // Per-middleware-layer dispatch depth, summed mesh-wide: a
-            // short-circuiting layer shows as a falloff between slots.
-            let mut layer_totals: Vec<(&'static str, u64)> = Vec::new();
-            for node in &self.nodes {
-                for (slot, (name, count)) in
-                    stack(&node.chain, &port).layer_dispatches().into_iter().enumerate()
-                {
-                    match layer_totals.get_mut(slot) {
-                        Some(entry) => entry.1 += count,
-                        None => layer_totals.push((name, count)),
-                    }
+                for (total, count) in dispatches.iter_mut().zip(stack.dispatch_counts()) {
+                    *total += count;
                 }
             }
-            for (slot, (name, count)) in layer_totals.into_iter().enumerate() {
-                self.telemetry.gauge_set_at(
-                    now,
-                    &format!("mesh.apps.{label}.layer.{slot}.{name}.dispatches"),
-                    count as f64,
-                );
+            self.telemetry.gauge_set_at(now, &app.received, received as f64);
+            self.telemetry.gauge_set_at(now, &app.recv_errors, recv_errors as f64);
+            self.telemetry.gauge_set_at(now, &app.acked, acked as f64);
+            self.telemetry.gauge_set_at(now, &app.timed_out, timed_out as f64);
+            for (layer, count) in app.layers.iter().zip(dispatches) {
+                self.telemetry.gauge_set_at(now, layer, count as f64);
             }
         }
     }

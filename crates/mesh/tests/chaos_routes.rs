@@ -18,6 +18,18 @@ fn faulted_line(seed: u64, fault: Fault, until_ms: u64) -> Mesh {
     Mesh::build(config).unwrap()
 }
 
+/// The differential check on the banks' per-denom running totals: every
+/// scenario ends by recounting every chain's bank account by account.
+fn assert_banks_recount(net: &Mesh) {
+    for node in net.nodes() {
+        let bank = node.transfers();
+        for denom in bank.denoms() {
+            let recount: u128 = bank.holders(&denom).map(|(_, amount)| amount).sum();
+            assert_eq!(recount, bank.total_supply(&denom), "{denom} on {}", node.name);
+        }
+    }
+}
+
 /// Asserts the transfer unwound completely: sender made whole, no
 /// vouchers left anywhere, no leg still awaiting settlement.
 fn assert_unwound(net: &Mesh, route: usize) {
@@ -30,6 +42,7 @@ fn assert_unwound(net: &Mesh, route: usize) {
     }
     assert_eq!(net.total_in_flight(), 0, "no leg may stay in flight");
     assert_eq!(net.stuck_refunds(), 0);
+    assert_banks_recount(net);
 }
 
 #[test]
@@ -125,6 +138,7 @@ fn transient_halt_shorter_than_the_timeout_only_delays_delivery() {
     assert!(!net.routes()[route].refunded);
     assert_eq!(net.balance("chain-a", "alice", "tok-a"), 700);
     assert_eq!(net.total_in_flight(), 0);
+    assert_banks_recount(&net);
 }
 
 #[test]
@@ -156,4 +170,5 @@ fn refund_report_marks_the_route_refunded_not_delivered() {
         "the forward leg and the refund leg must both link to the route trace"
     );
     assert!(summary.events.iter().any(|e| e.name == "packet.timeout"));
+    assert_banks_recount(&net);
 }
