@@ -23,7 +23,8 @@
 use apps::PacketFee;
 use mesh::{ica_port, nft_port, Mesh, MeshConfig, TrafficOutcome};
 use monitor::MonitorConfig;
-use testnet::{Artifact, OutputOptions};
+use telemetry::Flags;
+use testnet::Artifact;
 use workload::{AppMix, TrafficConfig};
 
 const HOUR_MS: u64 = 60 * 60 * 1_000;
@@ -60,33 +61,11 @@ fn app_counters(net: &Mesh, port: &ibc_core::types::PortId) -> apps::StackCounte
 }
 
 fn main() {
-    let mut users = 96u32;
-    let mut hours = 2u64;
-    let mut seed = 2026u64;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--users" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    users = v;
-                }
-            }
-            "--hours" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    hours = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    let hours = hours.clamp(2, 24);
+    let mut flags = Flags::from_env();
+    let users = flags.value("--users", 96u32);
+    let hours = flags.value("--hours", 2u64).clamp(2, 24);
+    let seed = flags.value("--seed", 2026u64);
+    let output = flags.output();
 
     let mut artifact = Artifact::new(
         format!(

@@ -8,9 +8,10 @@
 //!
 //! Usage: `cargo run --release -p bench --bin chaos_sweep -- [--minutes N] [--seed N] [--quiet] [--json <path>]`
 
+use telemetry::Flags;
 use testnet::{
-    quantile, report_of, Artifact, ChaosPlan, Fault, InvariantViolation, OutputOptions, Section,
-    Testnet, TestnetConfig,
+    quantile, report_of, Artifact, ChaosPlan, Fault, InvariantViolation, Section, Testnet,
+    TestnetConfig,
 };
 
 const MINUTE_MS: u64 = 60 * 1_000;
@@ -116,26 +117,10 @@ fn run_row(section: &mut Section, name: &str, seed: u64, duration_ms: u64, plan:
 }
 
 fn main() {
-    let mut minutes = 10u64;
-    let mut seed = 7u64;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--minutes" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    minutes = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
+    let mut flags = Flags::from_env();
+    let minutes = flags.value("--minutes", 10u64);
+    let seed = flags.value("--seed", 7u64);
+    let output = flags.output();
     let duration_ms = minutes * MINUTE_MS;
 
     let mut artifact = Artifact::new(

@@ -42,6 +42,7 @@ fn main() {
             bundle.len() as f64 / total as f64 * 100.0,
         ))
         .value("bundle_count", bundle.len() as f64)
+        .value("bundle_fraction", bundle.len() as f64 / total as f64)
         .value("bundle_mean_usd", bundle_mean);
     section
         .line(format!(

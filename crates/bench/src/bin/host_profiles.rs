@@ -16,7 +16,8 @@ use ibc_core::channel::{Packet, Timeout};
 use ibc_core::types::{ChannelId, ClientId, PortId};
 use relayer::chunking::{plan_op_for, sig_checks_per_tx_for, transaction_count_for};
 use sealable_trie::Trie;
-use testnet::{Artifact, OutputOptions};
+use telemetry::Flags;
+use testnet::Artifact;
 
 fn typical_update_op(signatures: usize) -> (GuestOp, usize) {
     // A counterparty commit: ~88 bytes of header + ~88 bytes per signature
@@ -55,8 +56,7 @@ fn typical_recv_op() -> GuestOp {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
+    let output = Flags::from_env().output();
     let profiles = [HostProfile::SOLANA, HostProfile::NEAR_LIKE, HostProfile::TRON_LIKE];
 
     let mut artifact =

@@ -24,8 +24,8 @@
 //!   [--users N] [--hours N] [--seed N] [--quiet] [--json <path>]`
 
 use mesh::{Mesh, MeshConfig, TrafficOutcome};
-use telemetry::{AttributionReport, CausalGraph, RunReport};
-use testnet::{Artifact, OutputOptions, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::{AttributionReport, CausalGraph, Flags, RunReport};
+use testnet::{Artifact, Testnet, TestnetConfig, HOUR_MS};
 use workload::{AppMix, TrafficConfig};
 
 /// One attributed run: the source report plus everything derived from it.
@@ -83,33 +83,11 @@ fn mesh_run(users: u32, hours: u64, seed: u64) -> (AttributedRun, TrafficOutcome
 }
 
 fn main() {
-    let mut users = 400u32;
-    let mut hours = 2u64;
-    let mut seed = 2026u64;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--users" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    users = v;
-                }
-            }
-            "--hours" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    hours = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    let hours = hours.clamp(1, 24);
+    let mut flags = Flags::from_env();
+    let users = flags.value("--users", 400u32);
+    let hours = flags.value("--hours", 2u64).clamp(1, 24);
+    let seed = flags.value("--seed", 2026u64);
+    let output = flags.output();
 
     let mut artifact = Artifact::new(
         format!(

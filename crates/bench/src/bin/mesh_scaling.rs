@@ -18,7 +18,8 @@
 
 use mesh::{chain_denom, chain_name, Mesh, MeshConfig, PathPolicy};
 use relayer::LinkFee;
-use testnet::{Artifact, OutputOptions, Section};
+use telemetry::Flags;
+use testnet::{Artifact, Section};
 
 const HOUR_MS: u64 = 60 * 60 * 1_000;
 /// Generous per-route settle budget; healthy routes settle in minutes.
@@ -157,44 +158,13 @@ fn round_trip(section: &mut Section, seed: u64) -> Mesh {
 }
 
 fn main() {
-    let mut chains = 3usize;
-    let mut hops = 2usize;
-    let mut days = 1u64;
-    let mut seed = 2026u64;
-    let mut run_report_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--chains" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    chains = v;
-                }
-            }
-            "--hops" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    hops = v;
-                }
-            }
-            "--days" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    days = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--run-report" => {
-                run_report_path = iter.next().cloned();
-            }
-            _ => {}
-        }
-    }
-    let chains = chains.clamp(2, 8);
-    let hops = hops.clamp(1, 3);
+    let mut flags = Flags::from_env();
+    let chains = flags.value("--chains", 3usize).clamp(2, 8);
+    let hops = flags.value("--hops", 2usize).clamp(1, 3);
+    let days = flags.value("--days", 1u64);
+    let seed = flags.value("--seed", 2026u64);
+    let run_report_path: Option<String> = flags.optional("--run-report");
+    let output = flags.output();
     let routes_per_run = (days * 24 / 4).max(2) as usize; // one per 4 sim hours
 
     let mut artifact = Artifact::new(

@@ -19,9 +19,10 @@
 //! Usage: `cargo run --release -p bench --bin monitor_eval -- [--minutes N] [--days N] [--seed N] [--skip-paper] [--quiet] [--json <path>]`
 
 use mesh::{Mesh, MeshConfig, PathPolicy};
+use telemetry::Flags;
 use testnet::{
-    score, Artifact, ChaosPlan, EvalReport, Fault, KindScore, MonitorConfig, OutputOptions,
-    Section, Testnet, TestnetConfig, DAY_MS,
+    score, Artifact, ChaosPlan, EvalReport, Fault, KindScore, MonitorConfig, Section, Testnet,
+    TestnetConfig, DAY_MS,
 };
 
 const MINUTE_MS: u64 = 60 * 1_000;
@@ -311,37 +312,13 @@ fn paper_outage(section: &mut Section, days: u64) {
 }
 
 fn main() {
-    let mut minutes = 45u64;
-    let mut days = 12u64;
-    let mut seed = 7u64;
-    let mut skip_paper = false;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--minutes" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    minutes = v;
-                }
-            }
-            "--days" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    days = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--skip-paper" => skip_paper = true,
-            _ => {}
-        }
-    }
-    let minutes = minutes.clamp(30, 240);
+    let mut flags = Flags::from_env();
+    let minutes = flags.value("--minutes", 45u64).clamp(30, 240);
     // The day-11 outage must fit inside the replay.
-    let days = days.clamp(12, 30);
+    let days = flags.value("--days", 12u64).clamp(12, 30);
+    let seed = flags.value("--seed", 7u64);
+    let skip_paper = flags.switch("--skip-paper");
+    let output = flags.output();
     let duration_ms = minutes * MINUTE_MS;
 
     let mut artifact = Artifact::new(

@@ -18,7 +18,8 @@
 use std::time::Instant;
 
 use profiler::ProfileReport;
-use testnet::{Artifact, OutputOptions, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::Flags;
+use testnet::{Artifact, Testnet, TestnetConfig, HOUR_MS};
 use workload::TrafficConfig;
 
 /// One airdrop-storm run; profiling switchable so the determinism audit
@@ -41,40 +42,13 @@ fn wall_of_named(report: &ProfileReport, name: &str) -> f64 {
 }
 
 fn main() {
-    let mut users = 1_000u32;
-    let mut gap_ms = 30_000u64;
-    let mut hours = 2u64;
-    let mut seed = 2026u64;
-    let mut profile_json: Option<String> = None;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--users" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    users = v;
-                }
-            }
-            "--gap-ms" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    gap_ms = v;
-                }
-            }
-            "--hours" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    hours = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--profile-json" => profile_json = iter.next().cloned(),
-            _ => {}
-        }
-    }
+    let mut flags = Flags::from_env();
+    let users = flags.value("--users", 1_000u32);
+    let gap_ms = flags.value("--gap-ms", 30_000u64);
+    let hours = flags.value("--hours", 2u64);
+    let seed = flags.value("--seed", 2026u64);
+    let profile_json: Option<String> = flags.optional("--profile-json");
+    let output = flags.output();
     let sim_ms = hours.clamp(1, 24 * 28) * HOUR_MS;
 
     let mut artifact = Artifact::new(
@@ -98,10 +72,9 @@ fn main() {
     // Coverage: how much of the whole driver loop the `step` scope saw
     // (the remainder is `run_heavy_for` bookkeeping between steps).
     let covered_pct = if wall_ms > 0.0 { report.total_ms / wall_ms * 100.0 } else { 0.0 };
-    let top_subsystem = report
-        .entries
+    let subsystems: Vec<_> = report.entries.iter().filter(|e| e.depth == 1).collect();
+    let top_subsystem = subsystems
         .iter()
-        .filter(|e| e.depth == 1)
         .max_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
         .map(|e| (e.name.clone(), e.wall_ms));
     let telemetry_self_ms = wall_of_named(&report, "telemetry.record");
@@ -127,6 +100,8 @@ fn main() {
             "telemetry self-cost: {telemetry_self_ms:.1} ms recording \
              ({telemetry_self_pct:.2}% of step time)"
         ))
+        .value("step_profiled", f64::from(u8::from(step.is_some())))
+        .value("subsystems", subsystems.len() as f64)
         .value("steps", step_calls as f64)
         .value("wall_ms", wall_ms)
         .value("profiled_wall_ms", report.total_ms)

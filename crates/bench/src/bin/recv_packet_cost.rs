@@ -50,10 +50,9 @@ fn main() {
         ))
         .value("cost_05_fraction", cost_05 as f64 / total as f64);
     if other > 0 {
-        section
-            .line(format!("other:  {:>5.1} %", other as f64 / total as f64 * 100.0))
-            .value("cost_other_fraction", other as f64 / total as f64);
+        section.line(format!("other:  {:>5.1} %", other as f64 / total as f64 * 100.0));
     }
+    section.value("cost_other_fraction", other as f64 / total as f64);
 
     artifact.emit(options.output.quiet, options.output.json.as_deref());
 }

@@ -22,7 +22,8 @@
 
 use std::time::Instant;
 
-use testnet::{Artifact, OutputOptions, TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::Flags;
+use testnet::{Artifact, TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
 use workload::TrafficConfig;
 
 /// One timed storm run in the given telemetry mode.
@@ -50,52 +51,15 @@ fn fingerprint(net: &Testnet) -> String {
 }
 
 fn main() {
-    let mut users = 1_000u32;
-    let mut gap_ms = 30_000u64;
-    let mut hours = 2u64;
-    let mut seed = 2026u64;
-    let mut keep_one_in = 8u64;
-    let mut reps = 3u32;
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--users" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    users = v;
-                }
-            }
-            "--gap-ms" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    gap_ms = v;
-                }
-            }
-            "--hours" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    hours = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--keep" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    keep_one_in = v;
-                }
-            }
-            "--reps" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    reps = v;
-                }
-            }
-            _ => {}
-        }
-    }
+    let mut flags = Flags::from_env();
+    let users = flags.value("--users", 1_000u32);
+    let gap_ms = flags.value("--gap-ms", 30_000u64);
+    let hours = flags.value("--hours", 2u64);
+    let seed = flags.value("--seed", 2026u64);
+    let keep_one_in = flags.value("--keep", 8u64);
+    let reps = flags.value("--reps", 3u32).max(1);
+    let output = flags.output();
     let sim_ms = hours.clamp(1, 24 * 28) * HOUR_MS;
-    let reps = reps.max(1);
     let modes = [
         ("disabled", TelemetryMode::Disabled),
         ("sampled", TelemetryMode::Sampled { keep_one_in }),

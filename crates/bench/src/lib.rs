@@ -10,8 +10,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
+
 use std::path::PathBuf;
 
+use telemetry::Flags;
 use testnet::{evaluate, EvaluationReport, OutputOptions, Section, Summary, TestnetConfig, DAY_MS};
 
 /// Command-line options shared by the experiment binaries.
@@ -29,33 +32,15 @@ pub struct RunOptions {
 
 impl RunOptions {
     /// Parses `--days N`, `--seed N`, `--fresh`, `--quiet` and
-    /// `--json <path>` from `std::env::args`.
+    /// `--json <path>` from `std::env::args`; anything else exits 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut options = Self {
-            days: 28,
-            seed: 20240901,
-            fresh: false,
-            output: OutputOptions::from_args(&args),
-        };
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--days" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        options.days = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        options.seed = v;
-                    }
-                }
-                "--fresh" => options.fresh = true,
-                _ => {}
-            }
+        let mut flags = Flags::from_env();
+        Self {
+            days: flags.value("--days", 28),
+            seed: flags.value("--seed", 20240901),
+            fresh: flags.switch("--fresh"),
+            output: flags.output(),
         }
-        options
     }
 }
 

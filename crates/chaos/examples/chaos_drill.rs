@@ -6,13 +6,13 @@
 //! status 1 if the counterfeit mint goes undetected.
 
 use chaos::{ChaosPlan, Fault};
-use testnet::{report_of, Artifact, OutputOptions, Testnet, TestnetConfig};
+use telemetry::Flags;
+use testnet::{report_of, Artifact, Testnet, TestnetConfig};
 
 const MINUTE_MS: u64 = 60 * 1_000;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let output = OutputOptions::from_args(&args);
+    let output = Flags::from_env().output();
     let duration = 12 * MINUTE_MS;
     // The storyline: a congestion storm in minutes 2–4, a crashed
     // validator in minutes 5–7, flaky chunk delivery in minutes 7–9, and a

@@ -7,6 +7,7 @@
 //! values — and both renderings come from it.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
@@ -115,6 +116,98 @@ impl Artifact {
     }
 }
 
+/// Strict command-line flags, the one place in the workspace that reads
+/// `--flag value` pairs. A program takes each flag it knows out of the
+/// argument list by name and then calls [`Flags::finish`]: a value that
+/// does not parse, a flag with no value after it, or anything left over
+/// (a misspelt `--huors`) exits 2 with a usage line built from the flags
+/// the program asked for, instead of silently running the default scenario.
+#[derive(Clone, Debug)]
+pub struct Flags {
+    args: Vec<String>,
+    usage: Vec<String>,
+    error: Option<String>,
+}
+
+impl Flags {
+    /// The process's own arguments.
+    pub fn from_env() -> Self {
+        Self::new(std::env::args())
+    }
+
+    /// An explicit argument list; the program name comes first and opens
+    /// the usage line.
+    pub fn new(mut args: impl Iterator<Item = String>) -> Self {
+        let program = args.next().unwrap_or_default();
+        let name = program.rsplit(['/', '\\']).next().unwrap_or_default().to_string();
+        Self { args: args.collect(), usage: vec![name], error: None }
+    }
+
+    /// Takes the switch `name`; true when it was given.
+    pub fn switch(&mut self, name: &str) -> bool {
+        self.usage.push(format!("[{name}]"));
+        let at = self.args.iter().position(|a| a == name);
+        at.map(|i| self.args.remove(i)).is_some()
+    }
+
+    /// Takes `name <value>`; `None` when the flag is absent.
+    pub fn optional<T: FromStr>(&mut self, name: &str) -> Option<T> {
+        self.usage.push(format!("[{name} <value>]"));
+        let at = self.args.iter().position(|a| a == name)?;
+        self.args.remove(at);
+        if self.args.get(at).is_none_or(|v| v.starts_with("--")) {
+            self.error.get_or_insert(format!("{name} needs a value"));
+            return None;
+        }
+        self.parse(name, at)
+    }
+
+    /// Takes `name <value>`, or `default` when the flag is absent.
+    pub fn value<T: FromStr>(&mut self, name: &str, default: T) -> T {
+        self.optional(name).unwrap_or(default)
+    }
+
+    /// Takes the first bare (non-`--`) argument, or `default` when there is
+    /// none. Call it after every valued flag has been taken, so that what
+    /// is left bare is not some flag's value.
+    pub fn positional<T: FromStr>(&mut self, label: &str, default: T) -> T {
+        self.usage.push(format!("[{label}]"));
+        let at = self.args.iter().position(|a| !a.starts_with("--"));
+        at.and_then(|i| self.parse(label, i)).unwrap_or(default)
+    }
+
+    fn parse<T: FromStr>(&mut self, name: &str, at: usize) -> Option<T> {
+        let raw = self.args.remove(at);
+        let parsed = raw.parse().ok();
+        if parsed.is_none() {
+            self.error.get_or_insert(format!("{name}: cannot parse {raw:?}"));
+        }
+        parsed
+    }
+
+    /// The first parse failure, else the first argument nobody took.
+    pub fn error(&self) -> Option<String> {
+        let stray = || self.args.first().map(|arg| format!("unknown argument {arg:?}"));
+        self.error.clone().or_else(stray)
+    }
+
+    /// Exits 2 with [`Flags::error`] and the usage line, if there is one.
+    pub fn finish(self) {
+        if let Some(error) = self.error() {
+            eprintln!("error: {error}\nusage: {}", self.usage.join(" "));
+            std::process::exit(2);
+        }
+    }
+
+    /// Takes `--quiet` and `--json <path>`, the last flags of every
+    /// artifact-emitting binary, then finishes as [`Flags::finish`] does.
+    pub fn output(mut self) -> OutputOptions {
+        let output = OutputOptions { quiet: self.switch("--quiet"), json: self.optional("--json") };
+        self.finish();
+        output
+    }
+}
+
 /// Common CLI switches shared by every artifact-emitting binary:
 /// `--quiet` suppresses the text rendering and `--json <path>` writes the
 /// JSON artifact.
@@ -126,18 +219,35 @@ pub struct OutputOptions {
     pub json: Option<String>,
 }
 
-impl OutputOptions {
-    /// Parses `--quiet` and `--json <path>` out of an argument list.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut options = Self::default();
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--quiet" => options.quiet = true,
-                "--json" => options.json = iter.next().cloned(),
-                _ => {}
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::new(["target/release/prog"].iter().chain(args).map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_in_any_order_and_a_bad_one_is_an_error_not_a_default() {
+        let mut f = flags(&["--json", "out.json", "--hours", "5", "--quiet"]);
+        assert_eq!((f.value("--hours", 2u64), f.value("--seed", 2026u64)), (5, 2026));
+        assert_eq!(f.usage.join(" "), "prog [--hours <value>] [--seed <value>]");
+        assert_eq!(f.error().as_deref(), Some("unknown argument \"--json\""));
+        let output = f.output();
+        assert!(output.quiet && output.json.as_deref() == Some("out.json"));
+        assert_eq!(flags(&["3"]).positional("DAYS", 1u64), 3);
+
+        for (args, error) in [
+            (&["--hours", "abc"][..], "--hours: cannot parse \"abc\""),
+            (&["--hours"], "--hours needs a value"),
+            (&["--hours", "--quiet"], "--hours needs a value"),
+            (&["--huors", "2"], "unknown argument \"--huors\""),
+            (&["--hours", "2", "--hours", "3"], "unknown argument \"--hours\""),
+        ] {
+            let mut f = flags(args);
+            f.value("--hours", 2u64);
+            f.switch("--quiet");
+            assert_eq!(f.error().as_deref(), Some(error), "{args:?}");
         }
-        options
     }
 }

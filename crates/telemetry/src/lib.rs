@@ -57,7 +57,7 @@ mod metrics;
 mod postmortem;
 mod report;
 
-pub use artifact::{Artifact, OutputOptions, Section};
+pub use artifact::{Artifact, Flags, OutputOptions, Section};
 pub use attribution::{AttributionReport, GroupStat, StageStat};
 pub use graph::{stages, CausalEdge, CausalGraph, CausalNode};
 pub use ids::{SpanId, TraceId};

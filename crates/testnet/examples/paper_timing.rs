@@ -10,12 +10,13 @@
 //! `--run-report <path>` additionally writes the telemetry
 //! [`testnet::RunReport`] of the run as JSON (ci.sh gates on it).
 
+use telemetry::Flags;
 use testnet::{report_of, Testnet, TestnetConfig, DAY_MS};
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let days: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2);
-    let run_report_path =
-        args.iter().position(|a| a == "--run-report").and_then(|i| args.get(i + 1)).cloned();
+    let mut flags = Flags::from_env();
+    let run_report_path: Option<String> = flags.optional("--run-report");
+    let days: u64 = flags.positional("DAYS", 2);
+    flags.finish();
     let start = std::time::Instant::now();
     let mut net = Testnet::build(TestnetConfig::paper());
     net.run_for(days * DAY_MS);

@@ -50,7 +50,7 @@ use be_my_guest::mesh::{ica_port, nft_port, Mesh, MeshConfig, PathPolicy};
 use be_my_guest::profiler::ProfileReport;
 use be_my_guest::telemetry::{
     render_packet_trace_with_alerts, render_route_trace_with_alerts, AttributionReport,
-    CausalGraph, PostmortemBundle, POSTMORTEM_TAIL,
+    CausalGraph, Flags, PostmortemBundle, POSTMORTEM_TAIL,
 };
 use be_my_guest::testnet::{ChaosPlan, Fault, TelemetryMode, Testnet, TestnetConfig};
 
@@ -58,43 +58,17 @@ const HOUR_MS: u64 = 60 * 60 * 1_000;
 const DAY_MS: u64 = 24 * HOUR_MS;
 
 fn main() {
-    let mut seed = 2026u64;
-    let mut days = 1u64;
-    let mut with_alerts = false;
-    let mut busiest = 0usize;
-    let mut sample: Option<u64> = None;
-    let mut with_apps = false;
-    let mut with_attribution = false;
-    let mut with_postmortem = false;
-    let mut profile_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--profile" => profile_path = iter.next().cloned(),
-            "--seed" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            "--days" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    days = v;
-                }
-            }
-            "--alerts" => with_alerts = true,
-            "--busiest" => {
-                if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                    busiest = v;
-                }
-            }
-            "--sample" => sample = iter.next().and_then(|v| v.parse().ok()),
-            "--apps" => with_apps = true,
-            "--attribution" => with_attribution = true,
-            "--postmortem" => with_postmortem = true,
-            _ => {}
-        }
-    }
+    let mut flags = Flags::from_env();
+    let seed = flags.value("--seed", 2026u64);
+    let days = flags.value("--days", 1u64);
+    let with_alerts = flags.switch("--alerts");
+    let busiest = flags.value("--busiest", 0usize);
+    let sample: Option<u64> = flags.optional("--sample");
+    let with_apps = flags.switch("--apps");
+    let with_attribution = flags.switch("--attribution");
+    let with_postmortem = flags.switch("--postmortem");
+    let profile_path: Option<String> = flags.optional("--profile");
+    flags.finish();
     let days = days.clamp(1, 30);
 
     // Profile mode: instead of running a deployment, explain where the
