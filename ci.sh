@@ -16,6 +16,15 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# outside_tests REGEX DIR...: the lines of the .rs files under DIRs that match the awk REGEX, each
+# file read only up to its first column-0 #[cfg(test)].
+outside_tests() {
+    RE=$1 find "${@:2}" -name '*.rs' -exec awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && $0 ~ ENVIRON["RE"] { print FILENAME ":" FNR ":" $0 }' {} +
+}
+
 echo "==> one home for the ICS-04 relay rule"
 # Which path proves a recv/ack/timeout lives in relayer::msg (and ibc-core's own handlers).
 if grep -rnE 'packet_(commitment|ack|receipt)\(' crates/*/src --include='*.rs' |
@@ -37,11 +46,7 @@ echo "==> one home for proof-at-height history"
 # the trie. A tripwire for the spellings the old code used, not a type check: it matches only
 # `store().clone()`, `store_mut().clone()` and `trie.clone()` (not `to_owned()`, `Trie::clone(&t)` or
 # a trie bound to another name), and scans each file only up to its first column-0 #[cfg(test)].
-if find crates/*/src -name '*.rs' -exec awk '
-    FNR == 1 { in_tests = 0 }
-    /^#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests && /(store(_mut)?\(\)|trie)\.clone\(\)/ { print FILENAME ":" FNR ":" $0 }' {} + |
-    grep .; then
+if outside_tests '(store(_mut)?\(\)|trie)\.clone\(\)' crates/*/src | grep .; then
     echo "a whole trie or store cloned outside tests; checkpoint it instead" >&2
     exit 1
 fi
@@ -57,6 +62,16 @@ echo "==> one codec path"
 if grep -nE '(to|from)_value\(|Value::(Array|Object)' vendor/serde_json/src/*.rs |
     grep -vE 'pub fn (to|from)_value|serde::(to|from)_value\(value\)\.map_err'; then
     echo "vendor/serde_json/src builds or walks a Value tree; stream through write.rs/read.rs" >&2
+    exit 1
+fi
+
+echo "==> no division in the signature arithmetic"
+# Both Schnorr moduli are pseudo-Mersenne and reduce by folding (schnorr.rs `fold`); a 128-bit `%`
+# is a call into software division, 19 % of `paper_month` when it was there. It survives only as
+# the oracle in crates/sim-crypto/tests/. A tripwire for the two spellings the old code used, `… as
+# u128) % …` and `% P as u128` / `% Q as u128`, scanning each file up to its first column-0 #[cfg(test)].
+if outside_tests 'as u128\) %|% [PQ] as u128' crates/sim-crypto/src | grep .; then
+    echo "128-bit modulo in crates/sim-crypto/src; reduce with schnorr::fold" >&2
     exit 1
 fi
 

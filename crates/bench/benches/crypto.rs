@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks of the crypto substrate.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim_crypto::schnorr::{batch_verify, Keypair};
+use sim_crypto::schnorr::{batch_verify, Keypair, PrivateKey};
 use sim_crypto::sha256;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -16,6 +18,9 @@ fn bench_sha256(c: &mut Criterion) {
 fn bench_sign_verify(c: &mut Criterion) {
     let keypair = Keypair::from_seed(1);
     let message = b"guest block 42";
+    // Key derivation is one fixed-base power of the generator and nothing else.
+    let private = PrivateKey::from_seed(1);
+    c.bench_function("crypto/public", |b| b.iter(|| black_box(&private).public()));
     c.bench_function("crypto/sign", |b| b.iter(|| keypair.sign(message)));
     let signature = keypair.sign(message);
     c.bench_function("crypto/verify", |b| {

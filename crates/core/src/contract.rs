@@ -190,8 +190,13 @@ pub struct GuestContract {
     ibc: IbcHandler<Trie>,
     blocks: Rc<RefCell<Vec<GuestBlock>>>,
     signatures: Vec<HashMap<PublicKey, Signature>>,
+    /// Signatures held over all heights, for [`Self::state_size`].
+    signature_count: usize,
     finalised: Vec<bool>,
     current_epoch: Epoch,
+    /// `current_epoch.id()`, which hashes the whole validator set: taken
+    /// once per epoch, not once per `generate_block` and `sign`.
+    current_epoch_id: Hash,
     epoch_start_host_height: u64,
     staking: StakingPool,
     events: Vec<GuestEvent>,
@@ -243,7 +248,9 @@ impl GuestContract {
             ibc,
             blocks,
             signatures: vec![HashMap::new()],
+            signature_count: 0,
             finalised: vec![true],
+            current_epoch_id: epoch.id(),
             current_epoch: epoch,
             epoch_start_host_height: host_height,
             staking,
@@ -370,7 +377,7 @@ impl GuestContract {
             state_root,
             timestamp_ms: now_ms,
             host_height,
-            epoch_id: self.current_epoch.id(),
+            epoch_id: self.current_epoch_id,
             next_epoch,
         };
         self.blocks.borrow_mut().push(block.clone());
@@ -403,7 +410,7 @@ impl GuestContract {
         // The epoch that must sign this block is the one recorded in it;
         // only the *current* epoch's blocks are still signable (older ones
         // are final by construction).
-        if block.epoch_id != self.current_epoch.id() {
+        if block.epoch_id != self.current_epoch_id {
             return Err(GuestError::NotAValidator);
         }
         if !self.current_epoch.contains(&pubkey) {
@@ -417,6 +424,7 @@ impl GuestContract {
             return Err(GuestError::BadSignature);
         }
         signatures.insert(pubkey, signature);
+        self.signature_count += 1;
 
         if self.finalised[height as usize] {
             return Ok(false);
@@ -457,10 +465,11 @@ impl GuestContract {
         self.events.push(GuestEvent::FinalisedBlock { block: block.clone(), signatures: sorted });
 
         if let Some(next) = block.next_epoch {
+            self.current_epoch_id = next.id();
             self.current_epoch = next;
             self.epoch_start_host_height = block.host_height;
             self.events.push(GuestEvent::EpochRotated {
-                epoch_id: self.current_epoch.id(),
+                epoch_id: self.current_epoch_id,
                 validators: self.current_epoch.len(),
             });
         }
@@ -766,7 +775,7 @@ impl GuestContract {
     pub fn state_size(&self) -> usize {
         let trie = self.ibc.store().stats().byte_count;
         let blocks = self.blocks.borrow().len() * 130;
-        let sigs: usize = self.signatures.iter().map(|s| s.len() * 96).sum();
+        let sigs = self.signature_count * 96;
         let epoch = self.current_epoch.len() * 40;
         trie + blocks + sigs + epoch + 256
     }
@@ -927,6 +936,47 @@ mod tests {
         let b2 = contract.generate_block(25_000, 200).unwrap();
         assert_eq!(b2.epoch_id, contract.current_epoch().id());
         assert!(contract.sign(b2.height, whale.public(), whale.sign(&b2.signing_bytes())).unwrap());
+    }
+
+    /// The two figures the contract keeps rather than recomputes — the epoch
+    /// id and the signature count behind `state_size` — against the slow
+    /// way, across a rotation, a late fourth signature and a rejected one.
+    #[test]
+    fn cached_epoch_id_and_signature_count_match_a_recount() {
+        let (mut contract, keypairs) = contract();
+        let whale = Keypair::from_seed(50);
+        contract.stake(whale.public(), 1_000).unwrap();
+        let check = |contract: &GuestContract| {
+            assert_eq!(contract.current_epoch_id, contract.current_epoch.id());
+            let held: usize = contract.signatures.iter().map(HashMap::len).sum();
+            assert_eq!(contract.signature_count, held);
+            let expected = contract.ibc.store().stats().byte_count
+                + contract.blocks.borrow().len() * 130
+                + held * 96
+                + contract.current_epoch.len() * 40
+                + 256;
+            assert_eq!(contract.state_size(), expected);
+        };
+        check(&contract);
+        for (i, host_height) in [10, 150, 160].into_iter().enumerate() {
+            let block = contract.generate_block(20_000 * (i as u64 + 1), host_height).unwrap();
+            assert_eq!(block.epoch_id, contract.current_epoch().id());
+            check(&contract);
+            if contract.current_epoch().contains(&whale.public()) {
+                assert!(sign_block(&mut contract, &block, &whale));
+            } else {
+                finalise(&mut contract, &block, &keypairs);
+                // A signature after quorum is still stored; a repeat is not.
+                let late = keypairs[3].sign(&block.signing_bytes());
+                if block.next_epoch.is_none() {
+                    assert!(!contract.sign(block.height, keypairs[3].public(), late).unwrap());
+                }
+                assert!(contract.sign(block.height, keypairs[0].public(), late).is_err());
+            }
+            check(&contract);
+        }
+        assert!(contract.current_epoch().contains(&whale.public()), "the run crossed a rotation");
+        assert_eq!(contract.signature_count, 4 + 3 + 1);
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //!   NIST/FIPS 180-4 test vectors,
 //! * [`struct@Hash`] — a 32-byte digest newtype used as block ids, trie node hashes
 //!   and commitment roots throughout the workspace,
-//! * [`schnorr`] — Schnorr signatures over a 61-bit Mersenne-prime group.
+//! * [`schnorr`] — Schnorr signatures over the prime-order subgroup modulo
+//!   the 61-bit safe prime `p = 2^61 − 2373`. `p` and the group order
+//!   `q = 2^60 − 1187` are pseudo-Mersenne, so products reduce by folding the
+//!   high bits down (`(x & mask) + (x >> bits)·c`, twice, then one subtract),
+//!   never by division, and powers of the generator come from a table of
+//!   `g^(d·16^i)` built at compile time.
 //!
 //! # Security
 //!

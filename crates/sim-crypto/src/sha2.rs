@@ -67,17 +67,13 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.len += 64;
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk() {
+            compress(&mut self.state, block);
             self.len += 64;
             data = rest;
         }
@@ -91,62 +87,74 @@ impl Sha256 {
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Hash {
         let bit_len = (self.len + self.buf_len as u64) * 8;
-        // Append the 0x80 marker, zero padding, and the 64-bit length.
-        let mut tail = [0u8; 128];
-        let buffered = self.buf_len;
-        tail[..buffered].copy_from_slice(&self.buf[..buffered]);
-        tail[buffered] = 0x80;
-        let total = if buffered < 56 { 64 } else { 128 };
-        tail[total - 8..total].copy_from_slice(&bit_len.to_be_bytes());
-        for chunk in tail[..total].chunks_exact(64) {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(chunk);
-            self.compress(&b);
+        // Append the 0x80 marker, zero padding, and the 64-bit length (in a
+        // block of its own when fewer than eight bytes are left in this one).
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Hash::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
+/// One block through the compression function (FIPS 180-4 §6.2.2).
+///
+/// The 64 rounds are written out, the working variables renamed from
+/// round to round instead of moved. The message schedule is a rolling
+/// window of 16 words, each extended in place by the round that next
+/// needs it, and `Maj` is spelled `(a & b) ^ (c & (a ^ b))`.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            if $i >= 16 {
+                let w15 = w[($i + 1) & 15];
+                let w2 = w[($i + 14) & 15];
+                w[$i & 15] = w[$i & 15]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[($i + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            }
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add($g ^ ($e & ($f ^ $g)))
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i & 15]);
+            $d = $d.wrapping_add(t1);
+            $h = t1
+                .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($c & ($a ^ $b)));
+        };
+    }
+    macro_rules! eight_rounds {
+        ($($i:expr),*) => {$(
+            round!(a, b, c, d, e, f, g, h, $i);
+            round!(h, a, b, c, d, e, f, g, $i + 1);
+            round!(g, h, a, b, c, d, e, f, $i + 2);
+            round!(f, g, h, a, b, c, d, e, $i + 3);
+            round!(e, f, g, h, a, b, c, d, $i + 4);
+            round!(d, e, f, g, h, a, b, c, $i + 5);
+            round!(c, d, e, f, g, h, a, b, $i + 6);
+            round!(b, c, d, e, f, g, h, a, $i + 7);
+        )*};
+    }
+    eight_rounds!(0, 8, 16, 24, 32, 40, 48, 56);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (word, worked) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(worked);
     }
 }
 

@@ -142,16 +142,6 @@ struct SpanData {
     end_ms: Option<u64>,
 }
 
-/// Incrementally-maintained lifecycle state of one trace: when journal
-/// activity first touched it and whether a terminal event closed it.
-/// Kept up to date inside [`Telemetry::event`] so the stuck-packet query
-/// never has to replay the journal.
-#[derive(Clone, Copy, Debug)]
-struct TraceStatus {
-    first_ms: u64,
-    completed: bool,
-}
-
 /// Per-trace sampling verdict. Head sampling decides `Keep`/`Buffer` at
 /// trace allocation; `Buffer` later resolves to `Escalated` (anomaly —
 /// promote the buffered records) or `Dropped` (normal completion —
@@ -254,12 +244,33 @@ struct Inner {
     journal: Vec<JournalRecord>,
     metrics: MetricsRegistry,
     violations: Vec<ViolationReport>,
-    trace_status: BTreeMap<u64, TraceStatus>,
+    /// The key of every packet trace no terminal event has reached, by
+    /// trace id.
+    unfinished_packets: BTreeMap<u64, (String, String, u64)>,
+    /// Those of them that saw an event, with the earliest one's time: the
+    /// stuck-packet query walks these alone, never the finished lifecycles.
+    open_packets: BTreeMap<(String, String, u64), (TraceId, u64)>,
     alerts: Vec<AlertTransitionReport>,
     sampler: Option<SamplerState>,
 }
 
 impl Inner {
+    /// Keeps the open-packet index current for one event on `trace`.
+    fn track_open_packet(&mut self, trace: TraceId, at_ms: u64, terminal: bool) {
+        if terminal {
+            if let Some(key) = self.unfinished_packets.remove(&trace.0) {
+                self.open_packets.remove(&key);
+            }
+        } else if let Some(key) = self.unfinished_packets.get(&trace.0) {
+            match self.open_packets.get_mut(key) {
+                Some((_, first_ms)) => *first_ms = (*first_ms).min(at_ms),
+                None => {
+                    self.open_packets.insert(key.clone(), (trace, at_ms));
+                }
+            }
+        }
+    }
+
     /// Appends a record to the journal, assigning the next seq.
     fn journal_push(&mut self, mut record: JournalRecord) {
         record.seq = self.journal.len() as u64;
@@ -464,6 +475,7 @@ impl Telemetry {
         }
         let trace = TraceId(inner.next_trace);
         inner.next_trace += 1;
+        inner.unfinished_packets.insert(trace.0, key.clone());
         inner.packet_traces.insert(key, trace);
         if let Some(sampler) = inner.sampler.as_mut() {
             let hash = sample_hash(
@@ -534,12 +546,7 @@ impl Telemetry {
                 | names::ROUTE_REFUNDED
         );
         for trace in traces {
-            let status = inner
-                .trace_status
-                .entry(trace.0)
-                .or_insert(TraceStatus { first_ms: at_ms, completed: false });
-            status.first_ms = status.first_ms.min(at_ms);
-            status.completed |= terminal;
+            inner.track_open_packet(*trace, at_ms, terminal);
         }
         let anomalous = matches!(
             name,
@@ -574,26 +581,24 @@ impl Telemetry {
     /// Packet lifecycles that saw journal activity at least `min_age_ms`
     /// ago and were never acknowledged or timed out — the stuck-packet
     /// detector's input. Maintained incrementally, so the query is a walk
-    /// over the trace index, not a journal replay. Deterministic order
-    /// (by origin, channel, sequence).
+    /// over the open lifecycles, not a journal replay and not a pass over
+    /// every packet there ever was. Deterministic order (by origin,
+    /// channel, sequence).
     pub fn open_packet_traces(&self, now_ms: u64, min_age_ms: u64) -> Vec<OpenPacket> {
         let Some(inner) = self.inner.as_ref() else { return Vec::new() };
         let inner = inner.borrow();
-        let mut open = Vec::new();
-        for ((origin, channel, sequence), trace) in &inner.packet_traces {
-            let Some(status) = inner.trace_status.get(&trace.0) else { continue };
-            if status.completed || now_ms.saturating_sub(status.first_ms) < min_age_ms {
-                continue;
-            }
-            open.push(OpenPacket {
+        inner
+            .open_packets
+            .iter()
+            .filter(|(_, (_, first_ms))| now_ms.saturating_sub(*first_ms) >= min_age_ms)
+            .map(|((origin, channel, sequence), (trace, first_ms))| OpenPacket {
                 origin: origin.clone(),
                 channel: channel.clone(),
                 sequence: *sequence,
                 trace: *trace,
-                first_ms: status.first_ms,
-            });
-        }
-        open
+                first_ms: *first_ms,
+            })
+            .collect()
     }
 
     /// Opens a span linked to `traces` and returns its id.
@@ -1141,6 +1146,59 @@ mod tests {
         assert_eq!(telemetry.open_packet_traces(10_000, 0).len(), 1);
         // Disabled handles return nothing.
         assert!(Telemetry::disabled().open_packet_traces(1_000, 0).is_empty());
+    }
+
+    /// The open-packet index against a recount from the journal, the slow
+    /// way: every packet trace ever allocated, every record that names it.
+    #[test]
+    fn open_packet_index_matches_a_journal_recount() {
+        let telemetry = Telemetry::recording();
+        drive_packets(&telemetry, 40);
+        // Out-of-order activity, a second channel, repeated terminals, an
+        // event after completion and a trace that never sees one.
+        let late = telemetry.trace_for_packet("cp", "channel-7", 3).unwrap();
+        telemetry.event(700, names::PACKET_RECV, &[late], &[]);
+        telemetry.event(650, names::PACKET_SEND, &[late], &[]);
+        let done = telemetry.trace_for_packet("guest", "channel-0", 2).unwrap();
+        telemetry.event(800, names::PACKET_ACK, &[done], &[]);
+        telemetry.event(810, names::PACKET_RECV, &[done], &[]);
+        let _silent = telemetry.trace_for_packet("cp", "channel-7", 4).unwrap();
+        let route = telemetry.trace_for_route("route-0:a->b").unwrap();
+        let leg = telemetry.trace_for_packet("a", "channel-1", 1).unwrap();
+        telemetry.event(820, names::PACKET_SEND, &[leg, route], &[]);
+
+        let recount = |now_ms: u64, min_age_ms: u64| {
+            let inner = telemetry.inner.as_ref().unwrap().borrow();
+            let mut open = Vec::new();
+            for ((origin, channel, sequence), trace) in &inner.packet_traces {
+                let records: Vec<_> =
+                    inner.journal.iter().filter(|r| r.traces.contains(&trace.0)).collect();
+                let completed = records
+                    .iter()
+                    .any(|r| [names::PACKET_ACK, names::PACKET_TIMEOUT].contains(&r.name.as_str()));
+                let Some(first_ms) = records.iter().map(|r| r.at_ms).min() else { continue };
+                if completed || now_ms.saturating_sub(first_ms) < min_age_ms {
+                    continue;
+                }
+                open.push(OpenPacket {
+                    origin: origin.clone(),
+                    channel: channel.clone(),
+                    sequence: *sequence,
+                    trace: *trace,
+                    first_ms,
+                });
+            }
+            open
+        };
+        for (now_ms, min_age_ms) in [(1_000, 0), (1_000, 500), (400, 100), (0, 0), (5_000, 4_300)] {
+            let open = telemetry.open_packet_traces(now_ms, min_age_ms);
+            assert_eq!(open, recount(now_ms, min_age_ms), "now {now_ms}, age {min_age_ms}");
+        }
+        let open = telemetry.open_packet_traces(1_000, 0);
+        assert!(open.iter().any(|p| p.origin == "cp" && p.first_ms == 650));
+        assert!(open.iter().any(|p| p.origin == "a"), "a leg is tracked beside its route");
+        assert!(!open.iter().any(|p| p.sequence == 4 && p.origin == "cp"));
+        assert_eq!(open.len(), 16 + 2, "the odd sequences not divisible by five, plus two");
     }
 
     #[test]
