@@ -75,6 +75,17 @@ if outside_tests 'as u128\) %|% [PQ] as u128' crates/sim-crypto/src | grep .; th
     exit 1
 fi
 
+echo "==> one home for counterparty signing"
+# The counterparty records who voted and signs a header the first time it is read (commit.rs
+# `CpCommit::header`); block production signs nothing, and the loop that signed every commit as it
+# was produced survives only as the oracle in crates/counterparty-sim/tests/. A tripwire for a second
+# signing site spelled `.sign(`, scanning each file up to its first column-0 #[cfg(test)].
+if [ "$(outside_tests '\.sign\(' crates/counterparty-sim/src | wc -l)" -ne 1 ]; then
+    outside_tests '\.sign\(' crates/counterparty-sim/src >&2
+    echo "crates/counterparty-sim/src must sign in exactly one place, the first read of a header" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

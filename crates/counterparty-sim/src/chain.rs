@@ -9,6 +9,7 @@ use sim_crypto::rng::SplitMix64;
 use sim_crypto::schnorr::{Keypair, PublicKey};
 use telemetry::Telemetry;
 
+use crate::commit::{CpCommit, VoteMask};
 use crate::header::CpHeader;
 use crate::light_client::CpLightClient;
 
@@ -47,15 +48,17 @@ impl Default for CounterpartyConfig {
 /// IBC handler directly instead of submitting size-limited transactions.
 pub struct CounterpartyChain {
     ibc: IbcHandler<Trie>,
-    validators: Vec<Keypair>,
     /// The pool rotations draw from (a superset of the active set).
     candidate_pool: Vec<Keypair>,
-    next_set: Option<Vec<Keypair>>,
+    /// The active set is the `config.num_validators` pool entries from
+    /// here on, wrapping.
+    set_start: usize,
     height: u64,
     time_ms: u64,
     config: CounterpartyConfig,
     rng: SplitMix64,
-    headers: Vec<CpHeader>,
+    /// One record per block; `commits[h - 1]` is height `h`.
+    commits: Vec<CpCommit>,
     telemetry: Telemetry,
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
@@ -81,21 +84,19 @@ impl CounterpartyChain {
                 )
             })
             .collect();
-        let validators = candidate_pool[..config.num_validators].to_vec();
         Self {
             candidate_pool,
-            next_set: None,
+            set_start: 0,
             // Receipts stay live here: an ordinary chain does not seal.
             ibc: IbcHandler::with_config(
                 Trie::new(),
                 HandlerConfig { seal_receipts: false, consensus_history: 64 },
             ),
-            validators,
             height: 0,
             time_ms: 0,
             config,
             rng: sim_crypto::rng::seed_stream(seed, "counterparty.blocks"),
-            headers: Vec::new(),
+            commits: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
         }
@@ -126,7 +127,15 @@ impl CounterpartyChain {
     /// The validator public keys and their (equal) voting powers, for
     /// initializing a [`crate::CpLightClient`] on the guest side.
     pub fn validator_set(&self) -> Vec<(PublicKey, u64)> {
-        self.validators.iter().map(|kp| (kp.public(), 10)).collect()
+        self.set_from(self.set_start)
+    }
+
+    /// The set of `config.num_validators` starting at `pool[start]`.
+    fn set_from(&self, start: usize) -> Vec<(PublicKey, u64)> {
+        let pool = &self.candidate_pool;
+        (0..self.config.num_validators)
+            .map(|i| (pool[(start + i) % pool.len()].public(), 10))
+            .collect()
     }
 
     /// The chain's IBC handler (the "node RPC" of the simulation).
@@ -154,20 +163,33 @@ impl CounterpartyChain {
         HostTime { height: self.height, timestamp_ms: self.time_ms }
     }
 
-    /// The header committed at `height`, if produced.
-    pub fn header_at(&self, height: u64) -> Option<&CpHeader> {
-        self.headers.get(height.checked_sub(1)? as usize)
+    /// What was committed at `height`, if produced: height, root,
+    /// timestamp and any announced rotation. Costs no signatures — use it
+    /// for everything except relaying the header.
+    pub fn commit_at(&self, height: u64) -> Option<&CpCommit> {
+        self.commits.get(height.checked_sub(1)? as usize)
     }
 
-    /// The most recent header.
-    pub fn latest_header(&self) -> Option<&CpHeader> {
-        self.headers.last()
+    /// The most recent commit.
+    pub fn latest_commit(&self) -> Option<&CpCommit> {
+        self.commits.last()
+    }
+
+    /// The signed header committed at `height`, if produced. The first
+    /// read of a height signs it (`cp.sign` in the profiler); later reads
+    /// copy the memoised commit.
+    pub fn header_at(&self, height: u64) -> Option<CpHeader> {
+        Some(self.commit_at(height)?.header(&self.candidate_pool, &self.profiler))
+    }
+
+    /// The most recent signed header.
+    pub fn latest_header(&self) -> Option<CpHeader> {
+        self.header_at(self.height)
     }
 
     /// Produces the next block at simulation time `now_ms`: commits the
-    /// current IBC root with signatures from a random ≥⅔ subset of
-    /// validators.
-    pub fn produce_block(&mut self, now_ms: u64) -> &CpHeader {
+    /// current IBC root with votes from a random ≥⅔ subset of validators.
+    pub fn produce_block(&mut self, now_ms: u64) -> &CpCommit {
         self.height += 1;
         self.time_ms = now_ms.max(self.time_ms + 1);
         let app_hash = self.ibc.root();
@@ -180,26 +202,8 @@ impl CounterpartyChain {
         // Epoch boundary: announce a reshuffled validator set, signed by
         // the *current* set (Tendermint-style).
         let rotation = self.config.rotation_interval_blocks;
-        let next_validators: Option<Vec<(PublicKey, u64)>> =
-            if rotation > 0 && self.height.is_multiple_of(rotation) {
-                let mut next = Vec::with_capacity(self.config.num_validators);
-                let pool = self.candidate_pool.len();
-                let start = self.rng.next_below(pool as u64) as usize;
-                for i in 0..self.config.num_validators {
-                    next.push(self.candidate_pool[(start + i) % pool].clone());
-                }
-                let set = next.iter().map(|kp| (kp.public(), 10)).collect();
-                self.next_set = Some(next);
-                Some(set)
-            } else {
-                None
-            };
-        let signing = CpHeader::signing_bytes(
-            self.height,
-            &app_hash,
-            self.time_ms,
-            next_validators.as_deref(),
-        );
+        let next_start = (rotation > 0 && self.height.is_multiple_of(rotation))
+            .then(|| self.rng.next_below(self.candidate_pool.len() as u64) as usize);
 
         // Sample participants. Per-block participation fluctuates around
         // the configured mean (±0.15), which varies commit sizes — the
@@ -208,37 +212,32 @@ impl CounterpartyChain {
         // short (Tendermint cannot commit without one).
         let block_participation =
             (self.config.participation + (self.rng.next_f64() - 0.5) * 0.50).clamp(0.0, 1.0);
-        let mut participating: Vec<usize> = (0..self.validators.len())
-            .filter(|_| self.rng.next_f64() < block_participation)
-            .collect();
-        let quorum = self.validators.len() * 2 / 3 + 1;
-        let mut idx = 0;
-        while participating.len() < quorum {
-            if !participating.contains(&idx) {
-                participating.push(idx);
+        let validators = self.config.num_validators;
+        let mut votes = VoteMask::new(validators);
+        let mut voted = 0;
+        for i in 0..validators {
+            if self.rng.next_f64() < block_participation {
+                voted += usize::from(votes.insert(i));
             }
+        }
+        let quorum = validators * 2 / 3 + 1;
+        let mut idx = 0;
+        while voted < quorum {
+            voted += usize::from(votes.insert(idx));
             idx += 1;
         }
-        participating.sort_unstable();
 
-        let signatures = {
-            let _sign = self.profiler.scope("cp.sign");
-            participating
-                .into_iter()
-                .map(|i| (self.validators[i].public(), self.validators[i].sign(&signing)))
-                .collect()
-        };
-        let header = CpHeader {
-            height: self.height,
+        self.commits.push(CpCommit::new(
+            self.height,
             app_hash,
-            timestamp_ms: self.time_ms,
-            next_validators,
-            signatures,
-        };
-        self.headers.push(header);
+            self.time_ms,
+            next_start.map(|start| self.set_from(start)),
+            self.set_start,
+            votes,
+        ));
         // The announced set takes over from the next block.
-        if let Some(next) = self.next_set.take() {
-            self.validators = next;
+        if let Some(start) = next_start {
+            self.set_start = start;
         }
         if self.telemetry.is_recording() {
             // Per-block aggregates only — a multi-week run produces tens
@@ -246,7 +245,7 @@ impl CounterpartyChain {
             self.telemetry.counter_add("cp.blocks", 1);
             self.telemetry.gauge_set("cp.height", self.height as f64);
         }
-        self.headers.last().expect("just pushed")
+        self.commits.last().expect("just pushed")
     }
 
     /// Drains pending IBC events (relayer polling).
@@ -287,8 +286,8 @@ impl<E: From<IbcError>> ChainEnd<E> for CounterpartyChain {
     }
 
     fn commit(&mut self, now_ms: u64) -> Result<(u64, Vec<u8>), E> {
-        let header = self.produce_block(now_ms);
-        Ok((header.height, header.encode()))
+        let height = self.produce_block(now_ms).height;
+        Ok((height, self.latest_header().expect("just committed").encode()))
     }
 
     fn accept(&mut self, client: &ClientId, header: &[u8], _now_ms: u64) -> Result<(), E> {
@@ -301,7 +300,7 @@ impl core::fmt::Debug for CounterpartyChain {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("CounterpartyChain")
             .field("height", &self.height)
-            .field("validators", &self.validators.len())
+            .field("validators", &self.config.num_validators)
             .finish()
     }
 }
@@ -315,7 +314,8 @@ mod tests {
         let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 7);
         let mut client = CpLightClient::new(chain.validator_set());
         for i in 1..=5 {
-            let header = chain.produce_block(i * 6_000).clone();
+            chain.produce_block(i * 6_000);
+            let header = chain.latest_header().unwrap();
             assert_eq!(client.update(&header.encode()).unwrap(), i);
         }
         assert_eq!(client.latest_height(), 5);
@@ -332,7 +332,8 @@ mod tests {
         let mut chain = CounterpartyChain::new(config, 3);
         let mut sizes = Vec::new();
         for i in 1..=50 {
-            let header = chain.produce_block(i * 6_000);
+            chain.produce_block(i * 6_000);
+            let header = chain.latest_header().unwrap();
             assert!(header.signatures.len() * 3 > 124 * 2, "quorum every block");
             sizes.push(header.signatures.len());
         }
@@ -363,7 +364,9 @@ mod tests {
         // Cross several rotations; every header (including the epoch
         // boundaries) must verify in order.
         for i in 1..=10 {
-            let header = chain.produce_block(i * 6_000).clone();
+            let rotates = chain.produce_block(i * 6_000).next_validators.is_some();
+            assert_eq!(rotates, i % 3 == 0, "the commit record announces the rotation");
+            let header = chain.latest_header().unwrap();
             if i % 3 == 0 {
                 assert!(header.next_validators.is_some(), "block {i} rotates");
             }
@@ -382,5 +385,10 @@ mod tests {
         assert!(chain.header_at(0).is_none());
         assert!(chain.header_at(3).is_none());
         assert_eq!(chain.latest_header().unwrap().height, 2);
+        assert_eq!(chain.commit_at(1).unwrap().height, 1);
+        assert!(chain.commit_at(0).is_none());
+        assert!(chain.commit_at(3).is_none());
+        assert_eq!(chain.latest_commit().unwrap().height, 2);
+        assert!(CounterpartyChain::new(CounterpartyConfig::default(), 1).latest_header().is_none());
     }
 }

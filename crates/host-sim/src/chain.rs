@@ -344,8 +344,9 @@ impl HostChain {
     }
 
     /// Blocks produced since `from_slot` (exclusive), for event polling.
+    /// Searched from the tip: pollers hold a cursor at or just behind it.
     pub fn blocks_since(&self, from_slot: Slot) -> &[Block] {
-        let start = self.blocks.partition_point(|b| b.slot <= from_slot);
+        let start = self.blocks.iter().rposition(|b| b.slot <= from_slot).map_or(0, |i| i + 1);
         &self.blocks[start..]
     }
 
@@ -491,6 +492,17 @@ mod tests {
         let fresh = chain.blocks_since(seen);
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0].slot, seen + 1);
+        assert!(chain.blocks_since(seen + 1).is_empty(), "cursor at the tip");
+        assert!(chain.blocks_since(seen + 100).is_empty(), "cursor newer than the tip");
+        // A cursor older than the oldest retained block gets all of them.
+        for _ in 0..7 {
+            chain.advance_slot();
+        }
+        chain.prune_blocks(3);
+        let oldest = chain.blocks_since(0)[0].slot;
+        assert!(oldest > seen, "the cursor's block was pruned");
+        assert_eq!(chain.blocks_since(seen).len(), chain.blocks_since(0).len());
+        assert_eq!(chain.blocks_since(oldest)[0].slot, oldest + 1);
     }
 
     #[test]

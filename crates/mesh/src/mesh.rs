@@ -1395,10 +1395,10 @@ impl Mesh {
                 continue;
             }
             node.next_block_ms = now + node.block_interval_ms;
-            let (root_changed, keepalive_due) = match node.chain.latest_header() {
-                Some(header) => (
-                    header.app_hash != node.chain.ibc().root(),
-                    now >= header.timestamp_ms + self.config.keepalive_ms,
+            let (root_changed, keepalive_due) = match node.chain.latest_commit() {
+                Some(commit) => (
+                    commit.app_hash != node.chain.ibc().root(),
+                    now >= commit.timestamp_ms + self.config.keepalive_ms,
                 ),
                 None => (true, true),
             };
@@ -1652,9 +1652,9 @@ impl Mesh {
                 } else {
                     (link.a, &mut link.from_b, &mut link.from_a)
                 };
-                let Some(header) = self.nodes[dst].chain.latest_header() else { continue };
+                let Some(commit) = self.nodes[dst].chain.latest_commit() else { continue };
                 for msg in std::mem::take(queue) {
-                    let (msg, turned) = msg.expire(header.height, header.timestamp_ms);
+                    let (msg, turned) = msg.expire(commit.height, commit.timestamp_ms);
                     if turned { &mut *reverse } else { &mut *queue }.push(msg);
                 }
             }
@@ -1702,18 +1702,18 @@ impl Mesh {
         let (src_i, queue) =
             if from_a { (link.a, &mut link.from_a) } else { (link.b, &mut link.from_b) };
         let src = &self.nodes[src_i].chain;
-        let header = src.latest_header()?;
-        if header.app_hash != src.ibc().root() {
+        let commit = src.latest_commit()?;
+        if commit.app_hash != src.ibc().root() {
             return None;
         }
-        let consensus = ConsensusState { root: header.app_hash, timestamp_ms: header.timestamp_ms };
+        let consensus = ConsensusState { root: commit.app_hash, timestamp_ms: commit.timestamp_ms };
 
         let mut pending = std::mem::take(queue);
         pending.sort_by_key(|msg| msg.kind() as u8);
         let mut proven = Vec::new();
         let mut errors = 0;
         for msg in pending {
-            match msg.prove(header.height, &consensus, |key| src.ibc().store().prove(key).ok()) {
+            match msg.prove(commit.height, &consensus, |key| src.ibc().store().prove(key).ok()) {
                 Ok(proof) => proven.push((msg, proof)),
                 // Only a timeout waits: the proven consensus state itself
                 // must be past the expiry.
@@ -1721,7 +1721,9 @@ impl Mesh {
                 Err(Unproven::Never) => errors += 1,
             }
         }
-        let proven = (!proven.is_empty()).then(|| (header.clone(), proven));
+        // Only a batch that goes out needs the commit's signatures.
+        let proven =
+            (!proven.is_empty()).then(|| (src.latest_header().expect("committed above"), proven));
         self.count_relay_errors(errors);
         proven
     }

@@ -635,20 +635,16 @@ impl Relayer {
         // it. Validator-set rotations must be relayed *in order* — a client
         // that skips a rotation header can never verify anything signed by
         // the new set — so target the earliest pending rotation, if any.
+        // The scan reads commit records; only the header that is relayed
+        // gets signed.
         let client_height = verified.map(|(h, _)| h).unwrap_or(0);
-        let latest = cp.latest_header().expect("cp.height() > 0 checked above");
-        let mut target = latest.clone();
-        for height in client_height + 1..target.height {
-            if let Some(candidate) = cp.header_at(height) {
-                if candidate.next_validators.is_some() {
-                    target = candidate.clone();
-                    break;
-                }
-            }
-        }
-        if target.height <= client_height {
+        let target_height = (client_height + 1..cp.height())
+            .find(|&height| cp.commit_at(height).is_some_and(|c| c.next_validators.is_some()))
+            .unwrap_or(cp.height());
+        if target_height <= client_height {
             return; // Nothing newer to relay yet.
         }
+        let target = cp.header_at(target_height).expect("at or below cp.height()");
         let op = GuestOp::UpdateClient {
             client: self.endpoints.cp_client_on_guest.clone(),
             header: String::from_utf8(target.encode()).expect("JSON is UTF-8"),

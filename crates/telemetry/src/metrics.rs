@@ -308,13 +308,14 @@ pub const DEFAULT_BUCKETS: [f64; 12] = [
 ];
 
 impl MetricsRegistry {
-    /// Whether a write to `name` may create a new entry: existing names
-    /// always pass, new names pass while the registry is under
-    /// [`METRIC_CARDINALITY_CAP`]. A refused name bumps
-    /// [`CARDINALITY_LIMITED`] (which is always admitted, so the guard
-    /// can never hide itself).
-    fn admit(&mut self, name: &str, exists: bool) -> bool {
-        if exists || name == CARDINALITY_LIMITED {
+    /// Whether a write to the *new* name `name` may create its entry: it
+    /// may while the registry is under [`METRIC_CARDINALITY_CAP`]. A
+    /// refused name bumps [`CARDINALITY_LIMITED`] (which is always
+    /// admitted, so the guard can never hide itself). Writers call this
+    /// only after their look-up missed — a write to an existing name
+    /// allocates nothing and is never limited.
+    fn admit(&mut self, name: &str) -> bool {
+        if name == CARDINALITY_LIMITED {
             return true;
         }
         let distinct = self.counters.len() + self.gauges.len() + self.histograms.len();
@@ -338,18 +339,20 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a named counter (creating it at zero).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if !self.admit(name, self.counters.contains_key(name)) {
-            return;
+        if let Some(counter) = self.counters.get_mut(name) {
+            *counter += delta;
+        } else if self.admit(name) {
+            self.counters.insert(name.to_string(), delta);
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Sets a named gauge to its latest value (no series point).
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if !self.admit(name, self.gauges.contains_key(name)) {
-            return;
+        if let Some(gauge) = self.gauges.get_mut(name) {
+            *gauge = value;
+        } else if self.admit(name) {
+            self.gauges.insert(name.to_string(), value);
         }
-        self.gauges.insert(name.to_string(), value);
     }
 
     /// Sets a named gauge *and* records the write in its timestamped
@@ -357,11 +360,17 @@ impl MetricsRegistry {
     /// `gauges` map is updated exactly as by [`MetricsRegistry::gauge_set`]
     /// — series live alongside the snapshot, not inside it.
     pub fn gauge_set_at(&mut self, at_ms: u64, name: &str, value: f64) {
-        if !self.admit(name, self.gauges.contains_key(name)) {
+        if let Some(gauge) = self.gauges.get_mut(name) {
+            *gauge = value;
+        } else if self.admit(name) {
+            self.gauges.insert(name.to_string(), value);
+        } else {
             return;
         }
-        self.gauges.insert(name.to_string(), value);
-        self.series.entry(name.to_string()).or_default().record(at_ms, value);
+        match self.series.get_mut(name) {
+            Some(series) => series.record(at_ms, value),
+            None => self.series.entry(name.to_string()).or_default().record(at_ms, value),
+        }
     }
 
     /// The timestamped series of a gauge written through
@@ -370,33 +379,34 @@ impl MetricsRegistry {
         self.series.get(name)
     }
 
-    /// Registers a histogram with explicit bucket bounds, replacing the
-    /// default layout if the first observation arrived earlier. Refuses
-    /// empty, non-finite, unsorted or duplicate bounds — the bucket search
-    /// silently misfiles observations under such layouts.
+    /// Registers a histogram with explicit bucket bounds. The first layout
+    /// a name gets is the one it keeps: registering a name that already
+    /// exists — because an observation arrived first and created it with
+    /// [`DEFAULT_BUCKETS`], or because it was registered before — changes
+    /// nothing. Refuses empty, non-finite, unsorted or duplicate bounds —
+    /// the bucket search silently misfiles observations under such layouts.
     pub fn register_histogram(
         &mut self,
         name: &str,
         bounds: &[f64],
     ) -> Result<(), HistogramBoundsError> {
         validate_bounds(bounds)?;
-        if !self.admit(name, self.histograms.contains_key(name)) {
-            return Ok(());
+        if !self.histograms.contains_key(name) && self.admit(name) {
+            self.histograms.insert(name.to_string(), Histogram::new(bounds));
         }
-        self.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds));
         Ok(())
     }
 
     /// Records an observation, creating the histogram with
     /// [`DEFAULT_BUCKETS`] when it was never registered.
     pub fn observe(&mut self, name: &str, value: f64) {
-        if !self.admit(name, self.histograms.contains_key(name)) {
-            return;
+        if let Some(histogram) = self.histograms.get_mut(name) {
+            histogram.observe(value);
+        } else if self.admit(name) {
+            let mut histogram = Histogram::new(&DEFAULT_BUCKETS);
+            histogram.observe(value);
+            self.histograms.insert(name.to_string(), histogram);
         }
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(&DEFAULT_BUCKETS))
-            .observe(value);
     }
 
     /// Reads a counter (0 when absent).
@@ -550,6 +560,144 @@ mod tests {
             "refusal order, one entry per distinct name"
         );
         assert_eq!(registry.snapshot().cardinality_rejected.len(), 5);
+    }
+
+    /// The writers as they were before they looked up first: `contains_key`,
+    /// `admit`, then `entry(name.to_string())` — kept as the oracle.
+    #[derive(Default)]
+    struct EntryFirst(MetricsRegistry);
+
+    impl EntryFirst {
+        fn admit(&mut self, name: &str, exists: bool) -> bool {
+            exists || self.0.admit(name)
+        }
+
+        fn counter_add(&mut self, name: &str, delta: u64) {
+            if !self.admit(name, self.0.counters.contains_key(name)) {
+                return;
+            }
+            *self.0.counters.entry(name.to_string()).or_insert(0) += delta;
+        }
+
+        fn gauge_set(&mut self, name: &str, value: f64) {
+            if !self.admit(name, self.0.gauges.contains_key(name)) {
+                return;
+            }
+            self.0.gauges.insert(name.to_string(), value);
+        }
+
+        fn gauge_set_at(&mut self, at_ms: u64, name: &str, value: f64) {
+            if !self.admit(name, self.0.gauges.contains_key(name)) {
+                return;
+            }
+            self.0.gauges.insert(name.to_string(), value);
+            self.0.series.entry(name.to_string()).or_default().record(at_ms, value);
+        }
+
+        fn register_histogram(&mut self, name: &str, bounds: &[f64]) {
+            validate_bounds(bounds).unwrap();
+            if !self.admit(name, self.0.histograms.contains_key(name)) {
+                return;
+            }
+            self.0.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds));
+        }
+
+        fn observe(&mut self, name: &str, value: f64) {
+            if !self.admit(name, self.0.histograms.contains_key(name)) {
+                return;
+            }
+            self.0
+                .histograms
+                .entry(name.to_string())
+                .or_insert_with(|| Histogram::new(&DEFAULT_BUCKETS))
+                .observe(value);
+        }
+    }
+
+    #[test]
+    fn writers_match_the_entry_first_oracle_across_the_cap() {
+        let mut new = MetricsRegistry::default();
+        let mut old = EntryFirst::default();
+        // A pseudo-random write mix over a name space wider than the cap,
+        // so creations, rewrites and refusals of every kind interleave.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..40_000u64 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let name = format!("m{:04}", (state >> 33) % 1_400);
+            let value = (state >> 20) as f64 / 1e3;
+            match (state >> 8) % 6 {
+                0 => (new.counter_add(&name, step), old.counter_add(&name, step)),
+                1 => (new.gauge_set(&name, value), old.gauge_set(&name, value)),
+                2 => (new.gauge_set_at(step, &name, value), old.gauge_set_at(step, &name, value)),
+                3 => (new.observe(&name, value), old.observe(&name, value)),
+                4 => (
+                    new.register_histogram(&name, &[1.0, 1e6]).unwrap(),
+                    old.register_histogram(&name, &[1.0, 1e6]),
+                ),
+                _ => (
+                    new.counter_add(CARDINALITY_LIMITED, 0),
+                    old.counter_add(CARDINALITY_LIMITED, 0),
+                ),
+            };
+        }
+        assert!(new.counter(CARDINALITY_LIMITED) > 0, "the mix crossed the cap");
+        let json = |r: &MetricsRegistry| serde_json::to_string(&r.snapshot()).unwrap();
+        assert_eq!(json(&new), json(&old.0));
+        assert_eq!(new.cardinality_rejected(), old.0.cardinality_rejected());
+        assert_eq!(new.series.len(), old.0.series.len());
+        for (name, series) in &new.series {
+            assert_eq!(series.points(), old.0.series[name].points(), "{name}");
+        }
+    }
+
+    #[test]
+    fn existing_names_take_writes_at_the_cap() {
+        let mut registry = MetricsRegistry::default();
+        registry.counter_add("c", 1);
+        registry.gauge_set("g", 1.0);
+        registry.gauge_set_at(10, "s", 1.0);
+        registry.observe("h", 5.0);
+        for i in 0..METRIC_CARDINALITY_CAP {
+            registry.counter_add(&format!("fill{i:05}"), 1);
+        }
+        let refused = registry.counter(CARDINALITY_LIMITED);
+        assert_eq!(refused, 4, "the last four fillers found the registry full");
+
+        registry.counter_add("c", 2);
+        registry.gauge_set("g", 2.0);
+        registry.gauge_set_at(20, "s", 2.0);
+        registry.observe("h", 50.0);
+        // A plain gauge gains its series on the first timestamped write,
+        // cap or no cap: series are not counted names.
+        registry.gauge_set_at(30, "g", 3.0);
+        assert_eq!(registry.counter("c"), 3);
+        assert_eq!(registry.gauge("g"), Some(3.0));
+        assert_eq!(registry.gauge("s"), Some(2.0));
+        assert_eq!(registry.gauge_series("s").unwrap().points(), &[(10, 1.0), (20, 2.0)]);
+        assert_eq!(registry.gauge_series("g").unwrap().points(), &[(30, 3.0)]);
+        assert_eq!(registry.histogram("h").unwrap().count, 2);
+        assert_eq!(registry.counter(CARDINALITY_LIMITED), refused, "no existing name was limited");
+
+        registry.gauge_set_at(40, "new.series", 1.0);
+        assert_eq!(registry.gauge("new.series"), None);
+        assert!(registry.gauge_series("new.series").is_none());
+        assert_eq!(registry.counter(CARDINALITY_LIMITED), refused + 1);
+        assert!(registry.cardinality_rejected().contains(&"new.series".to_string()));
+    }
+
+    #[test]
+    fn a_histogram_keeps_its_first_layout() {
+        let mut registry = MetricsRegistry::default();
+        // Observed before it was registered: the default layout stays.
+        registry.observe("late", 5.0);
+        assert!(registry.register_histogram("late", &[1.0, 2.0]).is_ok());
+        let late = registry.histogram("late").unwrap();
+        assert_eq!(late.bounds, DEFAULT_BUCKETS.to_vec());
+        assert_eq!(late.count, 1, "and the observation with it");
+        // Registered twice: the first registration stays.
+        registry.register_histogram("twice", &[1.0, 2.0]).unwrap();
+        registry.register_histogram("twice", &[10.0]).unwrap();
+        assert_eq!(registry.histogram("twice").unwrap().bounds, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! stability, escalation ordering); these tests check the wiring — that
 //! a whole [`Testnet`] run through [`TelemetryMode`] behaves the same.
 
-use testnet::{ChaosPlan, Fault, TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
+use relayer::JobKind;
+use testnet::{ChaosPlan, Fault, TelemetryMode, Testnet, TestnetConfig, DAY_MS, HOUR_MS};
 use workload::TrafficConfig;
 
 /// A few busy simulated hours with a mid-run validator outage, so the
@@ -131,6 +132,35 @@ fn profiler_is_a_pure_observer() {
     assert!(step.wall_ms - step.self_ms > 0.0, "no step time was attributed to named child phases");
     assert!(report.entry("step;host.block").is_some(), "host block production is profiled");
     assert!(report.entry("step;relayer.tick").is_some(), "relayer ticks are profiled");
+}
+
+/// The counterparty signs a header when it is first read, and on the
+/// paper's quiet link the only reader is the relayer building a client
+/// update: a day of keep-alive blocks must cost a signing per update
+/// relayed (plus the handshake's), not one per block.
+#[test]
+fn keep_alive_blocks_nobody_relays_are_never_signed() {
+    fn sign_calls(net: &Testnet) -> u64 {
+        let report = net.profile_report();
+        report.entries.iter().filter(|e| e.name == "cp.sign").map(|e| e.calls).sum()
+    }
+    let mut config = TestnetConfig::paper();
+    config.profile = true;
+    let mut net = Testnet::build(config);
+    let handshake = sign_calls(&net);
+    net.run_for(DAY_MS);
+
+    let signed = sign_calls(&net);
+    let blocks = net.cp.height();
+    let updates = net.relayer.records().iter().filter(|r| r.kind == JobKind::ClientUpdate).count()
+        + usize::from(net.relayer.job_in_flight());
+    assert!(blocks > 1_000, "a keep-alive a minute: {blocks} blocks");
+    assert!(updates > 0 && signed > handshake, "the run relayed something");
+    assert!(
+        signed - handshake <= updates as u64,
+        "{signed} headers signed for {handshake} handshake reads and {updates} client updates"
+    );
+    assert!(signed * 20 < blocks, "{signed} of {blocks} blocks signed");
 }
 
 /// Disabled telemetry is a strict no-op sink — and the profiler stays

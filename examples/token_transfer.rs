@@ -114,7 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The acknowledgement travels back --------------------------------
     clock += 1_000;
-    let header = cp.produce_block(clock).clone();
+    cp.produce_block(clock);
+    let header = cp.latest_header().expect("just committed");
     contract.borrow_mut().update_counterparty_client(
         &endpoints.cp_client_on_guest,
         &header.encode(),
