@@ -86,6 +86,24 @@ if [ "$(outside_tests '\.sign\(' crates/counterparty-sim/src | wc -l)" -ne 1 ]; 
     exit 1
 fi
 
+echo "==> guest events are parsed in one place"
+# A host event keeps the value it was encoded from (host-sim's event.rs `Event::payload_as`); the
+# harness and the relayer ask it for a `GuestEvent` instead of each parsing the bytes, 8 % of
+# `steady_day` when they did. A tripwire for the spelling the old code used, scanning each file up
+# to its first column-0 #[cfg(test)].
+if outside_tests 'from_slice::<GuestEvent>' crates/*/src | grep .; then
+    echo "a GuestEvent parsed from event bytes outside tests; ask Event::payload_as" >&2
+    exit 1
+fi
+
+echo "==> the proof hand-off is not JSON"
+# `ProofData::bytes` is a hand-off between two functions of one process, sealable_trie's
+# `Proof::to_bytes`; only a proof inside a `GuestOp` is wire and therefore JSON (DESIGN decision 17).
+if outside_tests 'serde_json' crates/ibc-core/src/store.rs | grep .; then
+    echo "crates/ibc-core/src/store.rs names serde_json outside tests; hand proofs off as bytes" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

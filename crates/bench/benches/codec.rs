@@ -2,11 +2,16 @@
 //! on the three messages that dominate a loaded run: the staged receive a
 //! relayer plans and the guest decodes, the finalised-block event every
 //! relayer and the harness decode, and the counterparty header behind each
-//! client update. Reported per call and in MB/s of JSON text.
+//! client update. Reported per call and in MB/s of JSON text. Beside them,
+//! what the relay path pays where it does not go through JSON: a proof
+//! handed from whoever holds it to the light client as bytes, and an
+//! observer taking a guest event off a host block.
 
 use counterparty_sim::CpHeader;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use guest_chain::{Epoch, GuestBlock, GuestEvent, GuestOp, Validator};
+use host_sim::{Event, Pubkey};
+use ibc_core::store::{decode_proof, encode_proof};
 use ibc_core::{ChannelId, Packet, PortId, Timeout};
 use sealable_trie::{Proof, Trie};
 use serde::{de::DeserializeOwned, Serialize};
@@ -24,6 +29,24 @@ fn proof() -> Proof {
         }
     }
     unreachable!("the spine to key 0 grows as keys are added")
+}
+
+/// A ten-node membership proof from a real trie: the spine to the all-zero
+/// key with a sibling hanging off each of its first nibbles.
+fn spine_proof() -> Proof {
+    let key = [0u8; 8];
+    let mut trie = Trie::new();
+    trie.insert(&key, b"value").expect("insert");
+    for nibble in 0.. {
+        let proof = trie.prove(&key).expect("prove");
+        if proof.nodes().len() == 10 {
+            return proof;
+        }
+        let mut sibling = key;
+        sibling[nibble / 2] = if nibble % 2 == 0 { 0x10 } else { 0x01 };
+        trie.insert(&sibling, b"sibling").expect("insert");
+    }
+    unreachable!("each sibling adds a branch to the spine")
 }
 
 fn recv_packet() -> GuestOp {
@@ -91,10 +114,28 @@ fn bench_message<T: Serialize + DeserializeOwned + PartialEq>(
     group.finish();
 }
 
+/// The in-process hand-offs: per call, no JSON text to rate them by.
+fn bench_hand_offs(c: &mut Criterion) {
+    let proof = spine_proof();
+    let bytes = encode_proof(&proof);
+    assert_eq!(decode_proof(&bytes).expect("decodes"), proof);
+    let mut group = c.benchmark_group("codec/proof_hand_off");
+    group.bench_function("encode", |b| b.iter(|| encode_proof(&proof)));
+    group.bench_function("decode", |b| b.iter(|| decode_proof(&bytes).expect("decodes")));
+    group.finish();
+
+    let event = Event::encode(Pubkey::from_label("guest"), "FinalisedBlock", finalised_block());
+    c.bench_function("codec/finalised_block_event/observe", |b| {
+        b.iter(|| event.payload_as::<GuestEvent>().expect("a guest event"));
+    });
+}
+
 fn bench_codec(c: &mut Criterion) {
     bench_message(c, "recv_packet_op", &recv_packet());
     bench_message(c, "finalised_block_event", &finalised_block());
     bench_message(c, "cp_header", &cp_header());
+    bench_message(c, "bytes_1k", &(0..1024u32).map(|i| (i * 7 + 3) as u8).collect::<Vec<u8>>());
+    bench_hand_offs(c);
 }
 
 criterion_group!(benches, bench_codec);

@@ -189,6 +189,9 @@ pub struct GuestContract {
     config: GuestConfig,
     ibc: IbcHandler<Trie>,
     blocks: Rc<RefCell<Vec<GuestBlock>>>,
+    /// `blocks[h].hash()`, taken once when the block is generated: every
+    /// signature on the block, and the next block's `prev_hash`, needs it.
+    block_hashes: Vec<Hash>,
     signatures: Vec<HashMap<PublicKey, Signature>>,
     /// Signatures held over all heights, for [`Self::state_size`].
     signature_count: usize,
@@ -242,11 +245,13 @@ impl GuestContract {
         ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
         let genesis = GuestBlock::genesis(&epoch, ibc.root(), now_ms, host_height);
         ibc.store_mut().checkpoint(genesis.height, PROOF_SNAPSHOT_HISTORY);
+        let block_hashes = vec![genesis.hash()];
         blocks.borrow_mut().push(genesis);
         Self {
             config,
             ibc,
             blocks,
+            block_hashes,
             signatures: vec![HashMap::new()],
             signature_count: 0,
             finalised: vec![true],
@@ -282,6 +287,11 @@ impl GuestContract {
     /// The block at `height`, if produced.
     pub fn block_at(&self, height: u64) -> Option<GuestBlock> {
         self.blocks.borrow().get(height as usize).cloned()
+    }
+
+    /// [`GuestBlock::hash`] of the block at `height`, if produced.
+    pub fn block_hash_at(&self, height: u64) -> Option<Hash> {
+        self.block_hashes.get(height as usize).copied()
     }
 
     /// Whether the block at `height` is finalised.
@@ -373,13 +383,14 @@ impl GuestContract {
 
         let block = GuestBlock {
             height: head.height + 1,
-            prev_hash: head.hash(),
+            prev_hash: *self.block_hashes.last().expect("genesis always exists"),
             state_root,
             timestamp_ms: now_ms,
             host_height,
             epoch_id: self.current_epoch_id,
             next_epoch,
         };
+        self.block_hashes.push(block.hash());
         self.blocks.borrow_mut().push(block.clone());
         self.signatures.push(HashMap::new());
         self.finalised.push(false);
@@ -406,11 +417,11 @@ impl GuestContract {
         pubkey: PublicKey,
         signature: Signature,
     ) -> Result<bool, GuestError> {
-        let block = self.block_at(height).ok_or(GuestError::UnknownHeight(height))?;
+        let block_hash = self.block_hash_at(height).ok_or(GuestError::UnknownHeight(height))?;
         // The epoch that must sign this block is the one recorded in it;
         // only the *current* epoch's blocks are still signable (older ones
         // are final by construction).
-        if block.epoch_id != self.current_epoch_id {
+        if self.blocks.borrow()[height as usize].epoch_id != self.current_epoch_id {
             return Err(GuestError::NotAValidator);
         }
         if !self.current_epoch.contains(&pubkey) {
@@ -420,7 +431,7 @@ impl GuestContract {
         if signatures.contains_key(&pubkey) {
             return Err(GuestError::AlreadySigned);
         }
-        if !pubkey.verify(&block.signing_bytes(), &signature) {
+        if !pubkey.verify(&GuestBlock::signing_bytes_for(height, &block_hash), &signature) {
             return Err(GuestError::BadSignature);
         }
         signatures.insert(pubkey, signature);
@@ -434,6 +445,7 @@ impl GuestContract {
             return Ok(false);
         }
         self.finalised[height as usize] = true;
+        let block = self.blocks.borrow()[height as usize].clone();
         let mut sorted: Vec<(PublicKey, Signature)> =
             self.signatures[height as usize].iter().map(|(pk, sig)| (*pk, *sig)).collect();
         sorted.sort_by_key(|(pk, _)| *pk);
@@ -701,9 +713,9 @@ impl GuestContract {
         if !is_validator {
             return Err(GuestError::InvalidEvidence("not a validator".into()));
         }
-        let misbehaved = match self.block_at(vote.height) {
-            None => true, // Case 2: height beyond the chain's head.
-            Some(block) => block.hash() != vote.block_hash, // Cases 1 & 3.
+        let misbehaved = match self.block_hash_at(vote.height) {
+            None => true,                          // Case 2: height beyond the chain's head.
+            Some(hash) => hash != vote.block_hash, // Cases 1 & 3.
         };
         if !misbehaved {
             return Err(GuestError::InvalidEvidence("vote matches the canonical block".into()));

@@ -191,41 +191,6 @@ impl LightClient for GuestLightClient {
         Ok(self.latest)
     }
 
-    fn verify_membership(
-        &self,
-        height: Height,
-        key: &[u8],
-        value: &[u8],
-        proof: &[u8],
-    ) -> Result<(), IbcError> {
-        let state = self.consensus_state(height).ok_or_else(|| {
-            IbcError::InvalidProof(format!("no consensus state at height {height}"))
-        })?;
-        let proof = ibc_core::store::decode_proof(proof)?;
-        if proof.verify_member(&state.root, key, value) {
-            Ok(())
-        } else {
-            Err(IbcError::InvalidProof("membership proof failed".into()))
-        }
-    }
-
-    fn verify_non_membership(
-        &self,
-        height: Height,
-        key: &[u8],
-        proof: &[u8],
-    ) -> Result<(), IbcError> {
-        let state = self.consensus_state(height).ok_or_else(|| {
-            IbcError::InvalidProof(format!("no consensus state at height {height}"))
-        })?;
-        let proof = ibc_core::store::decode_proof(proof)?;
-        if proof.verify_non_member(&state.root, key) {
-            Ok(())
-        } else {
-            Err(IbcError::InvalidProof("non-membership proof failed".into()))
-        }
-    }
-
     fn check_misbehaviour(&self, evidence: &[u8]) -> bool {
         let Ok(evidence) = serde_json::from_slice::<GuestMisbehaviour>(evidence) else {
             return false;

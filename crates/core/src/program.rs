@@ -514,7 +514,7 @@ impl GuestProgram {
                 GuestEvent::Ibc(_) => "Ibc",
             };
             self.record_guest_event(ctx.now_ms, &event);
-            ctx.emit(Event::encode(self.program_id, name, &event));
+            ctx.emit(Event::encode(self.program_id, name, event));
         }
         Ok(())
     }

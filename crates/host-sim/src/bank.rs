@@ -258,7 +258,7 @@ mod tests {
             match data.first() {
                 Some(0) => {
                     self.count += 1;
-                    ctx.emit(Event::encode(Pubkey::from_label("counter"), "Tick", &self.count));
+                    ctx.emit(Event::encode(Pubkey::from_label("counter"), "Tick", self.count));
                     Ok(())
                 }
                 Some(1) => Err(ProgramError::Rejected("told to fail".into())),

@@ -7,7 +7,7 @@
 //! guest light client in `guest-chain`, the Tendermint-like client in
 //! `counterparty-sim`); the handler talks to them through [`LightClient`].
 
-use sealable_trie::Trie;
+use sealable_trie::{Proof, Trie};
 use serde::{Deserialize, Serialize};
 use sim_crypto::Hash;
 
@@ -50,7 +50,8 @@ pub trait LightClient {
     fn update(&mut self, header: &[u8]) -> Result<Height, IbcError>;
 
     /// Verifies that `key ↦ value` is committed by the tracked chain at
-    /// `height`.
+    /// `height`: `proof` ([`encode_proof`](crate::store::encode_proof)
+    /// bytes) against the root of [`LightClient::consensus_state`].
     ///
     /// # Errors
     ///
@@ -61,7 +62,14 @@ pub trait LightClient {
         key: &[u8],
         value: &[u8],
         proof: &[u8],
-    ) -> Result<(), IbcError>;
+    ) -> Result<(), IbcError> {
+        let (root, proof) = root_and_proof(self, height, proof)?;
+        if proof.verify_member(&root, key, value) {
+            Ok(())
+        } else {
+            Err(IbcError::InvalidProof("membership proof failed".into()))
+        }
+    }
 
     /// Verifies that `key` is absent from the tracked chain at `height`.
     ///
@@ -73,7 +81,14 @@ pub trait LightClient {
         height: Height,
         key: &[u8],
         proof: &[u8],
-    ) -> Result<(), IbcError>;
+    ) -> Result<(), IbcError> {
+        let (root, proof) = root_and_proof(self, height, proof)?;
+        if proof.verify_non_member(&root, key) {
+            Ok(())
+        } else {
+            Err(IbcError::InvalidProof("non-membership proof failed".into()))
+        }
+    }
 
     /// Checks misbehaviour evidence; returns `true` when valid, in which
     /// case the caller freezes the client.
@@ -84,6 +99,19 @@ pub trait LightClient {
 
     /// Freezes the client.
     fn freeze(&mut self);
+}
+
+/// The root `client` holds for `height` and `proof` decoded: what both
+/// verifications start from.
+fn root_and_proof(
+    client: &(impl LightClient + ?Sized),
+    height: Height,
+    proof: &[u8],
+) -> Result<(Hash, Proof), IbcError> {
+    let state = client
+        .consensus_state(height)
+        .ok_or_else(|| IbcError::InvalidProof(format!("no consensus state at height {height}")))?;
+    Ok((state.root, crate::store::decode_proof(proof)?))
 }
 
 /// A trivial client for tests: trusts a preloaded table of heights.
@@ -140,41 +168,6 @@ impl LightClient for MockClient {
         }
         self.trust(header.height, header.root, header.timestamp_ms);
         Ok(header.height)
-    }
-
-    fn verify_membership(
-        &self,
-        height: Height,
-        key: &[u8],
-        value: &[u8],
-        proof: &[u8],
-    ) -> Result<(), IbcError> {
-        let state = self
-            .consensus_state(height)
-            .ok_or_else(|| IbcError::InvalidProof(format!("no consensus state at {height}")))?;
-        let proof = crate::store::decode_proof(proof)?;
-        if proof.verify_member(&state.root, key, value) {
-            Ok(())
-        } else {
-            Err(IbcError::InvalidProof("membership proof failed".into()))
-        }
-    }
-
-    fn verify_non_membership(
-        &self,
-        height: Height,
-        key: &[u8],
-        proof: &[u8],
-    ) -> Result<(), IbcError> {
-        let state = self
-            .consensus_state(height)
-            .ok_or_else(|| IbcError::InvalidProof(format!("no consensus state at {height}")))?;
-        let proof = crate::store::decode_proof(proof)?;
-        if proof.verify_non_member(&state.root, key) {
-            Ok(())
-        } else {
-            Err(IbcError::InvalidProof("non-membership proof failed".into()))
-        }
     }
 
     fn check_misbehaviour(&self, _evidence: &[u8]) -> bool {

@@ -5,7 +5,7 @@
 //! counterparty chain embeds one over a plain trie. Relayers shuttle
 //! messages (with proofs) between two handlers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use sim_crypto::Hash;
 
@@ -81,7 +81,7 @@ impl Default for HandlerConfig {
 pub struct IbcHandler<S: ProvableStore> {
     store: S,
     config: HandlerConfig,
-    stored_consensus_heights: HashMap<ClientId, Vec<Height>>,
+    stored_consensus_heights: HashMap<ClientId, VecDeque<Height>>,
     clients: HashMap<ClientId, Box<dyn LightClient>>,
     modules: HashMap<PortId, Box<dyn Module>>,
     self_history: Option<Box<dyn SelfHistory>>,
@@ -195,10 +195,10 @@ impl<S: ProvableStore> IbcHandler<S> {
         // Bound provable-store growth: drop the oldest consensus states
         // beyond the configured history window.
         let heights = self.stored_consensus_heights.entry(client_id.clone()).or_default();
-        heights.push(height);
+        heights.push_back(height);
         if self.config.consensus_history > 0 {
             while heights.len() > self.config.consensus_history {
-                let old = heights.remove(0);
+                let old = heights.pop_front().expect("longer than the window");
                 self.store.delete(&path::consensus_state(client_id, old))?;
             }
         }

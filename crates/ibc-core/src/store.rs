@@ -59,18 +59,21 @@ fn trie_err(err: TrieError) -> IbcError {
     IbcError::Store(err.to_string())
 }
 
-/// Serializes a trie proof for transport.
+/// A trie proof as [`ProofData`](crate::handler::ProofData) bytes: the
+/// hand-off from whoever holds the proof to the light client that checks
+/// it, [`Proof::to_bytes`]. (On the guest's wire a proof travels inside a
+/// `GuestOp`, as JSON; this is not that.)
 pub fn encode_proof(proof: &Proof) -> Vec<u8> {
-    serde_json::to_vec(proof).expect("proof serializes")
+    proof.to_bytes()
 }
 
-/// Deserializes a trie proof received from a counterparty.
+/// Reads [`encode_proof`] back.
 ///
 /// # Errors
 ///
 /// [`IbcError::InvalidProof`] on malformed bytes.
 pub fn decode_proof(bytes: &[u8]) -> Result<Proof, IbcError> {
-    serde_json::from_slice(bytes).map_err(|e| IbcError::InvalidProof(e.to_string()))
+    Proof::from_bytes(bytes).ok_or_else(|| IbcError::InvalidProof("malformed proof bytes".into()))
 }
 
 impl<S: NodeStore> ProvableStore for Trie<S> {

@@ -127,3 +127,83 @@ mod ics20_ledger {
         }
     }
 }
+
+/// The proof hand-off decoder (`ProofData::bytes`) takes bytes a relayer
+/// chose: it answers `InvalidProof`, never a panic, and a length it reads is
+/// spent only against input that is there.
+mod proof_hand_off {
+    use super::*;
+    use ibc_core::client::{LightClient, MockClient};
+    use ibc_core::store::{decode_proof, encode_proof};
+    use ibc_core::types::IbcError;
+    use sealable_trie::Trie;
+
+    fn trie(keys: u16) -> Trie {
+        let mut trie = Trie::new();
+        for i in 0..keys {
+            trie.insert(&i.to_be_bytes(), &[i as u8; 5]).unwrap();
+        }
+        trie
+    }
+
+    #[test]
+    fn lengths_are_not_trusted_ahead_of_the_input() {
+        for claim in [
+            &[0u8, 0xff, 0xff][..],          // a leaf of 65 535 nibbles, none present
+            &[2, 0xff, 0xff, 0x11],          // an extension likewise
+            &[1, 0xff, 0xff],                // a full branch, no hashes
+            &[1, 0xff, 0xff, 7, 7, 7, 7, 7], // …and a fraction of one
+            &[0, 0, 0],                      // an empty path, no hash
+            &[3],                            // no such node
+            b"{\"nodes\":[]}",               // the old JSON hand-off
+        ] {
+            assert!(matches!(decode_proof(claim), Err(IbcError::InvalidProof(_))), "{claim:?}");
+        }
+        assert_eq!(decode_proof(&[]).unwrap().nodes().len(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_are_refused_or_canonical(
+            bytes in proptest::collection::vec(
+                prop_oneof![3 => 0u8..3, 2 => Just(0xffu8), 5 => any::<u8>()], 0..300),
+        ) {
+            match decode_proof(&bytes) {
+                Ok(proof) => prop_assert_eq!(encode_proof(&proof), bytes),
+                Err(IbcError::InvalidProof(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected {other:?}"),
+            }
+        }
+
+        /// One flipped bit anywhere in a real proof: the light client says
+        /// `InvalidProof`, for the member and for the absent key alike.
+        #[test]
+        fn a_flipped_bit_never_verifies(
+            keys in 1u16..200,
+            pick in any::<prop::sample::Index>(),
+            flip in any::<prop::sample::Index>(),
+            bit in 0u8..8,
+        ) {
+            let trie = trie(keys);
+            let mut client = MockClient::new();
+            client.trust(7, trie.root_hash(), 0);
+            let present = (pick.index(keys as usize) as u16).to_be_bytes();
+            let absent = keys.to_be_bytes();
+
+            let member = encode_proof(&trie.prove(&present).unwrap());
+            let value = [present[1]; 5];
+            prop_assert!(client.verify_membership(7, &present, &value, &member).is_ok());
+            let mut damaged = member.clone();
+            damaged[flip.index(member.len())] ^= 1 << bit;
+            let verdict = client.verify_membership(7, &present, &value, &damaged);
+            prop_assert!(matches!(verdict, Err(IbcError::InvalidProof(_))), "{verdict:?}");
+
+            let non_member = encode_proof(&trie.prove(&absent).unwrap());
+            prop_assert!(client.verify_non_membership(7, &absent, &non_member).is_ok());
+            let mut damaged = non_member.clone();
+            damaged[flip.index(non_member.len())] ^= 1 << bit;
+            let verdict = client.verify_non_membership(7, &absent, &damaged);
+            prop_assert!(matches!(verdict, Err(IbcError::InvalidProof(_))), "{verdict:?}");
+        }
+    }
+}

@@ -51,12 +51,12 @@ fn finalise(
     host_height: u64,
 ) -> Result<GuestHeader, GuestError> {
     let block = contract.generate_block(now_ms, host_height)?;
+    let signing_bytes = block.signing_bytes();
     for keypair in validators {
         if !contract.current_epoch().contains(&keypair.public()) {
             continue;
         }
-        let signature = keypair.sign(&block.signing_bytes());
-        if contract.sign(block.height, keypair.public(), signature)? {
+        if contract.sign(block.height, keypair.public(), keypair.sign(&signing_bytes))? {
             break;
         }
     }

@@ -51,11 +51,12 @@ pub fn plan_op_for(
     num_sig_checks: usize,
 ) -> Vec<GuestInstruction> {
     let encoded = op.encode();
-    let inline = GuestInstruction::Inline { op: op.clone() };
     let checks_per_tx = sig_checks_per_tx_for(profile);
     // Only an op with no signature checks can ride inline: the staged path
     // is how verification work is carried across transactions.
-    if num_sig_checks == 0 && inline.encode().len() <= max_chunk_payload_for(profile, 1) {
+    if num_sig_checks == 0 && inline_len(encoded.len()) <= max_chunk_payload_for(profile, 1) {
+        let inline = GuestInstruction::Inline { op: op.clone() };
+        debug_assert_eq!(inline.encode().len(), inline_len(encoded.len()));
         return vec![inline];
     }
 
@@ -76,6 +77,13 @@ pub fn plan_op_for(
     }
     instructions.push(GuestInstruction::ExecStaged { buffer });
     instructions
+}
+
+/// `GuestInstruction::Inline { op }.encode().len()` for an op whose own
+/// encoding is `op_len` bytes: the JSON tag byte, the op's text spliced into
+/// `{"Inline":{"op":…}}`.
+fn inline_len(op_len: usize) -> usize {
+    1 + r#"{"Inline":{"op":"#.len() + op_len + "}}".len()
 }
 
 /// The number of transactions [`plan_op`] will produce, without building
@@ -158,6 +166,31 @@ mod tests {
             }
         }
         assert_eq!(reassembled, op.encode());
+    }
+
+    #[test]
+    fn inline_length_is_computed_not_encoded() {
+        // One byte of header moves the op's length by one: walk the inline
+        // instruction across the transaction limit.
+        let limit = max_chunk_payload_for(&HostProfile::SOLANA, 1);
+        let at_limit = limit - inline_len(update_op(0, 0).encode().len());
+        for header_len in at_limit - 1..=at_limit + 1 {
+            let op = update_op(header_len, 0);
+            let inline = GuestInstruction::Inline { op: op.clone() }.encode().len();
+            assert_eq!(inline_len(op.encode().len()), inline);
+            assert_eq!(inline, limit + header_len - at_limit);
+            let plan = plan_op(&op, 0, 0);
+            if inline <= limit {
+                assert_eq!(plan, vec![GuestInstruction::Inline { op }]);
+            } else {
+                assert!(matches!(plan[..], [GuestInstruction::WriteChunk { .. }, ..]), "{plan:?}");
+            }
+        }
+        // Shapes other than a struct variant splice the same way.
+        for op in [GuestOp::GenerateBlock, GuestOp::SelfDestruct] {
+            let inline = GuestInstruction::Inline { op: op.clone() }.encode().len();
+            assert_eq!(inline_len(op.encode().len()), inline);
+        }
     }
 
     #[test]

@@ -397,9 +397,7 @@ impl Relayer {
                 if event.program_id != self.guest_program {
                     continue;
                 }
-                if let Ok(guest_event) = serde_json::from_slice::<GuestEvent>(&event.payload) {
-                    events.push(guest_event);
-                }
+                events.extend(event.payload_as::<GuestEvent>());
             }
         }
         self.last_host_slot = host.slot();

@@ -194,7 +194,7 @@ impl World {
         for block in self.host.blocks_since(self.last_seen_slot) {
             for event in &block.events {
                 if let Ok(GuestEvent::NewBlock { block }) =
-                    serde_json::from_slice::<GuestEvent>(&event.payload)
+                    serde_json::from_slice::<GuestEvent>(event.payload())
                 {
                     for kp in &self.keypairs {
                         signs.push(GuestOp::SignBlock {

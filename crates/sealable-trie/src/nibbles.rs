@@ -19,8 +19,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(path.as_slice(), &[0xA, 0xB, 0x0, 0x1]);
 /// assert_eq!(path.to_key_bytes(), Some(vec![0xAB, 0x01]));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Nibbles(Vec<u8>);
+
+/// A path read from JSON is checked like one passed to
+/// [`Nibbles::from_nibbles`]: [`Nibbles::encode`] packs two elements per
+/// byte, so one of 16 or more would hash, and hand off, as a different path.
+impl<'de> Deserialize<'de> for Nibbles {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let nibbles = Vec::<u8>::deserialize(deserializer)?;
+        if nibbles.iter().any(|&n| n >= 16) {
+            return Err(serde::de::Error::custom("nibble out of range"));
+        }
+        Ok(Self(nibbles))
+    }
+}
 
 impl Nibbles {
     /// Creates an empty path.
@@ -99,13 +112,37 @@ impl Nibbles {
     /// Compact serialization: length prefix + packed pairs.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + self.0.len() / 2 + 1);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Nibbles::encode`] to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.0.len() as u16).to_le_bytes());
         for pair in self.0.chunks(2) {
             let hi = pair[0] << 4;
             let lo = pair.get(1).copied().unwrap_or(0);
             out.push(hi | lo);
         }
-        out
+    }
+
+    /// Reads one [`Nibbles::encode`]d path off the front of `bytes` and
+    /// returns it with the rest. `None` when `bytes` ends early or the
+    /// unused low half of an odd path's last byte is not zero, so every
+    /// path has exactly one encoding.
+    pub fn decode(bytes: &[u8]) -> Option<(Self, &[u8])> {
+        let (len, rest) = bytes.split_first_chunk::<2>()?;
+        let len = usize::from(u16::from_le_bytes(*len));
+        let (packed, rest) = rest.split_at_checked(len.div_ceil(2))?;
+        let mut nibbles = Vec::with_capacity(packed.len() * 2);
+        for byte in packed {
+            nibbles.push(byte >> 4);
+            nibbles.push(byte & 0xf);
+        }
+        if nibbles.len() > len && nibbles.pop() != Some(0) {
+            return None;
+        }
+        Some((Self(nibbles), rest))
     }
 }
 
@@ -164,6 +201,31 @@ mod tests {
     #[should_panic(expected = "nibble out of range")]
     fn rejects_big_nibble() {
         Nibbles::from_nibbles(vec![16]);
+    }
+
+    #[test]
+    fn decode_inverts_encode_and_refuses_everything_else() {
+        for nibbles in [vec![], vec![7], vec![1, 0], vec![0xf, 0, 0xa], vec![3; 64]] {
+            let path = Nibbles::from_nibbles(nibbles);
+            let mut bytes = path.encode();
+            bytes.extend_from_slice(b"rest");
+            assert_eq!(Nibbles::decode(&bytes), Some((path.clone(), &b"rest"[..])));
+            let exact = path.encode();
+            assert_eq!(Nibbles::decode(&exact[..exact.len() - 1]), None);
+        }
+        // An odd path whose padding half-byte is set has no preimage.
+        assert_eq!(Nibbles::decode(&[1, 0, 0x7f]), None);
+        assert_eq!(Nibbles::decode(&[0xff, 0xff, 0]), None);
+    }
+
+    #[test]
+    fn json_paths_are_checked_like_constructed_ones() {
+        let path = Nibbles::from_nibbles(vec![0, 9, 15]);
+        let text = serde_json::to_string(&path).unwrap();
+        assert_eq!(text, "[0,9,15]");
+        assert_eq!(serde_json::from_str::<Nibbles>(&text).unwrap(), path);
+        assert!(serde_json::from_str::<Nibbles>("[0,16]").is_err());
+        assert!(serde_json::from_str::<Nibbles>("[31]").is_err());
     }
 
     #[test]

@@ -154,6 +154,82 @@ impl Proof {
         2 + self.nodes.iter().map(ProofNode::encoded_len).sum::<usize>()
     }
 
+    /// The compact binary form, for handing a proof from one function to
+    /// another as bytes (the wire form is the serde one). Nodes in spine
+    /// order, each a tag byte and:
+    ///
+    /// * leaf `0`: path ([`Nibbles::encode`]), 32-byte value hash;
+    /// * branch `1`: little-endian `u16` with bit *i* set when slot *i* is
+    ///   occupied, then the occupied slots' 32-byte hashes in slot order;
+    /// * extension `2`: path, 32-byte child hash.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.nodes.len() * 96);
+        for node in &self.nodes {
+            let (tag, path, hash) = match node {
+                ProofNode::Leaf { path, value_hash } => (0, path, value_hash),
+                ProofNode::Extension { path, child } => (2, path, child),
+                ProofNode::Branch { children } => {
+                    out.push(1);
+                    let occupied = children
+                        .iter()
+                        .enumerate()
+                        .fold(0u16, |map, (slot, child)| map | u16::from(child.is_some()) << slot);
+                    out.extend_from_slice(&occupied.to_le_bytes());
+                    for child in children.iter().flatten() {
+                        out.extend_from_slice(child.as_bytes());
+                    }
+                    continue;
+                }
+            };
+            out.push(tag);
+            path.encode_into(&mut out);
+            out.extend_from_slice(hash.as_bytes());
+        }
+        out
+    }
+
+    /// Reads [`Proof::to_bytes`] back. `None` for anything `to_bytes` does
+    /// not write: an unknown tag, a node cut short, trailing bytes. The
+    /// bytes may come from a relayer, so nothing is allocated ahead of the
+    /// input that pays for it.
+    pub fn from_bytes(mut bytes: &[u8]) -> Option<Self> {
+        fn hash(bytes: &mut &[u8]) -> Option<Hash> {
+            let (hash, rest) = bytes.split_first_chunk::<32>()?;
+            *bytes = rest;
+            Some(Hash::from_bytes(*hash))
+        }
+        let mut nodes = Vec::new();
+        while let Some((&tag, rest)) = bytes.split_first() {
+            bytes = rest;
+            nodes.push(match tag {
+                0 | 2 => {
+                    let (path, rest) = Nibbles::decode(bytes)?;
+                    bytes = rest;
+                    let hash = hash(&mut bytes)?;
+                    if tag == 0 {
+                        ProofNode::Leaf { path, value_hash: hash }
+                    } else {
+                        ProofNode::Extension { path, child: hash }
+                    }
+                }
+                1 => {
+                    let (occupied, rest) = bytes.split_first_chunk::<2>()?;
+                    bytes = rest;
+                    let occupied = u16::from_le_bytes(*occupied);
+                    let mut children = [None; 16];
+                    for (slot, child) in children.iter_mut().enumerate() {
+                        if occupied >> slot & 1 == 1 {
+                            *child = Some(hash(&mut bytes)?);
+                        }
+                    }
+                    ProofNode::Branch { children }
+                }
+                _ => return None,
+            });
+        }
+        Some(Self { nodes })
+    }
+
     /// Verifies this proof for `key` against `root`.
     ///
     /// Returns [`VerifyOutcome::Member`] with the proven value hash,
@@ -341,6 +417,24 @@ mod tests {
         padded_nodes.push(padded_nodes[0].clone());
         let padded = Proof::new(padded_nodes);
         assert_eq!(padded.verify(&root, b"key/01"), VerifyOutcome::Invalid);
+    }
+
+    /// `16 + n` packs, and so hashes, like `n` in the high half of a byte:
+    /// read unchecked, a member's proof respelt that way still connected to
+    /// the root but no longer matched the key — a forged absence.
+    #[test]
+    fn a_respelt_nibble_cannot_forge_absence() {
+        // Two keys that part early, so the leaf still has a path to respell.
+        let mut trie = Trie::new();
+        trie.insert(b"alpha", b"1").unwrap();
+        trie.insert(b"beta", b"2").unwrap();
+        let text = serde_json::to_string(&trie.prove(b"alpha").unwrap()).unwrap();
+        let at = text.rfind("\"path\":[").unwrap() + "\"path\":[".len();
+        let end = at + text[at..].find([',', ']']).unwrap();
+        let nibble: u8 = text[at..end].parse().unwrap();
+        let respelt = format!("{}{}{}", &text[..at], nibble + 16, &text[end..]);
+        assert!(serde_json::from_str::<Proof>(&text).is_ok());
+        assert!(serde_json::from_str::<Proof>(&respelt).is_err());
     }
 
     #[test]

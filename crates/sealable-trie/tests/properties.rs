@@ -3,7 +3,9 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sealable_trie::{Trie, TrieError, VerifyOutcome};
+use sealable_trie::proof::ProofNode;
+use sealable_trie::{Nibbles, Proof, Trie, TrieError, VerifyOutcome};
+use sim_crypto::Hash;
 
 /// Operations the model understands.
 #[derive(Clone, Debug)]
@@ -25,6 +27,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(k, v)| Op::Insert(k, v)),
         1 => key_strategy().prop_map(Op::Remove),
         1 => key_strategy().prop_map(Op::Seal),
+    ]
+}
+
+fn hash_strategy() -> impl Strategy<Value = Hash> {
+    any::<[u8; 32]>().prop_map(Hash::from_bytes)
+}
+
+fn proof_node() -> impl Strategy<Value = ProofNode> {
+    let path = || proptest::collection::vec(0u8..16, 0..9).prop_map(Nibbles::from_nibbles);
+    prop_oneof![
+        (path(), hash_strategy())
+            .prop_map(|(path, value_hash)| ProofNode::Leaf { path, value_hash }),
+        (path(), hash_strategy()).prop_map(|(path, child)| ProofNode::Extension { path, child }),
+        proptest::collection::vec(prop_oneof![Just(None), hash_strategy().prop_map(Some)], 16)
+            .prop_map(|slots| ProofNode::Branch { children: core::array::from_fn(|i| slots[i]) }),
     ]
 }
 
@@ -237,11 +254,30 @@ proptest! {
             let proof = trie.prove(k).unwrap();
             prop_assert!(proof.verify_member(&root, k, v));
             prop_assert!(!proof.verify_member(&root, k, b"forged-value"));
+            // Handed off as bytes it is the same proof under the same root.
+            let handed = Proof::from_bytes(&proof.to_bytes());
+            prop_assert_eq!(handed.as_ref(), Some(&proof));
+            prop_assert!(handed.unwrap().verify_member(&root, k, v));
         }
         let proof = trie.prove(&probe).unwrap();
+        let handed = Proof::from_bytes(&proof.to_bytes()).unwrap();
+        prop_assert_eq!(&handed, &proof);
         match trie.get(&probe).unwrap() {
-            Some(v) => prop_assert!(proof.verify_member(&root, &probe, &v)),
-            None => prop_assert!(proof.verify_non_member(&root, &probe)),
+            Some(v) => prop_assert!(handed.verify_member(&root, &probe, &v)),
+            None => prop_assert!(handed.verify_non_member(&root, &probe)),
+        }
+    }
+
+    /// `Proof::to_bytes` / `from_bytes` are inverse on every spine, real or
+    /// not: empty and odd paths, branches of any occupancy, any node order.
+    #[test]
+    fn proof_bytes_round_trip(nodes in proptest::collection::vec(proof_node(), 0..8)) {
+        let proof = Proof::new(nodes);
+        let bytes = proof.to_bytes();
+        prop_assert_eq!(Proof::from_bytes(&bytes), Some(proof));
+        // A last node cut short is refused, not read as a shorter proof.
+        if let Some((_, cut)) = bytes.split_last() {
+            prop_assert_eq!(Proof::from_bytes(cut), None);
         }
     }
 

@@ -537,9 +537,7 @@ impl Testnet {
                         .events
                         .iter()
                         .filter(|event| event.program_id == self.program_id)
-                        .filter_map(|event| {
-                            serde_json::from_slice::<GuestEvent>(&event.payload).ok()
-                        }),
+                        .filter_map(|event| event.payload_as::<GuestEvent>()),
                 );
                 if self.sign_tx_inflight.contains_key(tx_id) {
                     sign_results.push((*tx_id, outcome.is_ok(), outcome.fee_lamports));
@@ -913,10 +911,7 @@ impl Testnet {
         }
         for vote in std::mem::take(&mut self.gossip) {
             let conflicting = vote.verify()
-                && match self.contract.borrow().block_at(vote.height) {
-                    None => true,
-                    Some(block) => block.hash() != vote.block_hash,
-                };
+                && self.contract.borrow().block_hash_at(vote.height) != Some(vote.block_hash);
             if !conflicting {
                 continue;
             }
@@ -974,12 +969,12 @@ impl Testnet {
         if !submitted.insert(validator) {
             return;
         }
-        let Some(block) = self.contract.borrow().block_at(height) else { return };
+        let Some(block_hash) = self.contract.borrow().block_hash_at(height) else { return };
         let keypair = &self.keypairs[validator];
         let op = GuestOp::SignBlock {
             height,
             pubkey: keypair.public(),
-            signature: keypair.sign(&block.signing_bytes()),
+            signature: keypair.sign(&GuestBlock::signing_bytes_for(height, &block_hash)),
         };
         let mut tx = Transaction::build_for(
             &self.config.host_profile,

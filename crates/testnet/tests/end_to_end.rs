@@ -132,3 +132,27 @@ fn same_seed_reproduces_the_run() {
     };
     assert_eq!(run(7), run(7));
 }
+
+/// A host event hands observers the value it was encoded from instead of
+/// having each parse the bytes; over an hour of traffic that value is, for
+/// every event of every block, exactly what the bytes parse to.
+#[test]
+fn typed_event_payloads_are_what_their_bytes_parse_to() {
+    use guest_chain::GuestEvent;
+
+    let mut net = Testnet::build(TestnetConfig::small(5));
+    let (mut guest_events, mut finalised) = (0usize, 0usize);
+    while net.host.now_ms() < testnet::HOUR_MS {
+        net.step();
+        let block = net.host.latest_block().expect("a step produces a block");
+        let by_tx = block.transactions.iter().flat_map(|(_, outcome)| &outcome.events);
+        assert!(by_tx.eq(&block.events), "a block lists its events once per view");
+        for event in &block.events {
+            let parsed = serde_json::from_slice::<GuestEvent>(event.payload()).ok();
+            assert_eq!(event.payload_as::<GuestEvent>(), parsed, "{event:?}");
+            guest_events += usize::from(parsed.is_some());
+            finalised += usize::from(matches!(parsed, Some(GuestEvent::FinalisedBlock { .. })));
+        }
+    }
+    assert!(guest_events > 100 && finalised > 10, "{guest_events} events, {finalised} finalised");
+}
