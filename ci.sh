@@ -104,6 +104,17 @@ if outside_tests 'serde_json' crates/ibc-core/src/store.rs | grep .; then
     exit 1
 fi
 
+echo "==> one way into the journal"
+# A record a caller emits is kept, in order: `event`, `span_start` and `span_end` all append through
+# `Inner::journal_push` (telemetry's lib.rs), which numbers it; the sampler that routed each record
+# to the journal, a pending buffer or the floor is gone. A tripwire for a second append spelled
+# `journal.push(`, scanning each file up to its first column-0 #[cfg(test)].
+if [ "$(outside_tests 'journal\.push\(' crates/telemetry/src | wc -l)" -ne 1 ]; then
+    outside_tests 'journal\.push\(' crates/telemetry/src >&2
+    echo "crates/telemetry/src must append to the journal in exactly one place" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -136,8 +147,8 @@ bench latency_attribution --users 400 --hours 2 --seed 2026 --quiet \
     --json "$CI/BENCH_latency_attribution.json"
 bench profile --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --quiet \
     --json "$CI/BENCH_profile_summary.json" --profile-json "$CI/BENCH_profile.json"
-bench telemetry_overhead --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --keep 8 --reps 9 \
-    --quiet --json "$CI/BENCH_overhead.json"
+bench telemetry_overhead --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --reps 9 --quiet \
+    --json "$CI/BENCH_overhead.json"
 bench gate gates.json
 
 # Wall-clock artifacts are tracked for their history, not pinned: refreshed once the gate has passed.

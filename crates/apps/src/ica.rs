@@ -20,7 +20,7 @@ use ibc_core::ics20::TransferModule;
 use ibc_core::store::ProvableStore;
 use ibc_core::types::{ChannelId, IbcError, PortId};
 
-use crate::stack::{IbcApplication, ModuleStack};
+use crate::stack::IbcApplication;
 
 /// The ledger account a host chain opens for `owner`.
 pub fn ica_account(owner: &str) -> String {
@@ -278,20 +278,4 @@ pub fn ica_execute<S: ProvableStore>(
 ) -> Result<Packet, IbcError> {
     let data = IcaPacketData::Execute { owner: owner.to_string(), ops };
     handler.send_packet(port_id, channel_id, data.encode(), timeout)
-}
-
-/// The ICA app inside the stack bound to `port_id`.
-///
-/// # Errors
-///
-/// [`IbcError::UnboundPort`] when no stacked ICA app is reachable.
-pub fn ica_app_mut<'h, S: ProvableStore>(
-    handler: &'h mut IbcHandler<S>,
-    port_id: &PortId,
-) -> Result<&'h mut IcaApp, IbcError> {
-    handler
-        .module_mut(port_id)
-        .and_then(|m| m.as_any_mut().downcast_mut::<ModuleStack>())
-        .and_then(|s| s.app_as_mut::<IcaApp>())
-        .ok_or_else(|| IbcError::UnboundPort(port_id.clone()))
 }

@@ -148,15 +148,6 @@ impl NftModule {
         self.owners.keys().filter(|(c, _)| c == class).map(|(_, t)| t.clone()).collect()
     }
 
-    /// Tokens of `class` held by `owner`, sorted.
-    pub fn tokens_of(&self, class: &str, owner: &str) -> Vec<String> {
-        self.owners
-            .iter()
-            .filter(|((c, _), held)| c == class && held.as_str() == owner)
-            .map(|((_, t), _)| t.clone())
-            .collect()
-    }
-
     /// Total tokens across all classes.
     pub fn total_tokens(&self) -> u64 {
         self.owners.len() as u64

@@ -22,11 +22,6 @@ impl TransferApp {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Wraps an existing ledger.
-    pub fn with_ledger(ledger: TransferModule) -> Self {
-        Self { ledger }
-    }
 }
 
 impl IbcApplication for TransferApp {

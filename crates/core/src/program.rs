@@ -175,12 +175,6 @@ impl GuestOp {
         }
     }
 
-    /// Stable snake-case label of the operation, used as the telemetry
-    /// metrics key (`guest.cu.op.<kind>`).
-    pub fn kind_name(&self) -> &'static str {
-        self.names().0
-    }
-
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("op serializes")

@@ -91,11 +91,6 @@ impl<'a> InvokeContext<'a> {
         self.heap.alloc(bytes).map_err(ProgramError::from)
     }
 
-    /// Remaining compute units.
-    pub fn compute_remaining(&self) -> u64 {
-        self.compute.remaining()
-    }
-
     /// Compute units consumed so far in this transaction (for cost
     /// attribution, e.g. telemetry's per-instruction CU counters).
     pub fn compute_used(&self) -> u64 {
@@ -115,11 +110,6 @@ impl<'a> InvokeContext<'a> {
     /// Reads an account.
     pub fn account(&self, key: &Pubkey) -> Option<&Account> {
         self.accounts.get(key)
-    }
-
-    /// Mutable account access (for staging buffers and balances).
-    pub fn account_mut(&mut self, key: &Pubkey) -> Option<&mut Account> {
-        self.accounts.get_mut(key)
     }
 
     /// Moves lamports between two accounts.

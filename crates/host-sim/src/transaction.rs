@@ -152,13 +152,6 @@ impl Transaction {
         signatures + header + accounts + blockhash + instructions
     }
 
-    /// Bytes left for instruction data under the size limit, given the
-    /// accounts and signature layout of this transaction. Useful when
-    /// chunking a large payload.
-    pub fn spare_capacity(&self) -> usize {
-        MAX_TRANSACTION_SIZE.saturating_sub(self.serialized_size())
-    }
-
     /// The total fee in lamports: base per-signature fees plus the policy's
     /// extra (priority fee or bundle tip).
     pub fn fee_lamports(&self) -> u64 {

@@ -8,11 +8,6 @@
 
 use crate::types::{ChannelId, ClientId, ConnectionId, PortId};
 
-/// Path of a client's latest state.
-pub fn client_state(client_id: &ClientId) -> Vec<u8> {
-    format!("clients/{client_id}/clientState").into_bytes()
-}
-
 /// Path of a client's consensus state at `height` (fixed-width).
 pub fn consensus_state(client_id: &ClientId, height: u64) -> Vec<u8> {
     format!("clients/{client_id}/consensusStates/{height:020}").into_bytes()

@@ -99,13 +99,6 @@ impl LinkSpec {
         }
     }
 
-    /// Sets the fee schedule.
-    #[must_use]
-    pub fn with_fee(mut self, fee: LinkFee) -> Self {
-        self.fee = fee;
-        self
-    }
-
     /// The label chaos plans and telemetry identify this link by.
     pub fn label(&self) -> String {
         format!("{}<>{}", self.a, self.b)

@@ -11,8 +11,11 @@ use workload::{AppMix, TrafficConfig};
 
 const MINUTE_MS: u64 = 60_000;
 
-/// Captured at 43bb6f3 (the commit before the relay core was unified).
-const GOLDEN_SHA256: &str = "5d88a8e6b349470de39a2d0249d5b6283044fd30f6026ddb3516f974892925c6";
+/// The timeline of 43bb6f3 (the commit before the relay core was unified),
+/// re-hashed once since for a format change: `"sampling": null` left `meta`
+/// with the sampler (put the line back and the report hashes to the old
+/// constant; CHANGES.md PR 21).
+const GOLDEN_SHA256: &str = "9d7000cf4404c98fef4fd7cdde98d17512c19a806953a8a5f2f80c6b2828c086";
 
 #[test]
 fn mixed_app_line_with_a_link_outage_matches_the_golden_report() {

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use telemetry::{Telemetry, TraceId};
+use telemetry::{AlertTransition, Telemetry, TraceId};
 
 /// One unhealthy observation reported by a detector at a single
 /// evaluation instant.
@@ -101,7 +101,7 @@ impl AlertBook {
                 None => {
                     telemetry.alert(
                         now_ms,
-                        "pending",
+                        AlertTransition::Pending,
                         detector,
                         target,
                         &finding.details,
@@ -110,7 +110,7 @@ impl AlertBook {
                     if self.debounce_ms == 0 {
                         telemetry.alert(
                             now_ms,
-                            "firing",
+                            AlertTransition::Firing,
                             detector,
                             target,
                             &finding.details,
@@ -135,7 +135,7 @@ impl AlertBook {
                         let pending_ms = *since;
                         telemetry.alert(
                             now_ms,
-                            "firing",
+                            AlertTransition::Firing,
                             detector,
                             target,
                             &finding.details,
@@ -183,7 +183,7 @@ impl AlertBook {
                             self.records[record].resolved_ms = Some(now_ms);
                             telemetry.alert(
                                 now_ms,
-                                "resolved",
+                                AlertTransition::Resolved,
                                 &key.0,
                                 &key.1,
                                 &self.records[record].details,

@@ -272,11 +272,6 @@ impl Relayer {
         self.pending_to_cp.partition_point(|msg| msg.kind() == JobKind::RecvPacket)
     }
 
-    /// Queued guest-bound work items (deliveries, acks, timeouts).
-    pub fn pending_intents(&self) -> usize {
-        self.intents.len()
-    }
-
     /// Whether a guest-bound job is mid-flight (activated off the intent
     /// queue, so [`Relayer::backlog`] no longer counts it).
     pub fn job_in_flight(&self) -> bool {

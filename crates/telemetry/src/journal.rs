@@ -4,8 +4,6 @@
 //! Every record carries the simulated timestamp it was emitted at — never
 //! a wall clock — so two same-seed runs produce byte-identical journals.
 
-use std::io;
-
 use serde::ser::Serializer;
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
@@ -189,84 +187,6 @@ pub enum RecordKind {
     SpanEnd,
 }
 
-/// Default flush threshold of a [`JournalWriter`], in bytes.
-pub const JOURNAL_BATCH_BYTES: usize = 64 * 1024;
-
-/// Batched JSONL writer: serializes records into an in-memory buffer and
-/// hands the sink whole batches instead of one `write` syscall per line.
-/// At airdrop-storm density the journal runs to hundreds of thousands of
-/// records; per-line writes dominate the export cost.
-///
-/// The writer is an RAII guard: dropping it without calling
-/// [`JournalWriter::finish`] still flushes the buffered tail into the
-/// sink (I/O errors ignored at that point — there is nobody left to
-/// report them to), so a run that panics or exits early keeps its
-/// partial journal instead of losing the last batch.
-#[derive(Debug)]
-pub struct JournalWriter<W: io::Write> {
-    /// `None` only after [`JournalWriter::finish`] took the sink out,
-    /// which disarms the drop flush.
-    sink: Option<W>,
-    buffer: String,
-    batch_bytes: usize,
-}
-
-impl<W: io::Write> JournalWriter<W> {
-    /// A writer flushing to `sink` every [`JOURNAL_BATCH_BYTES`].
-    pub fn new(sink: W) -> Self {
-        Self::with_batch_bytes(sink, JOURNAL_BATCH_BYTES)
-    }
-
-    /// A writer with an explicit flush threshold (min 1 byte).
-    pub fn with_batch_bytes(sink: W, batch_bytes: usize) -> Self {
-        let batch_bytes = batch_bytes.max(1);
-        Self { sink: Some(sink), buffer: String::with_capacity(batch_bytes + 1_024), batch_bytes }
-    }
-
-    /// Appends one record as a JSONL line, flushing the batch to the
-    /// sink when the buffer crosses the threshold.
-    pub fn push(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        self.buffer.push_str(&line);
-        self.buffer.push('\n');
-        if self.buffer.len() >= self.batch_bytes {
-            self.flush_buffer()?;
-        }
-        Ok(())
-    }
-
-    fn flush_buffer(&mut self) -> io::Result<()> {
-        if !self.buffer.is_empty() {
-            let sink = self.sink.as_mut().expect("sink present until finish");
-            sink.write_all(self.buffer.as_bytes())?;
-            self.buffer.clear();
-        }
-        Ok(())
-    }
-
-    /// Flushes the final partial batch and returns the sink, disarming
-    /// the drop flush.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.flush_buffer()?;
-        let mut sink = self.sink.take().expect("finish runs once");
-        sink.flush()?;
-        Ok(sink)
-    }
-}
-
-impl<W: io::Write> Drop for JournalWriter<W> {
-    fn drop(&mut self) {
-        if let Some(sink) = self.sink.as_mut() {
-            if !self.buffer.is_empty() {
-                let _ = sink.write_all(self.buffer.as_bytes());
-                self.buffer.clear();
-            }
-            let _ = sink.flush();
-        }
-    }
-}
-
 /// One line of the JSONL journal.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
@@ -284,95 +204,4 @@ pub struct JournalRecord {
     pub span: Option<u64>,
     /// Structured payload.
     pub fields: Fields,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn record(seq: u64) -> JournalRecord {
-        JournalRecord {
-            seq,
-            at_ms: seq * 10,
-            kind: RecordKind::Event,
-            name: "packet.send".to_string(),
-            traces: vec![seq],
-            span: None,
-            fields: Fields::default(),
-        }
-    }
-
-    #[test]
-    fn journal_writer_batches_and_matches_per_line_output() {
-        // Tiny threshold forces several flushes; the byte stream must
-        // still be exactly the per-line rendering.
-        let mut writer = JournalWriter::with_batch_bytes(Vec::new(), 64);
-        let mut expected = String::new();
-        for seq in 0..50 {
-            let r = record(seq);
-            writer.push(&r).unwrap();
-            expected.push_str(&serde_json::to_string(&r).unwrap());
-            expected.push('\n');
-        }
-        let sink = writer.finish().unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), expected);
-        assert_eq!(expected.lines().count(), 50);
-    }
-
-    #[test]
-    fn journal_writer_flushes_partial_batch_on_finish() {
-        let mut writer = JournalWriter::new(Vec::new());
-        writer.push(&record(0)).unwrap();
-        let sink = writer.finish().unwrap();
-        assert!(!sink.is_empty(), "one record is far below the batch threshold");
-    }
-
-    /// A sink whose bytes outlive the writer, so the drop flush is
-    /// observable.
-    struct SharedSink(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
-
-    impl io::Write for SharedSink {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.borrow_mut().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn journal_writer_flushes_buffered_tail_on_drop() {
-        let bytes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        {
-            let mut writer = JournalWriter::new(SharedSink(bytes.clone()));
-            writer.push(&record(0)).unwrap();
-            writer.push(&record(1)).unwrap();
-            assert!(bytes.borrow().is_empty(), "two records stay under the batch threshold");
-            // Dropped without finish(), as a panicking run would.
-        }
-        let written = String::from_utf8(bytes.borrow().clone()).unwrap();
-        assert_eq!(written.lines().count(), 2, "the drop guard saved the tail batch");
-        assert_eq!(written, {
-            let mut expected = String::new();
-            for seq in 0..2 {
-                expected.push_str(&serde_json::to_string(&record(seq)).unwrap());
-                expected.push('\n');
-            }
-            expected
-        });
-    }
-
-    #[test]
-    fn finish_disarms_the_drop_flush() {
-        let bytes = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        {
-            let mut writer = JournalWriter::new(SharedSink(bytes.clone()));
-            writer.push(&record(0)).unwrap();
-            writer.finish().unwrap();
-        }
-        let written = String::from_utf8(bytes.borrow().clone()).unwrap();
-        assert_eq!(written.lines().count(), 1, "finish flushed once, drop added nothing");
-    }
 }

@@ -61,9 +61,7 @@ pub use artifact::{Artifact, Flags, OutputOptions, Section};
 pub use attribution::{AttributionReport, GroupStat, StageStat};
 pub use graph::{stages, CausalEdge, CausalGraph, CausalNode};
 pub use ids::{SpanId, TraceId};
-pub use journal::{
-    FieldValue, Fields, JournalRecord, JournalWriter, RecordKind, JOURNAL_BATCH_BYTES,
-};
+pub use journal::{FieldValue, Fields, JournalRecord, RecordKind};
 pub use metrics::{
     validate_bounds, GaugeSeries, Histogram, HistogramBoundsError, MetricsRegistry,
     MetricsSnapshot, CARDINALITY_LIMITED, DEFAULT_BUCKETS, GAUGE_SERIES_CAP,
@@ -72,8 +70,8 @@ pub use metrics::{
 pub use postmortem::{PostmortemBundle, PostmortemTrigger, TriggerKind, POSTMORTEM_TAIL};
 pub use report::{
     render_packet_trace, render_packet_trace_with_alerts, render_route_trace,
-    render_route_trace_with_alerts, AlertTransitionReport, DeliveryAccounting, HealthRow,
-    PacketTraceReport, RouteTraceReport, RunMeta, RunReport, SamplingMeta, SpanReport, TraceEvent,
+    render_route_trace_with_alerts, AlertTransition, AlertTransitionReport, DeliveryAccounting,
+    HealthRow, PacketTraceReport, RouteTraceReport, RunMeta, RunReport, SpanReport, TraceEvent,
     ViolationReport,
 };
 
@@ -142,98 +140,6 @@ struct SpanData {
     end_ms: Option<u64>,
 }
 
-/// Per-trace sampling verdict. Head sampling decides `Keep`/`Buffer` at
-/// trace allocation; `Buffer` later resolves to `Escalated` (anomaly —
-/// promote the buffered records) or `Dropped` (normal completion —
-/// discard them).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SampleDecision {
-    Keep,
-    Buffer,
-    Escalated,
-    Dropped,
-}
-
-/// Tail-sampling state of a sampled sink. Everything here is a pure
-/// function of sim-deterministic inputs (the sampling seed and packet
-/// identities), so same-seed sampled runs stay byte-identical.
-#[derive(Debug)]
-struct SamplerState {
-    keep_one_in: u64,
-    seed: u64,
-    decisions: BTreeMap<u64, SampleDecision>,
-    /// Records waiting on an undecided trace; `None` once flushed to the
-    /// journal or discarded.
-    pending: Vec<Option<JournalRecord>>,
-    /// Pending-record indexes by undecided trace id.
-    pending_by_trace: BTreeMap<u64, Vec<usize>>,
-    kept: u64,
-    dropped: u64,
-    escalated: u64,
-}
-
-impl SamplerState {
-    fn new(keep_one_in: u64, seed: u64) -> Self {
-        Self {
-            keep_one_in: keep_one_in.max(1),
-            seed,
-            decisions: BTreeMap::new(),
-            pending: Vec::new(),
-            pending_by_trace: BTreeMap::new(),
-            kept: 0,
-            dropped: 0,
-            escalated: 0,
-        }
-    }
-
-    /// The head decision for a freshly-allocated trace.
-    fn decide(&mut self, trace: u64, hash: u64) {
-        let keep = self.keep_one_in <= 1 || hash.is_multiple_of(self.keep_one_in);
-        let decision = if keep { SampleDecision::Keep } else { SampleDecision::Buffer };
-        if keep {
-            self.kept += 1;
-        }
-        self.decisions.insert(trace, decision);
-    }
-
-    fn meta(&self) -> SamplingMeta {
-        SamplingMeta {
-            keep_one_in: self.keep_one_in,
-            seed: self.seed,
-            kept: self.kept,
-            dropped: self.dropped,
-            escalated: self.escalated,
-        }
-    }
-}
-
-/// Deterministic sampling hash: FNV-1a over the identity parts (with a
-/// separator between parts) followed by a splitmix64 finalizer, mixed
-/// with the sampling seed. No wall clock, no entropy.
-fn sample_hash(seed: u64, parts: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for part in parts {
-        for byte in *part {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-/// Where a freshly-captured record goes under sampling.
-enum Route {
-    Journal,
-    Pending,
-    Discard,
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     next_trace: u64,
@@ -251,7 +157,6 @@ struct Inner {
     /// stuck-packet query walks these alone, never the finished lifecycles.
     open_packets: BTreeMap<(String, String, u64), (TraceId, u64)>,
     alerts: Vec<AlertTransitionReport>,
-    sampler: Option<SamplerState>,
 }
 
 impl Inner {
@@ -271,123 +176,11 @@ impl Inner {
         }
     }
 
-    /// Appends a record to the journal, assigning the next seq.
+    /// Appends a record to the journal, assigning the next seq: the one
+    /// way in, for events and span edges alike.
     fn journal_push(&mut self, mut record: JournalRecord) {
         record.seq = self.journal.len() as u64;
         self.journal.push(record);
-    }
-
-    /// Routes one captured record: straight to the journal when no
-    /// sampler is active, the record is traceless (global), or any
-    /// linked trace is kept; into the pending buffer while every linked
-    /// trace is still undecided; to the floor when every linked trace
-    /// was dropped.
-    fn capture(&mut self, record: JournalRecord) {
-        let route = match &self.sampler {
-            None => Route::Journal,
-            Some(_) if record.traces.is_empty() => Route::Journal,
-            Some(sampler) => {
-                let mut any_buffer = false;
-                let mut any_kept = false;
-                for trace in &record.traces {
-                    match sampler.decisions.get(trace) {
-                        Some(SampleDecision::Keep) | Some(SampleDecision::Escalated) | None => {
-                            any_kept = true;
-                        }
-                        Some(SampleDecision::Buffer) => any_buffer = true,
-                        Some(SampleDecision::Dropped) => {}
-                    }
-                }
-                if any_kept {
-                    Route::Journal
-                } else if any_buffer {
-                    Route::Pending
-                } else {
-                    Route::Discard
-                }
-            }
-        };
-        match route {
-            Route::Journal => self.journal_push(record),
-            Route::Discard => {}
-            Route::Pending => {
-                let sampler = self.sampler.as_mut().expect("pending implies sampler");
-                let index = sampler.pending.len();
-                for trace in &record.traces {
-                    if sampler.decisions.get(trace) == Some(&SampleDecision::Buffer) {
-                        sampler.pending_by_trace.entry(*trace).or_default().push(index);
-                    }
-                }
-                sampler.pending.push(Some(record));
-            }
-        }
-    }
-
-    /// Promotes a buffered trace to always-keep and flushes its pending
-    /// records into the journal (in capture order).
-    fn escalate_trace(&mut self, trace: u64) {
-        let Some(sampler) = self.sampler.as_mut() else { return };
-        if sampler.decisions.get(&trace) != Some(&SampleDecision::Buffer) {
-            return;
-        }
-        sampler.decisions.insert(trace, SampleDecision::Escalated);
-        sampler.escalated += 1;
-        let indexes = sampler.pending_by_trace.remove(&trace).unwrap_or_default();
-        for index in indexes {
-            if let Some(record) = self.sampler.as_mut().expect("sampler").pending[index].take() {
-                self.journal_push(record);
-            }
-        }
-    }
-
-    /// Resolves a buffered trace that completed normally: its records
-    /// are discarded once no other undecided trace still references
-    /// them.
-    fn drop_trace(&mut self, trace: u64) {
-        let Some(sampler) = self.sampler.as_mut() else { return };
-        if sampler.decisions.get(&trace) != Some(&SampleDecision::Buffer) {
-            return;
-        }
-        sampler.decisions.insert(trace, SampleDecision::Dropped);
-        sampler.dropped += 1;
-        let indexes = sampler.pending_by_trace.remove(&trace).unwrap_or_default();
-        for index in indexes {
-            let discard = match &sampler.pending[index] {
-                None => false,
-                Some(record) => record
-                    .traces
-                    .iter()
-                    .all(|t| sampler.decisions.get(t) == Some(&SampleDecision::Dropped)),
-            };
-            if discard {
-                sampler.pending[index] = None;
-            }
-        }
-    }
-
-    /// Escalates every still-undecided trace — at export time an
-    /// undecided lifecycle is by definition stranded (a completed one
-    /// would have been dropped), and stranded packets are always kept.
-    /// Idempotent; deterministic order (by trace id).
-    fn flush_stranded(&mut self) {
-        let Some(sampler) = self.sampler.as_ref() else { return };
-        let stranded: Vec<u64> = sampler
-            .decisions
-            .iter()
-            .filter(|(_, d)| **d == SampleDecision::Buffer)
-            .map(|(t, _)| *t)
-            .collect();
-        for trace in stranded {
-            self.escalate_trace(trace);
-        }
-    }
-
-    /// Whether a trace's lifecycle was sampled away (hidden from
-    /// reports).
-    fn trace_dropped(&self, trace: u64) -> bool {
-        self.sampler
-            .as_ref()
-            .is_some_and(|s| s.decisions.get(&trace) == Some(&SampleDecision::Dropped))
     }
 }
 
@@ -424,24 +217,6 @@ impl Telemetry {
         Self { inner: Some(Rc::new(RefCell::new(Inner::default()))) }
     }
 
-    /// A recording sink with deterministic trace sampling: 1 in
-    /// `keep_one_in` packet/route lifecycles is kept at trace start
-    /// (seeded hash of the trace identity — no wall clock, no entropy);
-    /// the rest buffer their journal records until the lifecycle
-    /// resolves. Anomalous lifecycles (timed out, refunded,
-    /// alert-linked, invariant-linked, or still stranded at export) are
-    /// *always* promoted into the journal — tail-sampling semantics.
-    ///
-    /// Metrics (counters, gauges, series, histograms), trace statuses
-    /// ([`Telemetry::open_packet_traces`]) and alert transitions are
-    /// never sampled: aggregates and detector inputs stay full-fidelity,
-    /// only per-trace journal records are thinned.
-    pub fn sampled(keep_one_in: u64, seed: u64) -> Self {
-        let inner =
-            Inner { sampler: Some(SamplerState::new(keep_one_in, seed)), ..Inner::default() };
-        Self { inner: Some(Rc::new(RefCell::new(inner))) }
-    }
-
     /// A no-op sink: every method returns immediately.
     pub fn disabled() -> Self {
         Self { inner: None }
@@ -450,15 +225,6 @@ impl Telemetry {
     /// Whether this handle records anything.
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The sampling parameters and tallies so far (`None` for disabled
-    /// and full-fidelity sinks). Tallies move as lifecycles resolve;
-    /// [`Telemetry::run_report`] reports the end-of-run values.
-    pub fn sampling(&self) -> Option<SamplingMeta> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.sampler.as_ref().map(|s| s.meta())
     }
 
     /// Returns (allocating on first sight) the trace id of the packet
@@ -477,13 +243,6 @@ impl Telemetry {
         inner.next_trace += 1;
         inner.unfinished_packets.insert(trace.0, key.clone());
         inner.packet_traces.insert(key, trace);
-        if let Some(sampler) = inner.sampler.as_mut() {
-            let hash = sample_hash(
-                sampler.seed,
-                &[origin.as_bytes(), channel.as_bytes(), &sequence.to_le_bytes()],
-            );
-            sampler.decide(trace.0, hash);
-        }
         Some(trace)
     }
 
@@ -501,10 +260,6 @@ impl Telemetry {
         let trace = TraceId(inner.next_trace);
         inner.next_trace += 1;
         inner.route_traces.insert(label.to_string(), trace);
-        if let Some(sampler) = inner.sampler.as_mut() {
-            let hash = sample_hash(sampler.seed, &[label.as_bytes()]);
-            sampler.decide(trace.0, hash);
-        }
         Some(trace)
     }
 
@@ -528,13 +283,6 @@ impl Telemetry {
     }
 
     /// Emits a point-in-time event linked to `traces`.
-    ///
-    /// Under a sampled sink ([`Telemetry::sampled`]) the event's name
-    /// also drives the tail-sampling decision of its traces: anomalous
-    /// events (timeout, refund, invariant violation, alert transitions)
-    /// escalate every linked trace to always-keep *before* the record is
-    /// routed, and normal terminal events (ack, delivered) release the
-    /// buffered records of non-kept traces afterwards.
     pub fn event(&self, at_ms: u64, name: &str, traces: &[TraceId], fields: &[(&str, FieldValue)]) {
         let Some(inner) = self.inner.as_ref() else { return };
         let mut inner = inner.borrow_mut();
@@ -548,21 +296,7 @@ impl Telemetry {
         for trace in traces {
             inner.track_open_packet(*trace, at_ms, terminal);
         }
-        let anomalous = matches!(
-            name,
-            names::PACKET_TIMEOUT
-                | names::ROUTE_REFUNDED
-                | names::INVARIANT_VIOLATION
-                | names::ALERT_PENDING
-                | names::ALERT_FIRING
-                | names::ALERT_RESOLVED
-        );
-        if anomalous {
-            for trace in traces {
-                inner.escalate_trace(trace.0);
-            }
-        }
-        inner.capture(JournalRecord {
+        inner.journal_push(JournalRecord {
             seq: 0,
             at_ms,
             kind: RecordKind::Event,
@@ -571,11 +305,6 @@ impl Telemetry {
             span: None,
             fields: Fields::from(fields),
         });
-        if matches!(name, names::PACKET_ACK | names::ROUTE_DELIVERED) {
-            for trace in traces {
-                inner.drop_trace(trace.0);
-            }
-        }
     }
 
     /// Packet lifecycles that saw journal activity at least `min_age_ms`
@@ -617,7 +346,7 @@ impl Telemetry {
                 end_ms: None,
             },
         );
-        inner.capture(JournalRecord {
+        inner.journal_push(JournalRecord {
             seq: 0,
             at_ms,
             kind: RecordKind::SpanStart,
@@ -648,7 +377,7 @@ impl Telemetry {
         let Some(data) = inner.spans.get_mut(&span.0) else { return };
         data.end_ms = Some(at_ms);
         let (name, traces) = (data.name.clone(), data.traces.clone());
-        inner.capture(JournalRecord {
+        inner.journal_push(JournalRecord {
             seq: 0,
             at_ms,
             kind: RecordKind::SpanEnd,
@@ -772,31 +501,24 @@ impl Telemetry {
         });
     }
 
-    /// Records one alert lifecycle transition: a journal event (named
-    /// [`names::ALERT_PENDING`] / [`names::ALERT_FIRING`] /
-    /// [`names::ALERT_RESOLVED`], linked to the packet traces the alert
-    /// implicates) plus an append-only [`AlertTransitionReport`] that
+    /// Records one alert lifecycle transition: a journal event (named by
+    /// [`AlertTransition::event_name`], linked to the packet traces the
+    /// alert implicates) plus an append-only [`AlertTransitionReport`] that
     /// surfaces in the run report's health scorecard. The monitor crate's
     /// state machine decides *when* to call this; telemetry only records.
     pub fn alert(
         &self,
         at_ms: u64,
-        state: &str,
+        state: AlertTransition,
         detector: &str,
         target: &str,
         details: &str,
         traces: &[TraceId],
     ) {
         let Some(inner) = self.inner.as_ref() else { return };
-        let name = match state {
-            "pending" => names::ALERT_PENDING,
-            "firing" => names::ALERT_FIRING,
-            "resolved" => names::ALERT_RESOLVED,
-            other => panic!("unknown alert state {other:?}"),
-        };
         self.event(
             at_ms,
-            name,
+            state.event_name(),
             traces,
             &[
                 ("detector", detector.into()),
@@ -808,7 +530,7 @@ impl Telemetry {
             at_ms,
             detector: detector.to_string(),
             target: target.to_string(),
-            state: state.to_string(),
+            state: state.as_str().to_string(),
             details: details.to_string(),
             linked_traces: traces.iter().map(|t| t.0).collect(),
         });
@@ -825,14 +547,11 @@ impl Telemetry {
     }
 
     /// Renders the journal as JSONL — one JSON record per line, in
-    /// emission order. Under sampling, stranded (still-undecided)
-    /// lifecycles are promoted first so anomalies present at export are
-    /// never lost.
+    /// emission order.
     pub fn journal_jsonl(&self) -> String {
         let Some(inner) = self.inner.as_ref() else { return String::new() };
-        inner.borrow_mut().flush_stranded();
         let inner = inner.borrow();
-        // Pre-size from a sampled line length so a heavy run's export
+        // Pre-size from a typical line length so a heavy run's export
         // does one allocation, not a doubling cascade.
         let mut out = String::with_capacity(inner.journal.len().saturating_mul(160));
         for record in &inner.journal {
@@ -842,163 +561,18 @@ impl Telemetry {
         out
     }
 
-    /// Streams the journal as JSONL through a batched writer
-    /// ([`JournalWriter`]) — the export path for heavy runs, where one
-    /// `write` syscall per record dominates. Flushes stranded sampled
-    /// lifecycles first, like [`Telemetry::journal_jsonl`].
-    pub fn write_journal<W: std::io::Write>(&self, sink: W) -> std::io::Result<()> {
-        let Some(inner) = self.inner.as_ref() else { return Ok(()) };
-        inner.borrow_mut().flush_stranded();
-        let inner = inner.borrow();
-        let mut writer = JournalWriter::new(sink);
-        for record in &inner.journal {
-            writer.push(record)?;
-        }
-        writer.finish().map(|_| ())
-    }
-
     /// Snapshot of the metrics registry.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.inner.as_ref().map(|inner| inner.borrow().metrics.snapshot()).unwrap_or_default()
     }
 
-    /// Builds the aggregated [`RunReport`] for this run. Under sampling,
-    /// stranded lifecycles are promoted first, and dropped lifecycles
-    /// are omitted from the per-trace sections (aggregates stay
-    /// full-fidelity); `meta.sampling` records the rate and tallies.
+    /// Builds the aggregated [`RunReport`] for this run (an empty one for
+    /// a disabled sink).
     pub fn run_report(&self, scenario: &str, seed: u64, duration_ms: u64) -> RunReport {
-        let meta = RunMeta { scenario: scenario.to_string(), seed, duration_ms, sampling: None };
-        let Some(inner) = self.inner.as_ref() else {
-            return RunReport {
-                meta,
-                metrics: MetricsSnapshot::default(),
-                packets: Vec::new(),
-                routes: Vec::new(),
-                violations: Vec::new(),
-                alerts: Vec::new(),
-                journal_len: 0,
-                delivery: None,
-            };
-        };
-        inner.borrow_mut().flush_stranded();
-        let inner = inner.borrow();
-        let meta = RunMeta { sampling: inner.sampler.as_ref().map(|s| s.meta()), ..meta };
-
-        // One pass over the journal builds a trace → events index so the
-        // per-packet assembly below is linear, not quadratic.
-        let mut events_by_trace: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
-        for record in &inner.journal {
-            if record.kind != RecordKind::Event {
-                continue;
-            }
-            for trace in &record.traces {
-                events_by_trace.entry(*trace).or_default().push(TraceEvent {
-                    at_ms: record.at_ms,
-                    name: record.name.clone(),
-                    fields: record.fields.clone(),
-                });
-            }
-        }
-        let mut spans_by_trace: BTreeMap<u64, Vec<SpanReport>> = BTreeMap::new();
-        for (id, data) in &inner.spans {
-            for trace in &data.traces {
-                // Each per-trace copy records only its owning trace: a
-                // relayer sweep span can link thousands of packets, and
-                // embedding the full cross-reference list in every copy
-                // made the report quadratic in batch size.
-                spans_by_trace.entry(*trace).or_default().push(SpanReport {
-                    id: *id,
-                    name: data.name.clone(),
-                    start_ms: data.start_ms,
-                    end_ms: data.end_ms,
-                    traces: vec![*trace],
-                });
-            }
-        }
-
-        let mut packets = Vec::with_capacity(inner.packet_traces.len());
-        for ((origin, channel, sequence), trace) in &inner.packet_traces {
-            if inner.trace_dropped(trace.0) {
-                continue;
-            }
-            let events = events_by_trace.remove(&trace.0).unwrap_or_default();
-            let spans = spans_by_trace.remove(&trace.0).unwrap_or_default();
-            let mut first_ms = u64::MAX;
-            let mut last_ms = 0;
-            for event in &events {
-                first_ms = first_ms.min(event.at_ms);
-                last_ms = last_ms.max(event.at_ms);
-            }
-            for span in &spans {
-                first_ms = first_ms.min(span.start_ms);
-                last_ms = last_ms.max(span.end_ms.unwrap_or(span.start_ms));
-            }
-            if first_ms == u64::MAX {
-                first_ms = 0;
-            }
-            let completed = events
-                .iter()
-                .any(|e| e.name == names::PACKET_ACK || e.name == names::PACKET_TIMEOUT);
-            packets.push(PacketTraceReport {
-                trace: trace.0,
-                origin: origin.clone(),
-                channel: channel.clone(),
-                sequence: *sequence,
-                first_ms,
-                last_ms,
-                completed,
-                events,
-                spans,
-            });
-        }
-        packets.sort_by_key(|p| p.trace);
-
-        let mut routes = Vec::with_capacity(inner.route_traces.len());
-        for (label, trace) in &inner.route_traces {
-            if inner.trace_dropped(trace.0) {
-                continue;
-            }
-            let events = events_by_trace.remove(&trace.0).unwrap_or_default();
-            let spans = spans_by_trace.remove(&trace.0).unwrap_or_default();
-            let mut first_ms = u64::MAX;
-            let mut last_ms = 0;
-            for event in &events {
-                first_ms = first_ms.min(event.at_ms);
-                last_ms = last_ms.max(event.at_ms);
-            }
-            for span in &spans {
-                first_ms = first_ms.min(span.start_ms);
-                last_ms = last_ms.max(span.end_ms.unwrap_or(span.start_ms));
-            }
-            if first_ms == u64::MAX {
-                first_ms = 0;
-            }
-            let legs = events.iter().filter(|e| e.name == names::PACKET_SEND).count() as u64;
-            let delivered = events.iter().any(|e| e.name == names::ROUTE_DELIVERED);
-            let refunded = events.iter().any(|e| e.name == names::ROUTE_REFUNDED);
-            routes.push(RouteTraceReport {
-                trace: trace.0,
-                label: label.clone(),
-                first_ms,
-                last_ms,
-                legs,
-                delivered,
-                refunded,
-                events,
-                spans,
-            });
-        }
-        routes.sort_by_key(|r| r.trace);
-
-        RunReport {
-            meta,
-            metrics: inner.metrics.snapshot(),
-            packets,
-            routes,
-            violations: inner.violations.clone(),
-            alerts: inner.alerts.clone(),
-            journal_len: inner.journal.len() as u64,
-            delivery: None,
+        let meta = RunMeta { scenario: scenario.to_string(), seed, duration_ms };
+        match self.inner.as_ref() {
+            Some(inner) => RunReport::assemble(meta, &inner.borrow()),
+            None => RunReport::assemble(meta, &Inner::default()),
         }
     }
 }
@@ -1071,13 +645,35 @@ mod tests {
             telemetry.observe("latency_ms", 5.0);
             telemetry.observe("latency_ms", f64::NAN);
             telemetry.counter_add("chunks", 3);
-            (telemetry.journal_jsonl(), telemetry.run_report("t", 1, 10).to_json())
+            // Timeouts and strands, a refunded route and an alert.
+            drive_packets(&telemetry, 12);
+            let route = telemetry.trace_for_route("route-0:a->b").unwrap();
+            telemetry.event(1, names::ROUTE_START, &[route], &[]);
+            telemetry.event(50, names::ROUTE_REFUNDED, &[route], &[]);
+            telemetry.alert(
+                80,
+                AlertTransition::Firing,
+                "packet.stuck",
+                "guest",
+                "stuck",
+                &[trace],
+            );
+            (telemetry.journal_jsonl(), telemetry.run_report("t", 1, 10))
         };
         let (journal_a, report_a) = run();
         let (journal_b, report_b) = run();
         assert_eq!(journal_a, journal_b);
-        assert_eq!(report_a, report_b);
-        assert!(journal_a.lines().count() == 3);
+        assert_eq!(report_a.to_json(), report_b.to_json());
+        // What a caller emits is kept, in order: seq is the line number.
+        assert_eq!(journal_a.lines().count() as u64, report_a.journal_len);
+        assert_eq!(report_a.journal_len, 3 + (12 * 2 + 3 + 4) + 2 + 1);
+        for (index, line) in journal_a.lines().enumerate() {
+            let record: JournalRecord = serde_json::from_str(line).unwrap();
+            assert_eq!(record.seq, index as u64);
+        }
+        let route = report_a.route("route-0:a->b").expect("route reported");
+        assert!(route.refunded && !route.delivered);
+        assert_eq!((route.first_ms, route.last_ms), (1, 50));
     }
 
     #[test]
@@ -1235,9 +831,30 @@ mod tests {
     fn alerts_journal_and_report() {
         let telemetry = Telemetry::recording();
         let trace = telemetry.trace_for_packet("guest", "channel-0", 1).unwrap();
-        telemetry.alert(10, "pending", "client.staleness", "guest.head", "no head change", &[]);
-        telemetry.alert(70, "firing", "client.staleness", "guest.head", "stale 60 s", &[trace]);
-        telemetry.alert(200, "resolved", "client.staleness", "guest.head", "recovered", &[]);
+        telemetry.alert(
+            10,
+            AlertTransition::Pending,
+            "client.staleness",
+            "guest.head",
+            "no head change",
+            &[],
+        );
+        telemetry.alert(
+            70,
+            AlertTransition::Firing,
+            "client.staleness",
+            "guest.head",
+            "stale 60 s",
+            &[trace],
+        );
+        telemetry.alert(
+            200,
+            AlertTransition::Resolved,
+            "client.staleness",
+            "guest.head",
+            "recovered",
+            &[],
+        );
         let report = telemetry.run_report("t", 0, 300);
         assert_eq!(report.alerts.len(), 3);
         assert_eq!(report.alerts[1].linked_traces, vec![trace.0]);
@@ -1273,113 +890,6 @@ mod tests {
                 telemetry.event(sequence * 10 + 9, names::PACKET_ACK, &[trace], &[]);
             }
             telemetry.counter_add("packets.started", 1);
-        }
-    }
-
-    #[test]
-    fn sampled_runs_are_byte_identical_across_repeats() {
-        let run = || {
-            let telemetry = Telemetry::sampled(4, 99);
-            drive_packets(&telemetry, 60);
-            (telemetry.journal_jsonl(), telemetry.run_report("s", 99, 600).to_json())
-        };
-        let (journal_a, report_a) = run();
-        let (journal_b, report_b) = run();
-        assert_eq!(journal_a, journal_b);
-        assert_eq!(report_a, report_b);
-    }
-
-    #[test]
-    fn sampling_keeps_anomalies_and_strands_drops_normal_completions() {
-        let telemetry = Telemetry::sampled(1_000_000, 7); // head-keep ~nothing
-        drive_packets(&telemetry, 50);
-        let report = telemetry.run_report("s", 7, 500);
-        let sampling = report.meta.sampling.expect("sampled run meta");
-        // Sequences 0,5,10,…,45 time out (10 packets) → escalated;
-        // the odd non-multiples of 5 strand → escalated at export;
-        // even non-multiples of 5 acked → dropped.
-        for packet in &report.packets {
-            assert!(
-                packet.sequence % 5 == 0 || packet.sequence % 2 == 1,
-                "packet #{} completed normally and must be sampled away",
-                packet.sequence
-            );
-        }
-        assert!(report.packets.iter().any(|p| p.sequence % 5 == 0), "timeouts kept");
-        assert!(report.packets.iter().any(|p| p.sequence % 2 == 1), "stranded kept");
-        assert_eq!(sampling.kept + sampling.dropped + sampling.escalated, 50);
-        assert_eq!(sampling.dropped as usize, 50 - report.packets.len());
-        // Escalated lifecycles keep their *full* buffered history, not
-        // just the tail: the send event must have been promoted too.
-        let timed_out = report.packets.iter().find(|p| p.sequence == 5).unwrap();
-        assert_eq!(timed_out.events.first().unwrap().name, names::PACKET_SEND);
-        assert!(timed_out.events.iter().any(|e| e.name == names::PACKET_TIMEOUT));
-        // Aggregates are unsampled: every started packet counted.
-        assert_eq!(report.metrics.counters["packets.started"], 50);
-        assert_eq!(telemetry.counter("packets.started"), 50);
-    }
-
-    #[test]
-    fn sampling_escalates_refunded_routes_and_alert_linked_traces() {
-        let telemetry = Telemetry::sampled(1_000_000, 3);
-        // A refunded route: buffered, then promoted by the refund.
-        let route = telemetry.trace_for_route("route-0:a->b").unwrap();
-        telemetry.event(1, names::ROUTE_START, &[route], &[]);
-        telemetry.event(50, names::ROUTE_REFUNDED, &[route], &[]);
-        // An alert-linked packet: buffered, then promoted by the alert.
-        let linked = telemetry.trace_for_packet("guest", "channel-0", 1).unwrap();
-        telemetry.event(2, names::PACKET_SEND, &[linked], &[]);
-        telemetry.alert(80, "firing", "packet.stuck", "guest/channel-0", "stuck", &[linked]);
-        telemetry.event(90, names::PACKET_ACK, &[linked], &[]);
-        let report = telemetry.run_report("s", 3, 100);
-        let route = report.route("route-0:a->b").expect("refunded route kept");
-        assert!(route.refunded);
-        assert_eq!(route.events.first().unwrap().name, names::ROUTE_START);
-        let packet = report.packet("guest", "channel-0", 1).expect("alert-linked packet kept");
-        assert!(packet.completed, "ack after escalation still recorded");
-        assert!(packet.events.iter().any(|e| e.name == names::ALERT_FIRING));
-        assert_eq!(report.meta.sampling.unwrap().escalated, 2);
-    }
-
-    #[test]
-    fn sampling_open_traces_and_alerts_stay_unsampled() {
-        let telemetry = Telemetry::sampled(1_000_000, 11);
-        let trace = telemetry.trace_for_packet("guest", "channel-0", 2).unwrap();
-        telemetry.event(100, names::PACKET_SEND, &[trace], &[]);
-        // The stuck-packet detector input sees the buffered lifecycle.
-        let open = telemetry.open_packet_traces(10_000, 1_000);
-        assert_eq!(open.len(), 1);
-        assert_eq!(open[0].sequence, 2);
-        telemetry.alert(200, "pending", "d", "t", "warming", &[]);
-        assert_eq!(telemetry.alert_transitions().len(), 1);
-    }
-
-    #[test]
-    fn keep_one_in_one_keeps_everything() {
-        let full = Telemetry::recording();
-        let sampled = Telemetry::sampled(1, 42);
-        drive_packets(&full, 20);
-        drive_packets(&sampled, 20);
-        assert_eq!(sampled.journal_jsonl(), full.journal_jsonl());
-        let report = sampled.run_report("s", 42, 200);
-        assert_eq!(report.packets.len(), 20);
-        assert_eq!(report.meta.sampling.unwrap().kept, 20);
-    }
-
-    #[test]
-    fn write_journal_matches_jsonl_rendering() {
-        let telemetry = Telemetry::sampled(2, 5);
-        drive_packets(&telemetry, 30);
-        let jsonl = telemetry.journal_jsonl();
-        let mut sink = Vec::new();
-        telemetry.write_journal(&mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), jsonl);
-        // Gap-free seq even with promoted records interleaved.
-        let report = telemetry.run_report("s", 5, 300);
-        assert_eq!(jsonl.lines().count() as u64, report.journal_len);
-        for (index, line) in jsonl.lines().enumerate() {
-            let record: JournalRecord = serde_json::from_str(line).unwrap();
-            assert_eq!(record.seq, index as u64);
         }
     }
 

@@ -223,7 +223,7 @@ impl PostmortemBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{names, Telemetry};
+    use crate::{names, AlertTransition, Telemetry};
 
     fn seeded() -> (RunReport, String) {
         let telemetry = Telemetry::recording();
@@ -233,8 +233,22 @@ mod tests {
         telemetry.counter_add("mesh.supply.minted", 3);
         telemetry.gauge_set("mesh.load", 0.5);
         telemetry.violation(6_000, "mesh-supply", "voucher drift", &[], &[trace]);
-        telemetry.alert(7_000, "pending", "client.staleness", "guest.head", "warming", &[]);
-        telemetry.alert(9_000, "firing", "client.staleness", "guest.head", "stale", &[trace]);
+        telemetry.alert(
+            7_000,
+            AlertTransition::Pending,
+            "client.staleness",
+            "guest.head",
+            "warming",
+            &[],
+        );
+        telemetry.alert(
+            9_000,
+            AlertTransition::Firing,
+            "client.staleness",
+            "guest.head",
+            "stale",
+            &[trace],
+        );
         telemetry.event(60_000, names::PACKET_TIMEOUT, &[trace], &[]);
         (telemetry.run_report("pm-test", 3, 60_000), telemetry.journal_jsonl())
     }

@@ -2,10 +2,13 @@
 //! JSON (machine artifact) and once as text (human summary), from the
 //! same data so the two can never drift apart.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
-use crate::journal::Fields;
+use crate::journal::{Fields, RecordKind};
 use crate::metrics::MetricsSnapshot;
+use crate::{names, Inner};
 
 /// Identifying metadata of one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -16,30 +19,6 @@ pub struct RunMeta {
     pub seed: u64,
     /// Simulated duration in milliseconds.
     pub duration_ms: u64,
-    /// Trace-sampling parameters and tallies when the run sampled its
-    /// packet traces; `None` for full-fidelity runs (and for artifacts
-    /// written before sampling existed — `default` keeps them readable).
-    #[serde(default)]
-    pub sampling: Option<SamplingMeta>,
-}
-
-/// How a sampled run thinned its trace set: the head-sampling rate plus
-/// the per-trace decision tallies. Consumers use this to qualify any
-/// percentile or "busiest" claim made over the kept traces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SamplingMeta {
-    /// Head-sampling rate: 1 trace kept per `keep_one_in` started.
-    pub keep_one_in: u64,
-    /// Seed the keep/drop hash mixes in (the run seed, normally).
-    pub seed: u64,
-    /// Traces kept by the head decision.
-    pub kept: u64,
-    /// Traces whose buffered records were discarded after a normal
-    /// terminal event (acknowledged or delivered).
-    pub dropped: u64,
-    /// Traces escalated to always-keep: timed out, refunded,
-    /// alert-linked, or still stranded at export time.
-    pub escalated: u64,
 }
 
 /// One journal event replayed into a packet's lifecycle view.
@@ -147,6 +126,37 @@ pub struct ViolationReport {
     pub linked_traces: Vec<u64>,
 }
 
+/// The state a monitor alert moves into ([`crate::Telemetry::alert`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AlertTransition {
+    /// Entered its debounce window (first unhealthy tick).
+    Pending,
+    /// Fired (unhealthy past the debounce window).
+    Firing,
+    /// Resolved (healthy past the hold-down).
+    Resolved,
+}
+
+impl AlertTransition {
+    /// The journal event that records the transition.
+    pub fn event_name(self) -> &'static str {
+        match self {
+            AlertTransition::Pending => names::ALERT_PENDING,
+            AlertTransition::Firing => names::ALERT_FIRING,
+            AlertTransition::Resolved => names::ALERT_RESOLVED,
+        }
+    }
+
+    /// The value of [`AlertTransitionReport::state`].
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AlertTransition::Pending => "pending",
+            AlertTransition::Firing => "firing",
+            AlertTransition::Resolved => "resolved",
+        }
+    }
+}
+
 /// One monitor-alert lifecycle transition (pending → firing → resolved),
 /// recorded by [`crate::Telemetry::alert`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -240,6 +250,104 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Assembles the report from the sink's journal, span table and trace
+    /// indexes ([`crate::Telemetry::run_report`]).
+    pub(crate) fn assemble(meta: RunMeta, inner: &Inner) -> Self {
+        // One pass over the journal builds a trace → events index so the
+        // per-packet assembly below is linear, not quadratic.
+        let mut events_by_trace: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+        for record in &inner.journal {
+            if record.kind != RecordKind::Event {
+                continue;
+            }
+            for trace in &record.traces {
+                events_by_trace.entry(*trace).or_default().push(TraceEvent {
+                    at_ms: record.at_ms,
+                    name: record.name.clone(),
+                    fields: record.fields.clone(),
+                });
+            }
+        }
+        let mut spans_by_trace: BTreeMap<u64, Vec<SpanReport>> = BTreeMap::new();
+        for (id, data) in &inner.spans {
+            for trace in &data.traces {
+                // Each per-trace copy records only its owning trace: a
+                // relayer sweep span can link thousands of packets, and
+                // embedding the full cross-reference list in every copy
+                // made the report quadratic in batch size.
+                spans_by_trace.entry(*trace).or_default().push(SpanReport {
+                    id: *id,
+                    name: data.name.clone(),
+                    start_ms: data.start_ms,
+                    end_ms: data.end_ms,
+                    traces: vec![*trace],
+                });
+            }
+        }
+        // One trace's events and spans, with its first and last activity
+        // (both 0 when it has neither).
+        let mut lifecycle = |trace: u64| {
+            let events = events_by_trace.remove(&trace).unwrap_or_default();
+            let spans = spans_by_trace.remove(&trace).unwrap_or_default();
+            let at = events.iter().map(|e| e.at_ms);
+            let first_ms = at.clone().chain(spans.iter().map(|s| s.start_ms)).min().unwrap_or(0);
+            let ends = spans.iter().map(|s| s.end_ms.unwrap_or(s.start_ms));
+            let last_ms = at.chain(ends).max().unwrap_or(0);
+            (first_ms, last_ms, events, spans)
+        };
+
+        let mut packets = Vec::with_capacity(inner.packet_traces.len());
+        for ((origin, channel, sequence), trace) in &inner.packet_traces {
+            let (first_ms, last_ms, events, spans) = lifecycle(trace.0);
+            let completed = events
+                .iter()
+                .any(|e| e.name == names::PACKET_ACK || e.name == names::PACKET_TIMEOUT);
+            packets.push(PacketTraceReport {
+                trace: trace.0,
+                origin: origin.clone(),
+                channel: channel.clone(),
+                sequence: *sequence,
+                first_ms,
+                last_ms,
+                completed,
+                events,
+                spans,
+            });
+        }
+        packets.sort_by_key(|p| p.trace);
+
+        let mut routes = Vec::with_capacity(inner.route_traces.len());
+        for (label, trace) in &inner.route_traces {
+            let (first_ms, last_ms, events, spans) = lifecycle(trace.0);
+            let legs = events.iter().filter(|e| e.name == names::PACKET_SEND).count() as u64;
+            let delivered = events.iter().any(|e| e.name == names::ROUTE_DELIVERED);
+            let refunded = events.iter().any(|e| e.name == names::ROUTE_REFUNDED);
+            routes.push(RouteTraceReport {
+                trace: trace.0,
+                label: label.clone(),
+                first_ms,
+                last_ms,
+                legs,
+                delivered,
+                refunded,
+                events,
+                spans,
+            });
+        }
+        routes.sort_by_key(|r| r.trace);
+
+        RunReport {
+            meta,
+            metrics: inner.metrics.snapshot(),
+            packets,
+            routes,
+            violations: inner.violations.clone(),
+            alerts: inner.alerts.clone(),
+            journal_len: inner.journal.len() as u64,
+            delivery: None,
+        }
+    }
+
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("run report serializes")
@@ -265,11 +373,6 @@ impl RunReport {
     /// The route trace with the longest end-to-end latency, if any.
     pub fn slowest_route(&self) -> Option<&RouteTraceReport> {
         self.routes.iter().max_by_key(|r| (r.latency_ms(), r.trace))
-    }
-
-    /// Alert transitions recorded by one detector, in emission order.
-    pub fn alerts_for(&self, detector: &str) -> Vec<&AlertTransitionReport> {
-        self.alerts.iter().filter(|a| a.detector == detector).collect()
     }
 
     /// Telemetry's own error counters (`telemetry.errors.*`): silent
@@ -329,13 +432,6 @@ impl RunReport {
             meta.seed,
             meta.duration_ms as f64 / 86_400_000.0,
         ));
-        if let Some(sampling) = &meta.sampling {
-            out.push_str(&format!(
-                "  trace sampling: 1-in-{} head sampling — {} kept, {} dropped, \
-                 {} escalated (anomalies always kept)\n",
-                sampling.keep_one_in, sampling.kept, sampling.dropped, sampling.escalated,
-            ));
-        }
         out.push_str(&format!(
             "  journal: {} records   packets: {} ({} completed)   violations: {}\n",
             self.journal_len,

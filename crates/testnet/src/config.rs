@@ -191,25 +191,14 @@ impl Default for Workload {
     }
 }
 
-/// Fidelity of the run's shared telemetry sink.
-///
-/// `Full` is the historical behaviour and the default everywhere — every
-/// packet lifecycle is journaled. `Sampled` keeps 1-in-N lifecycles by a
-/// seeded deterministic hash and always promotes anomalous ones
-/// (timeouts, refunds, alert-linked, stranded); metrics, gauge series
-/// and detector inputs stay full-fidelity in every mode except
-/// `Disabled`.
+/// Whether the run's shared telemetry sink records. `Full`, the default,
+/// journals every packet lifecycle — every latency figure, attribution
+/// table and detector reads it; `Disabled` is the overhead baseline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TelemetryMode {
-    /// Record every lifecycle (historical behaviour).
+    /// Record every lifecycle.
     #[default]
     Full,
-    /// Deterministic head sampling: keep 1 in `keep_one_in` lifecycles,
-    /// escalate anomalies to always-keep.
-    Sampled {
-        /// Keep 1 trace per this many started.
-        keep_one_in: u64,
-    },
     /// No telemetry at all (overhead baseline).
     Disabled,
 }
@@ -256,7 +245,7 @@ pub struct TestnetConfig {
     /// healthy run journals no alert events, so enabling the monitor does
     /// not disturb baseline outputs beyond extra gauge series.
     pub monitor: MonitorConfig,
-    /// Telemetry fidelity: full (default), sampled, or disabled.
+    /// Telemetry: full (default) or disabled.
     pub telemetry: TelemetryMode,
     /// Enables the wall-clock self-profiler. Wall time never feeds back
     /// into the simulation — the profile is a side channel read after

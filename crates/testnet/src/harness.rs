@@ -147,7 +147,6 @@ impl Testnet {
         // journal, which is what lets a packet's trace cross chains.
         let telemetry = match config.telemetry {
             TelemetryMode::Full => Telemetry::recording(),
-            TelemetryMode::Sampled { keep_one_in } => Telemetry::sampled(keep_one_in, config.seed),
             TelemetryMode::Disabled => Telemetry::disabled(),
         };
         // One shared profiler: component-internal scopes nest under the
@@ -1076,8 +1075,7 @@ impl Testnet {
     }
 
     /// Pre-aggregated per-shape workload metrics: one counter bump per
-    /// arrival under names cached at build time, so the packet journal —
-    /// not the metrics registry — is the only thing sampling thins out.
+    /// arrival under names cached at build time.
     fn record_traffic_arrival(&self, arrival: &Arrival, direction: Direction) {
         if !self.telemetry.is_recording() {
             return;

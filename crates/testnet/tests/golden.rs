@@ -12,8 +12,11 @@ use workload::TrafficConfig;
 
 const MINUTE_MS: u64 = 60_000;
 
-/// Captured at 43bb6f3 (the commit before the relay core was unified).
-const GOLDEN_SHA256: &str = "3f2760e4de39b6d85138b0cccde46f70482705c067f3d4c31e22a9ead2647cd8";
+/// The timeline of 43bb6f3 (the commit before the relay core was unified),
+/// re-hashed once since for a format change: `"sampling": null` left `meta`
+/// with the sampler (put the line back and the report hashes to the old
+/// constant; CHANGES.md PR 21).
+const GOLDEN_SHA256: &str = "18f939fa7589aab3b9d7eced6e52a93a6b57bc9c666640b9ecc6792f474f863a";
 
 #[test]
 fn steady_half_hour_with_a_timeout_matches_the_golden_report() {

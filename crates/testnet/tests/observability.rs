@@ -1,10 +1,6 @@
-//! Observability-pipeline regressions at the harness level: the sampled
-//! telemetry mode must stay deterministic and monitor-transparent, and
-//! the wall-clock self-profiler must stay a pure observer.
-//!
-//! The telemetry crate unit-tests the sampler's mechanics (hash
-//! stability, escalation ordering); these tests check the wiring — that
-//! a whole [`Testnet`] run through [`TelemetryMode`] behaves the same.
+//! Observability-pipeline regressions at the harness level: the
+//! wall-clock self-profiler must stay a pure observer, and
+//! [`TelemetryMode::Disabled`] must record nothing.
 
 use relayer::JobKind;
 use testnet::{ChaosPlan, Fault, TelemetryMode, Testnet, TestnetConfig, DAY_MS, HOUR_MS};
@@ -12,7 +8,7 @@ use workload::TrafficConfig;
 
 /// A few busy simulated hours with a mid-run validator outage, so the
 /// monitor battery has something to alert on and timeouts strand some
-/// packets (exercising the sampler's always-keep escalation path).
+/// packets.
 fn stormy_config(seed: u64, telemetry: TelemetryMode) -> TestnetConfig {
     let mut config = TestnetConfig::small(seed);
     config.traffic = Some(TrafficConfig::airdrop_storm(200, 30_000));
@@ -30,80 +26,11 @@ fn stormy_run(seed: u64, telemetry: TelemetryMode) -> Testnet {
 }
 
 /// The full observable output of a run: raw journal plus the aggregated,
-/// serialised report (which carries the sampling tallies in its meta).
+/// serialised report.
 fn fingerprint(net: &Testnet) -> String {
     let mut out = net.telemetry().journal_jsonl();
     out.push_str(&net.run_report("observability").to_json());
     out
-}
-
-/// Head sampling is a pure function of trace identity and seed: two
-/// same-seed sampled runs must keep exactly the same traces and export
-/// byte-identical journals and reports.
-#[test]
-fn sampled_same_seed_runs_are_byte_identical() {
-    let mode = TelemetryMode::Sampled { keep_one_in: 4 };
-    // `Telemetry` is deliberately `!Send`; build each run in its own
-    // thread (mirroring `telemetry_determinism.rs`).
-    let first = std::thread::spawn(move || {
-        let net = stormy_run(7, mode);
-        let sampling = net.telemetry().sampling().expect("sampled mode reports tallies");
-        (fingerprint(&net), sampling.kept, sampling.dropped)
-    });
-    let second = stormy_run(7, mode);
-    let (first_print, kept, dropped) = first.join().expect("first run panicked");
-    assert!(kept > 0, "a storm must keep some sampled traces");
-    assert!(dropped > 0, "1-in-4 sampling over a storm must drop traces");
-    assert_eq!(
-        first_print,
-        fingerprint(&second),
-        "same-seed sampled runs diverged — the sampling decision is not seed-pure"
-    );
-}
-
-/// Sampling thins traces, not aggregates: the monitor's detectors read
-/// unsampled counters, gauges and trace-status tallies, so a sampled run
-/// must walk exactly the alert lifecycle the full run walked.
-#[test]
-fn sampled_run_preserves_monitor_alert_parity() {
-    let full = std::thread::spawn(|| {
-        let net = stormy_run(9, TelemetryMode::Full);
-        format!("{:?}", net.alert_records())
-    });
-    let sampled = stormy_run(9, TelemetryMode::Sampled { keep_one_in: 8 });
-    let full_alerts = full.join().expect("full run panicked");
-    let sampled_alerts = format!("{:?}", sampled.alert_records());
-    assert!(!sampled_alerts.is_empty());
-    assert_eq!(
-        sampled_alerts, full_alerts,
-        "monitor saw different alerts under sampling — an aggregate got thinned"
-    );
-}
-
-/// Anomalous lifecycles escape the sampler: a run that strands and times
-/// out packets must escalate them to always-keep, and every alert-linked
-/// trace must be resolvable in the sampled report.
-#[test]
-fn anomalous_traces_survive_sampling() {
-    let net = stormy_run(9, TelemetryMode::Sampled { keep_one_in: 8 });
-    // Export first: traces still open at end of run are escalated as
-    // stranded when the report is assembled.
-    let report = net.run_report("observability");
-    let sampling = net.telemetry().sampling().expect("sampled mode");
-    assert!(
-        sampling.escalated > 0,
-        "an outage storm must escalate anomalous traces past the sampler"
-    );
-    for alert in &report.alerts {
-        for trace in &alert.linked_traces {
-            assert!(
-                report.packets.iter().any(|p| p.trace == *trace)
-                    || report.routes.iter().any(|r| r.trace == *trace),
-                "alert {:?} links trace {trace} but sampling dropped its lifecycle",
-                alert.detector,
-            );
-        }
-    }
 }
 
 /// The profiler observes wall time without touching simulation state: a
@@ -169,7 +96,6 @@ fn keep_alive_blocks_nobody_relays_are_never_signed() {
 fn disabled_telemetry_records_nothing() {
     let net = stormy_run(3, TelemetryMode::Disabled);
     assert!(net.telemetry().journal_jsonl().is_empty());
-    assert!(net.telemetry().sampling().is_none());
     assert!(!net.profiler().is_enabled());
     assert!(net.profile_report().entries.is_empty());
 }

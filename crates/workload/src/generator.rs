@@ -74,11 +74,6 @@ impl TrafficGenerator {
         &self.population
     }
 
-    /// Mutable population access (harnesses credit deliveries/refunds).
-    pub fn population_mut(&mut self) -> &mut UserPopulation {
-        &mut self.population
-    }
-
     /// Arrivals generated so far.
     pub fn generated(&self) -> u64 {
         self.generated

@@ -11,9 +11,7 @@
 //!
 //! With `--busiest N`, the N highest-latency packet lifecycles are listed
 //! as a table before the detailed walk — the quick way to find where a
-//! heavy-traffic run spent its time. With `--sample N` the run keeps only
-//! 1-in-N packet traces (anomalies always kept), and the table carries a
-//! note qualifying what the ranking covers.
+//! heavy-traffic run spent its time.
 //!
 //! With `--profile <BENCH_profile.json>`, the explorer instead loads a
 //! [`ProfileReport`] written by `cargo run -p bench --bin profile` and
@@ -39,8 +37,8 @@
 //!
 //! ```text
 //! cargo run --release --example trace_explorer -- \
-//!     [--seed N] [--days N] [--alerts] [--busiest N] [--sample N] \
-//!     [--apps] [--attribution] [--postmortem] \
+//!     [--seed N] [--days N] [--alerts] [--busiest N] [--apps] \
+//!     [--attribution] [--postmortem] \
 //!     [--profile <BENCH_profile.json>]
 //! ```
 
@@ -52,7 +50,7 @@ use be_my_guest::telemetry::{
     render_packet_trace_with_alerts, render_route_trace_with_alerts, AttributionReport,
     CausalGraph, Flags, PostmortemBundle, POSTMORTEM_TAIL,
 };
-use be_my_guest::testnet::{ChaosPlan, Fault, TelemetryMode, Testnet, TestnetConfig};
+use be_my_guest::testnet::{ChaosPlan, Fault, Testnet, TestnetConfig};
 
 const HOUR_MS: u64 = 60 * 60 * 1_000;
 const DAY_MS: u64 = 24 * HOUR_MS;
@@ -63,7 +61,6 @@ fn main() {
     let days = flags.value("--days", 1u64);
     let with_alerts = flags.switch("--alerts");
     let busiest = flags.value("--busiest", 0usize);
-    let sample: Option<u64> = flags.optional("--sample");
     let with_apps = flags.switch("--apps");
     let with_attribution = flags.switch("--attribution");
     let with_postmortem = flags.switch("--postmortem");
@@ -100,9 +97,6 @@ fn main() {
     let mut config = TestnetConfig::small(seed);
     config.workload.outbound_mean_gap_ms = 3 * 60 * 1_000;
     config.workload.inbound_mean_gap_ms = 5 * 60 * 1_000;
-    if let Some(keep_one_in) = sample {
-        config.telemetry = TelemetryMode::Sampled { keep_one_in: keep_one_in.max(1) };
-    }
     if with_alerts {
         // Crash two of the four equal-stake validators for four hours:
         // quorum drops below 2/3, guest finality halts, and the monitor's
@@ -147,13 +141,6 @@ fn main() {
         let mut ranked: Vec<_> = report.packets.iter().collect();
         ranked.sort_by_key(|p| (std::cmp::Reverse(p.last_ms - p.first_ms), p.trace));
         println!("busiest {} packet(s) by lifecycle latency:", busiest.min(ranked.len()));
-        if let Some(sampling) = &report.meta.sampling {
-            println!(
-                "  (note: traces head-sampled 1-in-{} — ranking covers the {} kept \
-                 plus {} always-kept anomalous lifecycles, not the {} dropped)",
-                sampling.keep_one_in, sampling.kept, sampling.escalated, sampling.dropped,
-            );
-        }
         println!(
             "  {:<6} {:>24} {:>12} {:>12} {:>11} {:>9}",
             "trace", "packet", "first ms", "last ms", "latency ms", "complete"
