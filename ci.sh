@@ -115,6 +115,18 @@ if [ "$(outside_tests 'journal\.push\(' crates/telemetry/src | wc -l)" -ne 1 ]; 
     exit 1
 fi
 
+echo "==> one application surface"
+# Every app is an `ibc_core::router::Module`, and a `ModuleStack` is a Module around a Module; the
+# second trait that restated its callbacks, and the adapters that translated one into the other, are
+# gone. A tripwire for a second declaration spelled exactly as the Module's; it cannot catch a second
+# trait whose callbacks are spelt differently.
+SURFACE='fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement;'
+if [ "$(grep -rnF "$SURFACE" crates/*/src --include='*.rs' | wc -l)" -ne 1 ]; then
+    grep -rnF "$SURFACE" crates/*/src --include='*.rs' >&2
+    echo "crates/*/src must declare on_recv_packet in exactly one trait, ibc_core::router::Module" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

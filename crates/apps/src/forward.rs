@@ -1,9 +1,10 @@
 //! Multi-hop packet forwarding as a stack [`Middleware`] — the original
 //! transfer-port-only `ibc_core::forward::ForwardMiddleware`, refactored
 //! into one instance of the general before/after-hook mechanism and
-//! generalised over asset kinds via [`ForwardHooks`]: the same layer
+//! generalised over asset kinds via
+//! [`ForwardHooks`](ibc_core::forward::ForwardHooks): the same layer
 //! routes ICS-20 amounts and NFT classes, because all custody moves go
-//! through the wrapped application's hooks.
+//! through the wrapped module's hooks.
 //!
 //! Semantics are unchanged from the original middleware (see the memo
 //! vocabulary in [`ibc_core::forward`]): a `{"forward": …}` memo credits
@@ -22,7 +23,8 @@ use ibc_core::types::{ChannelId, IbcError, PortId};
 use crate::stack::{InFlightUnit, InnerStack, Middleware, RecvDecision, StackRequest};
 
 /// The packet-forward middleware: multi-hop routing and backward
-/// refunds over any [`crate::ForwardHooks`]-capable application.
+/// refunds over any module with
+/// [`ForwardHooks`](ibc_core::forward::ForwardHooks).
 #[derive(Debug)]
 pub struct ForwardMiddleware {
     forward_account: String,

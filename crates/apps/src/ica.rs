@@ -2,8 +2,9 @@
 //!
 //! A controller chain registers an account on a host chain and then
 //! drives it by sending batches of operations over an ica-port channel.
-//! The host executes each batch against its own bank (the same
-//! [`TransferModule`] ledger the host exposes via `ics20()`), with
+//! The host executes each batch against the app's own private bank (a
+//! [`TransferModule`] ledger reached through [`IcaApp::bank`], not the
+//! transfer port's; `ics20()` on the ica port is `None`), with
 //! clone-and-rollback atomicity: a batch either fully applies or leaves
 //! the bank untouched, and either way the outcome travels back in-band
 //! — success acks carry the executed-op count, failures come back as
@@ -17,10 +18,9 @@ use serde::{Deserialize, Serialize};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::handler::IbcHandler;
 use ibc_core::ics20::TransferModule;
+use ibc_core::router::Module;
 use ibc_core::store::ProvableStore;
 use ibc_core::types::{ChannelId, IbcError, PortId};
-
-use crate::stack::IbcApplication;
 
 /// The ledger account a host chain opens for `owner`.
 pub fn ica_account(owner: &str) -> String {
@@ -194,7 +194,7 @@ impl IcaApp {
     }
 }
 
-impl IbcApplication for IcaApp {
+impl Module for IcaApp {
     fn name(&self) -> &'static str {
         "ica"
     }

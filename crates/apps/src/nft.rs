@@ -16,12 +16,14 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
+use ibc_core::forward::{AssetUnit, ForwardHooks, ForwardUnit};
 use ibc_core::handler::IbcHandler;
 use ibc_core::ics20::{escrow_account, split_voucher, voucher_prefix};
+use ibc_core::router::Module;
 use ibc_core::store::ProvableStore;
 use ibc_core::types::{ChannelId, IbcError, PortId};
 
-use crate::stack::{AssetUnit, ForwardHooks, ForwardUnit, IbcApplication, ModuleStack};
+use crate::stack::ModuleStack;
 
 /// The NFT packet payload.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -306,7 +308,7 @@ impl NftTransferApp {
     }
 }
 
-impl IbcApplication for NftTransferApp {
+impl Module for NftTransferApp {
     fn name(&self) -> &'static str {
         "nft"
     }
@@ -334,10 +336,6 @@ impl IbcApplication for NftTransferApp {
         let data = NftPacketData::decode(&packet.payload)
             .ok_or_else(|| IbcError::AppError("malformed NFT packet".into()))?;
         self.refund_sender(&packet.source_port, &packet.source_channel, &data)
-    }
-
-    fn forward_hooks(&self) -> Option<&dyn ForwardHooks> {
-        Some(self)
     }
 
     fn forward_hooks_mut(&mut self) -> Option<&mut dyn ForwardHooks> {

@@ -1,7 +1,7 @@
-//! The application/middleware stack: [`IbcApplication`] at the bottom,
-//! any number of [`Middleware`] layers around it, composed into a
-//! [`ModuleStack`] that implements [`ibc_core::Module`] — so a whole
-//! stack binds to a port exactly where a bare module used to.
+//! The application/middleware stack: one [`Module`] at the bottom, any
+//! number of [`Middleware`] layers around it, composed into a
+//! [`ModuleStack`] that is itself a [`Module`] — so a whole stack binds
+//! to a port exactly where the bare module would.
 //!
 //! Dispatch is onion-shaped. For an inbound packet the layers run
 //! outermost-first: each middleware's `before_recv` may pass the packet
@@ -10,14 +10,16 @@
 //! packet-forward middleware does this for routed legs). The
 //! application's `on_recv_packet` runs at the centre, then `after_recv`
 //! hooks unwind innermost-first, each free to rewrite the
-//! acknowledgement (the memo-hook middleware uses this). Ack and
-//! timeout callbacks mirror the shape with `before_*`/`after_*` pairs
-//! around the application, as does the channel-open callback.
+//! acknowledgement (the memo-hook middleware uses this). Acks mirror
+//! the shape with a `before_ack`/`after_ack` pair around the
+//! application; a timeout reaches the application first, then
+//! `after_timeout` hooks unwind innermost-first. A channel open goes
+//! straight to the application.
 //!
-//! Middleware sees the rest of the stack through [`InnerStack`]: the
-//! layers inside it plus the application, with typed access to the
-//! ICS-20 ledger ([`InnerStack::ics20_mut`]) and the app's
-//! [`ForwardHooks`], plus [`InnerStack::queue`] for outgoing sends.
+//! Middleware reaches the application through [`InnerStack`]: its ICS-20
+//! ledger ([`InnerStack::ics20_mut`]) and its
+//! [`ForwardHooks`](ibc_core::forward::ForwardHooks), plus
+//! [`InnerStack::queue`] for outgoing sends.
 //! Module callbacks cannot commit packets (no store access), so queued
 //! [`StackRequest`]s sit in the stack outbox until the harness drains
 //! them via [`ModuleStack::take_requests`] — the same discipline the
@@ -26,57 +28,12 @@
 use std::any::Any;
 
 use ibc_core::channel::{Acknowledgement, Packet};
-use ibc_core::forward::ForwardKind;
+use ibc_core::forward::{AssetUnit, ForwardHooks, ForwardKind};
 use ibc_core::ics20::TransferModule;
-use ibc_core::router::{EchoModule, Module};
+use ibc_core::router::Module;
 use ibc_core::types::{ChannelId, IbcError, PortId};
 
 use crate::fee::{FeeMiddleware, PacketFee, FEE_ESCROW_ACCOUNT};
-
-/// One transferable asset, as application/middleware layers see it: the
-/// fungible (ICS-20) and non-fungible (ICS-721-style) cases the routing
-/// middleware treats uniformly.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AssetUnit {
-    /// An ICS-20 amount of one denomination.
-    Fungible {
-        /// Denomination, possibly voucher-prefixed.
-        denom: String,
-        /// Amount transferred.
-        amount: u128,
-    },
-    /// A set of tokens of one NFT class.
-    NonFungible {
-        /// Class id, possibly voucher-prefixed.
-        class: String,
-        /// Token ids moved together.
-        tokens: Vec<String>,
-    },
-}
-
-impl AssetUnit {
-    /// The denomination or class id.
-    pub fn id(&self) -> &str {
-        match self {
-            Self::Fungible { denom, .. } => denom,
-            Self::NonFungible { class, .. } => class,
-        }
-    }
-}
-
-/// A packet decoded into the vocabulary routing middleware understands:
-/// who sent what to whom, and the memo carrying routing metadata.
-#[derive(Clone, Debug)]
-pub struct ForwardUnit {
-    /// What moved.
-    pub asset: AssetUnit,
-    /// Sender on the source chain.
-    pub sender: String,
-    /// Nominal receiver on this chain.
-    pub receiver: String,
-    /// The packet memo.
-    pub memo: String,
-}
 
 /// Book-keeping for one forwarded (outgoing) leg, kept by the forward
 /// middleware until its ack or timeout arrives.
@@ -119,100 +76,6 @@ pub struct StackRequest {
     pub kind: ForwardKind,
 }
 
-/// How the app's packets look to value-routing middleware. Implemented
-/// by applications whose packets move custodiable assets (the ICS-20
-/// transfer app and the NFT transfer app); lets one forward middleware
-/// route both.
-pub trait ForwardHooks {
-    /// Decodes a packet into a routable unit, or [`None`] when the
-    /// payload is not this application's.
-    fn decode_unit(&self, packet: &Packet) -> Option<ForwardUnit>;
-
-    /// Delivers `packet`'s asset crediting `account` (a forward
-    /// account), applying the normal escrow-release/voucher-mint rules;
-    /// returns the asset as named locally.
-    ///
-    /// # Errors
-    ///
-    /// [`IbcError::AppError`] when escrow cannot cover the asset.
-    fn credit_custody(
-        &mut self,
-        packet: &Packet,
-        asset: &AssetUnit,
-        account: &str,
-    ) -> Result<AssetUnit, IbcError>;
-}
-
-/// The bottom of a stack: an IBC application proper (ICS-20 transfer,
-/// NFT transfer, interchain accounts, …). Mirrors the packet-lifecycle
-/// callbacks of [`Module`] and adds the typed accessors middleware and
-/// harnesses reach it through.
-pub trait IbcApplication {
-    /// Short stable name, used for per-app telemetry labels.
-    fn name(&self) -> &'static str;
-
-    /// Called when a channel on this stack's port completes its
-    /// handshake.
-    ///
-    /// # Errors
-    ///
-    /// Returning an error aborts the channel handshake step.
-    fn on_chan_open(
-        &mut self,
-        port_id: &PortId,
-        channel_id: &ChannelId,
-        version: &str,
-    ) -> Result<(), IbcError> {
-        let _ = (port_id, channel_id, version);
-        Ok(())
-    }
-
-    /// Handles an inbound packet; failures are reported in-band as
-    /// [`Acknowledgement::Error`], never by aborting delivery.
-    fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement;
-
-    /// Handles the acknowledgement for a packet this chain sent.
-    ///
-    /// # Errors
-    ///
-    /// An error aborts acknowledgement processing.
-    fn on_acknowledge(&mut self, packet: &Packet, ack: &Acknowledgement) -> Result<(), IbcError>;
-
-    /// Handles a timeout for a packet this chain sent.
-    ///
-    /// # Errors
-    ///
-    /// An error aborts timeout processing.
-    fn on_timeout(&mut self, packet: &Packet) -> Result<(), IbcError>;
-
-    /// The ICS-20 ledger this application fronts, if any.
-    fn ics20(&self) -> Option<&TransferModule> {
-        None
-    }
-
-    /// Mutable access to the ICS-20 ledger, if any.
-    fn ics20_mut(&mut self) -> Option<&mut TransferModule> {
-        None
-    }
-
-    /// The routing hooks of this application, when its packets are
-    /// forwardable.
-    fn forward_hooks(&self) -> Option<&dyn ForwardHooks> {
-        None
-    }
-
-    /// Mutable routing hooks.
-    fn forward_hooks_mut(&mut self) -> Option<&mut dyn ForwardHooks> {
-        None
-    }
-
-    /// Downcast support.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
 /// What a `before_recv` hook decided.
 #[derive(Debug)]
 pub enum RecvDecision {
@@ -223,31 +86,15 @@ pub enum RecvDecision {
     Stop(Acknowledgement),
 }
 
-/// The rest of the stack, as one middleware layer sees it: every layer
-/// inside it plus the application, and the shared outbox.
+/// The rest of the stack, as one middleware layer sees it: the
+/// application at the bottom and the shared outbox.
 pub struct InnerStack<'a> {
-    layers: &'a mut [Box<dyn Middleware>],
-    app: &'a mut dyn IbcApplication,
+    app: &'a mut dyn Module,
     outbox: &'a mut Vec<StackRequest>,
 }
 
-impl<'a> InnerStack<'a> {
-    /// The application at the bottom of the stack.
-    pub fn app(&self) -> &dyn IbcApplication {
-        self.app
-    }
-
-    /// Mutable application access.
-    pub fn app_mut(&mut self) -> &mut dyn IbcApplication {
-        self.app
-    }
-
-    /// The ICS-20 ledger reachable through the inner stack, if any.
-    pub fn ics20(&self) -> Option<&TransferModule> {
-        self.app.ics20()
-    }
-
-    /// Mutable ICS-20 ledger access.
+impl InnerStack<'_> {
+    /// The application's ICS-20 ledger, if it has one.
     pub fn ics20_mut(&mut self) -> Option<&mut TransferModule> {
         self.app.ics20_mut()
     }
@@ -261,39 +108,14 @@ impl<'a> InnerStack<'a> {
     pub fn queue(&mut self, request: StackRequest) {
         self.outbox.push(request);
     }
-
-    /// A typed view of an inner middleware layer.
-    pub fn middleware_as<T: Middleware + 'static>(&self) -> Option<&T> {
-        self.layers.iter().find_map(|m| m.as_any().downcast_ref::<T>())
-    }
 }
 
-/// One wrapping layer of a stack, with before/after hooks on every
-/// packet-lifecycle callback. All hooks default to pass-through, so a
-/// middleware implements only the phases it cares about.
+/// One wrapping layer of a stack, with hooks around the recv, ack and
+/// timeout callbacks. All hooks default to pass-through, so a middleware
+/// implements only the phases it cares about.
 pub trait Middleware {
     /// Short stable name, used for telemetry labels and stack listings.
     fn name(&self) -> &'static str;
-
-    /// Runs before the inner stack sees a channel open.
-    ///
-    /// # Errors
-    ///
-    /// Aborts the handshake step.
-    fn before_chan_open(
-        &mut self,
-        port_id: &PortId,
-        channel_id: &ChannelId,
-        version: &str,
-    ) -> Result<(), IbcError> {
-        let _ = (port_id, channel_id, version);
-        Ok(())
-    }
-
-    /// Runs after the inner stack accepted a channel open.
-    fn after_chan_open(&mut self, port_id: &PortId, channel_id: &ChannelId, version: &str) {
-        let _ = (port_id, channel_id, version);
-    }
 
     /// Runs before the inner stack receives `packet`; may short-circuit.
     fn before_recv(&mut self, inner: &mut InnerStack<'_>, packet: &Packet) -> RecvDecision {
@@ -342,20 +164,6 @@ pub trait Middleware {
         Ok(())
     }
 
-    /// Runs before the inner stack processes a timeout.
-    ///
-    /// # Errors
-    ///
-    /// Aborts timeout processing.
-    fn before_timeout(
-        &mut self,
-        inner: &mut InnerStack<'_>,
-        packet: &Packet,
-    ) -> Result<(), IbcError> {
-        let _ = (inner, packet);
-        Ok(())
-    }
-
     /// Runs after the inner stack processed a timeout.
     ///
     /// # Errors
@@ -395,13 +203,14 @@ pub struct StackCounters {
 /// around one application, with a shared outbox for queued sends.
 pub struct ModuleStack {
     middlewares: Vec<Box<dyn Middleware>>,
-    app: Box<dyn IbcApplication>,
+    app: Box<dyn Module>,
     outbox: Vec<StackRequest>,
     counters: StackCounters,
     /// Lifecycle dispatches that reached each layer (outermost first,
     /// application last) — a middleware that answers with
     /// [`RecvDecision::Stop`] leaves the deeper slots untouched, so the
-    /// falloff shows where packets short-circuit.
+    /// falloff shows where packets short-circuit. One slot per layer
+    /// from construction on.
     layer_dispatches: Vec<u64>,
 }
 
@@ -417,21 +226,23 @@ impl std::fmt::Debug for ModuleStack {
 
 impl ModuleStack {
     /// A stack of just `app`, no middleware.
-    pub fn new(app: Box<dyn IbcApplication>) -> Self {
+    pub fn new(app: Box<dyn Module>) -> Self {
         Self {
             middlewares: Vec::new(),
             app,
             outbox: Vec::new(),
             counters: StackCounters::default(),
-            layer_dispatches: Vec::new(),
+            layer_dispatches: vec![0],
         }
     }
 
     /// Wraps the current stack in one more layer: the middleware added
-    /// last is outermost (sees packets first).
+    /// last is outermost (sees packets first), and its dispatch count
+    /// starts at zero.
     #[must_use]
     pub fn with(mut self, middleware: Box<dyn Middleware>) -> Self {
         self.middlewares.insert(0, middleware);
+        self.layer_dispatches.insert(0, 0);
         self
     }
 
@@ -442,23 +253,13 @@ impl ModuleStack {
         names
     }
 
-    /// The application at the bottom of the stack.
-    pub fn app(&self) -> &dyn IbcApplication {
-        self.app.as_ref()
-    }
-
-    /// Mutable application access.
-    pub fn app_mut(&mut self) -> &mut dyn IbcApplication {
-        self.app.as_mut()
-    }
-
     /// The application, downcast to its concrete type.
-    pub fn app_as<T: IbcApplication + 'static>(&self) -> Option<&T> {
+    pub fn app_as<T: Module + 'static>(&self) -> Option<&T> {
         self.app.as_any().downcast_ref::<T>()
     }
 
     /// Mutable typed application access.
-    pub fn app_as_mut<T: IbcApplication + 'static>(&mut self) -> Option<&mut T> {
+    pub fn app_as_mut<T: Module + 'static>(&mut self) -> Option<&mut T> {
         self.app.as_any_mut().downcast_mut::<T>()
     }
 
@@ -538,44 +339,35 @@ impl ModuleStack {
 
     /// Per-layer dispatch counts in [`Self::layer_names`] order: how many
     /// lifecycle callbacks (recv, ack, timeout) reached each layer. A
-    /// short-circuiting middleware (e.g. a memo hook answering with
-    /// `Stop`) shows up as a falloff between adjacent layers. Slots are
-    /// added at the first dispatch; a missing slot counts zero.
+    /// short-circuiting middleware (the forward middleware answering a
+    /// routed leg with `Stop`) shows up as a falloff between adjacent
+    /// layers. A layer added with [`Self::with`] after traffic starts at
+    /// zero.
     pub fn dispatch_counts(&self) -> &[u64] {
         &self.layer_dispatches
-    }
-
-    /// Ensures the per-layer tally covers every current layer (`with`
-    /// can add layers after construction).
-    fn ensure_dispatch_slots(&mut self) {
-        let slots = self.middlewares.len() + 1;
-        if self.layer_dispatches.len() < slots {
-            self.layer_dispatches.resize(slots, 0);
-        }
     }
 }
 
 fn dispatch_recv(
     layers: &mut [Box<dyn Middleware>],
-    app: &mut dyn IbcApplication,
+    app: &mut dyn Module,
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
     dispatched: &mut [u64],
 ) -> Acknowledgement {
+    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
-        dispatched[0] += 1;
         return app.on_recv_packet(packet);
     };
-    dispatched[0] += 1;
     let decision = {
-        let mut inner = InnerStack { layers: rest, app, outbox };
+        let mut inner = InnerStack { app, outbox };
         head.before_recv(&mut inner, packet)
     };
     match decision {
         RecvDecision::Stop(ack) => ack,
         RecvDecision::Continue => {
             let ack = dispatch_recv(rest, app, outbox, packet, &mut dispatched[1..]);
-            let mut inner = InnerStack { layers: rest, app, outbox };
+            let mut inner = InnerStack { app, outbox };
             head.after_recv(&mut inner, packet, ack)
         }
     }
@@ -583,67 +375,57 @@ fn dispatch_recv(
 
 fn dispatch_ack(
     layers: &mut [Box<dyn Middleware>],
-    app: &mut dyn IbcApplication,
+    app: &mut dyn Module,
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
     ack: &Acknowledgement,
     dispatched: &mut [u64],
 ) -> Result<(), IbcError> {
+    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
-        dispatched[0] += 1;
         return app.on_acknowledge(packet, ack);
     };
-    dispatched[0] += 1;
     {
-        let mut inner = InnerStack { layers: rest, app, outbox };
+        let mut inner = InnerStack { app, outbox };
         head.before_ack(&mut inner, packet, ack)?;
     }
     dispatch_ack(rest, app, outbox, packet, ack, &mut dispatched[1..])?;
-    let mut inner = InnerStack { layers: rest, app, outbox };
+    let mut inner = InnerStack { app, outbox };
     head.after_ack(&mut inner, packet, ack)
 }
 
 fn dispatch_timeout(
     layers: &mut [Box<dyn Middleware>],
-    app: &mut dyn IbcApplication,
+    app: &mut dyn Module,
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
     dispatched: &mut [u64],
 ) -> Result<(), IbcError> {
+    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
-        dispatched[0] += 1;
         return app.on_timeout(packet);
     };
-    dispatched[0] += 1;
-    {
-        let mut inner = InnerStack { layers: rest, app, outbox };
-        head.before_timeout(&mut inner, packet)?;
-    }
     dispatch_timeout(rest, app, outbox, packet, &mut dispatched[1..])?;
-    let mut inner = InnerStack { layers: rest, app, outbox };
+    let mut inner = InnerStack { app, outbox };
     head.after_timeout(&mut inner, packet)
 }
 
 impl Module for ModuleStack {
+    fn name(&self) -> &'static str {
+        self.app.name()
+    }
+
     fn on_chan_open(
         &mut self,
         port_id: &PortId,
         channel_id: &ChannelId,
         version: &str,
     ) -> Result<(), IbcError> {
-        for mw in &mut self.middlewares {
-            mw.before_chan_open(port_id, channel_id, version)?;
-        }
-        self.app.on_chan_open(port_id, channel_id, version)?;
-        for mw in self.middlewares.iter_mut().rev() {
-            mw.after_chan_open(port_id, channel_id, version);
-        }
-        Ok(())
+        self.app.on_chan_open(port_id, channel_id, version)
     }
 
     fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement {
         self.counters.received += 1;
-        self.ensure_dispatch_slots();
         let ack = dispatch_recv(
             &mut self.middlewares,
             self.app.as_mut(),
@@ -659,7 +441,6 @@ impl Module for ModuleStack {
 
     fn on_acknowledge(&mut self, packet: &Packet, ack: &Acknowledgement) -> Result<(), IbcError> {
         self.counters.acked += 1;
-        self.ensure_dispatch_slots();
         dispatch_ack(
             &mut self.middlewares,
             self.app.as_mut(),
@@ -672,7 +453,6 @@ impl Module for ModuleStack {
 
     fn on_timeout(&mut self, packet: &Packet) -> Result<(), IbcError> {
         self.counters.timed_out += 1;
-        self.ensure_dispatch_slots();
         dispatch_timeout(
             &mut self.middlewares,
             self.app.as_mut(),
@@ -696,51 +476,5 @@ impl Module for ModuleStack {
 
     fn ics20_mut(&mut self) -> Option<&mut TransferModule> {
         self.app.ics20_mut()
-    }
-}
-
-/// [`EchoModule`] adapted to the stack: control channels and benchmarks
-/// route through an (empty) [`ModuleStack`] too, so hook ordering is
-/// exercised on every port, not just the transfer port.
-#[derive(Debug, Default)]
-pub struct EchoApp {
-    inner: EchoModule,
-}
-
-impl EchoApp {
-    /// A fresh echo application.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The wrapped echo module (received/acknowledged/timed-out logs).
-    pub fn inner(&self) -> &EchoModule {
-        &self.inner
-    }
-}
-
-impl IbcApplication for EchoApp {
-    fn name(&self) -> &'static str {
-        "echo"
-    }
-
-    fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement {
-        self.inner.on_recv_packet(packet)
-    }
-
-    fn on_acknowledge(&mut self, packet: &Packet, ack: &Acknowledgement) -> Result<(), IbcError> {
-        self.inner.on_acknowledge(packet, ack)
-    }
-
-    fn on_timeout(&mut self, packet: &Packet) -> Result<(), IbcError> {
-        self.inner.on_timeout(packet)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

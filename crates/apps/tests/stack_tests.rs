@@ -5,16 +5,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use apps::{
-    ica_account, parse_hook, AssetUnit, EchoApp, FeeMiddleware, ForwardMiddleware, HookMetadata,
-    IcaApp, IcaOp, IcaOutcome, IcaPacketData, InnerStack, MemoHookMiddleware, Middleware,
-    ModuleStack, NftPacketData, NftTransferApp, PacketFee, RecvDecision, TransferApp,
-    FEE_ESCROW_ACCOUNT,
+    ica_account, parse_hook, FeeMiddleware, ForwardMiddleware, HookMetadata, IcaApp, IcaOp,
+    IcaOutcome, IcaPacketData, InnerStack, MemoHookMiddleware, Middleware, ModuleStack,
+    NftPacketData, NftTransferApp, PacketFee, RecvDecision, FEE_ESCROW_ACCOUNT,
 };
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
-use ibc_core::forward::{ForwardMetadata, MemoEnvelope, RefundMetadata};
+use ibc_core::forward::{AssetUnit, ForwardMetadata, MemoEnvelope, RefundMetadata};
 use ibc_core::ics20::{escrow_account, FungibleTokenPacketData, TransferModule};
-use ibc_core::router::Module;
-use ibc_core::types::{ChannelId, PortId};
+use ibc_core::router::{EchoModule, Module};
+use ibc_core::types::{ChannelId, IbcError, PortId};
+use proptest::prelude::*;
 
 const FWD: &str = "hub:forward";
 
@@ -41,7 +41,7 @@ fn ics20_data(denom: &str, amount: u128, memo: String) -> FungibleTokenPacketDat
 }
 
 fn transfer_stack() -> ModuleStack {
-    ModuleStack::new(Box::new(TransferApp::new())).with(Box::new(ForwardMiddleware::new(FWD)))
+    ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(ForwardMiddleware::new(FWD)))
 }
 
 // ---------------------------------------------------------------- ordering
@@ -96,7 +96,7 @@ impl Middleware for Recorder {
         _inner: &mut InnerStack<'_>,
         _packet: &Packet,
         _ack: &Acknowledgement,
-    ) -> Result<(), ibc_core::types::IbcError> {
+    ) -> Result<(), IbcError> {
         self.record("before_ack");
         Ok(())
     }
@@ -106,7 +106,7 @@ impl Middleware for Recorder {
         _inner: &mut InnerStack<'_>,
         _packet: &Packet,
         _ack: &Acknowledgement,
-    ) -> Result<(), ibc_core::types::IbcError> {
+    ) -> Result<(), IbcError> {
         self.record("after_ack");
         Ok(())
     }
@@ -124,10 +124,11 @@ impl Middleware for Recorder {
 fn recv_hooks_run_onion_ordered_around_the_app() {
     let log = Rc::new(RefCell::new(Vec::new()));
     // `.with` wraps: inner is added first, outer last.
-    let mut stack = ModuleStack::new(Box::new(EchoApp::new()))
+    let mut stack = ModuleStack::new(Box::new(EchoModule::default()))
         .with(Recorder::new("inner", &log))
         .with(Recorder::new("outer", &log));
     assert_eq!(stack.layer_names(), ["outer", "inner", "echo"]);
+    assert_eq!(stack.dispatch_counts().len(), stack.layer_names().len());
 
     let pkt = packet(1, 0, 1, b"ping".to_vec());
     let ack = stack.on_recv_packet(&pkt);
@@ -136,7 +137,7 @@ fn recv_hooks_run_onion_ordered_around_the_app() {
         log.borrow().as_slice(),
         ["outer.before_recv", "inner.before_recv", "inner.after_recv", "outer.after_recv"]
     );
-    assert_eq!(stack.app_as::<EchoApp>().unwrap().inner().received, vec![pkt.clone()]);
+    assert_eq!(stack.app_as::<EchoModule>().unwrap().received, vec![pkt.clone()]);
 
     log.borrow_mut().clear();
     stack.on_acknowledge(&pkt, &ack).unwrap();
@@ -146,45 +147,19 @@ fn recv_hooks_run_onion_ordered_around_the_app() {
     );
     assert_eq!(stack.counters().received, 1);
     assert_eq!(stack.counters().acked, 1);
-}
+    assert_eq!(stack.dispatch_counts(), [2, 2, 2]);
 
-#[test]
-fn empty_stack_is_transparent_for_echo_control_channels() {
-    // An echo control channel routed through a middleware-less stack
-    // must behave exactly like a bare EchoModule: same channel-open
-    // verdicts, same acks, same lifecycle logs.
-    let mut stack = ModuleStack::new(Box::new(EchoApp::new()));
-    let mut bare = ibc_core::router::EchoModule::default();
-    assert_eq!(stack.layer_names(), ["echo"]);
-
-    let port = PortId::named("echo");
-    let channel = ChannelId::new(0);
-    stack.on_chan_open(&port, &channel, "echo-1").unwrap();
-    bare.on_chan_open(&port, &channel, "echo-1").unwrap();
-
-    let pkt = packet(7, 0, 1, b"control".to_vec());
-    let stack_ack = stack.on_recv_packet(&pkt);
-    let bare_ack = bare.on_recv_packet(&pkt);
-    assert_eq!(stack_ack, bare_ack, "empty stack must not rewrite the echo ack");
-
-    stack.on_acknowledge(&pkt, &stack_ack).unwrap();
-    bare.on_acknowledge(&pkt, &bare_ack).unwrap();
-    let timed = packet(8, 0, 1, b"late".to_vec());
-    stack.on_timeout(&timed).unwrap();
-    bare.on_timeout(&timed).unwrap();
-
-    let echoed = stack.app_as::<EchoApp>().unwrap().inner();
-    assert_eq!(echoed.received, bare.received);
-    assert_eq!(echoed.acknowledged, bare.acknowledged);
-    assert_eq!(echoed.timed_out, bare.timed_out);
-    assert_eq!(stack.counters().received, 1);
-    assert_eq!(stack.counters().timed_out, 1);
+    // A layer added after traffic goes outermost with a fresh count; the
+    // old layers' counts shift inward with them.
+    let stack = stack.with(Recorder::new("late", &log));
+    assert_eq!(stack.layer_names(), ["late", "outer", "inner", "echo"]);
+    assert_eq!(stack.dispatch_counts(), [0, 2, 2, 2]);
 }
 
 #[test]
 fn stop_short_circuits_inner_layers_but_outer_after_hooks_still_run() {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut stack = ModuleStack::new(Box::new(EchoApp::new()))
+    let mut stack = ModuleStack::new(Box::new(EchoModule::default()))
         .with(Recorder::new("inner", &log))
         .with(Recorder::stopping("mid", &log))
         .with(Recorder::new("outer", &log));
@@ -198,8 +173,248 @@ fn stop_short_circuits_inner_layers_but_outer_after_hooks_still_run() {
         log.borrow().as_slice(),
         ["outer.before_recv", "mid.before_recv", "outer.after_recv"]
     );
-    assert!(stack.app_as::<EchoApp>().unwrap().inner().received.is_empty());
+    assert!(stack.app_as::<EchoModule>().unwrap().received.is_empty());
     assert_eq!(stack.counters().recv_errors, 1);
+}
+
+// ------------------------------------------------ empty stack ≡ bare module
+
+/// What a received packet carries.
+#[derive(Clone, Copy, Debug)]
+enum Body {
+    WellFormed,
+    Malformed,
+    /// Well-formed, but the other application's payload.
+    WrongApp,
+}
+
+/// The denomination (or NFT class) a step names, seen from this chain's
+/// `channel-1`, which faces the counterparty's `channel-0`.
+#[derive(Clone, Copy, Debug)]
+enum Denom {
+    /// Plain `sol`.
+    Native,
+    /// A voucher going back over the channel it came in on.
+    Returning,
+    /// A voucher minted over some other channel.
+    Foreign,
+}
+
+impl Denom {
+    /// The name as written in a packet arriving over `channel-1`
+    /// (`inbound`) or leaving over it.
+    fn name(self, port: &PortId, inbound: bool) -> String {
+        let channel = if inbound { 0 } else { 1 };
+        match self {
+            Self::Native => "sol".into(),
+            Self::Returning => format!("{port}/channel-{channel}/sol"),
+            Self::Foreign => format!("{port}/channel-9/atom"),
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    Recv(Body, Denom, u128),
+    /// Debit a sender for an outgoing packet, as a send does.
+    Send(Denom, u128),
+    /// Acknowledge (success or error) one debited packet still in flight.
+    Ack(prop::sample::Index, bool),
+    /// Time out one debited packet still in flight.
+    Timeout(prop::sample::Index),
+}
+
+fn denom() -> impl Strategy<Value = Denom> {
+    prop_oneof![Just(Denom::Native), Just(Denom::Returning), Just(Denom::Foreign)]
+}
+
+fn amount() -> impl Strategy<Value = u128> {
+    prop_oneof![Just(0u128), 1u128..100, Just(1u128 << 100)]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let body = prop_oneof![Just(Body::WellFormed), Just(Body::Malformed), Just(Body::WrongApp)];
+    prop_oneof![
+        3 => (body, denom(), amount()).prop_map(|(body, denom, amount)| Step::Recv(body, denom, amount)),
+        2 => (denom(), amount()).prop_map(|(denom, amount)| Step::Send(denom, amount)),
+        2 => (any::<prop::sample::Index>(), any::<bool>()).prop_map(|(i, ok)| Step::Ack(i, ok)),
+        1 => any::<prop::sample::Index>().prop_map(Step::Timeout),
+    ]
+}
+
+/// An NFT payload moving token `amount` of class `denom` (`nft`), or an
+/// ICS-20 payload moving `amount` of `denom`.
+fn app_payload(nft: bool, denom: String, amount: u128, sender: &str, receiver: &str) -> Vec<u8> {
+    let (sender, receiver, memo) = (sender.into(), receiver.into(), String::new());
+    if nft {
+        let tokens = vec![amount.to_string()];
+        NftPacketData { class: denom, tokens, sender, receiver, memo }.encode()
+    } else {
+        FungibleTokenPacketData { denom, amount, sender, receiver, memo }.encode()
+    }
+}
+
+/// A module type the oracle drives both bare and inside an empty stack.
+trait Subject: Module + 'static {
+    /// Whether this application's own payloads are NFT ones.
+    const NFT: bool;
+    /// A funded module: `alice` holds `sol`, and so does `channel-1`'s
+    /// escrow.
+    fn genesis() -> Self;
+    /// Debits the sender of outgoing `packet`.
+    fn debit(&mut self, packet: &Packet) -> Result<(), IbcError>;
+    /// Everything the module holds, rendered for comparison.
+    fn ledger(&self) -> String;
+}
+
+impl Subject for EchoModule {
+    const NFT: bool = false;
+
+    fn genesis() -> Self {
+        Self::default()
+    }
+
+    fn debit(&mut self, _packet: &Packet) -> Result<(), IbcError> {
+        Ok(())
+    }
+
+    fn ledger(&self) -> String {
+        format!("{:?}\n{:?}\n{:?}", self.received, self.acknowledged, self.timed_out)
+    }
+}
+
+impl Subject for TransferModule {
+    const NFT: bool = false;
+
+    fn genesis() -> Self {
+        let mut bank = Self::new();
+        bank.mint("alice", "sol", 1 << 101);
+        bank.mint(&escrow_account(&ChannelId::new(1)), "sol", 500);
+        bank
+    }
+
+    fn debit(&mut self, packet: &Packet) -> Result<(), IbcError> {
+        let data = FungibleTokenPacketData::decode(&packet.payload).expect("sends are well-formed");
+        self.debit_sender(&packet.source_port, &packet.source_channel, &data)
+    }
+
+    fn ledger(&self) -> String {
+        let mut ledger = format!("{:?}\n", self.denoms());
+        for denom in self.denoms() {
+            let mut holders: Vec<_> = self.holders(&denom).collect();
+            holders.sort_unstable();
+            ledger += &format!("{denom}: {} {holders:?}\n", self.total_supply(&denom));
+        }
+        ledger
+    }
+}
+
+impl Subject for NftTransferApp {
+    const NFT: bool = true;
+
+    fn genesis() -> Self {
+        let mut app = Self::new();
+        let escrow = escrow_account(&ChannelId::new(1));
+        for token in (0..100).chain([1u128 << 100]) {
+            let owner = if token % 2 == 0 { "alice" } else { &escrow };
+            app.nft_mut().mint("sol", &token.to_string(), owner).unwrap();
+        }
+        app
+    }
+
+    fn debit(&mut self, packet: &Packet) -> Result<(), IbcError> {
+        let data = NftPacketData::decode(&packet.payload).expect("sends are well-formed");
+        self.debit_sender(&packet.source_port, &packet.source_channel, &data)
+    }
+
+    fn ledger(&self) -> String {
+        let nft = self.nft();
+        let mut ledger = String::new();
+        for class in nft.classes() {
+            for token in nft.tokens_in(&class) {
+                ledger += &format!("{class}#{token}: {:?}\n", nft.owner_of(&class, &token));
+            }
+        }
+        ledger
+    }
+}
+
+/// Drives `script` through a bare `M` and through an empty stack around
+/// another, comparing every verdict on the way and both ledgers at the
+/// end.
+fn empty_stack_matches_bare<M: Subject>(script: &[Step]) -> Result<(), TestCaseError> {
+    let mut bare = M::genesis();
+    let mut stack = ModuleStack::new(Box::new(M::genesis()));
+    let port = PortId::named(bare.name());
+    prop_assert_eq!(stack.layer_names(), [bare.name()]);
+    prop_assert_eq!(
+        stack.on_chan_open(&port, &ChannelId::new(1), "v1"),
+        bare.on_chan_open(&port, &ChannelId::new(1), "v1")
+    );
+    let app_packet = |sequence, inbound: bool, payload| {
+        let (src, dst) = if inbound { (0, 1) } else { (1, 0) };
+        Packet {
+            source_port: port.clone(),
+            destination_port: port.clone(),
+            ..packet(sequence, src, dst, payload)
+        }
+    };
+    let mut in_flight = Vec::new();
+    for (sequence, step) in (1..).zip(script) {
+        match *step {
+            Step::Recv(body, denom, amount) => {
+                let denom = denom.name(&port, true);
+                let payload = match body {
+                    Body::WellFormed => app_payload(M::NFT, denom, amount, "alice", "bob"),
+                    Body::WrongApp => app_payload(!M::NFT, denom, amount, "alice", "bob"),
+                    Body::Malformed => format!("{{\"{denom}\": {amount}").into_bytes(),
+                };
+                let packet = app_packet(sequence, true, payload);
+                prop_assert_eq!(stack.on_recv_packet(&packet), bare.on_recv_packet(&packet));
+            }
+            Step::Send(denom, amount) => {
+                let sender = if matches!(denom, Denom::Native) { "alice" } else { "bob" };
+                let payload = app_payload(M::NFT, denom.name(&port, false), amount, sender, "dave");
+                let packet = app_packet(sequence, false, payload);
+                let debited = bare.debit(&packet);
+                prop_assert_eq!(stack.app_as_mut::<M>().unwrap().debit(&packet), debited.clone());
+                if debited.is_ok() {
+                    in_flight.push(packet);
+                }
+            }
+            Step::Ack(which, success) if !in_flight.is_empty() => {
+                let packet = in_flight.swap_remove(which.index(in_flight.len()));
+                let ack = if success {
+                    Acknowledgement::Success(b"AQ==".to_vec())
+                } else {
+                    Acknowledgement::Error("rejected".into())
+                };
+                prop_assert_eq!(
+                    stack.on_acknowledge(&packet, &ack),
+                    bare.on_acknowledge(&packet, &ack)
+                );
+            }
+            Step::Timeout(which) if !in_flight.is_empty() => {
+                let packet = in_flight.swap_remove(which.index(in_flight.len()));
+                prop_assert_eq!(stack.on_timeout(&packet), bare.on_timeout(&packet));
+            }
+            Step::Ack(..) | Step::Timeout(..) => {}
+        }
+    }
+    prop_assert_eq!(stack.app_as::<M>().unwrap().ledger(), bare.ledger());
+    Ok(())
+}
+
+proptest! {
+    /// ROADMAP item 6(b)'s oracle: a middleware-less stack is the module
+    /// it wraps — same acks, same `Result`s, same ledger — for every
+    /// application a stack is built around here.
+    #[test]
+    fn empty_stack_is_transparent_for_every_app(script in prop::collection::vec(step(), 1..48)) {
+        empty_stack_matches_bare::<EchoModule>(&script)?;
+        empty_stack_matches_bare::<TransferModule>(&script)?;
+        empty_stack_matches_bare::<NftTransferApp>(&script)?;
+    }
 }
 
 // ---------------------------------------------------------------- forward
@@ -274,7 +489,7 @@ fn failed_leg_unwinds_backwards_and_origin_delivers_refund() {
 
     // On the origin chain (no in-flight entry for channel-0 #4) the
     // refund transfer is a plain delivery back to the sender.
-    let mut origin = ModuleStack::new(Box::new(TransferApp::new()))
+    let mut origin = ModuleStack::new(Box::new(TransferModule::new()))
         .with(Box::new(ForwardMiddleware::new("origin:forward")));
     origin.ics20_mut().unwrap().mint(&escrow_account(&ChannelId::new(0)), "wsol", 70);
     let refund_data = FungibleTokenPacketData {
@@ -329,7 +544,7 @@ fn plain_transfers_pass_through_to_the_app() {
 // ---------------------------------------------------------------- fees
 
 fn fee_stack() -> ModuleStack {
-    ModuleStack::new(Box::new(TransferApp::new())).with(Box::new(FeeMiddleware::new()))
+    ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(FeeMiddleware::new()))
 }
 
 #[test]
@@ -403,7 +618,7 @@ fn timeout_pays_timeout_fee_and_refunds_the_rest() {
 
 #[test]
 fn escrow_fee_requires_a_fee_layer_and_funds() {
-    let mut bare = ModuleStack::new(Box::new(TransferApp::new()));
+    let mut bare = ModuleStack::new(Box::new(TransferModule::new()));
     bare.ics20_mut().unwrap().mint("alice", "sol", 100);
     assert!(bare
         .escrow_fee(&ChannelId::new(0), 1, PacketFee::flat(1, 1, 1), "alice", "sol")
@@ -422,7 +637,7 @@ fn escrow_fee_requires_a_fee_layer_and_funds() {
 #[test]
 fn transfer_hook_sweeps_delivered_funds() {
     let mut stack =
-        ModuleStack::new(Box::new(TransferApp::new())).with(Box::new(MemoHookMiddleware::new()));
+        ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(MemoHookMiddleware::new()));
     let memo = HookMetadata::transfer_to("vault").to_memo();
     let incoming = packet(1, 0, 1, ics20_data("wsol", 30, memo).encode());
     assert!(stack.on_recv_packet(&incoming).is_success());
@@ -435,7 +650,7 @@ fn transfer_hook_sweeps_delivered_funds() {
 #[test]
 fn note_hook_records_and_failures_leave_the_ack_alone() {
     let mut stack =
-        ModuleStack::new(Box::new(TransferApp::new())).with(Box::new(MemoHookMiddleware::new()));
+        ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(MemoHookMiddleware::new()));
     let memo = HookMetadata::note("hello").to_memo();
     assert!(stack
         .on_recv_packet(&packet(1, 0, 1, ics20_data("wsol", 5, memo).encode()))
@@ -454,7 +669,7 @@ fn note_hook_records_and_failures_leave_the_ack_alone() {
 
 #[test]
 fn hooks_skip_in_transit_forward_legs() {
-    let mut stack = ModuleStack::new(Box::new(TransferApp::new()))
+    let mut stack = ModuleStack::new(Box::new(TransferModule::new()))
         .with(Box::new(ForwardMiddleware::new(FWD)))
         .with(Box::new(MemoHookMiddleware::new()));
     let memo = ForwardMetadata::new("carol", &ChannelId::new(5)).to_memo();
@@ -638,7 +853,7 @@ fn ica_register_execute_and_outcomes() {
 fn full_transfer_stack_layers_compose() {
     // Fee outside hooks outside forward outside the app — the mesh's
     // production stack shape.
-    let mut stack = ModuleStack::new(Box::new(TransferApp::new()))
+    let mut stack = ModuleStack::new(Box::new(TransferModule::new()))
         .with(Box::new(ForwardMiddleware::new(FWD)))
         .with(Box::new(MemoHookMiddleware::new()))
         .with(Box::new(FeeMiddleware::new()));
@@ -666,7 +881,3 @@ fn full_transfer_stack_layers_compose() {
     assert_eq!(stack.take_requests().len(), 1);
     assert_eq!(stack.counters().received, 3);
 }
-
-// TransferModule used in helpers above; keep the import honest.
-#[allow(dead_code)]
-fn _uses(_: &TransferModule) {}

@@ -1,12 +1,13 @@
 //! Criterion microbenchmarks of the IBC core: commitments, handshakes and
 //! the packet path (proof generation + verification included).
 
-use apps::{EchoApp, ModuleStack};
+use apps::ModuleStack;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ibc_core::channel::{Packet, Timeout};
 use ibc_core::client::MockChain;
 use ibc_core::handler::HostTime;
 use ibc_core::handshake::{open_link, prove, publish};
+use ibc_core::router::EchoModule;
 use ibc_core::types::PortId;
 
 fn bench_commitment(c: &mut Criterion) {
@@ -30,8 +31,8 @@ fn connected() -> (MockChain, MockChain, ibc_core::ChannelId, ibc_core::ClientId
     // The echo app rides in an empty (middleware-less) ModuleStack, so
     // the packet path measured here includes the stack dispatch overhead
     // every production app pays.
-    a.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
-    b.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoApp::new()))));
+    a.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoModule::default()))));
+    b.ibc.bind_port(port.clone(), Box::new(ModuleStack::new(Box::new(EchoModule::default()))));
     let link = open_link(&mut a, &mut b, &[(port, "echo-1")], &mut 0).unwrap();
     (a, b, link.channels[0].0.clone(), link.b_client)
 }

@@ -12,14 +12,17 @@
 //! the receiving chain.
 //!
 //! This module defines only that protocol vocabulary — the metadata
-//! shapes and the [`ForwardKind`] correlation handles. The forwarding
-//! middleware itself lives in the `apps` crate as one layer of the
-//! general stacked-middleware mechanism, generalised over asset kinds
-//! (ICS-20 amounts and NFT classes route identically).
+//! shapes, the [`ForwardKind`] correlation handles, and the asset view
+//! ([`AssetUnit`], [`ForwardUnit`]) an application exposes through
+//! [`ForwardHooks`]. The forwarding middleware itself lives in the `apps`
+//! crate as one layer of the general stacked-middleware mechanism,
+//! generalised over asset kinds (ICS-20 amounts and NFT classes route
+//! identically).
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::ChannelId;
+use crate::channel::Packet;
+use crate::types::{ChannelId, IbcError};
 
 /// One hop of routing metadata, carried in a transfer memo as
 /// `{"forward": {...}}`; `next` nests the rest of the route.
@@ -120,6 +123,75 @@ pub enum ForwardKind {
         /// Sequence of the failed leg.
         failed_sequence: u64,
     },
+}
+
+/// One transferable asset, as a forwarding layer sees it: the fungible
+/// (ICS-20) and non-fungible (ICS-721-style) cases it treats uniformly.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AssetUnit {
+    /// An ICS-20 amount of one denomination.
+    Fungible {
+        /// Denomination, possibly voucher-prefixed.
+        denom: String,
+        /// Amount transferred.
+        amount: u128,
+    },
+    /// A set of tokens of one NFT class.
+    NonFungible {
+        /// Class id, possibly voucher-prefixed.
+        class: String,
+        /// Token ids moved together.
+        tokens: Vec<String>,
+    },
+}
+
+impl AssetUnit {
+    /// The denomination or class id.
+    pub fn id(&self) -> &str {
+        match self {
+            Self::Fungible { denom, .. } => denom,
+            Self::NonFungible { class, .. } => class,
+        }
+    }
+}
+
+/// A packet decoded into the vocabulary a forwarding layer understands:
+/// who sent what to whom, and the memo carrying routing metadata.
+#[derive(Clone, Debug)]
+pub struct ForwardUnit {
+    /// What moved.
+    pub asset: AssetUnit,
+    /// Sender on the source chain.
+    pub sender: String,
+    /// Nominal receiver on this chain.
+    pub receiver: String,
+    /// The packet memo.
+    pub memo: String,
+}
+
+/// How a module's packets look to a value-routing layer. Implemented by
+/// the modules whose packets move custodiable assets (the ICS-20 ledger
+/// and the NFT transfer app) and reached through
+/// [`crate::router::Module::forward_hooks_mut`], so one forward
+/// middleware routes both.
+pub trait ForwardHooks {
+    /// Decodes a packet into a routable unit, or [`None`] when the
+    /// payload is not this module's.
+    fn decode_unit(&self, packet: &Packet) -> Option<ForwardUnit>;
+
+    /// Delivers `packet`'s asset crediting `account` (a forward
+    /// account), applying the normal escrow-release/voucher-mint rules;
+    /// returns the asset as named locally.
+    ///
+    /// # Errors
+    ///
+    /// [`IbcError::AppError`] when escrow cannot cover the asset.
+    fn credit_custody(
+        &mut self,
+        packet: &Packet,
+        asset: &AssetUnit,
+        account: &str,
+    ) -> Result<AssetUnit, IbcError>;
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, HashMap};
 use serde::{Deserialize, Serialize};
 
 use crate::channel::{Acknowledgement, Packet, Timeout};
+use crate::forward::{AssetUnit, ForwardHooks, ForwardUnit};
 use crate::handler::IbcHandler;
 use crate::router::Module;
 use crate::store::ProvableStore;
@@ -360,6 +361,10 @@ impl TransferModule {
 }
 
 impl Module for TransferModule {
+    fn name(&self) -> &'static str {
+        "transfer"
+    }
+
     fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement {
         let Some(data) = FungibleTokenPacketData::decode(&packet.payload) else {
             return Acknowledgement::Error("malformed ICS-20 packet".into());
@@ -400,14 +405,43 @@ impl Module for TransferModule {
     fn ics20_mut(&mut self) -> Option<&mut TransferModule> {
         Some(self)
     }
+
+    fn forward_hooks_mut(&mut self) -> Option<&mut dyn ForwardHooks> {
+        Some(self)
+    }
+}
+
+impl ForwardHooks for TransferModule {
+    fn decode_unit(&self, packet: &Packet) -> Option<ForwardUnit> {
+        let data = FungibleTokenPacketData::decode(&packet.payload)?;
+        Some(ForwardUnit {
+            asset: AssetUnit::Fungible { denom: data.denom, amount: data.amount },
+            sender: data.sender,
+            receiver: data.receiver,
+            memo: data.memo,
+        })
+    }
+
+    fn credit_custody(
+        &mut self,
+        packet: &Packet,
+        asset: &AssetUnit,
+        account: &str,
+    ) -> Result<AssetUnit, IbcError> {
+        let AssetUnit::Fungible { denom, amount } = asset else {
+            return Err(IbcError::AppError("ICS-20 cannot take custody of NFTs".into()));
+        };
+        let local = self.credit_receiver(packet, denom, *amount, account)?;
+        Ok(AssetUnit::Fungible { denom: local, amount: *amount })
+    }
 }
 
 /// Initiates an ICS-20 transfer on `handler`: debits the sender in the
 /// transfer module's ledger, then commits the packet.
 ///
-/// The port may be bound to a bare [`TransferModule`] or to any middleware
-/// stack exposing one through [`Module::ics20_mut`] (e.g. the multi-hop
-/// forward middleware).
+/// The port may be bound to a bare [`TransferModule`] or to any module
+/// exposing one through [`Module::ics20_mut`] (e.g. the `apps` crate's
+/// `ModuleStack`).
 ///
 /// # Errors
 ///

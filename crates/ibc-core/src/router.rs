@@ -1,11 +1,16 @@
 //! Port router and application-module interface (ICS-05/ICS-26).
 
 use crate::channel::{Acknowledgement, Packet};
+use crate::forward::ForwardHooks;
 use crate::types::ChannelId;
 use crate::types::{IbcError, PortId};
 
 /// An IBC application module bound to a port (e.g. ICS-20 transfer).
 pub trait Module {
+    /// Short stable name (`"transfer"`, `"echo"`, …), used for per-app
+    /// telemetry labels and stack listings.
+    fn name(&self) -> &'static str;
+
     /// Called when a channel on this port completes its handshake.
     ///
     /// # Errors
@@ -51,16 +56,22 @@ pub trait Module {
 
     /// The ICS-20 ledger this module fronts, if any.
     ///
-    /// Middleware that wraps a [`crate::ics20::TransferModule`] (e.g. the
-    /// multi-hop forward middleware) forwards this to the wrapped ledger,
-    /// so [`crate::ics20::send_transfer`] and invariant checkers work
-    /// through any stack of wrappers, not just a bare transfer module.
+    /// A module that wraps a [`crate::ics20::TransferModule`] (the `apps`
+    /// crate's `ModuleStack`) forwards this to the wrapped ledger, so
+    /// [`crate::ics20::send_transfer`] and invariant checkers work through
+    /// any stack of wrappers, not just a bare transfer module.
     fn ics20(&self) -> Option<&crate::ics20::TransferModule> {
         None
     }
 
     /// Mutable access to the ICS-20 ledger this module fronts, if any.
     fn ics20_mut(&mut self) -> Option<&mut crate::ics20::TransferModule> {
+        None
+    }
+
+    /// The routing hooks of this module, when its packets move assets a
+    /// forwarding layer can take custody of.
+    fn forward_hooks_mut(&mut self) -> Option<&mut dyn ForwardHooks> {
         None
     }
 }
@@ -77,7 +88,21 @@ pub struct EchoModule {
     pub timed_out: Vec<Packet>,
 }
 
+impl EchoModule {
+    /// A fresh echo module. Pinned for the echo stacks of
+    /// `benchmark/src/probes.rs` (through an alias in `apps`); ROADMAP
+    /// item 1's `[benchmark]` PR moves the probe to
+    /// `EchoModule::default()` and drops this.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 impl Module for EchoModule {
+    fn name(&self) -> &'static str {
+        "echo"
+    }
+
     fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement {
         self.received.push(packet.clone());
         Acknowledgement::Success(packet.payload.clone())

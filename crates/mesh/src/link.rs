@@ -38,8 +38,6 @@ pub struct Link {
     pub b_client: ClientId,
     /// Relay fee schedule.
     pub fee: LinkFee,
-    /// The link relayer's wake-up interval.
-    pub relay_interval_ms: u64,
     /// Next scheduled wake-up.
     pub(crate) next_relay_ms: u64,
     /// Fee units charged by this link's relayer so far.

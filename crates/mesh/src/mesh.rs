@@ -27,14 +27,14 @@
 use std::collections::BTreeMap;
 
 use apps::{
-    AssetUnit, FeeMiddleware, ForwardMiddleware, IcaApp, IcaOp, MemoHookMiddleware, ModuleStack,
-    NftTransferApp, StackRequest, TransferApp,
+    FeeMiddleware, ForwardMiddleware, IcaApp, IcaOp, MemoHookMiddleware, ModuleStack,
+    NftTransferApp, StackRequest,
 };
 use chaos::ChaosController;
 use counterparty_sim::{CounterpartyChain, CpHeader};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::client::ConsensusState;
-use ibc_core::forward::{ForwardKind, ForwardMetadata};
+use ibc_core::forward::{AssetUnit, ForwardKind, ForwardMetadata};
 use ibc_core::handshake::open_link;
 use ibc_core::ics20::{self, TransferModule};
 use ibc_core::types::{ChannelId, IbcError, PortId};
@@ -48,7 +48,7 @@ use telemetry::{names, RunReport, Telemetry, TraceId};
 
 use crate::link::{link_ports, Link};
 use crate::routing::{PathPolicy, RouteHop, RoutingTable};
-use crate::topology::MeshConfig;
+use crate::topology::{MeshConfig, KEEPALIVE_MS, RELAY_INTERVAL_MS, STEP_MS};
 
 /// Units of the host chain's native denom airdropped to every newly
 /// registered interchain account, so scripted ICA batches have
@@ -396,7 +396,7 @@ impl Mesh {
             chain.ibc_mut().bind_port(
                 port.clone(),
                 Box::new(
-                    ModuleStack::new(Box::new(TransferApp::new()))
+                    ModuleStack::new(Box::new(TransferModule::new()))
                         .with(Box::new(ForwardMiddleware::new(forward_account.clone())))
                         .with(Box::new(MemoHookMiddleware::new()))
                         .with(Box::new(FeeMiddleware::new())),
@@ -460,7 +460,6 @@ impl Mesh {
                 a_client: ends.a_client,
                 b_client: ends.b_client,
                 fee: spec.fee,
-                relay_interval_ms: spec.relay_interval_ms,
                 next_relay_ms: 0,
                 fees_charged: 0,
                 deliveries: 0,
@@ -964,7 +963,7 @@ impl Mesh {
 
     /// Advances the mesh one step.
     pub fn step(&mut self) {
-        self.now_ms += self.config.step_ms;
+        self.now_ms += STEP_MS;
         let now = self.now_ms;
         self.dispatch_events(now);
         self.drain_outboxes(now);
@@ -1180,7 +1179,7 @@ impl Mesh {
         let mut nft_seq = 0u64;
         while self.now_ms < until {
             // Fire every arrival due by the *end* of this step, then step.
-            let due = self.now_ms + self.config.step_ms;
+            let due = self.now_ms + STEP_MS;
             while pending.as_ref().is_some_and(|a| offset + a.at_ms <= due) {
                 let arrival = pending.take().expect("checked above");
                 pending = Some(generator.next_arrival());
@@ -1398,7 +1397,7 @@ impl Mesh {
             let (root_changed, keepalive_due) = match node.chain.latest_commit() {
                 Some(commit) => (
                     commit.app_hash != node.chain.ibc().root(),
-                    now >= commit.timestamp_ms + self.config.keepalive_ms,
+                    now >= commit.timestamp_ms + KEEPALIVE_MS,
                 ),
                 None => (true, true),
             };
@@ -1672,7 +1671,7 @@ impl Mesh {
             if now < self.links[li].next_relay_ms {
                 continue;
             }
-            self.links[li].next_relay_ms = now + self.links[li].relay_interval_ms;
+            self.links[li].next_relay_ms = now + RELAY_INTERVAL_MS;
             if self.chaos.link_down(&self.links[li].label, now) {
                 continue;
             }

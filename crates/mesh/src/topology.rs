@@ -1,15 +1,24 @@
 //! Declarative mesh topologies: chains as nodes, IBC links as edges.
 //!
-//! A [`MeshConfig`] is pure data — chain specs, link specs, timing knobs
-//! and an optional chaos plan — that [`crate::Mesh::build`] turns into a
-//! live multi-chain deployment. Presets cover the shapes the scaling
-//! benchmark sweeps: [`MeshConfig::line`], [`MeshConfig::ring`] and
-//! [`MeshConfig::full`].
+//! A [`MeshConfig`] is pure data — chain specs, link specs, the hop
+//! timeout and an optional chaos plan — that [`crate::Mesh::build`]
+//! turns into a live multi-chain deployment. Presets cover the shapes
+//! the scaling benchmark sweeps: [`MeshConfig::line`],
+//! [`MeshConfig::ring`] and [`MeshConfig::full`]. The harness's timing
+//! is fixed ([`STEP_MS`], [`KEEPALIVE_MS`], [`RELAY_INTERVAL_MS`]).
 
 use chaos::ChaosPlan;
 use counterparty_sim::CounterpartyConfig;
 use relayer::LinkFee;
 use serde::{Deserialize, Serialize};
+
+/// Harness step size.
+pub(crate) const STEP_MS: u64 = 1_000;
+/// Every chain produces an (otherwise empty) block at least this often,
+/// so counterparties can prove timeouts against a fresh consensus state.
+pub(crate) const KEEPALIVE_MS: u64 = 60_000;
+/// How often each link's relayer wakes up.
+pub(crate) const RELAY_INTERVAL_MS: u64 = 2_000;
 
 /// Consensus cadence profile of a mesh chain. Each maps to a
 /// [`CounterpartyConfig`] with a distinct block interval and validator-set
@@ -79,24 +88,12 @@ pub struct LinkSpec {
     /// What relaying over this link costs.
     #[serde(default)]
     pub fee: LinkFee,
-    /// How often the link's relayer wakes up.
-    #[serde(default = "default_relay_interval_ms")]
-    pub relay_interval_ms: u64,
-}
-
-fn default_relay_interval_ms() -> u64 {
-    2_000
 }
 
 impl LinkSpec {
     /// A free link between two named chains, relayed every 2 s.
     pub fn new(a: impl Into<String>, b: impl Into<String>) -> Self {
-        Self {
-            a: a.into(),
-            b: b.into(),
-            fee: LinkFee::FREE,
-            relay_interval_ms: default_relay_interval_ms(),
-        }
+        Self { a: a.into(), b: b.into(), fee: LinkFee::FREE }
     }
 
     /// The label chaos plans and telemetry identify this link by.
@@ -110,13 +107,6 @@ impl LinkSpec {
 pub struct MeshConfig {
     /// Master seed; every chain derives its own stream from it.
     pub seed: u64,
-    /// Harness step size.
-    #[serde(default = "default_step_ms")]
-    pub step_ms: u64,
-    /// Produce an (otherwise empty) block at least this often, so
-    /// counterparties can prove timeouts against a fresh consensus state.
-    #[serde(default = "default_keepalive_ms")]
-    pub keepalive_ms: u64,
     /// Per-hop packet timeout for routed transfers.
     #[serde(default = "default_hop_timeout_ms")]
     pub hop_timeout_ms: u64,
@@ -133,14 +123,6 @@ pub struct MeshConfig {
     /// built before the fee middleware existed.
     #[serde(default)]
     pub packet_fee: Option<apps::PacketFee>,
-}
-
-fn default_step_ms() -> u64 {
-    1_000
-}
-
-fn default_keepalive_ms() -> u64 {
-    60_000
 }
 
 fn default_hop_timeout_ms() -> u64 {
@@ -170,8 +152,6 @@ impl MeshConfig {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            step_ms: default_step_ms(),
-            keepalive_ms: default_keepalive_ms(),
             hop_timeout_ms: default_hop_timeout_ms(),
             chains: Vec::new(),
             links: Vec::new(),

@@ -37,9 +37,8 @@ pub struct MonitorConfig {
     pub client_staleness_slo_ms: u64,
     /// An unacknowledged packet lifecycle older than this is stuck.
     pub stuck_packet_slo_ms: u64,
-    /// Quantile watched by the latency-regression detector.
-    pub latency_quantile: f64,
-    /// Rolling window of the latency-regression detector.
+    /// Rolling window of the latency-regression detector (which watches
+    /// the p95).
     pub latency_window_ms: u64,
     /// Calibration period: the baseline quantile is frozen from the
     /// histogram at this instant.
@@ -80,7 +79,6 @@ impl MonitorConfig {
             head_staleness_slo_ms: 90 * MINUTE_MS,
             client_staleness_slo_ms: 12 * HOUR_MS,
             stuck_packet_slo_ms: 6 * HOUR_MS,
-            latency_quantile: 0.95,
             latency_window_ms: 6 * HOUR_MS,
             calibration_ms: DAY_MS,
             latency_factor: 3.0,
@@ -105,7 +103,6 @@ impl MonitorConfig {
             head_staleness_slo_ms: 20 * MINUTE_MS,
             client_staleness_slo_ms: 40 * MINUTE_MS,
             stuck_packet_slo_ms: HOUR_MS,
-            latency_quantile: 0.95,
             latency_window_ms: 2 * HOUR_MS,
             calibration_ms: 6 * HOUR_MS,
             latency_factor: 3.0,

@@ -119,8 +119,12 @@ impl Detector for StuckPacketDetector {
 // ---------------------------------------------------------------------------
 // latency regression
 
-/// Compares a rolling window of a latency histogram against a baseline
-/// quantile frozen after the calibration period.
+/// The quantile the latency-regression detector watches (its findings
+/// read "p95").
+const LATENCY_QUANTILE: f64 = 0.95;
+
+/// Compares a rolling window of a latency histogram's p95 against a
+/// baseline p95 frozen after the calibration period.
 ///
 /// The detector snapshots the cumulative histogram each tick and uses
 /// [`Histogram::diff`] to recover the observations that landed inside
@@ -128,7 +132,6 @@ impl Detector for StuckPacketDetector {
 pub struct LatencyRegressionDetector {
     name: &'static str,
     histogram: String,
-    quantile: f64,
     window_ms: u64,
     calibration_ms: u64,
     factor: f64,
@@ -151,7 +154,6 @@ impl LatencyRegressionDetector {
         Self {
             name,
             histogram: histogram.into(),
-            quantile: config.latency_quantile,
             window_ms: config.latency_window_ms,
             calibration_ms: config.calibration_ms,
             factor: config.latency_factor,
@@ -184,7 +186,7 @@ impl Detector for LatencyRegressionDetector {
             && now_ms >= self.calibration_ms
             && current.count >= self.min_observations
         {
-            self.baseline = Some(current.quantile(self.quantile));
+            self.baseline = Some(current.quantile(LATENCY_QUANTILE));
         }
         let mut findings = Vec::new();
         if let Some(baseline) = self.baseline {
@@ -198,14 +200,14 @@ impl Detector for LatencyRegressionDetector {
                     .map(|(_, snapshot)| snapshot);
                 if let Some(window) = anchor.and_then(|anchor| current.diff(anchor)) {
                     if window.count >= self.min_observations {
-                        let observed = window.quantile(self.quantile);
+                        let observed = window.quantile(LATENCY_QUANTILE);
                         if observed > baseline * self.factor {
                             findings.push(Finding::new(
                                 self.histogram.clone(),
                                 format!(
                                     "p{:02.0} {observed} ms over last {} ms vs baseline \
                                      {baseline} ms (factor {})",
-                                    self.quantile * 100.0,
+                                    LATENCY_QUANTILE * 100.0,
                                     self.window_ms,
                                     self.factor,
                                 ),

@@ -10,11 +10,12 @@
 use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
-use apps::{FeeMiddleware, MemoHookMiddleware, ModuleStack, TransferApp};
+use apps::{FeeMiddleware, MemoHookMiddleware, ModuleStack};
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestError, GuestHeader, GuestLightClient};
 use ibc_core::handler::IbcHandler;
 use ibc_core::handshake::{open_link, ChainEnd};
+use ibc_core::ics20::TransferModule;
 use ibc_core::types::{ChannelId, ClientId, ConnectionId, PortId};
 use ibc_core::LightClient;
 use sealable_trie::Trie;
@@ -138,13 +139,13 @@ pub fn finalise_guest_block(
 }
 
 /// The transfer-port module stack both ends of the guest↔counterparty
-/// link bind: an ICS-20 [`TransferApp`] wrapped by memo-hook and fee
+/// link bind: an ICS-20 [`TransferModule`] wrapped by memo-hook and fee
 /// middleware (innermost to outermost). No forward layer — this link is
 /// a single hop, and the harness's inbound packets carry routing-shaped
 /// memos purely for size realism.
 fn transfer_stack() -> Box<ModuleStack> {
     Box::new(
-        ModuleStack::new(Box::new(TransferApp::new()))
+        ModuleStack::new(Box::new(TransferModule::new()))
             .with(Box::new(MemoHookMiddleware::new()))
             .with(Box::new(FeeMiddleware::new())),
     )

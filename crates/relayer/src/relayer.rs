@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestEvent, GuestHeader, GuestInstruction, GuestOp};
-use host_sim::{FeePolicy, HostChain, HostProfile, Instruction, Pubkey, Transaction};
+use host_sim::{FeePolicy, HostChain, Instruction, Pubkey, Transaction};
 use ibc_core::client::ConsensusState;
 use ibc_core::IbcEvent;
 use profiler::Profiler;
@@ -26,20 +26,19 @@ use crate::fees::FeeStrategy;
 use crate::msg::{RelayMsg, Submitted, Unproven};
 use crate::records::{JobKind, JobRecord};
 
-/// Relayer configuration.
+/// Relayer configuration. Transactions are built and chunks planned
+/// against the runtime limits of the host the relayer is handed
+/// ([`HostChain::profile`], §VI-D), so the two cannot disagree.
 #[derive(Clone, Copy, Debug)]
 pub struct RelayerConfig {
     /// How relay transactions pay for inclusion. The paper's relayer used
     /// the default fee model (§V-B), i.e. [`FeeStrategy::Base`].
     pub fee_strategy: FeeStrategy,
-    /// The host chain's runtime limits, used for transaction building and
-    /// chunk planning (§VI-D).
-    pub host_profile: HostProfile,
 }
 
 impl Default for RelayerConfig {
     fn default() -> Self {
-        Self { fee_strategy: FeeStrategy::Base, host_profile: HostProfile::SOLANA }
+        Self { fee_strategy: FeeStrategy::Base }
     }
 }
 
@@ -700,11 +699,10 @@ impl Relayer {
         self.next_buffer += 1;
         let queue: VecDeque<GuestInstruction> = {
             let _plan = self.profiler.scope("chunk.plan");
-            plan_op_for(&self.config.host_profile, op, buffer, sig_checks).into_iter().collect()
+            plan_op_for(host.profile(), op, buffer, sig_checks).into_iter().collect()
         };
         debug_assert!(
-            sig_checks == 0
-                || queue.len() > sig_checks / sig_checks_per_tx_for(&self.config.host_profile)
+            sig_checks == 0 || queue.len() > sig_checks / sig_checks_per_tx_for(host.profile())
         );
         let span = self.telemetry.span_start(
             host.now_ms(),
@@ -779,13 +777,7 @@ impl Relayer {
                 }
                 _ => false,
             };
-            let id = {
-                let tx = self.build_tx(&instruction);
-                match tx.fee_policy {
-                    FeePolicy::Bundle { .. } => host.submit_bundle(vec![tx])[0],
-                    _ => host.submit(tx),
-                }
-            };
+            let id = self.submit_instruction(host, &instruction);
             if duplicate {
                 // An at-least-once RPC retry: the same transaction lands
                 // twice; the relayer only tracks the first copy.
@@ -853,10 +845,10 @@ impl Relayer {
         }
     }
 
-    fn build_tx(&self, instruction: &GuestInstruction) -> Transaction {
+    fn build_tx(&self, host: &HostChain, instruction: &GuestInstruction) -> Transaction {
         let policy = self.config.fee_strategy.policy(self.recent_load);
         Transaction::build_for(
-            &self.config.host_profile,
+            host.profile(),
             self.payer,
             1,
             vec![Instruction::new(
@@ -870,7 +862,7 @@ impl Relayer {
     }
 
     fn submit_instruction(&mut self, host: &mut HostChain, instruction: &GuestInstruction) -> u64 {
-        let tx = self.build_tx(instruction);
+        let tx = self.build_tx(host, instruction);
         match tx.fee_policy {
             FeePolicy::Bundle { .. } => host.submit_bundle(vec![tx])[0],
             _ => host.submit(tx),

@@ -22,10 +22,9 @@ pub struct ValidatorProfile {
     pub active: bool,
     /// Fee policy of its Sign transactions (Table I "Cost" column).
     pub fee_policy: FeePolicy,
-    /// Median of its signing latency, in milliseconds.
+    /// Median of its signing latency, in milliseconds (log-normal, with
+    /// one shape σ = 0.45 shared by every validator).
     pub latency_median_ms: u64,
-    /// Log-normal shape parameter of the latency distribution.
-    pub latency_sigma: f64,
     /// Probability of signing a block that is *already finalised* (needed
     /// signatures are always submitted; this controls the Table-I spread of
     /// per-validator signature counts).
@@ -40,7 +39,6 @@ impl ValidatorProfile {
             active: true,
             fee_policy: FeePolicy::BaseOnly,
             latency_median_ms: 3_500,
-            latency_sigma: 0.45,
             diligence: 1.0,
         }
     }
@@ -101,7 +99,6 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
         active: true,
         fee_policy: sign_fee_for_cents(1.00),
         latency_median_ms: 5_600,
-        latency_sigma: 0.45,
         diligence: 1.0,
     }];
     for (diligence, cents, median_s) in rows {
@@ -112,7 +109,6 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
             active: true,
             fee_policy: sign_fee_for_cents(cents),
             latency_median_ms: (median_s * 1_000.0) as u64,
-            latency_sigma: 0.45,
             diligence,
         });
     }
@@ -122,7 +118,6 @@ pub fn paper_validators() -> Vec<ValidatorProfile> {
             active: false,
             fee_policy: FeePolicy::BaseOnly,
             latency_median_ms: 4_000,
-            latency_sigma: 0.45,
             diligence: 0.0,
         });
     }

@@ -46,6 +46,9 @@ pub const GUEST_DENOM: &str = "wsol";
 pub const CP_DENOM: &str = "pica";
 /// How long every workload transfer stays valid after it is sent.
 const TRANSFER_TIMEOUT_MS: u64 = 24 * 60 * 60 * 1_000;
+/// Log-normal shape of every validator's signing latency around its
+/// [`ValidatorProfile::latency_median_ms`](crate::ValidatorProfile).
+const SIGN_LATENCY_SIGMA: f64 = 0.45;
 
 #[derive(Debug)]
 enum Action {
@@ -140,9 +143,7 @@ impl Testnet {
     /// Boots a full deployment: host accounts, guest program with the
     /// paper's 10 MiB state account, counterparty chain, IBC handshake and
     /// prefunded users.
-    pub fn build(mut config: TestnetConfig) -> Self {
-        // The relayer must plan against the same host limits.
-        config.relayer.host_profile = config.host_profile;
+    pub fn build(config: TestnetConfig) -> Self {
         // One shared sink; every component records into the same ordered
         // journal, which is what lets a packet's trace cross chains.
         let telemetry = match config.telemetry {
@@ -866,8 +867,7 @@ impl Testnet {
             if self.rng.next_f64() >= profile.diligence {
                 continue;
             }
-            let mut latency =
-                self.sample_lognormal(profile.latency_median_ms, profile.latency_sigma);
+            let mut latency = self.sample_lognormal(profile.latency_median_ms, SIGN_LATENCY_SIGMA);
             let factor = self.chaos.latency_factor(index, now);
             if factor != 1.0 {
                 latency = (latency as f64 * factor) as u64;
