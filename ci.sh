@@ -157,6 +157,7 @@ bench apps_mix --users 96 --hours 2 --seed 2026 --quiet --json "$CI/BENCH_apps.j
 bench monitor_eval --quiet --json "$CI/BENCH_monitor_eval.json"
 bench latency_attribution --users 400 --hours 2 --seed 2026 --quiet \
     --json "$CI/BENCH_latency_attribution.json"
+bench relay_capacity --seed 2026 --quiet --json "$CI/BENCH_relay_capacity.json"
 bench profile --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --quiet \
     --json "$CI/BENCH_profile_summary.json" --profile-json "$CI/BENCH_profile.json"
 bench telemetry_overhead --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --reps 9 --quiet \

@@ -222,6 +222,9 @@ pub struct GuestContract {
 /// block, so a handful of heights of slack is plenty.
 const PROOF_SNAPSHOT_HISTORY: usize = 8;
 
+/// The window of the §VI-C client-update cap.
+const HOUR_MS: u64 = 3_600_000;
+
 impl GuestContract {
     /// Deploys the contract with an initial validator set.
     ///
@@ -642,18 +645,40 @@ impl GuestContract {
         now_ms: u64,
     ) -> Result<u64, GuestError> {
         let limit = self.config.max_client_updates_per_hour;
-        if limit > 0 {
-            let times = self.client_update_times.entry(client_id.clone()).or_default();
-            times.retain(|t| now_ms.saturating_sub(*t) < 3_600_000);
-            if times.len() >= limit as usize {
-                return Err(GuestError::RateLimited { limit });
-            }
+        if !self.admits_client_update(client_id, now_ms) {
+            return Err(GuestError::RateLimited { limit });
         }
         let height = self.ibc.update_client(client_id, header)?;
         if limit > 0 {
-            self.client_update_times.entry(client_id.clone()).or_default().push(now_ms);
+            let times = self.client_update_times.entry(client_id.clone()).or_default();
+            times.retain(|t| now_ms.saturating_sub(*t) < HOUR_MS);
+            times.push(now_ms);
         }
         Ok(height)
+    }
+
+    /// Whether the §VI-C cap admits an update of `client_id` at `now_ms`:
+    /// fewer than `max_client_updates_per_hour` landed in the hour before
+    /// (always, with the cap off). A relayer reads this before it pays for
+    /// an update the contract would refuse.
+    pub fn admits_client_update(&self, client_id: &ClientId, now_ms: u64) -> bool {
+        let limit = self.config.max_client_updates_per_hour as usize;
+        let recent = self.client_update_times.get(client_id).map_or(0, |times| {
+            times.iter().filter(|t| now_ms.saturating_sub(**t) < HOUR_MS).count()
+        });
+        limit == 0 || recent < limit
+    }
+
+    /// When an update of `client_id` keeps the §VI-C cap's pace: an hour
+    /// over `max_client_updates_per_hour` after the last one landed (0 with
+    /// the cap off, or before any update). Updates that far apart never
+    /// meet the cap, however long they keep coming.
+    pub fn client_update_paced_at(&self, client_id: &ClientId) -> u64 {
+        let limit = u64::from(self.config.max_client_updates_per_hour);
+        match self.client_update_times.get(client_id).and_then(|times| times.last()) {
+            Some(last) if limit > 0 => last + HOUR_MS.div_ceil(limit),
+            _ => 0,
+        }
     }
 
     /// §VI-A: once the chain has been abandoned (no guest block for the
@@ -1101,16 +1126,23 @@ mod tests {
             })
             .unwrap()
         };
+        assert_eq!(contract.client_update_paced_at(&client), 0, "no update yet");
         for height in 1..=3 {
             contract.update_counterparty_client(&client, &header(height), height * 1_000).unwrap();
         }
-        // Fourth update inside the hour is rejected…
+        // Fourth update inside the hour is rejected, as the read-only
+        // check predicts…
+        assert!(!contract.admits_client_update(&client, 4_000));
         assert_eq!(
             contract.update_counterparty_client(&client, header(4).as_slice(), 4_000),
             Err(GuestError::RateLimited { limit: 3 })
         );
         // …but allowed once the window slides past the first update.
+        assert!(contract.admits_client_update(&client, 3_601_001));
         contract.update_counterparty_client(&client, &header(4), 3_601_001).unwrap();
+        assert!(!contract.admits_client_update(&client, 3_601_001));
+        // Three an hour keep pace twenty minutes apart.
+        assert_eq!(contract.client_update_paced_at(&client), 3_601_001 + 1_200_000);
     }
 
     #[test]

@@ -821,6 +821,52 @@ mod tests {
         assert!(outcome.is_ok(), "{:?}", outcome.result);
     }
 
+    /// A pipelined relayer keeps several staging buffers in flight from one
+    /// payer: their chunks interleave across blocks, each buffer keeps its
+    /// own sequential offsets, and dropping one leaves the others intact.
+    #[test]
+    fn one_payer_stages_interleaved_buffers() {
+        let mut fixture = setup();
+        let client =
+            fixture.contract.borrow_mut().create_counterparty_client(Box::new(MockClient::new()));
+        let staged = |height: u64| {
+            let header = serde_json::to_string(&MockHeader {
+                height,
+                root: sim_crypto::sha256(height.to_le_bytes()),
+                timestamp_ms: height * 1_000,
+            })
+            .unwrap();
+            GuestOp::UpdateClient { client: client.clone(), header, num_signatures: 0 }.encode()
+        };
+        let ops = [(1, staged(5)), (2, staged(6)), (3, staged(7))];
+        let third = |bytes: &[u8], part: usize| {
+            let len = bytes.len();
+            (part * len / 3, bytes[part * len / 3..(part + 1) * len / 3].to_vec())
+        };
+        // Buffer 3 gets only its first chunk before it is dropped.
+        for part in 0..3 {
+            for (buffer, bytes) in &ops {
+                if *buffer == 3 && part > 0 {
+                    continue;
+                }
+                let (offset, data) = third(bytes, part);
+                let write = GuestInstruction::WriteChunk { buffer: *buffer, offset, data };
+                let outcome = submit(&mut fixture, &write);
+                assert!(outcome.is_ok(), "buffer {buffer} part {part}: {:?}", outcome.result);
+            }
+        }
+        assert!(submit(&mut fixture, &GuestInstruction::DropBuffer { buffer: 3 }).is_ok());
+        for buffer in [1, 2] {
+            let outcome = submit(&mut fixture, &GuestInstruction::ExecStaged { buffer });
+            assert!(outcome.is_ok(), "buffer {buffer}: {:?}", outcome.result);
+        }
+        let client_height =
+            fixture.contract.borrow().ibc().client(&client).unwrap().latest_height();
+        assert_eq!(client_height, 6, "both staged updates applied, in order");
+        let outcome = submit(&mut fixture, &GuestInstruction::ExecStaged { buffer: 3 });
+        assert!(matches!(outcome.result, Err(ProgramError::Rejected(_))), "buffer 3 is gone");
+    }
+
     #[test]
     fn non_sequential_chunk_rejected() {
         let mut fixture = setup();

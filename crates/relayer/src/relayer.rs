@@ -3,9 +3,15 @@
 //! The relayer polls both chains for events and forwards packets, proofs
 //! and light-client updates. Toward the counterparty it makes direct calls
 //! (that side has no relevant resource limits); toward the guest it must
-//! push everything through 1232-byte host transactions, submitted one at a
-//! time with confirmation awaits — the behaviour whose latency and cost the
-//! paper measures in Figs. 4–5 and §V-A/§V-B.
+//! push everything through 1232-byte host transactions — the behaviour
+//! whose latency and cost the paper measures in Figs. 4–5 and §V-A/§V-B.
+//!
+//! Each guest-bound step is a *job*: a staging buffer filled and executed
+//! by a sequence of transactions, each one submitted only after the
+//! previous one confirmed. One scheduler keeps a window of jobs in flight,
+//! each on its own buffer. The deployed relayer's window is one job, which
+//! is what Figs. 4–5 measure; [`RelayerConfig::pipelined`] widens it to as
+//! many transactions as one host block admits.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -13,7 +19,7 @@ use std::rc::Rc;
 
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestEvent, GuestHeader, GuestInstruction, GuestOp};
-use host_sim::{FeePolicy, HostChain, Instruction, Pubkey, Transaction};
+use host_sim::{FeePolicy, HostChain, HostProfile, Instruction, Pubkey, Transaction};
 use ibc_core::client::ConsensusState;
 use ibc_core::IbcEvent;
 use profiler::Profiler;
@@ -34,11 +40,29 @@ pub struct RelayerConfig {
     /// How relay transactions pay for inclusion. The paper's relayer used
     /// the default fee model (§V-B), i.e. [`FeeStrategy::Base`].
     pub fee_strategy: FeeStrategy,
+    /// Whether guest-bound jobs run side by side. `false`, the deployed
+    /// relayer of Figs. 4–5 and §V-A, keeps one job in flight. `true` keeps
+    /// as many as one host block admits relayer transactions
+    /// ([`HostProfile::slot_compute_capacity`] over
+    /// [`HostProfile::max_compute_units`]; 34 on Solana), each on its own
+    /// staging buffer and each still awaiting its own confirmations.
+    pub pipelined: bool,
 }
 
 impl Default for RelayerConfig {
     fn default() -> Self {
-        Self { fee_strategy: FeeStrategy::Base }
+        Self { fee_strategy: FeeStrategy::Base, pipelined: false }
+    }
+}
+
+impl RelayerConfig {
+    /// How many guest-bound jobs may be in flight at once on `profile`.
+    fn window(&self, profile: &HostProfile) -> usize {
+        if self.pipelined {
+            (profile.slot_compute_capacity / profile.max_compute_units).max(1) as usize
+        } else {
+            1
+        }
     }
 }
 
@@ -75,9 +99,10 @@ impl ChunkFaults {
 }
 
 /// How long the relayer waits for an unconfirmed job transaction before
-/// assuming the submission was lost and re-submitting it. Only armed while
-/// chunk faults are installed; an unfaulted relayer never needs it because
-/// the simulated mempool never loses transactions.
+/// assuming the submission was lost and re-submitting it. Armed from the
+/// first installation of chunk faults for the rest of the run, since the
+/// fault RNG is never cleared; a relayer that never had faults installed
+/// never arms it, because the simulated mempool never loses transactions.
 pub const RESUBMIT_AFTER_SLOTS: u64 = 64;
 
 /// Work the relayer has noticed on the counterparty but not yet pushed to
@@ -94,6 +119,9 @@ struct Intent {
 #[derive(Debug)]
 struct ActiveJob {
     kind: JobKind,
+    /// The intent a packet job serves, handed back to the queue if the
+    /// job is abandoned (client updates serve none).
+    relays: Option<Intent>,
     buffer: u64,
     queue: VecDeque<GuestInstruction>,
     in_flight: Option<(u64, GuestInstruction)>,
@@ -128,7 +156,10 @@ pub struct Relayer {
     /// under, packets ahead of acks (the order they are submitted in).
     pending_to_cp: Vec<RelayMsg>,
     intents: VecDeque<Intent>,
-    active: Option<ActiveJob>,
+    /// Guest-bound jobs in flight, oldest first; at most
+    /// [`RelayerConfig::window`] of them.
+    jobs: Vec<ActiveJob>,
+    peak_jobs: usize,
     generate_in_flight: Option<u64>,
     pending_cleanup: Vec<u64>,
     records: Vec<JobRecord>,
@@ -168,7 +199,8 @@ impl Relayer {
             recent_load: 0.0,
             pending_to_cp: Vec::new(),
             intents: VecDeque::new(),
-            active: None,
+            jobs: Vec::new(),
+            peak_jobs: 0,
             generate_in_flight: None,
             pending_cleanup: Vec::new(),
             records: Vec::new(),
@@ -271,10 +303,15 @@ impl Relayer {
         self.pending_to_cp.partition_point(|msg| msg.kind() == JobKind::RecvPacket)
     }
 
-    /// Whether a guest-bound job is mid-flight (activated off the intent
+    /// Whether any guest-bound job is mid-flight (activated off the intent
     /// queue, so [`Relayer::backlog`] no longer counts it).
     pub fn job_in_flight(&self) -> bool {
-        self.active.is_some()
+        !self.jobs.is_empty()
+    }
+
+    /// The most guest-bound jobs this relayer has had in flight at once.
+    pub fn peak_jobs_in_flight(&self) -> usize {
+        self.peak_jobs
     }
 
     /// The host slot this relayer has scanned blocks up to. The host must
@@ -303,12 +340,12 @@ impl Relayer {
     ) {
         let guest_events = {
             let _scan = self.profiler.scope("scan.host");
-            self.scan_host_blocks(host)
+            self.scan_host_blocks(host, contract)
         };
         // Only armed once chunk faults have ever been installed, so an
         // unfaulted run is bit-identical with or without the machinery.
         if self.chunk_rng.is_some() {
-            self.resubmit_lost_submission(host);
+            self.resubmit_lost_submissions(host);
         }
         // Free staging buffers of abandoned jobs.
         for buffer in std::mem::take(&mut self.pending_cleanup) {
@@ -323,15 +360,19 @@ impl Relayer {
         self.maybe_generate_block(host, contract);
         {
             let _activate = self.profiler.scope("job.activate");
-            self.activate_next_intent(host, cp, contract);
+            self.activate_intents(host, cp, contract);
         }
         let _pump = self.profiler.scope("job.pump");
-        self.pump_active_job(host);
+        self.pump_jobs(host);
     }
 
-    /// Scans blocks since the last tick: confirms in-flight transactions
-    /// and collects guest events.
-    fn scan_host_blocks(&mut self, host: &HostChain) -> Vec<GuestEvent> {
+    /// Scans blocks since the last tick: confirms in-flight transactions,
+    /// each to the job that submitted it, and collects guest events.
+    fn scan_host_blocks(
+        &mut self,
+        host: &HostChain,
+        contract: &Rc<RefCell<GuestContract>>,
+    ) -> Vec<GuestEvent> {
         let mut events = Vec::new();
         let blocks = host.blocks_since(self.last_host_slot);
         for block in blocks {
@@ -340,51 +381,37 @@ impl Relayer {
                 if self.generate_in_flight == Some(*tx_id) {
                     self.generate_in_flight = None;
                 }
-                let Some(active) = &mut self.active else { continue };
-                let Some((in_flight_id, instruction)) = &active.in_flight else {
+                let Some(index) = self.jobs.iter().position(|job| {
+                    job.in_flight.as_ref().is_some_and(|(in_flight_id, _)| in_flight_id == tx_id)
+                }) else {
                     continue;
                 };
-                if in_flight_id != tx_id {
+                let job = &mut self.jobs[index];
+                let (_, failed_instruction) = job.in_flight.take().expect("matched in flight");
+                job.tx_count += 1;
+                job.fee_lamports += outcome.fee_lamports;
+                job.first_tx_ms.get_or_insert(block.time_ms);
+                job.last_tx_ms = block.time_ms;
+                if outcome.is_ok() {
                     continue;
                 }
-                let failed_instruction = instruction.clone();
-                active.in_flight = None;
-                active.tx_count += 1;
-                active.fee_lamports += outcome.fee_lamports;
-                active.first_tx_ms.get_or_insert(block.time_ms);
-                active.last_tx_ms = block.time_ms;
-                if !outcome.is_ok() {
-                    if active.retries < MAX_JOB_RETRIES {
-                        // Transient failure (e.g. a compute-starved slot):
-                        // resubmit the same instruction.
-                        active.retries += 1;
-                        active.queue.push_front(failed_instruction);
-                        if self.telemetry.is_recording() {
-                            let traces = active.traces.clone();
-                            self.telemetry.counter_add("relayer.tx.retries", 1);
-                            self.telemetry.event(
-                                block.time_ms,
-                                names::CHUNK_RETRY,
-                                &traces,
-                                &[("kind", active.kind.name().into())],
-                            );
-                        }
-                    } else {
-                        // Unrecoverable (e.g. duplicate delivery raced by
-                        // another relayer): abandon the job and free its
-                        // staging buffer.
-                        let buffer = active.buffer;
-                        let span = active.span.take();
-                        self.failed_jobs += 1;
-                        self.active = None;
-                        self.pending_cleanup.push(buffer);
-                        if self.telemetry.is_recording() {
-                            self.telemetry.counter_add("relayer.jobs.abandoned", 1);
-                            if let Some(span) = span {
-                                self.telemetry.span_end(block.time_ms, span);
-                            }
-                        }
+                if job.retries < MAX_JOB_RETRIES {
+                    // Transient failure (e.g. a compute-starved slot):
+                    // resubmit the same instruction.
+                    job.retries += 1;
+                    job.queue.push_front(failed_instruction);
+                    if self.telemetry.is_recording() {
+                        self.telemetry.counter_add("relayer.tx.retries", 1);
+                        self.telemetry.event(
+                            block.time_ms,
+                            names::CHUNK_RETRY,
+                            &job.traces,
+                            &[("kind", job.kind.name().into())],
+                        );
                     }
+                } else {
+                    let job = self.jobs.remove(index);
+                    self.abandon(job, block.time_ms, contract);
                 }
             }
             for event in &block.events {
@@ -396,6 +423,36 @@ impl Relayer {
         }
         self.last_host_slot = host.slot();
         events
+    }
+
+    /// Gives up on a job whose transaction failed past its retries (a
+    /// duplicate delivery raced by another relayer, a chunk written out of
+    /// order): frees its staging buffer and hands the intent it served back
+    /// to the front of the queue, to be proven again. Not if the guest
+    /// already shows the step taken, which is what stops a real duplicate
+    /// from looping; and a receive that expired on the guest meanwhile
+    /// becomes the timeout that refunds its sender, toward the counterparty.
+    fn abandon(&mut self, job: ActiveJob, now_ms: u64, contract: &Rc<RefCell<GuestContract>>) {
+        self.failed_jobs += 1;
+        self.pending_cleanup.push(job.buffer);
+        if self.telemetry.is_recording() {
+            self.telemetry.counter_add("relayer.jobs.abandoned", 1);
+            if let Some(span) = job.span {
+                self.telemetry.span_end(now_ms, span);
+            }
+        }
+        let Some(Intent { msg, seen_cp_height }) = job.relays else { return };
+        let guest = contract.borrow();
+        if settled_on_guest(&msg, &guest) {
+            return;
+        }
+        let (msg, expired) = msg.expire(guest.head_height(), now_ms);
+        drop(guest);
+        if expired {
+            self.queue_for_cp(now_ms, msg);
+        } else {
+            self.intents.push_front(Intent { msg, seen_cp_height });
+        }
     }
 
     /// Handles guest-side events: queue outbound packets/acks, and on each
@@ -580,27 +637,29 @@ impl Relayer {
         self.generate_in_flight = Some(id);
     }
 
-    /// Starts the next queued intent once the pipeline is free.
+    /// Starts queued intents while the window has room: in queue order,
+    /// every one provable under the trusted consensus, up to the first that
+    /// is not — and for that one a client update, unless one is already in
+    /// flight or the guest's §VI-C cap stands in the way. A tick starts (or
+    /// drops as unprovable) at most as many intents as the window has free
+    /// slots, so a window of one makes the deployed relayer's one decision
+    /// per tick.
     ///
     /// Proofs are generated against the guest client's **latest verified**
     /// consensus state, not the counterparty's newest header — chasing the
     /// head would livelock on chains that produce blocks faster than a
     /// chunked update completes.
-    fn activate_next_intent(
+    fn activate_intents(
         &mut self,
         host: &HostChain,
         cp: &CounterpartyChain,
         contract: &Rc<RefCell<GuestContract>>,
     ) {
-        if self.active.is_some() {
-            return;
-        }
-        let Some(intent) = self.intents.front() else { return };
-
+        let Some(front) = self.intents.front() else { return };
+        let window = self.config.window(host.profile());
         // Every intent needs a counterparty header covering the event.
-        let seen_height = intent.seen_cp_height;
-        if cp.height() <= seen_height {
-            return; // Wait for the counterparty to commit the state.
+        if self.jobs.len() >= window || cp.height() <= front.seen_cp_height {
+            return;
         }
 
         // What does the guest's client already trust?
@@ -613,22 +672,34 @@ impl Relayer {
             client.consensus_state(latest).map(|cs| (latest, cs))
         };
 
-        // Try to serve the intent with the trusted consensus; fall back to
-        // a client update when it is stale.
-        if let Some((proof_height, consensus)) = verified {
-            if proof_height > seen_height
-                && self.try_start_packet_job(host, cp, proof_height, &consensus)
-            {
-                return;
+        // Serve intents with the trusted consensus; the first it cannot
+        // prove needs a fresher header.
+        let mut free = window - self.jobs.len();
+        loop {
+            let Some(intent) = self.intents.front() else { return };
+            if free == 0 || cp.height() <= intent.seen_cp_height {
+                return; // Window full, or the counterparty has yet to commit.
             }
+            let seen = intent.seen_cp_height;
+            let Some((proof_height, consensus)) = verified.filter(|(height, _)| *height > seen)
+            else {
+                break;
+            };
+            if !self.try_start_packet_job(host, cp, proof_height, &consensus) {
+                break;
+            }
+            free -= 1;
         }
 
         // The client lags (or the trusted root no longer matches): update
         // it. Validator-set rotations must be relayed *in order* — a client
         // that skips a rotation header can never verify anything signed by
-        // the new set — so target the earliest pending rotation, if any.
-        // The scan reads commit records; only the header that is relayed
-        // gets signed.
+        // the new set — so one update at a time, targeting the earliest
+        // pending rotation, if any. The scan reads commit records; only the
+        // header that is relayed gets signed.
+        if self.jobs.iter().any(|job| job.kind == JobKind::ClientUpdate) {
+            return;
+        }
         let client_height = verified.map(|(h, _)| h).unwrap_or(0);
         let target_height = (client_height + 1..cp.height())
             .find(|&height| cp.commit_at(height).is_some_and(|c| c.next_validators.is_some()))
@@ -636,15 +707,29 @@ impl Relayer {
         if target_height <= client_height {
             return; // Nothing newer to relay yet.
         }
+        // Never past the guest's §VI-C cap. An update beside packet jobs,
+        // which only a window wider than one allows, could follow the last
+        // one back to back and spend an hour's cap in minutes, then stall
+        // for the rest of the hour; so it also keeps the cap's pace.
+        let client = &self.endpoints.cp_client_on_guest;
+        let now = host.now_ms();
+        let admitted = {
+            let guest = contract.borrow();
+            (self.jobs.is_empty() || now >= guest.client_update_paced_at(client))
+                && guest.admits_client_update(client, now)
+        };
+        if !admitted {
+            return;
+        }
         let target = cp.header_at(target_height).expect("at or below cp.height()");
         let op = GuestOp::UpdateClient {
-            client: self.endpoints.cp_client_on_guest.clone(),
+            client: client.clone(),
             header: String::from_utf8(target.encode()).expect("JSON is UTF-8"),
             num_signatures: target.signatures.len(),
         };
         // The update serves every packet whose delivery waits on it.
         let traces = self.traces_of(self.intents.iter().map(|intent| &intent.msg), "cp", "guest");
-        self.start_job(host, JobKind::ClientUpdate, &op, target.signatures.len(), traces);
+        self.start_job(host, JobKind::ClientUpdate, &op, target.signatures.len(), traces, None);
     }
 
     /// Attempts to build the front intent's packet job against the given
@@ -670,8 +755,8 @@ impl Relayer {
                 // guest-origin packets.
                 let traces = self.trace_of(&intent.msg, "cp", "guest").into_iter().collect();
                 let kind = intent.msg.kind();
-                let op = intent.msg.into_guest_op(proof_height, proof);
-                self.start_job(host, kind, &op, 0, traces);
+                let op = copy_of(&intent.msg).into_guest_op(proof_height, proof);
+                self.start_job(host, kind, &op, 0, traces, Some(intent));
                 true
             }
             // The trusted root predates (or postdates) the commitment, or
@@ -694,6 +779,7 @@ impl Relayer {
         op: &GuestOp,
         sig_checks: usize,
         traces: Vec<TraceId>,
+        relays: Option<Intent>,
     ) {
         let buffer = self.next_buffer;
         self.next_buffer += 1;
@@ -709,8 +795,9 @@ impl Relayer {
             &format!("{}.{}", names::RELAYER_JOB, kind.name()),
             &traces,
         );
-        self.active = Some(ActiveJob {
+        self.jobs.push(ActiveJob {
             kind,
+            relays,
             buffer,
             queue,
             in_flight: None,
@@ -725,26 +812,40 @@ impl Relayer {
             span,
             traces,
         });
+        self.peak_jobs = self.peak_jobs.max(self.jobs.len());
     }
 
-    /// Submits the next transaction of the active job (one at a time, as
-    /// the deployed relayer awaited confirmations), or finishes the job.
-    fn pump_active_job(&mut self, host: &mut HostChain) {
+    /// Moves every job on: oldest first, each submits its next transaction
+    /// once the previous one confirmed, and a job whose queue ran dry is
+    /// finished.
+    fn pump_jobs(&mut self, host: &mut HostChain) {
+        let mut index = 0;
+        while index < self.jobs.len() {
+            if self.pump_job(host, index) {
+                index += 1;
+            }
+        }
+    }
+
+    /// Submits the next transaction of job `index` (one at a time, as the
+    /// deployed relayer awaited confirmations), or finishes the job.
+    /// Returns whether the job is still in flight.
+    fn pump_job(&mut self, host: &mut HostChain, index: usize) -> bool {
         let current_slot = host.slot();
         let now_ms = host.now_ms();
-        let Some(active) = &mut self.active else { return };
-        if active.in_flight.is_some() {
-            return;
+        let job = &mut self.jobs[index];
+        if job.in_flight.is_some() {
+            return true;
         }
         if let (Some(faults), Some(rng)) = (&self.chunk_faults, &mut self.chunk_rng) {
             if faults.reorder_probability > 0.0
-                && active.queue.len() >= 2
+                && job.queue.len() >= 2
                 && rng.next_f64() < faults.reorder_probability
             {
-                active.queue.swap(0, 1);
+                job.queue.swap(0, 1);
             }
         }
-        if let Some(instruction) = active.queue.pop_front() {
+        if let Some(instruction) = job.queue.pop_front() {
             if let (Some(faults), Some(rng)) = (&self.chunk_faults, &mut self.chunk_rng) {
                 if faults.drop_probability > 0.0 && rng.next_f64() < faults.drop_probability {
                     // Lost in transit: park it under a sentinel id no real
@@ -753,21 +854,18 @@ impl Relayer {
                     let id = self.next_lost_id;
                     self.next_lost_id -= 1;
                     self.lost_submissions += 1;
-                    let active = self.active.as_mut().expect("active job checked above");
-                    active.in_flight = Some((id, instruction));
-                    active.submitted_slot = current_slot;
+                    job.in_flight = Some((id, instruction));
+                    job.submitted_slot = current_slot;
                     if self.telemetry.is_recording() {
-                        let active = self.active.as_ref().expect("active job checked above");
-                        let (traces, kind) = (active.traces.clone(), active.kind);
                         self.telemetry.counter_add("relayer.chunks.dropped", 1);
                         self.telemetry.event(
                             now_ms,
                             names::CHUNK_DROP,
-                            &traces,
-                            &[("kind", kind.name().into())],
+                            &job.traces,
+                            &[("kind", job.kind.name().into())],
                         );
                     }
-                    return;
+                    return true;
                 }
             }
             let duplicate = match (&self.chunk_faults, &mut self.chunk_rng) {
@@ -784,13 +882,13 @@ impl Relayer {
                 self.submit_instruction(host, &instruction);
                 self.telemetry.counter_add("relayer.chunks.duplicated", 1);
             }
-            let active = self.active.as_mut().expect("active job checked above");
-            active.in_flight = Some((id, instruction));
-            active.submitted_slot = current_slot;
-            return;
+            let job = &mut self.jobs[index];
+            job.in_flight = Some((id, instruction));
+            job.submitted_slot = current_slot;
+            return true;
         }
         // Queue drained and nothing in flight: the job is complete.
-        let done = self.active.take().expect("active job checked above");
+        let done = self.jobs.remove(index);
         let record = JobRecord {
             kind: done.kind,
             scheduled_ms: done.scheduled_ms,
@@ -814,34 +912,34 @@ impl Relayer {
             }
         }
         self.records.push(record);
+        false
     }
 
-    /// Re-queues the in-flight instruction when its confirmation is overdue
+    /// Re-queues each in-flight instruction whose confirmation is overdue
     /// — a dropped submission never confirms, so this is how the relayer
     /// recovers from injected chunk loss (it also fires for a transaction
     /// stuck in a congested mempool, where the duplicate is harmless: the
     /// guest contract tolerates replays).
-    fn resubmit_lost_submission(&mut self, host: &HostChain) {
+    fn resubmit_lost_submissions(&mut self, host: &HostChain) {
         let now_slot = host.slot();
-        let Some(active) = &mut self.active else { return };
-        if active.in_flight.is_none()
-            || now_slot.saturating_sub(active.submitted_slot) <= RESUBMIT_AFTER_SLOTS
-        {
-            return;
-        }
-        let (_, instruction) = active.in_flight.take().expect("checked above");
-        active.queue.push_front(instruction);
-        self.resubmissions += 1;
-        if self.telemetry.is_recording() {
-            let traces = active.traces.clone();
-            let kind = active.kind;
-            self.telemetry.counter_add("relayer.chunks.resubmitted", 1);
-            self.telemetry.event(
-                host.now_ms(),
-                names::CHUNK_RESUBMIT,
-                &traces,
-                &[("kind", kind.name().into())],
-            );
+        for job in &mut self.jobs {
+            if job.in_flight.is_none()
+                || now_slot.saturating_sub(job.submitted_slot) <= RESUBMIT_AFTER_SLOTS
+            {
+                continue;
+            }
+            let (_, instruction) = job.in_flight.take().expect("checked above");
+            job.queue.push_front(instruction);
+            self.resubmissions += 1;
+            if self.telemetry.is_recording() {
+                self.telemetry.counter_add("relayer.chunks.resubmitted", 1);
+                self.telemetry.event(
+                    host.now_ms(),
+                    names::CHUNK_RESUBMIT,
+                    &job.traces,
+                    &[("kind", job.kind.name().into())],
+                );
+            }
         }
     }
 
@@ -870,11 +968,40 @@ impl Relayer {
     }
 }
 
+/// A copy of `msg`, which the shared relay rule does not derive `Clone`
+/// for: a job stages one copy and keeps the other for a retry.
+fn copy_of(msg: &RelayMsg) -> RelayMsg {
+    match msg {
+        RelayMsg::Recv { packet } => RelayMsg::Recv { packet: packet.clone() },
+        RelayMsg::Ack { packet, ack } => RelayMsg::Ack { packet: packet.clone(), ack: ack.clone() },
+        RelayMsg::Timeout { packet } => RelayMsg::Timeout { packet: packet.clone() },
+    }
+}
+
+/// Whether the guest's store already shows the step `msg` relays taken,
+/// by this relayer or a competitor. A receive leaves the receipt that a
+/// timeout of the packet would prove absent; an ack or a timeout removes
+/// the commitment that a receive of it proves present. A sealed slot reads
+/// as an error, which the handler too counts as taken.
+fn settled_on_guest(msg: &RelayMsg, guest: &GuestContract) -> bool {
+    let packet = msg.packet().clone();
+    let (key, taken_when_present) = match msg {
+        RelayMsg::Recv { .. } => (RelayMsg::Timeout { packet }.claim().0, true),
+        RelayMsg::Ack { .. } | RelayMsg::Timeout { .. } => {
+            (RelayMsg::Recv { packet }.claim().0, false)
+        }
+    };
+    match guest.ibc().store().get(&key) {
+        Ok(stored) => stored.is_some() == taken_when_present,
+        Err(_) => true,
+    }
+}
+
 impl core::fmt::Debug for Relayer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Relayer")
             .field("intents", &self.intents.len())
-            .field("active", &self.active.is_some())
+            .field("jobs", &self.jobs.len())
             .field("records", &self.records.len())
             .finish()
     }

@@ -282,8 +282,8 @@ impl TestnetConfig {
         }
     }
 
-    /// A small, fast configuration for tests: 4 equal validators, light
-    /// traffic, short Δ.
+    /// A small, fast configuration for tests and load runs: 4 equal
+    /// validators, light traffic, short Δ, a pipelined relayer.
     pub fn small(seed: u64) -> Self {
         Self {
             seed,
@@ -296,7 +296,9 @@ impl TestnetConfig {
                 rotation_interval_blocks: 0,
             },
             congestion: CongestionModel::idle(),
-            relayer: RelayerConfig::default(),
+            // Load runs relay with as many jobs in flight as a host block
+            // admits; `paper()` keeps the deployed relayer's one.
+            relayer: RelayerConfig { pipelined: true, ..RelayerConfig::default() },
             validators: (0..4).map(|_| ValidatorProfile::reliable(100)).collect(),
             client_fees: ClientFeeMix::default(),
             workload: Workload { outbound_mean_gap_ms: 60_000, inbound_mean_gap_ms: 90_000 },
@@ -329,6 +331,12 @@ mod tests {
         // With #1 plus the active set, quorum is reachable.
         let active: u64 = profiles.iter().filter(|p| p.active).map(|p| p.stake).sum();
         assert!(active >= quorum);
+    }
+
+    #[test]
+    fn paper_relays_sequentially_and_small_pipelines() {
+        assert!(!TestnetConfig::paper().relayer.pipelined, "Figs. 4–5 measure one job at a time");
+        assert!(TestnetConfig::small(1).relayer.pipelined);
     }
 
     #[test]

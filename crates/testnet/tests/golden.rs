@@ -18,9 +18,16 @@ const MINUTE_MS: u64 = 60_000;
 /// constant; CHANGES.md PR 21).
 const GOLDEN_SHA256: &str = "18f939fa7589aab3b9d7eced6e52a93a6b57bc9c666640b9ecc6792f474f863a";
 
-#[test]
-fn steady_half_hour_with_a_timeout_matches_the_golden_report() {
+/// The same run with a host block's worth of guest-bound jobs in flight,
+/// captured when the relayer gained its pipelined mode.
+const PIPELINED_GOLDEN_SHA256: &str =
+    "a11f4c6940fc3136d9c8ef83686aad077f27db83996d85b56c8489deac8fc375";
+
+/// Half an hour of steady traffic on `small(7)` with one doomed transfer;
+/// returns the run report's SHA-256.
+fn golden_run(pipelined: bool) -> String {
     let mut config = TestnetConfig::small(7);
+    config.relayer.pipelined = pipelined;
     config.traffic = Some(TrafficConfig::steady(300, 20_000));
     let mut net = Testnet::build(config);
     net.run_heavy_for(5 * MINUTE_MS);
@@ -37,6 +44,17 @@ fn steady_half_hour_with_a_timeout_matches_the_golden_report() {
     assert!(kinds(JobKind::RecvPacket) > 0 && kinds(JobKind::AckPacket) > 0);
     assert_eq!(net.relayer.failed_jobs(), 0);
 
-    let digest = sim_crypto::sha256(net.run_report("golden").to_json().as_bytes());
-    assert_eq!(digest.to_hex(), GOLDEN_SHA256, "the sim timeline moved");
+    sim_crypto::sha256(net.run_report("golden").to_json().as_bytes()).to_hex()
+}
+
+/// The deployed relayer, one job at a time: `GOLDEN_SHA256` predates the
+/// pipelined mode, so this proves the sequential scheduler unchanged.
+#[test]
+fn steady_half_hour_with_a_timeout_matches_the_golden_report() {
+    assert_eq!(golden_run(false), GOLDEN_SHA256, "the sim timeline moved");
+}
+
+#[test]
+fn pipelined_steady_half_hour_matches_its_golden_report() {
+    assert_eq!(golden_run(true), PIPELINED_GOLDEN_SHA256, "the pipelined sim timeline moved");
 }
