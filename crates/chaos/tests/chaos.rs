@@ -92,9 +92,11 @@ fn validator_crash_stalls_and_recovers() {
         "a transfer sent into the stall waits for the recovery (worst {worst}s)"
     );
     assert!(report.completed_sends > 0, "the backlog finalises after the outage");
-    let contract = net.contract.borrow();
-    assert!(contract.is_finalised(contract.head_height()), "liveness restored");
-    drop(contract);
+    // The block at the head when the run ends may have been cut in its last
+    // slot; give its signatures a few seconds and it must finalise.
+    let head = net.contract.borrow().head_height();
+    net.run_for(20_000);
+    assert!(net.contract.borrow().is_finalised(head), "liveness restored");
     assert!(net.invariant_violations().is_empty(), "an outage is not a safety breach");
     assert_banks_recount(&net);
 }
@@ -227,7 +229,8 @@ fn long_relayer_halt_delays_but_does_not_lose_a_packet() {
 }
 
 /// Dropped chunk submissions: the relayer re-submits after its timeout and
-/// every job still completes.
+/// every job still completes. A loss costs no retry, not even when the
+/// chunks submitted behind it fail as non-sequential writes.
 #[test]
 fn chunk_drops_are_resubmitted() {
     let mut config = TestnetConfig::small(51);
@@ -246,6 +249,7 @@ fn chunk_drops_are_resubmitted() {
         net.relayer.resubmissions()
     );
     assert!(!net.relayer.records().is_empty(), "jobs still complete");
+    assert_eq!(net.relayer.failed_jobs(), 0, "a lost chunk never abandons its job");
     let report = report_of(&net, 11 * MINUTE_MS);
     assert!(report.completed_sends > 0);
     assert!(net.invariant_violations().is_empty());
@@ -358,7 +362,7 @@ fn counterfeit_mint_is_detected() {
     // The audit reads the bank's running totals, not a scan; it must still
     // see the mint at the first audit after it. The instant is that of the
     // pipelined `small()` timeline (the sequential one read 127 596).
-    assert_eq!(violation.at_ms, 123_029, "detection instant: the first audit after the mint");
+    assert_eq!(violation.at_ms, 129_160, "detection instant: the first audit after the mint");
     let drift_at = |ms| net.telemetry().gauge_value_at("supply.drift", ms);
     assert_eq!(drift_at(violation.at_ms - 1), Some(0.0));
     assert_eq!(drift_at(violation.at_ms), Some(1_000_000_000.0));

@@ -609,6 +609,10 @@ impl Program for GuestProgram {
                     (counters!("verify_sigs"), Ok(()))
                 }
                 GuestInstruction::ExecStaged { buffer } => {
+                    // Staged bytes that do not decode drop their buffer. The
+                    // pipelined relayer's batch-failure rule reads this
+                    // (`Relayer::settle_failures` replays the whole plan);
+                    // `undecodable_staged_bytes_drop_the_buffer` pins it.
                     let key = (ctx.payer, buffer);
                     let staged = self
                         .buffers
@@ -865,6 +869,44 @@ mod tests {
         assert_eq!(client_height, 6, "both staged updates applied, in order");
         let outcome = submit(&mut fixture, &GuestInstruction::ExecStaged { buffer: 3 });
         assert!(matches!(outcome.result, Err(ProgramError::Rejected(_))), "buffer 3 is gone");
+    }
+
+    /// An `ExecStaged` run on an incomplete buffer (a chunk lost in flight)
+    /// finds bytes that do not decode and drops the buffer, while an op
+    /// that decodes and fails keeps it. The relayer's `settle_failures`
+    /// relies on this split: behind a missing chunk it rewrites the whole
+    /// plan from offset 0.
+    #[test]
+    fn undecodable_staged_bytes_drop_the_buffer() {
+        let mut fixture = setup();
+        let client =
+            fixture.contract.borrow_mut().create_counterparty_client(Box::new(MockClient::new()));
+        let header = serde_json::to_string(&MockHeader {
+            height: 5,
+            root: sim_crypto::sha256(b"root"),
+            timestamp_ms: 5_000,
+        })
+        .unwrap();
+        let encoded = GuestOp::UpdateClient { client, header, num_signatures: 0 }.encode();
+        let mid = encoded.len() / 2;
+        let write = |offset: usize, data: &[u8]| GuestInstruction::WriteChunk {
+            buffer: 1,
+            offset,
+            data: data.to_vec(),
+        };
+
+        assert!(submit(&mut fixture, &write(0, &encoded[..mid])).is_ok());
+        let outcome = submit(&mut fixture, &GuestInstruction::ExecStaged { buffer: 1 });
+        assert!(matches!(outcome.result, Err(ProgramError::Rejected(_))));
+        // The first half is gone: the second cannot follow it, the plan
+        // starts again from offset 0.
+        let outcome = submit(&mut fixture, &write(mid, &encoded[mid..]));
+        assert!(matches!(outcome.result, Err(ProgramError::Rejected(_))), "buffer dropped");
+        for (offset, chunk) in [(0, &encoded[..mid]), (mid, &encoded[mid..])] {
+            assert!(submit(&mut fixture, &write(offset, chunk)).is_ok());
+        }
+        let outcome = submit(&mut fixture, &GuestInstruction::ExecStaged { buffer: 1 });
+        assert!(outcome.is_ok(), "{:?}", outcome.result);
     }
 
     #[test]

@@ -443,6 +443,45 @@ mod tests {
         assert!(block.outcome_of(id).unwrap().is_ok());
     }
 
+    /// The pipelined relayer rests on this: one payer's `BaseOnly`
+    /// transactions at one compute budget, submitted in one tick, run in
+    /// submission order — as many as a slot admits, the rest in the next —
+    /// whatever other classes are submitted between them.
+    #[test]
+    fn same_class_transactions_run_in_submission_order() {
+        for interleaved in [false, true] {
+            let (mut chain, program_id, payer) = chain_with_noop();
+            let max_cu = chain.profile().max_compute_units;
+            let per_slot = (chain.profile().slot_compute_capacity / max_cu) as usize;
+            assert_eq!(per_slot, 34, "one Solana block of relayer transactions");
+            let at_max_cu = |policy| {
+                let mut tx = noop_tx(program_id, payer, policy);
+                tx.compute_budget = max_cu;
+                tx
+            };
+            let mut base = Vec::new();
+            for i in 0..40 {
+                if interleaved && i == 10 {
+                    chain.submit(at_max_cu(FeePolicy::Priority { micro_lamports_per_cu: 10 }));
+                }
+                if interleaved && i == 20 {
+                    chain.submit_bundle(vec![at_max_cu(FeePolicy::Bundle { tip_lamports: 5 })]);
+                }
+                base.push(chain.submit(at_max_cu(FeePolicy::BaseOnly)));
+            }
+            let mut ran = Vec::new();
+            for _ in 0..2 {
+                let block = chain.advance_slot();
+                let ids = block.transactions.iter().map(|(id, _)| *id);
+                ran.push(ids.filter(|id| base.contains(id)).collect::<Vec<_>>());
+            }
+            let others = if interleaved { 2 } else { 0 };
+            assert_eq!(ran[0].len(), per_slot - others, "interleaved {interleaved}");
+            assert_eq!(ran.concat(), base, "interleaved {interleaved}: submission order");
+            assert_eq!(chain.mempool_len(), 0);
+        }
+    }
+
     #[test]
     fn clock_advances_with_jitter_in_range() {
         let mut chain = HostChain::new(CongestionModel::idle(), 1);

@@ -146,6 +146,17 @@ impl Mempool {
     /// * total compute bounded by `capacity_cu`.
     ///
     /// Selected transactions are removed from the pool; the rest stay.
+    ///
+    /// Transactions of one class, one fee and one compute budget run in
+    /// submission order, within a slot and across slots: each is selected
+    /// in id order, and one that does not fit leaves no room for a later
+    /// one of the same budget. The pipelined relayer reads this property:
+    /// it submits a job's whole plan in one tick and counts on its chunks
+    /// landing at sequential offsets. The one exception is a selected
+    /// transaction that an inclusion failure
+    /// ([`crate::chain::Disturbance`]) returns to the pool, which lets a
+    /// later one run first; the relayer then sees a non-sequential write
+    /// fail and recovers by retrying the job.
     pub fn drain_for_slot(
         &mut self,
         capacity_cu: u64,

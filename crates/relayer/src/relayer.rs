@@ -7,11 +7,13 @@
 //! whose latency and cost the paper measures in Figs. 4–5 and §V-A/§V-B.
 //!
 //! Each guest-bound step is a *job*: a staging buffer filled and executed
-//! by a sequence of transactions, each one submitted only after the
-//! previous one confirmed. One scheduler keeps a window of jobs in flight,
-//! each on its own buffer. The deployed relayer's window is one job, which
-//! is what Figs. 4–5 measure; [`RelayerConfig::pipelined`] widens it to as
-//! many transactions as one host block admits.
+//! by a sequence of transactions, submitted in plan order. One scheduler
+//! keeps a window of unconfirmed transactions, over every job in flight,
+//! each job on its own buffer. The deployed relayer's window is one
+//! transaction — one job, each transaction submitted only after the
+//! previous one confirmed — which is what Figs. 4–5 measure;
+//! [`RelayerConfig::pipelined`] widens it to as many transactions as one
+//! host block admits, so a job submits its whole plan in one tick.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -40,12 +42,16 @@ pub struct RelayerConfig {
     /// How relay transactions pay for inclusion. The paper's relayer used
     /// the default fee model (§V-B), i.e. [`FeeStrategy::Base`].
     pub fee_strategy: FeeStrategy,
-    /// Whether guest-bound jobs run side by side. `false`, the deployed
-    /// relayer of Figs. 4–5 and §V-A, keeps one job in flight. `true` keeps
-    /// as many as one host block admits relayer transactions
+    /// Whether guest-bound transactions are pipelined. `false`, the
+    /// deployed relayer of Figs. 4–5 and §V-A, keeps one transaction
+    /// unconfirmed: one job, one confirmation at a time. `true` keeps as
+    /// many as one host block admits relayer transactions
     /// ([`HostProfile::slot_compute_capacity`] over
-    /// [`HostProfile::max_compute_units`]; 34 on Solana), each on its own
-    /// staging buffer and each still awaiting its own confirmations.
+    /// [`HostProfile::max_compute_units`]; 34 on Solana), over as many jobs
+    /// as fit, each on its own staging buffer and each submitting its plan
+    /// in one tick without awaiting confirmations: the host runs them in
+    /// submission order ([`host_sim::mempool::Mempool::drain_for_slot`]). Every
+    /// client update then also keeps the guest's §VI-C cap's pace.
     pub pipelined: bool,
 }
 
@@ -56,7 +62,8 @@ impl Default for RelayerConfig {
 }
 
 impl RelayerConfig {
-    /// How many guest-bound jobs may be in flight at once on `profile`.
+    /// How many guest-bound transactions may be unconfirmed at once on
+    /// `profile`.
     fn window(&self, profile: &HostProfile) -> usize {
         if self.pipelined {
             (profile.slot_compute_capacity / profile.max_compute_units).max(1) as usize
@@ -123,9 +130,18 @@ struct ActiveJob {
     /// job is abandoned (client updates serve none).
     relays: Option<Intent>,
     buffer: u64,
-    queue: VecDeque<GuestInstruction>,
-    in_flight: Option<(u64, GuestInstruction)>,
-    /// Host slot of the in-flight submission (lost-submission detection).
+    /// The job's instructions, one transaction each, in plan order.
+    plan: Vec<GuestInstruction>,
+    /// Plan indices not yet submitted.
+    queue: VecDeque<usize>,
+    /// Submitted, unconfirmed transactions in submission order:
+    /// `(tx id, plan index)`.
+    in_flight: Vec<(u64, usize)>,
+    /// Plan indices that failed on-chain (`true`) or were presumed lost
+    /// (`false`), held back until none of the job's transactions is in
+    /// flight.
+    failed: Vec<(usize, bool)>,
+    /// Host slot of the latest submission (lost-submission detection).
     submitted_slot: u64,
     scheduled_ms: u64,
     first_tx_ms: Option<u64>,
@@ -136,6 +152,16 @@ struct ActiveJob {
     retries: usize,
     span: Option<SpanId>,
     traces: Vec<TraceId>,
+}
+
+impl ActiveJob {
+    /// The transactions this job still holds in the window: queued, in
+    /// flight or failed. A job with none left counts one until
+    /// [`Relayer::pump_jobs`] retires it, as the deployed relayer recorded
+    /// a job before it started the next.
+    fn unconfirmed(&self) -> usize {
+        (self.queue.len() + self.in_flight.len() + self.failed.len()).max(1)
+    }
 }
 
 /// Transient on-chain failures are retried this many times before the job
@@ -156,8 +182,8 @@ pub struct Relayer {
     /// under, packets ahead of acks (the order they are submitted in).
     pending_to_cp: Vec<RelayMsg>,
     intents: VecDeque<Intent>,
-    /// Guest-bound jobs in flight, oldest first; at most
-    /// [`RelayerConfig::window`] of them.
+    /// Guest-bound jobs in flight, oldest first, started while they hold
+    /// fewer than [`RelayerConfig::window`] transactions between them.
     jobs: Vec<ActiveJob>,
     peak_jobs: usize,
     generate_in_flight: Option<u64>,
@@ -345,7 +371,7 @@ impl Relayer {
         // Only armed once chunk faults have ever been installed, so an
         // unfaulted run is bit-identical with or without the machinery.
         if self.chunk_rng.is_some() {
-            self.resubmit_lost_submissions(host);
+            self.resubmit_lost_submissions(host, contract);
         }
         // Free staging buffers of abandoned jobs.
         for buffer in std::mem::take(&mut self.pending_cleanup) {
@@ -381,37 +407,22 @@ impl Relayer {
                 if self.generate_in_flight == Some(*tx_id) {
                     self.generate_in_flight = None;
                 }
-                let Some(index) = self.jobs.iter().position(|job| {
-                    job.in_flight.as_ref().is_some_and(|(in_flight_id, _)| in_flight_id == tx_id)
+                let Some((index, at)) = self.jobs.iter().enumerate().find_map(|(index, job)| {
+                    job.in_flight.iter().position(|(id, ..)| id == tx_id).map(|at| (index, at))
                 }) else {
                     continue;
                 };
                 let job = &mut self.jobs[index];
-                let (_, failed_instruction) = job.in_flight.take().expect("matched in flight");
+                let (_, plan_index) = job.in_flight.remove(at);
                 job.tx_count += 1;
                 job.fee_lamports += outcome.fee_lamports;
                 job.first_tx_ms.get_or_insert(block.time_ms);
                 job.last_tx_ms = block.time_ms;
-                if outcome.is_ok() {
-                    continue;
+                if !outcome.is_ok() {
+                    job.failed.push((plan_index, true));
                 }
-                if job.retries < MAX_JOB_RETRIES {
-                    // Transient failure (e.g. a compute-starved slot):
-                    // resubmit the same instruction.
-                    job.retries += 1;
-                    job.queue.push_front(failed_instruction);
-                    if self.telemetry.is_recording() {
-                        self.telemetry.counter_add("relayer.tx.retries", 1);
-                        self.telemetry.event(
-                            block.time_ms,
-                            names::CHUNK_RETRY,
-                            &job.traces,
-                            &[("kind", job.kind.name().into())],
-                        );
-                    }
-                } else {
-                    let job = self.jobs.remove(index);
-                    self.abandon(job, block.time_ms, contract);
+                if job.in_flight.is_empty() && !job.failed.is_empty() {
+                    self.settle_failures(index, block.time_ms, contract);
                 }
             }
             for event in &block.events {
@@ -423,6 +434,60 @@ impl Relayer {
         }
         self.last_host_slot = host.slot();
         events
+    }
+
+    /// Hands job `index`'s failed and lost instructions back to the front
+    /// of its queue in plan order, once none of its transactions is in
+    /// flight. An `ExecStaged` that failed behind a missing chunk found the
+    /// staged bytes incomplete, and the guest drops a buffer that does not
+    /// decode (`GuestProgram`'s `ExecStaged` arm, pinned by its test
+    /// `undecodable_staged_bytes_drop_the_buffer`), so then the whole plan
+    /// goes back instead. Only an on-chain
+    /// failure that is the earliest in plan order costs one of
+    /// [`MAX_JOB_RETRIES`] (a transient failure, e.g. a compute-starved
+    /// slot or a chunk run out of order): the writes rejected as
+    /// non-sequential behind it cost nothing, and neither does a loss. A
+    /// job out of retries is abandoned instead. Returns whether the job is
+    /// still in flight.
+    fn settle_failures(
+        &mut self,
+        index: usize,
+        now_ms: u64,
+        contract: &Rc<RefCell<GuestContract>>,
+    ) -> bool {
+        let job = &mut self.jobs[index];
+        job.failed.sort_unstable();
+        let (earliest, on_chain) = job.failed[0];
+        if on_chain {
+            if job.retries == MAX_JOB_RETRIES {
+                let job = self.jobs.remove(index);
+                self.abandon(job, now_ms, contract);
+                return false;
+            }
+            job.retries += 1;
+            if self.telemetry.is_recording() {
+                self.telemetry.counter_add("relayer.tx.retries", 1);
+                self.telemetry.event(
+                    now_ms,
+                    names::CHUNK_RETRY,
+                    &job.traces,
+                    &[("kind", job.kind.name().into())],
+                );
+            }
+        }
+        let chunk_missing = matches!(job.plan[earliest], GuestInstruction::WriteChunk { .. });
+        let exec_failed = job.failed.last().is_some_and(|&(last, on_chain)| {
+            on_chain && matches!(job.plan[last], GuestInstruction::ExecStaged { .. })
+        });
+        if chunk_missing && exec_failed {
+            job.failed.clear();
+            job.queue = (0..job.plan.len()).collect();
+        } else {
+            for (plan_index, _) in job.failed.drain(..).rev() {
+                job.queue.push_front(plan_index);
+            }
+        }
+        true
     }
 
     /// Gives up on a job whose transaction failed past its retries (a
@@ -637,13 +702,13 @@ impl Relayer {
         self.generate_in_flight = Some(id);
     }
 
-    /// Starts queued intents while the window has room: in queue order,
-    /// every one provable under the trusted consensus, up to the first that
-    /// is not — and for that one a client update, unless one is already in
-    /// flight or the guest's §VI-C cap stands in the way. A tick starts (or
-    /// drops as unprovable) at most as many intents as the window has free
-    /// slots, so a window of one makes the deployed relayer's one decision
-    /// per tick.
+    /// Starts queued intents while the jobs in flight hold fewer than
+    /// [`RelayerConfig::window`] transactions: in queue order, every one
+    /// provable under the trusted consensus, up to the first that is not —
+    /// and for that one a client update, unless one is already in flight or
+    /// the guest's §VI-C cap stands in the way. An intent dropped as never
+    /// provable takes one transaction of the window for the tick, so a
+    /// window of one makes the deployed relayer's one decision per tick.
     ///
     /// Proofs are generated against the guest client's **latest verified**
     /// consensus state, not the counterparty's newest header — chasing the
@@ -657,8 +722,9 @@ impl Relayer {
     ) {
         let Some(front) = self.intents.front() else { return };
         let window = self.config.window(host.profile());
+        let mut unconfirmed: usize = self.jobs.iter().map(ActiveJob::unconfirmed).sum();
         // Every intent needs a counterparty header covering the event.
-        if self.jobs.len() >= window || cp.height() <= front.seen_cp_height {
+        if unconfirmed >= window || cp.height() <= front.seen_cp_height {
             return;
         }
 
@@ -674,10 +740,9 @@ impl Relayer {
 
         // Serve intents with the trusted consensus; the first it cannot
         // prove needs a fresher header.
-        let mut free = window - self.jobs.len();
         loop {
             let Some(intent) = self.intents.front() else { return };
-            if free == 0 || cp.height() <= intent.seen_cp_height {
+            if unconfirmed >= window || cp.height() <= intent.seen_cp_height {
                 return; // Window full, or the counterparty has yet to commit.
             }
             let seen = intent.seen_cp_height;
@@ -685,10 +750,10 @@ impl Relayer {
             else {
                 break;
             };
-            if !self.try_start_packet_job(host, cp, proof_height, &consensus) {
-                break;
+            match self.try_start_packet_job(host, cp, proof_height, &consensus) {
+                Some(planned) => unconfirmed += planned,
+                None => break,
             }
-            free -= 1;
         }
 
         // The client lags (or the trusted root no longer matches): update
@@ -707,15 +772,15 @@ impl Relayer {
         if target_height <= client_height {
             return; // Nothing newer to relay yet.
         }
-        // Never past the guest's §VI-C cap. An update beside packet jobs,
-        // which only a window wider than one allows, could follow the last
-        // one back to back and spend an hour's cap in minutes, then stall
-        // for the rest of the hour; so it also keeps the cap's pace.
+        // Never past the guest's §VI-C cap. A pipelined update lands in a
+        // slot or two, so updates could follow each other back to back and
+        // spend an hour's cap in minutes, then stall for the rest of the
+        // hour; a window wider than one therefore also keeps the cap's pace.
         let client = &self.endpoints.cp_client_on_guest;
         let now = host.now_ms();
         let admitted = {
             let guest = contract.borrow();
-            (self.jobs.is_empty() || now >= guest.client_update_paced_at(client))
+            (window == 1 || now >= guest.client_update_paced_at(client))
                 && guest.admits_client_update(client, now)
         };
         if !admitted {
@@ -733,15 +798,16 @@ impl Relayer {
     }
 
     /// Attempts to build the front intent's packet job against the given
-    /// verified consensus. Returns `true` when a job was started (or the
-    /// intent was consumed as unrecoverable).
+    /// verified consensus. Returns the transactions the started job plans,
+    /// or one when the intent was consumed as unrecoverable; `None` when it
+    /// needs a fresher header.
     fn try_start_packet_job(
         &mut self,
         host: &HostChain,
         cp: &CounterpartyChain,
         proof_height: u64,
         consensus: &ConsensusState,
-    ) -> bool {
+    ) -> Option<usize> {
         let intent = self.intents.pop_front().expect("caller checked non-empty");
         // Prove at the trusted height; live state has usually moved past
         // it under sustained traffic.
@@ -756,22 +822,23 @@ impl Relayer {
                 let traces = self.trace_of(&intent.msg, "cp", "guest").into_iter().collect();
                 let kind = intent.msg.kind();
                 let op = copy_of(&intent.msg).into_guest_op(proof_height, proof);
-                self.start_job(host, kind, &op, 0, traces, Some(intent));
-                true
+                Some(self.start_job(host, kind, &op, 0, traces, Some(intent)))
             }
             // The trusted root predates (or postdates) the commitment, or
             // the expiry: a fresher header is needed.
             Err(Unproven::NotYet) => {
                 self.intents.push_front(intent);
-                false
+                None
             }
             Err(Unproven::Never) => {
                 self.failed_jobs += 1;
-                true
+                Some(1)
             }
         }
     }
 
+    /// Plans `op` onto a fresh staging buffer and puts the job in flight.
+    /// Returns how many transactions it plans.
     fn start_job(
         &mut self,
         host: &HostChain,
@@ -780,15 +847,16 @@ impl Relayer {
         sig_checks: usize,
         traces: Vec<TraceId>,
         relays: Option<Intent>,
-    ) {
+    ) -> usize {
         let buffer = self.next_buffer;
         self.next_buffer += 1;
-        let queue: VecDeque<GuestInstruction> = {
+        let plan = {
             let _plan = self.profiler.scope("chunk.plan");
-            plan_op_for(host.profile(), op, buffer, sig_checks).into_iter().collect()
+            plan_op_for(host.profile(), op, buffer, sig_checks)
         };
+        let planned = plan.len();
         debug_assert!(
-            sig_checks == 0 || queue.len() > sig_checks / sig_checks_per_tx_for(host.profile())
+            sig_checks == 0 || planned > sig_checks / sig_checks_per_tx_for(host.profile())
         );
         let span = self.telemetry.span_start(
             host.now_ms(),
@@ -799,8 +867,10 @@ impl Relayer {
             kind,
             relays,
             buffer,
-            queue,
-            in_flight: None,
+            plan,
+            queue: (0..planned).collect(),
+            in_flight: Vec::new(),
+            failed: Vec::new(),
             submitted_slot: host.slot(),
             scheduled_ms: host.now_ms(),
             first_tx_ms: None,
@@ -813,30 +883,59 @@ impl Relayer {
             traces,
         });
         self.peak_jobs = self.peak_jobs.max(self.jobs.len());
+        planned
     }
 
-    /// Moves every job on: oldest first, each submits its next transaction
-    /// once the previous one confirmed, and a job whose queue ran dry is
-    /// finished.
+    /// Moves every job on, oldest first: each submits its queued
+    /// instructions while fewer than [`RelayerConfig::window`] of the
+    /// relayer's transactions are in flight, and a job with nothing left
+    /// queued, in flight or failed is finished.
     fn pump_jobs(&mut self, host: &mut HostChain) {
+        if self.jobs.is_empty() {
+            return;
+        }
+        let window = self.config.window(host.profile());
+        let mut in_flight = self.jobs.iter().map(|job| job.in_flight.len()).sum();
         let mut index = 0;
         while index < self.jobs.len() {
-            if self.pump_job(host, index) {
+            if self.pump_job(host, index, window, &mut in_flight) {
                 index += 1;
             }
         }
     }
 
-    /// Submits the next transaction of job `index` (one at a time, as the
-    /// deployed relayer awaited confirmations), or finishes the job.
+    /// Submits job `index`'s queued instructions in plan order while fewer
+    /// than `window` transactions are `in_flight` — one at a time for the
+    /// deployed relayer, which awaited each confirmation, and the whole
+    /// plan in one tick for a pipelined one — or finishes the job. A job
+    /// with a failure outstanding submits nothing until it is settled.
     /// Returns whether the job is still in flight.
-    fn pump_job(&mut self, host: &mut HostChain, index: usize) -> bool {
-        let current_slot = host.slot();
-        let now_ms = host.now_ms();
-        let job = &mut self.jobs[index];
-        if job.in_flight.is_some() {
-            return true;
+    fn pump_job(
+        &mut self,
+        host: &mut HostChain,
+        index: usize,
+        window: usize,
+        in_flight: &mut usize,
+    ) -> bool {
+        let job = &self.jobs[index];
+        if job.queue.is_empty() && job.in_flight.is_empty() && job.failed.is_empty() {
+            self.finish_job(index, host.now_ms());
+            return false;
         }
+        while *in_flight < window
+            && self.jobs[index].failed.is_empty()
+            && self.submit_next(host, index)
+        {
+            *in_flight += 1;
+        }
+        true
+    }
+
+    /// Submits the front of job `index`'s queue, drawing the chunk faults
+    /// for this submission. Returns `false` when the queue is empty.
+    fn submit_next(&mut self, host: &mut HostChain, index: usize) -> bool {
+        let current_slot = host.slot();
+        let job = &mut self.jobs[index];
         if let (Some(faults), Some(rng)) = (&self.chunk_faults, &mut self.chunk_rng) {
             if faults.reorder_probability > 0.0
                 && job.queue.len() >= 2
@@ -845,49 +944,49 @@ impl Relayer {
                 job.queue.swap(0, 1);
             }
         }
-        if let Some(instruction) = job.queue.pop_front() {
-            if let (Some(faults), Some(rng)) = (&self.chunk_faults, &mut self.chunk_rng) {
-                if faults.drop_probability > 0.0 && rng.next_f64() < faults.drop_probability {
-                    // Lost in transit: park it under a sentinel id no real
-                    // transaction ever gets, so confirmation never arrives
-                    // and the timeout path re-submits it.
-                    let id = self.next_lost_id;
-                    self.next_lost_id -= 1;
-                    self.lost_submissions += 1;
-                    job.in_flight = Some((id, instruction));
-                    job.submitted_slot = current_slot;
-                    if self.telemetry.is_recording() {
-                        self.telemetry.counter_add("relayer.chunks.dropped", 1);
-                        self.telemetry.event(
-                            now_ms,
-                            names::CHUNK_DROP,
-                            &job.traces,
-                            &[("kind", job.kind.name().into())],
-                        );
-                    }
-                    return true;
+        let Some(plan_index) = job.queue.pop_front() else { return false };
+        job.submitted_slot = current_slot;
+        if let (Some(faults), Some(rng)) = (&self.chunk_faults, &mut self.chunk_rng) {
+            if faults.drop_probability > 0.0 && rng.next_f64() < faults.drop_probability {
+                // Lost in transit: park it under a sentinel id no real
+                // transaction ever gets, so confirmation never arrives
+                // and the timeout path re-submits it.
+                let id = self.next_lost_id;
+                self.next_lost_id -= 1;
+                self.lost_submissions += 1;
+                job.in_flight.push((id, plan_index));
+                if self.telemetry.is_recording() {
+                    self.telemetry.counter_add("relayer.chunks.dropped", 1);
+                    self.telemetry.event(
+                        host.now_ms(),
+                        names::CHUNK_DROP,
+                        &job.traces,
+                        &[("kind", job.kind.name().into())],
+                    );
                 }
+                return true;
             }
-            let duplicate = match (&self.chunk_faults, &mut self.chunk_rng) {
-                (Some(faults), Some(rng)) => {
-                    faults.duplicate_probability > 0.0
-                        && rng.next_f64() < faults.duplicate_probability
-                }
-                _ => false,
-            };
-            let id = self.submit_instruction(host, &instruction);
-            if duplicate {
-                // An at-least-once RPC retry: the same transaction lands
-                // twice; the relayer only tracks the first copy.
-                self.submit_instruction(host, &instruction);
-                self.telemetry.counter_add("relayer.chunks.duplicated", 1);
-            }
-            let job = &mut self.jobs[index];
-            job.in_flight = Some((id, instruction));
-            job.submitted_slot = current_slot;
-            return true;
         }
-        // Queue drained and nothing in flight: the job is complete.
+        let duplicate = match (&self.chunk_faults, &mut self.chunk_rng) {
+            (Some(faults), Some(rng)) => {
+                faults.duplicate_probability > 0.0 && rng.next_f64() < faults.duplicate_probability
+            }
+            _ => false,
+        };
+        let instruction = &self.jobs[index].plan[plan_index];
+        let id = self.submit_instruction(host, instruction);
+        if duplicate {
+            // An at-least-once RPC retry: the same transaction lands
+            // twice; the relayer only tracks the first copy.
+            self.submit_instruction(host, instruction);
+            self.telemetry.counter_add("relayer.chunks.duplicated", 1);
+        }
+        self.jobs[index].in_flight.push((id, plan_index));
+        true
+    }
+
+    /// Records the completed job `index` and takes it out of flight.
+    fn finish_job(&mut self, index: usize, now_ms: u64) {
         let done = self.jobs.remove(index);
         let record = JobRecord {
             kind: done.kind,
@@ -912,33 +1011,43 @@ impl Relayer {
             }
         }
         self.records.push(record);
-        false
     }
 
-    /// Re-queues each in-flight instruction whose confirmation is overdue
-    /// — a dropped submission never confirms, so this is how the relayer
-    /// recovers from injected chunk loss (it also fires for a transaction
-    /// stuck in a congested mempool, where the duplicate is harmless: the
-    /// guest contract tolerates replays).
-    fn resubmit_lost_submissions(&mut self, host: &HostChain) {
+    /// Presumes every transaction a job has in flight lost once its latest
+    /// submission is overdue, and settles the job's failures — a dropped
+    /// submission never confirms, so this is how the relayer recovers from
+    /// injected chunk loss (it also fires for a transaction stuck in a
+    /// congested mempool, where the duplicate is harmless: the guest
+    /// contract tolerates replays).
+    fn resubmit_lost_submissions(
+        &mut self,
+        host: &HostChain,
+        contract: &Rc<RefCell<GuestContract>>,
+    ) {
         let now_slot = host.slot();
-        for job in &mut self.jobs {
-            if job.in_flight.is_none()
+        let mut index = 0;
+        while index < self.jobs.len() {
+            let job = &mut self.jobs[index];
+            if job.in_flight.is_empty()
                 || now_slot.saturating_sub(job.submitted_slot) <= RESUBMIT_AFTER_SLOTS
             {
+                index += 1;
                 continue;
             }
-            let (_, instruction) = job.in_flight.take().expect("checked above");
-            job.queue.push_front(instruction);
-            self.resubmissions += 1;
+            let lost = job.in_flight.len();
+            job.failed.extend(job.in_flight.drain(..).map(|(_, plan_index)| (plan_index, false)));
+            self.resubmissions += lost;
             if self.telemetry.is_recording() {
-                self.telemetry.counter_add("relayer.chunks.resubmitted", 1);
+                self.telemetry.counter_add("relayer.chunks.resubmitted", lost as u64);
                 self.telemetry.event(
                     host.now_ms(),
                     names::CHUNK_RESUBMIT,
                     &job.traces,
                     &[("kind", job.kind.name().into())],
                 );
+            }
+            if self.settle_failures(index, host.now_ms(), contract) {
+                index += 1;
             }
         }
     }
@@ -959,7 +1068,7 @@ impl Relayer {
         .expect("planned instructions fit transactions")
     }
 
-    fn submit_instruction(&mut self, host: &mut HostChain, instruction: &GuestInstruction) -> u64 {
+    fn submit_instruction(&self, host: &mut HostChain, instruction: &GuestInstruction) -> u64 {
         let tx = self.build_tx(host, instruction);
         match tx.fee_policy {
             FeePolicy::Bundle { .. } => host.submit_bundle(vec![tx])[0],

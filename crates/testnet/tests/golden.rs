@@ -18,10 +18,12 @@ const MINUTE_MS: u64 = 60_000;
 /// constant; CHANGES.md PR 21).
 const GOLDEN_SHA256: &str = "18f939fa7589aab3b9d7eced6e52a93a6b57bc9c666640b9ecc6792f474f863a";
 
-/// The same run with a host block's worth of guest-bound jobs in flight,
-/// captured when the relayer gained its pipelined mode.
+/// The same run with a host block's worth of guest-bound transactions
+/// unconfirmed, re-captured when a pipelined job began submitting its whole
+/// plan in one tick and every pipelined client update began keeping the
+/// §VI-C cap's pace.
 const PIPELINED_GOLDEN_SHA256: &str =
-    "a11f4c6940fc3136d9c8ef83686aad077f27db83996d85b56c8489deac8fc375";
+    "04cfe034daf2eeeac5d0310b03829078868e4ea52fc0055c0602a38fa1cf8b40";
 
 /// Half an hour of steady traffic on `small(7)` with one doomed transfer;
 /// returns the run report's SHA-256.

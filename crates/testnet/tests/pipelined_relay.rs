@@ -1,8 +1,9 @@
 //! Differential oracle: the pipelined relayer ends where the sequential
 //! one does. The same burst of transfers in both directions, relayed once
-//! with one job in flight and once with a host block's worth, must leave
-//! the same packets acknowledged with the same acknowledgements and the
-//! same ICS-20 ledgers on both chains — only sooner.
+//! with one transaction unconfirmed and once with a host block's worth,
+//! must leave the same packets acknowledged with the same acknowledgements
+//! and the same ICS-20 ledgers on both chains — only sooner. Beside it, the
+//! shape of one pipelined job and the pace of pipelined client updates.
 
 use std::collections::BTreeMap;
 
@@ -32,26 +33,31 @@ fn quiet(seed: u64, pipelined: bool) -> Testnet {
     Testnet::build(config)
 }
 
+/// Sends one transfer of `amount` from the counterparty to the guest.
+fn send_inbound(net: &mut Testnet, amount: u128, timeout_at: u64) {
+    let (port, cp_channel) = (net.endpoints().port.clone(), net.endpoints().cp_channel.clone());
+    ibc_core::ics20::send_transfer(
+        net.cp.ibc_mut(),
+        &port,
+        &cp_channel,
+        CP_DENOM,
+        amount,
+        CP_USER,
+        GUEST_USER,
+        "",
+        Timeout::at_time(timeout_at),
+    )
+    .expect("the counterparty user is funded");
+}
+
 /// Sends `BURST` transfers each way at t = 0 and runs until every one of
 /// them is acknowledged and the relayer is idle. Returns the instant of
 /// the last acknowledgement.
 fn burst_and_drain(net: &mut Testnet) -> u64 {
     let timeout_at = net.host.now_ms() + DAY_MS;
-    let (port, cp_channel) = (net.endpoints().port.clone(), net.endpoints().cp_channel.clone());
     for i in 0..BURST {
         net.inject_outbound_transfer(100 + u128::from(i), timeout_at);
-        ibc_core::ics20::send_transfer(
-            net.cp.ibc_mut(),
-            &port,
-            &cp_channel,
-            CP_DENOM,
-            200 + u128::from(i),
-            CP_USER,
-            GUEST_USER,
-            "",
-            Timeout::at_time(timeout_at),
-        )
-        .expect("the counterparty user is funded");
+        send_inbound(net, 200 + u128::from(i), timeout_at);
     }
     let acked = |net: &Testnet| {
         net.telemetry().counter("guest.packets.acked") + net.telemetry().counter("cp.packets.acked")
@@ -162,4 +168,55 @@ fn a_tight_update_cap_paces_the_pipelined_relayer() {
     let stranded = report.packets.iter().filter(|p| p.first_ms < surge_end && !p.completed);
     assert_eq!(stranded.count(), 0, "the storm drained");
     assert!(report.packets.len() > 2_000, "{} packets", report.packets.len());
+}
+
+/// With nothing else in flight, a pipelined receive is one block: its plan
+/// goes out in one tick and the host runs it in submission order in the
+/// next slot. The sequential relayer awaits each confirmation, one slot per
+/// transaction, for the same plan.
+#[test]
+fn a_lone_pipelined_receive_lands_in_one_block() {
+    let lone_receive = |pipelined| {
+        let mut net = quiet(2026, pipelined);
+        let timeout_at = net.host.now_ms() + DAY_MS;
+        send_inbound(&mut net, 500, timeout_at);
+        net.run_heavy_for(10 * MINUTE_MS);
+        assert_eq!(net.relayer.failed_jobs(), 0, "pipelined {pipelined}");
+        let mut receives = net.relayer.records().iter().filter(|r| r.kind == JobKind::RecvPacket);
+        let record = *receives.next().expect("the transfer was received");
+        assert!(receives.next().is_none(), "pipelined {pipelined}: one receive");
+        record
+    };
+    let sequential = lone_receive(false);
+    let pipelined = lone_receive(true);
+    assert_eq!(pipelined.first_tx_ms, pipelined.last_tx_ms, "one block: {pipelined:?}");
+    assert_eq!(pipelined.tx_count, sequential.tx_count, "the same plan");
+    let slot_ms = TestnetConfig::small(2026).host_profile.slot_millis;
+    let slots = sequential.tx_count as u64 - 1;
+    assert!(slots > 0 && sequential.span_ms() >= slots * slot_ms, "{sequential:?}");
+}
+
+/// Every pipelined client update keeps the guest's §VI-C pace, not only one
+/// that starts beside packet jobs. A transfer every 5 s leaves most updates
+/// nothing else in flight to start beside; consecutive updates still start
+/// an hour over `max_client_updates_per_hour` apart.
+#[test]
+fn every_pipelined_client_update_keeps_the_cap_pace() {
+    let mut net = quiet(2026, true);
+    let pace_ms = HOUR_MS / u64::from(net.config().guest.max_client_updates_per_hour);
+    for i in 0..60 {
+        let timeout_at = net.host.now_ms() + DAY_MS;
+        send_inbound(&mut net, 100 + i, timeout_at);
+        net.run_heavy_for(5_000);
+    }
+    net.run_heavy_for(MINUTE_MS);
+
+    assert_eq!(net.telemetry().counter("cp.packets.sent"), 60);
+    assert_eq!(net.relayer.backlog(), 0, "every transfer relayed");
+    let updates = net.relayer.records().iter().filter(|r| r.kind == JobKind::ClientUpdate);
+    let starts: Vec<u64> = updates.map(|r| r.scheduled_ms).collect();
+    assert!(starts.len() > 10, "{} updates", starts.len());
+    for pair in starts.windows(2) {
+        assert!(pair[1] - pair[0] >= pace_ms, "updates started at {pair:?} ms, pace {pace_ms} ms");
+    }
 }
