@@ -51,6 +51,17 @@ if outside_tests '(store(_mut)?\(\)|trie)\.clone\(\)' crates/*/src | grep .; the
     exit 1
 fi
 
+echo "==> one home for mesh proofs: the committed height"
+# The mesh relayer proves a step at its source's latest commit (`CounterpartyChain::prove_at`), as a
+# stock relayer reads a committed block; the live-store proof it used only while that store still
+# equalled the commit survives as the oracle in crates/relayer/tests/committed_proofs.rs. A tripwire
+# for the spelling the old code used, `store().prove(`, scanning each file up to its first column-0
+# #[cfg(test)].
+if outside_tests 'store\(\)\.prove\(' crates/mesh/src | grep .; then
+    echo "crates/mesh/src proves from a live store outside tests; prove at the committed height" >&2
+    exit 1
+fi
+
 echo "==> one codec path"
 # Typed values reach JSON text and come back through serde_json's streaming sink (write.rs) and
 # source (read.rs) alone: no `Value` tree in between, and `Value` itself written and read by the

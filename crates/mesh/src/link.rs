@@ -10,6 +10,12 @@
 use ibc_core::types::{ChannelId, ClientId, PortId};
 use relayer::{LinkFee, RelayMsg};
 
+/// A queued step and the first height of its source chain whose
+/// committed state can prove it: the block that committed its event.
+/// A timeout starts at 0 — it proves an absence, and `RelayMsg::prove`
+/// itself says whether a header is past the expiry.
+pub(crate) type Queued = (RelayMsg, u64);
+
 /// A live link: handshake products, the embedded relayer's schedule and
 /// queues, and fee/delivery tallies.
 #[derive(Debug)]
@@ -46,10 +52,12 @@ pub struct Link {
     pub deliveries: u64,
     /// Client updates submitted by this link's relayer.
     pub client_updates: u64,
-    /// Steps seen on A: proven against A's store, delivered to B.
-    pub(crate) from_a: Vec<RelayMsg>,
-    /// Steps seen on B: proven against B's store, delivered to A.
-    pub(crate) from_b: Vec<RelayMsg>,
+    /// Steps seen on A: proven at A's latest commit once it holds them,
+    /// delivered to B.
+    pub(crate) from_a: Vec<Queued>,
+    /// Steps seen on B: proven at B's latest commit once it holds them,
+    /// delivered to A.
+    pub(crate) from_b: Vec<Queued>,
 }
 
 impl Link {
@@ -59,7 +67,7 @@ impl Link {
     }
 
     /// The queue of steps `node` proves.
-    pub(crate) fn queue_of(&mut self, node: usize) -> &mut Vec<RelayMsg> {
+    pub(crate) fn queue_of(&mut self, node: usize) -> &mut Vec<Queued> {
         if node == self.a {
             &mut self.from_a
         } else {

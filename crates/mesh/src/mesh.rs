@@ -14,15 +14,21 @@
 //! Each [`Mesh::step`]:
 //! 1. dispatches IBC events into per-link relay queues, route
 //!    bookkeeping and telemetry (before outboxes drain, so a forward
-//!    leg's route correlation is registered before the leg commits),
+//!    leg's route correlation is registered before the leg commits);
+//!    each queued step carries the first source height that can prove
+//!    it,
 //! 2. drains every chain's forward-middleware outbox (committing next-hop
 //!    and refund legs),
-//! 3. produces due blocks (skipping chaos-halted chains),
+//! 3. produces due blocks (skipping chaos-halted chains), first setting
+//!    aside the events each block commits, so that step 1 queues them as
+//!    provable from that block's height,
 //! 4. expires in-flight packets whose destination clock passed their
 //!    timeout,
-//! 5. wakes due link relayers (skipping chaos-downed links), which
-//!    deliver recv/ack/timeout messages with real proofs and charge their
-//!    link's fee schedule.
+//! 5. wakes due link relayers (skipping chaos-downed links), which prove
+//!    each queued step at its source's latest commit once that commit
+//!    holds it (`CounterpartyChain::prove_at`, as a stock relayer reads
+//!    a committed block), deliver the recv/ack/timeout messages and
+//!    charge their link's fee schedule.
 
 use std::collections::BTreeMap;
 
@@ -103,6 +109,9 @@ pub struct Node {
     chain: CounterpartyChain,
     block_interval_ms: u64,
     next_block_ms: u64,
+    /// Events the chain's latest block committed, set aside as it was
+    /// produced and not yet dispatched: provable from its height.
+    committed_events: Vec<IbcEvent>,
 }
 
 impl Node {
@@ -237,9 +246,9 @@ struct FirstLeg {
 /// Which of a link's channels a route rides, seen from a node.
 type ChannelPick = for<'l> fn(&'l Link, usize) -> &'l ChannelId;
 
-/// One relay direction's proven work — the header the proofs were taken
-/// under and each message with its proof — read from the source chain
-/// before any submission mutates state.
+/// One relay direction's proven work: the header of the source's latest
+/// commit, which the proofs were taken at, and each message with its
+/// proof.
 type Proven = (CpHeader, Vec<(RelayMsg, Proof)>);
 
 /// Mutably borrows two distinct slice elements.
@@ -424,6 +433,7 @@ impl Mesh {
                 chain,
                 block_interval_ms: chain_config.block_interval_ms,
                 next_block_ms: 0,
+                committed_events: Vec::new(),
             });
         }
 
@@ -1384,7 +1394,9 @@ impl Mesh {
 
     /// Phase 3: commit blocks on chains whose interval elapsed and whose
     /// state changed (or whose keepalive is due, so peers can prove
-    /// timeouts against a fresh consensus timestamp).
+    /// timeouts against a fresh consensus timestamp). The events a block
+    /// commits are set aside first, for the next dispatch to queue as
+    /// provable from its height.
     fn produce_blocks(&mut self, now: u64) {
         for node in &mut self.nodes {
             if self.chaos.chain_halted(&node.name, now) {
@@ -1402,17 +1414,27 @@ impl Mesh {
                 None => (true, true),
             };
             if root_changed || keepalive_due {
+                node.committed_events.extend(node.chain.ibc_mut().drain_events());
                 node.chain.produce_block(now);
             }
         }
     }
 
     /// Phase 1: route each chain's IBC events into link queues, route
-    /// bookkeeping and telemetry.
+    /// bookkeeping and telemetry, in emission order. Those the latest
+    /// block committed are provable from the current height; those
+    /// emitted since, from the next.
     fn dispatch_events(&mut self, now: u64) {
         for i in 0..self.nodes.len() {
-            let events = self.nodes[i].chain.ibc_mut().drain_events();
-            for event in events {
+            let node = &mut self.nodes[i];
+            let height = node.chain.height();
+            let committed = std::mem::take(&mut node.committed_events);
+            let fresh = node.chain.ibc_mut().drain_events();
+            let events = committed
+                .into_iter()
+                .map(move |event| (event, height))
+                .chain(fresh.into_iter().map(move |event| (event, height + 1)));
+            for (event, provable_from) in events {
                 let Some(step) = event.packet_step() else { continue };
                 // The link a peer's packet arrived over (`None`: sent here).
                 let arrival = if step.sent_here {
@@ -1425,12 +1447,14 @@ impl Mesh {
                 let origin = arrival.map_or(i, |li| self.links[li].peer_of(i));
                 self.emit_packet_event(&step, origin, now);
                 match (event, arrival) {
-                    (IbcEvent::SendPacket { packet }, _) => self.on_send(i, packet, now),
+                    (IbcEvent::SendPacket { packet }, _) => {
+                        self.on_send(i, packet, provable_from, now);
+                    }
                     (IbcEvent::RecvPacket { packet }, Some(li)) => {
                         self.on_recv(i, li, packet, now);
                     }
                     (IbcEvent::WriteAcknowledgement { packet, ack }, Some(li)) => {
-                        self.on_ack_written(i, li, packet, ack, now);
+                        self.on_ack_written(i, li, packet, ack, provable_from, now);
                     }
                     (IbcEvent::AcknowledgePacket { packet }, _) => {
                         self.emit_app_dispatch(i, i, &packet.source_port, &packet, now, "ack");
@@ -1510,13 +1534,13 @@ impl Mesh {
         );
     }
 
-    fn on_send(&mut self, i: usize, packet: Packet, now: u64) {
+    fn on_send(&mut self, i: usize, packet: Packet, provable_from: u64, now: u64) {
         self.telemetry.counter_add("mesh.packets.sent", 1);
         self.app_sent_ms
             .insert((i, packet.source_channel.as_str().to_string(), packet.sequence), now);
         if let Some(&li) = self.channel_links.get(&(i, packet.source_channel.as_str().to_string()))
         {
-            self.links[li].queue_of(i).push(RelayMsg::Recv { packet });
+            self.links[li].queue_of(i).push((RelayMsg::Recv { packet }, provable_from));
         }
     }
 
@@ -1602,6 +1626,7 @@ impl Mesh {
         li: usize,
         packet: Packet,
         ack: Acknowledgement,
+        provable_from: u64,
         now: u64,
     ) {
         let peer = self.links[li].peer_of(i);
@@ -1637,7 +1662,7 @@ impl Mesh {
                 }
             }
         }
-        self.links[li].queue_of(i).push(RelayMsg::Ack { packet, ack });
+        self.links[li].queue_of(i).push((RelayMsg::Ack { packet, ack }, provable_from));
     }
 
     /// Phase 4: receives whose packet expired on the destination's clock
@@ -1652,20 +1677,21 @@ impl Mesh {
                     (link.a, &mut link.from_b, &mut link.from_a)
                 };
                 let Some(commit) = self.nodes[dst].chain.latest_commit() else { continue };
-                for msg in std::mem::take(queue) {
-                    let (msg, turned) = msg.expire(commit.height, commit.timestamp_ms);
-                    if turned { &mut *reverse } else { &mut *queue }.push(msg);
+                for (msg, provable_from) in std::mem::take(queue) {
+                    match msg.expire(commit.height, commit.timestamp_ms) {
+                        (timeout, true) => reverse.push((timeout, 0)),
+                        (msg, false) => queue.push((msg, provable_from)),
+                    }
                 }
             }
         }
     }
 
-    /// Phase 5: wake due link relayers. Per link, *all* proofs for both
-    /// directions are taken first (pure reads), and only then are client
-    /// updates and messages submitted: a submission mutates the
-    /// destination's store, and collecting proofs up front keeps one
-    /// direction's client update from invalidating the other direction's
-    /// source-side proofs within the same tick.
+    /// Phase 5: wake due link relayers. Per link, each direction is
+    /// proven and then submitted, A's steps first. Proofs come from the
+    /// source's committed checkpoint, so the client update and messages
+    /// one direction submits — which mutate that direction's destination,
+    /// the other's source — cannot unprove the other direction's steps.
     fn relay_links(&mut self, now: u64) {
         for li in 0..self.links.len() {
             if now < self.links[li].next_relay_ms {
@@ -1684,39 +1710,45 @@ impl Mesh {
             if self.links[li].backlog() == 0 {
                 continue;
             }
-            let from_a = self.prove_direction(li, true);
-            let from_b = self.prove_direction(li, false);
-            self.submit_direction(li, true, from_a);
-            self.submit_direction(li, false, from_b);
+            for from_a in [true, false] {
+                let proven = self.prove_direction(li, from_a);
+                self.submit_direction(li, from_a, proven);
+            }
         }
     }
 
-    /// Step one for one direction: drains its queue into proven messages
-    /// — receives, then acks, then timeouts — without touching either
-    /// chain's state. When the source store has moved past its latest
-    /// committed header the queue is left untouched for the next tick (a
-    /// fresh block restores provability). `None`: nothing to submit.
+    /// Step one for one direction: proves, at the source's latest commit
+    /// and without touching either chain's state, every queued step that
+    /// commit holds — receives, then acks, then timeouts. Steps it does
+    /// not hold yet stay queued and are not tried: a proof is never built
+    /// at a height whose block cannot hold the step. `None`: nothing to
+    /// submit.
     fn prove_direction(&mut self, li: usize, from_a: bool) -> Option<Proven> {
         let link = &mut self.links[li];
         let (src_i, queue) =
             if from_a { (link.a, &mut link.from_a) } else { (link.b, &mut link.from_b) };
         let src = &self.nodes[src_i].chain;
         let commit = src.latest_commit()?;
-        if commit.app_hash != src.ibc().root() {
+        let height = commit.height;
+        if queue.iter().all(|&(_, provable_from)| provable_from > height) {
             return None;
         }
         let consensus = ConsensusState { root: commit.app_hash, timestamp_ms: commit.timestamp_ms };
 
         let mut pending = std::mem::take(queue);
-        pending.sort_by_key(|msg| msg.kind() as u8);
+        pending.sort_by_key(|(msg, _)| msg.kind() as u8);
         let mut proven = Vec::new();
         let mut errors = 0;
-        for msg in pending {
-            match msg.prove(commit.height, &consensus, |key| src.ibc().store().prove(key).ok()) {
+        for (msg, provable_from) in pending {
+            if provable_from > height {
+                queue.push((msg, provable_from));
+                continue;
+            }
+            match msg.prove(height, &consensus, |key| src.prove_at(height, key)) {
                 Ok(proof) => proven.push((msg, proof)),
                 // Only a timeout waits: the proven consensus state itself
                 // must be past the expiry.
-                Err(Unproven::NotYet) => queue.push(msg),
+                Err(Unproven::NotYet) => queue.push((msg, height + 1)),
                 Err(Unproven::Never) => errors += 1,
             }
         }
@@ -1760,8 +1792,8 @@ impl Mesh {
                 }
                 Submitted::Duplicate => {}
                 // Expired in the gap since the last expiry scan: this
-                // side proves the timeout, next tick.
-                Submitted::Expired(timeout) => reverse.push(timeout),
+                // side proves the timeout, at any height past the expiry.
+                Submitted::Expired(timeout) => reverse.push((timeout, 0)),
                 Submitted::Rejected(_) => errors += 1,
             }
         }

@@ -11,11 +11,14 @@ use workload::{AppMix, TrafficConfig};
 
 const MINUTE_MS: u64 = 60_000;
 
-/// The timeline of 43bb6f3 (the commit before the relay core was unified),
-/// re-hashed once since for a format change: `"sampling": null` left `meta`
-/// with the sampler (put the line back and the report hashes to the old
-/// constant; CHANGES.md PR 21).
-const GOLDEN_SHA256: &str = "9d7000cf4404c98fef4fd7cdde98d17512c19a806953a8a5f2f80c6b2828c086";
+/// Re-captured when the mesh relayer began proving each step at its
+/// source's latest commit, once that commit holds it, instead of only at
+/// a tick where the live store still equalled the commit: steps now leave
+/// on the first tick after the block that committed them, so every relay
+/// instant, client update and latency moved. The timeline before that
+/// was 43bb6f3's (the commit before the relay core was unified), under
+/// `9d7000cf…c086` once `"sampling": null` left `meta` (CHANGES.md PR 21).
+const GOLDEN_SHA256: &str = "1337f34d2dd60da4a2a69b9d20af1d4ccabec5ed5a58c7fb1c1ac6aba68beab3";
 
 #[test]
 fn mixed_app_line_with_a_link_outage_matches_the_golden_report() {

@@ -10,7 +10,7 @@
 //! (Alg. 2). [`RelayMsg`] is that rule, in two steps a caller may
 //! interleave with its own client updates: [`RelayMsg::prove`] (the
 //! caller supplies the proof source — `prove_at(height)` on the guest
-//! link, the live store in the mesh), then [`RelayMsg::submit`] or
+//! link and in the mesh), then [`RelayMsg::submit`] or
 //! [`RelayMsg::into_guest_op`].
 
 use guest_chain::GuestOp;
