@@ -327,6 +327,40 @@ fn abandoned_jobs_relay_their_packet_again() {
     }
 }
 
+/// A client update abandoned with packet jobs riding behind it. Reordered
+/// chunks fail updates past their retries while dropped ones hold them in
+/// flight; the jobs proven under the header an abandoned update was
+/// installing go back to the intent queue, uncounted as failures, and are
+/// proven again. Under steady traffic, every packet sent in the fault
+/// window ends acknowledged or refunded, the delivery ledger explains every
+/// arrival, and ICS-20 value is conserved.
+#[test]
+fn jobs_riding_an_abandoned_update_return_to_the_queue() {
+    let fault_end = 20 * MINUTE_MS;
+    let mut config = TestnetConfig::small(67);
+    config.traffic = Some(workload::TrafficConfig::steady(200, 10_000));
+    config.chaos = ChaosPlan::new(67)
+        .with(0, fault_end, Fault::ChunkReorder { probability: 0.7 })
+        .with(0, fault_end, Fault::ChunkDrop { probability: 0.05 });
+    let mut net = Testnet::build(config);
+    net.run_heavy_for(3 * fault_end);
+
+    let counter = |name| net.telemetry().counter(name);
+    assert!(counter("relayer.jobs.returned") > 0, "no job rode an abandoned update");
+    assert!(net.relayer.failed_jobs() > 0, "no update was abandoned");
+    let report = net.run_report("riders");
+    let stranded = report.packets.iter().filter(|p| p.first_ms < fault_end && !p.completed);
+    assert_eq!(stranded.count(), 0, "every packet of the fault window settled");
+    let ledger = net.delivery_accounting().expect("traffic mode keeps the ledger");
+    assert_eq!(ledger.unexplained(), 0, "{ledger:?}");
+    assert!(
+        !net.invariant_violations().iter().any(|v| v.invariant == InvariantKind::Ics20Conservation),
+        "{:?}",
+        net.invariant_violations()
+    );
+    assert_banks_recount(&net);
+}
+
 /// A seeded conservation violation: counterfeit vouchers minted on the
 /// counterparty are caught by the ICS-20 audit and attributed to the mint.
 #[test]

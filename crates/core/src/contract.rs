@@ -669,15 +669,31 @@ impl GuestContract {
         limit == 0 || recent < limit
     }
 
-    /// When an update of `client_id` keeps the §VI-C cap's pace: an hour
-    /// over `max_client_updates_per_hour` after the last one landed (0 with
-    /// the cap off, or before any update). Updates that far apart never
-    /// meet the cap, however long they keep coming.
-    pub fn client_update_paced_at(&self, client_id: &ClientId) -> u64 {
+    /// When an update of `client_id`, asked for at `now_ms`, keeps the §VI-C
+    /// cap's pace: what is left of the trailing hour's budget, spread evenly
+    /// until the window next frees a slot. With `used` of the
+    /// `max_client_updates_per_hour` landed in the hour before `now_ms`,
+    /// `last` the newest and `oldest` the oldest of them, that is `last +
+    /// (oldest + 1 h − last) / (limit − used)`, rounded up; `oldest + 1 h`
+    /// once the budget is spent; and 0 with the cap off or no update in the
+    /// hour. At a burst's onset this is an hour over the cap after the last
+    /// update, and under sustained demand it settles there, so the cap is
+    /// never met mid-hour; after a quieter hour, updates follow demand. An
+    /// update started at `now_ms` no earlier than the paced instant is
+    /// always admitted ([`GuestContract::admits_client_update`]).
+    pub fn client_update_paced_at(&self, client_id: &ClientId, now_ms: u64) -> u64 {
         let limit = u64::from(self.config.max_client_updates_per_hour);
-        match self.client_update_times.get(client_id).and_then(|times| times.last()) {
-            Some(last) if limit > 0 => last + HOUR_MS.div_ceil(limit),
-            _ => 0,
+        let recent = self.client_update_times.get(client_id).map_or(&[][..], |times| {
+            &times[times.partition_point(|t| now_ms.saturating_sub(*t) >= HOUR_MS)..]
+        });
+        let (Some(&oldest), Some(&last)) = (recent.first(), recent.last()) else { return 0 };
+        let used = recent.len() as u64;
+        if limit == 0 {
+            0
+        } else if used < limit {
+            last + (oldest + HOUR_MS - last).div_ceil(limit - used)
+        } else {
+            oldest + HOUR_MS
         }
     }
 
@@ -1126,10 +1142,15 @@ mod tests {
             })
             .unwrap()
         };
-        assert_eq!(contract.client_update_paced_at(&client), 0, "no update yet");
-        for height in 1..=3 {
+        assert_eq!(contract.client_update_paced_at(&client, 0), 0, "no update yet");
+        contract.update_counterparty_client(&client, &header(1), 1_000).unwrap();
+        // The two left of the hour's three spread over it: half an hour.
+        assert_eq!(contract.client_update_paced_at(&client, 1_000), 1_000 + HOUR_MS / 2);
+        for height in 2..=3 {
             contract.update_counterparty_client(&client, &header(height), height * 1_000).unwrap();
         }
+        // The budget is spent: paced to the first update's hour.
+        assert_eq!(contract.client_update_paced_at(&client, 3_000), 1_000 + HOUR_MS);
         // Fourth update inside the hour is rejected, as the read-only
         // check predicts…
         assert!(!contract.admits_client_update(&client, 4_000));
@@ -1141,8 +1162,46 @@ mod tests {
         assert!(contract.admits_client_update(&client, 3_601_001));
         contract.update_counterparty_client(&client, &header(4), 3_601_001).unwrap();
         assert!(!contract.admits_client_update(&client, 3_601_001));
-        // Three an hour keep pace twenty minutes apart.
-        assert_eq!(contract.client_update_paced_at(&client), 3_601_001 + 1_200_000);
+        assert_eq!(contract.client_update_paced_at(&client, 3_601_001), 2_000 + HOUR_MS);
+        // After a quiet hour the next update may go at once.
+        assert_eq!(contract.client_update_paced_at(&client, 3_601_001 + HOUR_MS), 0);
+    }
+
+    proptest::proptest! {
+        /// However demand arrives, an update started no earlier than its
+        /// paced instant is admitted by the cap, and updates that keep the
+        /// pace never number more than the cap in any hour.
+        #[test]
+        fn a_paced_update_is_always_admitted(
+            limit in 1u32..=30,
+            gaps in proptest::collection::vec(0u64..400_000, 1..120),
+        ) {
+            let keypairs: Vec<Keypair> = (0..4).map(Keypair::from_seed).collect();
+            let validators = keypairs.iter().map(|kp| (kp.public(), 100)).collect();
+            let mut config = GuestConfig::fast();
+            config.max_client_updates_per_hour = limit;
+            let mut contract = GuestContract::new(config, validators, 0, 0);
+            let client =
+                contract.create_counterparty_client(Box::new(ibc_core::client::MockClient::new()));
+            let (mut now, mut height) = (0, 0);
+            for gap in gaps {
+                now += gap;
+                if now < contract.client_update_paced_at(&client, now) {
+                    continue;
+                }
+                proptest::prop_assert!(contract.admits_client_update(&client, now));
+                height += 1;
+                let header = serde_json::to_vec(&ibc_core::client::MockHeader {
+                    height,
+                    root: sim_crypto::sha256(height.to_le_bytes()),
+                    timestamp_ms: now,
+                })
+                .unwrap();
+                proptest::prop_assert!(
+                    contract.update_counterparty_client(&client, &header, now).is_ok()
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,13 @@
 //! transaction — one job, each transaction submitted only after the
 //! previous one confirmed — which is what Figs. 4–5 measure;
 //! [`RelayerConfig::pipelined`] widens it to as many transactions as one
-//! host block admits, so a job submits its whole plan in one tick.
+//! host block admits, so a job submits its whole plan in one tick. There a
+//! counterparty step waits for the one client update that makes it
+//! provable and nothing more: a packet job proven under the header an
+//! update in flight is installing is submitted right behind that update
+//! and lands after it in the same host block, and updates are paced by
+//! what is left of the guest's §VI-C hourly budget
+//! ([`GuestContract::client_update_paced_at`]).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -51,7 +57,8 @@ pub struct RelayerConfig {
     /// as fit, each on its own staging buffer and each submitting its plan
     /// in one tick without awaiting confirmations: the host runs them in
     /// submission order ([`host_sim::mempool::Mempool::drain_for_slot`]). Every
-    /// client update then also keeps the guest's §VI-C cap's pace.
+    /// client update then also keeps the guest's §VI-C cap's pace, and
+    /// packet jobs may ride behind the update that proves them.
     pub pipelined: bool,
 }
 
@@ -129,6 +136,10 @@ struct ActiveJob {
     /// The intent a packet job serves, handed back to the queue if the
     /// job is abandoned (client updates serve none).
     relays: Option<Intent>,
+    /// The counterparty height a packet job is proven at (0 for a client
+    /// update). Above the guest client's latest height, the job rides
+    /// behind the update installing that height.
+    proof_height: u64,
     buffer: u64,
     /// The job's instructions, one transaction each, in plan order.
     plan: Vec<GuestInstruction>,
@@ -185,6 +196,9 @@ pub struct Relayer {
     /// Guest-bound jobs in flight, oldest first, started while they hold
     /// fewer than [`RelayerConfig::window`] transactions between them.
     jobs: Vec<ActiveJob>,
+    /// The height and consensus state of the header the client update in
+    /// flight is installing, which packet jobs may be proven under already.
+    installing: Option<(u64, ConsensusState)>,
     peak_jobs: usize,
     generate_in_flight: Option<u64>,
     pending_cleanup: Vec<u64>,
@@ -226,6 +240,7 @@ impl Relayer {
             pending_to_cp: Vec::new(),
             intents: VecDeque::new(),
             jobs: Vec::new(),
+            installing: None,
             peak_jobs: 0,
             generate_in_flight: None,
             pending_cleanup: Vec::new(),
@@ -436,29 +451,29 @@ impl Relayer {
         events
     }
 
-    /// Hands job `index`'s failed and lost instructions back to the front
-    /// of its queue in plan order, once none of its transactions is in
-    /// flight. An `ExecStaged` that failed behind a missing chunk found the
-    /// staged bytes incomplete, and the guest drops a buffer that does not
-    /// decode (`GuestProgram`'s `ExecStaged` arm, pinned by its test
-    /// `undecodable_staged_bytes_drop_the_buffer`), so then the whole plan
-    /// goes back instead. Only an on-chain
-    /// failure that is the earliest in plan order costs one of
-    /// [`MAX_JOB_RETRIES`] (a transient failure, e.g. a compute-starved
-    /// slot or a chunk run out of order): the writes rejected as
-    /// non-sequential behind it cost nothing, and neither does a loss. A
-    /// job out of retries is abandoned instead. Returns whether the job is
-    /// still in flight.
+    /// Settles job `index`'s failed and lost instructions once none of its
+    /// transactions is in flight. Only an on-chain failure that is the
+    /// earliest in plan order costs one of [`MAX_JOB_RETRIES`] (a transient
+    /// failure, e.g. a compute-starved slot or a chunk run out of order):
+    /// the writes rejected as non-sequential behind it cost nothing, and
+    /// neither does a loss. A job out of retries is abandoned instead. A job
+    /// riding behind a client update that has not landed (proven above the
+    /// guest client's latest height) pays nothing either: its `ExecStaged`
+    /// found no consensus state to verify against, and the guest kept its
+    /// buffer. It holds its failures until [`Relayer::pump_jobs`] sees the
+    /// update re-submitted or done, and is re-submitted behind it. Returns
+    /// whether the job is still in flight.
     fn settle_failures(
         &mut self,
         index: usize,
         now_ms: u64,
         contract: &Rc<RefCell<GuestContract>>,
     ) -> bool {
+        if self.jobs[index].proof_height > self.client_height(contract) {
+            return true;
+        }
         let job = &mut self.jobs[index];
-        job.failed.sort_unstable();
-        let (earliest, on_chain) = job.failed[0];
-        if on_chain {
+        if job.failed.iter().min().is_some_and(|&(_, on_chain)| on_chain) {
             if job.retries == MAX_JOB_RETRIES {
                 let job = self.jobs.remove(index);
                 self.abandon(job, now_ms, contract);
@@ -475,19 +490,14 @@ impl Relayer {
                 );
             }
         }
-        let chunk_missing = matches!(job.plan[earliest], GuestInstruction::WriteChunk { .. });
-        let exec_failed = job.failed.last().is_some_and(|&(last, on_chain)| {
-            on_chain && matches!(job.plan[last], GuestInstruction::ExecStaged { .. })
-        });
-        if chunk_missing && exec_failed {
-            job.failed.clear();
-            job.queue = (0..job.plan.len()).collect();
-        } else {
-            for (plan_index, _) in job.failed.drain(..).rev() {
-                job.queue.push_front(plan_index);
-            }
-        }
+        requeue_failed(job);
         true
+    }
+
+    /// The latest height the guest's client of the counterparty trusts.
+    fn client_height(&self, contract: &Rc<RefCell<GuestContract>>) -> u64 {
+        let guest = contract.borrow();
+        guest.ibc().client(&self.endpoints.cp_client_on_guest).map_or(0, |c| c.latest_height())
     }
 
     /// Gives up on a job whose transaction failed past its retries (a
@@ -497,16 +507,26 @@ impl Relayer {
     /// already shows the step taken, which is what stops a real duplicate
     /// from looping; and a receive that expired on the guest meanwhile
     /// becomes the timeout that refunds its sender, toward the counterparty.
+    /// An abandoned client update takes the jobs riding behind it out of
+    /// flight too: their intents go back to the front of the queue, in
+    /// order, and they are not counted as failed.
     fn abandon(&mut self, job: ActiveJob, now_ms: u64, contract: &Rc<RefCell<GuestContract>>) {
         self.failed_jobs += 1;
-        self.pending_cleanup.push(job.buffer);
-        if self.telemetry.is_recording() {
-            self.telemetry.counter_add("relayer.jobs.abandoned", 1);
-            if let Some(span) = job.span {
-                self.telemetry.span_end(now_ms, span);
+        self.telemetry.counter_add("relayer.jobs.abandoned", 1);
+        if job.kind == JobKind::ClientUpdate {
+            self.installing = None;
+            let latest = self.client_height(contract);
+            for index in (0..self.jobs.len()).rev() {
+                if self.jobs[index].proof_height > latest {
+                    let rider = self.jobs.remove(index);
+                    self.telemetry.counter_add("relayer.jobs.returned", 1);
+                    if let Some(intent) = self.drop_job(rider, now_ms) {
+                        self.intents.push_front(intent);
+                    }
+                }
             }
         }
-        let Some(Intent { msg, seen_cp_height }) = job.relays else { return };
+        let Some(Intent { msg, seen_cp_height }) = self.drop_job(job, now_ms) else { return };
         let guest = contract.borrow();
         if settled_on_guest(&msg, &guest) {
             return;
@@ -518,6 +538,16 @@ impl Relayer {
         } else {
             self.intents.push_front(Intent { msg, seen_cp_height });
         }
+    }
+
+    /// Takes `job` out of flight unrecorded: frees its staging buffer and
+    /// closes its span. Returns the intent it served.
+    fn drop_job(&mut self, job: ActiveJob, now_ms: u64) -> Option<Intent> {
+        self.pending_cleanup.push(job.buffer);
+        if let Some(span) = job.span {
+            self.telemetry.span_end(now_ms, span);
+        }
+        job.relays
     }
 
     /// Handles guest-side events: queue outbound packets/acks, and on each
@@ -704,16 +734,21 @@ impl Relayer {
 
     /// Starts queued intents while the jobs in flight hold fewer than
     /// [`RelayerConfig::window`] transactions: in queue order, every one
-    /// provable under the trusted consensus, up to the first that is not —
-    /// and for that one a client update, unless one is already in flight or
-    /// the guest's §VI-C cap stands in the way. An intent dropped as never
-    /// provable takes one transaction of the window for the tick, so a
-    /// window of one makes the deployed relayer's one decision per tick.
+    /// provable under the trusted consensus or the header a client update
+    /// in flight is installing, up to the first that is not — and for that
+    /// one a client update, unless one is already in flight or the guest's
+    /// §VI-C cap stands in the way. Once an update starts, the queue is
+    /// served again under its header: a packet job proven there rides
+    /// behind the update, submitted after it in the same tick, so the host
+    /// runs it after the update in the same block. An intent dropped as
+    /// never provable takes one transaction of the window for the tick, so
+    /// a window of one makes the deployed relayer's one decision per tick;
+    /// the update then fills that window and nothing rides.
     ///
     /// Proofs are generated against the guest client's **latest verified**
-    /// consensus state, not the counterparty's newest header — chasing the
-    /// head would livelock on chains that produce blocks faster than a
-    /// chunked update completes.
+    /// consensus state (or the one update in flight), not the
+    /// counterparty's newest header — chasing the head would livelock on
+    /// chains that produce blocks faster than a chunked update completes.
     fn activate_intents(
         &mut self,
         host: &HostChain,
@@ -737,23 +772,8 @@ impl Relayer {
             let latest = client.latest_height();
             client.consensus_state(latest).map(|cs| (latest, cs))
         };
-
-        // Serve intents with the trusted consensus; the first it cannot
-        // prove needs a fresher header.
-        loop {
-            let Some(intent) = self.intents.front() else { return };
-            if unconfirmed >= window || cp.height() <= intent.seen_cp_height {
-                return; // Window full, or the counterparty has yet to commit.
-            }
-            let seen = intent.seen_cp_height;
-            let Some((proof_height, consensus)) = verified.filter(|(height, _)| *height > seen)
-            else {
-                break;
-            };
-            match self.try_start_packet_job(host, cp, proof_height, &consensus) {
-                Some(planned) => unconfirmed += planned,
-                None => break,
-            }
+        if !self.start_provable(host, cp, verified, window, &mut unconfirmed) {
+            return;
         }
 
         // The client lags (or the trusted root no longer matches): update
@@ -762,7 +782,7 @@ impl Relayer {
         // the new set — so one update at a time, targeting the earliest
         // pending rotation, if any. The scan reads commit records; only the
         // header that is relayed gets signed.
-        if self.jobs.iter().any(|job| job.kind == JobKind::ClientUpdate) {
+        if self.installing.is_some() {
             return;
         }
         let client_height = verified.map(|(h, _)| h).unwrap_or(0);
@@ -775,12 +795,13 @@ impl Relayer {
         // Never past the guest's §VI-C cap. A pipelined update lands in a
         // slot or two, so updates could follow each other back to back and
         // spend an hour's cap in minutes, then stall for the rest of the
-        // hour; a window wider than one therefore also keeps the cap's pace.
+        // hour; a window wider than one therefore also keeps the cap's pace,
+        // spreading what is left of the hour's budget.
         let client = &self.endpoints.cp_client_on_guest;
         let now = host.now_ms();
         let admitted = {
             let guest = contract.borrow();
-            (window == 1 || now >= guest.client_update_paced_at(client))
+            (window == 1 || now >= guest.client_update_paced_at(client, now))
                 && guest.admits_client_update(client, now)
         };
         if !admitted {
@@ -794,13 +815,49 @@ impl Relayer {
         };
         // The update serves every packet whose delivery waits on it.
         let traces = self.traces_of(self.intents.iter().map(|intent| &intent.msg), "cp", "guest");
-        self.start_job(host, JobKind::ClientUpdate, &op, target.signatures.len(), traces, None);
+        let sig_checks = target.signatures.len();
+        unconfirmed += self.start_job(host, JobKind::ClientUpdate, &op, sig_checks, traces, None);
+        let consensus = ConsensusState { root: target.app_hash, timestamp_ms: target.timestamp_ms };
+        self.installing = Some((target_height, consensus));
+        self.start_provable(host, cp, verified, window, &mut unconfirmed);
+    }
+
+    /// Starts queued intents in order while `unconfirmed` stays under
+    /// `window`, each proven under the `verified` consensus or else under
+    /// the header being installed. Returns whether it stopped at an intent
+    /// neither proves, which needs a fresher header.
+    fn start_provable(
+        &mut self,
+        host: &HostChain,
+        cp: &CounterpartyChain,
+        verified: Option<(u64, ConsensusState)>,
+        window: usize,
+        unconfirmed: &mut usize,
+    ) -> bool {
+        loop {
+            let Some(intent) = self.intents.front() else { return false };
+            if *unconfirmed >= window || cp.height() <= intent.seen_cp_height {
+                return false; // Window full, or the counterparty has yet to commit.
+            }
+            let seen = intent.seen_cp_height;
+            let planned = [verified, self.installing]
+                .into_iter()
+                .flatten()
+                .filter(|(proof_height, _)| *proof_height > seen)
+                .find_map(|(proof_height, consensus)| {
+                    self.try_start_packet_job(host, cp, proof_height, &consensus)
+                });
+            match planned {
+                Some(planned) => *unconfirmed += planned,
+                None => return true,
+            }
+        }
     }
 
     /// Attempts to build the front intent's packet job against the given
-    /// verified consensus. Returns the transactions the started job plans,
-    /// or one when the intent was consumed as unrecoverable; `None` when it
-    /// needs a fresher header.
+    /// consensus. Returns the transactions the started job plans, or one
+    /// when the intent was consumed as unrecoverable; `None` when it needs
+    /// a fresher header.
     fn try_start_packet_job(
         &mut self,
         host: &HostChain,
@@ -858,6 +915,12 @@ impl Relayer {
         debug_assert!(
             sig_checks == 0 || planned > sig_checks / sig_checks_per_tx_for(host.profile())
         );
+        let proof_height = match op {
+            GuestOp::RecvPacket { proof_height, .. }
+            | GuestOp::AckPacket { proof_height, .. }
+            | GuestOp::TimeoutPacket { proof_height, .. } => *proof_height,
+            _ => 0,
+        };
         let span = self.telemetry.span_start(
             host.now_ms(),
             &format!("{}.{}", names::RELAYER_JOB, kind.name()),
@@ -866,6 +929,7 @@ impl Relayer {
         self.jobs.push(ActiveJob {
             kind,
             relays,
+            proof_height,
             buffer,
             plan,
             queue: (0..planned).collect(),
@@ -889,10 +953,24 @@ impl Relayer {
     /// Moves every job on, oldest first: each submits its queued
     /// instructions while fewer than [`RelayerConfig::window`] of the
     /// relayer's transactions are in flight, and a job with nothing left
-    /// queued, in flight or failed is finished.
+    /// queued, in flight or failed is finished. Jobs holding failures
+    /// behind a client update (see [`Relayer::settle_failures`]) get them
+    /// back once the update has nothing in flight, i.e. is re-submitted
+    /// behind them in this pass — the update is older — or done.
     fn pump_jobs(&mut self, host: &mut HostChain) {
         if self.jobs.is_empty() {
             return;
+        }
+        let update_in_flight = self
+            .jobs
+            .iter()
+            .any(|job| job.kind == JobKind::ClientUpdate && !job.in_flight.is_empty());
+        if !update_in_flight {
+            for job in &mut self.jobs {
+                if job.in_flight.is_empty() && !job.failed.is_empty() {
+                    requeue_failed(job);
+                }
+            }
         }
         let window = self.config.window(host.profile());
         let mut in_flight = self.jobs.iter().map(|job| job.in_flight.len()).sum();
@@ -988,6 +1066,9 @@ impl Relayer {
     /// Records the completed job `index` and takes it out of flight.
     fn finish_job(&mut self, index: usize, now_ms: u64) {
         let done = self.jobs.remove(index);
+        if done.kind == JobKind::ClientUpdate {
+            self.installing = None;
+        }
         let record = JobRecord {
             kind: done.kind,
             scheduled_ms: done.scheduled_ms,
@@ -1073,6 +1154,28 @@ impl Relayer {
         match tx.fee_policy {
             FeePolicy::Bundle { .. } => host.submit_bundle(vec![tx])[0],
             _ => host.submit(tx),
+        }
+    }
+}
+
+/// Hands `job`'s failed and lost instructions back to the front of its
+/// queue in plan order. An `ExecStaged` that failed behind a missing chunk
+/// found the staged bytes incomplete, and the guest drops a buffer that
+/// does not decode (`GuestProgram`'s `ExecStaged` arm, pinned by its test
+/// `undecodable_staged_bytes_drop_the_buffer`), so then the whole plan goes
+/// back instead.
+fn requeue_failed(job: &mut ActiveJob) {
+    job.failed.sort_unstable();
+    let chunk_missing = matches!(job.plan[job.failed[0].0], GuestInstruction::WriteChunk { .. });
+    let exec_failed = job.failed.last().is_some_and(|&(last, on_chain)| {
+        on_chain && matches!(job.plan[last], GuestInstruction::ExecStaged { .. })
+    });
+    if chunk_missing && exec_failed {
+        job.failed.clear();
+        job.queue = (0..job.plan.len()).collect();
+    } else {
+        for (plan_index, _) in job.failed.drain(..).rev() {
+            job.queue.push_front(plan_index);
         }
     }
 }

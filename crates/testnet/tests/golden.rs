@@ -21,9 +21,11 @@ const GOLDEN_SHA256: &str = "18f939fa7589aab3b9d7eced6e52a93a6b57bc9c666640b9ecc
 /// The same run with a host block's worth of guest-bound transactions
 /// unconfirmed, re-captured when a pipelined job began submitting its whole
 /// plan in one tick and every pipelined client update began keeping the
-/// §VI-C cap's pace.
+/// §VI-C cap's pace, and again when packet jobs began riding behind the
+/// client update that proves them and the pace began spreading what is left
+/// of the cap's hourly budget instead of a fixed hour over the cap.
 const PIPELINED_GOLDEN_SHA256: &str =
-    "04cfe034daf2eeeac5d0310b03829078868e4ea52fc0055c0602a38fa1cf8b40";
+    "31f7c31c25963698402351f80e1eb5a3a570ddb428900a9acf6575000b6b16e9";
 
 /// Half an hour of steady traffic on `small(7)` with one doomed transfer;
 /// returns the run report's SHA-256.
