@@ -138,6 +138,23 @@ if [ "$(grep -rnF "$SURFACE" crates/*/src --include='*.rs' | wc -l)" -ne 1 ]; th
     exit 1
 fi
 
+echo "==> one testnet clock"
+# The testnet steps every host slot (`Testnet::run_for`). The discrete-event loop that jumped idle
+# stretches in one clock move went: its timeline was not the polled one, because a send committed at
+# a stale counterparty-check instant waited for the 60-s keep-alive, and a guest block due at Δ
+# waited for the 60-s audit heartbeat. `run_heavy_for` survives only as a doc-hidden alias of
+# `run_for` for the frozen benchmark/ crate. A tripwire for the two spellings the old loop used,
+# `fast_forward_to(` and `run_heavy_for`, scanning each file up to its first column-0 #[cfg(test)].
+if outside_tests 'fast_forward_to\(' crates/*/src | grep .; then
+    echo "crates/*/src must not jump the host clock: step it with Testnet::run_for" >&2
+    exit 1
+fi
+if outside_tests 'run_heavy_for' crates tests examples |
+    grep -v '^crates/testnet/src/harness.rs:[0-9]*:    pub fn run_heavy_for(' | grep .; then
+    echo "run_heavy_for is only the alias benchmark/ calls: use Testnet::run_for" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

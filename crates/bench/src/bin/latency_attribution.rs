@@ -67,7 +67,7 @@ fn testnet_run(users: u32, hours: u64, seed: u64) -> AttributedRun {
     let mut config = TestnetConfig::small(seed);
     config.traffic = Some(TrafficConfig::flash_crowd(users, 30_000));
     let mut net = Testnet::build(config);
-    net.run_heavy_for(hours * HOUR_MS);
+    net.run_for(hours * HOUR_MS);
     attribute(&net.run_report("latency_attribution"))
 }
 

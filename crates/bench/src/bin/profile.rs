@@ -30,7 +30,7 @@ fn storm_run(users: u32, gap_ms: u64, seed: u64, sim_ms: u64, profile: bool) -> 
     config.profile = profile;
     let mut net = Testnet::build(config);
     let started = Instant::now();
-    net.run_heavy_for(sim_ms);
+    net.run_for(sim_ms);
     (net, started.elapsed().as_secs_f64() * 1_000.0)
 }
 
@@ -70,7 +70,7 @@ fn main() {
     let attributed_pct =
         if step_wall > 0.0 { (step_wall - step_self) / step_wall * 100.0 } else { 0.0 };
     // Coverage: how much of the whole driver loop the `step` scope saw
-    // (the remainder is `run_heavy_for` bookkeeping between steps).
+    // (the remainder is `run_for`'s deadline check between steps).
     let covered_pct = if wall_ms > 0.0 { report.total_ms / wall_ms * 100.0 } else { 0.0 };
     let subsystems: Vec<_> = report.entries.iter().filter(|e| e.depth == 1).collect();
     let top_subsystem = subsystems

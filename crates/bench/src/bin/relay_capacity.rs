@@ -2,8 +2,8 @@
 //! and at what cost per packet, against offered load.
 //!
 //! Each row is one simulated hour of `TrafficConfig::steady` traffic at an
-//! offered rate, on `TestnetConfig::small(seed)` driven by `run_heavy_for`,
-//! for three relayer set-ups: the deployed sequential relayer (one
+//! offered rate, on `TestnetConfig::small(seed)` stepped slot by slot by
+//! `run_for`, for three relayer set-ups: the deployed sequential relayer (one
 //! guest-bound job in flight), the same with a second sequential relayer
 //! beside it (`Testnet::add_relayer`), and the pipelined relayer (a host
 //! block's worth of jobs in flight). Per row: delivered packets per
@@ -105,9 +105,9 @@ fn run(seed: u64, setup: Setup, rate: f64) -> Row {
     // Fees as the payers paid them: a job that loses a race to the other
     // relayer is abandoned and leaves no record, but it cost its fees.
     let balance_before = payer_balances(&net);
-    net.run_heavy_for(HOUR_MS / 2);
+    net.run_for(HOUR_MS / 2);
     let backlog_30 = net.relayer.backlog();
-    net.run_heavy_for(HOUR_MS / 2);
+    net.run_for(HOUR_MS / 2);
     let backlog_60 = net.relayer.backlog();
 
     let end_ms = net.host.now_ms();

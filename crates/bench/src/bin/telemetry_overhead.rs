@@ -32,7 +32,7 @@ fn storm_run(
     config.telemetry = telemetry;
     let mut net = Testnet::build(config);
     let started = Instant::now();
-    net.run_heavy_for(sim_ms);
+    net.run_for(sim_ms);
     (net, started.elapsed().as_secs_f64() * 1_000.0)
 }
 

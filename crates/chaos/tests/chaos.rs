@@ -343,7 +343,7 @@ fn jobs_riding_an_abandoned_update_return_to_the_queue() {
         .with(0, fault_end, Fault::ChunkReorder { probability: 0.7 })
         .with(0, fault_end, Fault::ChunkDrop { probability: 0.05 });
     let mut net = Testnet::build(config);
-    net.run_heavy_for(3 * fault_end);
+    net.run_for(3 * fault_end);
 
     let counter = |name| net.telemetry().counter(name);
     assert!(counter("relayer.jobs.returned") > 0, "no job rode an abandoned update");

@@ -367,22 +367,6 @@ impl HostChain {
             self.blocks.drain(..self.blocks.len() - keep_last);
         }
     }
-
-    /// Jumps the slot clock to `target_ms` without producing blocks — the
-    /// discrete-event driver's idle fast-forward.
-    ///
-    /// Only sensible while the chain is idle (empty mempool): skipped
-    /// slots draw no jitter or congestion samples, so a fast-forwarded
-    /// run is *not* stream-identical to one that polled every slot — it
-    /// is its own deterministic timeline. No-op when `target_ms` is not
-    /// in the future.
-    pub fn fast_forward_to(&mut self, target_ms: TimeMs) {
-        if target_ms <= self.time_ms {
-            return;
-        }
-        self.slot += (target_ms - self.time_ms) / self.profile.slot_millis;
-        self.time_ms = target_ms;
-    }
 }
 
 impl core::fmt::Debug for HostChain {

@@ -657,19 +657,16 @@ impl Relayer {
         contract: &Rc<RefCell<GuestContract>>,
     ) {
         let guest = contract.borrow();
-        let store = guest.ibc().store();
         let consensus = ConsensusState { root: block.state_root, timestamp_ms: block.timestamp_ms };
 
         let mut remaining = Vec::new();
         for msg in self.pending_to_cp.drain(..) {
             // Only deliverable if the commitment is inside this block's
             // state root (it may have been sent after block creation).
-            // Prefer the node's proof-at-height service: under sustained
-            // traffic the live trie has already moved past this block, so
-            // a proof from current state would no longer verify.
-            let proof = msg.prove(block.height, &consensus, |key| {
-                guest.prove_at(block.height, key).or_else(|| store.prove(key).ok())
-            });
+            // Proven from the node's state at that height: under sustained
+            // traffic the live trie has already moved past this block.
+            let proof =
+                msg.prove(block.height, &consensus, |key| guest.prove_at(block.height, key));
             let Ok(proof) = proof else {
                 remaining.push(msg);
                 continue;
@@ -867,7 +864,15 @@ impl Relayer {
     ) -> Option<usize> {
         let intent = self.intents.pop_front().expect("caller checked non-empty");
         // Prove at the trusted height; live state has usually moved past
-        // it under sustained traffic.
+        // it under sustained traffic. The live-store fallback is reached
+        // only when that height's checkpoint was evicted: the guest's
+        // client trusts a header more than the 32 heights
+        // `CounterpartyChain::prove_at` keeps behind the head, as when a
+        // one-job relayer falls behind under load or an update is
+        // abandoned after a lost chunk. A live proof verifies against the
+        // old root only if nothing was written since; otherwise it sends
+        // the intent back to wait for a fresher header (`NotYet`), where
+        // no proof at all would drop it as unprovable (`Never`).
         let proof = intent.msg.prove(proof_height, consensus, |key| {
             cp.prove_at(proof_height, key).or_else(|| cp.ibc().store().prove(key).ok())
         });

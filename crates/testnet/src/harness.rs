@@ -1,9 +1,12 @@
-//! The discrete-event testnet harness.
+//! The testnet harness.
 //!
 //! Wires together a host chain, the guest contract (as a host program),
 //! the counterparty chain, a relayer, 24 validator actors and a packet
-//! workload, then advances host slots one by one. All the paper's
-//! measurements fall out of one run.
+//! workload, then advances host slots one by one on one clock,
+//! [`Testnet::run_for`]. Validator signatures and traffic arrivals are
+//! timed events, but each fires at the first slot at or after its
+//! instant; no stretch of slots is skipped. All the paper's measurements
+//! fall out of one run.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -428,7 +431,12 @@ impl Testnet {
         index
     }
 
-    /// Runs the simulation for `duration_ms` of simulated time.
+    /// Runs the simulation for `duration_ms` of simulated time, one host
+    /// slot per [`Testnet::step`]: the testnet's only clock. Every slot
+    /// draws its host jitter and congestion samples, and every deadline
+    /// (the counterparty's 3-s check, the guest's Δ, the 60-s audit) is
+    /// met at the first slot at or past it. An idle slot is cheap, so a
+    /// quiet stretch is polled, not jumped.
     pub fn run_for(&mut self, duration_ms: u64) {
         let deadline = self.host.now_ms() + duration_ms;
         while self.host.now_ms() < deadline {
@@ -436,56 +444,12 @@ impl Testnet {
         }
     }
 
-    /// Runs for `duration_ms` of simulated time on the discrete-event
-    /// fast path: provably idle stretches — empty mempool, no relayer
-    /// backlog, no gossip, nothing scheduled — are crossed in one clock
-    /// jump instead of being polled slot by slot.
-    ///
-    /// Semantics match [`Testnet::run_for`] except that skipped slots
-    /// draw no host jitter/congestion samples (the fast path is its own
-    /// deterministic timeline, not stream-identical to the polled one)
-    /// and periodic work (audits, gauge flushes, monitor ticks,
-    /// counterparty keepalives, chaos one-shots) lands at the 60 s audit
-    /// heartbeat during idle stretches instead of at every slot. Same
-    /// seed and config ⇒ byte-identical runs.
+    /// [`Testnet::run_for`] under its old name, kept only because the
+    /// frozen `benchmark/` crate still calls it; the next change to
+    /// `benchmark/` deletes it.
+    #[doc(hidden)]
     pub fn run_heavy_for(&mut self, duration_ms: u64) {
-        let deadline = self.host.now_ms() + duration_ms;
-        let slot_ms = self.config.host_profile.slot_millis;
-        while self.host.now_ms() < deadline {
-            let now = self.host.now_ms();
-            let busy = self.host.mempool_len() > 0
-                || self.relayer.backlog() > 0
-                || self.relayer.job_in_flight()
-                || self.extra_relayers.iter().any(|r| r.backlog() > 0 || r.job_in_flight())
-                || !self.gossip.is_empty();
-            if !busy {
-                // The earliest instant anything new can happen; the audit
-                // heartbeat bounds every jump at 60 s. The counterparty
-                // keepalive only produces a block when its root changed
-                // (impossible while provably idle) or 60 s elapsed, so an
-                // unchanged root lets the jump ride through the 3 s check
-                // cadence to the real next production instant.
-                let cp_due = if self.cp.ibc().root() == self.last_cp_header_root {
-                    self.next_cp_check_ms.max(self.last_cp_header_ms + 60_000)
-                } else {
-                    self.next_cp_check_ms
-                };
-                let mut next = self.next_audit_ms.min(cp_due).min(deadline);
-                if let Some(at) = self.schedule.next_at() {
-                    next = next.min(at);
-                }
-                match self.next_arrival_at() {
-                    Some(at) => next = next.min(at),
-                    None => next = next.min(self.next_outbound_ms).min(self.next_inbound_ms),
-                }
-                // Land one slot short so the next produced block covers
-                // the due instant.
-                if next > now + slot_ms {
-                    self.host.fast_forward_to(next - slot_ms);
-                }
-            }
-            self.step();
-        }
+        self.run_for(duration_ms)
     }
 
     /// The heavy-traffic generator, when the config enables one.

@@ -21,7 +21,7 @@ fn stormy_config(seed: u64, telemetry: TelemetryMode) -> TestnetConfig {
 
 fn stormy_run(seed: u64, telemetry: TelemetryMode) -> Testnet {
     let mut net = Testnet::build(stormy_config(seed, telemetry));
-    net.run_heavy_for(2 * HOUR_MS);
+    net.run_for(2 * HOUR_MS);
     net
 }
 
@@ -45,7 +45,7 @@ fn profiler_is_a_pure_observer() {
     let mut config = stormy_config(5, TelemetryMode::Full);
     config.profile = true;
     let mut profiled = Testnet::build(config);
-    profiled.run_heavy_for(2 * HOUR_MS);
+    profiled.run_for(2 * HOUR_MS);
 
     assert_eq!(
         fingerprint(&profiled),

@@ -65,7 +65,7 @@ fn burst_and_drain(net: &mut Testnet) -> u64 {
     let mut waited = 0;
     while acked(net) < 2 * BURST || net.relayer.backlog() > 0 || net.relayer.job_in_flight() {
         assert!(waited < 2 * HOUR_MS, "the burst did not drain: {} acked", acked(net));
-        net.run_heavy_for(MINUTE_MS);
+        net.run_for(MINUTE_MS);
         waited += MINUTE_MS;
     }
     let report = net.run_report("pipelined_relay");
@@ -150,7 +150,7 @@ fn a_tight_update_cap_paces_the_pipelined_relayer() {
     config.guest.max_client_updates_per_hour = 30;
     config.traffic = Some(TrafficConfig::airdrop_storm(1_000, 30_000));
     let mut net = Testnet::build(config);
-    net.run_heavy_for(5 * HOUR_MS / 2);
+    net.run_for(5 * HOUR_MS / 2);
 
     let counter = |name| net.telemetry().counter(name);
     assert_eq!(counter("relayer.jobs.abandoned"), 0);
@@ -180,7 +180,7 @@ fn a_lone_pipelined_receive_lands_in_one_block() {
         let mut net = quiet(2026, pipelined);
         let timeout_at = net.host.now_ms() + DAY_MS;
         send_inbound(&mut net, 500, timeout_at);
-        net.run_heavy_for(10 * MINUTE_MS);
+        net.run_for(10 * MINUTE_MS);
         assert_eq!(net.relayer.failed_jobs(), 0, "pipelined {pipelined}");
         let mut receives = net.relayer.records().iter().filter(|r| r.kind == JobKind::RecvPacket);
         let record = *receives.next().expect("the transfer was received");
@@ -207,7 +207,7 @@ fn a_receive_rides_behind_its_client_update() {
         let mut net = quiet(2026, pipelined);
         let timeout_at = net.host.now_ms() + DAY_MS;
         send_inbound(&mut net, 500, timeout_at);
-        net.run_heavy_for(10 * MINUTE_MS);
+        net.run_for(10 * MINUTE_MS);
         assert_eq!(net.relayer.failed_jobs(), 0, "pipelined {pipelined}");
         let records = net.relayer.records();
         let receive = *records.iter().find(|r| r.kind == JobKind::RecvPacket).expect("received");
@@ -238,10 +238,10 @@ fn every_pipelined_client_update_keeps_the_cap_pace() {
         for i in 0..count {
             let timeout_at = net.host.now_ms() + DAY_MS;
             send_inbound(&mut net, 100 + u128::from(i), timeout_at);
-            net.run_heavy_for(gap_ms);
+            net.run_for(gap_ms);
         }
     }
-    net.run_heavy_for(MINUTE_MS);
+    net.run_for(MINUTE_MS);
 
     assert_eq!(net.telemetry().counter("cp.packets.sent"), 80);
     assert_eq!(net.relayer.backlog(), 0, "every transfer relayed");

@@ -1,10 +1,10 @@
 //! The discrete-event core: a global binary heap of timed events with
 //! deterministic tie-breaking.
 //!
-//! Replaces per-slot polling in the harnesses: instead of asking every
-//! component "anything due?" each slot, components schedule their next
-//! wake-up (arrivals, block slots, relayer jobs, detector windows) and
-//! the driver pops events in `(time, insertion sequence)` order. The
+//! The testnet steps every host slot, but it does not ask every
+//! actor "anything due?" in each one: actors schedule their next wake-up
+//! (a validator's signature, a safety net) and each step pops the due
+//! events in `(time, insertion sequence)` order. The
 //! sequence number makes simultaneous events pop in the order they were
 //! scheduled — exactly the ordering the old `BTreeMap<(time, seq), _>`
 //! schedule gave, so same-seed runs stay byte-identical.
@@ -56,7 +56,7 @@ impl<T> Ord for Entry<T> {
 /// assert_eq!(queue.pop_due(15), Some((10, "arrival")));
 /// assert_eq!(queue.pop_due(15), Some((10, "slot")));
 /// assert_eq!(queue.pop_due(15), None, "the relayer job is not due yet");
-/// assert_eq!(queue.next_at(), Some(20));
+/// assert_eq!(queue.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
@@ -97,11 +97,6 @@ impl<T> EventQueue<T> {
     /// Pops the earliest event unconditionally.
     pub fn pop(&mut self) -> Option<(u64, T)> {
         self.heap.pop().map(|entry| (entry.at_ms, entry.payload))
-    }
-
-    /// Timestamp of the earliest pending event.
-    pub fn next_at(&self) -> Option<u64> {
-        self.heap.peek().map(|entry| entry.at_ms)
     }
 
     /// Number of pending events.
