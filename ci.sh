@@ -97,6 +97,23 @@ if [ "$(outside_tests '\.sign\(' crates/counterparty-sim/src | wc -l)" -ne 1 ]; 
     exit 1
 fi
 
+echo "==> one home for counterparty blocks"
+# When a counterparty commits a block (its cadence, the 60-s keep-alive, the root comparison) and
+# from which height each event is provable are decided in counterparty-sim's chain.rs alone:
+# `CounterpartyChain::tick` and the stamps of `CounterpartyChain::drain_events`. The testnet and the
+# mesh each kept a copy. A tripwire for the spellings those copies used, `produce_block(` outside
+# crates/counterparty-sim/src and `ibc_mut().drain_events(` in the harnesses and the relayer,
+# scanning each file up to its first column-0 #[cfg(test)].
+if outside_tests 'produce_block\(' crates/*/src | grep -v '^crates/counterparty-sim/src/' | grep .; then
+    echo "a counterparty block produced outside crates/counterparty-sim/src; call tick" >&2
+    exit 1
+fi
+if outside_tests 'ibc_mut\(\)\.drain_events\(' crates/mesh/src crates/testnet/src crates/relayer/src |
+    grep .; then
+    echo "counterparty events drained without their stamps; call CounterpartyChain::drain_events" >&2
+    exit 1
+fi
+
 echo "==> guest events are parsed in one place"
 # A host event keeps the value it was encoded from (host-sim's event.rs `Event::payload_as`); the
 # harness and the relayer ask it for a `GuestEvent` instead of each parsing the bytes, 8 % of

@@ -59,6 +59,11 @@ pub struct CounterpartyChain {
     rng: SplitMix64,
     /// One record per block; `commits[h - 1]` is height `h`.
     commits: Vec<CpCommit>,
+    /// When [`Self::tick`] next checks whether a block is due.
+    next_tick_ms: u64,
+    /// Events a produced block committed, not yet drained, each with
+    /// that block's height: the first that can prove it.
+    committed_events: Vec<(IbcEvent, u64)>,
     telemetry: Telemetry,
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
@@ -70,6 +75,10 @@ pub struct CounterpartyChain {
 /// update landing and the relayer proving packets at that height, even
 /// when several counterparty blocks commit in between.
 const PROOF_SNAPSHOT_HISTORY: usize = 32;
+
+/// [`CounterpartyChain::tick`] commits a block at least this often, so
+/// peers can prove timeouts against a fresh consensus timestamp.
+pub const KEEPALIVE_MS: u64 = 60_000;
 
 impl CounterpartyChain {
     /// Spins up a chain with `config.num_validators` deterministic
@@ -97,6 +106,8 @@ impl CounterpartyChain {
             config,
             rng: sim_crypto::rng::seed_stream(seed, "counterparty.blocks"),
             commits: Vec::new(),
+            next_tick_ms: 0,
+            committed_events: Vec::new(),
             telemetry: Telemetry::disabled(),
             profiler: Profiler::disabled(),
         }
@@ -187,11 +198,36 @@ impl CounterpartyChain {
         self.header_at(self.height)
     }
 
+    /// The chain's block cadence: once `now_ms` reaches the next check (one
+    /// `block_interval_ms` after the previous one), commits a block if the
+    /// IBC root moved since the latest commit, the [`KEEPALIVE_MS`] is due
+    /// or nothing is committed yet. A halted chain is simply not ticked.
+    pub fn tick(&mut self, now_ms: u64) {
+        if now_ms < self.next_tick_ms {
+            return;
+        }
+        self.defer_tick(now_ms);
+        let due = self.latest_commit().is_none_or(|commit| {
+            commit.app_hash != self.ibc.root() || now_ms >= commit.timestamp_ms + KEEPALIVE_MS
+        });
+        if due {
+            self.produce_block(now_ms);
+        }
+    }
+
+    /// Holds the next [`Self::tick`] check until one block interval after
+    /// `now_ms`.
+    pub fn defer_tick(&mut self, now_ms: u64) {
+        self.next_tick_ms = now_ms + self.config.block_interval_ms;
+    }
+
     /// Produces the next block at simulation time `now_ms`: commits the
-    /// current IBC root with votes from a random ≥⅔ subset of validators.
+    /// current IBC root with votes from a random ≥⅔ subset of validators,
+    /// and sets aside the events emitted so far as provable from it.
     pub fn produce_block(&mut self, now_ms: u64) -> &CpCommit {
         self.height += 1;
         self.time_ms = now_ms.max(self.time_ms + 1);
+        self.committed_events.extend(self.ibc.drain_events().into_iter().map(|e| (e, self.height)));
         let app_hash = self.ibc.root();
         {
             // Checkpoint the state this header commits to for prove_at.
@@ -248,11 +284,15 @@ impl CounterpartyChain {
         self.commits.last().expect("just pushed")
     }
 
-    /// Drains pending IBC events (relayer polling).
-    pub fn drain_events(&mut self) -> Vec<IbcEvent> {
-        let events = self.ibc.drain_events();
+    /// Drains pending IBC events (relayer polling), each with the first
+    /// height whose root commits it: the events a produced block set aside
+    /// carry its height, those emitted since carry the next.
+    pub fn drain_events(&mut self) -> Vec<(IbcEvent, u64)> {
+        let mut events = std::mem::take(&mut self.committed_events);
+        let next = self.height + 1;
+        events.extend(self.ibc.drain_events().into_iter().map(|event| (event, next)));
         if self.telemetry.is_recording() {
-            for event in &events {
+            for (event, _) in &events {
                 let Some(step) = event.packet_step() else { continue };
                 if let Some(counter) = step.counter {
                     self.telemetry.counter_add(&format!("cp.{counter}"), 1);
@@ -390,5 +430,81 @@ mod tests {
         assert!(chain.commit_at(3).is_none());
         assert_eq!(chain.latest_commit().unwrap().height, 2);
         assert!(CounterpartyChain::new(CounterpartyConfig::default(), 1).latest_header().is_none());
+    }
+
+    /// Creates a light client on `chain` and stores a key under its id:
+    /// one `ClientCreated` event and a moved root.
+    fn emit(chain: &mut CounterpartyChain) -> ClientId {
+        let client = Box::new(CpLightClient::new(chain.validator_set()));
+        let id = chain.ibc_mut().create_client(client);
+        let store = chain.ibc_mut().store_mut();
+        ibc_core::ProvableStore::set(store, id.as_str().as_bytes(), b"v").unwrap();
+        id
+    }
+
+    /// The drained `ClientCreated` events with their stamps.
+    fn stamps(chain: &mut CounterpartyChain) -> Vec<(ClientId, u64)> {
+        chain
+            .drain_events()
+            .into_iter()
+            .map(|(event, stamp)| match event {
+                IbcEvent::ClientCreated { client_id } => (client_id, stamp),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_event_is_provable_from_the_block_that_commits_it() {
+        let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 1);
+        let before = emit(&mut chain);
+        let height = chain.produce_block(6_000).height;
+        let after = emit(&mut chain);
+        assert_eq!(stamps(&mut chain), [(before, height), (after, height + 1)]);
+        assert!(chain.drain_events().is_empty());
+    }
+
+    #[test]
+    fn two_blocks_between_drains_stamp_each_event_with_its_own_block() {
+        let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 1);
+        let first = emit(&mut chain);
+        chain.produce_block(6_000);
+        let second = emit(&mut chain);
+        chain.produce_block(12_000);
+        assert_eq!(stamps(&mut chain), [(first, 1), (second, 2)]);
+    }
+
+    #[test]
+    fn the_first_tick_commits() {
+        let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 1);
+        chain.tick(0);
+        assert_eq!(chain.height(), 1);
+    }
+
+    #[test]
+    fn tick_skips_an_unchanged_root_until_the_keepalive() {
+        let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 1);
+        let interval = chain.config.block_interval_ms;
+        chain.tick(interval);
+        for now in (2 * interval..interval + KEEPALIVE_MS).step_by(interval as usize) {
+            chain.tick(now);
+            assert_eq!(chain.height(), 1, "no keep-alive at {now} ms");
+        }
+        chain.tick(interval + KEEPALIVE_MS);
+        assert_eq!(chain.height(), 2);
+        assert_eq!(chain.latest_commit().unwrap().timestamp_ms, interval + KEEPALIVE_MS);
+    }
+
+    #[test]
+    fn tick_commits_a_changed_root_only_at_the_cadence() {
+        let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 1);
+        let interval = chain.config.block_interval_ms;
+        chain.tick(interval);
+        let client = emit(&mut chain);
+        chain.tick(2 * interval - 1);
+        assert_eq!(chain.height(), 1, "the root moved, but the next check is not due");
+        chain.tick(2 * interval);
+        assert_eq!(chain.height(), 2);
+        assert_eq!(stamps(&mut chain), [(client, 2)]);
     }
 }

@@ -36,8 +36,8 @@
 //!
 //! let mut chain = CounterpartyChain::new(CounterpartyConfig::default(), 7);
 //! let mut client = CpLightClient::new(chain.validator_set());
-//! let committed = chain.produce_block(6_000).height;
-//! assert_eq!(chain.latest_commit().unwrap().height, committed);
+//! chain.tick(6_000); // the first block check commits block 1
+//! assert_eq!(chain.latest_commit().unwrap().height, 1);
 //! // Relaying needs the commit's signatures: this read signs block 1.
 //! let header = chain.latest_header().unwrap();
 //! assert_eq!(client.update(&header.encode()).unwrap(), 1);
@@ -51,7 +51,7 @@ mod commit;
 mod header;
 mod light_client;
 
-pub use chain::{CounterpartyChain, CounterpartyConfig};
+pub use chain::{CounterpartyChain, CounterpartyConfig, KEEPALIVE_MS};
 pub use commit::CpCommit;
 pub use header::CpHeader;
 pub use light_client::CpLightClient;

@@ -54,7 +54,7 @@ use telemetry::{names, RunReport, Telemetry, TraceId};
 
 use crate::link::{link_ports, Link};
 use crate::routing::{PathPolicy, RouteHop, RoutingTable};
-use crate::topology::{MeshConfig, KEEPALIVE_MS, RELAY_INTERVAL_MS, STEP_MS};
+use crate::topology::{MeshConfig, RELAY_INTERVAL_MS, STEP_MS};
 
 /// Units of the host chain's native denom airdropped to every newly
 /// registered interchain account, so scripted ICA batches have
@@ -107,11 +107,6 @@ pub struct Node {
     /// The middleware's escrow account for in-transit hops.
     pub forward_account: String,
     chain: CounterpartyChain,
-    block_interval_ms: u64,
-    next_block_ms: u64,
-    /// Events the chain's latest block committed, set aside as it was
-    /// produced and not yet dispatched: provable from its height.
-    committed_events: Vec<IbcEvent>,
 }
 
 impl Node {
@@ -431,9 +426,6 @@ impl Mesh {
                 denom: spec.denom.clone(),
                 forward_account,
                 chain,
-                block_interval_ms: chain_config.block_interval_ms,
-                next_block_ms: 0,
-                committed_events: Vec::new(),
             });
         }
 
@@ -479,13 +471,12 @@ impl Mesh {
             });
         }
 
-        // Handshake noise must not reach event dispatch.
-        for node in &mut nodes {
-            node.chain.ibc_mut().drain_events();
-        }
+        // Handshake noise must not reach event dispatch, and the first
+        // block check waits one interval.
         let now_ms = clock_ms;
         for node in &mut nodes {
-            node.next_block_ms = now_ms + node.block_interval_ms;
+            node.chain.drain_events();
+            node.chain.defer_tick(now_ms);
         }
 
         let pending_forward = vec![Vec::new(); nodes.len()];
@@ -1392,49 +1383,22 @@ impl Mesh {
         }
     }
 
-    /// Phase 3: commit blocks on chains whose interval elapsed and whose
-    /// state changed (or whose keepalive is due, so peers can prove
-    /// timeouts against a fresh consensus timestamp). The events a block
-    /// commits are set aside first, for the next dispatch to queue as
-    /// provable from its height.
+    /// Phase 3: every chain not halted ticks its block cadence
+    /// (`CounterpartyChain::tick`).
     fn produce_blocks(&mut self, now: u64) {
         for node in &mut self.nodes {
-            if self.chaos.chain_halted(&node.name, now) {
-                continue;
-            }
-            if now < node.next_block_ms {
-                continue;
-            }
-            node.next_block_ms = now + node.block_interval_ms;
-            let (root_changed, keepalive_due) = match node.chain.latest_commit() {
-                Some(commit) => (
-                    commit.app_hash != node.chain.ibc().root(),
-                    now >= commit.timestamp_ms + KEEPALIVE_MS,
-                ),
-                None => (true, true),
-            };
-            if root_changed || keepalive_due {
-                node.committed_events.extend(node.chain.ibc_mut().drain_events());
-                node.chain.produce_block(now);
+            if !self.chaos.chain_halted(&node.name, now) {
+                node.chain.tick(now);
             }
         }
     }
 
     /// Phase 1: route each chain's IBC events into link queues, route
-    /// bookkeeping and telemetry, in emission order. Those the latest
-    /// block committed are provable from the current height; those
-    /// emitted since, from the next.
+    /// bookkeeping and telemetry, in emission order, each provable from
+    /// the height the chain stamped it with.
     fn dispatch_events(&mut self, now: u64) {
         for i in 0..self.nodes.len() {
-            let node = &mut self.nodes[i];
-            let height = node.chain.height();
-            let committed = std::mem::take(&mut node.committed_events);
-            let fresh = node.chain.ibc_mut().drain_events();
-            let events = committed
-                .into_iter()
-                .map(move |event| (event, height))
-                .chain(fresh.into_iter().map(move |event| (event, height + 1)));
-            for (event, provable_from) in events {
+            for (event, provable_from) in self.nodes[i].chain.drain_events() {
                 let Some(step) = event.packet_step() else { continue };
                 // The link a peer's packet arrived over (`None`: sent here).
                 let arrival = if step.sent_here {

@@ -5,7 +5,8 @@
 //! turns into a live multi-chain deployment. Presets cover the shapes
 //! the scaling benchmark sweeps: [`MeshConfig::line`],
 //! [`MeshConfig::ring`] and [`MeshConfig::full`]. The harness's timing
-//! is fixed ([`STEP_MS`], [`KEEPALIVE_MS`], [`RELAY_INTERVAL_MS`]).
+//! is fixed ([`STEP_MS`], [`RELAY_INTERVAL_MS`]); blocks follow each
+//! chain's own cadence (`CounterpartyChain::tick`).
 
 use chaos::ChaosPlan;
 use counterparty_sim::CounterpartyConfig;
@@ -14,9 +15,6 @@ use serde::{Deserialize, Serialize};
 
 /// Harness step size.
 pub(crate) const STEP_MS: u64 = 1_000;
-/// Every chain produces an (otherwise empty) block at least this often,
-/// so counterparties can prove timeouts against a fresh consensus state.
-pub(crate) const KEEPALIVE_MS: u64 = 60_000;
 /// How often each link's relayer wakes up.
 pub(crate) const RELAY_INTERVAL_MS: u64 = 2_000;
 

@@ -124,9 +124,8 @@ pub const RESUBMIT_AFTER_SLOTS: u64 = 64;
 #[derive(Debug)]
 struct Intent {
     msg: RelayMsg,
-    /// The counterparty height the step was seen at; provable only under
-    /// a later header.
-    seen_cp_height: u64,
+    /// The first counterparty height whose header may prove the step.
+    provable_from: u64,
 }
 
 /// A multi-transaction job in flight on the host chain.
@@ -526,7 +525,7 @@ impl Relayer {
                 }
             }
         }
-        let Some(Intent { msg, seen_cp_height }) = self.drop_job(job, now_ms) else { return };
+        let Some(Intent { msg, provable_from }) = self.drop_job(job, now_ms) else { return };
         let guest = contract.borrow();
         if settled_on_guest(&msg, &guest) {
             return;
@@ -536,7 +535,7 @@ impl Relayer {
         if expired {
             self.queue_for_cp(now_ms, msg);
         } else {
-            self.intents.push_front(Intent { msg, seen_cp_height });
+            self.intents.push_front(Intent { msg, provable_from });
         }
     }
 
@@ -679,7 +678,7 @@ impl Relayer {
                 // Expired before delivery: refund the sender via a
                 // guest-side TimeoutPacket once non-receipt is provable.
                 Submitted::Expired(timeout) => {
-                    self.intents.push_back(Intent { msg: timeout, seen_cp_height: now.height });
+                    self.intents.push_back(Intent { msg: timeout, provable_from: now.height + 1 });
                 }
                 Submitted::Rejected(_) => self.failed_jobs += 1,
             }
@@ -689,8 +688,12 @@ impl Relayer {
 
     /// Queues counterparty events as work toward the guest.
     fn process_cp_events(&mut self, cp: &mut CounterpartyChain) {
-        let height = cp.height();
-        for event in cp.drain_events() {
+        // The chain stamps each event with the first height that commits
+        // it, but the relayer waits for the block after the one current at
+        // drain time: EXPERIMENTS' "one-block gap" Known deviation (ROADMAP
+        // item 16). Reading the stamp is the fix, held back by Fig. 6.
+        let provable_from = cp.height() + 1;
+        for (event, _stamp) in cp.drain_events() {
             let msg = match event {
                 IbcEvent::SendPacket { packet } => RelayMsg::Recv { packet },
                 IbcEvent::WriteAcknowledgement { packet, ack }
@@ -701,7 +704,7 @@ impl Relayer {
                 }
                 _ => continue,
             };
-            self.intents.push_back(Intent { msg, seen_cp_height: height });
+            self.intents.push_back(Intent { msg, provable_from });
         }
     }
 
@@ -756,7 +759,7 @@ impl Relayer {
         let window = self.config.window(host.profile());
         let mut unconfirmed: usize = self.jobs.iter().map(ActiveJob::unconfirmed).sum();
         // Every intent needs a counterparty header covering the event.
-        if unconfirmed >= window || cp.height() <= front.seen_cp_height {
+        if unconfirmed >= window || cp.height() < front.provable_from {
             return;
         }
 
@@ -833,14 +836,14 @@ impl Relayer {
     ) -> bool {
         loop {
             let Some(intent) = self.intents.front() else { return false };
-            if *unconfirmed >= window || cp.height() <= intent.seen_cp_height {
+            if *unconfirmed >= window || cp.height() < intent.provable_from {
                 return false; // Window full, or the counterparty has yet to commit.
             }
-            let seen = intent.seen_cp_height;
+            let provable_from = intent.provable_from;
             let planned = [verified, self.installing]
                 .into_iter()
                 .flatten()
-                .filter(|(proof_height, _)| *proof_height > seen)
+                .filter(|(proof_height, _)| *proof_height >= provable_from)
                 .find_map(|(proof_height, consensus)| {
                     self.try_start_packet_job(host, cp, proof_height, &consensus)
                 });

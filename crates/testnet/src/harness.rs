@@ -97,9 +97,6 @@ pub struct Testnet {
     rejected_broke: u64,
     next_outbound_ms: u64,
     next_inbound_ms: u64,
-    next_cp_check_ms: u64,
-    last_cp_header_root: sim_crypto::Hash,
-    last_cp_header_ms: u64,
     program_id: Pubkey,
     client_payer: Pubkey,
     validator_payers: Vec<Pubkey>,
@@ -310,9 +307,6 @@ impl Testnet {
             rejected_broke: 0,
             next_outbound_ms: first_out,
             next_inbound_ms: first_in,
-            next_cp_check_ms: 0,
-            last_cp_header_root: sim_crypto::Hash::ZERO,
-            last_cp_header_ms: 0,
             program_id,
             client_payer,
             validator_payers,
@@ -663,19 +657,12 @@ impl Testnet {
 
         drop(arrivals_scope);
 
-        // 6. Counterparty block production: commit when its state changed
-        // or once a minute to keep timestamps fresh.
+        // 6. Counterparty block production, on the chain's own cadence
+        // (`CounterpartyChain::tick`: state changed, or the keep-alive).
         let cp_scope = self.profiler.scope("cp.block");
-        if now >= self.next_cp_check_ms && !self.chaos.cp_halted(now) {
-            self.next_cp_check_ms = now + self.config.counterparty.block_interval_ms;
-            let root = self.cp.ibc().root();
-            if root != self.last_cp_header_root || now - self.last_cp_header_ms >= 60_000 {
-                let header = self.cp.produce_block(now);
-                self.last_cp_header_root = header.app_hash;
-                self.last_cp_header_ms = now;
-            }
+        if !self.chaos.cp_halted(now) {
+            self.cp.tick(now);
         }
-
         drop(cp_scope);
 
         // 7. The fisherman scans the gossip for votes that conflict with
