@@ -183,18 +183,19 @@ bench() { echo "==> $1"; cargo run -q --release --offline -p bench --bin "$1" --
 
 echo "==> trace explorer (telemetry smoke test), 1-day paper run with telemetry run report"
 cargo run -q --release --offline --example trace_explorer > /dev/null
-cargo run -q --release --offline -p testnet --example paper_timing -- 1 \
+cargo run -q --release --offline -p testnet --example paper_timing -- \
     --run-report "$CI/BENCH_run_report.json"
 
-# The paper's figures: one 28-day simulation, cached by the first binary for the rest.
-bench fig2_send_latency --days 28 --fresh --quiet --json "$CI/BENCH_fig2_send_latency.json"
-bench fig3_send_cost --days 28 --quiet --json "$CI/BENCH_fig3_send_cost.json"
-bench fig4_lc_update_latency --days 28 --quiet --json "$CI/BENCH_fig4_lc_update_latency.json"
-bench fig5_lc_update_cost --days 28 --quiet --json "$CI/BENCH_fig5_lc_update_cost.json"
-bench fig6_block_interval --days 28 --quiet --json "$CI/BENCH_fig6_block_interval.json"
-bench table1_validators --days 28 --quiet --json "$CI/BENCH_table1_validators.json"
-bench recv_packet_cost --days 28 --quiet --json "$CI/BENCH_recv_packet_cost.json"
-bench storage_costs --days 28 --quiet --json "$CI/BENCH_storage_costs.json"
+# The paper's figures and tables: one 28-day simulation, every artifact built from it in one process.
+bench paper --days 28 --quiet \
+    --fig2_send_latency "$CI/BENCH_fig2_send_latency.json" \
+    --fig3_send_cost "$CI/BENCH_fig3_send_cost.json" \
+    --fig4_lc_update_latency "$CI/BENCH_fig4_lc_update_latency.json" \
+    --fig5_lc_update_cost "$CI/BENCH_fig5_lc_update_cost.json" \
+    --fig6_block_interval "$CI/BENCH_fig6_block_interval.json" \
+    --table1_validators "$CI/BENCH_table1_validators.json" \
+    --recv_packet_cost "$CI/BENCH_recv_packet_cost.json" \
+    --storage_costs "$CI/BENCH_storage_costs.json"
 
 bench mesh_scaling --chains 3 --hops 2 --days 1 --quiet \
     --json "$CI/BENCH_mesh_scaling.json" --run-report "$CI/BENCH_mesh_run_report.json"

@@ -348,28 +348,41 @@ impl GuestContract {
     // Alg. 1 — block production and finalisation
     // ------------------------------------------------------------------
 
-    /// `GenerateBlock` (Alg. 1 l. 12–18): creates a new guest block when the
-    /// head is finalised and either the state root changed or the head is
-    /// older than Δ. Callable by anyone.
+    /// Whether `GenerateBlock` would cut a block at `now_ms` (Alg. 1
+    /// l. 14–15): the head is finalised, and either the state root changed
+    /// or the head is at least Δ old. [`Self::generate_block`] asserts this,
+    /// and a relayer asks it before paying for the transaction.
     ///
     /// # Errors
     ///
     /// [`GuestError::HeadNotFinalised`] / [`GuestError::NothingToCommit`]
     /// per the algorithm's assertions.
+    pub fn block_due(&self, now_ms: u64) -> Result<(), GuestError> {
+        let blocks = self.blocks.borrow();
+        let head = blocks.last().expect("genesis always exists");
+        if !self.is_finalised(head.height) {
+            return Err(GuestError::HeadNotFinalised);
+        }
+        let age = now_ms.saturating_sub(head.timestamp_ms);
+        if self.ibc.root() == head.state_root && age < self.config.delta_ms {
+            return Err(GuestError::NothingToCommit);
+        }
+        Ok(())
+    }
+
+    /// `GenerateBlock` (Alg. 1 l. 12–18): creates a new guest block when
+    /// [`Self::block_due`] holds. Callable by anyone.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Self::block_due`].
     pub fn generate_block(
         &mut self,
         now_ms: u64,
         host_height: u64,
     ) -> Result<GuestBlock, GuestError> {
-        let head = self.head();
-        if !self.is_finalised(head.height) {
-            return Err(GuestError::HeadNotFinalised);
-        }
+        self.block_due(now_ms)?;
         let state_root = self.ibc.root();
-        let age = now_ms.saturating_sub(head.timestamp_ms);
-        if state_root == head.state_root && age < self.config.delta_ms {
-            return Err(GuestError::NothingToCommit);
-        }
 
         // Epoch rotation: the last block of an epoch announces the next
         // validator set (light clients adopt it when verifying the block).
@@ -385,7 +398,7 @@ impl GuestContract {
         };
 
         let block = GuestBlock {
-            height: head.height + 1,
+            height: self.head_height() + 1,
             prev_hash: *self.block_hashes.last().expect("genesis always exists"),
             state_root,
             timestamp_ms: now_ms,
@@ -895,6 +908,36 @@ mod tests {
         assert_eq!(contract.generate_block(20_000, 20), Err(GuestError::HeadNotFinalised));
         finalise(&mut contract, &b1, &keypairs);
         assert!(contract.generate_block(20_000, 20).is_ok());
+    }
+
+    #[test]
+    fn block_due_agrees_with_generate_block() {
+        let delta = GuestConfig::fast().delta_ms;
+        for finalised in [false, true] {
+            for root_changed in [false, true] {
+                for age in [delta - 1, delta, delta + 1] {
+                    let (mut contract, keypairs) = contract();
+                    let head = contract.generate_block(2 * delta, 10).unwrap();
+                    if finalised {
+                        finalise(&mut contract, &head, &keypairs);
+                    }
+                    if root_changed {
+                        ibc_core::ProvableStore::set(contract.ibc_mut().store_mut(), b"k", b"v")
+                            .unwrap();
+                    }
+                    let now = head.timestamp_ms + age;
+                    let expected = match (finalised, root_changed || age >= delta) {
+                        (false, _) => Err(GuestError::HeadNotFinalised),
+                        (true, false) => Err(GuestError::NothingToCommit),
+                        (true, true) => Ok(()),
+                    };
+                    let case =
+                        format!("finalised {finalised}, root changed {root_changed}, age {age}");
+                    assert_eq!(contract.block_due(now), expected, "{case}");
+                    assert_eq!(contract.generate_block(now, 20).map(|_| ()), expected, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -717,14 +717,7 @@ impl Relayer {
         if self.generate_in_flight.is_some() {
             return;
         }
-        let due = {
-            let guest = contract.borrow();
-            let head = guest.head();
-            guest.is_finalised(head.height)
-                && (guest.state_root() != head.state_root
-                    || host.now_ms().saturating_sub(head.timestamp_ms) >= guest.config().delta_ms)
-        };
-        if !due {
+        if contract.borrow().block_due(host.now_ms()).is_err() {
             return;
         }
         let id =

@@ -1,5 +1,5 @@
-//! Bench artifacts: one data structure per experiment binary, rendered
-//! both as terminal text and as a JSON file.
+//! Bench artifacts: one data structure per experiment, rendered both as
+//! terminal text and as a JSON file.
 //!
 //! The experiment binaries used to `println!` their results directly,
 //! which let the human-readable output and any JSON dump drift apart.
@@ -38,12 +38,13 @@ impl Section {
     }
 }
 
-/// A bench binary's complete output.
+/// One experiment's complete output.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Artifact {
     /// Artifact title (the figure or table being reproduced).
     pub title: String,
-    /// Name of the binary that produced it.
+    /// The artifact's name: its `BENCH_<name>.json` file, and the flag that
+    /// names that file where one binary writes several artifacts.
     pub generated_by: String,
     /// Ordered sections.
     pub sections: Vec<Section>,
@@ -102,16 +103,19 @@ impl Artifact {
     }
 
     /// Emits the artifact: text to stdout unless `quiet`, JSON to
-    /// `json_path` when given.
+    /// `json_path` when given. A JSON file that cannot be written ends the
+    /// process with exit code 1, so a missing artifact fails the run that
+    /// should have written it.
     pub fn emit(&self, quiet: bool, json_path: Option<&str>) {
         if !quiet {
             print!("{}", self.render_text());
         }
         if let Some(path) = json_path {
-            match std::fs::write(path, self.to_json()) {
-                Ok(()) => eprintln!("(artifact written to {path})"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
+            if let Err(err) = std::fs::write(path, self.to_json()) {
+                eprintln!("could not write {path}: {err}");
+                std::process::exit(1);
             }
+            eprintln!("(artifact written to {path})");
         }
     }
 }
@@ -249,5 +253,31 @@ mod tests {
             f.switch("--quiet");
             assert_eq!(f.error().as_deref(), Some(error), "{args:?}");
         }
+    }
+
+    /// Runs itself as a child process that emits to a path under a missing
+    /// directory, and checks that the child exits 1.
+    #[test]
+    fn emit_exits_non_zero_when_the_json_cannot_be_written() {
+        const CHILD: &str = "ARTIFACT_EMIT_TO";
+        if let Some(path) = std::env::var_os(CHILD) {
+            Artifact::new("unwritable", "unwritable").emit(true, path.to_str());
+            return;
+        }
+        let missing = std::env::temp_dir()
+            .join(format!("artifact-missing-dir-{}", std::process::id()))
+            .join("BENCH_unwritable.json");
+        let status = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "artifact::tests::emit_exits_non_zero_when_the_json_cannot_be_written",
+            ])
+            .env(CHILD, &missing)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("child test runs");
+        assert_eq!(status.code(), Some(1));
+        assert!(!missing.exists());
     }
 }

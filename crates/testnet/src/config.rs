@@ -137,27 +137,6 @@ pub fn paper_outage_plan(seed: u64) -> ChaosPlan {
     )
 }
 
-/// How client contracts pay for SendPacket transactions (Fig. 3).
-#[derive(Clone, Copy, Debug)]
-pub struct ClientFeeMix {
-    /// Fraction of sends using Jito bundles (§V-A: 83 %).
-    pub bundle_fraction: f64,
-    /// The bundle tip (≈ 3.02 USD total).
-    pub bundle: FeePolicy,
-    /// The priority-fee alternative (≈ 1.40 USD total).
-    pub priority: FeePolicy,
-}
-
-impl Default for ClientFeeMix {
-    fn default() -> Self {
-        Self {
-            bundle_fraction: 0.83,
-            bundle: FeePolicy::Bundle { tip_lamports: 15_095_000 },
-            priority: FeePolicy::Priority { micro_lamports_per_cu: 5_000_000 },
-        }
-    }
-}
-
 /// A misbehaving validator for fisherman experiments (§III-C).
 #[derive(Clone, Copy, Debug)]
 pub struct RogueConfig {
@@ -216,8 +195,6 @@ pub struct TestnetConfig {
     pub relayer: RelayerConfig,
     /// The validator set.
     pub validators: Vec<ValidatorProfile>,
-    /// Client fee policies.
-    pub client_fees: ClientFeeMix,
     /// Packet workload.
     pub workload: Workload,
     /// Heavy-traffic model: a seeded user population driving arrivals
@@ -269,7 +246,6 @@ impl TestnetConfig {
             congestion: CongestionModel::default(),
             relayer: RelayerConfig::default(),
             validators: paper_validators(),
-            client_fees: ClientFeeMix::default(),
             workload: Workload::default(),
             traffic: None,
             safety_net_ms: 20_000,
@@ -300,7 +276,6 @@ impl TestnetConfig {
             // admits; `paper()` keeps the deployed relayer's one.
             relayer: RelayerConfig { pipelined: true, ..RelayerConfig::default() },
             validators: (0..4).map(|_| ValidatorProfile::reliable(100)).collect(),
-            client_fees: ClientFeeMix::default(),
             workload: Workload { outbound_mean_gap_ms: 60_000, inbound_mean_gap_ms: 90_000 },
             traffic: None,
             safety_net_ms: 15_000,

@@ -2,18 +2,18 @@
 //!
 //! One simulated deployment run yields every quantity in the paper's
 //! evaluation; [`evaluate`] packages them per figure/table, and the `bench`
-//! crate's binaries print them.
+//! crate's `paper` binary renders them.
 
 use host_sim::{lamports_to_cents, lamports_to_usd};
 use relayer::JobKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::TestnetConfig;
 use crate::harness::Testnet;
 use crate::metrics::{correlation, Summary};
 
 /// One row of Table I.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ValidatorRow {
     /// Validator index (0-based; the paper's #1 is index 0).
     pub index: usize,
@@ -26,7 +26,7 @@ pub struct ValidatorRow {
 }
 
 /// Guest-chain storage accounting (§V-D).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct StorageReport {
     /// Resident trie bytes at the end of the run.
     pub trie_bytes: usize,
@@ -41,7 +41,7 @@ pub struct StorageReport {
 }
 
 /// Everything the evaluation section reports, from one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct EvaluationReport {
     /// Simulated duration in days.
     pub duration_days: f64,

@@ -980,13 +980,20 @@ impl Testnet {
         self.send_tx_inflight.insert(id, (bundled, self.host.now_ms()));
     }
 
-    /// Draws how a client pays for its send: the configured bundle /
-    /// priority-fee mix of Fig. 3.
+    /// Fraction of client sends paying through Jito bundles (§V-A: 83 %).
+    const CLIENT_BUNDLE_SHARE: f64 = 0.83;
+    /// The bundle tip (≈ 3.02 USD total, Fig. 3's upper cluster).
+    const CLIENT_BUNDLE: FeePolicy = FeePolicy::Bundle { tip_lamports: 15_095_000 };
+    /// The priority-fee alternative (≈ 1.40 USD total, Fig. 3's lower cluster).
+    const CLIENT_PRIORITY: FeePolicy = FeePolicy::Priority { micro_lamports_per_cu: 5_000_000 };
+
+    /// Draws how a client pays for its send: the bundle / priority-fee mix
+    /// of Fig. 3.
     fn draw_client_policy(&mut self) -> FeePolicy {
-        if self.rng.next_f64() < self.config.client_fees.bundle_fraction {
-            self.config.client_fees.bundle
+        if self.rng.next_f64() < Self::CLIENT_BUNDLE_SHARE {
+            Self::CLIENT_BUNDLE
         } else {
-            self.config.client_fees.priority
+            Self::CLIENT_PRIORITY
         }
     }
 

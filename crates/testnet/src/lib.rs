@@ -36,8 +36,8 @@ pub use chaos::{
     InvariantViolation,
 };
 pub use config::{
-    paper_outage_plan, paper_validators, sign_fee_for_cents, ClientFeeMix, RogueConfig,
-    TelemetryMode, TestnetConfig, ValidatorProfile, Workload, DAY_MS, HOUR_MS,
+    paper_outage_plan, paper_validators, sign_fee_for_cents, RogueConfig, TelemetryMode,
+    TestnetConfig, ValidatorProfile, Workload, DAY_MS, HOUR_MS,
 };
 pub use experiments::{evaluate, report_of, EvaluationReport, StorageReport, ValidatorRow};
 pub use harness::{Testnet, CP_DENOM, CP_USER, GUEST_DENOM, GUEST_USER};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics in the format of the paper's Table I.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,
