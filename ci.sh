@@ -114,6 +114,24 @@ if outside_tests 'ibc_mut\(\)\.drain_events\(' crates/mesh/src crates/testnet/sr
     exit 1
 fi
 
+echo "==> one home for conservation audits"
+# ICS-20 voucher backing, NFT voucher backing and ICS-29 fee conservation are computed in
+# chaos::invariants alone (`ics20_backing`, `nft_unbacked`, `fee_imbalance`), over the IBC handlers
+# of a link; the invariant suite publishes the testnet's `supply.drift` gauge from its own pass and
+# the mesh sums the same functions. The testnet and the mesh each kept a copy. A tripwire for the
+# spellings those copies used, `voucher_backing(` outside crates/ibc-core and `.imbalance(` outside
+# crates/apps, scanning each file up to its first column-0 #[cfg(test)].
+if outside_tests '(^|[^a-z_])voucher_backing\(' crates tests examples |
+    grep -vE '^crates/(ibc-core/|chaos/src/invariants\.rs:)' | grep .; then
+    echo "ICS-20 voucher backing audited outside chaos::invariants; call invariants::ics20_backing" >&2
+    exit 1
+fi
+if outside_tests '\.imbalance\(' crates tests examples |
+    grep -vE '^crates/(apps/|chaos/src/invariants\.rs:)' | grep .; then
+    echo "fee conservation audited outside chaos::invariants; call invariants::fee_imbalance" >&2
+    exit 1
+fi
+
 echo "==> guest events are parsed in one place"
 # A host event keeps the value it was encoded from (host-sim's event.rs `Event::payload_as`); the
 # harness and the relayer ask it for a `GuestEvent` instead of each parsing the bytes, 8 % of

@@ -6,14 +6,22 @@
 //! [`InvariantViolation`]s naming the faults active at detection time, so
 //! a chaos run's report reads "conservation broke *while* the counterfeit
 //! mint was active" rather than a bare assertion failure.
+//!
+//! The three conservation audits — ICS-20 voucher backing
+//! ([`ics20_backing`]), NFT voucher backing ([`nft_unbacked`]) and ICS-29
+//! fee conservation ([`fee_imbalance`]) — are plain functions over IBC
+//! handlers, so the suite and the multi-chain mesh compute each property
+//! the same way, in one place.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use apps::{FeeTotals, ModuleStack, NftModule, NftTransferApp};
 use counterparty_sim::CounterpartyChain;
 use guest_chain::{GuestContract, GuestEvent};
 use ibc_core::channel::Timeout;
-use ibc_core::ics20::{voucher_backing, TransferModule};
-use ibc_core::{ChannelId, ClientId, IbcEvent, PortId};
+use ibc_core::handler::IbcHandler;
+use ibc_core::ics20::{escrow_account, split_voucher, voucher_backing, VoucherBacking};
+use ibc_core::{ChannelId, ClientId, IbcEvent, PortId, ProvableStore};
 use serde::{Deserialize, Serialize};
 use sim_crypto::Hash;
 use telemetry::Telemetry;
@@ -270,57 +278,43 @@ impl InvariantSuite {
     /// on the other. While transfers are in flight (escrowed but not yet
     /// minted, or burned but not yet released) the voucher total runs
     /// *below* the escrow, so the audit checks `vouchers ≤ escrow` — any
-    /// excess means value was created out of thin air.
+    /// excess means value was created out of thin air. The excess summed
+    /// over both directions is the `supply.drift` gauge the monitor reads.
     fn check_conservation(&mut self, ctx: &CheckContext<'_>) {
-        let Some(guest_bank) = transfer_module(ctx.contract.ibc().module(&ctx.port)) else {
+        let Some(rows) = ics20_backing(
+            &ctx.port,
+            ctx.contract.ibc(),
+            &ctx.guest_channel,
+            ctx.cp.ibc(),
+            &ctx.cp_channel,
+        ) else {
             return;
         };
-        let Some(cp_bank) = transfer_module(ctx.cp.ibc().module(&ctx.port)) else {
-            return;
-        };
-
-        for row in
-            voucher_backing(&ctx.port, guest_bank, &ctx.guest_channel, cp_bank, &ctx.cp_channel)
-        {
-            if row.unbacked() > 0 {
-                let (holder, backer) = if row.held_on_a {
-                    ("guest", "counterparty")
-                } else {
-                    ("counterparty", "guest")
-                };
-                self.record(
-                    ctx.now_ms,
-                    ctx.faults,
-                    InvariantKind::Ics20Conservation,
-                    format!("conservation:{}", row.inner),
-                    format!(
-                        "{} {} vouchers on the {holder} exceed the {} {} escrowed on the {backer}",
-                        row.minted, row.voucher, row.escrowed, row.inner
-                    ),
-                );
-            }
+        let mut drift = 0u128;
+        for row in rows.iter().filter(|row| row.unbacked() > 0) {
+            drift += row.unbacked();
+            let (holder, backer) =
+                if row.held_on_a { ("guest", "counterparty") } else { ("counterparty", "guest") };
+            self.record(
+                ctx.now_ms,
+                ctx.faults,
+                InvariantKind::Ics20Conservation,
+                format!("conservation:{}", row.inner),
+                format!(
+                    "{} {} vouchers on the {holder} exceed the {} {} escrowed on the {backer}",
+                    row.minted, row.voucher, row.escrowed, row.inner
+                ),
+            );
         }
+        self.telemetry.gauge_set_at(ctx.now_ms, "supply.drift", drift as f64);
     }
 
-    /// Audits the ICS-29 fee middleware on both sides, when one is
-    /// stacked: the fee-escrow account must hold exactly the registered
-    /// pending fees, and the escrowed total must split cleanly into
-    /// paid + refunded + pending. Bare (stack-less) modules and stacks
-    /// without a fee layer are vacuously conserving.
+    /// Audits the ICS-29 fee middleware on both sides (see
+    /// [`fee_imbalance`]).
     fn check_fee_conservation(&mut self, ctx: &CheckContext<'_>) {
-        let sides = [
-            ("guest", ctx.contract.ibc().module(&ctx.port)),
-            ("counterparty", ctx.cp.ibc().module(&ctx.port)),
-        ];
-        for (side, module) in sides {
-            let Some(module) = module else { continue };
-            let Some(stack) = module.as_any().downcast_ref::<apps::ModuleStack>() else {
-                continue;
-            };
-            let (Some(fees), Some(ledger)) = (stack.fees(), module.ics20()) else { continue };
-            let imbalance = fees.imbalance(ledger);
+        for (side, ibc) in [("guest", ctx.contract.ibc()), ("counterparty", ctx.cp.ibc())] {
+            let Some((imbalance, totals)) = fee_imbalance(ibc, &ctx.port) else { continue };
             if imbalance > 0 {
-                let totals = fees.totals();
                 self.record(
                     ctx.now_ms,
                     ctx.faults,
@@ -417,10 +411,81 @@ impl InvariantSuite {
     }
 }
 
-/// The ICS-20 ledger a bound IBC module fronts, whether it is a bare
-/// transfer module or an application stack wrapping one.
-fn transfer_module<'a>(
-    module: Option<&'a (dyn ibc_core::Module + 'a)>,
-) -> Option<&'a TransferModule> {
-    module?.ics20()
+/// ICS-20 conservation of one link, both directions: the
+/// [`voucher_backing`] rows of the transfer ledgers `a` and `b` bind on
+/// `port`, matched over the link's channels `a_channel` and `b_channel`.
+/// On an honest link every row's `unbacked()` is zero; its sum over the
+/// rows is the voucher supply minted out of thin air. [`None`] when either
+/// end binds no ICS-20 ledger on `port`, bare or inside a stack.
+pub fn ics20_backing<'a, S: ProvableStore>(
+    port: &PortId,
+    a: &'a IbcHandler<S>,
+    a_channel: &ChannelId,
+    b: &'a IbcHandler<S>,
+    b_channel: &ChannelId,
+) -> Option<Vec<VoucherBacking<'a>>> {
+    let a_bank = a.module(port)?.ics20()?;
+    let b_bank = b.module(port)?.ics20()?;
+    Some(voucher_backing(port, a_bank, a_channel, b_bank, b_channel))
+}
+
+/// NFT conservation of one link, both directions: the voucher tokens whose
+/// original is missing from escrow. Each voucher class on a receiving end
+/// unwinds one prefix layer of its own channel, and every token of it must
+/// be owned on the sending end by that channel's escrow account (a token
+/// re-escrowed further along a route is covered by the next link back). Zero
+/// on a clean link, whether tokens are at rest or hop-escrowed mid-route; 0
+/// when either end binds no NFT-transfer stack on `port`.
+pub fn nft_unbacked<S: ProvableStore>(
+    port: &PortId,
+    a: &IbcHandler<S>,
+    a_channel: &ChannelId,
+    b: &IbcHandler<S>,
+    b_channel: &ChannelId,
+) -> u64 {
+    let (Some(a_nft), Some(b_nft)) = (nft_ledger(a, port), nft_ledger(b, port)) else {
+        return 0;
+    };
+    let mut unbacked = 0;
+    for (sender, sender_channel, receiver, receiver_channel) in
+        [(a_nft, a_channel, b_nft, b_channel), (b_nft, b_channel, a_nft, a_channel)]
+    {
+        let escrow = escrow_account(sender_channel);
+        for class in receiver.classes() {
+            let Some(rest) = split_voucher(&class, port, receiver_channel) else { continue };
+            for token in receiver.tokens_in(&class) {
+                if sender.owner_of(rest, &token) != Some(escrow.as_str()) {
+                    unbacked += 1;
+                }
+            }
+        }
+    }
+    unbacked
+}
+
+/// ICS-29 fee conservation of one chain: the imbalance of the fee
+/// middleware stacked on `port` against the ICS-20 ledger it escrows in
+/// ([`apps::FeeMiddleware::imbalance`]: the fee-escrow account must hold
+/// exactly the registered pending fees, and escrowed = paid + refunded +
+/// pending), with the fee totals for reporting. The fee layer is per chain,
+/// not per channel, so a harness sums this over chains, not links. [`None`]
+/// for bare (stack-less) modules and stacks without a fee layer, which are
+/// vacuously conserving.
+pub fn fee_imbalance<S: ProvableStore>(
+    ibc: &IbcHandler<S>,
+    port: &PortId,
+) -> Option<(u128, FeeTotals)> {
+    let module = ibc.module(port)?;
+    let fees = module.as_any().downcast_ref::<ModuleStack>()?.fees()?;
+    Some((fees.imbalance(module.ics20()?), fees.totals()))
+}
+
+/// The ledger of the NFT-transfer app at the bottom of the stack bound on
+/// `port`.
+fn nft_ledger<'a, S: ProvableStore>(
+    ibc: &'a IbcHandler<S>,
+    port: &PortId,
+) -> Option<&'a NftModule> {
+    let stack = ibc.module(port)?.as_any().downcast_ref::<ModuleStack>()?;
+    stack.app_as::<NftTransferApp>().map(NftTransferApp::nft)
 }

@@ -94,32 +94,48 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// A short attribution label, recorded on invariant violations so a
-    /// report can name the fault that (likely) triggered it.
-    pub fn label(&self) -> String {
+    /// The fault-kind slug: the label minus its parameters
+    /// (`validator-crash`, `relayer-halt`, `counterfeit-mint`, …). Detection
+    /// quality is scored per kind.
+    pub fn kind(&self) -> &'static str {
         match self {
-            Fault::ValidatorCrash { validator } => format!("validator-crash:{validator}"),
-            Fault::ValidatorLatencySpike { validator, factor } => {
-                format!("validator-latency:{validator}x{factor}")
-            }
-            Fault::ValidatorClockSkew { validator, offset_ms } => {
-                format!("validator-clock-skew:{validator}:{offset_ms}ms")
-            }
-            Fault::RelayerHalt => "relayer-halt".to_string(),
-            Fault::ChunkDrop { probability } => format!("chunk-drop:{probability}"),
-            Fault::ChunkDuplicate { probability } => format!("chunk-duplicate:{probability}"),
-            Fault::ChunkReorder { probability } => format!("chunk-reorder:{probability}"),
-            Fault::CongestionStorm { load } => format!("congestion-storm:{load}"),
-            Fault::InclusionFailureBurst { probability } => {
-                format!("inclusion-failure:{probability}")
-            }
-            Fault::CounterpartyHalt => "counterparty-halt".to_string(),
-            Fault::ChainHalt { chain } => format!("chain-halt:{chain}"),
-            Fault::LinkDown { link } => format!("link-down:{link}"),
-            Fault::CounterfeitMint { denom, amount, .. } => {
-                format!("counterfeit-mint:{amount}:{denom}")
-            }
+            Fault::ValidatorCrash { .. } => "validator-crash",
+            Fault::ValidatorLatencySpike { .. } => "validator-latency",
+            Fault::ValidatorClockSkew { .. } => "validator-clock-skew",
+            Fault::RelayerHalt => "relayer-halt",
+            Fault::ChunkDrop { .. } => "chunk-drop",
+            Fault::ChunkDuplicate { .. } => "chunk-duplicate",
+            Fault::ChunkReorder { .. } => "chunk-reorder",
+            Fault::CongestionStorm { .. } => "congestion-storm",
+            Fault::InclusionFailureBurst { .. } => "inclusion-failure",
+            Fault::CounterpartyHalt => "counterparty-halt",
+            Fault::ChainHalt { .. } => "chain-halt",
+            Fault::LinkDown { .. } => "link-down",
+            Fault::CounterfeitMint { .. } => "counterfeit-mint",
         }
+    }
+
+    /// A short attribution label, recorded on invariant violations so a
+    /// report can name the fault that (likely) triggered it: the
+    /// [`Fault::kind`], then its parameters after a colon.
+    pub fn label(&self) -> String {
+        let params = match self {
+            Fault::RelayerHalt | Fault::CounterpartyHalt => return self.kind().to_string(),
+            Fault::ValidatorCrash { validator } => validator.to_string(),
+            Fault::ValidatorLatencySpike { validator, factor } => format!("{validator}x{factor}"),
+            Fault::ValidatorClockSkew { validator, offset_ms } => {
+                format!("{validator}:{offset_ms}ms")
+            }
+            Fault::ChunkDrop { probability }
+            | Fault::ChunkDuplicate { probability }
+            | Fault::ChunkReorder { probability }
+            | Fault::InclusionFailureBurst { probability } => probability.to_string(),
+            Fault::CongestionStorm { load } => load.to_string(),
+            Fault::ChainHalt { chain } => chain.clone(),
+            Fault::LinkDown { link } => link.clone(),
+            Fault::CounterfeitMint { denom, amount, .. } => format!("{amount}:{denom}"),
+        };
+        format!("{}:{params}", self.kind())
     }
 }
 

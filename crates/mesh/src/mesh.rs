@@ -36,7 +36,7 @@ use apps::{
     FeeMiddleware, ForwardMiddleware, IcaApp, IcaOp, MemoHookMiddleware, ModuleStack,
     NftTransferApp, StackRequest,
 };
-use chaos::ChaosController;
+use chaos::{invariants, ChaosController};
 use counterparty_sim::{CounterpartyChain, CpHeader};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::client::ConsensusState;
@@ -46,8 +46,8 @@ use ibc_core::ics20::{self, TransferModule};
 use ibc_core::types::{ChannelId, IbcError, PortId};
 use ibc_core::{IbcEvent, Module, PacketStep};
 use monitor::{
-    AlertRecord, FeeConservationDetector, LatencyRegressionDetector, Monitor, MonitorConfig,
-    StalenessDetector, StuckPacketDetector, SupplyDriftDetector,
+    AlertRecord, ConservationDetector, LatencyRegressionDetector, Monitor, MonitorConfig,
+    StalenessDetector, StuckPacketDetector,
 };
 use relayer::msg::{Proof, RelayMsg, Submitted, Unproven};
 use telemetry::{names, RunReport, Telemetry, TraceId};
@@ -303,54 +303,8 @@ pub struct Mesh {
     relay_errors: u64,
     /// Online health monitor (installed by [`Mesh::enable_monitor`]).
     monitor: Option<Monitor>,
-    health_gauges: HealthGaugeNames,
-}
-
-/// Names of the gauges [`Mesh::publish_health_gauges`] sets on every
-/// step, formatted once in [`Mesh::build`].
-struct HealthGaugeNames {
-    /// `mesh.{chain}.head`, one per node.
-    heads: Vec<String>,
-    apps: Vec<AppGaugeNames>,
-}
-
-/// One app port's `mesh.apps.{label}.*` gauge names.
-struct AppGaugeNames {
-    port: PortId,
-    received: String,
-    recv_errors: String,
-    acked: String,
-    timed_out: String,
-    /// `layer.{slot}.{name}.dispatches`, outermost layer first; every
-    /// chain binds the same stack, so the first chain's names serve all.
-    layers: Vec<String>,
-}
-
-impl HealthGaugeNames {
-    fn new(nodes: &[Node], transfer_port: &PortId) -> Self {
-        let apps = [("transfer", transfer_port.clone()), ("nft", nft_port()), ("ica", ica_port())]
-            .into_iter()
-            .map(|(label, port)| AppGaugeNames {
-                received: format!("mesh.apps.{label}.received"),
-                recv_errors: format!("mesh.apps.{label}.recv_errors"),
-                acked: format!("mesh.apps.{label}.acked"),
-                timed_out: format!("mesh.apps.{label}.timed_out"),
-                layers: nodes.first().map_or_else(Vec::new, |node| {
-                    stack(&node.chain, &port)
-                        .layer_names()
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, name)| {
-                            format!("mesh.apps.{label}.layer.{slot}.{name}.dispatches")
-                        })
-                        .collect()
-                }),
-                port,
-            })
-            .collect();
-        let heads = nodes.iter().map(|node| format!("mesh.{}.head", node.name)).collect();
-        Self { heads, apps }
-    }
+    /// `mesh.{chain}.head`, one per node, formatted once in [`Mesh::build`].
+    head_gauges: Vec<String>,
 }
 
 impl Mesh {
@@ -481,7 +435,7 @@ impl Mesh {
 
         let pending_forward = vec![Vec::new(); nodes.len()];
         let chaos = ChaosController::new(config.chaos.clone());
-        let health_gauges = HealthGaugeNames::new(&nodes, &port);
+        let head_gauges = nodes.iter().map(|node| format!("mesh.{}.head", node.name)).collect();
         Ok(Self {
             config,
             port,
@@ -499,7 +453,7 @@ impl Mesh {
             stuck_refunds: 0,
             relay_errors: 0,
             monitor: None,
-            health_gauges,
+            head_gauges,
         })
     }
 
@@ -519,8 +473,8 @@ impl Mesh {
         monitor
             .push(StalenessDetector::named("chain.staleness", targets))
             .push(StuckPacketDetector::new(config.stuck_packet_slo_ms))
-            .push(SupplyDriftDetector::new(vec!["mesh.supply.drift".into()]))
-            .push(FeeConservationDetector::new(vec!["mesh.fees.imbalance".into()]));
+            .push(ConservationDetector::supply_drift(vec!["mesh.supply.drift".into()]))
+            .push(ConservationDetector::fee_conservation(vec!["mesh.fees.imbalance".into()]));
         // Per-app send→ack latency lenses over the histograms registered
         // in `build`, reconciled together under one detector name so a
         // healthy app never resolves a regressing one.
@@ -982,57 +936,26 @@ impl Mesh {
     }
 
     /// Publishes the gauges the mesh detector battery watches: per-chain
-    /// head heights and the pairwise voucher supply drift.
+    /// head heights, the voucher supply drift and the fee imbalance.
     fn publish_health_gauges(&self, now: u64) {
         if !self.telemetry.is_recording() {
             return;
         }
-        for (node, head) in self.nodes.iter().zip(&self.health_gauges.heads) {
+        for (node, head) in self.nodes.iter().zip(&self.head_gauges) {
             self.telemetry.gauge_set_at(now, head, node.chain.height() as f64);
         }
         self.telemetry.gauge_set_at(now, "mesh.supply.drift", self.supply_drift() as f64);
         self.telemetry.gauge_set_at(now, "mesh.fees.imbalance", self.fee_imbalance() as f64);
-        for app in &self.health_gauges.apps {
-            let mut received = 0u64;
-            let mut recv_errors = 0u64;
-            let mut acked = 0u64;
-            let mut timed_out = 0u64;
-            // Per-middleware-layer dispatch depth, summed mesh-wide: a
-            // short-circuiting layer shows as a falloff between slots.
-            let mut dispatches = vec![0u64; app.layers.len()];
-            for node in &self.nodes {
-                let stack = stack(&node.chain, &app.port);
-                let counters = stack.counters();
-                received += counters.received;
-                recv_errors += counters.recv_errors;
-                acked += counters.acked;
-                timed_out += counters.timed_out;
-                for (total, count) in dispatches.iter_mut().zip(stack.dispatch_counts()) {
-                    *total += count;
-                }
-            }
-            self.telemetry.gauge_set_at(now, &app.received, received as f64);
-            self.telemetry.gauge_set_at(now, &app.recv_errors, recv_errors as f64);
-            self.telemetry.gauge_set_at(now, &app.acked, acked as f64);
-            self.telemetry.gauge_set_at(now, &app.timed_out, timed_out as f64);
-            for (layer, count) in app.layers.iter().zip(dispatches) {
-                self.telemetry.gauge_set_at(now, layer, count as f64);
-            }
-        }
     }
 
-    /// ICS-29 fee-conservation imbalance summed over every chain's
-    /// transfer stack: the gap between registered pending fees and the
-    /// fee-escrow account's actual holdings, plus any escrowed-vs-settled
-    /// leak. Zero on every healthy mesh at every instant.
+    /// ICS-29 fee-conservation imbalance ([`invariants::fee_imbalance`])
+    /// summed over every chain's transfer stack. Zero on every healthy mesh
+    /// at every instant.
     pub fn fee_imbalance(&self) -> u128 {
         self.nodes
             .iter()
-            .map(|node| {
-                let stack = node.transfer_stack();
-                let ledger = stack.ics20().expect("the transfer stack wraps an ICS-20 ledger");
-                stack.fees().map_or(0, |fees| fees.imbalance(ledger))
-            })
+            .filter_map(|node| invariants::fee_imbalance(node.chain.ibc(), &self.port))
+            .map(|(imbalance, _)| imbalance)
             .sum()
     }
 
@@ -1051,57 +974,48 @@ impl Mesh {
         totals
     }
 
-    /// Voucher units in circulation beyond their escrow backing, summed
-    /// over every link and direction. Each voucher denomination on a
-    /// receiving chain is matched segment-wise against the link's local
-    /// channel and its one-hop-back backing (`escrow:{channel}` of the
-    /// inner denomination on the sending chain) — stacked multi-hop
-    /// prefixes unwind one layer per link, so a clean mesh always nets to
-    /// zero and only an unbacked mint (or a conservation bug) shows up.
+    /// Voucher units in circulation beyond their escrow backing
+    /// ([`invariants::ics20_backing`]), summed over every link and
+    /// direction. Stacked multi-hop prefixes unwind one layer per link, so
+    /// a clean mesh always nets to zero and only an unbacked mint (or a
+    /// conservation bug) shows up.
     pub fn supply_drift(&self) -> u128 {
-        let bank = |node: usize| self.nodes[node].transfers();
+        let ibc = |node: usize| self.nodes[node].chain.ibc();
         self.links
             .iter()
-            .flat_map(|l| {
-                ics20::voucher_backing(&self.port, bank(l.a), &l.a_channel, bank(l.b), &l.b_channel)
+            .filter_map(|l| {
+                invariants::ics20_backing(
+                    &self.port,
+                    ibc(l.a),
+                    &l.a_channel,
+                    ibc(l.b),
+                    &l.b_channel,
+                )
             })
+            .flatten()
             .map(|row| row.unbacked())
             .sum()
     }
 
-    /// NFT analogue of [`Mesh::supply_drift`]: voucher tokens whose
-    /// escrow backing is missing, summed over every link and direction.
-    /// Each voucher class on a receiving chain unwinds one prefix layer
-    /// per link; every token of that class must exist on the sending
-    /// chain under the link channel's escrow account (or as a deeper
-    /// voucher being re-escrowed, which the inner class check covers on
-    /// the next link back). Zero on a clean mesh, whether tokens are at
-    /// rest or hop-escrowed mid-route.
+    /// NFT analogue of [`Mesh::supply_drift`]: voucher tokens whose escrow
+    /// backing is missing ([`invariants::nft_unbacked`]), summed over every
+    /// link and direction. Zero on a clean mesh, whether tokens are at rest
+    /// or hop-escrowed mid-route.
     pub fn nft_supply_drift(&self) -> u64 {
+        let ibc = |node: usize| self.nodes[node].chain.ibc();
         let port = nft_port();
-        let mut drift = 0u64;
-        for link in &self.links {
-            let pairs = [
-                (link.a, &link.a_nft_channel, link.b, &link.b_nft_channel),
-                (link.b, &link.b_nft_channel, link.a, &link.a_nft_channel),
-            ];
-            for (sender, sender_channel, receiver, receiver_channel) in pairs {
-                let receiver_nft = self.nodes[receiver].nfts().nft();
-                let sender_nft = self.nodes[sender].nfts().nft();
-                let escrow = ics20::escrow_account(sender_channel);
-                for class in receiver_nft.classes() {
-                    let Some(rest) = ics20::split_voucher(&class, &port, receiver_channel) else {
-                        continue;
-                    };
-                    for token in receiver_nft.tokens_in(&class) {
-                        if sender_nft.owner_of(rest, &token) != Some(escrow.as_str()) {
-                            drift += 1;
-                        }
-                    }
-                }
-            }
-        }
-        drift
+        self.links
+            .iter()
+            .map(|l| {
+                invariants::nft_unbacked(
+                    &port,
+                    ibc(l.a),
+                    &l.a_nft_channel,
+                    ibc(l.b),
+                    &l.b_nft_channel,
+                )
+            })
+            .sum()
     }
 
     /// Runs for `duration_ms` of simulated time.

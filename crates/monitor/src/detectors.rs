@@ -372,76 +372,47 @@ impl Detector for RunwayDetector {
 }
 
 // ---------------------------------------------------------------------------
-// supply-conservation drift
+// conservation
 
-/// Alerts whenever a drift gauge is non-zero: the harness computes
-/// `minted − escrowed` per voucher denomination and publishes it; any
-/// positive drift means vouchers exist without matching escrow
-/// (counterfeit mint, the paper's §V-B attack scenario).
-pub struct SupplyDriftDetector {
+/// Alerts whenever a conservation gauge is above zero. The gauges are
+/// published from the conservation audits of `chaos::invariants`, which
+/// are zero on every honest run at every instant:
+///
+/// * `supply.drift` — voucher units in circulation beyond the escrow
+///   backing them (counterfeit mint, the paper's §V-B attack scenario);
+/// * `fee.conservation` — escrowed ICS-29 fee units the fee middleware
+///   cannot account for (`escrowed ≠ paid + refunded + pending`, or the
+///   fee-escrow balance off the pending sum): leaked or double-spent fees.
+pub struct ConservationDetector {
+    name: &'static str,
+    /// What one unit of the gauge counts, completing the finding's detail.
+    units: &'static str,
     gauges: Vec<String>,
 }
 
-impl SupplyDriftDetector {
-    /// Detector over the given drift gauges.
-    pub fn new(gauges: Vec<String>) -> Self {
-        Self { gauges }
+impl ConservationDetector {
+    /// The `supply.drift` detector over the given voucher-drift gauges.
+    pub fn supply_drift(gauges: Vec<String>) -> Self {
+        Self { name: "supply.drift", units: "unbacked voucher units in circulation", gauges }
+    }
+
+    /// The `fee.conservation` detector over the given fee-imbalance gauges.
+    pub fn fee_conservation(gauges: Vec<String>) -> Self {
+        Self { name: "fee.conservation", units: "escrowed fee units unaccounted for", gauges }
     }
 }
 
-impl Detector for SupplyDriftDetector {
+impl Detector for ConservationDetector {
     fn name(&self) -> &'static str {
-        "supply.drift"
+        self.name
     }
 
     fn evaluate(&mut self, _now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
         let mut findings = Vec::new();
         for gauge in &self.gauges {
-            let Some(drift) = telemetry.gauge(gauge) else { continue };
-            if drift > 0.0 {
-                findings.push(Finding::new(
-                    gauge.clone(),
-                    format!("{drift} unbacked voucher units in circulation"),
-                ));
-            }
-        }
-        findings
-    }
-}
-
-// ---------------------------------------------------------------------------
-// fee conservation
-
-/// Alerts whenever a fee-imbalance gauge is non-zero: the harness asks
-/// each chain's fee middleware for its conservation imbalance
-/// (`escrowed == paid + refunded + pending`, and the ledger's fee-escrow
-/// balance equals the pending sum) and publishes the chain-wide total;
-/// any non-zero value means escrowed fees leaked or were double-spent.
-pub struct FeeConservationDetector {
-    gauges: Vec<String>,
-}
-
-impl FeeConservationDetector {
-    /// Detector over the given imbalance gauges.
-    pub fn new(gauges: Vec<String>) -> Self {
-        Self { gauges }
-    }
-}
-
-impl Detector for FeeConservationDetector {
-    fn name(&self) -> &'static str {
-        "fee.conservation"
-    }
-
-    fn evaluate(&mut self, _now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        let mut findings = Vec::new();
-        for gauge in &self.gauges {
-            let Some(imbalance) = telemetry.gauge(gauge) else { continue };
-            if imbalance > 0.0 {
-                findings.push(Finding::new(
-                    gauge.clone(),
-                    format!("{imbalance} escrowed fee units unaccounted for"),
-                ));
+            let Some(value) = telemetry.gauge(gauge) else { continue };
+            if value > 0.0 {
+                findings.push(Finding::new(gauge.clone(), format!("{value} {}", self.units)));
             }
         }
         findings
@@ -455,7 +426,8 @@ mod tests {
     #[test]
     fn fee_conservation_fires_on_any_imbalance() {
         let telemetry = Telemetry::recording();
-        let mut detector = FeeConservationDetector::new(vec!["mesh.fees.imbalance".into()]);
+        let mut detector =
+            ConservationDetector::fee_conservation(vec!["mesh.fees.imbalance".into()]);
         assert!(detector.evaluate(0, &telemetry).is_empty(), "unwired gauges ignored");
         telemetry.gauge_set_at(10, "mesh.fees.imbalance", 0.0);
         assert!(detector.evaluate(10, &telemetry).is_empty());
@@ -463,6 +435,8 @@ mod tests {
         let findings = detector.evaluate(20, &telemetry);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "mesh.fees.imbalance");
+        assert_eq!(findings[0].details, "7 escrowed fee units unaccounted for");
+        assert_eq!(detector.name(), "fee.conservation");
     }
 
     #[test]
@@ -553,8 +527,10 @@ mod tests {
     #[test]
     fn supply_drift_fires_on_any_positive_drift() {
         let telemetry = Telemetry::recording();
-        let mut detector =
-            SupplyDriftDetector::new(vec!["supply.drift".into(), "mesh.supply.drift".into()]);
+        let mut detector = ConservationDetector::supply_drift(vec![
+            "supply.drift".into(),
+            "mesh.supply.drift".into(),
+        ]);
         assert!(detector.evaluate(0, &telemetry).is_empty(), "unwired gauges ignored");
         telemetry.gauge_set_at(10, "supply.drift", 0.0);
         assert!(detector.evaluate(10, &telemetry).is_empty());
@@ -562,5 +538,7 @@ mod tests {
         let findings = detector.evaluate(20, &telemetry);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "supply.drift");
+        assert_eq!(findings[0].details, "250 unbacked voucher units in circulation");
+        assert_eq!(detector.name(), "supply.drift");
     }
 }

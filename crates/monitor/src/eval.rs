@@ -17,32 +17,12 @@
 //! watchdog and the stuck-packet detector; a fee-spike alert during a
 //! validator crash would be a false positive, not a lucky catch.
 
-use chaos::{ChaosPlan, Fault, FaultEvent};
+use chaos::{ChaosPlan, FaultEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::alerts::AlertRecord;
 
-/// The canonical fault-kind slug of a fault (its label minus
-/// parameters): `validator-crash`, `relayer-halt`, `counterfeit-mint`, …
-pub fn fault_kind(fault: &Fault) -> &'static str {
-    match fault {
-        Fault::ValidatorCrash { .. } => "validator-crash",
-        Fault::ValidatorLatencySpike { .. } => "validator-latency",
-        Fault::ValidatorClockSkew { .. } => "validator-clock-skew",
-        Fault::RelayerHalt => "relayer-halt",
-        Fault::ChunkDrop { .. } => "chunk-drop",
-        Fault::ChunkDuplicate { .. } => "chunk-duplicate",
-        Fault::ChunkReorder { .. } => "chunk-reorder",
-        Fault::CongestionStorm { .. } => "congestion-storm",
-        Fault::InclusionFailureBurst { .. } => "inclusion-failure",
-        Fault::CounterpartyHalt => "counterparty-halt",
-        Fault::ChainHalt { .. } => "chain-halt",
-        Fault::LinkDown { .. } => "link-down",
-        Fault::CounterfeitMint { .. } => "counterfeit-mint",
-    }
-}
-
-/// Every fault-kind slug, in the fixed coverage-matrix order.
+/// Every fault-kind slug ([`chaos::Fault::kind`]), in the fixed coverage-matrix order.
 pub const ALL_FAULT_KINDS: &[&str] = &[
     "validator-crash",
     "validator-latency",
@@ -213,7 +193,7 @@ pub fn score(plan: &ChaosPlan, records: &[AlertRecord], grace_ms: u64) -> EvalRe
     let mut kinds: Vec<KindScore> = Vec::new();
     for &kind in ALL_FAULT_KINDS {
         let windows: Vec<&FaultEvent> =
-            plan.events.iter().filter(|e| fault_kind(&e.fault) == kind).collect();
+            plan.events.iter().filter(|e| e.fault.kind() == kind).collect();
         if windows.is_empty() {
             continue;
         }
@@ -251,7 +231,7 @@ pub fn score(plan: &ChaosPlan, records: &[AlertRecord], grace_ms: u64) -> EvalRe
 }
 
 fn score_event(event: &FaultEvent, records: &[AlertRecord], grace_ms: u64) -> EventScore {
-    let kind = fault_kind(&event.fault);
+    let kind = event.fault.kind();
     let relevant = relevant_detectors(kind);
     let first_hit = records
         .iter()
@@ -274,6 +254,7 @@ fn score_event(event: &FaultEvent, records: &[AlertRecord], grace_ms: u64) -> Ev
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chaos::Fault;
 
     fn record(detector: &str, fired_ms: u64) -> AlertRecord {
         AlertRecord {
@@ -305,7 +286,7 @@ mod tests {
         ];
         assert_eq!(faults.len(), ALL_FAULT_KINDS.len());
         for fault in &faults {
-            let kind = fault_kind(fault);
+            let kind = fault.kind();
             assert!(ALL_FAULT_KINDS.contains(&kind), "{kind} missing from ALL_FAULT_KINDS");
             assert!(!relevant_detectors(kind).is_empty(), "{kind} has no relevant detectors");
             assert!(fault.label().starts_with(kind), "label {} !~ {kind}", fault.label());

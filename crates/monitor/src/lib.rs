@@ -8,7 +8,8 @@
 //!    a stuck-packet detector over open lifecycle traces, a rolling
 //!    latency-percentile regression check against a calibration baseline,
 //!    a fee/CU-spike detector, a relayer fee-payer runway estimator, and
-//!    an ICS-20 supply-conservation drift check.
+//!    one conservation check over the ICS-20 supply-drift and ICS-29
+//!    fee-imbalance gauges.
 //! 2. **Alert lifecycle** ([`alerts`]) — a Pending → Firing → Resolved
 //!    state machine with deterministic debounce and hold-down; every
 //!    transition is journaled as a telemetry event and surfaces in the
@@ -54,10 +55,8 @@ mod monitor;
 pub use alerts::{AlertBook, AlertRecord, Finding};
 pub use config::{MonitorConfig, DAY_MS, HOUR_MS, MINUTE_MS};
 pub use detectors::{
-    Detector, FeeConservationDetector, LatencyRegressionDetector, RateSpikeDetector,
-    RunwayDetector, StalenessDetector, StuckPacketDetector, SupplyDriftDetector,
+    ConservationDetector, Detector, LatencyRegressionDetector, RateSpikeDetector, RunwayDetector,
+    StalenessDetector, StuckPacketDetector,
 };
-pub use eval::{
-    fault_kind, relevant_detectors, score, EvalReport, EventScore, KindScore, ALL_FAULT_KINDS,
-};
+pub use eval::{relevant_detectors, score, EvalReport, EventScore, KindScore, ALL_FAULT_KINDS};
 pub use monitor::Monitor;

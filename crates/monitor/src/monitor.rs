@@ -5,8 +5,8 @@ use telemetry::Telemetry;
 use crate::alerts::{AlertBook, AlertRecord, Finding};
 use crate::config::MonitorConfig;
 use crate::detectors::{
-    Detector, LatencyRegressionDetector, RateSpikeDetector, RunwayDetector, StalenessDetector,
-    StuckPacketDetector, SupplyDriftDetector,
+    ConservationDetector, Detector, LatencyRegressionDetector, RateSpikeDetector, RunwayDetector,
+    StalenessDetector, StuckPacketDetector,
 };
 
 /// An online health monitor: a fixed battery of [`Detector`]s evaluated
@@ -89,7 +89,7 @@ impl Monitor {
                 &config,
             ))
             .push(RunwayDetector::new("relayer.payer.balance", &config))
-            .push(SupplyDriftDetector::new(vec!["supply.drift".into()]));
+            .push(ConservationDetector::supply_drift(vec!["supply.drift".into()]));
         // Per-stage and per-kind regression lenses, each family under its
         // own detector name so a per-kind firing is attributable at a
         // glance (and the aggregate `latency.regression` lens keeps its

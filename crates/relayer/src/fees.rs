@@ -35,21 +35,6 @@ pub enum FeeStrategy {
 }
 
 impl FeeStrategy {
-    /// The paper's priority-fee configuration: ≈ 1.40 USD per SendPacket at
-    /// 200 $/SOL (Fig. 3's lower cluster).
-    pub fn paper_priority() -> Self {
-        // 1.40 USD = 7_000_000 lamports; at the 1.4M CU budget that is a
-        // price of 5 lamports (5M micro-lamports) per CU.
-        Self::FixedPriority { micro_lamports_per_cu: 5_000_000 }
-    }
-
-    /// The paper's bundle configuration: ≈ 3.02 USD per SendPacket
-    /// (Fig. 3's upper cluster).
-    pub fn paper_bundle() -> Self {
-        // 3.02 USD ≈ 15.1M lamports, minus the base signature fee.
-        Self::Bundle { tip_lamports: 15_095_000 }
-    }
-
     /// Resolves the strategy to a concrete policy given the recently
     /// observed network load (0.0–1.0).
     pub fn policy(&self, recent_load: f64) -> FeePolicy {
@@ -119,28 +104,6 @@ impl Default for LinkFee {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use host_sim::{lamports_to_usd, MAX_COMPUTE_UNITS};
-
-    #[test]
-    fn paper_priority_costs_about_one_forty() {
-        let FeePolicy::Priority { micro_lamports_per_cu } =
-            FeeStrategy::paper_priority().policy(0.0)
-        else {
-            panic!("expected priority policy");
-        };
-        let extra = micro_lamports_per_cu * MAX_COMPUTE_UNITS / 1_000_000;
-        let usd = lamports_to_usd(extra + 5_000);
-        assert!((1.3..1.5).contains(&usd), "got {usd}");
-    }
-
-    #[test]
-    fn paper_bundle_costs_about_three_oh_two() {
-        let FeePolicy::Bundle { tip_lamports } = FeeStrategy::paper_bundle().policy(0.0) else {
-            panic!("expected bundle policy");
-        };
-        let usd = lamports_to_usd(tip_lamports + 5_000);
-        assert!((2.95..3.1).contains(&usd), "got {usd}");
-    }
 
     #[test]
     fn dynamic_escalates_with_load() {

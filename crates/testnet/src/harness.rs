@@ -19,7 +19,6 @@ use guest_chain::{
 };
 use host_sim::{rent, FeePolicy, HostChain, Instruction, Pubkey, Transaction};
 use ibc_core::channel::Timeout;
-use ibc_core::ics20::voucher_backing;
 use monitor::{AlertRecord, Monitor};
 use profiler::{ProfileReport, Profiler};
 use relayer::{connect_chains, Endpoints, Relayer};
@@ -688,11 +687,11 @@ impl Testnet {
         // 9. Audit the safety invariants at every finalised guest block,
         // plus once a minute so a fully stalled chain still flags orphaned
         // packets (the audit is read-only; cadence does not affect state).
+        // The audit also publishes the `supply.drift` gauge.
         if finalised_seen || now >= self.next_audit_ms {
             let _audit = self.profiler.scope("invariants.audit");
             self.next_audit_ms = now + 60_000;
             self.check_invariants(now);
-            self.publish_supply_drift(now);
         }
 
         // 10. Flush harness-level gauges (metrics only — no journal
@@ -742,29 +741,6 @@ impl Testnet {
             .fold(self.relayer.host_cursor(), u64::min);
         let unscanned = self.host.blocks_since(cursor).len();
         self.host.prune_blocks(unscanned.max(512));
-    }
-
-    /// Publishes the ICS-20 conservation drift as a gauge: the number of
-    /// voucher units in circulation beyond their escrow backing, summed
-    /// over both transfer directions. Zero in every honest run; positive
-    /// the audit cadence after a counterfeit mint — which is what the
-    /// `supply.drift` detector alerts on.
-    fn publish_supply_drift(&self, now: u64) {
-        if !self.telemetry.is_recording() {
-            return;
-        }
-        let contract = self.contract.borrow();
-        let guest_bank = contract.ibc().module(&self.endpoints.port).and_then(|m| m.ics20());
-        let cp_bank = self.cp.ibc().module(&self.endpoints.port).and_then(|m| m.ics20());
-        let (Some(guest_bank), Some(cp_bank)) = (guest_bank, cp_bank) else { return };
-
-        let e = &self.endpoints;
-        let drift: u128 =
-            voucher_backing(&e.port, guest_bank, &e.guest_channel, cp_bank, &e.cp_channel)
-                .iter()
-                .map(|row| row.unbacked())
-                .sum();
-        self.telemetry.gauge_set_at(now, "supply.drift", drift as f64);
     }
 
     /// Applies a one-shot fault (currently: counterfeit voucher mints on

@@ -45,7 +45,7 @@ pub use metrics::{
     cdf, correlation, fraction_below, histogram, quantile, SendRecord, SignRecord, Summary,
 };
 pub use monitor::{
-    fault_kind, relevant_detectors, score, AlertRecord, EvalReport, EventScore, KindScore, Monitor,
+    relevant_detectors, score, AlertRecord, EvalReport, EventScore, KindScore, Monitor,
     MonitorConfig, ALL_FAULT_KINDS,
 };
 pub use telemetry::{
