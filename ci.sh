@@ -142,6 +142,18 @@ if outside_tests 'from_slice::<GuestEvent>' crates/*/src | grep .; then
     exit 1
 fi
 
+echo "==> per-slot metrics are pre-resolved"
+# A writer that runs once per host slot holds a telemetry handle (`CounterHandle`, `GaugeHandle`,
+# `HistogramHandle`) that remembers its registry slot after its first write; a named write searches
+# the registry's name index, 38 % of `paper_month` when `HostChain::advance_slot` wrote by name. A
+# tripwire for the spellings those writes used, scanning each file up to its first column-0
+# #[cfg(test)].
+if outside_tests 'telemetry\.(counter_add|gauge_set|gauge_set_at|observe)\(' crates/host-sim/src |
+    grep .; then
+    echo "crates/host-sim/src writes a metric by name outside tests; write through a handle" >&2
+    exit 1
+fi
+
 echo "==> the proof hand-off is not JSON"
 # `ProofData::bytes` is a hand-off between two functions of one process, sealable_trie's
 # `Proof::to_bytes`; only a proof inside a `GuestOp` is wire and therefore JSON (DESIGN decision 17).

@@ -3,7 +3,7 @@
 use profiler::Profiler;
 use serde::{Deserialize, Serialize};
 use sim_crypto::rng::SplitMix64;
-use telemetry::Telemetry;
+use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
 
 use crate::bank::{Bank, TxOutcome};
 use crate::event::Event;
@@ -120,6 +120,34 @@ impl Block {
     }
 }
 
+/// The per-slot aggregates [`HostChain::advance_slot`] writes, as handles
+/// on the installed sink (rebuilt by [`HostChain::set_telemetry`]).
+struct SlotMetrics {
+    txs_included: CounterHandle,
+    txs_failed: CounterHandle,
+    inclusion_failures: CounterHandle,
+    fees: CounterHandle,
+    compute_units: CounterHandle,
+    mempool_depth: GaugeHandle,
+    mempool_depth_histogram: HistogramHandle,
+    slot_load: HistogramHandle,
+}
+
+impl SlotMetrics {
+    fn new(telemetry: &Telemetry) -> Self {
+        Self {
+            txs_included: telemetry.counter_handle("host.txs.included"),
+            txs_failed: telemetry.counter_handle("host.txs.failed"),
+            inclusion_failures: telemetry.counter_handle("host.inclusion_failures"),
+            fees: telemetry.counter_handle("host.fees.lamports"),
+            compute_units: telemetry.counter_handle("host.compute_units"),
+            mempool_depth: telemetry.gauge_handle("host.mempool.depth"),
+            mempool_depth_histogram: telemetry.histogram_handle("host.mempool.depth"),
+            slot_load: telemetry.histogram_handle("host.slot.load"),
+        }
+    }
+}
+
 /// The simulated host blockchain (Solana-like).
 ///
 /// Off-chain actors submit transactions; the simulation driver calls
@@ -153,6 +181,8 @@ pub struct HostChain {
     blocks: Vec<Block>,
     /// Observability sink (disabled by default; never consumes RNG).
     telemetry: Telemetry,
+    /// Handles on `telemetry` for the per-slot aggregates.
+    slot_metrics: SlotMetrics,
     /// Wall-clock self-profiler (disabled by default; wall time never
     /// feeds back into simulation state).
     profiler: Profiler,
@@ -179,6 +209,7 @@ impl HostChain {
             chaos_rng: sim_crypto::rng::seed_stream(seed, "host.disturbance"),
             blocks: Vec::new(),
             telemetry: Telemetry::disabled(),
+            slot_metrics: SlotMetrics::new(&Telemetry::disabled()),
             profiler: Profiler::disabled(),
         }
     }
@@ -194,6 +225,7 @@ impl HostChain {
                 &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98],
             )
             .expect("slot-load bounds are strictly ascending");
+        self.slot_metrics = SlotMetrics::new(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -324,14 +356,15 @@ impl HostChain {
             // Per-slot aggregates go to the metrics registry only — a
             // multi-week run produces millions of slots, far too many for
             // the journal.
-            self.telemetry.counter_add("host.txs.included", transactions.len() as u64);
-            self.telemetry.counter_add("host.txs.failed", failed_txs);
-            self.telemetry.counter_add("host.inclusion_failures", inclusion_failures);
-            self.telemetry.counter_add("host.fees.lamports", fee_lamports);
-            self.telemetry.counter_add("host.compute_units", compute_units);
-            self.telemetry.gauge_set("host.mempool.depth", self.mempool.len() as f64);
-            self.telemetry.observe("host.mempool.depth", self.mempool.len() as f64);
-            self.telemetry.observe("host.slot.load", load);
+            let metrics = &self.slot_metrics;
+            metrics.txs_included.add(transactions.len() as u64);
+            metrics.txs_failed.add(failed_txs);
+            metrics.inclusion_failures.add(inclusion_failures);
+            metrics.fees.add(fee_lamports);
+            metrics.compute_units.add(compute_units);
+            metrics.mempool_depth.set(self.mempool.len() as f64);
+            metrics.mempool_depth_histogram.observe(self.mempool.len() as f64);
+            metrics.slot_load.observe(load);
         }
         self.blocks.push(Block {
             slot: self.slot,

@@ -5,7 +5,7 @@
 //! counterparty chain embeds one over a plain trie. Relayers shuttle
 //! messages (with proofs) between two handlers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use sim_crypto::Hash;
 
@@ -81,8 +81,8 @@ impl Default for HandlerConfig {
 pub struct IbcHandler<S: ProvableStore> {
     store: S,
     config: HandlerConfig,
-    stored_consensus_heights: HashMap<ClientId, VecDeque<Height>>,
-    clients: HashMap<ClientId, Box<dyn LightClient>>,
+    stored_consensus_heights: BTreeMap<ClientId, VecDeque<Height>>,
+    clients: BTreeMap<ClientId, Box<dyn LightClient>>,
     modules: HashMap<PortId, Box<dyn Module>>,
     self_history: Option<Box<dyn SelfHistory>>,
     next_client: u64,
@@ -102,8 +102,8 @@ impl<S: ProvableStore> IbcHandler<S> {
         Self {
             store,
             config,
-            stored_consensus_heights: HashMap::new(),
-            clients: HashMap::new(),
+            stored_consensus_heights: BTreeMap::new(),
+            clients: BTreeMap::new(),
             modules: HashMap::new(),
             self_history: None,
             next_client: 0,

@@ -50,7 +50,7 @@ use monitor::{
     StalenessDetector, StuckPacketDetector,
 };
 use relayer::msg::{Proof, RelayMsg, Submitted, Unproven};
-use telemetry::{names, RunReport, Telemetry, TraceId};
+use telemetry::{names, GaugeHandle, RunReport, Telemetry, TraceId};
 
 use crate::link::{link_ports, Link};
 use crate::routing::{PathPolicy, RouteHop, RoutingTable};
@@ -303,8 +303,16 @@ pub struct Mesh {
     relay_errors: u64,
     /// Online health monitor (installed by [`Mesh::enable_monitor`]).
     monitor: Option<Monitor>,
-    /// `mesh.{chain}.head`, one per node, formatted once in [`Mesh::build`].
-    head_gauges: Vec<String>,
+    /// Handles on `telemetry` for the gauges the monitor reads each step.
+    health_gauges: HealthGauges,
+}
+
+/// The gauges [`Mesh::step`] publishes for the mesh detector battery.
+struct HealthGauges {
+    /// `mesh.{chain}.head`, one per node.
+    heads: Vec<GaugeHandle>,
+    supply_drift: GaugeHandle,
+    fee_imbalance: GaugeHandle,
 }
 
 impl Mesh {
@@ -435,7 +443,14 @@ impl Mesh {
 
         let pending_forward = vec![Vec::new(); nodes.len()];
         let chaos = ChaosController::new(config.chaos.clone());
-        let head_gauges = nodes.iter().map(|node| format!("mesh.{}.head", node.name)).collect();
+        let health_gauges = HealthGauges {
+            heads: nodes
+                .iter()
+                .map(|node| telemetry.gauge_handle(format!("mesh.{}.head", node.name)))
+                .collect(),
+            supply_drift: telemetry.gauge_handle("mesh.supply.drift"),
+            fee_imbalance: telemetry.gauge_handle("mesh.fees.imbalance"),
+        };
         Ok(Self {
             config,
             port,
@@ -453,7 +468,7 @@ impl Mesh {
             stuck_refunds: 0,
             relay_errors: 0,
             monitor: None,
-            head_gauges,
+            health_gauges,
         })
     }
 
@@ -941,11 +956,12 @@ impl Mesh {
         if !self.telemetry.is_recording() {
             return;
         }
-        for (node, head) in self.nodes.iter().zip(&self.head_gauges) {
-            self.telemetry.gauge_set_at(now, head, node.chain.height() as f64);
+        let gauges = &self.health_gauges;
+        for (node, head) in self.nodes.iter().zip(&gauges.heads) {
+            head.set_at(now, node.chain.height() as f64);
         }
-        self.telemetry.gauge_set_at(now, "mesh.supply.drift", self.supply_drift() as f64);
-        self.telemetry.gauge_set_at(now, "mesh.fees.imbalance", self.fee_imbalance() as f64);
+        gauges.supply_drift.set_at(now, self.supply_drift() as f64);
+        gauges.fee_imbalance.set_at(now, self.fee_imbalance() as f64);
     }
 
     /// ICS-29 fee-conservation imbalance ([`invariants::fee_imbalance`])

@@ -146,20 +146,9 @@ impl Profiler {
 
     /// Open a named scope; wall time until the guard drops is
     /// attributed to `name` nested under the currently-open scopes.
+    #[inline]
     pub fn scope(&self, name: &str) -> Scope {
-        match &self.inner {
-            None => Scope { inner: None },
-            Some(rc) => {
-                let index = rc.borrow_mut().enter(name);
-                Scope {
-                    inner: Some(OpenScope {
-                        profiler: Rc::clone(rc),
-                        index,
-                        started: Instant::now(),
-                    }),
-                }
-            }
-        }
+        Scope { _open: self.inner.as_ref().map(|rc| OpenScope::enter(rc, name)) }
     }
 
     /// Snapshot the profile tree. Empty (zero total, no entries) for a
@@ -203,7 +192,7 @@ impl Profiler {
     }
 }
 
-/// Live state of an open [`Scope`].
+/// Live state of an open [`Scope`]; dropping it closes the scope.
 #[derive(Debug)]
 struct OpenScope {
     profiler: Rc<RefCell<Inner>>,
@@ -211,21 +200,28 @@ struct OpenScope {
     started: Instant,
 }
 
+impl OpenScope {
+    fn enter(profiler: &Rc<RefCell<Inner>>, name: &str) -> Self {
+        let index = profiler.borrow_mut().enter(name);
+        Self { profiler: Rc::clone(profiler), index, started: Instant::now() }
+    }
+}
+
+impl Drop for OpenScope {
+    fn drop(&mut self) {
+        let elapsed = self.started.elapsed();
+        self.profiler.borrow_mut().exit(self.index, elapsed);
+    }
+}
+
 /// RAII guard returned by [`Profiler::scope`]; dropping it closes the
-/// scope and attributes the elapsed wall time.
+/// scope and attributes the elapsed wall time. The guard itself has no
+/// `Drop`: dropping a disabled one is the inlined check of its `Option`.
 #[derive(Debug)]
 #[must_use = "a dropped scope records zero time"]
 pub struct Scope {
-    inner: Option<OpenScope>,
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if let Some(open) = self.inner.take() {
-            let elapsed = open.started.elapsed();
-            open.profiler.borrow_mut().exit(open.index, elapsed);
-        }
-    }
+    /// Held for its drop alone.
+    _open: Option<OpenScope>,
 }
 
 /// One phase in a [`ProfileReport`]: its place in the tree and its

@@ -1,0 +1,123 @@
+//! Pre-resolved metric handles for writers that run once per step.
+//!
+//! A named write searches the registry's sorted name index, and a writer
+//! that runs once per host slot pays that search millions of times in a
+//! long run. A handle is made from a [`Telemetry`] and a name, and it
+//! remembers the slot its first write found, so every later write indexes
+//! that slot.
+//!
+//! The first write of a handle is an ordinary named write: it creates the
+//! entry under the same admission rule and with the same default buckets.
+//! Making a handle writes nothing. A name the cardinality guard refuses is
+//! never remembered, so each write to it goes by name again and is counted
+//! under [`CARDINALITY_LIMITED`](crate::CARDINALITY_LIMITED). A handle on a
+//! disabled sink does nothing.
+//!
+//! Handles serve the per-step writers only; every other write stays named.
+
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use crate::{Inner, MetricsRegistry, Telemetry};
+
+/// The sink, the name, and the slot once a named write has been admitted.
+#[derive(Clone, Debug)]
+struct Slot {
+    sink: Option<Rc<RefCell<Inner>>>,
+    name: String,
+    index: Cell<Option<usize>>,
+}
+
+impl Slot {
+    fn new(telemetry: &Telemetry, name: impl Into<String>) -> Self {
+        Self { sink: telemetry.inner.clone(), name: name.into(), index: Cell::new(None) }
+    }
+
+    /// Writes through the remembered slot, or by name until a named write
+    /// is admitted.
+    fn write(
+        &self,
+        by_name: impl FnOnce(&mut MetricsRegistry, &str) -> Option<usize>,
+        by_slot: impl FnOnce(&mut MetricsRegistry, usize),
+    ) {
+        let Some(sink) = &self.sink else { return };
+        let metrics = &mut sink.borrow_mut().metrics;
+        match self.index.get() {
+            Some(index) => by_slot(metrics, index),
+            None => self.index.set(by_name(metrics, &self.name)),
+        }
+    }
+}
+
+/// A counter written through a remembered slot (see [`Telemetry::counter_handle`]).
+#[derive(Clone, Debug)]
+pub struct CounterHandle(Slot);
+
+impl CounterHandle {
+    /// Adds `delta`, as [`Telemetry::counter_add`] does.
+    pub fn add(&self, delta: u64) {
+        self.0.write(
+            |m, name| m.counter_add_by_name(name, delta),
+            |m, slot| m.counter_add_by_slot(slot, delta),
+        );
+    }
+}
+
+/// A gauge written through a remembered slot (see [`Telemetry::gauge_handle`]).
+#[derive(Clone, Debug)]
+pub struct GaugeHandle(Slot);
+
+impl GaugeHandle {
+    /// Sets the gauge, as [`Telemetry::gauge_set`] does.
+    pub fn set(&self, value: f64) {
+        self.0.write(
+            |m, name| m.gauge_set_by_name(name, value),
+            |m, slot| m.gauge_set_by_slot(slot, value),
+        );
+    }
+
+    /// Sets the gauge and records the write in its series, as
+    /// [`Telemetry::gauge_set_at`] does.
+    pub fn set_at(&self, at_ms: u64, value: f64) {
+        self.0.write(
+            |m, name| m.gauge_set_at_by_name(at_ms, name, value),
+            |m, slot| m.gauge_set_at_by_slot(slot, at_ms, value),
+        );
+    }
+}
+
+/// A histogram written through a remembered slot (see
+/// [`Telemetry::histogram_handle`]).
+#[derive(Clone, Debug)]
+pub struct HistogramHandle(Slot);
+
+impl HistogramHandle {
+    /// Records an observation, as [`Telemetry::observe`] does.
+    pub fn observe(&self, value: f64) {
+        self.0.write(
+            |m, name| m.observe_by_name(name, value),
+            |m, slot| m.observe_by_slot(slot, value),
+        );
+    }
+}
+
+impl Telemetry {
+    /// A handle on the counter `name` of this sink. Its entry is created by
+    /// its first write, not here.
+    pub fn counter_handle(&self, name: impl Into<String>) -> CounterHandle {
+        CounterHandle(Slot::new(self, name))
+    }
+
+    /// A handle on the gauge `name` of this sink. Its entry is created by
+    /// its first write, not here.
+    pub fn gauge_handle(&self, name: impl Into<String>) -> GaugeHandle {
+        GaugeHandle(Slot::new(self, name))
+    }
+
+    /// A handle on the histogram `name` of this sink. Its entry is created
+    /// by its first write, not here, with [`DEFAULT_BUCKETS`](crate::DEFAULT_BUCKETS)
+    /// unless the name was registered first.
+    pub fn histogram_handle(&self, name: impl Into<String>) -> HistogramHandle {
+        HistogramHandle(Slot::new(self, name))
+    }
+}

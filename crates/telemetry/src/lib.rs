@@ -15,7 +15,9 @@
 //!   every packet waiting on it.
 //! - **Events** are point-in-time records with structured fields.
 //! - **Metrics** are counters, gauges and fixed-bucket histograms that
-//!   components register into instead of ad-hoc locals.
+//!   components register into instead of ad-hoc locals. A writer that runs
+//!   once per step holds a [`CounterHandle`], [`GaugeHandle`] or
+//!   [`HistogramHandle`] instead of naming its metric on every write.
 //!
 //! Everything is stamped with the *simulated* clock and allocated from
 //! monotone counters — no wall clock, no entropy — so two same-seed runs
@@ -51,6 +53,7 @@ use std::rc::Rc;
 mod artifact;
 mod attribution;
 mod graph;
+mod handle;
 mod ids;
 mod journal;
 mod metrics;
@@ -60,6 +63,7 @@ mod report;
 pub use artifact::{Artifact, Flags, OutputOptions, Section};
 pub use attribution::{AttributionReport, GroupStat, StageStat};
 pub use graph::{stages, CausalEdge, CausalGraph, CausalNode};
+pub use handle::{CounterHandle, GaugeHandle, HistogramHandle};
 pub use ids::{SpanId, TraceId};
 pub use journal::{FieldValue, Fields, JournalRecord, RecordKind};
 pub use metrics::{

@@ -2,7 +2,7 @@
 //!
 //! Components register measurements here instead of keeping ad-hoc local
 //! tallies; the registry snapshot becomes the `metrics` section of a
-//! [`RunReport`](crate::RunReport). All state lives in `BTreeMap`s so
+//! [`RunReport`](crate::RunReport). Every name sits in a sorted index, so
 //! snapshots serialize in a deterministic order.
 //!
 //! Beyond the last-write-wins gauges, the registry keeps a bounded
@@ -279,14 +279,44 @@ impl GaugeSeries {
     }
 }
 
+/// A gauge's slot: its latest value, and the timestamped series once it
+/// has been written through [`MetricsRegistry::gauge_set_at`].
+#[derive(Clone, Debug)]
+struct Gauge {
+    value: f64,
+    series: Option<GaugeSeries>,
+}
+
 /// The mutable registry held inside a recording `Telemetry` handle.
+///
+/// Each kind keeps its values in a vector of slots under a sorted name
+/// index. A named write searches the index; a per-step writer holds a
+/// [`CounterHandle`](crate::CounterHandle), [`GaugeHandle`](crate::GaugeHandle)
+/// or [`HistogramHandle`](crate::HistogramHandle) that remembers the slot
+/// its first write found. Slots are never removed, so a remembered slot
+/// stays valid for the registry's life.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    series: BTreeMap<String, GaugeSeries>,
-    histograms: BTreeMap<String, Histogram>,
+    counter_index: BTreeMap<String, usize>,
+    counters: Vec<u64>,
+    gauge_index: BTreeMap<String, usize>,
+    gauges: Vec<Gauge>,
+    histogram_index: BTreeMap<String, usize>,
+    histograms: Vec<Histogram>,
     rejected_names: Vec<String>,
+}
+
+/// Appends `value` as the slot of the new name `name`, returning its index.
+fn insert<T>(
+    index: &mut BTreeMap<String, usize>,
+    slots: &mut Vec<T>,
+    name: &str,
+    value: T,
+) -> usize {
+    let slot = slots.len();
+    slots.push(value);
+    index.insert(name.to_string(), slot);
+    slot
 }
 
 /// Default bucket bounds used when a histogram is observed without an
@@ -322,7 +352,7 @@ impl MetricsRegistry {
         if distinct < METRIC_CARDINALITY_CAP {
             return true;
         }
-        *self.counters.entry(CARDINALITY_LIMITED.to_string()).or_insert(0) += 1;
+        self.counter_add_by_name(CARDINALITY_LIMITED, 1);
         if self.rejected_names.len() < CARDINALITY_REJECTED_NAMES_CAP
             && !self.rejected_names.iter().any(|n| n == name)
         {
@@ -339,20 +369,49 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a named counter (creating it at zero).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let Some(counter) = self.counters.get_mut(name) {
-            *counter += delta;
+        self.counter_add_by_name(name, delta);
+    }
+
+    /// [`MetricsRegistry::counter_add`], returning the slot written (`None`
+    /// when the name was refused).
+    pub(crate) fn counter_add_by_name(&mut self, name: &str, delta: u64) -> Option<usize> {
+        if let Some(&slot) = self.counter_index.get(name) {
+            self.counters[slot] += delta;
+            Some(slot)
         } else if self.admit(name) {
-            self.counters.insert(name.to_string(), delta);
+            Some(insert(&mut self.counter_index, &mut self.counters, name, delta))
+        } else {
+            None
         }
+    }
+
+    /// Adds `delta` to the counter in `slot`.
+    pub(crate) fn counter_add_by_slot(&mut self, slot: usize, delta: u64) {
+        self.counters[slot] += delta;
     }
 
     /// Sets a named gauge to its latest value (no series point).
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let Some(gauge) = self.gauges.get_mut(name) {
-            *gauge = value;
+        self.gauge_set_by_name(name, value);
+    }
+
+    /// [`MetricsRegistry::gauge_set`], returning the slot written (`None`
+    /// when the name was refused).
+    pub(crate) fn gauge_set_by_name(&mut self, name: &str, value: f64) -> Option<usize> {
+        if let Some(&slot) = self.gauge_index.get(name) {
+            self.gauges[slot].value = value;
+            Some(slot)
         } else if self.admit(name) {
-            self.gauges.insert(name.to_string(), value);
+            let gauge = Gauge { value, series: None };
+            Some(insert(&mut self.gauge_index, &mut self.gauges, name, gauge))
+        } else {
+            None
         }
+    }
+
+    /// Sets the gauge in `slot` (no series point).
+    pub(crate) fn gauge_set_by_slot(&mut self, slot: usize, value: f64) {
+        self.gauges[slot].value = value;
     }
 
     /// Sets a named gauge *and* records the write in its timestamped
@@ -360,23 +419,33 @@ impl MetricsRegistry {
     /// `gauges` map is updated exactly as by [`MetricsRegistry::gauge_set`]
     /// — series live alongside the snapshot, not inside it.
     pub fn gauge_set_at(&mut self, at_ms: u64, name: &str, value: f64) {
-        if let Some(gauge) = self.gauges.get_mut(name) {
-            *gauge = value;
-        } else if self.admit(name) {
-            self.gauges.insert(name.to_string(), value);
-        } else {
-            return;
-        }
-        match self.series.get_mut(name) {
-            Some(series) => series.record(at_ms, value),
-            None => self.series.entry(name.to_string()).or_default().record(at_ms, value),
-        }
+        self.gauge_set_at_by_name(at_ms, name, value);
+    }
+
+    /// [`MetricsRegistry::gauge_set_at`], returning the slot written
+    /// (`None` when the name was refused).
+    pub(crate) fn gauge_set_at_by_name(
+        &mut self,
+        at_ms: u64,
+        name: &str,
+        value: f64,
+    ) -> Option<usize> {
+        let slot = self.gauge_set_by_name(name, value)?;
+        self.gauge_set_at_by_slot(slot, at_ms, value);
+        Some(slot)
+    }
+
+    /// Sets the gauge in `slot` and records the write in its series.
+    pub(crate) fn gauge_set_at_by_slot(&mut self, slot: usize, at_ms: u64, value: f64) {
+        let gauge = &mut self.gauges[slot];
+        gauge.value = value;
+        gauge.series.get_or_insert_with(GaugeSeries::default).record(at_ms, value);
     }
 
     /// The timestamped series of a gauge written through
     /// [`MetricsRegistry::gauge_set_at`].
     pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
-        self.series.get(name)
+        self.gauges[*self.gauge_index.get(name)?].series.as_ref()
     }
 
     /// Registers a histogram with explicit bucket bounds. The first layout
@@ -391,8 +460,9 @@ impl MetricsRegistry {
         bounds: &[f64],
     ) -> Result<(), HistogramBoundsError> {
         validate_bounds(bounds)?;
-        if !self.histograms.contains_key(name) && self.admit(name) {
-            self.histograms.insert(name.to_string(), Histogram::new(bounds));
+        if !self.histogram_index.contains_key(name) && self.admit(name) {
+            let histogram = Histogram::new(bounds);
+            insert(&mut self.histogram_index, &mut self.histograms, name, histogram);
         }
         Ok(())
     }
@@ -400,36 +470,62 @@ impl MetricsRegistry {
     /// Records an observation, creating the histogram with
     /// [`DEFAULT_BUCKETS`] when it was never registered.
     pub fn observe(&mut self, name: &str, value: f64) {
-        if let Some(histogram) = self.histograms.get_mut(name) {
-            histogram.observe(value);
+        self.observe_by_name(name, value);
+    }
+
+    /// [`MetricsRegistry::observe`], returning the slot written (`None`
+    /// when the name was refused).
+    pub(crate) fn observe_by_name(&mut self, name: &str, value: f64) -> Option<usize> {
+        if let Some(&slot) = self.histogram_index.get(name) {
+            self.histograms[slot].observe(value);
+            Some(slot)
         } else if self.admit(name) {
             let mut histogram = Histogram::new(&DEFAULT_BUCKETS);
             histogram.observe(value);
-            self.histograms.insert(name.to_string(), histogram);
+            Some(insert(&mut self.histogram_index, &mut self.histograms, name, histogram))
+        } else {
+            None
         }
+    }
+
+    /// Records an observation in the histogram in `slot`.
+    pub(crate) fn observe_by_slot(&mut self, slot: usize, value: f64) {
+        self.histograms[slot].observe(value);
     }
 
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_index.get(name).map_or(0, |&slot| self.counters[slot])
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        self.gauge_index.get(name).map(|&slot| self.gauges[slot].value)
     }
 
     /// Reads a histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histogram_index.get(name).map(|&slot| &self.histograms[slot])
     }
 
     /// An immutable, serializable copy of the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
+            counters: self
+                .counter_index
+                .iter()
+                .map(|(n, &i)| (n.clone(), self.counters[i]))
+                .collect(),
+            gauges: self
+                .gauge_index
+                .iter()
+                .map(|(n, &i)| (n.clone(), self.gauges[i].value))
+                .collect(),
+            histograms: self
+                .histogram_index
+                .iter()
+                .map(|(n, &i)| (n.clone(), self.histograms[i].clone()))
+                .collect(),
             cardinality_rejected: self.rejected_names.clone(),
         }
     }
@@ -563,54 +659,101 @@ mod tests {
     }
 
     /// The writers as they were before they looked up first: `contains_key`,
-    /// `admit`, then `entry(name.to_string())` — kept as the oracle.
+    /// `admit`, then `entry(name.to_string())`, over string-keyed maps of
+    /// their own — kept as the oracle.
     #[derive(Default)]
-    struct EntryFirst(MetricsRegistry);
+    struct EntryFirst {
+        counters: BTreeMap<String, u64>,
+        gauges: BTreeMap<String, f64>,
+        series: BTreeMap<String, GaugeSeries>,
+        histograms: BTreeMap<String, Histogram>,
+        rejected_names: Vec<String>,
+    }
 
     impl EntryFirst {
         fn admit(&mut self, name: &str, exists: bool) -> bool {
-            exists || self.0.admit(name)
+            if exists || name == CARDINALITY_LIMITED {
+                return true;
+            }
+            let distinct = self.counters.len() + self.gauges.len() + self.histograms.len();
+            if distinct < METRIC_CARDINALITY_CAP {
+                return true;
+            }
+            *self.counters.entry(CARDINALITY_LIMITED.to_string()).or_insert(0) += 1;
+            if self.rejected_names.len() < CARDINALITY_REJECTED_NAMES_CAP
+                && !self.rejected_names.iter().any(|n| n == name)
+            {
+                self.rejected_names.push(name.to_string());
+            }
+            false
         }
 
         fn counter_add(&mut self, name: &str, delta: u64) {
-            if !self.admit(name, self.0.counters.contains_key(name)) {
+            if !self.admit(name, self.counters.contains_key(name)) {
                 return;
             }
-            *self.0.counters.entry(name.to_string()).or_insert(0) += delta;
+            *self.counters.entry(name.to_string()).or_insert(0) += delta;
         }
 
         fn gauge_set(&mut self, name: &str, value: f64) {
-            if !self.admit(name, self.0.gauges.contains_key(name)) {
+            if !self.admit(name, self.gauges.contains_key(name)) {
                 return;
             }
-            self.0.gauges.insert(name.to_string(), value);
+            self.gauges.insert(name.to_string(), value);
         }
 
         fn gauge_set_at(&mut self, at_ms: u64, name: &str, value: f64) {
-            if !self.admit(name, self.0.gauges.contains_key(name)) {
+            if !self.admit(name, self.gauges.contains_key(name)) {
                 return;
             }
-            self.0.gauges.insert(name.to_string(), value);
-            self.0.series.entry(name.to_string()).or_default().record(at_ms, value);
+            self.gauges.insert(name.to_string(), value);
+            self.series.entry(name.to_string()).or_default().record(at_ms, value);
         }
 
         fn register_histogram(&mut self, name: &str, bounds: &[f64]) {
             validate_bounds(bounds).unwrap();
-            if !self.admit(name, self.0.histograms.contains_key(name)) {
+            if !self.admit(name, self.histograms.contains_key(name)) {
                 return;
             }
-            self.0.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds));
+            self.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds));
         }
 
         fn observe(&mut self, name: &str, value: f64) {
-            if !self.admit(name, self.0.histograms.contains_key(name)) {
+            if !self.admit(name, self.histograms.contains_key(name)) {
                 return;
             }
-            self.0
-                .histograms
+            self.histograms
                 .entry(name.to_string())
                 .or_insert_with(|| Histogram::new(&DEFAULT_BUCKETS))
                 .observe(value);
+        }
+
+        fn snapshot(&self) -> MetricsSnapshot {
+            MetricsSnapshot {
+                counters: self.counters.clone(),
+                gauges: self.gauges.clone(),
+                histograms: self.histograms.clone(),
+                cardinality_rejected: self.rejected_names.clone(),
+            }
+        }
+    }
+
+    /// One handle of each kind per name, all made before any write.
+    struct Handles {
+        counters: Vec<crate::CounterHandle>,
+        gauges: Vec<crate::GaugeHandle>,
+        histograms: Vec<crate::HistogramHandle>,
+        limited: crate::CounterHandle,
+    }
+
+    impl Handles {
+        fn new(telemetry: &crate::Telemetry, names: &[String]) -> Self {
+            Self {
+                counters: names.iter().map(|n| telemetry.counter_handle(n.as_str())).collect(),
+                gauges: names.iter().map(|n| telemetry.gauge_handle(n.as_str())).collect(),
+                histograms: names.iter().map(|n| telemetry.histogram_handle(n.as_str())).collect(),
+                limited: telemetry.counter_handle(CARDINALITY_LIMITED),
+            }
         }
     }
 
@@ -618,36 +761,90 @@ mod tests {
     fn writers_match_the_entry_first_oracle_across_the_cap() {
         let mut new = MetricsRegistry::default();
         let mut old = EntryFirst::default();
+        // A third registry takes every write but the registrations through
+        // handles, one per name and kind, made before the mix starts.
+        let sink = crate::Telemetry::recording();
+        let names: Vec<String> = (0..1_400).map(|i| format!("m{i:04}")).collect();
+        let handles = Handles::new(&sink, &names);
+        let inner = sink.inner.as_ref().unwrap();
+        assert!(
+            inner.borrow().metrics.snapshot().counters.is_empty(),
+            "making a handle writes nothing"
+        );
         // A pseudo-random write mix over a name space wider than the cap,
         // so creations, rewrites and refusals of every kind interleave.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for step in 0..40_000u64 {
             state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let name = format!("m{:04}", (state >> 33) % 1_400);
+            let index = ((state >> 33) % 1_400) as usize;
+            let name = &names[index];
             let value = (state >> 20) as f64 / 1e3;
             match (state >> 8) % 6 {
-                0 => (new.counter_add(&name, step), old.counter_add(&name, step)),
-                1 => (new.gauge_set(&name, value), old.gauge_set(&name, value)),
-                2 => (new.gauge_set_at(step, &name, value), old.gauge_set_at(step, &name, value)),
-                3 => (new.observe(&name, value), old.observe(&name, value)),
-                4 => (
-                    new.register_histogram(&name, &[1.0, 1e6]).unwrap(),
-                    old.register_histogram(&name, &[1.0, 1e6]),
-                ),
-                _ => (
-                    new.counter_add(CARDINALITY_LIMITED, 0),
-                    old.counter_add(CARDINALITY_LIMITED, 0),
-                ),
-            };
+                0 => {
+                    new.counter_add(name, step);
+                    old.counter_add(name, step);
+                    handles.counters[index].add(step);
+                }
+                1 => {
+                    new.gauge_set(name, value);
+                    old.gauge_set(name, value);
+                    handles.gauges[index].set(value);
+                }
+                2 => {
+                    new.gauge_set_at(step, name, value);
+                    old.gauge_set_at(step, name, value);
+                    handles.gauges[index].set_at(step, value);
+                }
+                3 => {
+                    new.observe(name, value);
+                    old.observe(name, value);
+                    handles.histograms[index].observe(value);
+                }
+                4 => {
+                    new.register_histogram(name, &[1.0, 1e6]).unwrap();
+                    old.register_histogram(name, &[1.0, 1e6]);
+                    sink.register_histogram(name, &[1.0, 1e6]).unwrap();
+                }
+                _ => {
+                    new.counter_add(CARDINALITY_LIMITED, 0);
+                    old.counter_add(CARDINALITY_LIMITED, 0);
+                    handles.limited.add(0);
+                }
+            }
         }
         assert!(new.counter(CARDINALITY_LIMITED) > 0, "the mix crossed the cap");
-        let json = |r: &MetricsRegistry| serde_json::to_string(&r.snapshot()).unwrap();
-        assert_eq!(json(&new), json(&old.0));
-        assert_eq!(new.cardinality_rejected(), old.0.cardinality_rejected());
-        assert_eq!(new.series.len(), old.0.series.len());
-        for (name, series) in &new.series {
-            assert_eq!(series.points(), old.0.series[name].points(), "{name}");
+        let oracle = serde_json::to_string(&old.snapshot()).unwrap();
+        let recorded = inner.borrow();
+        for (writer, registry) in [("named", &new), ("handle", &recorded.metrics)] {
+            assert_eq!(serde_json::to_string(&registry.snapshot()).unwrap(), oracle, "{writer}");
+            assert_eq!(registry.cardinality_rejected(), old.rejected_names, "{writer}");
+            let series = registry.gauges.iter().filter(|g| g.series.is_some()).count();
+            assert_eq!(series, old.series.len(), "{writer}");
+            for (name, series) in &old.series {
+                assert_eq!(
+                    registry.gauge_series(name).unwrap().points(),
+                    series.points(),
+                    "{name}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_handle_on_a_disabled_sink_writes_nothing() {
+        let sink = crate::Telemetry::disabled();
+        sink.counter_handle("c").add(1);
+        sink.gauge_handle("g").set(1.0);
+        sink.gauge_handle("s").set_at(5, 1.0);
+        sink.histogram_handle("h").observe(1.0);
+        assert_eq!(sink.counter("c"), 0);
+        assert_eq!(sink.gauge("g"), None);
+        assert_eq!(sink.gauge_last_change("s"), None);
+        assert_eq!(sink.histogram("h").map(|h| h.count), None);
+        assert_eq!(
+            serde_json::to_string(&sink.metrics_snapshot()).unwrap(),
+            serde_json::to_string(&MetricsSnapshot::default()).unwrap()
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use profiler::{ProfileReport, Profiler};
 use relayer::{connect_chains, Endpoints, Relayer};
 use sim_crypto::rng::{seed_stream, SplitMix64};
 use sim_crypto::schnorr::Keypair;
-use telemetry::{DeliveryAccounting, RunReport, Telemetry};
+use telemetry::{DeliveryAccounting, GaugeHandle, RunReport, Telemetry};
 use workload::{Arrival, Direction, EventQueue, TrafficGenerator};
 
 use crate::config::{TelemetryMode, TestnetConfig};
@@ -126,8 +126,33 @@ pub struct Testnet {
     /// Per-shape traffic counter names, formatted once at build time so
     /// the per-arrival hot path never allocates a metric name.
     traffic_counters: Option<TrafficCounterNames>,
+    /// Handles on `telemetry` for the gauges every step flushes.
+    step_gauges: StepGauges,
     /// Online health monitor (`None` when disabled in the config).
     monitor: Option<Monitor>,
+}
+
+/// The harness-level gauges [`Testnet::step`] flushes for the monitor.
+struct StepGauges {
+    relayer_backlog: GaugeHandle,
+    guest_head: GaugeHandle,
+    cp_head: GaugeHandle,
+    guest_client_on_cp: GaugeHandle,
+    cp_client_on_guest: GaugeHandle,
+    payer_balance: GaugeHandle,
+}
+
+impl StepGauges {
+    fn new(telemetry: &Telemetry) -> Self {
+        Self {
+            relayer_backlog: telemetry.gauge_handle("relayer.backlog"),
+            guest_head: telemetry.gauge_handle("guest.head"),
+            cp_head: telemetry.gauge_handle("cp.head"),
+            guest_client_on_cp: telemetry.gauge_handle("client.guest_on_cp"),
+            cp_client_on_guest: telemetry.gauge_handle("client.cp_on_guest"),
+            payer_balance: telemetry.gauge_handle("relayer.payer.balance"),
+        }
+    }
 }
 
 /// Pre-formatted per-shape traffic metric names
@@ -320,6 +345,7 @@ impl Testnet {
             chaos,
             invariants,
             next_audit_ms: 60_000,
+            step_gauges: StepGauges::new(&telemetry),
             telemetry,
             profiler,
             traffic_counters,
@@ -572,7 +598,9 @@ impl Testnet {
         // stream and audits after every finalised block.
         let guest_scope = self.profiler.scope("guest.events");
         let mut finalised_seen = false;
-        let faults = self.chaos.active_labels(now);
+        // The fault labels only annotate guest events; most steps have none.
+        let faults =
+            if guest_events.is_empty() { Vec::new() } else { self.chaos.active_labels(now) };
         for event in &guest_events {
             self.invariants.observe_guest_event(now, &faults, event, &self.endpoints.guest_channel);
             finalised_seen |= matches!(event, GuestEvent::FinalisedBlock { .. });
@@ -698,34 +726,20 @@ impl Testnet {
         // records at slot cadence) and let the health monitor evaluate.
         if self.telemetry.is_recording() {
             let _record = self.profiler.scope("telemetry.record");
-            self.telemetry.gauge_set("relayer.backlog", self.relayer.backlog() as f64);
-            self.telemetry.gauge_set_at(
-                now,
-                "guest.head",
-                self.contract.borrow().head_height() as f64,
-            );
-            self.telemetry.gauge_set_at(now, "cp.head", self.cp.height() as f64);
+            let gauges = &self.step_gauges;
+            gauges.relayer_backlog.set(self.relayer.backlog() as f64);
+            gauges.guest_head.set_at(now, self.contract.borrow().head_height() as f64);
+            gauges.cp_head.set_at(now, self.cp.height() as f64);
             if let Ok(client) = self.cp.ibc().client(&self.endpoints.guest_client_on_cp) {
-                self.telemetry.gauge_set_at(
-                    now,
-                    "client.guest_on_cp",
-                    client.latest_height() as f64,
-                );
+                gauges.guest_client_on_cp.set_at(now, client.latest_height() as f64);
             }
             if let Ok(client) =
                 self.contract.borrow().ibc().client(&self.endpoints.cp_client_on_guest)
             {
-                self.telemetry.gauge_set_at(
-                    now,
-                    "client.cp_on_guest",
-                    client.latest_height() as f64,
-                );
+                gauges.cp_client_on_guest.set_at(now, client.latest_height() as f64);
             }
-            self.telemetry.gauge_set_at(
-                now,
-                "relayer.payer.balance",
-                self.host.bank().balance(&self.relayer.payer()) as f64,
-            );
+            let balance = self.host.bank().balance(&self.relayer.payer());
+            gauges.payer_balance.set_at(now, balance as f64);
         }
         if let Some(monitor) = self.monitor.as_mut() {
             let _monitor = self.profiler.scope("monitor.tick");
