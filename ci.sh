@@ -97,6 +97,17 @@ if [ "$(outside_tests '\.sign\(' crates/counterparty-sim/src | wc -l)" -ne 1 ]; 
     exit 1
 fi
 
+echo "==> the payer balance is read behind the bank's stamp"
+# `Testnet::step` re-reads what the host bank holds (the relayer's payer balance, and the guest
+# contract, which changes only inside the bank's transactions) only when `Bank::stamp` moved; a
+# SipHash balance read on every step was 7 % of `paper_month`. A tripwire for a second read spelled
+# `.bank().balance(` under crates/testnet/src, scanning each file up to its first column-0 #[cfg(test)].
+if [ "$(outside_tests '\.bank\(\)\.balance\(' crates/testnet/src | wc -l)" -ne 1 ]; then
+    outside_tests '\.bank\(\)\.balance\(' crates/testnet/src >&2
+    echo "crates/testnet/src must read a host balance in exactly one place, behind the bank's stamp" >&2
+    exit 1
+fi
+
 echo "==> one home for counterparty blocks"
 # When a counterparty commits a block (its cadence, the 60-s keep-alive, the root comparison) and
 # from which height each event is provable are decided in counterparty-sim's chain.rs alone:

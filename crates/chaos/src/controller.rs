@@ -35,6 +35,21 @@ impl ChaosController {
         self.plan.is_empty()
     }
 
+    /// The first window edge (a `from_ms` or an `until_ms`) after `now_ms`,
+    /// or `u64::MAX` when none is left. Every query below, and which
+    /// one-shots are due, reads the same at every instant in
+    /// `now_ms..next_boundary_after(now_ms)`, so a caller may keep what it
+    /// read at `now_ms` until then.
+    pub fn next_boundary_after(&self, now_ms: u64) -> u64 {
+        self.plan
+            .events
+            .iter()
+            .flat_map(|e| [e.from_ms, e.until_ms])
+            .filter(|&edge| edge > now_ms)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Labels of every fault active at `now_ms`, plus already-fired
     /// one-shots — their damage persists past the firing instant, and a
     /// violation detected later should still name them.
@@ -237,6 +252,52 @@ mod tests {
         assert_eq!(faults.drop_probability, 0.5);
         assert_eq!(controller.chunk_faults(200), None);
         assert_eq!(controller.active_labels(150).len(), 8);
+    }
+
+    #[test]
+    fn reads_kept_until_the_next_boundary_match_direct_queries() {
+        let mint = Fault::CounterfeitMint {
+            account: "mallory".into(),
+            denom: "transfer/channel-0/wsol".into(),
+            amount: 5,
+        };
+        let plan = ChaosPlan::new(3)
+            .with(100, 400, Fault::CongestionStorm { load: 0.9 })
+            .with(250, 600, Fault::InclusionFailureBurst { probability: 0.3 })
+            .with(300, 350, Fault::RelayerHalt)
+            .with(320, 700, Fault::CounterpartyHalt)
+            .with(340, 360, Fault::RelayerHalt)
+            .with(200, 500, Fault::ChunkDrop { probability: 0.2 })
+            .with(450, 800, Fault::ChunkReorder { probability: 0.1 })
+            .with(450, 460, Fault::CongestionStorm { load: 0.7 })
+            .at(330, mint);
+        let reads = |controller: &ChaosController, now| {
+            let disturbance = controller.host_disturbance(now);
+            (
+                disturbance.forced_load,
+                disturbance.inclusion_failure_probability,
+                controller.relayer_halted(now),
+                controller.cp_halted(now),
+                controller.chunk_faults(now),
+            )
+        };
+        let mut direct = ChaosController::new(plan.clone());
+        let mut cached = ChaosController::new(plan);
+        let (mut until, mut kept, mut rereads) = (0, None, 0);
+        for now in 0..1_000 {
+            let due = direct.take_due_one_shots(now);
+            let mut due_cached = Vec::new();
+            if now >= until {
+                due_cached = cached.take_due_one_shots(now);
+                kept = Some(reads(&cached, now));
+                until = cached.next_boundary_after(now);
+                rereads += 1;
+            }
+            assert_eq!(due_cached, due, "one-shots at {now}");
+            assert_eq!(kept, Some(reads(&direct, now)), "reads at {now}");
+        }
+        assert_eq!(until, u64::MAX, "no edge after the last window");
+        assert_eq!(rereads, 18, "one read at 0 and one at each of the 17 distinct edges");
     }
 
     #[test]

@@ -107,15 +107,15 @@ pub struct CheckContext<'a> {
     /// The counterparty chain.
     pub cp: &'a CounterpartyChain,
     /// The transfer port (both sides bind the same port id).
-    pub port: PortId,
+    pub port: &'a PortId,
     /// The guest end of the transfer channel.
-    pub guest_channel: ChannelId,
+    pub guest_channel: &'a ChannelId,
     /// The counterparty end of the transfer channel.
-    pub cp_channel: ChannelId,
+    pub cp_channel: &'a ChannelId,
     /// The client tracking the guest, hosted on the counterparty.
-    pub guest_client_on_cp: ClientId,
+    pub guest_client_on_cp: &'a ClientId,
     /// The client tracking the counterparty, hosted on the guest.
-    pub cp_client_on_guest: ClientId,
+    pub cp_client_on_guest: &'a ClientId,
 }
 
 /// State of one tracked outbound packet commitment.
@@ -282,11 +282,11 @@ impl InvariantSuite {
     /// over both directions is the `supply.drift` gauge the monitor reads.
     fn check_conservation(&mut self, ctx: &CheckContext<'_>) {
         let Some(rows) = ics20_backing(
-            &ctx.port,
+            ctx.port,
             ctx.contract.ibc(),
-            &ctx.guest_channel,
+            ctx.guest_channel,
             ctx.cp.ibc(),
-            &ctx.cp_channel,
+            ctx.cp_channel,
         ) else {
             return;
         };
@@ -313,7 +313,7 @@ impl InvariantSuite {
     /// [`fee_imbalance`]).
     fn check_fee_conservation(&mut self, ctx: &CheckContext<'_>) {
         for (side, ibc) in [("guest", ctx.contract.ibc()), ("counterparty", ctx.cp.ibc())] {
-            let Some((imbalance, totals)) = fee_imbalance(ibc, &ctx.port) else { continue };
+            let Some((imbalance, totals)) = fee_imbalance(ibc, ctx.port) else { continue };
             if imbalance > 0 {
                 self.record(
                     ctx.now_ms,
@@ -331,7 +331,7 @@ impl InvariantSuite {
     }
 
     fn check_client_monotonicity(&mut self, ctx: &CheckContext<'_>) {
-        if let Ok(client) = ctx.cp.ibc().client(&ctx.guest_client_on_cp) {
+        if let Ok(client) = ctx.cp.ibc().client(ctx.guest_client_on_cp) {
             let height = client.latest_height();
             if height < self.guest_client_height {
                 self.record(
@@ -347,7 +347,7 @@ impl InvariantSuite {
             }
             self.guest_client_height = self.guest_client_height.max(height);
         }
-        if let Ok(client) = ctx.contract.ibc().client(&ctx.cp_client_on_guest) {
+        if let Ok(client) = ctx.contract.ibc().client(ctx.cp_client_on_guest) {
             let height = client.latest_height();
             if height < self.cp_client_height {
                 self.record(

@@ -358,16 +358,27 @@ impl GuestContract {
     /// [`GuestError::HeadNotFinalised`] / [`GuestError::NothingToCommit`]
     /// per the algorithm's assertions.
     pub fn block_due(&self, now_ms: u64) -> Result<(), GuestError> {
+        match self.block_due_from() {
+            None => Err(GuestError::HeadNotFinalised),
+            Some(from) if now_ms < from => Err(GuestError::NothingToCommit),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// The first instant at which [`Self::block_due`] holds while the
+    /// contract stays as it is: `None` while the head is unfinalised, 0
+    /// once the state root moved past the head's, else the head's time
+    /// plus Δ. Only the contract's state moves it, never the clock.
+    pub fn block_due_from(&self) -> Option<u64> {
         let blocks = self.blocks.borrow();
         let head = blocks.last().expect("genesis always exists");
         if !self.is_finalised(head.height) {
-            return Err(GuestError::HeadNotFinalised);
+            return None;
         }
-        let age = now_ms.saturating_sub(head.timestamp_ms);
-        if self.ibc.root() == head.state_root && age < self.config.delta_ms {
-            return Err(GuestError::NothingToCommit);
+        if self.ibc.root() != head.state_root || self.config.delta_ms == 0 {
+            return Some(0);
         }
-        Ok(())
+        Some(head.timestamp_ms.saturating_add(self.config.delta_ms))
     }
 
     /// `GenerateBlock` (Alg. 1 l. 12–18): creates a new guest block when

@@ -288,6 +288,9 @@ impl CounterpartyChain {
     /// height whose root commits it: the events a produced block set aside
     /// carry its height, those emitted since carry the next.
     pub fn drain_events(&mut self) -> Vec<(IbcEvent, u64)> {
+        if self.committed_events.is_empty() && !self.ibc.has_events() {
+            return Vec::new();
+        }
         let mut events = std::mem::take(&mut self.committed_events);
         let next = self.height + 1;
         events.extend(self.ibc.drain_events().into_iter().map(|event| (event, next)));

@@ -36,12 +36,17 @@ impl TxOutcome {
 /// Typically driven through [`crate::HostChain`], which adds the slot clock
 /// and fee market; the bank alone is convenient for direct unit tests of
 /// programs.
+///
+/// Every `&mut self` method advances [`Bank::stamp`], so an observer that
+/// remembers the stamp it last read at can tell that nothing here, nor in
+/// any registered program's state, has changed since.
 #[derive(Default)]
 pub struct Bank {
     accounts: HashMap<Pubkey, Account>,
     programs: HashMap<Pubkey, Box<dyn Program>>,
     /// Account that receives fees (block producer stand-in).
     fee_sink_lamports: u64,
+    stamp: u64,
 }
 
 impl Bank {
@@ -53,11 +58,13 @@ impl Bank {
     /// Creates `key` out of thin air with `lamports` (test/bootstrap
     /// faucet).
     pub fn airdrop(&mut self, key: Pubkey, lamports: u64) {
+        self.stamp += 1;
         self.accounts.entry(key).or_insert_with(|| Account::wallet(0)).lamports += lamports;
     }
 
     /// Registers an executable program under `program_id`.
     pub fn register_program(&mut self, program_id: Pubkey, program: Box<dyn Program>) {
+        self.stamp += 1;
         let mut account = Account::wallet(0);
         account.executable = true;
         account.owner = Pubkey::from_label("loader");
@@ -79,6 +86,7 @@ impl Bank {
         owner: Pubkey,
         data_len: usize,
     ) -> Result<(), AccountError> {
+        self.stamp += 1;
         if data_len > MAX_ACCOUNT_SIZE {
             return Err(AccountError::TooLarge(data_len));
         }
@@ -114,6 +122,7 @@ impl Bank {
         new_len: usize,
         recipient: &Pubkey,
     ) -> Result<u64, AccountError> {
+        self.stamp += 1;
         let account = self.accounts.get_mut(key).ok_or(AccountError::Unknown(*key))?;
         let new_required = rent::minimum_balance(new_len);
         let refund = account.lamports.saturating_sub(new_required);
@@ -134,6 +143,12 @@ impl Bank {
     /// Balance helper (0 for unknown accounts).
     pub fn balance(&self, key: &Pubkey) -> u64 {
         self.accounts.get(key).map_or(0, |a| a.lamports)
+    }
+
+    /// The change stamp: advanced by every `&mut self` method, including a
+    /// call that fails, and by nothing else. Equal stamps mean equal state.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Total fees collected so far.
@@ -158,6 +173,7 @@ impl Bank {
         slot: Slot,
         now_ms: TimeMs,
     ) -> TxOutcome {
+        self.stamp += 1;
         let fee = tx.fee_lamports();
         let payer_balance = self.balance(&tx.payer);
         if payer_balance < fee {
@@ -354,6 +370,51 @@ mod tests {
             .allocate_account(&payer, Pubkey::from_label("big"), program_id, MAX_ACCOUNT_SIZE + 1)
             .unwrap_err();
         assert!(matches!(err, AccountError::TooLarge(_)));
+    }
+
+    /// Runs `call` and asserts that it moved the stamp.
+    fn moves(bank: &mut Bank, name: &str, call: impl FnOnce(&mut Bank)) {
+        let before = bank.stamp();
+        call(bank);
+        assert!(bank.stamp() > before, "{name} left the stamp at {before}");
+    }
+
+    #[test]
+    fn every_mutating_path_moves_the_stamp() {
+        let (mut bank, program_id, payer) = setup();
+        let bank = &mut bank;
+        let state = Pubkey::from_label("state");
+        let broke = Pubkey::from_label("broke");
+        moves(bank, "airdrop", |bank| bank.airdrop(broke, 1));
+        moves(bank, "register_program", |bank| {
+            bank.register_program(Pubkey::from_label("other"), Box::new(Counter::default()))
+        });
+        moves(bank, "allocate_account", |bank| {
+            bank.allocate_account(&payer, state, program_id, 1_000).unwrap()
+        });
+        moves(bank, "allocate_account (refused)", |bank| {
+            bank.allocate_account(&broke, state, program_id, MAX_ACCOUNT_SIZE).unwrap_err();
+        });
+        moves(bank, "shrink_account", |bank| {
+            bank.shrink_account(&state, 10, &payer).unwrap();
+        });
+        moves(bank, "shrink_account (unknown)", |bank| {
+            bank.shrink_account(&Pubkey::from_label("none"), 0, &payer).unwrap_err();
+        });
+        moves(bank, "execute_transaction", |bank| {
+            assert!(bank.execute_transaction(&tick_tx(program_id, payer, 0), 1, 400).is_ok());
+        });
+        moves(bank, "execute_transaction (failing)", |bank| {
+            assert!(!bank.execute_transaction(&tick_tx(program_id, payer, 1), 1, 400).is_ok());
+        });
+        moves(bank, "execute_transaction (broke payer)", |bank| {
+            let outcome = bank.execute_transaction(&tick_tx(program_id, broke, 0), 1, 400);
+            assert_eq!(outcome.result, Err(ProgramError::InsufficientFunds));
+        });
+        let stamp = bank.stamp();
+        let _ = (bank.balance(&payer), bank.account(&payer), bank.fees_collected());
+        assert!(bank.program(&program_id).is_some());
+        assert_eq!(bank.stamp(), stamp, "reads leave the stamp alone");
     }
 
     #[test]

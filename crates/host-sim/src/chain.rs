@@ -129,6 +129,9 @@ struct SlotMetrics {
     fees: CounterHandle,
     compute_units: CounterHandle,
     mempool_depth: GaugeHandle,
+    /// The depth `mempool_depth` last wrote, so an unchanged depth is not
+    /// written again.
+    mempool_depth_written: Option<usize>,
     mempool_depth_histogram: HistogramHandle,
     slot_load: HistogramHandle,
 }
@@ -142,6 +145,7 @@ impl SlotMetrics {
             fees: telemetry.counter_handle("host.fees.lamports"),
             compute_units: telemetry.counter_handle("host.compute_units"),
             mempool_depth: telemetry.gauge_handle("host.mempool.depth"),
+            mempool_depth_written: None,
             mempool_depth_histogram: telemetry.histogram_handle("host.mempool.depth"),
             slot_load: telemetry.histogram_handle("host.slot.load"),
         }
@@ -356,14 +360,18 @@ impl HostChain {
             // Per-slot aggregates go to the metrics registry only — a
             // multi-week run produces millions of slots, far too many for
             // the journal.
-            let metrics = &self.slot_metrics;
+            let metrics = &mut self.slot_metrics;
             metrics.txs_included.add(transactions.len() as u64);
             metrics.txs_failed.add(failed_txs);
             metrics.inclusion_failures.add(inclusion_failures);
             metrics.fees.add(fee_lamports);
             metrics.compute_units.add(compute_units);
-            metrics.mempool_depth.set(self.mempool.len() as f64);
-            metrics.mempool_depth_histogram.observe(self.mempool.len() as f64);
+            let depth = self.mempool.len();
+            if metrics.mempool_depth_written != Some(depth) {
+                metrics.mempool_depth.set(depth as f64);
+                metrics.mempool_depth_written = Some(depth);
+            }
+            metrics.mempool_depth_histogram.observe(depth as f64);
             metrics.slot_load.observe(load);
         }
         self.blocks.push(Block {

@@ -163,6 +163,9 @@ impl Mempool {
         floor_micro_lamports: u64,
         include_base: bool,
     ) -> Vec<PendingTx> {
+        if self.ordered.is_empty() {
+            return Vec::new();
+        }
         let mut selected_keys: Vec<PoolKey> = Vec::new();
         let mut used_cu = 0u64;
         // Bundles already decided this drain (selected or skipped).

@@ -78,6 +78,10 @@ impl Default for HandlerConfig {
 }
 
 /// The IBC state machine of one chain.
+///
+/// Every public `&mut self` method advances [`IbcHandler::stamp`], so an
+/// observer that remembers the stamp it last read at can tell that no
+/// client, connection, channel, module or stored key has changed since.
 pub struct IbcHandler<S: ProvableStore> {
     store: S,
     config: HandlerConfig,
@@ -89,6 +93,7 @@ pub struct IbcHandler<S: ProvableStore> {
     next_connection: u64,
     next_channel: u64,
     events: Vec<IbcEvent>,
+    stamp: u64,
 }
 
 impl<S: ProvableStore> IbcHandler<S> {
@@ -110,12 +115,14 @@ impl<S: ProvableStore> IbcHandler<S> {
             next_connection: 0,
             next_channel: 0,
             events: Vec::new(),
+            stamp: 0,
         }
     }
 
     /// Installs the chain's own consensus history for handshake
     /// self-validation.
     pub fn set_self_history(&mut self, history: Box<dyn SelfHistory>) {
+        self.stamp += 1;
         self.self_history = Some(history);
     }
 
@@ -126,6 +133,7 @@ impl<S: ProvableStore> IbcHandler<S> {
 
     /// Mutable store access (chain-internal bookkeeping).
     pub fn store_mut(&mut self) -> &mut S {
+        self.stamp += 1;
         &mut self.store
     }
 
@@ -134,8 +142,21 @@ impl<S: ProvableStore> IbcHandler<S> {
         self.store.root()
     }
 
+    /// The change stamp: advanced by every public `&mut self` method,
+    /// including a call that fails, and by nothing else. Equal stamps mean
+    /// equal state.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Whether events are pending for [`Self::drain_events`].
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Removes and returns all pending events.
     pub fn drain_events(&mut self) -> Vec<IbcEvent> {
+        self.stamp += 1;
         std::mem::take(&mut self.events)
     }
 
@@ -145,6 +166,7 @@ impl<S: ProvableStore> IbcHandler<S> {
 
     /// Registers a light client; returns its id.
     pub fn create_client(&mut self, client: Box<dyn LightClient>) -> ClientId {
+        self.stamp += 1;
         let client_id = ClientId::new(self.next_client);
         self.next_client += 1;
         self.clients.insert(client_id.clone(), client);
@@ -178,6 +200,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         client_id: &ClientId,
         header: &[u8],
     ) -> Result<Height, IbcError> {
+        self.stamp += 1;
         let client = self
             .clients
             .get_mut(client_id)
@@ -216,6 +239,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         client_id: &ClientId,
         evidence: &[u8],
     ) -> Result<bool, IbcError> {
+        self.stamp += 1;
         let client = self
             .clients
             .get_mut(client_id)
@@ -284,6 +308,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         client_id: ClientId,
         counterparty_client_id: ClientId,
     ) -> Result<ConnectionId, IbcError> {
+        self.stamp += 1;
         self.client(&client_id)?;
         let connection_id = ConnectionId::new(self.next_connection);
         self.next_connection += 1;
@@ -305,6 +330,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         proof_init: ProofData,
         self_consensus: Option<SelfConsensusProof>,
     ) -> Result<ConnectionId, IbcError> {
+        self.stamp += 1;
         let expected = ConnectionEnd::init(counterparty_client_id.clone(), client_id.clone());
         self.verify_membership(
             &client_id,
@@ -335,6 +361,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         proof_try: ProofData,
         self_consensus: Option<SelfConsensusProof>,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.connection(connection_id)?;
         if end.state != ConnectionState::Init {
             return Err(IbcError::InvalidState(format!(
@@ -375,6 +402,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         connection_id: &ConnectionId,
         proof_ack: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.connection(connection_id)?;
         if end.state != ConnectionState::TryOpen {
             return Err(IbcError::InvalidState(format!(
@@ -441,11 +469,13 @@ impl<S: ProvableStore> IbcHandler<S> {
 
     /// Binds an application module to a port.
     pub fn bind_port(&mut self, port_id: PortId, module: Box<dyn Module>) {
+        self.stamp += 1;
         self.modules.insert(port_id, module);
     }
 
     /// Mutable access to the module bound to `port_id` (app-state queries).
     pub fn module_mut(&mut self, port_id: &PortId) -> Option<&mut (dyn Module + '_)> {
+        self.stamp += 1;
         match self.modules.get_mut(port_id) {
             Some(module) => Some(module.as_mut()),
             None => None,
@@ -514,6 +544,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         ordering: Ordering,
         version: &str,
     ) -> Result<ChannelId, IbcError> {
+        self.stamp += 1;
         if !self.modules.contains_key(&port_id) {
             return Err(IbcError::UnboundPort(port_id));
         }
@@ -549,6 +580,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         version: &str,
         proof_init: ProofData,
     ) -> Result<ChannelId, IbcError> {
+        self.stamp += 1;
         if !self.modules.contains_key(&port_id) {
             return Err(IbcError::UnboundPort(port_id));
         }
@@ -598,6 +630,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         counterparty_channel_id: ChannelId,
         proof_try: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.channel(port_id, channel_id)?;
         if end.state != ChannelState::Init {
             return Err(IbcError::InvalidState(format!(
@@ -641,6 +674,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         channel_id: &ChannelId,
         proof_ack: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.channel(port_id, channel_id)?;
         if end.state != ChannelState::TryOpen {
             return Err(IbcError::InvalidState(format!(
@@ -686,6 +720,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         port_id: &PortId,
         channel_id: &ChannelId,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.channel(port_id, channel_id)?;
         if end.state != ChannelState::Open {
             return Err(IbcError::InvalidState(format!(
@@ -709,6 +744,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         channel_id: &ChannelId,
         proof_closed: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let mut end = self.channel(port_id, channel_id)?;
         if end.state != ChannelState::Open {
             return Err(IbcError::InvalidState(format!(
@@ -799,6 +835,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         payload: Vec<u8>,
         timeout: Timeout,
     ) -> Result<Packet, IbcError> {
+        self.stamp += 1;
         let end = self.channel(port_id, channel_id)?;
         if !end.is_open() {
             return Err(IbcError::InvalidState("channel not open".into()));
@@ -841,6 +878,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         proof: ProofData,
         now: HostTime,
     ) -> Result<Acknowledgement, IbcError> {
+        self.stamp += 1;
         let end = self.channel(&packet.destination_port, &packet.destination_channel)?;
         if !end.is_open() {
             return Err(IbcError::InvalidState("channel not open".into()));
@@ -930,6 +968,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         ack: &Acknowledgement,
         proof: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let end = self.channel(&packet.source_port, &packet.source_channel)?;
         let commitment_key =
             path::packet_commitment(&packet.source_port, &packet.source_channel, packet.sequence);
@@ -972,6 +1011,7 @@ impl<S: ProvableStore> IbcHandler<S> {
         packet: &Packet,
         proof_unreceived: ProofData,
     ) -> Result<(), IbcError> {
+        self.stamp += 1;
         let end = self.channel(&packet.source_port, &packet.source_channel)?;
         if end.ordering == Ordering::Ordered {
             return Err(IbcError::InvalidState(

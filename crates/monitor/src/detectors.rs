@@ -126,9 +126,11 @@ const LATENCY_QUANTILE: f64 = 0.95;
 /// Compares a rolling window of a latency histogram's p95 against a
 /// baseline p95 frozen after the calibration period.
 ///
-/// The detector snapshots the cumulative histogram each tick and uses
-/// [`Histogram::diff`] to recover the observations that landed inside
-/// the window — no per-observation storage needed.
+/// The detector snapshots the cumulative histogram at each tick on which
+/// it moved and uses [`Histogram::diff`] to recover the observations that
+/// landed inside the window — no per-observation storage needed. The
+/// latest snapshot at or before the window start holds the histogram as
+/// it stood then, so skipping the unchanged ticks loses nothing.
 pub struct LatencyRegressionDetector {
     name: &'static str,
     histogram: String,
@@ -179,8 +181,20 @@ impl Detector for LatencyRegressionDetector {
     }
 
     fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        let Some(current) = telemetry.histogram(&self.histogram) else {
+        // Only an observation changes the histogram, and each one moves a
+        // tally; copy it out only when the tallies moved since the last
+        // snapshot.
+        let Some((count, nan_count)) = telemetry.histogram_tallies(&self.histogram) else {
             return Vec::new();
+        };
+        let moved = match self.snapshots.back() {
+            Some((_, last)) => (last.count, last.nan_count) != (count, nan_count),
+            None => true,
+        };
+        let fresh = moved.then(|| telemetry.histogram(&self.histogram).expect("just tallied"));
+        let current = match &fresh {
+            Some(fresh) => fresh,
+            None => &self.snapshots.back().expect("unmoved since a snapshot").1,
         };
         if self.baseline.is_none()
             && now_ms >= self.calibration_ms
@@ -197,7 +211,12 @@ impl Detector for LatencyRegressionDetector {
                     .iter()
                     .take_while(|(at, _)| *at <= start)
                     .last()
-                    .map(|(_, snapshot)| snapshot);
+                    .map(|(_, snapshot)| snapshot)
+                    // The window holds `current.count - anchor.count`
+                    // observations; too few, and there is nothing to diff.
+                    .filter(|anchor| {
+                        current.count.saturating_sub(anchor.count) >= self.min_observations
+                    });
                 if let Some(window) = anchor.and_then(|anchor| current.diff(anchor)) {
                     if window.count >= self.min_observations {
                         let observed = window.quantile(LATENCY_QUANTILE);
@@ -217,7 +236,9 @@ impl Detector for LatencyRegressionDetector {
                 }
             }
         }
-        self.snapshots.push_back((now_ms, current));
+        if let Some(fresh) = fresh {
+            self.snapshots.push_back((now_ms, fresh));
+        }
         self.prune(now_ms);
         findings
     }
@@ -479,6 +500,132 @@ mod tests {
 
         // Window rolls past the slow burst: healthy again.
         assert!(detector.evaluate(3_500, &telemetry).is_empty());
+    }
+
+    /// The latency detector as it was before it kept only the snapshots on
+    /// which the histogram moved: a copy and a diff at every evaluation.
+    /// Kept as the oracle for [`LatencyRegressionDetector`].
+    struct KeepEverySnapshot {
+        histogram: String,
+        window_ms: u64,
+        calibration_ms: u64,
+        factor: f64,
+        min_observations: u64,
+        baseline: Option<f64>,
+        snapshots: VecDeque<(u64, Histogram)>,
+    }
+
+    impl KeepEverySnapshot {
+        fn new(histogram: &str, config: &MonitorConfig) -> Self {
+            Self {
+                histogram: histogram.into(),
+                window_ms: config.latency_window_ms,
+                calibration_ms: config.calibration_ms,
+                factor: config.latency_factor,
+                min_observations: config.min_window_observations,
+                baseline: None,
+                snapshots: VecDeque::new(),
+            }
+        }
+
+        fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
+            let Some(current) = telemetry.histogram(&self.histogram) else {
+                return Vec::new();
+            };
+            if self.baseline.is_none()
+                && now_ms >= self.calibration_ms
+                && current.count >= self.min_observations
+            {
+                self.baseline = Some(current.quantile(LATENCY_QUANTILE));
+            }
+            let mut findings = Vec::new();
+            if let Some(baseline) = self.baseline.filter(|baseline| *baseline > 0.0) {
+                let start = now_ms.saturating_sub(self.window_ms);
+                let anchor = self
+                    .snapshots
+                    .iter()
+                    .take_while(|(at, _)| *at <= start)
+                    .last()
+                    .map(|(_, snapshot)| snapshot);
+                if let Some(window) = anchor.and_then(|anchor| current.diff(anchor)) {
+                    if window.count >= self.min_observations {
+                        let observed = window.quantile(LATENCY_QUANTILE);
+                        if observed > baseline * self.factor {
+                            findings.push(Finding::new(
+                                self.histogram.clone(),
+                                format!(
+                                    "p{:02.0} {observed} ms over last {} ms vs baseline \
+                                     {baseline} ms (factor {})",
+                                    LATENCY_QUANTILE * 100.0,
+                                    self.window_ms,
+                                    self.factor,
+                                ),
+                            ));
+                        }
+                    }
+                }
+            }
+            self.snapshots.push_back((now_ms, current));
+            let start = now_ms.saturating_sub(self.window_ms);
+            while self.snapshots.len() >= 2 && self.snapshots[1].0 <= start {
+                self.snapshots.pop_front();
+            }
+            findings
+        }
+    }
+
+    #[test]
+    fn latency_regression_matches_the_keep_every_snapshot_oracle() {
+        // (window, min observations): a window of many ticks, an empty
+        // window, and one shorter than a tick with no floor at all.
+        for (window_ms, min_observations) in [(3_000, 5), (0, 0), (250, 0), (1_000, 1)] {
+            let telemetry = Telemetry::recording();
+            telemetry.register_histogram("lat", &[10.0, 50.0, 100.0, 500.0, 1_000.0]).unwrap();
+            let mut config = MonitorConfig::small();
+            config.calibration_ms = 5_000;
+            config.latency_window_ms = window_ms;
+            config.min_window_observations = min_observations;
+            config.latency_factor = 2.0;
+            let mut detector = LatencyRegressionDetector::new("lat", &config);
+            let mut oracle = KeepEverySnapshot::new("lat", &config);
+            let (mut fired, mut quiet) = (0, 0);
+            let mut state = 0x2545_F491_4F6C_DD1Du64 ^ window_ms;
+            let mut draw = |below: u64| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) % below
+            };
+            // Quiet stretches of up to 40 ticks between bursts of
+            // observations, some NaN; after calibration the bursts turn slow
+            // and fast again. The first ticks see no histogram.
+            let (mut quiet_for, mut slow) = (3, false);
+            for tick in 0..4_000u64 {
+                let now_ms = tick * 100 + draw(7);
+                if quiet_for > 0 {
+                    quiet_for -= 1;
+                    quiet += 1;
+                } else {
+                    if now_ms > config.calibration_ms && draw(8) == 0 {
+                        slow = !slow;
+                    }
+                    for _ in 0..draw(6) {
+                        let value = match draw(20) {
+                            0 => f64::NAN,
+                            _ if slow => 200.0 + draw(1_500) as f64,
+                            _ => 1.0 + draw(30) as f64,
+                        };
+                        telemetry.observe("lat", value);
+                    }
+                    if draw(5) == 0 {
+                        quiet_for = draw(40);
+                    }
+                }
+                let expected = oracle.evaluate(now_ms, &telemetry);
+                fired += usize::from(!expected.is_empty());
+                assert_eq!(detector.evaluate(now_ms, &telemetry), expected, "tick {tick}");
+            }
+            assert!(fired > 0 && quiet > 100, "window {window_ms}: {fired} fired, {quiet} quiet");
+            assert!(detector.snapshots.len() <= oracle.snapshots.len());
+        }
     }
 
     #[test]

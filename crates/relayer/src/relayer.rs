@@ -200,6 +200,10 @@ pub struct Relayer {
     installing: Option<(u64, ConsensusState)>,
     peak_jobs: usize,
     generate_in_flight: Option<u64>,
+    /// [`GuestContract::block_due_from`] as read at a host bank stamp.
+    /// The guest contract changes only inside the host's transactions, so
+    /// it holds until the bank's stamp moves.
+    block_due_read: Option<(u64, Option<u64>)>,
     pending_cleanup: Vec<u64>,
     records: Vec<JobRecord>,
     failed_jobs: usize,
@@ -242,6 +246,7 @@ impl Relayer {
             installing: None,
             peak_jobs: 0,
             generate_in_flight: None,
+            block_due_read: None,
             pending_cleanup: Vec::new(),
             records: Vec::new(),
             failed_jobs: 0,
@@ -717,7 +722,16 @@ impl Relayer {
         if self.generate_in_flight.is_some() {
             return;
         }
-        if contract.borrow().block_due(host.now_ms()).is_err() {
+        let stamp = host.bank().stamp();
+        let due_from = match self.block_due_read {
+            Some((read_at, due_from)) if read_at == stamp => due_from,
+            _ => {
+                let due_from = contract.borrow().block_due_from();
+                self.block_due_read = Some((stamp, due_from));
+                due_from
+            }
+        };
+        if due_from.is_none_or(|from| host.now_ms() < from) {
             return;
         }
         let id =

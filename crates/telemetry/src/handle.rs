@@ -54,8 +54,13 @@ impl Slot {
 pub struct CounterHandle(Slot);
 
 impl CounterHandle {
-    /// Adds `delta`, as [`Telemetry::counter_add`] does.
+    /// Adds `delta`, as [`Telemetry::counter_add`] does. Once the handle
+    /// has its slot, adding 0 changes nothing and returns at once; the
+    /// first `add(0)` still goes by name, so it creates the entry.
     pub fn add(&self, delta: u64) {
+        if delta == 0 && self.0.index.get().is_some() {
+            return;
+        }
         self.0.write(
             |m, name| m.counter_add_by_name(name, delta),
             |m, slot| m.counter_add_by_slot(slot, delta),

@@ -469,6 +469,15 @@ impl Telemetry {
         inner.metrics.histogram(name).cloned()
     }
 
+    /// A histogram's non-NaN and NaN observation counts, read in place
+    /// (`None` when absent or disabled). Every observation moves one of
+    /// them, so equal tallies mean an unchanged histogram.
+    pub fn histogram_tallies(&self, name: &str) -> Option<(u64, u64)> {
+        let inner = self.inner.as_ref()?;
+        let inner = inner.borrow();
+        inner.metrics.histogram(name).map(|h| (h.count, h.nan_count))
+    }
+
     /// Records a histogram observation (NaN is tallied, never folded in).
     pub fn observe(&self, name: &str, value: f64) {
         let Some(inner) = self.inner.as_ref() else { return };

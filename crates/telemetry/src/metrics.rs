@@ -831,6 +831,21 @@ mod tests {
     }
 
     #[test]
+    fn a_counter_handle_adds_zero_by_name_only_once() {
+        let sink = crate::Telemetry::recording();
+        let handle = sink.counter_handle("c");
+        handle.add(0);
+        assert_eq!(sink.metrics_snapshot().counters.get("c"), Some(&0), "first add(0) creates");
+        // A later add(0) does not even borrow the sink: with the sink held
+        // borrowed, a write would panic.
+        let held = sink.inner.as_ref().unwrap().borrow_mut();
+        handle.add(0);
+        drop(held);
+        handle.add(2);
+        assert_eq!(sink.counter("c"), 2);
+    }
+
+    #[test]
     fn a_handle_on_a_disabled_sink_writes_nothing() {
         let sink = crate::Telemetry::disabled();
         sink.counter_handle("c").add(1);

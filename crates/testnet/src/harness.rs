@@ -114,6 +114,9 @@ pub struct Testnet {
     pub fisherman_reports: usize,
     /// Scheduled fault injection (inert when the plan is empty).
     chaos: ChaosController,
+    /// What the step last read from `chaos`, kept until the plan's next
+    /// window edge.
+    chaos_reads: ChaosReads,
     /// Cross-chain safety audit, run at every finalised guest block.
     invariants: InvariantSuite,
     /// Next periodic audit (so a stalled chain still flags orphans).
@@ -133,26 +136,83 @@ pub struct Testnet {
 }
 
 /// The harness-level gauges [`Testnet::step`] flushes for the monitor.
+/// A source behind a change stamp is re-read only when its stamp moved,
+/// and a gauge is written only when its value changed.
 struct StepGauges {
-    relayer_backlog: GaugeHandle,
-    guest_head: GaugeHandle,
-    cp_head: GaugeHandle,
-    guest_client_on_cp: GaugeHandle,
-    cp_client_on_guest: GaugeHandle,
-    payer_balance: GaugeHandle,
+    relayer_backlog: StepGauge,
+    guest_head: StepGauge,
+    cp_head: StepGauge,
+    guest_client_on_cp: StepGauge,
+    cp_client_on_guest: StepGauge,
+    payer_balance: StepGauge,
+    /// The host bank's stamp at the last read of the guest head, the
+    /// guest's client of the counterparty and the payer balance. After
+    /// bootstrap the guest contract changes only inside the bank's
+    /// transactions, so the stamp guards it too.
+    bank_read: Option<u64>,
+    /// The counterparty handler's stamp at the last read of its client of
+    /// the guest.
+    cp_ibc_read: Option<u64>,
 }
 
 impl StepGauges {
     fn new(telemetry: &Telemetry) -> Self {
         Self {
-            relayer_backlog: telemetry.gauge_handle("relayer.backlog"),
-            guest_head: telemetry.gauge_handle("guest.head"),
-            cp_head: telemetry.gauge_handle("cp.head"),
-            guest_client_on_cp: telemetry.gauge_handle("client.guest_on_cp"),
-            cp_client_on_guest: telemetry.gauge_handle("client.cp_on_guest"),
-            payer_balance: telemetry.gauge_handle("relayer.payer.balance"),
+            relayer_backlog: StepGauge::new(telemetry, "relayer.backlog"),
+            guest_head: StepGauge::new(telemetry, "guest.head"),
+            cp_head: StepGauge::new(telemetry, "cp.head"),
+            guest_client_on_cp: StepGauge::new(telemetry, "client.guest_on_cp"),
+            cp_client_on_guest: StepGauge::new(telemetry, "client.cp_on_guest"),
+            payer_balance: StepGauge::new(telemetry, "relayer.payer.balance"),
+            bank_read: None,
+            cp_ibc_read: None,
         }
     }
+}
+
+/// A gauge handle that remembers the value it last wrote and skips
+/// rewriting it, which the registry would take as a no-op anyway.
+struct StepGauge {
+    handle: GaugeHandle,
+    written: Option<u64>,
+}
+
+impl StepGauge {
+    fn new(telemetry: &Telemetry, name: &str) -> Self {
+        Self { handle: telemetry.gauge_handle(name), written: None }
+    }
+
+    /// Whether `value` differs from the last write, noting it as written.
+    fn changes_to(&mut self, value: f64) -> bool {
+        self.written.replace(value.to_bits()) != Some(value.to_bits())
+    }
+
+    fn set(&mut self, value: f64) {
+        if self.changes_to(value) {
+            self.handle.set(value);
+        }
+    }
+
+    fn set_at(&mut self, at_ms: u64, value: f64) {
+        if self.changes_to(value) {
+            self.handle.set_at(at_ms, value);
+        }
+    }
+}
+
+/// What the step last read from the chaos plan. Nothing the plan decides
+/// changes between two of its window edges, so each half is re-read only
+/// once the clock reaches the next edge after its last read.
+#[derive(Default)]
+struct ChaosReads {
+    /// Until when the host disturbance and the fired one-shots, read at
+    /// the start of a step, hold.
+    host_until: u64,
+    /// Until when the halts and the relayer's chunk faults, read after the
+    /// host block, hold.
+    link_until: u64,
+    relayer_halted: bool,
+    cp_halted: bool,
 }
 
 /// Pre-formatted per-shape traffic metric names
@@ -343,6 +403,7 @@ impl Testnet {
             gossip: Vec::new(),
             fisherman_reports: 0,
             chaos,
+            chaos_reads: ChaosReads::default(),
             invariants,
             next_audit_ms: 60_000,
             step_gauges: StepGauges::new(&telemetry),
@@ -490,15 +551,17 @@ impl Testnet {
     /// Advances exactly one host slot.
     pub fn step(&mut self) {
         let _step = self.profiler.scope("step");
-        // 0. Point-in-time fault injection for this slot. Skipped entirely
-        // for an empty plan, keeping the baseline untouched.
-        if !self.chaos.is_empty() {
+        // 0. Point-in-time fault injection for this slot, re-read only at
+        // the plan's window edges. Skipped entirely for an empty plan,
+        // keeping the baseline untouched.
+        let at = self.host.now_ms();
+        if !self.chaos.is_empty() && at >= self.chaos_reads.host_until {
             let _chaos = self.profiler.scope("chaos");
-            let at = self.host.now_ms();
             self.host.set_disturbance(self.chaos.host_disturbance(at));
             for fault in self.chaos.take_due_one_shots(at) {
                 self.apply_one_shot(fault);
             }
+            self.chaos_reads.host_until = self.chaos.next_boundary_after(at);
         }
 
         // 1. Produce the next host block and observe it.
@@ -686,8 +749,9 @@ impl Testnet {
 
         // 6. Counterparty block production, on the chain's own cadence
         // (`CounterpartyChain::tick`: state changed, or the keep-alive).
+        self.read_chaos_link(now);
         let cp_scope = self.profiler.scope("cp.block");
-        if !self.chaos.cp_halted(now) {
+        if !self.chaos_reads.cp_halted {
             self.cp.tick(now);
         }
         drop(cp_scope);
@@ -701,10 +765,7 @@ impl Testnet {
 
         // 8. Let the relayer catch up (unless a halt fault holds it down).
         let relayer_scope = self.profiler.scope("relayer.tick");
-        if !self.chaos.is_empty() {
-            self.relayer.set_chunk_faults(self.chaos.chunk_faults(now));
-        }
-        if !self.chaos.relayer_halted(now) {
+        if !self.chaos_reads.relayer_halted {
             self.relayer.tick(&mut self.host, &mut self.cp, &self.contract);
             for relayer in &mut self.extra_relayers {
                 relayer.tick(&mut self.host, &mut self.cp, &self.contract);
@@ -726,20 +787,7 @@ impl Testnet {
         // records at slot cadence) and let the health monitor evaluate.
         if self.telemetry.is_recording() {
             let _record = self.profiler.scope("telemetry.record");
-            let gauges = &self.step_gauges;
-            gauges.relayer_backlog.set(self.relayer.backlog() as f64);
-            gauges.guest_head.set_at(now, self.contract.borrow().head_height() as f64);
-            gauges.cp_head.set_at(now, self.cp.height() as f64);
-            if let Ok(client) = self.cp.ibc().client(&self.endpoints.guest_client_on_cp) {
-                gauges.guest_client_on_cp.set_at(now, client.latest_height() as f64);
-            }
-            if let Ok(client) =
-                self.contract.borrow().ibc().client(&self.endpoints.cp_client_on_guest)
-            {
-                gauges.cp_client_on_guest.set_at(now, client.latest_height() as f64);
-            }
-            let balance = self.host.bank().balance(&self.relayer.payer());
-            gauges.payer_balance.set_at(now, balance as f64);
+            self.flush_step_gauges(now);
         }
         if let Some(monitor) = self.monitor.as_mut() {
             let _monitor = self.profiler.scope("monitor.tick");
@@ -755,6 +803,50 @@ impl Testnet {
             .fold(self.relayer.host_cursor(), u64::min);
         let unscanned = self.host.blocks_since(cursor).len();
         self.host.prune_blocks(unscanned.max(512));
+    }
+
+    /// Re-reads the halts and the relayer's chunk faults once `now` reaches
+    /// the plan's next window edge after the last read.
+    fn read_chaos_link(&mut self, now: u64) {
+        if now < self.chaos_reads.link_until {
+            return;
+        }
+        self.chaos_reads.cp_halted = self.chaos.cp_halted(now);
+        self.chaos_reads.relayer_halted = self.chaos.relayer_halted(now);
+        if !self.chaos.is_empty() {
+            self.relayer.set_chunk_faults(self.chaos.chunk_faults(now));
+        }
+        self.chaos_reads.link_until = self.chaos.next_boundary_after(now);
+    }
+
+    /// Writes the six step gauges, reading a source behind a change stamp
+    /// only when the stamp moved since the last read.
+    fn flush_step_gauges(&mut self, now: u64) {
+        let gauges = &mut self.step_gauges;
+        let bank_stamp = self.host.bank().stamp();
+        let guest = (gauges.bank_read.replace(bank_stamp) != Some(bank_stamp))
+            .then(|| self.contract.borrow());
+        let cp_stamp = self.cp.ibc().stamp();
+        let cp_moved = gauges.cp_ibc_read.replace(cp_stamp) != Some(cp_stamp);
+        // Written in the order the gauges were first written in, which is
+        // the order their registry entries are made in.
+        gauges.relayer_backlog.set(self.relayer.backlog() as f64);
+        if let Some(guest) = &guest {
+            gauges.guest_head.set_at(now, guest.head_height() as f64);
+        }
+        gauges.cp_head.set_at(now, self.cp.height() as f64);
+        if cp_moved {
+            if let Ok(client) = self.cp.ibc().client(&self.endpoints.guest_client_on_cp) {
+                gauges.guest_client_on_cp.set_at(now, client.latest_height() as f64);
+            }
+        }
+        if let Some(guest) = guest {
+            if let Ok(client) = guest.ibc().client(&self.endpoints.cp_client_on_guest) {
+                gauges.cp_client_on_guest.set_at(now, client.latest_height() as f64);
+            }
+            let balance = self.host.bank().balance(&self.relayer.payer());
+            gauges.payer_balance.set_at(now, balance as f64);
+        }
     }
 
     /// Applies a one-shot fault (currently: counterfeit voucher mints on
@@ -777,11 +869,11 @@ impl Testnet {
             faults: &faults,
             contract: &contract,
             cp: &self.cp,
-            port: self.endpoints.port.clone(),
-            guest_channel: self.endpoints.guest_channel.clone(),
-            cp_channel: self.endpoints.cp_channel.clone(),
-            guest_client_on_cp: self.endpoints.guest_client_on_cp.clone(),
-            cp_client_on_guest: self.endpoints.cp_client_on_guest.clone(),
+            port: &self.endpoints.port,
+            guest_channel: &self.endpoints.guest_channel,
+            cp_channel: &self.endpoints.cp_channel,
+            guest_client_on_cp: &self.endpoints.guest_client_on_cp,
+            cp_client_on_guest: &self.endpoints.cp_client_on_guest,
         });
     }
 
