@@ -222,13 +222,12 @@ CI=target/ci
 rm -rf "$CI" && mkdir -p "$CI"
 bench() { echo "==> $1"; cargo run -q --release --offline -p bench --bin "$1" -- "${@:2}"; }
 
-echo "==> trace explorer (telemetry smoke test), 1-day paper run with telemetry run report"
+echo "==> trace explorer (telemetry smoke test)"
 cargo run -q --release --offline --example trace_explorer > /dev/null
-cargo run -q --release --offline -p testnet --example paper_timing -- \
-    --run-report "$CI/BENCH_run_report.json"
 
-# The paper's figures and tables: one 28-day simulation, every artifact built from it in one process.
-bench paper --days 28 --quiet \
+# The paper's figures and tables: one 28-day simulation, every artifact and its telemetry run report
+# built from it in one process.
+bench paper --days 28 --quiet --run_report "$CI/BENCH_run_report.json" \
     --fig2_send_latency "$CI/BENCH_fig2_send_latency.json" \
     --fig3_send_cost "$CI/BENCH_fig3_send_cost.json" \
     --fig4_lc_update_latency "$CI/BENCH_fig4_lc_update_latency.json" \
@@ -245,10 +244,9 @@ bench monitor_eval --quiet --json "$CI/BENCH_monitor_eval.json"
 bench latency_attribution --users 400 --hours 2 --seed 2026 --quiet \
     --json "$CI/BENCH_latency_attribution.json"
 bench relay_capacity --seed 2026 --quiet --json "$CI/BENCH_relay_capacity.json"
-bench profile --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --quiet \
-    --json "$CI/BENCH_profile_summary.json" --profile-json "$CI/BENCH_profile.json"
-bench telemetry_overhead --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --reps 9 --quiet \
-    --json "$CI/BENCH_overhead.json"
+bench storm --users 1000 --gap-ms 30000 --hours 2 --seed 2026 --reps 9 --quiet \
+    --profile "$CI/BENCH_profile.json" --profile_summary "$CI/BENCH_profile_summary.json" \
+    --overhead "$CI/BENCH_overhead.json"
 bench gate gates.json
 
 # Wall-clock artifacts are tracked for their history, not pinned: refreshed once the gate has passed.

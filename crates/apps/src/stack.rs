@@ -206,12 +206,6 @@ pub struct ModuleStack {
     app: Box<dyn Module>,
     outbox: Vec<StackRequest>,
     counters: StackCounters,
-    /// Lifecycle dispatches that reached each layer (outermost first,
-    /// application last) — a middleware that answers with
-    /// [`RecvDecision::Stop`] leaves the deeper slots untouched, so the
-    /// falloff shows where packets short-circuit. One slot per layer
-    /// from construction on.
-    layer_dispatches: Vec<u64>,
 }
 
 impl std::fmt::Debug for ModuleStack {
@@ -232,17 +226,14 @@ impl ModuleStack {
             app,
             outbox: Vec::new(),
             counters: StackCounters::default(),
-            layer_dispatches: vec![0],
         }
     }
 
     /// Wraps the current stack in one more layer: the middleware added
-    /// last is outermost (sees packets first), and its dispatch count
-    /// starts at zero.
+    /// last is outermost (sees packets first).
     #[must_use]
     pub fn with(mut self, middleware: Box<dyn Middleware>) -> Self {
         self.middlewares.insert(0, middleware);
-        self.layer_dispatches.insert(0, 0);
         self
     }
 
@@ -327,24 +318,9 @@ impl ModuleStack {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Whether any outgoing sends are waiting.
-    pub fn has_requests(&self) -> bool {
-        !self.outbox.is_empty()
-    }
-
     /// Lifetime packet counters for this stack.
     pub fn counters(&self) -> StackCounters {
         self.counters
-    }
-
-    /// Per-layer dispatch counts in [`Self::layer_names`] order: how many
-    /// lifecycle callbacks (recv, ack, timeout) reached each layer. A
-    /// short-circuiting middleware (the forward middleware answering a
-    /// routed leg with `Stop`) shows up as a falloff between adjacent
-    /// layers. A layer added with [`Self::with`] after traffic starts at
-    /// zero.
-    pub fn dispatch_counts(&self) -> &[u64] {
-        &self.layer_dispatches
     }
 }
 
@@ -353,9 +329,7 @@ fn dispatch_recv(
     app: &mut dyn Module,
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
-    dispatched: &mut [u64],
 ) -> Acknowledgement {
-    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
         return app.on_recv_packet(packet);
     };
@@ -366,7 +340,7 @@ fn dispatch_recv(
     match decision {
         RecvDecision::Stop(ack) => ack,
         RecvDecision::Continue => {
-            let ack = dispatch_recv(rest, app, outbox, packet, &mut dispatched[1..]);
+            let ack = dispatch_recv(rest, app, outbox, packet);
             let mut inner = InnerStack { app, outbox };
             head.after_recv(&mut inner, packet, ack)
         }
@@ -379,9 +353,7 @@ fn dispatch_ack(
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
     ack: &Acknowledgement,
-    dispatched: &mut [u64],
 ) -> Result<(), IbcError> {
-    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
         return app.on_acknowledge(packet, ack);
     };
@@ -389,7 +361,7 @@ fn dispatch_ack(
         let mut inner = InnerStack { app, outbox };
         head.before_ack(&mut inner, packet, ack)?;
     }
-    dispatch_ack(rest, app, outbox, packet, ack, &mut dispatched[1..])?;
+    dispatch_ack(rest, app, outbox, packet, ack)?;
     let mut inner = InnerStack { app, outbox };
     head.after_ack(&mut inner, packet, ack)
 }
@@ -399,13 +371,11 @@ fn dispatch_timeout(
     app: &mut dyn Module,
     outbox: &mut Vec<StackRequest>,
     packet: &Packet,
-    dispatched: &mut [u64],
 ) -> Result<(), IbcError> {
-    dispatched[0] += 1;
     let Some((head, rest)) = layers.split_first_mut() else {
         return app.on_timeout(packet);
     };
-    dispatch_timeout(rest, app, outbox, packet, &mut dispatched[1..])?;
+    dispatch_timeout(rest, app, outbox, packet)?;
     let mut inner = InnerStack { app, outbox };
     head.after_timeout(&mut inner, packet)
 }
@@ -426,13 +396,7 @@ impl Module for ModuleStack {
 
     fn on_recv_packet(&mut self, packet: &Packet) -> Acknowledgement {
         self.counters.received += 1;
-        let ack = dispatch_recv(
-            &mut self.middlewares,
-            self.app.as_mut(),
-            &mut self.outbox,
-            packet,
-            &mut self.layer_dispatches,
-        );
+        let ack = dispatch_recv(&mut self.middlewares, self.app.as_mut(), &mut self.outbox, packet);
         if !ack.is_success() {
             self.counters.recv_errors += 1;
         }
@@ -441,25 +405,12 @@ impl Module for ModuleStack {
 
     fn on_acknowledge(&mut self, packet: &Packet, ack: &Acknowledgement) -> Result<(), IbcError> {
         self.counters.acked += 1;
-        dispatch_ack(
-            &mut self.middlewares,
-            self.app.as_mut(),
-            &mut self.outbox,
-            packet,
-            ack,
-            &mut self.layer_dispatches,
-        )
+        dispatch_ack(&mut self.middlewares, self.app.as_mut(), &mut self.outbox, packet, ack)
     }
 
     fn on_timeout(&mut self, packet: &Packet) -> Result<(), IbcError> {
         self.counters.timed_out += 1;
-        dispatch_timeout(
-            &mut self.middlewares,
-            self.app.as_mut(),
-            &mut self.outbox,
-            packet,
-            &mut self.layer_dispatches,
-        )
+        dispatch_timeout(&mut self.middlewares, self.app.as_mut(), &mut self.outbox, packet)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -128,7 +128,6 @@ fn recv_hooks_run_onion_ordered_around_the_app() {
         .with(Recorder::new("inner", &log))
         .with(Recorder::new("outer", &log));
     assert_eq!(stack.layer_names(), ["outer", "inner", "echo"]);
-    assert_eq!(stack.dispatch_counts().len(), stack.layer_names().len());
 
     let pkt = packet(1, 0, 1, b"ping".to_vec());
     let ack = stack.on_recv_packet(&pkt);
@@ -147,13 +146,10 @@ fn recv_hooks_run_onion_ordered_around_the_app() {
     );
     assert_eq!(stack.counters().received, 1);
     assert_eq!(stack.counters().acked, 1);
-    assert_eq!(stack.dispatch_counts(), [2, 2, 2]);
 
-    // A layer added after traffic goes outermost with a fresh count; the
-    // old layers' counts shift inward with them.
+    // A layer added after traffic goes outermost.
     let stack = stack.with(Recorder::new("late", &log));
     assert_eq!(stack.layer_names(), ["late", "outer", "inner", "echo"]);
-    assert_eq!(stack.dispatch_counts(), [0, 2, 2, 2]);
 }
 
 #[test]
@@ -530,7 +526,7 @@ fn success_ack_clears_in_flight_without_refund() {
     stack.forward_mut().unwrap().register_in_flight(&ChannelId::new(5), 1, req.in_flight.unwrap());
     stack.on_acknowledge(&outgoing, &Acknowledgement::Success(b"AQ==".to_vec())).unwrap();
     assert_eq!(stack.forward().unwrap().in_flight_len(), 0);
-    assert!(!stack.has_requests());
+    assert!(stack.take_requests().is_empty());
 }
 
 #[test]

@@ -6,17 +6,18 @@
 //! built from that one [`EvaluationReport`]. Fig. 6's Δ sweep adds three
 //! shorter runs of its own. Each artifact is printed as text unless
 //! `--quiet`, and written as JSON to the path given by the flag named
-//! after it (`--fig2_send_latency <path>`, …).
+//! after it (`--fig2_send_latency <path>`, …). `--run_report <path>`
+//! writes the month's telemetry [`testnet::RunReport`] as JSON.
 //!
-//! Usage: `cargo run --release -p bench --bin paper -- [--days N] [--seed N] [--quiet] [--<artifact> <path>]…`
+//! Usage: `cargo run --release -p bench --bin paper -- [--days N] [--seed N] [--quiet] [--<artifact> <path>]… [--run_report <path>]`
 
 use host_sim::{lamports_to_usd, rent, MAX_ACCOUNT_SIZE};
 use relayer::FeeStrategy;
 use sealable_trie::Trie;
 use telemetry::Flags;
 use testnet::{
-    evaluate, fraction_below, Artifact, ChaosPlan, EvaluationReport, Section, Summary,
-    TestnetConfig, DAY_MS, HOUR_MS,
+    evaluate, fraction_below, report_of, Artifact, ChaosPlan, EvaluationReport, Section, Summary,
+    Testnet, TestnetConfig, DAY_MS, HOUR_MS,
 };
 
 /// The simulated deployment and what Fig. 6's Δ sweep re-runs from it.
@@ -49,6 +50,7 @@ fn main() {
     let quiet = flags.switch("--quiet");
     let paths: Vec<Option<String>> =
         ARTIFACTS.iter().map(|(name, _)| flags.optional(&format!("--{name}"))).collect();
+    let run_report_path: Option<String> = flags.optional("--run_report");
     flags.finish();
 
     if !quiet {
@@ -57,10 +59,21 @@ fn main() {
     let mut config = TestnetConfig::paper();
     config.seed = seed;
     let started = std::time::Instant::now();
-    let month = Month { report: evaluate(config, days * DAY_MS), days, seed };
+    let mut net = Testnet::build(config);
+    net.run_for(days * DAY_MS);
+    let month = Month { report: report_of(&net, days * DAY_MS), days, seed };
     if !quiet {
         eprintln!("…done in {:.1?}", started.elapsed());
     }
+    if let Some(path) = run_report_path.as_deref() {
+        if let Err(err) = std::fs::write(path, net.run_report("paper").to_json()) {
+            eprintln!("could not write {path}: {err}");
+            std::process::exit(1);
+        }
+        eprintln!("(run report written to {path})");
+    }
+    // Fig. 6's sweep runs three more deployments: free this one first.
+    drop(net);
     for ((name, build), path) in ARTIFACTS.iter().zip(&paths) {
         let artifact = build(&month);
         assert_eq!(artifact.generated_by, *name);

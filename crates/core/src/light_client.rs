@@ -114,11 +114,6 @@ impl GuestLightClient {
         Self { epoch, latest: genesis.height, consensus, frozen: false }
     }
 
-    /// The epoch the client currently trusts.
-    pub fn trusted_epoch(&self) -> &Epoch {
-        &self.epoch
-    }
-
     /// Verifies a header against an arbitrary epoch (shared by `update` and
     /// misbehaviour checking).
     fn verify_header_against(epoch: &Epoch, header: &GuestHeader) -> Result<(), IbcError> {
@@ -309,7 +304,7 @@ mod tests {
         let mut boundary = make_block(&genesis, &epoch, b"r1", 1_000);
         boundary.next_epoch = Some(next_epoch.clone());
         client.update(&sign_header(boundary.clone(), &keypairs[..3]).encode()).unwrap();
-        assert_eq!(client.trusted_epoch().id(), next_epoch.id());
+        assert_eq!(client.epoch.id(), next_epoch.id());
 
         // Blocks of the new epoch are now verified against the new set.
         let b2 = make_block(&boundary, &next_epoch, b"r2", 2_000);

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{lamports_to_usd, HostProfile, Pubkey, MAX_TRANSACTION_SIZE};
+use crate::types::{HostProfile, Pubkey, MAX_TRANSACTION_SIZE};
 
 /// How a transaction buys priority (§V-A, §VI-B).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -158,11 +158,6 @@ impl Transaction {
         self.num_signatures as u64 * self.fee_per_signature
             + self.fee_policy.extra_lamports(self.compute_budget)
     }
-
-    /// The total fee in USD at the paper's 200 $/SOL.
-    pub fn fee_usd(&self) -> f64 {
-        lamports_to_usd(self.fee_lamports())
-    }
 }
 
 /// Transaction construction/validation errors.
@@ -304,7 +299,7 @@ mod tests {
         )
         .unwrap();
         tx.compute_budget = 200_000;
-        let usd = tx.fee_usd();
+        let usd = crate::types::lamports_to_usd(tx.fee_lamports());
         assert!((2.9..3.2).contains(&usd), "bundle cost {usd}");
     }
 

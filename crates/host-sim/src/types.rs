@@ -29,9 +29,6 @@ pub const MAX_TRANSACTION_SIZE: usize = 1_232;
 /// compute units").
 pub const MAX_COMPUTE_UNITS: u64 = 1_400_000;
 
-/// Default per-instruction compute budget when none is requested.
-pub const DEFAULT_INSTRUCTION_COMPUTE_UNITS: u64 = 200_000;
-
 /// Per-transaction heap limit (§IV: "default memory allocator not supporting
 /// heap sizes over 32 KiB").
 pub const MAX_HEAP_BYTES: usize = 32 * 1024;

@@ -56,14 +56,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Derives an independent, deterministic RNG stream from a master seed
@@ -165,13 +157,5 @@ mod tests {
             seed_stream(7, "a-label-longer-than-eight-bytes").next_u64(),
             seed_stream(7, "a-label-longer-than-eight-bytez").next_u64(),
         );
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SplitMix64::new(3);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 13]);
     }
 }

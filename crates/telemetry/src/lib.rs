@@ -73,10 +73,9 @@ pub use metrics::{
 };
 pub use postmortem::{PostmortemBundle, PostmortemTrigger, TriggerKind, POSTMORTEM_TAIL};
 pub use report::{
-    render_packet_trace, render_packet_trace_with_alerts, render_route_trace,
-    render_route_trace_with_alerts, AlertTransition, AlertTransitionReport, DeliveryAccounting,
-    HealthRow, PacketTraceReport, RouteTraceReport, RunMeta, RunReport, SpanReport, TraceEvent,
-    ViolationReport,
+    render_packet_trace_with_alerts, render_route_trace_with_alerts, AlertTransition,
+    AlertTransitionReport, DeliveryAccounting, HealthRow, PacketTraceReport, RouteTraceReport,
+    RunMeta, RunReport, SpanReport, TraceEvent, ViolationReport,
 };
 
 /// Canonical event and span names, shared by every instrumented crate so
@@ -267,13 +266,6 @@ impl Telemetry {
         Some(trace)
     }
 
-    /// Looks up a route trace without allocating one.
-    pub fn lookup_route_trace(&self, label: &str) -> Option<TraceId> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.route_traces.get(label).copied()
-    }
-
     /// Looks up a packet trace without allocating one.
     pub fn lookup_packet_trace(
         &self,
@@ -425,14 +417,6 @@ impl Telemetry {
         let inner = self.inner.as_ref()?;
         let inner = inner.borrow();
         inner.metrics.gauge_series(name)?.last_change()
-    }
-
-    /// The first retained change point of the gauge's series (after any
-    /// compaction) — detectors use it to suppress warm-up false alarms.
-    pub fn gauge_first_change(&self, name: &str) -> Option<(u64, f64)> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.metrics.gauge_series(name)?.first()
     }
 
     /// The gauge's value at instant `t_ms` (step-function semantics).
@@ -708,8 +692,6 @@ mod tests {
         let telemetry = Telemetry::recording();
         let route = telemetry.trace_for_route("route-0:a->c").unwrap();
         assert_eq!(telemetry.trace_for_route("route-0:a->c"), Some(route));
-        assert_eq!(telemetry.lookup_route_trace("route-0:a->c"), Some(route));
-        assert_eq!(telemetry.lookup_route_trace("route-9:nope"), None);
 
         // Two legs, each with its own packet trace; every lifecycle event
         // is emitted against both the leg's and the route's trace.
@@ -732,9 +714,57 @@ mod tests {
         assert_eq!((route.first_ms, route.last_ms), (10, 35));
         assert_eq!(report.slowest_route().unwrap().label, "route-0:a->c");
         // The rendering interleaves both legs on one timeline.
-        let rendered = render_route_trace(route);
+        let rendered = render_route_trace_with_alerts(route, &[]);
         assert!(rendered.contains("2 legs"));
         assert!(rendered.contains(names::PACKET_FORWARD));
+    }
+
+    /// A packet's and a route's timelines with a firing and a resolved alert
+    /// woven in: the raw `alert.*` events give way to the formatted rows,
+    /// and a pending transition stays out.
+    #[test]
+    fn alerts_weave_into_packet_and_route_timelines() {
+        let telemetry = Telemetry::recording();
+        let route = telemetry.trace_for_route("route-0:a->b").unwrap();
+        let packet = telemetry.trace_for_packet("chain-a", "channel-0", 7).unwrap();
+        telemetry.event(1_000, names::ROUTE_START, &[route], &[]);
+        telemetry.event(1_000, names::PACKET_SEND, &[packet, route], &[("amount", 5u64.into())]);
+        let relay = telemetry.span_start(2_000, "relay", &[packet, route]).unwrap();
+        for (at_ms, state) in [
+            (3_000, AlertTransition::Pending),
+            (4_500, AlertTransition::Firing),
+            (9_000, AlertTransition::Resolved),
+        ] {
+            telemetry.alert(at_ms, state, "packet.stuck", "channel-0", "age 3 s", &[packet, route]);
+        }
+        telemetry.span_end(8_000, relay);
+        telemetry.event(8_000, names::PACKET_RECV, &[packet, route], &[]);
+        telemetry.event(8_000, names::ROUTE_DELIVERED, &[route], &[]);
+        telemetry.span_start(8_500, "ack", &[packet]);
+
+        let report = telemetry.run_report("t", 0, 10_000);
+        let alerts = telemetry.alert_transitions();
+        assert_eq!(
+            render_packet_trace_with_alerts(&report.packets[0], &alerts),
+            "packet chain-a/channel-0#7 (trace 1) — 1000 → 9000 ms (in flight):\n\
+             \x20 +      0.0 s  event packet.send  [amount=5]\n\
+             \x20 +      1.0 s  span  relay (6.0 s)\n\
+             \x20 +      3.5 s  alert firing packet.stuck[channel-0] — age 3 s\n\
+             \x20 +      7.0 s  event packet.recv\n\
+             \x20 +      7.5 s  span  ack (open at run end)\n\
+             \x20 +      8.0 s  alert resolved packet.stuck[channel-0] — age 3 s\n"
+        );
+        assert_eq!(
+            render_route_trace_with_alerts(report.route("route-0:a->b").unwrap(), &alerts),
+            "route route-0:a->b (trace 0) — 1 legs, 8.0 s end-to-end (delivered)\n\
+             \x20 +      0.0 s  event packet.send  [amount=5]\n\
+             \x20 +      0.0 s  event route.start\n\
+             \x20 +      1.0 s  span  relay (6.0 s)\n\
+             \x20 +      3.5 s  alert firing packet.stuck[channel-0] — age 3 s\n\
+             \x20 +      7.0 s  event packet.recv\n\
+             \x20 +      7.0 s  event route.delivered\n\
+             \x20 +      8.0 s  alert resolved packet.stuck[channel-0] — age 3 s\n"
+        );
     }
 
     #[test]
@@ -818,7 +848,6 @@ mod tests {
         telemetry.gauge_set_at(60_000, "g", 10.0);
         telemetry.gauge_set_at(120_000, "g", 12.0);
         assert_eq!(telemetry.gauge_last_change("g"), Some((120_000, 12.0)));
-        assert_eq!(telemetry.gauge_first_change("g"), Some((0, 10.0)));
         assert_eq!(telemetry.gauge_value_at("g", 90_000), Some(10.0));
         assert_eq!(telemetry.gauge("g"), Some(12.0));
         // Plain gauge_set still records no series.

@@ -590,32 +590,19 @@ fn alert_rows(alerts: &[AlertTransitionReport], trace: u64) -> Vec<(u64, String)
         .collect()
 }
 
-/// Pretty-prints one packet's lifecycle (used by `trace_explorer`).
-pub fn render_packet_trace(packet: &PacketTraceReport) -> String {
-    render_packet_trace_with_alerts(packet, &[])
-}
-
-/// [`render_packet_trace`], with the monitor-alert transitions that
-/// implicate this packet woven into the same timeline.
-pub fn render_packet_trace_with_alerts(
-    packet: &PacketTraceReport,
+/// One lifecycle's timeline under its `header` line: its events, its
+/// spans with their durations and the alert transitions that implicate
+/// `trace`, sorted by time and stamped relative to `base_ms`.
+fn render_timeline(
+    header: String,
+    base_ms: u64,
+    events: &[TraceEvent],
+    spans: &[SpanReport],
     alerts: &[AlertTransitionReport],
+    trace: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "packet {}/{}#{} (trace {}) — {} → {} ms ({}){}\n",
-        packet.origin,
-        packet.channel,
-        packet.sequence,
-        packet.trace,
-        packet.first_ms,
-        packet.last_ms,
-        if packet.completed { "completed" } else { "in flight" },
-        if packet.spans.is_empty() { "" } else { ":" },
-    ));
-    let base = packet.first_ms;
     let mut rows: Vec<(u64, String)> = Vec::new();
-    for event in &packet.events {
+    for event in events {
         // When weaving formatted alert rows in, drop the raw alert.*
         // journal events — they would repeat every transition verbatim.
         if !alerts.is_empty() && event.name.starts_with("alert.") {
@@ -630,37 +617,53 @@ pub fn render_packet_trace_with_alerts(
         };
         rows.push((event.at_ms, format!("event {}{}", event.name, fields)));
     }
-    for span in &packet.spans {
+    for span in spans {
         let duration = match span.duration_ms() {
             Some(ms) => format!("{:.1} s", ms as f64 / 1_000.0),
             None => "open at run end".to_string(),
         };
         rows.push((span.start_ms, format!("span  {} ({duration})", span.name)));
     }
-    rows.extend(alert_rows(alerts, packet.trace));
+    rows.extend(alert_rows(alerts, trace));
     rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    let mut out = header;
     for (at_ms, line) in rows {
         out.push_str(&format!(
             "  +{:>9.1} s  {line}\n",
-            at_ms.saturating_sub(base) as f64 / 1_000.0
+            at_ms.saturating_sub(base_ms) as f64 / 1_000.0
         ));
     }
     out
 }
 
-/// Pretty-prints one multi-hop route's end-to-end lifecycle: every leg's
-/// packet events interleaved on one timeline (used by `trace_explorer`).
-pub fn render_route_trace(route: &RouteTraceReport) -> String {
-    render_route_trace_with_alerts(route, &[])
+/// Pretty-prints one packet's lifecycle (used by `trace_explorer`), with
+/// the monitor-alert transitions that implicate this packet woven into the
+/// same timeline.
+pub fn render_packet_trace_with_alerts(
+    packet: &PacketTraceReport,
+    alerts: &[AlertTransitionReport],
+) -> String {
+    let header = format!(
+        "packet {}/{}#{} (trace {}) — {} → {} ms ({}){}\n",
+        packet.origin,
+        packet.channel,
+        packet.sequence,
+        packet.trace,
+        packet.first_ms,
+        packet.last_ms,
+        if packet.completed { "completed" } else { "in flight" },
+        if packet.spans.is_empty() { "" } else { ":" },
+    );
+    render_timeline(header, packet.first_ms, &packet.events, &packet.spans, alerts, packet.trace)
 }
 
-/// [`render_route_trace`], with the monitor-alert transitions that
-/// implicate this route woven into the same timeline.
+/// Pretty-prints one multi-hop route's end-to-end lifecycle: every leg's
+/// packet events interleaved on one timeline (used by `trace_explorer`),
+/// with the monitor-alert transitions that implicate this route woven in.
 pub fn render_route_trace_with_alerts(
     route: &RouteTraceReport,
     alerts: &[AlertTransitionReport],
 ) -> String {
-    let mut out = String::new();
     let outcome = if route.delivered {
         "delivered"
     } else if route.refunded {
@@ -668,42 +671,12 @@ pub fn render_route_trace_with_alerts(
     } else {
         "in flight"
     };
-    out.push_str(&format!(
+    let header = format!(
         "route {} (trace {}) — {} legs, {:.1} s end-to-end ({outcome})\n",
         route.label,
         route.trace,
         route.legs,
         route.latency_ms() as f64 / 1_000.0,
-    ));
-    let base = route.first_ms;
-    let mut rows: Vec<(u64, String)> = Vec::new();
-    for event in &route.events {
-        if !alerts.is_empty() && event.name.starts_with("alert.") {
-            continue;
-        }
-        let fields = if event.fields.is_empty() {
-            String::new()
-        } else {
-            let rendered: Vec<String> =
-                event.fields.0.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            format!("  [{}]", rendered.join(" "))
-        };
-        rows.push((event.at_ms, format!("event {}{}", event.name, fields)));
-    }
-    for span in &route.spans {
-        let duration = match span.duration_ms() {
-            Some(ms) => format!("{:.1} s", ms as f64 / 1_000.0),
-            None => "open at run end".to_string(),
-        };
-        rows.push((span.start_ms, format!("span  {} ({duration})", span.name)));
-    }
-    rows.extend(alert_rows(alerts, route.trace));
-    rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    for (at_ms, line) in rows {
-        out.push_str(&format!(
-            "  +{:>9.1} s  {line}\n",
-            at_ms.saturating_sub(base) as f64 / 1_000.0
-        ));
-    }
-    out
+    );
+    render_timeline(header, route.first_ms, &route.events, &route.spans, alerts, route.trace)
 }

@@ -60,6 +60,18 @@ enum Action {
     SafetyNet { height: u64, block_ms: u64 },
 }
 
+/// A submitted host transaction whose outcome the harness records.
+enum Tracked {
+    /// A validator's signature over the guest block cut at `block_ms`.
+    Sign { validator: usize, height: u64, block_ms: u64 },
+    /// A client transfer; the submit instant feeds the retroactive
+    /// `packet.submitted` milestone and the mempool-wait stage of the
+    /// causal trace graph.
+    Send { used_bundle: bool, submitted_ms: u64 },
+    /// A fisherman's misbehaviour report.
+    Report,
+}
+
 /// A running guest-blockchain deployment.
 pub struct Testnet {
     /// The simulated host chain (Solana-like).
@@ -99,12 +111,8 @@ pub struct Testnet {
     program_id: Pubkey,
     client_payer: Pubkey,
     validator_payers: Vec<Pubkey>,
-    sign_tx_inflight: HashMap<u64, (usize, u64, u64)>,
-    /// Per-transfer tx tracking: `(used_bundle, submitted_ms)` — the
-    /// submit instant feeds the retroactive `packet.submitted` milestone
-    /// and the mempool-wait stage of the causal trace graph.
-    send_tx_inflight: HashMap<u64, (bool, u64)>,
-    fisherman_tx_inflight: HashSet<u64>,
+    /// By transaction id, until the transaction executes.
+    tracked_txs: HashMap<u64, Tracked>,
     submitted_signs: HashMap<u64, HashSet<usize>>,
     outbound_counter: u64,
     fisherman_payer: Pubkey,
@@ -394,9 +402,7 @@ impl Testnet {
             program_id,
             client_payer,
             validator_payers,
-            sign_tx_inflight: HashMap::new(),
-            send_tx_inflight: HashMap::new(),
-            fisherman_tx_inflight: HashSet::new(),
+            tracked_txs: HashMap::new(),
             submitted_signs: HashMap::new(),
             outbound_counter: 0,
             fisherman_payer,
@@ -585,19 +591,24 @@ impl Testnet {
                         .filter(|event| event.program_id == self.program_id)
                         .filter_map(|event| event.payload_as::<GuestEvent>()),
                 );
-                if self.sign_tx_inflight.contains_key(tx_id) {
-                    sign_results.push((*tx_id, outcome.is_ok(), outcome.fee_lamports));
-                } else if self.fisherman_tx_inflight.remove(tx_id) {
-                    fisherman_fees += outcome.fee_lamports;
-                } else if self.send_tx_inflight.contains_key(tx_id) {
-                    let sequence =
-                        guest_events[emitted_from..].iter().find_map(|event| match event {
-                            GuestEvent::Ibc(ibc_core::IbcEvent::SendPacket { packet }) => {
-                                Some(packet.sequence)
-                            }
-                            _ => None,
-                        });
-                    send_results.push((*tx_id, sequence, outcome.fee_lamports));
+                match self.tracked_txs.remove(tx_id) {
+                    Some(Tracked::Sign { validator, height, block_ms }) => {
+                        let fee = outcome.fee_lamports;
+                        sign_results.push((validator, height, block_ms, outcome.is_ok(), fee));
+                    }
+                    Some(Tracked::Report) => fisherman_fees += outcome.fee_lamports,
+                    Some(Tracked::Send { used_bundle, submitted_ms }) => {
+                        let sequence =
+                            guest_events[emitted_from..].iter().find_map(|event| match event {
+                                GuestEvent::Ibc(ibc_core::IbcEvent::SendPacket { packet }) => {
+                                    Some(packet.sequence)
+                                }
+                                _ => None,
+                            });
+                        let fee = outcome.fee_lamports;
+                        send_results.push((*tx_id, used_bundle, submitted_ms, sequence, fee));
+                    }
+                    None => {}
                 }
             }
             (now, sign_results, send_results, guest_events, fisherman_fees)
@@ -608,9 +619,7 @@ impl Testnet {
         if fisherman_fees > 0 {
             self.telemetry.counter_add("fees.fisherman", fisherman_fees);
         }
-        for (tx_id, ok, fee) in sign_results {
-            let (validator, height, block_ms) =
-                self.sign_tx_inflight.remove(&tx_id).expect("tracked");
+        for (validator, height, block_ms, ok, fee) in sign_results {
             self.telemetry.counter_add("fees.validator", fee);
             if ok {
                 self.sign_records.push(SignRecord {
@@ -622,9 +631,7 @@ impl Testnet {
                 });
             }
         }
-        for (tx_id, sequence, fee) in send_results {
-            let (used_bundle, submitted_ms) =
-                self.send_tx_inflight.remove(&tx_id).expect("tracked");
+        for (tx_id, used_bundle, submitted_ms, sequence, fee) in send_results {
             self.telemetry.counter_add("fees.client", fee);
             if let Some(sequence) = sequence {
                 // The sequence is only knowable once the tx commits, so the
@@ -960,7 +967,7 @@ impl Testnet {
             )
             .expect("report fits a transaction");
             let id = self.host.submit(tx);
-            self.fisherman_tx_inflight.insert(id);
+            self.tracked_txs.insert(id, Tracked::Report);
             self.telemetry.counter_add("fisherman.reports", 1);
             self.fisherman_reports += 1;
         }
@@ -1022,7 +1029,7 @@ impl Testnet {
         .expect("sign op fits a transaction");
         tx.compute_budget = 200_000;
         let id = self.host.submit(tx);
-        self.sign_tx_inflight.insert(id, (validator, height, block_ms));
+        self.tracked_txs.insert(id, Tracked::Sign { validator, height, block_ms });
     }
 
     /// Submits one guest→counterparty ICS-20 transfer as a host
@@ -1059,7 +1066,8 @@ impl Testnet {
         .expect("transfer op fits a transaction");
         let bundled = matches!(policy, FeePolicy::Bundle { .. });
         let id = if bundled { self.host.submit_bundle(vec![tx])[0] } else { self.host.submit(tx) };
-        self.send_tx_inflight.insert(id, (bundled, self.host.now_ms()));
+        let send = Tracked::Send { used_bundle: bundled, submitted_ms: self.host.now_ms() };
+        self.tracked_txs.insert(id, send);
     }
 
     /// Fraction of client sends paying through Jito bundles (§V-A: 83 %).

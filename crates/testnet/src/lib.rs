@@ -49,6 +49,6 @@ pub use monitor::{
     MonitorConfig, ALL_FAULT_KINDS,
 };
 pub use telemetry::{
-    render_packet_trace, Artifact, FieldValue, MetricsSnapshot, OutputOptions, PacketTraceReport,
-    RunReport, Section, Telemetry, TraceId,
+    Artifact, FieldValue, MetricsSnapshot, OutputOptions, PacketTraceReport, RunReport, Section,
+    Telemetry, TraceId,
 };

@@ -14,7 +14,7 @@
 //! heavy-traffic run spent its time.
 //!
 //! With `--profile <BENCH_profile.json>`, the explorer instead loads a
-//! [`ProfileReport`] written by `cargo run -p bench --bin profile` and
+//! [`ProfileReport`] written by `cargo run -p bench --bin storm` and
 //! renders its hot-path table and phase tree: where the *simulator's own
 //! wall clock* went, as opposed to where the simulated packets' time went.
 //!
@@ -69,9 +69,9 @@ fn main() {
     let days = days.clamp(1, 30);
 
     // Profile mode: instead of running a deployment, explain where the
-    // simulator's own wall clock went in a report the `profile` bench
-    // wrote (`cargo run --release -p bench --bin profile -- \
-    //   --profile-json BENCH_profile.json`).
+    // simulator's own wall clock went in a report the `storm` bench
+    // wrote (`cargo run --release -p bench --bin storm -- \
+    //   --profile BENCH_profile.json`).
     if let Some(path) = profile_path {
         let raw = std::fs::read_to_string(&path).unwrap_or_else(|err| {
             eprintln!("could not read {path}: {err}");
