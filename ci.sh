@@ -51,6 +51,23 @@ if outside_tests '(store(_mut)?\(\)|trie)\.clone\(\)' crates/*/src | grep .; the
     exit 1
 fi
 
+echo "==> the trie hashes on read"
+# A trie write leaves the nodes it makes dirty; `Trie::settle` hashes them, each once, when a root,
+# proof, checkpoint, seal or serialisation reads one, and `verify_node` recomputes hashes to audit
+# them. Hashing every node as it was written was 46 % of `storm_drain`'s SHA-256 work. A tripwire
+# for a `Node::hash` call spelled `.hash()` in any other function of crates/sealable-trie/src
+# (proof.rs aside: its `.hash()` is `ProofNode::hash`), scanning each file up to its first column-0
+# #[cfg(test)].
+HASHED_IN=$(find crates/sealable-trie/src -name '*.rs' ! -name proof.rs -exec awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^ *(pub(\(crate\))? )?fn [a-z_0-9]+/ { fn = $0; sub(/^ *(pub(\(crate\))? )?fn /, "", fn); sub(/[^a-z_0-9].*/, "", fn) }
+    !in_tests && /\.hash\(\)/ { print FILENAME ":" FNR ": in fn " fn }' {} +)
+if echo "$HASHED_IN" | grep -vE ': in fn (settle|verify_node)$' | grep .; then
+    echo "crates/sealable-trie/src hashes a node outside Trie::settle and verify_node; mark it dirty" >&2
+    exit 1
+fi
+
 echo "==> one home for mesh proofs: the committed height"
 # The mesh relayer proves a step at its source's latest commit (`CounterpartyChain::prove_at`), as a
 # stock relayer reads a committed block; the live-store proof it used only while that store still

@@ -11,12 +11,16 @@
 
 use std::collections::VecDeque;
 
-use telemetry::{Histogram, Telemetry};
+use telemetry::{CounterHandle, GaugeHandle, Histogram, Telemetry};
 
 use crate::alerts::Finding;
 use crate::config::MonitorConfig;
 
 /// A streaming health detector evaluated on the shared sim clock.
+///
+/// A detector that reads a metric at every evaluation resolves it once,
+/// into a handle on the sink of its first evaluation, and reads that sink
+/// from then on.
 pub trait Detector {
     /// Stable detector name; becomes the alert's `detector` field.
     fn name(&self) -> &'static str;
@@ -39,6 +43,8 @@ pub struct StalenessDetector {
     name: &'static str,
     /// `(gauge, slo_ms)` pairs, evaluated in the given order.
     targets: Vec<(String, u64)>,
+    /// A handle per target, made at the first evaluation.
+    gauges: Vec<GaugeHandle>,
 }
 
 impl StalenessDetector {
@@ -50,7 +56,7 @@ impl StalenessDetector {
     /// Same watchdog under a custom detector name (the mesh uses
     /// `chain.staleness` for per-chain head gauges).
     pub fn named(name: &'static str, targets: Vec<(String, u64)>) -> Self {
-        Self { name, targets }
+        Self { name, targets, gauges: Vec::new() }
     }
 }
 
@@ -60,11 +66,15 @@ impl Detector for StalenessDetector {
     }
 
     fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
+        if self.gauges.len() != self.targets.len() {
+            self.gauges =
+                self.targets.iter().map(|(gauge, _)| telemetry.gauge_handle(gauge)).collect();
+        }
         let mut findings = Vec::new();
-        for (gauge, slo_ms) in &self.targets {
+        for ((gauge, slo_ms), handle) in self.targets.iter().zip(&self.gauges) {
             // A gauge that was never written is "not yet wired", not
             // stale: firing on it would alert on every cold start.
-            let Some((changed_ms, value)) = telemetry.gauge_last_change(gauge) else {
+            let Some((changed_ms, value)) = handle.last_change() else {
                 continue;
             };
             let age_ms = now_ms.saturating_sub(changed_ms);
@@ -257,6 +267,8 @@ impl Detector for LatencyRegressionDetector {
 pub struct RateSpikeDetector {
     name: &'static str,
     counter: String,
+    /// The counter's handle, made at the first evaluation.
+    handle: Option<CounterHandle>,
     window_ms: u64,
     calibration_ms: u64,
     factor: f64,
@@ -281,6 +293,7 @@ impl RateSpikeDetector {
         Self {
             name,
             counter: counter.into(),
+            handle: None,
             window_ms: config.fee_window_ms,
             calibration_ms: config.calibration_ms,
             factor: config.fee_factor,
@@ -304,7 +317,8 @@ impl Detector for RateSpikeDetector {
     }
 
     fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        let value = telemetry.counter(&self.counter);
+        let value =
+            self.handle.get_or_insert_with(|| telemetry.counter_handle(&self.counter)).get();
         if self.baseline_rate.is_none() && now_ms >= self.calibration_ms && now_ms > 0 {
             self.baseline_rate = Some(value as f64 / now_ms as f64);
         }
@@ -343,6 +357,8 @@ impl Detector for RateSpikeDetector {
 /// current burn rate and alerts when the runway drops below the SLO.
 pub struct RunwayDetector {
     gauge: String,
+    /// The gauge's handle, made at the first evaluation.
+    handle: Option<GaugeHandle>,
     window_ms: u64,
     slo_ms: u64,
 }
@@ -352,6 +368,7 @@ impl RunwayDetector {
     pub fn new(gauge: impl Into<String>, config: &MonitorConfig) -> Self {
         Self {
             gauge: gauge.into(),
+            handle: None,
             window_ms: config.runway_window_ms,
             slo_ms: config.runway_slo_ms,
         }
@@ -367,10 +384,11 @@ impl Detector for RunwayDetector {
         if now_ms < self.window_ms {
             return Vec::new(); // need one full window of burn history
         }
-        let Some(balance) = telemetry.gauge_value_at(&self.gauge, now_ms) else {
+        let handle = self.handle.get_or_insert_with(|| telemetry.gauge_handle(&self.gauge));
+        let Some(balance) = handle.value_at(now_ms) else {
             return Vec::new();
         };
-        let Some(earlier) = telemetry.gauge_value_at(&self.gauge, now_ms - self.window_ms) else {
+        let Some(earlier) = handle.value_at(now_ms - self.window_ms) else {
             return Vec::new();
         };
         let burn = earlier - balance;
@@ -625,6 +643,151 @@ mod tests {
             }
             assert!(fired > 0 && quiet > 100, "window {window_ms}: {fired} fired, {quiet} quiet");
             assert!(detector.snapshots.len() <= oracle.snapshots.len());
+        }
+    }
+
+    /// The three detectors that read one metric at every evaluation, as
+    /// they were when each read searched the registry by name: the oracle
+    /// for their handles.
+    struct ByName {
+        staleness: Vec<(String, u64)>,
+        spike: RateSpikeDetector,
+        runway: (String, u64, u64),
+    }
+
+    impl ByName {
+        fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> [Vec<Finding>; 3] {
+            let mut stale = Vec::new();
+            for (gauge, slo_ms) in &self.staleness {
+                let Some((changed_ms, value)) = telemetry.gauge_last_change(gauge) else {
+                    continue;
+                };
+                let age_ms = now_ms.saturating_sub(changed_ms);
+                if age_ms >= *slo_ms {
+                    stale.push(Finding::new(
+                        gauge.clone(),
+                        format!("stuck at {value} for {age_ms} ms (slo {slo_ms} ms)"),
+                    ));
+                }
+            }
+
+            let spike = &mut self.spike;
+            let value = telemetry.counter(&spike.counter);
+            if spike.baseline_rate.is_none() && now_ms >= spike.calibration_ms && now_ms > 0 {
+                spike.baseline_rate = Some(value as f64 / now_ms as f64);
+            }
+            let mut spiked = Vec::new();
+            if let Some(baseline_rate) = spike.baseline_rate {
+                let start = now_ms.saturating_sub(spike.window_ms);
+                let anchor = spike.samples.iter().take_while(|(at, _)| *at <= start).last();
+                if let Some(&(anchor_ms, anchor_value)) = anchor {
+                    let span_ms = now_ms.saturating_sub(anchor_ms);
+                    let delta = value.saturating_sub(anchor_value);
+                    if span_ms > 0 && delta >= spike.min_delta {
+                        let rate = delta as f64 / span_ms as f64;
+                        if rate > baseline_rate * spike.factor {
+                            spiked.push(Finding::new(
+                                spike.counter.clone(),
+                                format!(
+                                    "+{delta} over last {span_ms} ms ({rate:.3}/ms vs baseline \
+                                     {baseline_rate:.3}/ms, factor {})",
+                                    spike.factor,
+                                ),
+                            ));
+                        }
+                    }
+                }
+            }
+            spike.samples.push_back((now_ms, value));
+            spike.prune(now_ms);
+
+            let (gauge, window_ms, slo_ms) = &self.runway;
+            let runway = (|| {
+                if now_ms < *window_ms {
+                    return None;
+                }
+                let balance = telemetry.gauge_value_at(gauge, now_ms)?;
+                let earlier = telemetry.gauge_value_at(gauge, now_ms - window_ms)?;
+                let burn = earlier - balance;
+                let runway_ms = balance / (burn / *window_ms as f64);
+                (burn > 0.0 && runway_ms < *slo_ms as f64).then(|| {
+                    Finding::new(
+                        gauge.clone(),
+                        format!(
+                            "runway {runway_ms:.0} ms at current burn ({burn} lamports per \
+                             {window_ms} ms, balance {balance}); slo {slo_ms} ms",
+                        ),
+                    )
+                })
+            })();
+            [stale, spiked, runway.into_iter().collect()]
+        }
+    }
+
+    #[test]
+    fn metric_handles_match_the_by_name_oracle() {
+        let mut config = MonitorConfig::small();
+        config.calibration_ms = 20_000;
+        config.fee_window_ms = 5_000;
+        config.fee_factor = 3.0;
+        config.runway_window_ms = 5_000;
+        config.runway_slo_ms = 60_000;
+        // Each detector watches a metric written from the start, one first
+        // written halfway through, and one never written; other names keep
+        // arriving, so a missed name is searched for again.
+        for (metric, first_write_ms) in [("early", 0), ("late", 150_000), ("never", u64::MAX)] {
+            let telemetry = Telemetry::recording();
+            let (head, fees, balance) =
+                (format!("{metric}.head"), format!("{metric}.fees"), format!("{metric}.balance"));
+            let staleness = vec![(head.clone(), 8_000), ("other.head".to_string(), 8_000)];
+            let mut detectors = (
+                StalenessDetector::new(staleness.clone()),
+                RateSpikeDetector::named("fee.spike", fees.clone(), 10, &config),
+                RunwayDetector::new(balance.clone(), &config),
+            );
+            let mut oracle = ByName {
+                staleness,
+                spike: RateSpikeDetector::named("fee.spike", fees.clone(), 10, &config),
+                runway: (balance.clone(), config.runway_window_ms, config.runway_slo_ms),
+            };
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ first_write_ms;
+            let mut draw = |below: u64| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 33) % below
+            };
+            let (mut fired, mut lamports) = ([0; 3], 1e9);
+            for tick in 0..3_000u64 {
+                let now_ms = tick * 100 + draw(50);
+                let phase = (now_ms / 30_000) % 4; // quiet, busy, spiking, draining
+                if draw(40) == 0 {
+                    telemetry.counter_add(&format!("noise.{}", draw(300)), 1);
+                }
+                if now_ms >= first_write_ms && phase != 0 {
+                    if draw(3) == 0 {
+                        telemetry.gauge_set_at(now_ms, &head, (now_ms / 10_000) as f64);
+                    }
+                    telemetry.counter_add(&fees, if phase == 2 { 20 + draw(30) } else { draw(2) });
+                    lamports -= if phase == 3 { 5e6 } else { draw(100) as f64 };
+                    telemetry.gauge_set_at(now_ms, &balance, lamports);
+                    if lamports < 1e8 {
+                        lamports = 1e9; // top-up
+                    }
+                }
+                let expected = oracle.evaluate(now_ms, &telemetry);
+                let got = [
+                    detectors.0.evaluate(now_ms, &telemetry),
+                    detectors.1.evaluate(now_ms, &telemetry),
+                    detectors.2.evaluate(now_ms, &telemetry),
+                ];
+                for (count, findings) in fired.iter_mut().zip(&expected) {
+                    *count += usize::from(!findings.is_empty());
+                }
+                assert_eq!(got, expected, "{metric} tick {tick}");
+            }
+            match metric {
+                "never" => assert_eq!(fired, [0; 3]),
+                _ => assert!(fired.iter().all(|count| *count > 0), "{metric}: {fired:?}"),
+            }
         }
     }
 

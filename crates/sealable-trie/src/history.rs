@@ -69,9 +69,9 @@ impl TrieHistory {
 
     /// The position of the checkpoint taken at `height` and the root it
     /// committed, or `None` when it was evicted or never taken.
-    pub(crate) fn find(&self, height: u64) -> Option<(usize, Option<ChildRef>)> {
+    pub(crate) fn find(&self, height: u64) -> Option<(usize, Option<&ChildRef>)> {
         let index = self.checkpoints.iter().rposition(|c| c.height == height)?;
-        Some((index, self.checkpoints[index].root))
+        Some((index, self.checkpoints[index].root.as_ref()))
     }
 
     /// The node at `ptr` as checkpoint `index` saw it, if it has left the

@@ -26,6 +26,10 @@
 //! hash); a node that is referenced but absent from the store *is* a
 //! sealed node.
 //!
+//! A write hashes nothing: the nodes it makes stay dirty until a root,
+//! proof, checkpoint, seal or serialisation reads one, and then each is
+//! hashed once, bottom-up.
+//!
 //! Membership and non-membership proofs ([`proof::Proof`]) are verified
 //! against a bare root hash by [`proof::Proof::verify`], with no access to
 //! the store — this is what a counterparty light client runs. A chain

@@ -1,6 +1,8 @@
 //! Trie node representation and hashing.
 
-use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use sim_crypto::{sha256, Hash, Sha256};
 
 use crate::store::Ptr;
@@ -37,18 +39,75 @@ impl Value {
 
 /// A reference from a parent node to a child.
 ///
-/// The `hash` is the commitment (what proofs and the root are built from);
+/// The child's commitment hash is what proofs and the root are built from;
 /// the `ptr` locates the child in storage. A `ptr` whose node is missing
 /// from the store denotes a *sealed* child: the commitment survives, the
 /// data does not. Storing nodes by location rather than by content hash
 /// mirrors the paper's Solana implementation (nodes in an account, addressed
 /// by index) and ensures two identical subtrees never alias.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The hash is written when it is first read, not when the child is: a
+/// trie write leaves the references it creates *dirty*, and the trie
+/// hashes them bottom-up, each once, when a root, proof, checkpoint, seal
+/// or serialisation needs one. A node never changes once written, so the
+/// cell is set at most once and a settled hash stays valid.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChildRef {
     /// Location of the child node in the store.
     pub ptr: Ptr,
-    /// Commitment hash of the child node.
-    pub hash: Hash,
+    /// Commitment hash of the child node; [`Hash::ZERO`] while dirty (no
+    /// node hashes to it: that would take a SHA-256 preimage of zero).
+    hash: Cell<Hash>,
+}
+
+impl ChildRef {
+    /// A reference to a child whose commitment hash is known.
+    pub fn new(ptr: Ptr, hash: Hash) -> Self {
+        Self { ptr, hash: Cell::new(hash) }
+    }
+
+    /// A reference to a child just written and not yet hashed.
+    pub(crate) fn dirty(ptr: Ptr) -> Self {
+        Self::new(ptr, Hash::ZERO)
+    }
+
+    /// The child's commitment hash, or `None` while it is dirty.
+    pub fn commitment(&self) -> Option<Hash> {
+        Some(self.hash.get()).filter(|hash| !hash.is_zero())
+    }
+
+    /// Records the child's hash, once the trie has computed it.
+    pub(crate) fn fill(&self, hash: Hash) {
+        self.hash.set(hash);
+    }
+
+    /// The hash a settled reference holds; what a parent's hash commits to.
+    fn settled(&self) -> Hash {
+        let hash = self.hash.get();
+        debug_assert!(!hash.is_zero(), "a node hashed over a dirty child");
+        hash
+    }
+}
+
+/// The serialised form of a [`ChildRef`], the cell's content as it is (a
+/// dirty reference reads back dirty).
+#[derive(Serialize, Deserialize)]
+struct ChildRefForm {
+    ptr: Ptr,
+    hash: Hash,
+}
+
+impl Serialize for ChildRef {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        ChildRefForm { ptr: self.ptr, hash: self.hash.get() }.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for ChildRef {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let ChildRefForm { ptr, hash } = ChildRefForm::deserialize(deserializer)?;
+        Ok(Self::new(ptr, hash))
+    }
 }
 
 /// A trie node.
@@ -89,8 +148,8 @@ impl Node {
     ///
     /// Values contribute their *hash*, not their bytes, so sealing a value
     /// leaves the node hash unchanged; children contribute their commitment
-    /// hashes (absent children contribute [`Hash::ZERO`]); storage pointers
-    /// contribute nothing.
+    /// hashes (absent children contribute [`Hash::ZERO`]), so every child
+    /// must be settled first; storage pointers contribute nothing.
     pub fn hash(&self) -> Hash {
         let mut hasher = Sha256::new();
         match self {
@@ -102,13 +161,13 @@ impl Node {
             Node::Branch { children } => {
                 hasher.update([1u8]);
                 for child in children {
-                    hasher.update(child.map_or(Hash::ZERO, |c| c.hash));
+                    hasher.update(child.as_ref().map_or(Hash::ZERO, ChildRef::settled));
                 }
             }
             Node::Extension { path, child } => {
                 hasher.update([2u8]);
                 hasher.update(path.encode());
-                hasher.update(child.hash);
+                hasher.update(child.settled());
             }
         }
         hasher.finalize()
@@ -130,7 +189,9 @@ impl Node {
 }
 
 /// An empty branch child array (helper for construction).
-pub const EMPTY_CHILDREN: [Option<ChildRef>; 16] = [None; 16];
+pub fn empty_children() -> [Option<ChildRef>; 16] {
+    [const { None }; 16]
+}
 
 #[cfg(test)]
 mod tests {
@@ -163,10 +224,10 @@ mod tests {
 
     #[test]
     fn branch_child_position_matters() {
-        let child = ChildRef { ptr: 1, hash: sha256(b"child") };
-        let mut c1 = EMPTY_CHILDREN;
-        c1[0] = Some(child);
-        let mut c2 = EMPTY_CHILDREN;
+        let child = ChildRef::new(1, sha256(b"child"));
+        let mut c1 = empty_children();
+        c1[0] = Some(child.clone());
+        let mut c2 = empty_children();
         c2[1] = Some(child);
         let a = Node::Branch { children: c1 };
         let b = Node::Branch { children: c2 };
@@ -175,11 +236,11 @@ mod tests {
 
     #[test]
     fn ptr_does_not_affect_hash() {
-        let c1 = ChildRef { ptr: 1, hash: sha256(b"child") };
-        let c2 = ChildRef { ptr: 999, hash: sha256(b"child") };
-        let mut a = EMPTY_CHILDREN;
+        let c1 = ChildRef::new(1, sha256(b"child"));
+        let c2 = ChildRef::new(999, sha256(b"child"));
+        let mut a = empty_children();
         a[5] = Some(c1);
-        let mut b = EMPTY_CHILDREN;
+        let mut b = empty_children();
         b[5] = Some(c2);
         assert_eq!(Node::Branch { children: a }.hash(), Node::Branch { children: b }.hash());
     }
@@ -200,7 +261,7 @@ mod tests {
         // A leaf and an extension with identical byte content must differ.
         let path = Nibbles::from_key(b"x");
         let leaf = Node::Leaf { path: path.clone(), value: Value::new(b"v".to_vec()) };
-        let ext = Node::Extension { path, child: ChildRef { ptr: 0, hash: sha256(b"v") } };
+        let ext = Node::Extension { path, child: ChildRef::new(0, sha256(b"v")) };
         assert_ne!(leaf.hash(), ext.hash());
     }
 }

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use sim_crypto::{sha256, Hash, Sha256};
 
-use crate::node::Node;
+use crate::node::{ChildRef, Node};
 use crate::trie::encode_key;
 use crate::Nibbles;
 
@@ -40,19 +40,17 @@ pub enum ProofNode {
 
 impl ProofNode {
     /// Projects a stored node into its proof form (pointers dropped, value
-    /// bytes reduced to hashes).
+    /// bytes reduced to hashes). The node's children must be settled, as
+    /// every node a trie hands out is.
     pub fn from_node(node: &Node) -> Self {
+        let hash = |child: &ChildRef| child.commitment().expect("a proof node over a dirty child");
         match node {
             Node::Leaf { path, value } => Self::Leaf { path: path.clone(), value_hash: value.hash },
-            Node::Branch { children } => {
-                let mut hashes = [None; 16];
-                for (slot, child) in children.iter().enumerate() {
-                    hashes[slot] = child.map(|c| c.hash);
-                }
-                Self::Branch { children: hashes }
-            }
+            Node::Branch { children } => Self::Branch {
+                children: core::array::from_fn(|slot| children[slot].as_ref().map(hash)),
+            },
             Node::Extension { path, child } => {
-                Self::Extension { path: path.clone(), child: child.hash }
+                Self::Extension { path: path.clone(), child: hash(child) }
             }
         }
     }
@@ -340,8 +338,8 @@ mod tests {
 
         let branch = Node::Branch {
             children: {
-                let mut c = [None; 16];
-                c[3] = Some(crate::node::ChildRef { ptr: 7, hash: sha256(b"x") });
+                let mut c = crate::node::empty_children();
+                c[3] = Some(ChildRef::new(7, sha256(b"x")));
                 c
             },
         };
@@ -349,7 +347,7 @@ mod tests {
 
         let ext = Node::Extension {
             path: Nibbles::from_key(b"p"),
-            child: crate::node::ChildRef { ptr: 0, hash: sha256(b"c") },
+            child: ChildRef::new(0, sha256(b"c")),
         };
         assert_eq!(ProofNode::from_node(&ext).hash(), ext.hash());
     }

@@ -112,7 +112,7 @@ impl MemStore {
 
     /// The checkpoint taken at `height`, as an index for [`Self::get_at`],
     /// and the root it committed; `None` when evicted or never taken.
-    pub(crate) fn find_checkpoint(&self, height: u64) -> Option<(usize, Option<ChildRef>)> {
+    pub(crate) fn find_checkpoint(&self, height: u64) -> Option<(usize, Option<&ChildRef>)> {
         self.history.find(height)
     }
 

@@ -2,7 +2,7 @@
 
 use sim_crypto::Hash;
 
-use crate::node::{ChildRef, Node, Value, EMPTY_CHILDREN};
+use crate::node::{empty_children, ChildRef, Node, Value};
 use crate::proof::{Proof, ProofNode};
 use crate::store::{MemStore, NodeStore, Ptr, StoreStats};
 use crate::{Nibbles, TrieError};
@@ -65,7 +65,14 @@ pub enum EntryState {
 /// serializes with serde, so chain state can be snapshotted and restored;
 /// the [`Self::checkpoint`] history is not state and is not serialized.
 /// `clone` is an independent deep copy and does carry that history.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+///
+/// Writes hash nothing: the nodes they create are *dirty* until a read
+/// needs their hash ([`Self::root_hash`], [`Self::prove`],
+/// [`Self::checkpoint`], [`Self::seal`], [`Self::store`],
+/// [`Self::verify_integrity`], serialization), which hashes every dirty
+/// node once, bottom-up. A run of writes between two reads therefore
+/// hashes the nodes that survive it, not every node each write made.
+#[derive(Clone, Debug, serde::Deserialize)]
 pub struct Trie<S: NodeStore = MemStore> {
     store: S,
     root: Option<ChildRef>,
@@ -80,11 +87,13 @@ impl Trie<MemStore> {
     }
 
     /// Records the current state as committed at block `height`, keeping
-    /// the `keep` most recent checkpoints for [`Self::prove_at`]. O(1):
-    /// later writes hand the nodes they retire to the history instead of
-    /// dropping them, and nothing is copied.
+    /// the `keep` most recent checkpoints for [`Self::prove_at`]. Hashes
+    /// the dirty nodes, so a checkpoint holds a settled state; otherwise
+    /// O(1): later writes hand the nodes they retire to the history
+    /// instead of dropping them, and nothing is copied.
     pub fn checkpoint(&mut self, height: u64, keep: usize) {
-        self.store.checkpoint(height, self.root, keep);
+        self.settle_root();
+        self.store.checkpoint(height, self.root.clone(), keep);
     }
 
     /// Merkle proof of `key` as of block `height`, checkable against the
@@ -103,6 +112,19 @@ impl Default for Trie<MemStore> {
     }
 }
 
+impl<S: NodeStore + serde::Serialize> serde::Serialize for Trie<S> {
+    fn serialize<Z: serde::Serializer>(&self, serializer: Z) -> Result<Z::Ok, Z::Error> {
+        use serde::ser::SerializeMap;
+        self.settle_root();
+        let mut map = serializer.serialize_map()?;
+        map.entry("store", &self.store)?;
+        map.entry("root", &self.root)?;
+        map.entry("live_entries", &self.live_entries)?;
+        map.entry("sealed_entries", &self.sealed_entries)?;
+        map.end()
+    }
+}
+
 impl<S: NodeStore> Trie<S> {
     /// Creates an empty trie backed by `store`.
     pub fn with_store(store: S) -> Self {
@@ -114,7 +136,7 @@ impl<S: NodeStore> Trie<S> {
     /// Sealing entries does **not** change this value; inserting or removing
     /// does.
     pub fn root_hash(&self) -> Hash {
-        self.root.map_or(Hash::ZERO, |r| r.hash)
+        self.settle_root()
     }
 
     /// Number of live (readable) entries.
@@ -137,8 +159,9 @@ impl<S: NodeStore> Trie<S> {
         self.store.stats()
     }
 
-    /// Read-only access to the backing store.
+    /// Read-only access to the backing store, every node in it hashed.
     pub fn store(&self) -> &S {
+        self.settle_root();
         &self.store
     }
 
@@ -146,9 +169,46 @@ impl<S: NodeStore> Trie<S> {
         self.store.get(child.ptr).ok_or(TrieError::Sealed)
     }
 
+    /// Stores a new node, dirty: its hash is left to [`Self::settle`].
     fn put_node(&mut self, node: Node) -> ChildRef {
+        ChildRef::dirty(self.store.put(node))
+    }
+
+    /// Hashes the dirty nodes under `child`, bottom-up and each once, and
+    /// returns its hash. The one place a node hash is computed for the
+    /// trie ([`Self::verify_node`] recomputes them to audit).
+    ///
+    /// A settled reference has a settled subtree (a node never changes
+    /// once written, and every write path-copies up to the root), so the
+    /// walk stops at the first settled reference on each path. A dirty
+    /// reference is always resident: a node leaves the store dirty only
+    /// with its parent, and sealing settles what it reclaims.
+    fn settle(&self, child: &ChildRef) -> Hash {
+        if let Some(hash) = child.commitment() {
+            return hash;
+        }
+        let node = self.store.get(child.ptr).expect("a dirty node is resident");
+        match node {
+            Node::Leaf { .. } => {}
+            Node::Branch { children } => {
+                for grandchild in children.iter().flatten() {
+                    self.settle(grandchild);
+                }
+            }
+            Node::Extension { child: grandchild, .. } => {
+                self.settle(grandchild);
+            }
+        }
         let hash = node.hash();
-        ChildRef { ptr: self.store.put(node), hash }
+        #[cfg(test)]
+        tests::NODE_HASHES.with(|count| count.set(count.get() + 1));
+        child.fill(hash);
+        hash
+    }
+
+    /// Settles the whole trie and returns its root hash.
+    fn settle_root(&self) -> Hash {
+        self.root.as_ref().map_or(Hash::ZERO, |root| self.settle(root))
     }
 
     /// Inserts `value` under `key`.
@@ -169,7 +229,7 @@ impl<S: NodeStore> Trie<S> {
         }
         let path = Nibbles::from_key(&encode_key(key));
         let (new_root, inserted_new) =
-            self.insert_at(self.root, path.as_slice(), Value::new(value.to_vec()))?;
+            self.insert_at(self.root.clone(), path.as_slice(), Value::new(value.to_vec()))?;
         self.root = Some(new_root);
         if inserted_new {
             self.live_entries += 1;
@@ -202,7 +262,7 @@ impl<S: NodeStore> Trie<S> {
                 // before either path ends.
                 let cp = leaf_path.common_prefix_len(path);
                 debug_assert!(cp < leaf_path.len() && cp < path.len());
-                let mut children = EMPTY_CHILDREN;
+                let mut children = empty_children();
                 let old_slot = leaf_path.as_slice()[cp] as usize;
                 let old_rest = leaf_path.slice(cp + 1, leaf_path.len());
                 let old_is_sealed_at_max_depth = leaf_value.is_sealed() && old_rest.is_empty();
@@ -211,6 +271,7 @@ impl<S: NodeStore> Trie<S> {
                     // A sealed skeleton that ends up at maximal depth can
                     // never be split again — reclaim it now, keeping only
                     // its hash in the new branch.
+                    self.settle(&old_ref);
                     self.store.remove(old_ref.ptr, true);
                 }
                 children[old_slot] = Some(old_ref);
@@ -229,7 +290,8 @@ impl<S: NodeStore> Trie<S> {
                 // Prefix-freedom: the path cannot end at a branch.
                 debug_assert!(!path.is_empty());
                 let slot = path[0] as usize;
-                let (child, inserted_new) = self.insert_at(children[slot], &path[1..], value)?;
+                let (child, inserted_new) =
+                    self.insert_at(children[slot].take(), &path[1..], value)?;
                 children[slot] = Some(child);
                 let new = self.put_node(Node::Branch { children });
                 self.store.remove(current.ptr, false);
@@ -246,7 +308,7 @@ impl<S: NodeStore> Trie<S> {
                 }
                 // Split the extension at the divergence point.
                 debug_assert!(cp < path.len());
-                let mut children = EMPTY_CHILDREN;
+                let mut children = empty_children();
                 let ext_slot = ext_path.as_slice()[cp] as usize;
                 let ext_rest = ext_path.slice(cp + 1, ext_path.len());
                 children[ext_slot] = Some(if ext_rest.is_empty() {
@@ -284,11 +346,11 @@ impl<S: NodeStore> Trie<S> {
         let encoded = encode_key(key);
         let path = Nibbles::from_key(&encoded);
         let mut remaining = path.as_slice();
-        let Some(mut current) = self.root else {
+        let Some(mut current) = self.root.as_ref() else {
             return Ok(None);
         };
         loop {
-            let node = self.read(&current)?;
+            let node = self.read(current)?;
             match node {
                 Node::Leaf { path: leaf_path, value } => {
                     if leaf_path.as_slice() == remaining {
@@ -303,7 +365,7 @@ impl<S: NodeStore> Trie<S> {
                     if remaining.is_empty() {
                         return Ok(None);
                     }
-                    match children[remaining[0] as usize] {
+                    match &children[remaining[0] as usize] {
                         Some(child) => {
                             current = child;
                             remaining = &remaining[1..];
@@ -316,7 +378,7 @@ impl<S: NodeStore> Trie<S> {
                         && &remaining[..ext_path.len()] == ext_path.as_slice()
                     {
                         let skip = ext_path.len();
-                        current = *child;
+                        current = child;
                         remaining = &remaining[skip..];
                     } else {
                         return Ok(None);
@@ -347,7 +409,7 @@ impl<S: NodeStore> Trie<S> {
             return Err(TrieError::EmptyKey);
         }
         let path = Nibbles::from_key(&encode_key(key));
-        let Some(root) = self.root else { return Ok(None) };
+        let Some(root) = self.root.clone() else { return Ok(None) };
         let (new_root, removed) = self.remove_at(root, path.as_slice())?;
         if removed.is_some() {
             self.root = new_root;
@@ -379,7 +441,7 @@ impl<S: NodeStore> Trie<S> {
                     return Ok((Some(current), None));
                 }
                 let slot = path[0] as usize;
-                let Some(child) = children[slot] else {
+                let Some(child) = children[slot].take() else {
                     return Ok((Some(current), None));
                 };
                 let (new_child, removed) = self.remove_at(child, &path[1..])?;
@@ -388,13 +450,15 @@ impl<S: NodeStore> Trie<S> {
                 }
                 children[slot] = new_child;
                 let live: Vec<usize> = (0..16).filter(|i| children[*i].is_some()).collect();
-                let replacement = match live.as_slice() {
-                    [] => None,
-                    [only] => {
-                        Some(self.collapse_branch(*only as u8, children[*only].expect("live slot")))
-                    }
-                    _ => Some(self.put_node(Node::Branch { children })),
-                };
+                let replacement =
+                    match live.as_slice() {
+                        [] => None,
+                        [only] => Some(self.collapse_branch(
+                            *only as u8,
+                            children[*only].take().expect("live slot"),
+                        )),
+                        _ => Some(self.put_node(Node::Branch { children })),
+                    };
                 self.store.remove(current.ptr, false);
                 Ok((replacement, removed))
             }
@@ -421,7 +485,7 @@ impl<S: NodeStore> Trie<S> {
     fn collapse_branch(&mut self, slot: u8, child_ref: ChildRef) -> ChildRef {
         let Some(child) = self.store.get(child_ref.ptr).cloned() else {
             // Child is sealed; keep a one-slot branch.
-            let mut children = EMPTY_CHILDREN;
+            let mut children = empty_children();
             children[slot as usize] = Some(child_ref);
             return self.put_node(Node::Branch { children });
         };
@@ -489,6 +553,10 @@ impl<S: NodeStore> Trie<S> {
     /// collapse and storage reclaims fully, which is the paper's §III-A
     /// claim that state depends only on packets in flight.
     ///
+    /// A removed node's hash must survive in its parent, so each is hashed
+    /// first if it is dirty; its children are all reclaimed, hence already
+    /// hashed, so sealing hashes nothing off the key's own path.
+    ///
     /// # Errors
     ///
     /// * [`TrieError::NotFound`] if `key` is not a live entry.
@@ -498,17 +566,13 @@ impl<S: NodeStore> Trie<S> {
             return Err(TrieError::EmptyKey);
         }
         let path = Nibbles::from_key(&encode_key(key));
-        let Some(root) = self.root else {
-            return Err(TrieError::NotFound);
-        };
+        let mut current = self.root.as_ref().ok_or(TrieError::NotFound)?;
 
-        // Walk down, recording the spine (ancestors of the leaf).
-        let mut spine: Vec<(ChildRef, Node)> = Vec::new();
-        let mut current = root;
+        // Walk down, recording the spine (references to the leaf's ancestors).
+        let mut spine: Vec<&ChildRef> = Vec::new();
         let mut remaining = path.as_slice();
-        let leaf_ref = loop {
-            let node = self.read(&current)?.clone();
-            match &node {
+        let (leaf_path, value) = loop {
+            match self.read(current)? {
                 Node::Leaf { path: leaf_path, value } => {
                     if leaf_path.as_slice() != remaining {
                         return Err(TrieError::NotFound);
@@ -516,30 +580,25 @@ impl<S: NodeStore> Trie<S> {
                     if value.is_sealed() {
                         return Err(TrieError::Sealed);
                     }
-                    break current;
+                    break (leaf_path, value);
                 }
                 Node::Branch { children } => {
-                    let Some(&slot) = remaining.first() else {
+                    let Some(child) =
+                        remaining.first().and_then(|&slot| children[slot as usize].as_ref())
+                    else {
                         return Err(TrieError::NotFound);
                     };
-                    let Some(child) = children[slot as usize] else {
-                        return Err(TrieError::NotFound);
-                    };
-                    spine.push((current, node.clone()));
+                    spine.push(current);
                     current = child;
                     remaining = &remaining[1..];
                 }
                 Node::Extension { path: ext_path, child } => {
-                    if remaining.len() < ext_path.len()
-                        || &remaining[..ext_path.len()] != ext_path.as_slice()
-                    {
+                    let Some(rest) = remaining.strip_prefix(ext_path.as_slice()) else {
                         return Err(TrieError::NotFound);
-                    }
-                    let child = *child;
-                    let skip = ext_path.len();
-                    spine.push((current, node.clone()));
+                    };
+                    spine.push(current);
                     current = child;
-                    remaining = &remaining[skip..];
+                    remaining = rest;
                 }
             }
         };
@@ -547,33 +606,39 @@ impl<S: NodeStore> Trie<S> {
         // Reclaim. A max-depth leaf (empty path) is removed outright and
         // the removal cascades through *full* branches; a leaf that could
         // still be split keeps a data-less skeleton.
-        let leaf_node = self.read(&leaf_ref)?.clone();
-        let Node::Leaf { path: leaf_path, mut value } = leaf_node else {
-            unreachable!("walk terminates at a leaf");
-        };
         if leaf_path.is_empty() {
-            self.store.remove(leaf_ref.ptr, true);
-            for (ancestor_ref, ancestor) in spine.into_iter().rev() {
-                let reclaimable = match &ancestor {
-                    // Only a branch with all 16 slots occupied can never be
-                    // needed again once every child is reclaimed: no new
-                    // slot can appear and no child can be split.
-                    Node::Branch { children } => children
-                        .iter()
-                        .all(|child| child.is_some_and(|c| self.store.get(c.ptr).is_none())),
-                    // Extensions stay: a future key may diverge inside their
-                    // compressed path, which requires reading it.
+            self.settle(current);
+            let mut reclaimed = vec![current.ptr];
+            for ancestor in spine.into_iter().rev() {
+                let below = reclaimed[reclaimed.len() - 1];
+                // Only a branch with all 16 slots occupied can never be
+                // needed again once every child is reclaimed: no new slot
+                // can appear and no child can be split. Extensions stay: a
+                // future key may diverge inside their compressed path,
+                // which requires reading it.
+                let reclaimable = match self.read(ancestor)? {
+                    Node::Branch { children } => children.iter().all(|child| {
+                        child
+                            .as_ref()
+                            .is_some_and(|c| c.ptr == below || self.store.get(c.ptr).is_none())
+                    }),
                     Node::Extension { .. } => false,
                     Node::Leaf { .. } => unreachable!("leaves are never on the spine"),
                 };
                 if !reclaimable {
                     break;
                 }
-                self.store.remove(ancestor_ref.ptr, true);
+                self.settle(ancestor);
+                reclaimed.push(ancestor.ptr);
+            }
+            for ptr in reclaimed {
+                self.store.remove(ptr, true);
             }
         } else {
+            let mut value = value.clone();
             value.seal();
-            self.store.replace(leaf_ref.ptr, Node::Leaf { path: leaf_path, value });
+            let skeleton = Node::Leaf { path: leaf_path.clone(), value };
+            self.store.replace(current.ptr, skeleton);
         }
 
         self.live_entries -= 1;
@@ -590,7 +655,8 @@ impl<S: NodeStore> Trie<S> {
     /// sealed node. (Proving a *sealed* key is impossible by design — the
     /// data backing the proof has been reclaimed.)
     pub fn prove(&self, key: &[u8]) -> Result<Proof, TrieError> {
-        prove_from(self.root, key, |ptr| self.store.get(ptr))
+        self.settle_root();
+        prove_from(self.root.as_ref(), key, |ptr| self.store.get(ptr))
     }
 
     /// Audits the structural integrity of the whole trie: every resident
@@ -606,36 +672,38 @@ impl<S: NodeStore> Trie<S> {
     /// [`TrieError::MissingNode`]-style corruption is reported as
     /// `Err(hash)` of the offending expected commitment.
     pub fn verify_integrity(&self) -> Result<usize, Hash> {
-        let Some(root) = self.root else { return Ok(0) };
+        self.settle_root();
+        let Some(root) = &self.root else { return Ok(0) };
         self.verify_node(root)
     }
 
-    fn verify_node(&self, child: ChildRef) -> Result<usize, Hash> {
+    fn verify_node(&self, child: &ChildRef) -> Result<usize, Hash> {
         let Some(node) = self.store.get(child.ptr) else {
             return Ok(0); // Sealed: the commitment lives only in the parent.
         };
-        if node.hash() != child.hash {
-            return Err(child.hash);
+        let expected = child.commitment().expect("settled by verify_integrity");
+        if node.hash() != expected {
+            return Err(expected);
         }
         let mut visited = 1;
         match node {
             Node::Leaf { value, .. } => {
                 if let Some(data) = &value.data {
                     if sim_crypto::sha256(data) != value.hash {
-                        return Err(child.hash);
+                        return Err(expected);
                     }
                 }
             }
             Node::Branch { children } => {
                 for grandchild in children.iter().flatten() {
-                    visited += self.verify_node(*grandchild)?;
+                    visited += self.verify_node(grandchild)?;
                 }
             }
             Node::Extension { path, child: grandchild } => {
                 if path.is_empty() {
-                    return Err(child.hash);
+                    return Err(expected);
                 }
-                visited += self.verify_node(*grandchild)?;
+                visited += self.verify_node(grandchild)?;
             }
         }
         Ok(visited)
@@ -646,13 +714,13 @@ impl<S: NodeStore> Trie<S> {
     /// Sealed entries and subtrees are skipped.
     pub fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::with_capacity(self.live_entries);
-        if let Some(root) = self.root {
+        if let Some(root) = &self.root {
             self.collect(root, Vec::new(), &mut out);
         }
         out
     }
 
-    fn collect(&self, current: ChildRef, prefix: Vec<u8>, out: &mut Vec<(Vec<u8>, Vec<u8>)>) {
+    fn collect(&self, current: &ChildRef, prefix: Vec<u8>, out: &mut Vec<(Vec<u8>, Vec<u8>)>) {
         let Some(node) = self.store.get(current.ptr) else {
             return; // Sealed subtree.
         };
@@ -674,23 +742,24 @@ impl<S: NodeStore> Trie<S> {
                     if let Some(child) = child {
                         let mut next = prefix.clone();
                         next.push(slot as u8);
-                        self.collect(*child, next, out);
+                        self.collect(child, next, out);
                     }
                 }
             }
             Node::Extension { path, child } => {
                 let mut next = prefix;
                 next.extend_from_slice(path.as_slice());
-                self.collect(*child, next, out);
+                self.collect(child, next, out);
             }
         }
     }
 }
 
 /// The proof walk from `root` over any `Ptr → node` lookup, so proofs of
-/// live state and of a checkpointed state are one function.
+/// live state and of a checkpointed state are one function. Every node it
+/// reaches must be settled.
 fn prove_from<'a>(
-    root: Option<ChildRef>,
+    root: Option<&'a ChildRef>,
     key: &[u8],
     get: impl Fn(Ptr) -> Option<&'a Node>,
 ) -> Result<Proof, TrieError> {
@@ -710,7 +779,7 @@ fn prove_from<'a>(
                 let Some(&slot) = remaining.first() else {
                     return Ok(Proof::new(nodes));
                 };
-                match children[slot as usize] {
+                match &children[slot as usize] {
                     Some(child) => {
                         current = child;
                         remaining = &remaining[1..];
@@ -723,7 +792,7 @@ fn prove_from<'a>(
                     && &remaining[..ext_path.len()] == ext_path.as_slice()
                 {
                     let skip = ext_path.len();
-                    current = *child;
+                    current = child;
                     remaining = &remaining[skip..];
                 } else {
                     return Ok(Proof::new(nodes));
@@ -736,6 +805,11 @@ fn prove_from<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Node hashes computed by this thread's tries, for the work tests.
+        pub(super) static NODE_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn empty_trie() {
@@ -1090,6 +1164,79 @@ mod tests {
             },
         );
         assert!(corrupted.verify_integrity().is_err());
+    }
+
+    /// The node hashes `work` computes on this thread.
+    fn hashes_in(work: impl FnOnce()) -> u64 {
+        let before = NODE_HASHES.with(std::cell::Cell::get);
+        work();
+        NODE_HASHES.with(std::cell::Cell::get) - before
+    }
+
+    /// Resident nodes written at or after `since`: the dirty ones, when
+    /// `since` is the store's next `Ptr` at the last settling read.
+    fn written_since(trie: &Trie, since: Ptr) -> u64 {
+        trie.store.iter().filter(|(ptr, _)| *ptr >= since).count() as u64
+    }
+
+    #[test]
+    fn a_read_hashes_each_live_dirty_node_once_and_writes_hash_nothing() {
+        // Every insert under the shared prefix rewrites the spine above
+        // it; hashing on write hashed each of those copies.
+        let mut trie = Trie::new();
+        let key = |seq: u64| {
+            [b"commitments/ports/transfer/channels/channel-0/".as_slice(), &seq.to_be_bytes()]
+                .concat()
+        };
+        let written = hashes_in(|| (0..64).for_each(|seq| trie.insert(&key(seq), b"c").unwrap()));
+        assert_eq!(written, 0, "writes hash nothing");
+        let live = trie.stats().node_count as u64;
+        assert_eq!(written_since(&trie, 0), live, "everything is dirty");
+        assert_eq!(
+            hashes_in(|| {
+                trie.root_hash();
+            }),
+            live,
+            "each live dirty node, once"
+        );
+        assert!(trie.store.allocated() > 3 * live, "the eager trie hashed every node written");
+        let again = hashes_in(|| {
+            trie.root_hash();
+            trie.prove(&key(7)).unwrap();
+            trie.checkpoint(1, 2);
+            trie.prove_at(1, &key(7)).unwrap();
+            trie.verify_integrity().unwrap();
+        });
+        assert_eq!(again, 0, "a settled trie hashes nothing on read");
+    }
+
+    #[test]
+    fn sealing_hashes_only_the_dirty_nodes_it_reclaims() {
+        // Fixed-width keys end in max-depth leaves; the second block of
+        // 16 is written after the last read, so it and its spine are dirty.
+        let mut trie = Trie::new();
+        (0..16u64).for_each(|seq| trie.insert(&seq.to_be_bytes(), b"receipt").unwrap());
+        let root = trie.root_hash();
+        let since = trie.store.allocated();
+        (16..32u64).for_each(|seq| trie.insert(&seq.to_be_bytes(), b"receipt").unwrap());
+        let dirty = written_since(&trie, since);
+
+        let reclaimed = trie.stats().sealed_reclaimed;
+        assert_eq!(hashes_in(|| trie.seal(&16u64.to_be_bytes()).unwrap()), 1, "its leaf alone");
+        let sealed =
+            hashes_in(|| (17..32u64).for_each(|seq| trie.seal(&seq.to_be_bytes()).unwrap()));
+        assert_eq!(1 + sealed, (trie.stats().sealed_reclaimed - reclaimed) as u64);
+        assert_eq!(1 + sealed, 17, "16 leaves and the full branch over them");
+        // The spine above the reclaimed block waits for the next read.
+        assert_eq!(
+            hashes_in(|| {
+                trie.root_hash();
+            }),
+            dirty - 17
+        );
+        (0..16u64).for_each(|seq| trie.seal(&seq.to_be_bytes()).unwrap());
+        assert_ne!(trie.root_hash(), root, "the second block is in it");
+        trie.verify_integrity().unwrap();
     }
 
     #[test]

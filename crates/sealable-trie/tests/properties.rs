@@ -1,4 +1,7 @@
-//! Property-based tests: the sealable trie against a `BTreeMap` model.
+//! Property-based tests: the sealable trie against a `BTreeMap` model,
+//! and against the trie that hashed on write (`eager`).
+
+mod eager;
 
 use std::collections::BTreeMap;
 
@@ -6,6 +9,8 @@ use proptest::prelude::*;
 use sealable_trie::proof::ProofNode;
 use sealable_trie::{Nibbles, Proof, Trie, TrieError, VerifyOutcome};
 use sim_crypto::Hash;
+
+use eager::EagerTrie;
 
 /// Operations the model understands.
 #[derive(Clone, Debug)]
@@ -86,8 +91,128 @@ fn assert_history_matches(
     Ok(())
 }
 
+/// One step of a run against the eager oracle: a write, or a read.
+#[derive(Clone, Debug)]
+enum Step {
+    Write(Op),
+    /// Inserts (or seals) the 16 one-byte keys `16·high ..= 16·high + 15`:
+    /// max-depth leaves under one branch, so sealing the last of them
+    /// reclaims the full branch too.
+    Block {
+        high: u8,
+        seal: bool,
+    },
+    Checkpoint,
+    RootHash,
+    Prove(Vec<u8>),
+    /// A height index (taken modulo the heights so far, plus one never
+    /// taken) and a key.
+    ProveAt(u64, Vec<u8>),
+    /// Goes on with a clone; the original is read once and dropped.
+    Clone,
+    /// Goes on with the trie serialised and read back (its history is not
+    /// state and does not survive).
+    SerdeRoundTrip,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    // Short keys over a small alphabet split leaves and extensions; dense
+    // one-byte keys end in max-depth leaves.
+    let key = || prop_oneof![key_strategy(), (0u8..32).prop_map(|byte| vec![byte])];
+    let value = || proptest::collection::vec(any::<u8>(), 1..20);
+    prop_oneof![
+        6 => (key(), value()).prop_map(|(k, v)| Step::Write(Op::Insert(k, v))),
+        2 => key().prop_map(|k| Step::Write(Op::Remove(k))),
+        3 => key().prop_map(|k| Step::Write(Op::Seal(k))),
+        1 => (0u8..2, any::<bool>()).prop_map(|(high, seal)| Step::Block { high, seal }),
+        1 => Just(Step::Checkpoint),
+        1 => Just(Step::RootHash),
+        1 => key().prop_map(Step::Prove),
+        1 => (any::<u64>(), key()).prop_map(|(at, k)| Step::ProveAt(at, k)),
+        1 => Just(Step::Clone),
+        1 => Just(Step::SerdeRoundTrip),
+    ]
+}
+
+/// Everything a read can see agrees with the oracle, and the trie audits.
+fn assert_agrees(trie: &Trie, oracle: &EagerTrie) -> Result<(), TestCaseError> {
+    prop_assert_eq!(trie.root_hash(), oracle.root_hash());
+    prop_assert_eq!(trie.len(), oracle.len());
+    prop_assert_eq!(trie.sealed_len(), oracle.sealed_len());
+    prop_assert_eq!(trie.stats(), oracle.stats());
+    prop_assert!(trie.verify_integrity().is_ok());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hashing on read changes no hash: under arbitrary interleavings of
+    /// writes and reads, every read of the trie equals that of the trie
+    /// that hashed each node as it wrote it — roots, proofs as bytes,
+    /// proofs at checkpointed heights, lengths and storage statistics —
+    /// and the trie passes its integrity audit.
+    #[test]
+    fn hashing_on_read_matches_the_eager_trie(
+        steps in proptest::collection::vec(step_strategy(), 1..120),
+        keep in 1usize..4,
+    ) {
+        let mut trie = Trie::new();
+        let mut oracle = EagerTrie::default();
+        let mut heights = 0u64;
+        for step in steps {
+            let read = !matches!(step, Step::Write(_) | Step::Block { .. });
+            match step {
+                Step::Write(op) => {
+                    let (got, expected) = match &op {
+                        Op::Insert(key, value) => {
+                            (trie.insert(key, value).map(|()| None), oracle.insert(key, value).map(|()| None))
+                        }
+                        Op::Remove(key) => (trie.remove(key), oracle.remove(key)),
+                        Op::Seal(key) => (trie.seal(key).map(|()| None), oracle.seal(key).map(|()| None)),
+                    };
+                    prop_assert_eq!(got, expected, "{:?}", op);
+                }
+                Step::Block { high, seal } => {
+                    for key in (16 * high..16 * high + 16).map(|byte| [byte]) {
+                        if seal {
+                            prop_assert_eq!(trie.seal(&key), oracle.seal(&key));
+                        } else {
+                            prop_assert_eq!(trie.insert(&key, b"receipt"), oracle.insert(&key, b"receipt"));
+                        }
+                    }
+                }
+                Step::Checkpoint => {
+                    heights += 1;
+                    trie.checkpoint(heights, keep);
+                    oracle.checkpoint(heights, keep);
+                }
+                Step::RootHash => {}
+                Step::Prove(key) => {
+                    let bytes = |proof: Result<Proof, TrieError>| proof.map(|p| p.to_bytes());
+                    prop_assert_eq!(bytes(trie.prove(&key)), bytes(oracle.prove(&key)));
+                }
+                Step::ProveAt(at, key) => {
+                    let height = at % (heights + 2);
+                    let bytes = |proof: Option<Proof>| proof.map(|p| p.to_bytes());
+                    prop_assert_eq!(bytes(trie.prove_at(height, &key)), bytes(oracle.prove_at(height, &key)));
+                }
+                Step::Clone => {
+                    let copy = trie.clone();
+                    assert_agrees(&trie, &oracle)?;
+                    trie = copy;
+                }
+                Step::SerdeRoundTrip => {
+                    trie = serde_json::from_slice(&serde_json::to_vec(&trie).unwrap()).unwrap();
+                    oracle.forget_history();
+                }
+            }
+            if read {
+                assert_agrees(&trie, &oracle)?;
+            }
+        }
+        assert_agrees(&trie, &oracle)?;
+    }
 
     /// `Trie::prove_at` against the implementation it replaced, kept here
     /// as the oracle: a full `Trie::clone()` per checkpoint. `None` in the

@@ -13,24 +13,66 @@
 //! under [`CARDINALITY_LIMITED`](crate::CARDINALITY_LIMITED). A handle on a
 //! disabled sink does nothing.
 //!
-//! Handles serve the per-step writers only; every other write stays named.
+//! Handles serve the per-step writers and the detectors that read a metric
+//! at every evaluation; every other write and read stays named. A read
+//! through a handle creates nothing: until its metric exists it searches by
+//! name, and only again once the registry holds more names of its kind
+//! (names are never removed, so until then it is still absent).
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::{Inner, MetricsRegistry, Telemetry};
 
-/// The sink, the name, and the slot once a named write has been admitted.
+/// The sink, the name, and the slot once a named write has been admitted
+/// or a read has found it.
 #[derive(Clone, Debug)]
 struct Slot {
     sink: Option<Rc<RefCell<Inner>>>,
     name: String,
     index: Cell<Option<usize>>,
+    /// How many names of its kind the registry held when a read last
+    /// missed this one.
+    missed_at: Cell<Option<usize>>,
 }
 
 impl Slot {
     fn new(telemetry: &Telemetry, name: impl Into<String>) -> Self {
-        Self { sink: telemetry.inner.clone(), name: name.into(), index: Cell::new(None) }
+        Self {
+            sink: telemetry.inner.clone(),
+            name: name.into(),
+            index: Cell::new(None),
+            missed_at: Cell::new(None),
+        }
+    }
+
+    /// Reads through the remembered slot, or finds it in `names` (the name
+    /// index of the metric's kind) without creating it. `None` while the
+    /// metric does not exist or the sink is disabled.
+    fn read<T>(
+        &self,
+        names: impl FnOnce(&MetricsRegistry) -> &BTreeMap<String, usize>,
+        by_slot: impl FnOnce(&MetricsRegistry, usize) -> T,
+    ) -> Option<T> {
+        let sink = self.sink.as_ref()?.borrow();
+        let metrics = &sink.metrics;
+        let index = match self.index.get() {
+            Some(index) => index,
+            None => {
+                let names = names(metrics);
+                if self.missed_at.get() == Some(names.len()) {
+                    return None;
+                }
+                let Some(&index) = names.get(&self.name) else {
+                    self.missed_at.set(Some(names.len()));
+                    return None;
+                };
+                self.index.set(Some(index));
+                index
+            }
+        };
+        Some(by_slot(metrics, index))
     }
 
     /// Writes through the remembered slot, or by name until a named write
@@ -66,6 +108,12 @@ impl CounterHandle {
             |m, slot| m.counter_add_by_slot(slot, delta),
         );
     }
+
+    /// Reads the counter, as [`Telemetry::counter`] does (0 when absent or
+    /// the sink is disabled).
+    pub fn get(&self) -> u64 {
+        self.0.read(MetricsRegistry::counter_names, MetricsRegistry::counter_by_slot).unwrap_or(0)
+    }
 }
 
 /// A gauge written through a remembered slot (see [`Telemetry::gauge_handle`]).
@@ -89,6 +137,22 @@ impl GaugeHandle {
             |m, slot| m.gauge_set_at_by_slot(slot, at_ms, value),
         );
     }
+
+    /// When the gauge last took a new value, and that value, as
+    /// [`Telemetry::gauge_last_change`] answers.
+    pub fn last_change(&self) -> Option<(u64, f64)> {
+        self.0
+            .read(MetricsRegistry::gauge_names, |m, slot| m.series_by_slot(slot)?.last_change())
+            .flatten()
+    }
+
+    /// The gauge's value at instant `t_ms`, as [`Telemetry::gauge_value_at`]
+    /// answers.
+    pub fn value_at(&self, t_ms: u64) -> Option<f64> {
+        self.0
+            .read(MetricsRegistry::gauge_names, |m, slot| m.series_by_slot(slot)?.value_at(t_ms))
+            .flatten()
+    }
 }
 
 /// A histogram written through a remembered slot (see
@@ -108,13 +172,13 @@ impl HistogramHandle {
 
 impl Telemetry {
     /// A handle on the counter `name` of this sink. Its entry is created by
-    /// its first write, not here.
+    /// its first write, not here, and never by a read.
     pub fn counter_handle(&self, name: impl Into<String>) -> CounterHandle {
         CounterHandle(Slot::new(self, name))
     }
 
     /// A handle on the gauge `name` of this sink. Its entry is created by
-    /// its first write, not here.
+    /// its first write, not here, and never by a read.
     pub fn gauge_handle(&self, name: impl Into<String>) -> GaugeHandle {
         GaugeHandle(Slot::new(self, name))
     }

@@ -265,12 +265,6 @@ impl GaugeSeries {
         self.points.last().copied()
     }
 
-    /// The first retained change point (the series start after any
-    /// compaction).
-    pub fn first(&self) -> Option<(u64, f64)> {
-        self.points.first().copied()
-    }
-
     /// The gauge's value at instant `t_ms` — the last change at or before
     /// `t_ms`. `None` before the first retained point.
     pub fn value_at(&self, t_ms: u64) -> Option<f64> {
@@ -445,7 +439,17 @@ impl MetricsRegistry {
     /// The timestamped series of a gauge written through
     /// [`MetricsRegistry::gauge_set_at`].
     pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
-        self.gauges[*self.gauge_index.get(name)?].series.as_ref()
+        self.series_by_slot(*self.gauge_index.get(name)?)
+    }
+
+    /// The series of the gauge in `slot`.
+    pub(crate) fn series_by_slot(&self, slot: usize) -> Option<&GaugeSeries> {
+        self.gauges[slot].series.as_ref()
+    }
+
+    /// The gauge name index, for reads that find a slot without a write.
+    pub(crate) fn gauge_names(&self) -> &BTreeMap<String, usize> {
+        &self.gauge_index
     }
 
     /// Registers a histogram with explicit bucket bounds. The first layout
@@ -496,6 +500,16 @@ impl MetricsRegistry {
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_index.get(name).map_or(0, |&slot| self.counters[slot])
+    }
+
+    /// Reads the counter in `slot`.
+    pub(crate) fn counter_by_slot(&self, slot: usize) -> u64 {
+        self.counters[slot]
+    }
+
+    /// The counter name index, for reads that find a slot without a write.
+    pub(crate) fn counter_names(&self) -> &BTreeMap<String, usize> {
+        &self.counter_index
     }
 
     /// Reads a gauge.
@@ -584,7 +598,7 @@ mod tests {
         assert_eq!(series.len(), GAUGE_SERIES_CAP / 2 + 1);
         // The recent window survives compaction exactly.
         assert_eq!(series.last_change(), Some((GAUGE_SERIES_CAP as u64, GAUGE_SERIES_CAP as f64)));
-        assert_eq!(series.first().unwrap().0, GAUGE_SERIES_CAP as u64 / 2);
+        assert_eq!(series.points()[0].0, GAUGE_SERIES_CAP as u64 / 2);
     }
 
     #[test]
@@ -850,8 +864,11 @@ mod tests {
         let sink = crate::Telemetry::disabled();
         sink.counter_handle("c").add(1);
         sink.gauge_handle("g").set(1.0);
-        sink.gauge_handle("s").set_at(5, 1.0);
+        let series = sink.gauge_handle("s");
+        series.set_at(5, 1.0);
         sink.histogram_handle("h").observe(1.0);
+        assert_eq!(sink.counter_handle("c").get(), 0);
+        assert_eq!((series.last_change(), series.value_at(5)), (None, None));
         assert_eq!(sink.counter("c"), 0);
         assert_eq!(sink.gauge("g"), None);
         assert_eq!(sink.gauge_last_change("s"), None);
