@@ -13,6 +13,13 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> benchmark/ builds and passes its tests"
+# The benchmark is a workspace of its own (benchmark/Cargo.toml) that calls the crates' public APIs,
+# so the workspace build above does not compile it. Build it and run its smoke tests here, in the
+# same target directory, so a change to an API it calls fails CI instead of the next benchmark run.
+CARGO_TARGET_DIR=${CARGO_TARGET_DIR:-target} \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -397,7 +397,8 @@ fn counterfeit_mint_is_detected() {
     // see the mint at the first audit after it. The instant is that of the
     // pipelined `small()` timeline (the sequential one read 127 596).
     assert_eq!(violation.at_ms, 129_160, "detection instant: the first audit after the mint");
-    let drift_at = |ms| net.telemetry().gauge_value_at("supply.drift", ms);
+    let drift = net.telemetry().gauge_handle("supply.drift");
+    let drift_at = |ms| drift.value_at(ms);
     assert_eq!(drift_at(violation.at_ms - 1), Some(0.0));
     assert_eq!(drift_at(violation.at_ms), Some(1_000_000_000.0));
     assert_banks_recount(&net);

@@ -484,17 +484,22 @@ impl Mesh {
             .iter()
             .map(|node| (format!("mesh.{}.head", node.name), config.head_staleness_slo_ms))
             .collect();
-        let mut monitor = Monitor::new(config.clone());
+        let telemetry = &self.telemetry;
+        let mut monitor = Monitor::new(telemetry, config.clone());
         monitor
-            .push(StalenessDetector::named("chain.staleness", targets))
-            .push(StuckPacketDetector::new(config.stuck_packet_slo_ms))
-            .push(ConservationDetector::supply_drift(vec!["mesh.supply.drift".into()]))
-            .push(ConservationDetector::fee_conservation(vec!["mesh.fees.imbalance".into()]));
+            .push(StalenessDetector::new(telemetry, "chain.staleness", targets))
+            .push(StuckPacketDetector::new(telemetry, config.stuck_packet_slo_ms))
+            .push(ConservationDetector::supply_drift(telemetry, vec!["mesh.supply.drift".into()]))
+            .push(ConservationDetector::fee_conservation(
+                telemetry,
+                vec!["mesh.fees.imbalance".into()],
+            ));
         // Per-app send→ack latency lenses over the histograms registered
         // in `build`, reconciled together under one detector name so a
         // healthy app never resolves a regressing one.
         for app in ["transfer", "nft", "ica"] {
-            monitor.push(LatencyRegressionDetector::named(
+            monitor.push(LatencyRegressionDetector::new(
+                telemetry,
                 "app.latency.regression",
                 format!("app.latency_ms.{app}"),
                 &config,
@@ -942,11 +947,9 @@ impl Mesh {
         self.relay_links(now);
         if self.monitor.is_some() {
             self.publish_health_gauges(now);
-            // Split borrow: the monitor only reads the shared telemetry.
-            let telemetry = self.telemetry.clone();
-            if let Some(monitor) = self.monitor.as_mut() {
-                monitor.tick(now, &telemetry);
-            }
+        }
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.tick(now);
         }
     }
 
@@ -1100,7 +1103,6 @@ impl Mesh {
         let start_route = self.routes.len();
         let mut outcome = TrafficOutcome::default();
         let until = self.now_ms + duration_ms;
-        let mut pending: Option<workload::Arrival> = Some(generator.next_arrival());
         let offset = self.now_ms;
         let mut app_rng = traffic
             .apps
@@ -1110,10 +1112,8 @@ impl Mesh {
         let mut nft_seq = 0u64;
         while self.now_ms < until {
             // Fire every arrival due by the *end* of this step, then step.
-            let due = self.now_ms + STEP_MS;
-            while pending.as_ref().is_some_and(|a| offset + a.at_ms <= due) {
-                let arrival = pending.take().expect("checked above");
-                pending = Some(generator.next_arrival());
+            let due = self.now_ms + STEP_MS - offset;
+            while let Some(arrival) = generator.pop_due(due) {
                 // Destination draw happens even for skipped arrivals so
                 // the route stream stays aligned with the arrival stream.
                 let home = arrival.user as usize % chains;

@@ -8,25 +8,26 @@
 //! histogram snapshots, frozen baselines) is derived from telemetry reads
 //! on the simulated clock, so re-running the same seed reproduces every
 //! finding byte for byte.
+//!
+//! A detector is built on its sink: its constructor takes the run's
+//! [`Telemetry`] and makes there the handles it reads through, so it can
+//! only ever read the sink it was built on.
 
 use std::collections::VecDeque;
 
-use telemetry::{CounterHandle, GaugeHandle, Histogram, Telemetry};
+use telemetry::{CounterHandle, GaugeHandle, Histogram, HistogramHandle, Telemetry};
 
 use crate::alerts::Finding;
 use crate::config::MonitorConfig;
 
-/// A streaming health detector evaluated on the shared sim clock.
-///
-/// A detector that reads a metric at every evaluation resolves it once,
-/// into a handle on the sink of its first evaluation, and reads that sink
-/// from then on.
+/// A streaming health detector evaluated on the shared sim clock, over
+/// the sink it was built on.
 pub trait Detector {
     /// Stable detector name; becomes the alert's `detector` field.
     fn name(&self) -> &'static str;
     /// Returns the currently-unhealthy targets. An empty vector means
     /// everything this detector watches looks healthy at `now_ms`.
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding>;
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding>;
 }
 
 // ---------------------------------------------------------------------------
@@ -41,22 +42,23 @@ pub trait Detector {
 /// broke down.
 pub struct StalenessDetector {
     name: &'static str,
-    /// `(gauge, slo_ms)` pairs, evaluated in the given order.
-    targets: Vec<(String, u64)>,
-    /// A handle per target, made at the first evaluation.
-    gauges: Vec<GaugeHandle>,
+    /// `(gauge, slo_ms, handle)`, evaluated in the given order.
+    targets: Vec<(String, u64, GaugeHandle)>,
 }
 
 impl StalenessDetector {
-    /// A watchdog named `client.staleness` over the given gauges.
-    pub fn new(targets: Vec<(String, u64)>) -> Self {
-        Self::named("client.staleness", targets)
-    }
-
-    /// Same watchdog under a custom detector name (the mesh uses
-    /// `chain.staleness` for per-chain head gauges).
-    pub fn named(name: &'static str, targets: Vec<(String, u64)>) -> Self {
-        Self { name, targets, gauges: Vec::new() }
+    /// A watchdog alerting as `name` over the given `(gauge, slo_ms)` pairs
+    /// of `telemetry` (`client.staleness` in the standard battery; the mesh
+    /// uses `chain.staleness` for per-chain head gauges).
+    pub fn new(telemetry: &Telemetry, name: &'static str, targets: Vec<(String, u64)>) -> Self {
+        let targets = targets
+            .into_iter()
+            .map(|(gauge, slo_ms)| {
+                let handle = telemetry.gauge_handle(gauge.as_str());
+                (gauge, slo_ms, handle)
+            })
+            .collect();
+        Self { name, targets }
     }
 }
 
@@ -65,13 +67,9 @@ impl Detector for StalenessDetector {
         self.name
     }
 
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        if self.gauges.len() != self.targets.len() {
-            self.gauges =
-                self.targets.iter().map(|(gauge, _)| telemetry.gauge_handle(gauge)).collect();
-        }
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding> {
         let mut findings = Vec::new();
-        for ((gauge, slo_ms), handle) in self.targets.iter().zip(&self.gauges) {
+        for (gauge, slo_ms, handle) in &self.targets {
             // A gauge that was never written is "not yet wired", not
             // stale: firing on it would alert on every cold start.
             let Some((changed_ms, value)) = handle.last_change() else {
@@ -95,13 +93,15 @@ impl Detector for StalenessDetector {
 /// Flags packet lifecycles that opened more than `slo_ms` ago and have
 /// neither acknowledged nor timed out.
 pub struct StuckPacketDetector {
+    telemetry: Telemetry,
     slo_ms: u64,
 }
 
 impl StuckPacketDetector {
-    /// Detector with the given age SLO.
-    pub fn new(slo_ms: u64) -> Self {
-        Self { slo_ms }
+    /// Detector over the packet traces of `telemetry`, with the given age
+    /// SLO.
+    pub fn new(telemetry: &Telemetry, slo_ms: u64) -> Self {
+        Self { telemetry: telemetry.clone(), slo_ms }
     }
 }
 
@@ -110,8 +110,8 @@ impl Detector for StuckPacketDetector {
         "packet.stuck"
     }
 
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        telemetry
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding> {
+        self.telemetry
             .open_packet_traces(now_ms, self.slo_ms)
             .into_iter()
             .map(|open| {
@@ -144,6 +144,7 @@ const LATENCY_QUANTILE: f64 = 0.95;
 pub struct LatencyRegressionDetector {
     name: &'static str,
     histogram: String,
+    handle: HistogramHandle,
     window_ms: u64,
     calibration_ms: u64,
     factor: f64,
@@ -153,19 +154,21 @@ pub struct LatencyRegressionDetector {
 }
 
 impl LatencyRegressionDetector {
-    /// Detector over the named telemetry histogram, reported as
-    /// `latency.regression`.
-    pub fn new(histogram: impl Into<String>, config: &MonitorConfig) -> Self {
-        Self::named("latency.regression", histogram, config)
-    }
-
-    /// Same regression logic under a custom detector name, so per-stage
-    /// and per-app instances (`latency.regression.stage`,
-    /// `app.latency.regression`, …) alert under distinct identities.
-    pub fn named(name: &'static str, histogram: impl Into<String>, config: &MonitorConfig) -> Self {
+    /// Detector over the named histogram of `telemetry`, alerting as `name`
+    /// (`latency.regression`, or a per-stage or per-app name such as
+    /// `app.latency.regression`, so those lenses alert under distinct
+    /// identities).
+    pub fn new(
+        telemetry: &Telemetry,
+        name: &'static str,
+        histogram: impl Into<String>,
+        config: &MonitorConfig,
+    ) -> Self {
+        let histogram = histogram.into();
         Self {
             name,
-            histogram: histogram.into(),
+            handle: telemetry.histogram_handle(histogram.as_str()),
+            histogram,
             window_ms: config.latency_window_ms,
             calibration_ms: config.calibration_ms,
             factor: config.latency_factor,
@@ -190,18 +193,18 @@ impl Detector for LatencyRegressionDetector {
         self.name
     }
 
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding> {
         // Only an observation changes the histogram, and each one moves a
         // tally; copy it out only when the tallies moved since the last
         // snapshot.
-        let Some((count, nan_count)) = telemetry.histogram_tallies(&self.histogram) else {
+        let Some((count, nan_count)) = self.handle.tallies() else {
             return Vec::new();
         };
         let moved = match self.snapshots.back() {
             Some((_, last)) => (last.count, last.nan_count) != (count, nan_count),
             None => true,
         };
-        let fresh = moved.then(|| telemetry.histogram(&self.histogram).expect("just tallied"));
+        let fresh = moved.then(|| self.handle.snapshot().expect("just tallied"));
         let current = match &fresh {
             Some(fresh) => fresh,
             None => &self.snapshots.back().expect("unmoved since a snapshot").1,
@@ -261,14 +264,13 @@ impl Detector for LatencyRegressionDetector {
 /// calibration-period average by more than `factor`.
 ///
 /// Pointed at `fees.relayer` it catches spikes in the relay operator's
-/// own spend; via [`RateSpikeDetector::named`] the same logic watches
+/// own spend; under other names the same logic watches
 /// anomaly counters whose healthy baseline is zero (chunk duplicates,
 /// resubmissions), where any sustained burst above the floor fires.
 pub struct RateSpikeDetector {
     name: &'static str,
     counter: String,
-    /// The counter's handle, made at the first evaluation.
-    handle: Option<CounterHandle>,
+    handle: CounterHandle,
     window_ms: u64,
     calibration_ms: u64,
     factor: f64,
@@ -278,22 +280,21 @@ pub struct RateSpikeDetector {
 }
 
 impl RateSpikeDetector {
-    /// The `fee.spike` detector over the named telemetry counter.
-    pub fn new(counter: impl Into<String>, config: &MonitorConfig) -> Self {
-        Self::named("fee.spike", counter, config.fee_min_delta, config)
-    }
-
-    /// Same spike logic under a custom alert name and window floor.
-    pub fn named(
+    /// Detector over the named counter of `telemetry`, alerting as `name`
+    /// once a window's increase reaches `min_delta` (`fee.spike` with
+    /// [`MonitorConfig::fee_min_delta`] over the relayer's fees).
+    pub fn new(
+        telemetry: &Telemetry,
         name: &'static str,
         counter: impl Into<String>,
         min_delta: u64,
         config: &MonitorConfig,
     ) -> Self {
+        let counter = counter.into();
         Self {
             name,
-            counter: counter.into(),
-            handle: None,
+            handle: telemetry.counter_handle(counter.as_str()),
+            counter,
             window_ms: config.fee_window_ms,
             calibration_ms: config.calibration_ms,
             factor: config.fee_factor,
@@ -316,9 +317,8 @@ impl Detector for RateSpikeDetector {
         self.name
     }
 
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-        let value =
-            self.handle.get_or_insert_with(|| telemetry.counter_handle(&self.counter)).get();
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding> {
+        let value = self.handle.get();
         if self.baseline_rate.is_none() && now_ms >= self.calibration_ms && now_ms > 0 {
             self.baseline_rate = Some(value as f64 / now_ms as f64);
         }
@@ -357,18 +357,18 @@ impl Detector for RateSpikeDetector {
 /// current burn rate and alerts when the runway drops below the SLO.
 pub struct RunwayDetector {
     gauge: String,
-    /// The gauge's handle, made at the first evaluation.
-    handle: Option<GaugeHandle>,
+    handle: GaugeHandle,
     window_ms: u64,
     slo_ms: u64,
 }
 
 impl RunwayDetector {
-    /// Detector over the named balance gauge (lamports).
-    pub fn new(gauge: impl Into<String>, config: &MonitorConfig) -> Self {
+    /// Detector over the named balance gauge (lamports) of `telemetry`.
+    pub fn new(telemetry: &Telemetry, gauge: impl Into<String>, config: &MonitorConfig) -> Self {
+        let gauge = gauge.into();
         Self {
-            gauge: gauge.into(),
-            handle: None,
+            handle: telemetry.gauge_handle(gauge.as_str()),
+            gauge,
             window_ms: config.runway_window_ms,
             slo_ms: config.runway_slo_ms,
         }
@@ -380,15 +380,14 @@ impl Detector for RunwayDetector {
         "relayer.runway"
     }
 
-    fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
+    fn evaluate(&mut self, now_ms: u64) -> Vec<Finding> {
         if now_ms < self.window_ms {
             return Vec::new(); // need one full window of burn history
         }
-        let handle = self.handle.get_or_insert_with(|| telemetry.gauge_handle(&self.gauge));
-        let Some(balance) = handle.value_at(now_ms) else {
+        let Some(balance) = self.handle.value_at(now_ms) else {
             return Vec::new();
         };
-        let Some(earlier) = handle.value_at(now_ms - self.window_ms) else {
+        let Some(earlier) = self.handle.value_at(now_ms - self.window_ms) else {
             return Vec::new();
         };
         let burn = earlier - balance;
@@ -426,18 +425,36 @@ pub struct ConservationDetector {
     name: &'static str,
     /// What one unit of the gauge counts, completing the finding's detail.
     units: &'static str,
-    gauges: Vec<String>,
+    gauges: Vec<(String, GaugeHandle)>,
 }
 
 impl ConservationDetector {
-    /// The `supply.drift` detector over the given voucher-drift gauges.
-    pub fn supply_drift(gauges: Vec<String>) -> Self {
-        Self { name: "supply.drift", units: "unbacked voucher units in circulation", gauges }
+    /// The `supply.drift` detector over the given voucher-drift gauges of
+    /// `telemetry`.
+    pub fn supply_drift(telemetry: &Telemetry, gauges: Vec<String>) -> Self {
+        Self::over(telemetry, "supply.drift", "unbacked voucher units in circulation", gauges)
     }
 
-    /// The `fee.conservation` detector over the given fee-imbalance gauges.
-    pub fn fee_conservation(gauges: Vec<String>) -> Self {
-        Self { name: "fee.conservation", units: "escrowed fee units unaccounted for", gauges }
+    /// The `fee.conservation` detector over the given fee-imbalance gauges
+    /// of `telemetry`.
+    pub fn fee_conservation(telemetry: &Telemetry, gauges: Vec<String>) -> Self {
+        Self::over(telemetry, "fee.conservation", "escrowed fee units unaccounted for", gauges)
+    }
+
+    fn over(
+        telemetry: &Telemetry,
+        name: &'static str,
+        units: &'static str,
+        gauges: Vec<String>,
+    ) -> Self {
+        let gauges = gauges
+            .into_iter()
+            .map(|gauge| {
+                let handle = telemetry.gauge_handle(gauge.as_str());
+                (gauge, handle)
+            })
+            .collect();
+        Self { name, units, gauges }
     }
 }
 
@@ -446,10 +463,10 @@ impl Detector for ConservationDetector {
         self.name
     }
 
-    fn evaluate(&mut self, _now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
+    fn evaluate(&mut self, _now_ms: u64) -> Vec<Finding> {
         let mut findings = Vec::new();
-        for gauge in &self.gauges {
-            let Some(value) = telemetry.gauge(gauge) else { continue };
+        for (gauge, handle) in &self.gauges {
+            let Some(value) = handle.get() else { continue };
             if value > 0.0 {
                 findings.push(Finding::new(gauge.clone(), format!("{value} {}", self.units)));
             }
@@ -466,12 +483,12 @@ mod tests {
     fn fee_conservation_fires_on_any_imbalance() {
         let telemetry = Telemetry::recording();
         let mut detector =
-            ConservationDetector::fee_conservation(vec!["mesh.fees.imbalance".into()]);
-        assert!(detector.evaluate(0, &telemetry).is_empty(), "unwired gauges ignored");
+            ConservationDetector::fee_conservation(&telemetry, vec!["mesh.fees.imbalance".into()]);
+        assert!(detector.evaluate(0).is_empty(), "unwired gauges ignored");
         telemetry.gauge_set_at(10, "mesh.fees.imbalance", 0.0);
-        assert!(detector.evaluate(10, &telemetry).is_empty());
+        assert!(detector.evaluate(10).is_empty());
         telemetry.gauge_set_at(20, "mesh.fees.imbalance", 7.0);
-        let findings = detector.evaluate(20, &telemetry);
+        let findings = detector.evaluate(20);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "mesh.fees.imbalance");
         assert_eq!(findings[0].details, "7 escrowed fee units unaccounted for");
@@ -481,16 +498,16 @@ mod tests {
     #[test]
     fn staleness_fires_only_past_the_slo_and_ignores_unwired_gauges() {
         let telemetry = Telemetry::recording();
-        let mut detector =
-            StalenessDetector::new(vec![("guest.head".into(), 1_000), ("cp.head".into(), 1_000)]);
+        let targets = vec![("guest.head".into(), 1_000), ("cp.head".into(), 1_000)];
+        let mut detector = StalenessDetector::new(&telemetry, "client.staleness", targets);
         telemetry.gauge_set_at(0, "guest.head", 5.0);
-        assert!(detector.evaluate(500, &telemetry).is_empty());
-        let findings = detector.evaluate(1_000, &telemetry);
+        assert!(detector.evaluate(500).is_empty());
+        let findings = detector.evaluate(1_000);
         assert_eq!(findings.len(), 1, "cp.head was never written and must not fire");
         assert_eq!(findings[0].target, "guest.head");
         // A fresh write clears it.
         telemetry.gauge_set_at(1_200, "guest.head", 6.0);
-        assert!(detector.evaluate(1_500, &telemetry).is_empty());
+        assert!(detector.evaluate(1_500).is_empty());
     }
 
     #[test]
@@ -501,23 +518,24 @@ mod tests {
         config.calibration_ms = 1_000;
         config.latency_window_ms = 1_000;
         config.min_window_observations = 5;
-        let mut detector = LatencyRegressionDetector::new("lat", &config);
+        let mut detector =
+            LatencyRegressionDetector::new(&telemetry, "latency.regression", "lat", &config);
 
         for _ in 0..20 {
             telemetry.observe("lat", 5.0); // baseline p95 = 10 ms bucket
         }
-        assert!(detector.evaluate(0, &telemetry).is_empty(), "pre-calibration");
-        assert!(detector.evaluate(1_000, &telemetry).is_empty(), "baseline frozen here");
+        assert!(detector.evaluate(0).is_empty(), "pre-calibration");
+        assert!(detector.evaluate(1_000).is_empty(), "baseline frozen here");
 
         for _ in 0..20 {
             telemetry.observe("lat", 500.0); // regression: p95 = 1000 ms bucket
         }
-        let findings = detector.evaluate(2_000, &telemetry);
+        let findings = detector.evaluate(2_000);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "lat");
 
         // Window rolls past the slow burst: healthy again.
-        assert!(detector.evaluate(3_500, &telemetry).is_empty());
+        assert!(detector.evaluate(3_500).is_empty());
     }
 
     /// The latency detector as it was before it kept only the snapshots on
@@ -547,7 +565,9 @@ mod tests {
         }
 
         fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> Vec<Finding> {
-            let Some(current) = telemetry.histogram(&self.histogram) else {
+            // A fresh handle per evaluation: a search of the name index.
+            let Some(current) = telemetry.histogram_handle(self.histogram.as_str()).snapshot()
+            else {
                 return Vec::new();
             };
             if self.baseline.is_none()
@@ -604,7 +624,8 @@ mod tests {
             config.latency_window_ms = window_ms;
             config.min_window_observations = min_observations;
             config.latency_factor = 2.0;
-            let mut detector = LatencyRegressionDetector::new("lat", &config);
+            let mut detector =
+                LatencyRegressionDetector::new(&telemetry, "latency.regression", "lat", &config);
             let mut oracle = KeepEverySnapshot::new("lat", &config);
             let (mut fired, mut quiet) = (0, 0);
             let mut state = 0x2545_F491_4F6C_DD1Du64 ^ window_ms;
@@ -639,27 +660,31 @@ mod tests {
                 }
                 let expected = oracle.evaluate(now_ms, &telemetry);
                 fired += usize::from(!expected.is_empty());
-                assert_eq!(detector.evaluate(now_ms, &telemetry), expected, "tick {tick}");
+                assert_eq!(detector.evaluate(now_ms), expected, "tick {tick}");
             }
             assert!(fired > 0 && quiet > 100, "window {window_ms}: {fired} fired, {quiet} quiet");
             assert!(detector.snapshots.len() <= oracle.snapshots.len());
         }
     }
 
-    /// The three detectors that read one metric at every evaluation, as
-    /// they were when each read searched the registry by name: the oracle
-    /// for their handles.
+    /// The four detectors that read a gauge or a counter at every
+    /// evaluation, as they were when each read searched the registry by
+    /// name: the oracle for the handles they make when built. Each read
+    /// goes through a fresh handle, which searches the name index.
     struct ByName {
         staleness: Vec<(String, u64)>,
         spike: RateSpikeDetector,
         runway: (String, u64, u64),
+        conservation: Vec<String>,
     }
 
     impl ByName {
-        fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> [Vec<Finding>; 3] {
+        fn evaluate(&mut self, now_ms: u64, telemetry: &Telemetry) -> [Vec<Finding>; 4] {
             let mut stale = Vec::new();
             for (gauge, slo_ms) in &self.staleness {
-                let Some((changed_ms, value)) = telemetry.gauge_last_change(gauge) else {
+                let Some((changed_ms, value)) =
+                    telemetry.gauge_handle(gauge.as_str()).last_change()
+                else {
                     continue;
                 };
                 let age_ms = now_ms.saturating_sub(changed_ms);
@@ -706,8 +731,9 @@ mod tests {
                 if now_ms < *window_ms {
                     return None;
                 }
-                let balance = telemetry.gauge_value_at(gauge, now_ms)?;
-                let earlier = telemetry.gauge_value_at(gauge, now_ms - window_ms)?;
+                let balance = telemetry.gauge_handle(gauge.as_str()).value_at(now_ms)?;
+                let earlier =
+                    telemetry.gauge_handle(gauge.as_str()).value_at(now_ms - window_ms)?;
                 let burn = earlier - balance;
                 let runway_ms = balance / (burn / *window_ms as f64);
                 (burn > 0.0 && runway_ms < *slo_ms as f64).then(|| {
@@ -720,7 +746,16 @@ mod tests {
                     )
                 })
             })();
-            [stale, spiked, runway.into_iter().collect()]
+
+            let mut unbalanced = Vec::new();
+            for gauge in &self.conservation {
+                let Some(value) = telemetry.gauge_handle(gauge.as_str()).get() else { continue };
+                if value > 0.0 {
+                    let details = format!("{value} unbacked voucher units in circulation");
+                    unbalanced.push(Finding::new(gauge.clone(), details));
+                }
+            }
+            [stale, spiked, runway.into_iter().collect(), unbalanced]
         }
     }
 
@@ -737,25 +772,28 @@ mod tests {
         // arriving, so a missed name is searched for again.
         for (metric, first_write_ms) in [("early", 0), ("late", 150_000), ("never", u64::MAX)] {
             let telemetry = Telemetry::recording();
-            let (head, fees, balance) =
-                (format!("{metric}.head"), format!("{metric}.fees"), format!("{metric}.balance"));
+            let [head, fees, balance, drift] =
+                ["head", "fees", "balance", "drift"].map(|kind| format!("{metric}.{kind}"));
             let staleness = vec![(head.clone(), 8_000), ("other.head".to_string(), 8_000)];
+            let conservation = vec![drift.clone(), "other.drift".to_string()];
             let mut detectors = (
-                StalenessDetector::new(staleness.clone()),
-                RateSpikeDetector::named("fee.spike", fees.clone(), 10, &config),
-                RunwayDetector::new(balance.clone(), &config),
+                StalenessDetector::new(&telemetry, "client.staleness", staleness.clone()),
+                RateSpikeDetector::new(&telemetry, "fee.spike", fees.clone(), 10, &config),
+                RunwayDetector::new(&telemetry, balance.clone(), &config),
+                ConservationDetector::supply_drift(&telemetry, conservation.clone()),
             );
             let mut oracle = ByName {
                 staleness,
-                spike: RateSpikeDetector::named("fee.spike", fees.clone(), 10, &config),
+                spike: RateSpikeDetector::new(&telemetry, "fee.spike", fees.clone(), 10, &config),
                 runway: (balance.clone(), config.runway_window_ms, config.runway_slo_ms),
+                conservation,
             };
             let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ first_write_ms;
             let mut draw = |below: u64| {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                 (state >> 33) % below
             };
-            let (mut fired, mut lamports) = ([0; 3], 1e9);
+            let (mut fired, mut lamports) = ([0; 4], 1e9);
             for tick in 0..3_000u64 {
                 let now_ms = tick * 100 + draw(50);
                 let phase = (now_ms / 30_000) % 4; // quiet, busy, spiking, draining
@@ -772,12 +810,15 @@ mod tests {
                     if lamports < 1e8 {
                         lamports = 1e9; // top-up
                     }
+                    let unbacked = if phase == 2 && draw(2) == 0 { draw(5) } else { 0 };
+                    telemetry.gauge_set(&drift, unbacked as f64);
                 }
                 let expected = oracle.evaluate(now_ms, &telemetry);
                 let got = [
-                    detectors.0.evaluate(now_ms, &telemetry),
-                    detectors.1.evaluate(now_ms, &telemetry),
-                    detectors.2.evaluate(now_ms, &telemetry),
+                    detectors.0.evaluate(now_ms),
+                    detectors.1.evaluate(now_ms),
+                    detectors.2.evaluate(now_ms),
+                    detectors.3.evaluate(now_ms),
                 ];
                 for (count, findings) in fired.iter_mut().zip(&expected) {
                     *count += usize::from(!findings.is_empty());
@@ -785,7 +826,7 @@ mod tests {
                 assert_eq!(got, expected, "{metric} tick {tick}");
             }
             match metric {
-                "never" => assert_eq!(fired, [0; 3]),
+                "never" => assert_eq!(fired, [0; 4]),
                 _ => assert!(fired.iter().all(|count| *count > 0), "{metric}: {fired:?}"),
             }
         }
@@ -799,15 +840,21 @@ mod tests {
         config.fee_window_ms = 1_000;
         config.fee_factor = 3.0;
         config.fee_min_delta = 10;
-        let mut detector = RateSpikeDetector::new("host.fees.lamports", &config);
+        let mut detector = RateSpikeDetector::new(
+            &telemetry,
+            "fee.spike",
+            "host.fees.lamports",
+            config.fee_min_delta,
+            &config,
+        );
 
         telemetry.counter_add("host.fees.lamports", 100); // 0.1/ms over calibration
-        assert!(detector.evaluate(0, &telemetry).is_empty());
-        assert!(detector.evaluate(1_000, &telemetry).is_empty(), "baseline frozen here");
+        assert!(detector.evaluate(0).is_empty());
+        assert!(detector.evaluate(1_000).is_empty(), "baseline frozen here");
         telemetry.counter_add("host.fees.lamports", 50); // 0.05/ms: quiet
-        assert!(detector.evaluate(2_000, &telemetry).is_empty());
+        assert!(detector.evaluate(2_000).is_empty());
         telemetry.counter_add("host.fees.lamports", 900); // 0.9/ms > 3 × 0.1/ms
-        let findings = detector.evaluate(3_000, &telemetry);
+        let findings = detector.evaluate(3_000);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "host.fees.lamports");
     }
@@ -818,34 +865,34 @@ mod tests {
         let mut config = MonitorConfig::small();
         config.runway_window_ms = 1_000;
         config.runway_slo_ms = 10_000;
-        let mut detector = RunwayDetector::new("relayer.payer.balance", &config);
+        let mut detector = RunwayDetector::new(&telemetry, "relayer.payer.balance", &config);
 
         telemetry.gauge_set_at(0, "relayer.payer.balance", 1_000_000.0);
-        assert!(detector.evaluate(500, &telemetry).is_empty(), "window not full yet");
+        assert!(detector.evaluate(500).is_empty(), "window not full yet");
         // Burn 100 over the window: runway = 999_900 / 0.1 ≈ 10⁷ ms — fine.
         telemetry.gauge_set_at(900, "relayer.payer.balance", 999_900.0);
-        assert!(detector.evaluate(1_000, &telemetry).is_empty());
+        assert!(detector.evaluate(1_000).is_empty());
         // Crash the balance: burn 900_000 per window, runway ≈ 110 ms < slo.
         telemetry.gauge_set_at(1_900, "relayer.payer.balance", 99_900.0);
-        let findings = detector.evaluate(2_000, &telemetry);
+        let findings = detector.evaluate(2_000);
         assert_eq!(findings.len(), 1);
         // Top-up heals it immediately.
         telemetry.gauge_set_at(2_100, "relayer.payer.balance", 10_000_000.0);
-        assert!(detector.evaluate(3_000, &telemetry).is_empty());
+        assert!(detector.evaluate(3_000).is_empty());
     }
 
     #[test]
     fn supply_drift_fires_on_any_positive_drift() {
         let telemetry = Telemetry::recording();
-        let mut detector = ConservationDetector::supply_drift(vec![
-            "supply.drift".into(),
-            "mesh.supply.drift".into(),
-        ]);
-        assert!(detector.evaluate(0, &telemetry).is_empty(), "unwired gauges ignored");
+        let mut detector = ConservationDetector::supply_drift(
+            &telemetry,
+            vec!["supply.drift".into(), "mesh.supply.drift".into()],
+        );
+        assert!(detector.evaluate(0).is_empty(), "unwired gauges ignored");
         telemetry.gauge_set_at(10, "supply.drift", 0.0);
-        assert!(detector.evaluate(10, &telemetry).is_empty());
+        assert!(detector.evaluate(10).is_empty());
         telemetry.gauge_set_at(20, "supply.drift", 250.0);
-        let findings = detector.evaluate(20, &telemetry);
+        let findings = detector.evaluate(20);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].target, "supply.drift");
         assert_eq!(findings[0].details, "250 unbacked voucher units in circulation");

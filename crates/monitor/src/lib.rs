@@ -3,7 +3,8 @@
 //! The monitoring story has three layers:
 //!
 //! 1. **Detectors** ([`detectors`]) — streaming health checks evaluated
-//!    on the shared sim clock against the run's own [`telemetry`]: a
+//!    on the shared sim clock against the run's own [`telemetry`], each
+//!    built on that sink and reading it through handles made once: a
 //!    client-staleness watchdog over head and light-client height gauges,
 //!    a stuck-packet detector over open lifecycle traces, a rolling
 //!    latency-percentile regression check against a calibration baseline,
@@ -34,12 +35,13 @@
 //! let telemetry = Telemetry::recording();
 //! let mut config = MonitorConfig::small();
 //! config.debounce_ms = 60_000;
-//! let mut monitor = Monitor::standard(config);
+//! // The monitor is built on the run's sink and reads only that sink.
+//! let mut monitor = Monitor::standard(&telemetry, config);
 //!
 //! // The harness publishes gauges; the monitor watches them.
 //! telemetry.gauge_set_at(0, "guest.head", 1.0);
 //! for minute in 0..60 {
-//!     monitor.tick(minute * 60_000, &telemetry); // head never advances…
+//!     monitor.tick(minute * 60_000); // head never advances…
 //! }
 //! let records = monitor.alert_records();
 //! assert_eq!(records[0].detector, "client.staleness");

@@ -14,99 +14,89 @@ use crate::detectors::{
 ///
 /// Everything is deterministic — the monitor never reads a wall clock;
 /// the harness hands it simulated time, and all detector inputs come
-/// from the run's own [`Telemetry`].
+/// from the run's own [`Telemetry`]: the sink the monitor and each of its
+/// detectors were built on, which also journals the alerts.
 pub struct Monitor {
     config: MonitorConfig,
+    telemetry: Telemetry,
     detectors: Vec<Box<dyn Detector>>,
     book: AlertBook,
     next_eval_ms: u64,
 }
 
 impl Monitor {
-    /// An empty monitor (no detectors yet) with the config's debounce and
-    /// hold-down.
-    pub fn new(config: MonitorConfig) -> Self {
+    /// An empty monitor (no detectors yet) on `telemetry`, with the
+    /// config's debounce and hold-down. Its detectors are built on the same
+    /// sink.
+    pub fn new(telemetry: &Telemetry, config: MonitorConfig) -> Self {
         let book = AlertBook::new(config.debounce_ms, config.hold_down_ms);
-        Self { config, detectors: Vec::new(), book, next_eval_ms: 0 }
+        let telemetry = telemetry.clone();
+        Self { config, telemetry, detectors: Vec::new(), book, next_eval_ms: 0 }
     }
 
     /// The standard guest-deployment battery over the telemetry names the
     /// testnet harness publishes: head/client staleness, stuck packets,
     /// latency regression over both send-to-finality and relayer-job
     /// latency, relayer fee spikes, fee-payer runway and ICS-20 supply
-    /// drift.
-    pub fn standard(config: MonitorConfig) -> Self {
-        let staleness = StalenessDetector::new(vec![
+    /// drift, all on `telemetry`.
+    pub fn standard(telemetry: &Telemetry, config: MonitorConfig) -> Self {
+        let staleness = vec![
             ("guest.head".into(), config.head_staleness_slo_ms),
             ("cp.head".into(), config.head_staleness_slo_ms),
             ("client.guest_on_cp".into(), config.client_staleness_slo_ms),
             ("client.cp_on_guest".into(), config.client_staleness_slo_ms),
-        ]);
-        let mut monitor = Self::new(config.clone());
+        ];
+        let regression = |name, histogram: &str| {
+            LatencyRegressionDetector::new(telemetry, name, histogram, &config)
+        };
+        let spike = |name, counter: &str, min_delta| {
+            RateSpikeDetector::new(telemetry, name, counter, min_delta, &config)
+        };
+        let mut monitor = Self::new(telemetry, config.clone());
         monitor
-            .push(staleness)
-            .push(StuckPacketDetector::new(config.stuck_packet_slo_ms))
+            .push(StalenessDetector::new(telemetry, "client.staleness", staleness))
+            .push(StuckPacketDetector::new(telemetry, config.stuck_packet_slo_ms))
             // Two latency lenses under one alert name: the paper's headline
             // health signal (how long a SendPacket waits for guest
             // finality) and the relayer's own job spans. Same-named
             // detectors share one reconcile pass, so their targets never
             // resolve each other.
-            .push(LatencyRegressionDetector::new("send.finality_ms", &config))
-            .push(LatencyRegressionDetector::new("relayer.job.latency_ms", &config))
+            .push(regression("latency.regression", "send.finality_ms"))
+            .push(regression("latency.regression", "relayer.job.latency_ms"))
             // The relayer's own spend, not the host's total fee intake —
             // client bundle tips dwarf chunk fees, so a change in relay
             // costs is only visible in `fees.relayer`.
-            .push(RateSpikeDetector::new("fees.relayer", &config))
+            .push(spike("fee.spike", "fees.relayer", config.fee_min_delta))
             // Delivery-path anomaly counters: healthy runs tick these
             // rarely (a resubmit for a congested mempool), so a sustained
             // burst — RPC at-least-once retries, inclusion failures —
             // fires without needing a fee-visible cost.
-            .push(RateSpikeDetector::named(
-                "relayer.retries",
-                "relayer.chunks.duplicated",
-                10,
-                &config,
-            ))
-            .push(RateSpikeDetector::named(
-                "relayer.retries",
-                "relayer.chunks.resubmitted",
-                10,
-                &config,
-            ))
+            .push(spike("relayer.retries", "relayer.chunks.duplicated", 10))
+            .push(spike("relayer.retries", "relayer.chunks.resubmitted", 10))
             // On-chain job failures (a reordered chunk makes the staged
             // calldata finalise wrong, the program rejects it, the job
             // re-queues the instruction): near-zero when healthy, a
             // sustained burst under chunk-stream corruption.
-            .push(RateSpikeDetector::named("relayer.retries", "relayer.tx.retries", 10, &config))
+            .push(spike("relayer.retries", "relayer.tx.retries", 10))
             // Host-RPC inclusion health: a missed inclusion requeues the tx
             // for a later slot, so it never shows up in relayer retries or
             // job latency — but the chain counts every miss, and a healthy
             // host counts none.
-            .push(RateSpikeDetector::named(
-                "host.inclusion",
-                "host.inclusion_failures",
-                50,
-                &config,
-            ))
-            .push(RunwayDetector::new("relayer.payer.balance", &config))
-            .push(ConservationDetector::supply_drift(vec!["supply.drift".into()]));
+            .push(spike("host.inclusion", "host.inclusion_failures", 50))
+            .push(RunwayDetector::new(telemetry, "relayer.payer.balance", &config))
+            .push(ConservationDetector::supply_drift(telemetry, vec!["supply.drift".into()]));
         // Per-stage and per-kind regression lenses, each family under its
         // own detector name so a per-kind firing is attributable at a
         // glance (and the aggregate `latency.regression` lens keeps its
         // historical meaning). The kind suffixes mirror the relayer's
         // `JobKind::ALL` per-kind histograms.
-        monitor.push(LatencyRegressionDetector::named(
-            "stage.latency.regression",
-            "stage.mempool_wait_ms",
-            &config,
-        ));
+        monitor.push(regression("stage.latency.regression", "stage.mempool_wait_ms"));
         for kind in
             ["client_update", "recv_packet", "ack_packet", "timeout_packet", "generate_block"]
         {
-            monitor.push(LatencyRegressionDetector::named(
+            monitor.push(regression(
                 "relayer.job.regression",
-                format!("relayer.job.{kind}.latency_ms"),
-                &config,
+                &format!("relayer.job.{kind}.latency_ms"),
             ));
         }
         monitor
@@ -132,7 +122,7 @@ impl Monitor {
     /// as `latency.regression`) are reconciled together: the book sees
     /// their combined findings, so one lens's healthy verdict cannot
     /// resolve the other's firing target.
-    pub fn tick(&mut self, now_ms: u64, telemetry: &Telemetry) {
+    pub fn tick(&mut self, now_ms: u64) {
         if now_ms < self.next_eval_ms {
             return;
         }
@@ -140,7 +130,7 @@ impl Monitor {
         let mut names: Vec<&'static str> = Vec::new();
         let mut grouped: Vec<Vec<Finding>> = Vec::new();
         for detector in &mut self.detectors {
-            let findings = detector.evaluate(now_ms, telemetry);
+            let findings = detector.evaluate(now_ms);
             match names.iter().position(|n| *n == detector.name()) {
                 Some(i) => grouped[i].extend(findings),
                 None => {
@@ -150,7 +140,7 @@ impl Monitor {
             }
         }
         for (name, findings) in names.iter().zip(&grouped) {
-            self.book.reconcile(now_ms, telemetry, name, findings);
+            self.book.reconcile(now_ms, &self.telemetry, name, findings);
         }
     }
 
@@ -179,7 +169,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "counting"
             }
-            fn evaluate(&mut self, _now_ms: u64, _t: &Telemetry) -> Vec<crate::Finding> {
+            fn evaluate(&mut self, _now_ms: u64) -> Vec<crate::Finding> {
                 self.0.set(self.0.get() + 1);
                 Vec::new()
             }
@@ -189,10 +179,10 @@ mod tests {
         let mut config = MonitorConfig::small();
         config.cadence_ms = 1_000;
         let evaluations = Rc::new(Cell::new(0));
-        let mut monitor = Monitor::new(config);
+        let mut monitor = Monitor::new(&telemetry, config);
         monitor.push(CountingDetector(Rc::clone(&evaluations)));
         for now in (0..10_000).step_by(100) {
-            monitor.tick(now, &telemetry);
+            monitor.tick(now);
         }
         // 10 s of 100 ms steps at a 1 s cadence: evaluated exactly 10×.
         assert_eq!(evaluations.get(), 10);
@@ -205,7 +195,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "latency.regression"
             }
-            fn evaluate(&mut self, _now_ms: u64, _t: &Telemetry) -> Vec<crate::Finding> {
+            fn evaluate(&mut self, _now_ms: u64) -> Vec<crate::Finding> {
                 if self.1 {
                     vec![crate::Finding::new(self.0, "unhealthy")]
                 } else {
@@ -219,14 +209,14 @@ mod tests {
         config.cadence_ms = 1_000;
         config.debounce_ms = 0;
         config.hold_down_ms = 2_000;
-        let mut monitor = Monitor::new(config);
+        let mut monitor = Monitor::new(&telemetry, config);
         // One lens fires on its target, the other stays healthy. Without
         // grouped reconciliation the healthy lens would start resolving
         // the firing target on every tick.
         monitor.push(FixedTarget("histogram.a", true));
         monitor.push(FixedTarget("histogram.b", false));
         for now in 0..10u64 {
-            monitor.tick(now * 1_000, &telemetry);
+            monitor.tick(now * 1_000);
         }
         let records = monitor.alert_records();
         assert_eq!(records.len(), 1, "{records:?}");
@@ -242,14 +232,14 @@ mod tests {
         config.cadence_ms = 60_000;
         config.debounce_ms = 120_000;
         config.head_staleness_slo_ms = 300_000;
-        let mut monitor = Monitor::standard(config);
+        let mut monitor = Monitor::standard(&telemetry, config);
 
         // guest head advances for 10 min, then freezes.
         for minute in 0..10u64 {
             telemetry.gauge_set_at(minute * 60_000, "guest.head", minute as f64);
         }
         for minute in 0..40u64 {
-            monitor.tick(minute * 60_000, &telemetry);
+            monitor.tick(minute * 60_000);
         }
         let records = monitor.alert_records();
         assert_eq!(records.len(), 1, "exactly the guest.head staleness alert: {records:?}");

@@ -25,7 +25,7 @@ use crate::records::JobKind;
 
 /// One packet step observed on the *proving* chain, to be relayed to the
 /// *receiving* chain.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum RelayMsg {
     /// The prover committed `packet`: deliver it to the receiver.
     Recv {

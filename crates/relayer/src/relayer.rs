@@ -893,7 +893,7 @@ impl Relayer {
                 // guest-origin packets.
                 let traces = self.trace_of(&intent.msg, "cp", "guest").into_iter().collect();
                 let kind = intent.msg.kind();
-                let op = copy_of(&intent.msg).into_guest_op(proof_height, proof);
+                let op = intent.msg.clone().into_guest_op(proof_height, proof);
                 Some(self.start_job(host, kind, &op, 0, traces, Some(intent)))
             }
             // The trusted root predates (or postdates) the commitment, or
@@ -1192,16 +1192,6 @@ fn requeue_failed(job: &mut ActiveJob) {
         for (plan_index, _) in job.failed.drain(..).rev() {
             job.queue.push_front(plan_index);
         }
-    }
-}
-
-/// A copy of `msg`, which the shared relay rule does not derive `Clone`
-/// for: a job stages one copy and keeps the other for a retry.
-fn copy_of(msg: &RelayMsg) -> RelayMsg {
-    match msg {
-        RelayMsg::Recv { packet } => RelayMsg::Recv { packet: packet.clone() },
-        RelayMsg::Ack { packet, ack } => RelayMsg::Ack { packet: packet.clone(), ack: ack.clone() },
-        RelayMsg::Timeout { packet } => RelayMsg::Timeout { packet: packet.clone() },
     }
 }
 

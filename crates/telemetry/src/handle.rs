@@ -13,8 +13,8 @@
 //! under [`CARDINALITY_LIMITED`](crate::CARDINALITY_LIMITED). A handle on a
 //! disabled sink does nothing.
 //!
-//! Handles serve the per-step writers and the detectors that read a metric
-//! at every evaluation; every other write and read stays named. A read
+//! Handles serve the per-step writers and every monitor detector, which
+//! makes its handles when it is built and reads only through them. A read
 //! through a handle creates nothing: until its metric exists it searches by
 //! name, and only again once the registry holds more names of its kind
 //! (names are never removed, so until then it is still absent).
@@ -23,7 +23,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::{Inner, MetricsRegistry, Telemetry};
+use crate::{Histogram, Inner, MetricsRegistry, Telemetry};
 
 /// The sink, the name, and the slot once a named write has been admitted
 /// or a read has found it.
@@ -138,16 +138,23 @@ impl GaugeHandle {
         );
     }
 
-    /// When the gauge last took a new value, and that value, as
-    /// [`Telemetry::gauge_last_change`] answers.
+    /// The gauge's latest value (`None` while it does not exist or the sink
+    /// is disabled).
+    pub fn get(&self) -> Option<f64> {
+        self.0.read(MetricsRegistry::gauge_names, MetricsRegistry::gauge_by_slot)
+    }
+
+    /// When the gauge last took a new value, and that value. `None` while
+    /// the gauge was never written through [`GaugeHandle::set_at`] or
+    /// [`Telemetry::gauge_set_at`].
     pub fn last_change(&self) -> Option<(u64, f64)> {
         self.0
             .read(MetricsRegistry::gauge_names, |m, slot| m.series_by_slot(slot)?.last_change())
             .flatten()
     }
 
-    /// The gauge's value at instant `t_ms`, as [`Telemetry::gauge_value_at`]
-    /// answers.
+    /// The gauge's value at instant `t_ms` (step-function semantics over
+    /// its series).
     pub fn value_at(&self, t_ms: u64) -> Option<f64> {
         self.0
             .read(MetricsRegistry::gauge_names, |m, slot| m.series_by_slot(slot)?.value_at(t_ms))
@@ -167,6 +174,23 @@ impl HistogramHandle {
             |m, name| m.observe_by_name(name, value),
             |m, slot| m.observe_by_slot(slot, value),
         );
+    }
+
+    /// The histogram's non-NaN and NaN observation counts, read in place
+    /// (`None` while it does not exist or the sink is disabled). Every
+    /// observation moves one of them, so equal tallies mean an unchanged
+    /// histogram.
+    pub fn tallies(&self) -> Option<(u64, u64)> {
+        self.0.read(MetricsRegistry::histogram_names, |m, slot| {
+            let histogram = m.histogram_by_slot(slot);
+            (histogram.count, histogram.nan_count)
+        })
+    }
+
+    /// A copy of the histogram (`None` while it does not exist or the sink
+    /// is disabled); [`Histogram::diff`] of two copies recovers a window.
+    pub fn snapshot(&self) -> Option<Histogram> {
+        self.0.read(MetricsRegistry::histogram_names, |m, slot| m.histogram_by_slot(slot).clone())
     }
 }
 

@@ -17,7 +17,8 @@
 //! - **Metrics** are counters, gauges and fixed-bucket histograms that
 //!   components register into instead of ad-hoc locals. A writer that runs
 //!   once per step holds a [`CounterHandle`], [`GaugeHandle`] or
-//!   [`HistogramHandle`] instead of naming its metric on every write.
+//!   [`HistogramHandle`] instead of naming its metric on every write, and
+//!   a gauge or histogram is read only through one.
 //!
 //! Everything is stamped with the *simulated* clock and allocated from
 //! monotone counters — no wall clock, no entropy — so two same-seed runs
@@ -398,32 +399,11 @@ impl Telemetry {
 
     /// Sets a named gauge and records the write in its bounded
     /// timestamped series (see [`GaugeSeries`]); windowed detectors query
-    /// the series through [`Telemetry::gauge_last_change`] and
-    /// [`Telemetry::gauge_value_at`].
+    /// the series through [`GaugeHandle::last_change`] and
+    /// [`GaugeHandle::value_at`].
     pub fn gauge_set_at(&self, at_ms: u64, name: &str, value: f64) {
         let Some(inner) = self.inner.as_ref() else { return };
         inner.borrow_mut().metrics.gauge_set_at(at_ms, name, value);
-    }
-
-    /// Reads a gauge's latest value (`None` when absent or disabled).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.as_ref().and_then(|inner| inner.borrow().metrics.gauge(name))
-    }
-
-    /// When the gauge last took a *new* value, and that value. `None`
-    /// when the gauge was never written through
-    /// [`Telemetry::gauge_set_at`].
-    pub fn gauge_last_change(&self, name: &str) -> Option<(u64, f64)> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.metrics.gauge_series(name)?.last_change()
-    }
-
-    /// The gauge's value at instant `t_ms` (step-function semantics).
-    pub fn gauge_value_at(&self, name: &str, t_ms: u64) -> Option<f64> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.metrics.gauge_series(name)?.value_at(t_ms)
     }
 
     /// Registers a histogram with explicit bucket bounds. Invalid layouts
@@ -442,24 +422,6 @@ impl Telemetry {
             inner.borrow_mut().metrics.counter_add("telemetry.errors.invalid_histogram_bounds", 1);
         }
         result
-    }
-
-    /// A snapshot of one histogram (`None` when absent or disabled).
-    /// Detectors diff successive snapshots to recover windows
-    /// ([`Histogram::diff`]).
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.metrics.histogram(name).cloned()
-    }
-
-    /// A histogram's non-NaN and NaN observation counts, read in place
-    /// (`None` when absent or disabled). Every observation moves one of
-    /// them, so equal tallies mean an unchanged histogram.
-    pub fn histogram_tallies(&self, name: &str) -> Option<(u64, u64)> {
-        let inner = self.inner.as_ref()?;
-        let inner = inner.borrow();
-        inner.metrics.histogram(name).map(|h| (h.count, h.nan_count))
     }
 
     /// Records a histogram observation (NaN is tallied, never folded in).
@@ -843,16 +805,18 @@ mod tests {
     #[test]
     fn gauge_series_queries_answer_through_the_handle() {
         let telemetry = Telemetry::recording();
-        assert_eq!(telemetry.gauge_last_change("g"), None);
+        let g = telemetry.gauge_handle("g");
+        assert_eq!((g.get(), g.last_change()), (None, None));
         telemetry.gauge_set_at(0, "g", 10.0);
         telemetry.gauge_set_at(60_000, "g", 10.0);
         telemetry.gauge_set_at(120_000, "g", 12.0);
-        assert_eq!(telemetry.gauge_last_change("g"), Some((120_000, 12.0)));
-        assert_eq!(telemetry.gauge_value_at("g", 90_000), Some(10.0));
-        assert_eq!(telemetry.gauge("g"), Some(12.0));
+        assert_eq!(g.last_change(), Some((120_000, 12.0)));
+        assert_eq!(g.value_at(90_000), Some(10.0));
+        assert_eq!(g.get(), Some(12.0));
         // Plain gauge_set still records no series.
         telemetry.gauge_set("plain", 1.0);
-        assert_eq!(telemetry.gauge_last_change("plain"), None);
+        let plain = telemetry.gauge_handle("plain");
+        assert_eq!((plain.get(), plain.last_change()), (Some(1.0), None));
         let snapshot = telemetry.metrics_snapshot();
         assert_eq!(snapshot.gauges["g"], 12.0);
         assert_eq!(snapshot.gauges["plain"], 1.0);
@@ -864,7 +828,7 @@ mod tests {
         let err = telemetry.register_histogram("bad", &[5.0, 1.0]).unwrap_err();
         assert_eq!(err, HistogramBoundsError::NotAscending { index: 1 });
         assert_eq!(telemetry.counter("telemetry.errors.invalid_histogram_bounds"), 1);
-        assert!(telemetry.histogram("bad").is_none());
+        assert!(telemetry.histogram_handle("bad").snapshot().is_none());
         assert!(telemetry.register_histogram("good", &[1.0, 5.0]).is_ok());
         assert!(Telemetry::disabled().register_histogram("x", &[9.0, 2.0]).is_ok(), "no-op sink");
     }

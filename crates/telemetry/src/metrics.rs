@@ -436,10 +436,9 @@ impl MetricsRegistry {
         gauge.series.get_or_insert_with(GaugeSeries::default).record(at_ms, value);
     }
 
-    /// The timestamped series of a gauge written through
-    /// [`MetricsRegistry::gauge_set_at`].
-    pub fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
-        self.series_by_slot(*self.gauge_index.get(name)?)
+    /// The latest value of the gauge in `slot`.
+    pub(crate) fn gauge_by_slot(&self, slot: usize) -> f64 {
+        self.gauges[slot].value
     }
 
     /// The series of the gauge in `slot`.
@@ -497,6 +496,16 @@ impl MetricsRegistry {
         self.histograms[slot].observe(value);
     }
 
+    /// The histogram in `slot`.
+    pub(crate) fn histogram_by_slot(&self, slot: usize) -> &Histogram {
+        &self.histograms[slot]
+    }
+
+    /// The histogram name index, for reads that find a slot without a write.
+    pub(crate) fn histogram_names(&self) -> &BTreeMap<String, usize> {
+        &self.histogram_index
+    }
+
     /// Reads a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_index.get(name).map_or(0, |&slot| self.counters[slot])
@@ -510,16 +519,6 @@ impl MetricsRegistry {
     /// The counter name index, for reads that find a slot without a write.
     pub(crate) fn counter_names(&self) -> &BTreeMap<String, usize> {
         &self.counter_index
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauge_index.get(name).map(|&slot| self.gauges[slot].value)
-    }
-
-    /// Reads a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histogram_index.get(name).map(|&slot| &self.histograms[slot])
     }
 
     /// An immutable, serializable copy of the registry.
@@ -566,6 +565,22 @@ pub struct MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// By-name reads, for the tests only: outside them a metric is read
+    /// through a handle (`crate::handle`).
+    impl MetricsRegistry {
+        fn gauge(&self, name: &str) -> Option<f64> {
+            self.gauge_index.get(name).map(|&slot| self.gauges[slot].value)
+        }
+
+        fn gauge_series(&self, name: &str) -> Option<&GaugeSeries> {
+            self.series_by_slot(*self.gauge_index.get(name)?)
+        }
+
+        fn histogram(&self, name: &str) -> Option<&Histogram> {
+            self.histogram_index.get(name).map(|&slot| &self.histograms[slot])
+        }
+    }
 
     #[test]
     fn series_keeps_only_change_points() {
@@ -842,6 +857,20 @@ mod tests {
                 );
             }
         }
+        // Reads through the handles answer what the named registry holds.
+        for (index, name) in names.iter().enumerate() {
+            assert_eq!(handles.counters[index].get(), new.counter(name), "{name}");
+            assert_eq!(handles.gauges[index].get(), new.gauge(name), "{name}");
+            let histogram = new.histogram(name);
+            let tallies = histogram.map(|h| (h.count, h.nan_count));
+            assert_eq!(handles.histograms[index].tallies(), tallies, "{name}");
+            let snapshot = handles.histograms[index].snapshot();
+            assert_eq!(
+                serde_json::to_string(&snapshot).unwrap(),
+                serde_json::to_string(&histogram).unwrap(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -870,9 +899,9 @@ mod tests {
         assert_eq!(sink.counter_handle("c").get(), 0);
         assert_eq!((series.last_change(), series.value_at(5)), (None, None));
         assert_eq!(sink.counter("c"), 0);
-        assert_eq!(sink.gauge("g"), None);
-        assert_eq!(sink.gauge_last_change("s"), None);
-        assert_eq!(sink.histogram("h").map(|h| h.count), None);
+        assert_eq!(sink.gauge_handle("g").get(), None);
+        let histogram = sink.histogram_handle("h");
+        assert_eq!((histogram.tallies(), histogram.snapshot().map(|h| h.count)), (None, None));
         assert_eq!(
             serde_json::to_string(&sink.metrics_snapshot()).unwrap(),
             serde_json::to_string(&MetricsSnapshot::default()).unwrap()

@@ -100,8 +100,6 @@ pub struct Testnet {
     /// Heavy-traffic generator (`None`: the legacy two-stream Poisson
     /// workload below drives arrivals).
     traffic: Option<TrafficGenerator>,
-    /// The next generated arrival, buffered until its timestamp is due.
-    pending_arrival: Option<Arrival>,
     /// Generated arrivals rejected before submission (zero-amount draws
     /// from broke users) — one of the per-reason delivery-accounting
     /// buckets, so `generated - delivered` always decomposes.
@@ -352,7 +350,8 @@ impl Testnet {
         let mut rng = seed_stream(config.seed, "testnet.workload");
         let first_out = Self::sample_exp(&mut rng, config.workload.outbound_mean_gap_ms);
         let first_in = Self::sample_exp(&mut rng, config.workload.inbound_mean_gap_ms);
-        let monitor = config.monitor.enabled.then(|| Monitor::standard(config.monitor.clone()));
+        let monitor =
+            config.monitor.enabled.then(|| Monitor::standard(&telemetry, config.monitor.clone()));
 
         // Heavy-traffic mode: a seeded user population replaces the two
         // Poisson streams. Every user gets a funded ledger account on both
@@ -395,7 +394,6 @@ impl Testnet {
             rng,
             schedule: EventQueue::new(),
             traffic,
-            pending_arrival: None,
             rejected_broke: 0,
             next_outbound_ms: first_out,
             next_inbound_ms: first_in,
@@ -724,8 +722,7 @@ impl Testnet {
         // 5. Workload arrivals.
         let arrivals_scope = self.profiler.scope("workload.arrivals");
         if self.traffic.is_some() {
-            while self.next_arrival_at().is_some_and(|at| at <= now) {
-                let arrival = self.pending_arrival.take().expect("just peeked");
+            while let Some(arrival) = self.traffic.as_mut().and_then(|t| t.pop_due(now)) {
                 // Broke users generate zero-amount draws; nothing to send,
                 // but the draw still counts against `generated`, so tally
                 // it as a rejection to keep the delivery ledger balanced.
@@ -798,7 +795,7 @@ impl Testnet {
         }
         if let Some(monitor) = self.monitor.as_mut() {
             let _monitor = self.profiler.scope("monitor.tick");
-            monitor.tick(now, &self.telemetry);
+            monitor.tick(now);
         }
         // Keep memory bounded on long runs, but never drop a block some
         // relayer has yet to scan: a halted relayer would lose the events
@@ -1099,16 +1096,6 @@ impl Testnet {
             Timeout::at_time(now + TRANSFER_TIMEOUT_MS),
             policy,
         );
-    }
-
-    /// Timestamp of the buffered next traffic arrival (generating it on
-    /// demand); `None` in legacy-workload mode.
-    fn next_arrival_at(&mut self) -> Option<u64> {
-        let generator = self.traffic.as_mut()?;
-        if self.pending_arrival.is_none() {
-            self.pending_arrival = Some(generator.next_arrival());
-        }
-        self.pending_arrival.as_ref().map(|arrival| arrival.at_ms)
     }
 
     /// Submits one generated guest→counterparty transfer: the population

@@ -41,9 +41,7 @@ pub use config::{
 };
 pub use experiments::{evaluate, report_of, EvaluationReport, StorageReport, ValidatorRow};
 pub use harness::{Testnet, CP_DENOM, CP_USER, GUEST_DENOM, GUEST_USER};
-pub use metrics::{
-    cdf, correlation, fraction_below, histogram, quantile, SendRecord, SignRecord, Summary,
-};
+pub use metrics::{cdf, correlation, fraction_below, quantile, SendRecord, SignRecord, Summary};
 pub use monitor::{
     relevant_detectors, score, AlertRecord, EvalReport, EventScore, KindScore, Monitor,
     MonitorConfig, ALL_FAULT_KINDS,

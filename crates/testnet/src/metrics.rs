@@ -103,22 +103,6 @@ pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
     sorted.into_iter().enumerate().map(|(i, v)| (v, (i + 1) as f64 / n as f64)).collect()
 }
 
-/// A histogram over fixed-width bins, as (bin lower edge, count).
-pub fn histogram(values: &[f64], bin_width: f64) -> Vec<(f64, usize)> {
-    if values.is_empty() || bin_width <= 0.0 {
-        return Vec::new();
-    }
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let bins = ((max - min) / bin_width).floor() as usize + 1;
-    let mut counts = vec![0usize; bins];
-    for v in values {
-        let idx = (((v - min) / bin_width) as usize).min(bins - 1);
-        counts[idx] += 1;
-    }
-    counts.into_iter().enumerate().map(|(i, c)| (min + i as f64 * bin_width, c)).collect()
-}
-
 /// Pearson correlation coefficient of two equal-length samples.
 ///
 /// Used for the paper's §V-C observation that validator cost and latency
@@ -237,15 +221,6 @@ mod tests {
     #[test]
     fn fraction_below_counts_inclusive() {
         assert!((fraction_below(&[1.0, 2.0, 3.0, 4.0], 2.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = histogram(&[0.0, 0.5, 1.5, 2.9], 1.0);
-        assert_eq!(h.len(), 3);
-        assert_eq!(h[0].1, 2);
-        assert_eq!(h[1].1, 1);
-        assert_eq!(h[2].1, 1);
     }
 
     #[test]

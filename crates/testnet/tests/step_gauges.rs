@@ -28,7 +28,7 @@ fn gauges_against_sources(net: &Testnet) -> Vec<(&'static str, Option<f64>, Opti
         ("client.guest_on_cp", cp_client.map(|client| client.latest_height() as f64)),
         ("client.cp_on_guest", guest_client.map(|client| client.latest_height() as f64)),
     ])
-    .map(|(name, source)| (name, telemetry.gauge(name), source))
+    .map(|(name, source)| (name, telemetry.gauge_handle(name).get(), source))
     .collect()
 }
 

@@ -47,6 +47,9 @@ pub struct TrafficGenerator {
     clock_ms: u64,
     max_multiplier: f64,
     generated: u64,
+    /// The draw [`TrafficGenerator::pop_due`] looked ahead to and found not
+    /// yet due.
+    lookahead: Option<Arrival>,
 }
 
 impl TrafficGenerator {
@@ -60,6 +63,7 @@ impl TrafficGenerator {
             clock_ms: 0,
             max_multiplier,
             generated: 0,
+            lookahead: None,
             config,
         }
     }
@@ -74,14 +78,33 @@ impl TrafficGenerator {
         &self.population
     }
 
-    /// Arrivals generated so far.
+    /// Arrivals generated so far, the one [`TrafficGenerator::pop_due`]
+    /// holds back included.
     pub fn generated(&self) -> u64 {
         self.generated
     }
 
-    /// Draws the next arrival. The clock only moves forward; successive
-    /// calls return non-decreasing timestamps.
+    /// The next arrival. The clock only moves forward; successive calls
+    /// return non-decreasing timestamps. An arrival
+    /// [`TrafficGenerator::pop_due`] held back comes first, so the two
+    /// interleave without skipping a draw.
     pub fn next_arrival(&mut self) -> Arrival {
+        self.lookahead.take().unwrap_or_else(|| self.draw())
+    }
+
+    /// The next arrival if it is due at or before `until_ms`, as
+    /// [`EventQueue::pop_due`](crate::EventQueue::pop_due) answers; one not
+    /// yet due is held back for a later call. Draws are the same, in the
+    /// same order, as those of [`TrafficGenerator::next_arrival`].
+    pub fn pop_due(&mut self, until_ms: u64) -> Option<Arrival> {
+        if self.lookahead.is_none() {
+            self.lookahead = Some(self.draw());
+        }
+        self.lookahead.take_if(|next| next.at_ms <= until_ms)
+    }
+
+    /// Draws a new arrival from the stream.
+    fn draw(&mut self) -> Arrival {
         // Thinning: candidates at the majorising rate, accepted by the
         // instantaneous multiplier.
         let candidate_mean = (self.config.mean_gap_ms as f64 / self.max_multiplier).max(1e-6);
@@ -104,21 +127,6 @@ impl TrafficGenerator {
         let memo = self.sample_memo();
         self.generated += 1;
         Arrival { at_ms: self.clock_ms, user, direction, amount, memo }
-    }
-
-    /// Every arrival up to and including `until_ms`, in order. The draw
-    /// that crosses the horizon is discarded, so interleaving this with
-    /// [`TrafficGenerator::next_arrival`] is not stream-stable — use one
-    /// or the other per run.
-    pub fn schedule_until(&mut self, until_ms: u64) -> Vec<Arrival> {
-        let mut arrivals = Vec::new();
-        loop {
-            let arrival = self.next_arrival();
-            if arrival.at_ms > until_ms {
-                return arrivals;
-            }
-            arrivals.push(arrival);
-        }
     }
 
     /// Log-uniform amount in `[min, max]`, clamped to the user's balance
@@ -163,11 +171,39 @@ mod tests {
     use super::*;
     use crate::curve::ArrivalCurve;
 
+    /// Every arrival due by `until_ms`, in order.
+    fn due(mut generator: TrafficGenerator, until_ms: u64) -> Vec<Arrival> {
+        std::iter::from_fn(|| generator.pop_due(until_ms)).collect()
+    }
+
+    #[test]
+    fn pop_due_draws_the_next_arrival_stream() {
+        let config = TrafficConfig::flash_crowd(200, 900);
+        let mut expected = TrafficGenerator::new(config.clone(), 8);
+        let mut generator = TrafficGenerator::new(config, 8);
+        // A step loop with an occasional direct draw in between.
+        let mut drawn = Vec::new();
+        for step in 1..=3_000u64 {
+            while let Some(arrival) = generator.pop_due(step * 400) {
+                assert!(arrival.at_ms <= step * 400);
+                drawn.push(arrival);
+            }
+            assert_eq!(generator.generated(), drawn.len() as u64 + 1, "one held back");
+            if step % 500 == 0 {
+                drawn.push(generator.next_arrival());
+            }
+        }
+        assert!(drawn.len() > 1_000);
+        for arrival in &drawn {
+            assert_eq!(*arrival, expected.next_arrival());
+        }
+    }
+
     #[test]
     fn arrivals_are_ordered_and_deterministic() {
         let config = TrafficConfig::steady(500, 1_000);
-        let a = TrafficGenerator::new(config.clone(), 3).schedule_until(10 * 60_000);
-        let b = TrafficGenerator::new(config, 3).schedule_until(10 * 60_000);
+        let a = due(TrafficGenerator::new(config.clone(), 3), 10 * 60_000);
+        let b = due(TrafficGenerator::new(config, 3), 10 * 60_000);
         assert!(!a.is_empty());
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].at_ms <= w[1].at_ms), "timestamps ordered");
@@ -178,7 +214,7 @@ mod tests {
         let mut config = TrafficConfig::airdrop_storm(10_000, 5_000);
         config.curve =
             ArrivalCurve::AirdropStorm { at_ms: 60_000, duration_ms: 60_000, surge: 30.0 };
-        let arrivals = TrafficGenerator::new(config, 9).schedule_until(3 * 60_000);
+        let arrivals = due(TrafficGenerator::new(config, 9), 3 * 60_000);
         let before = arrivals.iter().filter(|a| a.at_ms < 60_000).count();
         let during = arrivals.iter().filter(|a| (60_000..120_000).contains(&a.at_ms)).count();
         assert!(
@@ -192,8 +228,7 @@ mod tests {
         let mut config = TrafficConfig::steady(3, 500);
         config.initial_balance = 50;
         config.amount = crate::AmountMix { min: 40, max: 40 };
-        let mut generator = TrafficGenerator::new(config, 4);
-        let arrivals = generator.schedule_until(60 * 60_000);
+        let arrivals = due(TrafficGenerator::new(config, 4), 60 * 60_000);
         // Each user can afford one full transfer and one partial one.
         let total: u128 = arrivals.iter().map(|a| a.amount).sum();
         assert!(total <= 150, "population spent more than it owns: {total}");
@@ -204,7 +239,7 @@ mod tests {
     fn memo_mix_produces_varied_sizes() {
         let mut config = TrafficConfig::steady(100, 200);
         config.memo.forward_fraction = 0.3;
-        let arrivals = TrafficGenerator::new(config, 5).schedule_until(5 * 60_000);
+        let arrivals = due(TrafficGenerator::new(config, 5), 5 * 60_000);
         let forwards = arrivals.iter().filter(|a| a.memo.contains("forward")).count();
         assert!(forwards > 0, "some memos carry routes");
         assert!(forwards < arrivals.len(), "not all memos carry routes");

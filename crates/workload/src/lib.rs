@@ -26,11 +26,18 @@
 //!
 //! let config = TrafficConfig::steady(10_000, 2_000);
 //! let mut generator = TrafficGenerator::new(config, 42);
-//! let arrivals = generator.schedule_until(60_000);
+//! // A step loop takes each arrival due by the end of its step; the first
+//! // one not yet due waits inside the generator.
+//! let mut arrivals = Vec::new();
+//! for step_end_ms in (1_000..=60_000).step_by(1_000) {
+//!     while let Some(arrival) = generator.pop_due(step_end_ms) {
+//!         arrivals.push(arrival);
+//!     }
+//! }
 //! assert!(!arrivals.is_empty());
 //! // Same (config, seed) ⇒ byte-identical schedule.
-//! let again = TrafficGenerator::new(TrafficConfig::steady(10_000, 2_000), 42)
-//!     .schedule_until(60_000);
+//! let mut again = TrafficGenerator::new(TrafficConfig::steady(10_000, 2_000), 42);
+//! let again: Vec<_> = std::iter::from_fn(|| again.pop_due(60_000)).collect();
 //! assert_eq!(arrivals, again);
 //! ```
 

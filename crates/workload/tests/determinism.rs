@@ -12,7 +12,7 @@ const HOUR_MS: u64 = 60 * 60 * 1_000;
 fn schedule_bytes(config: TrafficConfig, seed: u64, horizon_ms: u64) -> String {
     let mut generator = TrafficGenerator::new(config, seed);
     let mut out = String::new();
-    for arrival in generator.schedule_until(horizon_ms) {
+    while let Some(arrival) = generator.pop_due(horizon_ms) {
         out.push_str(&format!(
             "{}|{}|{:?}|{}|{}\n",
             arrival.at_ms, arrival.user, arrival.direction, arrival.amount, arrival.memo
@@ -65,8 +65,8 @@ fn population_balances_are_part_of_the_replay() {
     let config = TrafficConfig::steady(50, 500);
     let mut a = TrafficGenerator::new(config.clone(), 21);
     let mut b = TrafficGenerator::new(config, 21);
-    a.schedule_until(HOUR_MS);
-    b.schedule_until(HOUR_MS);
+    while a.pop_due(HOUR_MS).is_some() {}
+    while b.pop_due(HOUR_MS).is_some() {}
     for user in 0..50 {
         assert_eq!(a.population().balance(user), b.population().balance(user));
         assert_eq!(a.population().name(user), b.population().name(user));
