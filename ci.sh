@@ -32,6 +32,20 @@ outside_tests() {
         !in_tests && $0 ~ ENVIRON["RE"] { print FILENAME ":" FNR ":" $0 }' {} +
 }
 
+# tripwire N MESSAGE REGEX DIR...: the tripwire holds when exactly N of the lines `outside_tests REGEX
+# DIR...` prints, leaving out those that match the ERE in $EXCEPT, are found; otherwise it prints
+# them and MESSAGE and fails. N is 0 for a spelling that must not come back and 1 for the one home
+# of a rule.
+tripwire() {
+    local found
+    found=$(outside_tests "$3" "${@:4}" | grep -vE "${EXCEPT:-^$}" || true)
+    if [ "$(printf '%s' "$found" | grep -c .)" -ne "$1" ]; then
+        [ -z "$found" ] || echo "$found" >&2
+        echo "$2" >&2
+        exit 1
+    fi
+}
+
 echo "==> one home for the ICS-04 relay rule"
 # Which path proves a recv/ack/timeout lives in relayer::msg (and ibc-core's own handlers).
 if grep -rnE 'packet_(commitment|ack|receipt)\(' crates/*/src --include='*.rs' |
@@ -53,10 +67,8 @@ echo "==> one home for proof-at-height history"
 # the trie. A tripwire for the spellings the old code used, not a type check: it matches only
 # `store().clone()`, `store_mut().clone()` and `trie.clone()` (not `to_owned()`, `Trie::clone(&t)` or
 # a trie bound to another name), and scans each file only up to its first column-0 #[cfg(test)].
-if outside_tests '(store(_mut)?\(\)|trie)\.clone\(\)' crates/*/src | grep .; then
-    echo "a whole trie or store cloned outside tests; checkpoint it instead" >&2
-    exit 1
-fi
+tripwire 0 "a whole trie or store cloned outside tests; checkpoint it instead" \
+    '(store(_mut)?\(\)|trie)\.clone\(\)' crates/*/src
 
 echo "==> the trie hashes on read"
 # A trie write leaves the nodes it makes dirty; `Trie::settle` hashes them, each once, when a root,
@@ -81,10 +93,8 @@ echo "==> one home for mesh proofs: the committed height"
 # equalled the commit survives as the oracle in crates/relayer/tests/committed_proofs.rs. A tripwire
 # for the spelling the old code used, `store().prove(`, scanning each file up to its first column-0
 # #[cfg(test)].
-if outside_tests 'store\(\)\.prove\(' crates/mesh/src | grep .; then
-    echo "crates/mesh/src proves from a live store outside tests; prove at the committed height" >&2
-    exit 1
-fi
+tripwire 0 "crates/mesh/src proves from a live store outside tests; prove at the committed height" \
+    'store\(\)\.prove\(' crates/mesh/src
 
 echo "==> one codec path"
 # Typed values reach JSON text and come back through serde_json's streaming sink (write.rs) and
@@ -105,32 +115,24 @@ echo "==> no division in the signature arithmetic"
 # is a call into software division, 19 % of `paper_month` when it was there. It survives only as
 # the oracle in crates/sim-crypto/tests/. A tripwire for the two spellings the old code used, `… as
 # u128) % …` and `% P as u128` / `% Q as u128`, scanning each file up to its first column-0 #[cfg(test)].
-if outside_tests 'as u128\) %|% [PQ] as u128' crates/sim-crypto/src | grep .; then
-    echo "128-bit modulo in crates/sim-crypto/src; reduce with schnorr::fold" >&2
-    exit 1
-fi
+tripwire 0 "128-bit modulo in crates/sim-crypto/src; reduce with schnorr::fold" \
+    'as u128\) %|% [PQ] as u128' crates/sim-crypto/src
 
 echo "==> one home for counterparty signing"
 # The counterparty records who voted and signs a header the first time it is read (commit.rs
 # `CpCommit::header`); block production signs nothing, and the loop that signed every commit as it
 # was produced survives only as the oracle in crates/counterparty-sim/tests/. A tripwire for a second
 # signing site spelled `.sign(`, scanning each file up to its first column-0 #[cfg(test)].
-if [ "$(outside_tests '\.sign\(' crates/counterparty-sim/src | wc -l)" -ne 1 ]; then
-    outside_tests '\.sign\(' crates/counterparty-sim/src >&2
-    echo "crates/counterparty-sim/src must sign in exactly one place, the first read of a header" >&2
-    exit 1
-fi
+tripwire 1 "crates/counterparty-sim/src must sign in exactly one place, the first read of a header" \
+    '\.sign\(' crates/counterparty-sim/src
 
 echo "==> the payer balance is read behind the bank's stamp"
 # `Testnet::step` re-reads what the host bank holds (the relayer's payer balance, and the guest
 # contract, which changes only inside the bank's transactions) only when `Bank::stamp` moved; a
 # SipHash balance read on every step was 7 % of `paper_month`. A tripwire for a second read spelled
 # `.bank().balance(` under crates/testnet/src, scanning each file up to its first column-0 #[cfg(test)].
-if [ "$(outside_tests '\.bank\(\)\.balance\(' crates/testnet/src | wc -l)" -ne 1 ]; then
-    outside_tests '\.bank\(\)\.balance\(' crates/testnet/src >&2
-    echo "crates/testnet/src must read a host balance in exactly one place, behind the bank's stamp" >&2
-    exit 1
-fi
+tripwire 1 "crates/testnet/src must read a host balance in exactly one place, behind the bank's stamp" \
+    '\.bank\(\)\.balance\(' crates/testnet/src
 
 echo "==> one home for counterparty blocks"
 # When a counterparty commits a block (its cadence, the 60-s keep-alive, the root comparison) and
@@ -139,15 +141,11 @@ echo "==> one home for counterparty blocks"
 # mesh each kept a copy. A tripwire for the spellings those copies used, `produce_block(` outside
 # crates/counterparty-sim/src and `ibc_mut().drain_events(` in the harnesses and the relayer,
 # scanning each file up to its first column-0 #[cfg(test)].
-if outside_tests 'produce_block\(' crates/*/src | grep -v '^crates/counterparty-sim/src/' | grep .; then
-    echo "a counterparty block produced outside crates/counterparty-sim/src; call tick" >&2
-    exit 1
-fi
-if outside_tests 'ibc_mut\(\)\.drain_events\(' crates/mesh/src crates/testnet/src crates/relayer/src |
-    grep .; then
-    echo "counterparty events drained without their stamps; call CounterpartyChain::drain_events" >&2
-    exit 1
-fi
+EXCEPT='^crates/counterparty-sim/src/' tripwire 0 \
+    "a counterparty block produced outside crates/counterparty-sim/src; call tick" \
+    'produce_block\(' crates/*/src
+tripwire 0 "counterparty events drained without their stamps; call CounterpartyChain::drain_events" \
+    'ibc_mut\(\)\.drain_events\(' crates/mesh/src crates/testnet/src crates/relayer/src
 
 echo "==> one home for conservation audits"
 # ICS-20 voucher backing, NFT voucher backing and ICS-29 fee conservation are computed in
@@ -156,26 +154,20 @@ echo "==> one home for conservation audits"
 # the mesh sums the same functions. The testnet and the mesh each kept a copy. A tripwire for the
 # spellings those copies used, `voucher_backing(` outside crates/ibc-core and `.imbalance(` outside
 # crates/apps, scanning each file up to its first column-0 #[cfg(test)].
-if outside_tests '(^|[^a-z_])voucher_backing\(' crates tests examples |
-    grep -vE '^crates/(ibc-core/|chaos/src/invariants\.rs:)' | grep .; then
-    echo "ICS-20 voucher backing audited outside chaos::invariants; call invariants::ics20_backing" >&2
-    exit 1
-fi
-if outside_tests '\.imbalance\(' crates tests examples |
-    grep -vE '^crates/(apps/|chaos/src/invariants\.rs:)' | grep .; then
-    echo "fee conservation audited outside chaos::invariants; call invariants::fee_imbalance" >&2
-    exit 1
-fi
+EXCEPT='^crates/(ibc-core/|chaos/src/invariants\.rs:)' tripwire 0 \
+    "ICS-20 voucher backing audited outside chaos::invariants; call invariants::ics20_backing" \
+    '(^|[^a-z_])voucher_backing\(' crates tests examples
+EXCEPT='^crates/(apps/|chaos/src/invariants\.rs:)' tripwire 0 \
+    "fee conservation audited outside chaos::invariants; call invariants::fee_imbalance" \
+    '\.imbalance\(' crates tests examples
 
 echo "==> guest events are parsed in one place"
 # A host event keeps the value it was encoded from (host-sim's event.rs `Event::payload_as`); the
 # harness and the relayer ask it for a `GuestEvent` instead of each parsing the bytes, 8 % of
 # `steady_day` when they did. A tripwire for the spelling the old code used, scanning each file up
 # to its first column-0 #[cfg(test)].
-if outside_tests 'from_slice::<GuestEvent>' crates/*/src | grep .; then
-    echo "a GuestEvent parsed from event bytes outside tests; ask Event::payload_as" >&2
-    exit 1
-fi
+tripwire 0 "a GuestEvent parsed from event bytes outside tests; ask Event::payload_as" \
+    'from_slice::<GuestEvent>' crates/*/src
 
 echo "==> per-slot metrics are pre-resolved"
 # A writer that runs once per host slot holds a telemetry handle (`CounterHandle`, `GaugeHandle`,
@@ -183,30 +175,22 @@ echo "==> per-slot metrics are pre-resolved"
 # the registry's name index, 38 % of `paper_month` when `HostChain::advance_slot` wrote by name. A
 # tripwire for the spellings those writes used, scanning each file up to its first column-0
 # #[cfg(test)].
-if outside_tests 'telemetry\.(counter_add|gauge_set|gauge_set_at|observe)\(' crates/host-sim/src |
-    grep .; then
-    echo "crates/host-sim/src writes a metric by name outside tests; write through a handle" >&2
-    exit 1
-fi
+tripwire 0 "crates/host-sim/src writes a metric by name outside tests; write through a handle" \
+    'telemetry\.(counter_add|gauge_set|gauge_set_at|observe)\(' crates/host-sim/src
 
 echo "==> the proof hand-off is not JSON"
 # `ProofData::bytes` is a hand-off between two functions of one process, sealable_trie's
 # `Proof::to_bytes`; only a proof inside a `GuestOp` is wire and therefore JSON (DESIGN decision 17).
-if outside_tests 'serde_json' crates/ibc-core/src/store.rs | grep .; then
-    echo "crates/ibc-core/src/store.rs names serde_json outside tests; hand proofs off as bytes" >&2
-    exit 1
-fi
+tripwire 0 "crates/ibc-core/src/store.rs names serde_json outside tests; hand proofs off as bytes" \
+    'serde_json' crates/ibc-core/src/store.rs
 
 echo "==> one way into the journal"
 # A record a caller emits is kept, in order: `event`, `span_start` and `span_end` all append through
 # `Inner::journal_push` (telemetry's lib.rs), which numbers it; the sampler that routed each record
 # to the journal, a pending buffer or the floor is gone. A tripwire for a second append spelled
 # `journal.push(`, scanning each file up to its first column-0 #[cfg(test)].
-if [ "$(outside_tests 'journal\.push\(' crates/telemetry/src | wc -l)" -ne 1 ]; then
-    outside_tests 'journal\.push\(' crates/telemetry/src >&2
-    echo "crates/telemetry/src must append to the journal in exactly one place" >&2
-    exit 1
-fi
+tripwire 1 "crates/telemetry/src must append to the journal in exactly one place" \
+    'journal\.push\(' crates/telemetry/src
 
 echo "==> one application surface"
 # Every app is an `ibc_core::router::Module`, and a `ModuleStack` is a Module around a Module; the
@@ -227,15 +211,19 @@ echo "==> one testnet clock"
 # waited for the 60-s audit heartbeat. `run_heavy_for` survives only as a doc-hidden alias of
 # `run_for` for the frozen benchmark/ crate. A tripwire for the two spellings the old loop used,
 # `fast_forward_to(` and `run_heavy_for`, scanning each file up to its first column-0 #[cfg(test)].
-if outside_tests 'fast_forward_to\(' crates/*/src | grep .; then
-    echo "crates/*/src must not jump the host clock: step it with Testnet::run_for" >&2
-    exit 1
-fi
-if outside_tests 'run_heavy_for' crates tests examples |
-    grep -v '^crates/testnet/src/harness.rs:[0-9]*:    pub fn run_heavy_for(' | grep .; then
-    echo "run_heavy_for is only the alias benchmark/ calls: use Testnet::run_for" >&2
-    exit 1
-fi
+tripwire 0 "crates/*/src must not jump the host clock: step it with Testnet::run_for" \
+    'fast_forward_to\(' crates/*/src
+EXCEPT='^crates/testnet/src/harness\.rs:[0-9]*:    pub fn run_heavy_for\(' tripwire 0 \
+    "run_heavy_for is only the alias benchmark/ calls: use Testnet::run_for" \
+    'run_heavy_for' crates tests examples
+
+echo "==> one import path per item"
+# A type is named through the crate that owns it: the testnet re-exports only its own modules'
+# items, no longer `chaos`, `monitor` or `telemetry` ones under a second path. A tripwire for a
+# `pub use` in crates/testnet/src/lib.rs of anything but its own modules.
+EXCEPT='pub use (config|experiments|harness|metrics)::' tripwire 0 \
+    "crates/testnet/src/lib.rs re-exports another crate's item; import it from the crate that owns it" \
+    '^pub use ' crates/testnet/src/lib.rs
 
 echo "==> cargo fmt --check"
 cargo fmt --check

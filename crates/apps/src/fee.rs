@@ -6,7 +6,7 @@
 //! packet's acknowledgement arrives — success *or* in-band error, the
 //! relayer did the delivery work either way — the middleware pays the
 //! recv and ack fees to the delivering relayer's per-channel account
-//! ([`relayer_account`]) and refunds the timeout fee to the payer. When
+//! (`relayer_account`) and refunds the timeout fee to the payer. When
 //! the packet instead times out, the timeout fee pays the relayer that
 //! proved the timeout and the recv/ack fees go back to the payer.
 //!
@@ -30,7 +30,7 @@ use crate::stack::{InnerStack, Middleware};
 pub const FEE_ESCROW_ACCOUNT: &str = "fee:escrow";
 
 /// The per-channel relayer payout account.
-pub fn relayer_account(channel_id: &ChannelId) -> String {
+fn relayer_account(channel_id: &ChannelId) -> String {
     format!("relayer:{channel_id}")
 }
 
@@ -129,11 +129,6 @@ impl FeeMiddleware {
     /// Units still escrowed.
     pub fn pending_total(&self) -> u128 {
         self.escrows.values().map(|e| e.fee.total()).sum()
-    }
-
-    /// Packets whose fees are still escrowed.
-    pub fn pending_len(&self) -> usize {
-        self.escrows.len()
     }
 
     /// Conservation imbalance against `ledger`: the gap between what the

@@ -47,11 +47,6 @@ impl ForwardMiddleware {
         }
     }
 
-    /// The chain-local account holding assets between hops.
-    pub fn forward_account(&self) -> &str {
-        &self.forward_account
-    }
-
     /// Number of forwarded legs awaiting ack or timeout.
     pub fn in_flight_len(&self) -> usize {
         self.in_flight.len()

@@ -38,16 +38,6 @@ pub struct HookMetadata {
 }
 
 impl HookMetadata {
-    /// A hook sweeping delivered funds to `to`.
-    pub fn transfer_to(to: impl Into<String>) -> Self {
-        Self { action: "transfer".into(), to: Some(to.into()), note: None }
-    }
-
-    /// A hook recording `note`.
-    pub fn note(note: impl Into<String>) -> Self {
-        Self { action: "note".into(), to: None, note: Some(note.into()) }
-    }
-
     /// Renders the hook as a standalone memo string.
     pub fn to_memo(&self) -> String {
         serde_json::to_string(&HookEnvelope { hook: Some(self.clone()) }).expect("memo serializes")

@@ -75,13 +75,6 @@ impl IcaPacketData {
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         serde_json::from_slice(bytes).ok()
     }
-
-    /// The owner the packet acts for.
-    pub fn owner(&self) -> &str {
-        match self {
-            Self::Register { owner } | Self::Execute { owner, .. } => owner,
-        }
-    }
 }
 
 /// What the controller learned about one of its sent packets.

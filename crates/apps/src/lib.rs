@@ -33,7 +33,7 @@ pub mod ica;
 pub mod nft;
 pub mod stack;
 
-pub use fee::{relayer_account, FeeMiddleware, FeeTotals, PacketFee, FEE_ESCROW_ACCOUNT};
+pub use fee::{FeeMiddleware, FeeTotals, PacketFee, FEE_ESCROW_ACCOUNT};
 pub use forward::ForwardMiddleware;
 pub use hooks::{parse_hook, HookMetadata, MemoHookMiddleware};
 pub use ica::{ica_account, ica_execute, ica_register, IcaApp, IcaOp, IcaOutcome, IcaPacketData};

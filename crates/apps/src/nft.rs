@@ -423,7 +423,7 @@ pub fn send_nft<S: ProvableStore>(
 /// # Errors
 ///
 /// [`IbcError::UnboundPort`] when no stacked NFT app is reachable.
-pub fn nft_app_mut<'h, S: ProvableStore>(
+fn nft_app_mut<'h, S: ProvableStore>(
     handler: &'h mut IbcHandler<S>,
     port_id: &PortId,
 ) -> Result<&'h mut NftTransferApp, IbcError> {

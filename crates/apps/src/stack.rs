@@ -260,7 +260,7 @@ impl ModuleStack {
     }
 
     /// Mutable typed middleware access.
-    pub fn middleware_as_mut<T: Middleware + 'static>(&mut self) -> Option<&mut T> {
+    fn middleware_as_mut<T: Middleware + 'static>(&mut self) -> Option<&mut T> {
         self.middlewares.iter_mut().find_map(|m| m.as_any_mut().downcast_mut::<T>())
     }
 
@@ -277,11 +277,6 @@ impl ModuleStack {
     /// The fee middleware, when stacked.
     pub fn fees(&self) -> Option<&FeeMiddleware> {
         self.middleware_as()
-    }
-
-    /// Mutable fee-middleware access.
-    pub fn fees_mut(&mut self) -> Option<&mut FeeMiddleware> {
-        self.middleware_as_mut()
     }
 
     /// Escrows `fee` for an already-committed outgoing packet: moves the
@@ -309,7 +304,9 @@ impl ModuleStack {
             .ics20_mut()
             .ok_or_else(|| IbcError::AppError("fee escrow needs an ICS-20 ledger".into()))?;
         ledger.transfer_internal(payer, FEE_ESCROW_ACCOUNT, denom, fee.total())?;
-        self.fees_mut().expect("checked above").register(channel_id, sequence, fee, payer, denom);
+        self.middleware_as_mut::<FeeMiddleware>()
+            .expect("checked above")
+            .register(channel_id, sequence, fee, payer, denom);
         Ok(())
     }
 

@@ -625,7 +625,7 @@ fn escrow_fee_requires_a_fee_layer_and_funds() {
         stack.escrow_fee(&ChannelId::new(0), 1, PacketFee::flat(1, 1, 1), "poor", "sol").is_err(),
         "unfunded payer cannot escrow"
     );
-    assert_eq!(stack.fees().unwrap().pending_len(), 0, "failed escrow leaves no obligation");
+    assert_eq!(stack.fees().unwrap().pending_total(), 0, "failed escrow leaves no obligation");
 }
 
 // ---------------------------------------------------------------- hooks
@@ -634,7 +634,8 @@ fn escrow_fee_requires_a_fee_layer_and_funds() {
 fn transfer_hook_sweeps_delivered_funds() {
     let mut stack =
         ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(MemoHookMiddleware::new()));
-    let memo = HookMetadata::transfer_to("vault").to_memo();
+    let memo =
+        HookMetadata { action: "transfer".into(), to: Some("vault".into()), note: None }.to_memo();
     let incoming = packet(1, 0, 1, ics20_data("wsol", 30, memo).encode());
     assert!(stack.on_recv_packet(&incoming).is_success());
     let local = "transfer/channel-1/wsol";
@@ -647,7 +648,8 @@ fn transfer_hook_sweeps_delivered_funds() {
 fn note_hook_records_and_failures_leave_the_ack_alone() {
     let mut stack =
         ModuleStack::new(Box::new(TransferModule::new())).with(Box::new(MemoHookMiddleware::new()));
-    let memo = HookMetadata::note("hello").to_memo();
+    let memo =
+        HookMetadata { action: "note".into(), to: None, note: Some("hello".into()) }.to_memo();
     assert!(stack
         .on_recv_packet(&packet(1, 0, 1, ics20_data("wsol", 5, memo).encode()))
         .is_success());
@@ -862,7 +864,8 @@ fn full_transfer_stack_layers_compose() {
     assert_eq!(stack.ics20().unwrap().balance("bob", "transfer/channel-1/wsol"), 30);
 
     // A hooked delivery is swept after credit.
-    let memo = HookMetadata::transfer_to("vault").to_memo();
+    let memo =
+        HookMetadata { action: "transfer".into(), to: Some("vault".into()), note: None }.to_memo();
     assert!(stack
         .on_recv_packet(&packet(2, 0, 1, ics20_data("wsol", 5, memo).encode()))
         .is_success());

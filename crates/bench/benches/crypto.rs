@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim_crypto::schnorr::{batch_verify, Keypair, PrivateKey};
+use sim_crypto::schnorr::{Keypair, PrivateKey};
 use sim_crypto::sha256;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -25,14 +25,6 @@ fn bench_sign_verify(c: &mut Criterion) {
     let signature = keypair.sign(message);
     c.bench_function("crypto/verify", |b| {
         b.iter(|| assert!(keypair.public().verify(message, &signature)));
-    });
-
-    // A counterparty commit: ~100 signatures verified by the guest.
-    let keypairs: Vec<Keypair> = (0..100).map(Keypair::from_seed).collect();
-    let items: Vec<_> =
-        keypairs.iter().map(|kp| (kp.public(), message.as_slice(), kp.sign(message))).collect();
-    c.bench_function("crypto/batch_verify_100", |b| {
-        b.iter(|| assert!(batch_verify(&items)));
     });
 }
 

@@ -22,12 +22,10 @@
 
 use apps::PacketFee;
 use mesh::{ica_port, nft_port, Mesh, MeshConfig, TrafficOutcome};
-use monitor::MonitorConfig;
-use telemetry::Flags;
-use testnet::Artifact;
+use monitor::{MonitorConfig, HOUR_MS};
+use telemetry::{Artifact, Flags};
 use workload::{AppMix, TrafficConfig};
 
-const HOUR_MS: u64 = 60 * 60 * 1_000;
 /// Mean inter-arrival gap: one arrival a minute at base intensity; the
 /// storm surge multiplies that 40× for half an hour.
 const MEAN_GAP_MS: u64 = 60_000;

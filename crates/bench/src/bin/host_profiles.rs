@@ -16,8 +16,7 @@ use ibc_core::channel::{Packet, Timeout};
 use ibc_core::types::{ChannelId, ClientId, PortId};
 use relayer::chunking::{plan_op_for, sig_checks_per_tx_for, transaction_count_for};
 use sealable_trie::Trie;
-use telemetry::Flags;
-use testnet::Artifact;
+use telemetry::{Artifact, Flags};
 
 fn typical_update_op(signatures: usize) -> (GuestOp, usize) {
     // A counterparty commit: ~88 bytes of header + ~88 bytes per signature

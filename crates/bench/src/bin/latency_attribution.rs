@@ -24,8 +24,8 @@
 //!   [--users N] [--hours N] [--seed N] [--quiet] [--json <path>]`
 
 use mesh::{Mesh, MeshConfig, TrafficOutcome};
-use telemetry::{AttributionReport, CausalGraph, Flags, RunReport};
-use testnet::{Artifact, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::{Artifact, AttributionReport, CausalGraph, Flags, RunReport};
+use testnet::{Testnet, TestnetConfig, HOUR_MS};
 use workload::{AppMix, TrafficConfig};
 
 /// One attributed run: the source report plus everything derived from it.

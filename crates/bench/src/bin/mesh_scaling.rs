@@ -18,10 +18,9 @@
 
 use mesh::{chain_denom, chain_name, Mesh, MeshConfig, PathPolicy};
 use relayer::LinkFee;
-use telemetry::Flags;
-use testnet::{Artifact, Section};
+use telemetry::{Artifact, Flags, Section};
+use testnet::HOUR_MS;
 
-const HOUR_MS: u64 = 60 * 60 * 1_000;
 /// Generous per-route settle budget; healthy routes settle in minutes.
 const SETTLE_BUDGET_MS: u64 = 2 * HOUR_MS;
 const FEE: LinkFee = LinkFee { per_message: 10, per_signature: 1 };

@@ -18,14 +18,12 @@
 //!
 //! Usage: `cargo run --release -p bench --bin monitor_eval -- [--minutes N] [--days N] [--seed N] [--skip-paper] [--quiet] [--json <path>]`
 
+use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig, PathPolicy};
-use telemetry::Flags;
-use testnet::{
-    score, Artifact, ChaosPlan, EvalReport, Fault, KindScore, MonitorConfig, Section, Testnet,
-    TestnetConfig, DAY_MS,
-};
+use monitor::{score, EvalReport, KindScore, MonitorConfig, MINUTE_MS};
+use telemetry::{Artifact, Flags, Section};
+use testnet::{Testnet, TestnetConfig, DAY_MS};
 
-const MINUTE_MS: u64 = 60 * 1_000;
 /// Length of the §V-C day-11 outage (9 h 59 m).
 const PAPER_OUTAGE_MS: u64 = 35_940_000;
 

@@ -7,17 +7,18 @@
 //! shorter runs of its own. Each artifact is printed as text unless
 //! `--quiet`, and written as JSON to the path given by the flag named
 //! after it (`--fig2_send_latency <path>`, …). `--run_report <path>`
-//! writes the month's telemetry [`testnet::RunReport`] as JSON.
+//! writes the month's telemetry [`telemetry::RunReport`] as JSON.
 //!
 //! Usage: `cargo run --release -p bench --bin paper -- [--days N] [--seed N] [--quiet] [--<artifact> <path>]… [--run_report <path>]`
 
+use chaos::ChaosPlan;
 use host_sim::{lamports_to_usd, rent, MAX_ACCOUNT_SIZE};
 use relayer::FeeStrategy;
 use sealable_trie::Trie;
-use telemetry::Flags;
+use telemetry::{Artifact, Flags, Section};
 use testnet::{
-    evaluate, fraction_below, report_of, Artifact, ChaosPlan, EvaluationReport, Section, Summary,
-    Testnet, TestnetConfig, DAY_MS, HOUR_MS,
+    evaluate, fraction_below, report_of, EvaluationReport, Summary, Testnet, TestnetConfig, DAY_MS,
+    HOUR_MS,
 };
 
 /// The simulated deployment and what Fig. 6's Δ sweep re-runs from it.

@@ -25,12 +25,12 @@
 //!
 //! Usage: `cargo run --release -p bench --bin relay_capacity -- [--seed N] [--quiet] [--json <path>]`
 
+use monitor::MINUTE_MS;
 use relayer::{JobKind, Relayer};
-use telemetry::Flags;
-use testnet::{quantile, Artifact, Section, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::{Artifact, Flags, Section};
+use testnet::{quantile, Testnet, TestnetConfig, HOUR_MS};
 use workload::TrafficConfig;
 
-const MINUTE_MS: u64 = 60_000;
 /// Offered packets per simulated second, both directions together.
 const RATES_PER_S: [f64; 7] = [0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0];
 const USERS: u32 = 1_000;

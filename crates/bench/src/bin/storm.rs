@@ -29,8 +29,8 @@
 use std::time::Instant;
 
 use profiler::ProfileReport;
-use telemetry::Flags;
-use testnet::{Artifact, TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
+use telemetry::{Artifact, Flags};
+use testnet::{TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
 use workload::TrafficConfig;
 
 /// One timed storm run, with the profiler and the telemetry mode given.

@@ -6,8 +6,8 @@
 //! status 1 if the counterfeit mint goes undetected.
 
 use chaos::{ChaosPlan, Fault};
-use telemetry::Flags;
-use testnet::{report_of, Artifact, Testnet, TestnetConfig};
+use telemetry::{Artifact, Flags};
+use testnet::{report_of, Testnet, TestnetConfig};
 
 const MINUTE_MS: u64 = 60 * 1_000;
 

@@ -2,10 +2,11 @@
 //! faults and check both the resilience story (the deployment recovers)
 //! and the audit story (real safety breaches are detected and attributed).
 
+use chaos::{ChaosPlan, Fault, InvariantKind};
 use ibc_core::channel::Timeout;
 use testnet::{
-    report_of, ChaosPlan, Fault, InvariantKind, Testnet, TestnetConfig, ValidatorProfile, CP_DENOM,
-    CP_USER, DAY_MS, GUEST_DENOM, GUEST_USER,
+    report_of, Testnet, TestnetConfig, ValidatorProfile, CP_DENOM, CP_USER, DAY_MS, GUEST_DENOM,
+    GUEST_USER,
 };
 
 const MINUTE_MS: u64 = 60 * 1_000;

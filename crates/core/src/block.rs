@@ -89,11 +89,6 @@ impl GuestBlock {
     pub fn signing_bytes(&self) -> Vec<u8> {
         Self::signing_bytes_for(self.height, &self.hash())
     }
-
-    /// Approximate wire size in bytes (for host transaction accounting).
-    pub fn encoded_size(&self) -> usize {
-        8 + 32 + 32 + 8 + 8 + 32 + self.next_epoch.as_ref().map_or(1, |e| 1 + e.len() * (32 + 8))
-    }
 }
 
 /// A validator's endorsement of a block at a height — also the fisherman

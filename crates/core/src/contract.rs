@@ -8,7 +8,7 @@ use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::client::ConsensusState;
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
-use ibc_core::{LightClient, Module};
+use ibc_core::Module;
 use sealable_trie::Trie;
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
@@ -357,7 +357,7 @@ impl GuestContract {
     ///
     /// [`GuestError::HeadNotFinalised`] / [`GuestError::NothingToCommit`]
     /// per the algorithm's assertions.
-    pub fn block_due(&self, now_ms: u64) -> Result<(), GuestError> {
+    fn block_due(&self, now_ms: u64) -> Result<(), GuestError> {
         match self.block_due_from() {
             None => Err(GuestError::HeadNotFinalised),
             Some(from) if now_ms < from => Err(GuestError::NothingToCommit),
@@ -365,7 +365,7 @@ impl GuestContract {
         }
     }
 
-    /// The first instant at which [`Self::block_due`] holds while the
+    /// The first instant at which `Self::block_due` holds while the
     /// contract stays as it is: `None` while the head is unfinalised, 0
     /// once the state root moved past the head's, else the head's time
     /// plus Δ. Only the contract's state moves it, never the clock.
@@ -382,11 +382,11 @@ impl GuestContract {
     }
 
     /// `GenerateBlock` (Alg. 1 l. 12–18): creates a new guest block when
-    /// [`Self::block_due`] holds. Callable by anyone.
+    /// `Self::block_due` holds. Callable by anyone.
     ///
     /// # Errors
     ///
-    /// Those of [`Self::block_due`].
+    /// Those of `Self::block_due`.
     pub fn generate_block(
         &mut self,
         now_ms: u64,
@@ -647,11 +647,6 @@ impl GuestContract {
     /// Mutable access to the embedded IBC handler.
     pub fn ibc_mut(&mut self) -> &mut IbcHandler<Trie> {
         &mut self.ibc
-    }
-
-    /// Registers the light client tracking the counterparty chain.
-    pub fn create_counterparty_client(&mut self, client: Box<dyn LightClient>) -> ClientId {
-        self.ibc.create_client(client)
     }
 
     /// Feeds a counterparty header to its light client, enforcing the
@@ -1187,7 +1182,7 @@ mod tests {
         config.max_client_updates_per_hour = 3;
         let mut contract = GuestContract::new(config, validators, 0, 0);
         let client =
-            contract.create_counterparty_client(Box::new(ibc_core::client::MockClient::new()));
+            contract.ibc_mut().create_client(Box::new(ibc_core::client::MockClient::new()));
         let header = |height: u64| {
             serde_json::to_vec(&ibc_core::client::MockHeader {
                 height,
@@ -1236,7 +1231,7 @@ mod tests {
             config.max_client_updates_per_hour = limit;
             let mut contract = GuestContract::new(config, validators, 0, 0);
             let client =
-                contract.create_counterparty_client(Box::new(ibc_core::client::MockClient::new()));
+                contract.ibc_mut().create_client(Box::new(ibc_core::client::MockClient::new()));
             let (mut now, mut height) = (0, 0);
             for gap in gaps {
                 now += gap;

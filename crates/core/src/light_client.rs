@@ -37,12 +37,6 @@ impl GuestHeader {
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         serde_json::from_slice(bytes).ok()
     }
-
-    /// Approximate wire size in bytes (block + 96 bytes per signature),
-    /// used for transaction accounting.
-    pub fn wire_size(&self) -> usize {
-        self.block.encoded_size() + self.signatures.len() * 96
-    }
 }
 
 /// Misbehaviour evidence freezing the client: two quorum-signed headers at

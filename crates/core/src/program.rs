@@ -787,7 +787,7 @@ mod tests {
     fn staged_update_requires_verified_signatures() {
         let mut fixture = setup();
         let client_id =
-            fixture.contract.borrow_mut().create_counterparty_client(Box::new(MockClient::new()));
+            fixture.contract.borrow_mut().ibc_mut().create_client(Box::new(MockClient::new()));
         let header = serde_json::to_string(&MockHeader {
             height: 5,
             root: sim_crypto::sha256(b"root"),
@@ -832,7 +832,7 @@ mod tests {
     fn one_payer_stages_interleaved_buffers() {
         let mut fixture = setup();
         let client =
-            fixture.contract.borrow_mut().create_counterparty_client(Box::new(MockClient::new()));
+            fixture.contract.borrow_mut().ibc_mut().create_client(Box::new(MockClient::new()));
         let staged = |height: u64| {
             let header = serde_json::to_string(&MockHeader {
                 height,
@@ -880,7 +880,7 @@ mod tests {
     fn undecodable_staged_bytes_drop_the_buffer() {
         let mut fixture = setup();
         let client =
-            fixture.contract.borrow_mut().create_counterparty_client(Box::new(MockClient::new()));
+            fixture.contract.borrow_mut().ibc_mut().create_client(Box::new(MockClient::new()));
         let header = serde_json::to_string(&MockHeader {
             height: 5,
             root: sim_crypto::sha256(b"root"),

@@ -78,7 +78,7 @@ const PROOF_SNAPSHOT_HISTORY: usize = 32;
 
 /// [`CounterpartyChain::tick`] commits a block at least this often, so
 /// peers can prove timeouts against a fresh consensus timestamp.
-pub const KEEPALIVE_MS: u64 = 60_000;
+const KEEPALIVE_MS: u64 = 60_000;
 
 impl CounterpartyChain {
     /// Spins up a chain with `config.num_validators` deterministic
@@ -200,7 +200,7 @@ impl CounterpartyChain {
 
     /// The chain's block cadence: once `now_ms` reaches the next check (one
     /// `block_interval_ms` after the previous one), commits a block if the
-    /// IBC root moved since the latest commit, the [`KEEPALIVE_MS`] is due
+    /// IBC root moved since the latest commit, the `KEEPALIVE_MS` is due
     /// or nothing is committed yet. A halted chain is simply not ticked.
     pub fn tick(&mut self, now_ms: u64) {
         if now_ms < self.next_tick_ms {

@@ -74,15 +74,6 @@ impl CpHeader {
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         serde_json::from_slice(bytes).ok()
     }
-
-    /// Realistic wire size in bytes: fixed fields plus an Ed25519-sized
-    /// (32 + 64 byte) entry per signature. Drives host transaction
-    /// chunking, so it intentionally models the binary encoding a real
-    /// deployment would use, not the JSON test encoding.
-    pub fn wire_size(&self) -> usize {
-        let rotation = self.next_validators.as_ref().map_or(0, |set| set.len() * 40);
-        8 + 32 + 8 + 4 + rotation + self.signatures.len() * 96
-    }
 }
 
 #[cfg(test)]
@@ -106,22 +97,5 @@ mod tests {
             )],
         };
         assert_eq!(CpHeader::decode(&header.encode()).unwrap(), header);
-    }
-
-    #[test]
-    fn wire_size_grows_with_signatures() {
-        let kp = Keypair::from_seed(1);
-        let root = sha256(b"app");
-        let sig = kp.sign(b"x");
-        let mut header = CpHeader {
-            height: 1,
-            app_hash: root,
-            timestamp_ms: 0,
-            next_validators: None,
-            signatures: vec![],
-        };
-        let empty = header.wire_size();
-        header.signatures = vec![(kp.public(), sig); 50];
-        assert_eq!(header.wire_size(), empty + 50 * 96);
     }
 }

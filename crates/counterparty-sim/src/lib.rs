@@ -51,7 +51,7 @@ mod commit;
 mod header;
 mod light_client;
 
-pub use chain::{CounterpartyChain, CounterpartyConfig, KEEPALIVE_MS};
+pub use chain::{CounterpartyChain, CounterpartyConfig};
 pub use commit::CpCommit;
 pub use header::CpHeader;
 pub use light_client::CpLightClient;

@@ -15,11 +15,11 @@ pub mod rent {
     use crate::types::lamports_to_usd;
 
     /// Fixed per-account byte overhead counted by rent.
-    pub const STORAGE_OVERHEAD: u64 = 128;
+    const STORAGE_OVERHEAD: u64 = 128;
     /// Lamports charged per byte-year.
-    pub const LAMPORTS_PER_BYTE_YEAR: u64 = 3_480;
+    const LAMPORTS_PER_BYTE_YEAR: u64 = 3_480;
     /// Years of rent required for exemption.
-    pub const EXEMPTION_YEARS: u64 = 2;
+    const EXEMPTION_YEARS: u64 = 2;
 
     /// The minimum balance for an account of `data_len` bytes to be rent
     /// exempt.
@@ -71,11 +71,6 @@ impl Account {
     pub fn data_account(owner: Pubkey, data_len: usize, lamports: u64) -> Self {
         Self { lamports, data_len, data: Vec::new(), owner, executable: false }
     }
-
-    /// Whether the account meets the rent-exemption threshold for its size.
-    pub fn is_rent_exempt(&self) -> bool {
-        self.lamports >= rent::minimum_balance(self.data_len)
-    }
 }
 
 /// Errors from account management.
@@ -123,14 +118,6 @@ mod tests {
         // 14.6 thousand dollars" for 10 MiB.
         let usd = rent::deposit_usd(MAX_ACCOUNT_SIZE);
         assert!((14_000.0..15_200.0).contains(&usd), "got {usd}");
-    }
-
-    #[test]
-    fn rent_exemption_threshold() {
-        let mut account = Account::data_account(Pubkey::from_label("prog"), 1_000, 0);
-        assert!(!account.is_rent_exempt());
-        account.lamports = rent::minimum_balance(1_000);
-        assert!(account.is_rent_exempt());
     }
 
     #[test]

@@ -109,32 +109,6 @@ impl Bank {
         Ok(())
     }
 
-    /// Shrinks or deletes a data account, refunding the freed deposit to
-    /// `recipient` (§V-D: "the assets can be recovered when the account is
-    /// shrunk or deleted").
-    ///
-    /// # Errors
-    ///
-    /// [`AccountError::Unknown`] if the account does not exist.
-    pub fn shrink_account(
-        &mut self,
-        key: &Pubkey,
-        new_len: usize,
-        recipient: &Pubkey,
-    ) -> Result<u64, AccountError> {
-        self.stamp += 1;
-        let account = self.accounts.get_mut(key).ok_or(AccountError::Unknown(*key))?;
-        let new_required = rent::minimum_balance(new_len);
-        let refund = account.lamports.saturating_sub(new_required);
-        account.lamports -= refund;
-        account.data_len = new_len;
-        if new_len == 0 && account.lamports == 0 {
-            self.accounts.remove(key);
-        }
-        self.accounts.entry(*recipient).or_insert_with(|| Account::wallet(0)).lamports += refund;
-        Ok(refund)
-    }
-
     /// Reads an account.
     pub fn account(&self, key: &Pubkey) -> Option<&Account> {
         self.accounts.get(key)
@@ -349,18 +323,18 @@ mod tests {
     }
 
     #[test]
-    fn allocate_charges_rent_deposit_and_shrink_refunds() {
+    fn allocate_charges_rent_deposit() {
         let (mut bank, program_id, payer) = setup();
         let state = Pubkey::from_label("state");
         let before = bank.balance(&payer);
         bank.allocate_account(&payer, state, program_id, 1_000_000).unwrap();
         let deposit = rent::minimum_balance(1_000_000);
         assert_eq!(bank.balance(&payer), before - deposit);
-        assert!(bank.account(&state).unwrap().is_rent_exempt());
-
-        let refund = bank.shrink_account(&state, 1_000, &payer).unwrap();
-        assert_eq!(refund, deposit - rent::minimum_balance(1_000));
-        assert_eq!(bank.balance(&payer), before - rent::minimum_balance(1_000));
+        assert_eq!(
+            bank.account(&state).unwrap().lamports,
+            deposit,
+            "the account holds its deposit"
+        );
     }
 
     #[test]
@@ -394,12 +368,6 @@ mod tests {
         });
         moves(bank, "allocate_account (refused)", |bank| {
             bank.allocate_account(&broke, state, program_id, MAX_ACCOUNT_SIZE).unwrap_err();
-        });
-        moves(bank, "shrink_account", |bank| {
-            bank.shrink_account(&state, 10, &payer).unwrap();
-        });
-        moves(bank, "shrink_account (unknown)", |bank| {
-            bank.shrink_account(&Pubkey::from_label("none"), 0, &payer).unwrap_err();
         });
         moves(bank, "execute_transaction", |bank| {
             assert!(bank.execute_transaction(&tick_tx(program_id, payer, 0), 1, 400).is_ok());

@@ -251,11 +251,6 @@ impl HostChain {
         self.disturbance = disturbance;
     }
 
-    /// The currently installed disturbance.
-    pub fn disturbance(&self) -> Disturbance {
-        self.disturbance
-    }
-
     /// The chain's runtime profile.
     pub fn profile(&self) -> &HostProfile {
         &self.profile

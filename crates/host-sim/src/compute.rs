@@ -11,9 +11,9 @@ use crate::types::{MAX_COMPUTE_UNITS, MAX_HEAP_BYTES};
 /// Cost schedule for metered operations, in compute units.
 pub mod costs {
     /// Base cost of the sha256 syscall.
-    pub const SHA256_BASE: u64 = 85;
+    pub(super) const SHA256_BASE: u64 = 85;
     /// Additional sha256 cost per input byte.
-    pub const SHA256_PER_BYTE: u64 = 1;
+    pub(super) const SHA256_PER_BYTE: u64 = 1;
     /// Verifying one block signature *in-contract*.
     ///
     /// Solana's budget makes in-contract signature verification almost
@@ -84,11 +84,6 @@ impl ComputeMeter {
     /// Units left.
     pub fn remaining(&self) -> u64 {
         self.budget.saturating_sub(self.used)
-    }
-
-    /// The configured budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 }
 
@@ -195,7 +190,7 @@ mod tests {
         // Per-profile budgets (§VI-D) exceed Solana's 1.4M; the meter must
         // not clamp them — transaction building enforces profile limits.
         let meter = ComputeMeter::new(120_000_000);
-        assert_eq!(meter.budget(), 120_000_000);
+        assert_eq!(meter.remaining(), 120_000_000);
     }
 
     #[test]

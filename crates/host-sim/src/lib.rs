@@ -76,5 +76,5 @@ pub use transaction::{FeePolicy, Instruction, Transaction, TransactionError};
 pub use types::{
     lamports_to_cents, lamports_to_usd, HostProfile, Pubkey, Slot, TimeMs, LAMPORTS_PER_SIGNATURE,
     LAMPORTS_PER_SOL, MAX_ACCOUNT_SIZE, MAX_COMPUTE_UNITS, MAX_HEAP_BYTES, MAX_TRANSACTION_SIZE,
-    SLOT_MILLIS, USD_PER_SOL,
+    USD_PER_SOL,
 };

@@ -38,7 +38,7 @@ pub const MAX_ACCOUNT_SIZE: usize = 10 * 1024 * 1024;
 
 /// Target slot duration in milliseconds (Solana's ~400–550 ms; we use the
 /// scheduling midpoint and add jitter in the chain clock).
-pub const SLOT_MILLIS: u64 = 400;
+const SLOT_MILLIS: u64 = 400;
 
 /// Converts lamports to US dollars at the paper's 200 $/SOL.
 pub fn lamports_to_usd(lamports: u64) -> f64 {

@@ -814,7 +814,7 @@ impl<S: ProvableStore> IbcHandler<S> {
     /// # Errors
     ///
     /// [`IbcError::Store`] if the channel's counters are missing.
-    pub fn next_sequence_send(
+    fn next_sequence_send(
         &self,
         port_id: &PortId,
         channel_id: &ChannelId,

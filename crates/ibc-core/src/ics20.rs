@@ -134,7 +134,7 @@ pub fn voucher_backing<'a>(
 /// (`transfer/channel-1/transfer/channel-0/base`) when rendering denom
 /// traces or auditing voucher supply; returns [`None`] for denoms that do
 /// not carry at least `port/channel/base` with a non-empty base.
-pub fn pop_voucher_prefix(denom: &str) -> Option<(&str, &str, &str)> {
+fn pop_voucher_prefix(denom: &str) -> Option<(&str, &str, &str)> {
     let mut segments = denom.splitn(3, '/');
     let port = segments.next()?;
     let channel = segments.next()?;

@@ -508,11 +508,6 @@ impl Mesh {
         self.monitor = Some(monitor);
     }
 
-    /// The health monitor, when enabled.
-    pub fn monitor(&self) -> Option<&Monitor> {
-        self.monitor.as_ref()
-    }
-
     /// Every alert the monitor fired so far (empty when monitoring is
     /// disabled).
     pub fn alert_records(&self) -> &[AlertRecord] {
@@ -571,7 +566,7 @@ impl Mesh {
     }
 
     /// Index of the named chain.
-    pub fn node_index(&self, chain: &str) -> Option<usize> {
+    fn node_index(&self, chain: &str) -> Option<usize> {
         self.nodes.iter().position(|n| n.name == chain)
     }
 
@@ -1068,11 +1063,10 @@ impl Mesh {
     /// amount came back zero (broke user) are skipped, mirroring the
     /// testnet harness.
     ///
-    /// When the workload's [`workload::AppMix`] routes a share of
-    /// arrivals through the NFT or interchain-account apps, the per-
-    /// arrival app draw comes from its own `(seed, "mesh.traffic.apps")`
-    /// stream — created only for mixed configs, so pure-transfer runs
-    /// keep their exact pre-apps RNG timeline. NFT arrivals mint a fresh
+    /// Every sent arrival draws its app from the workload's
+    /// [`workload::AppMix`] on its own `(seed, "mesh.traffic.apps")`
+    /// stream, so the draw moves no other stream, and a pure-transfer mix
+    /// classifies every draw as a transfer. NFT arrivals mint a fresh
     /// token on the user's home chain and route it like a transfer; ICA
     /// arrivals register (first contact) or run a one-op batch against
     /// the first direct neighbor toward the drawn destination.
@@ -1104,10 +1098,7 @@ impl Mesh {
         let mut outcome = TrafficOutcome::default();
         let until = self.now_ms + duration_ms;
         let offset = self.now_ms;
-        let mut app_rng = traffic
-            .apps
-            .is_mixed()
-            .then(|| sim_crypto::rng::seed_stream(seed, "mesh.traffic.apps"));
+        let mut app_rng = sim_crypto::rng::seed_stream(seed, "mesh.traffic.apps");
         let mut ica_registered: std::collections::BTreeSet<(u32, usize)> = Default::default();
         let mut nft_seq = 0u64;
         while self.now_ms < until {
@@ -1126,10 +1117,7 @@ impl Mesh {
                 let (from, denom) = (self.nodes[home].name.clone(), self.nodes[home].denom.clone());
                 let to = self.nodes[dest].name.clone();
                 let user = generator.population().name(arrival.user);
-                let app = match app_rng.as_mut() {
-                    Some(rng) => traffic.apps.classify(rng.next_f64()),
-                    None => workload::AppKind::Transfer,
-                };
+                let app = traffic.apps.classify(app_rng.next_f64());
                 let sent = match app {
                     workload::AppKind::Transfer => self
                         .send_along_route(

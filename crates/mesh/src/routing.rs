@@ -68,7 +68,7 @@ impl RoutingTable {
     }
 
     /// Index of the named node.
-    pub fn node_index(&self, name: &str) -> Option<usize> {
+    fn node_index(&self, name: &str) -> Option<usize> {
         self.nodes.iter().position(|n| n == name)
     }
 

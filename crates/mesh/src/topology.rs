@@ -3,8 +3,8 @@
 //! A [`MeshConfig`] is pure data — chain specs, link specs, the hop
 //! timeout and an optional chaos plan — that [`crate::Mesh::build`]
 //! turns into a live multi-chain deployment. Presets cover the shapes
-//! the scaling benchmark sweeps: [`MeshConfig::line`],
-//! [`MeshConfig::ring`] and [`MeshConfig::full`]. The harness's timing
+//! the scaling benchmark sweeps: [`MeshConfig::line`] and
+//! [`MeshConfig::ring`]. The harness's timing
 //! is fixed ([`STEP_MS`], [`RELAY_INTERVAL_MS`]); blocks follow each
 //! chain's own cadence (`CounterpartyChain::tick`).
 
@@ -190,20 +190,6 @@ impl MeshConfig {
         config
     }
 
-    /// A complete graph: every pair directly linked.
-    pub fn full(n: usize, seed: u64) -> Self {
-        let mut config = Self::new(seed);
-        for i in 0..n {
-            config.push_preset_chain(i);
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                config.links.push(LinkSpec::new(chain_name(i), chain_name(j)));
-            }
-        }
-        config
-    }
-
     /// Index of the named chain.
     pub fn chain_index(&self, name: &str) -> Option<usize> {
         self.chains.iter().position(|c| c.name == name)
@@ -254,10 +240,6 @@ mod tests {
         let ring = MeshConfig::ring(4, 1);
         assert_eq!(ring.links.len(), 4);
         ring.validate().unwrap();
-
-        let full = MeshConfig::full(4, 1);
-        assert_eq!(full.links.len(), 6);
-        full.validate().unwrap();
 
         assert_eq!(chain_name(0), "chain-a");
         assert_eq!(chain_denom(2), "tok-c");

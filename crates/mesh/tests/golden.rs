@@ -1,9 +1,10 @@
-//! Cross-commit golden: the run report of a short mixed-app mesh run with
-//! a link outage, hashed. `determinism.rs` and `traffic.rs` compare two
-//! runs of one build and cannot see a refactor that shifts the timeline;
-//! this constant only survives when the relay order, fee charges, error
-//! counts and telemetry are byte-identical to the commit it was captured
-//! at. Re-capture it only for a change that *means* to move the timeline.
+//! Cross-commit goldens: the run reports of a short mixed-app mesh run with
+//! a link outage and of a pure-transfer ring run, hashed. `determinism.rs`
+//! and `traffic.rs` compare two runs of one build and cannot see a refactor
+//! that shifts the timeline; these constants only survive when the relay
+//! order, fee charges, error counts and telemetry are byte-identical to the
+//! commit they were captured at. Re-capture one only for a change that
+//! *means* to move its timeline.
 
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig};
@@ -42,4 +43,27 @@ fn mixed_app_line_with_a_link_outage_matches_the_golden_report() {
 
     let digest = sim_crypto::sha256(net.run_report("golden").to_json().as_bytes());
     assert_eq!(digest.to_hex(), GOLDEN_SHA256, "the sim timeline moved");
+}
+
+/// Captured at 80637ad, the commit before the per-arrival app draw lost its
+/// pure-transfer bypass: a zero `AppMix` classifies every draw as a
+/// transfer, and the draw reads only its own stream, so a pure-transfer
+/// run must not move.
+const PURE_TRANSFER_SHA256: &str =
+    "b6c173a0947dcf7f45b2b68b7c750b5ef1c380288d85adaadd37ffc852c17a34";
+
+#[test]
+fn pure_transfer_ring_matches_the_golden_report() {
+    let seed = 2026;
+    let mut config = MeshConfig::ring(4, seed);
+    config.hop_timeout_ms = 2 * MINUTE_MS;
+    let mut net = Mesh::build(config).unwrap();
+    let traffic = TrafficConfig::steady(40, 20_000);
+    let outcome = net.run_with_traffic(&traffic, seed, 10 * MINUTE_MS, 10 * MINUTE_MS).unwrap();
+
+    assert!(outcome.delivered > 0, "{outcome:?}");
+    assert_eq!(net.supply_drift(), 0);
+
+    let digest = sim_crypto::sha256(net.run_report("golden").to_json().as_bytes());
+    assert_eq!(digest.to_hex(), PURE_TRANSFER_SHA256, "the sim timeline moved");
 }

@@ -205,7 +205,8 @@ impl AlertBook {
     }
 
     /// Number of alerts currently in the firing state.
-    pub fn firing_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn firing_count(&self) -> usize {
         self.states.values().filter(|state| matches!(state, AlertState::Firing { .. })).count()
     }
 }
@@ -246,7 +247,7 @@ mod tests {
         assert_eq!(book.records()[0].resolved_ms, Some(480));
 
         let states: Vec<String> =
-            telemetry.alert_transitions().iter().map(|t| t.state.clone()).collect();
+            telemetry.run_report("t", 0, 0).alerts.iter().map(|t| t.state.clone()).collect();
         assert_eq!(states, ["pending", "firing", "resolved"]);
     }
 
@@ -261,7 +262,7 @@ mod tests {
         assert!(book.records().is_empty());
         // Two pendings journaled, nothing fired.
         let states: Vec<String> =
-            telemetry.alert_transitions().iter().map(|t| t.state.clone()).collect();
+            telemetry.run_report("t", 0, 0).alerts.iter().map(|t| t.state.clone()).collect();
         assert_eq!(states, ["pending", "pending"]);
     }
 
@@ -290,7 +291,8 @@ mod tests {
         book.reconcile(0, &telemetry, "packet.stuck", &findings);
         book.reconcile(0, &telemetry, "client.staleness", &[Finding::new("cp.head", "stale")]);
         let order: Vec<(String, String)> = telemetry
-            .alert_transitions()
+            .run_report("t", 0, 0)
+            .alerts
             .iter()
             .filter(|t| t.state == "firing")
             .map(|t| (t.detector.clone(), t.target.clone()))

@@ -12,7 +12,7 @@
 //! * **MTTD** — mean time-to-detect: the average gap between a fault
 //!   window opening and the first relevant alert firing.
 //!
-//! "Relevant" is a fixed fault-kind → detector map ([`relevant_detectors`]):
+//! "Relevant" is a fixed fault-kind → detector map (`relevant_detectors`):
 //! a validator crash is *supposed* to be caught by the client-staleness
 //! watchdog and the stuck-packet detector; a fee-spike alert during a
 //! validator crash would be a false positive, not a lucky catch.
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::alerts::AlertRecord;
 
 /// Every fault-kind slug ([`chaos::Fault::kind`]), in the fixed coverage-matrix order.
-pub const ALL_FAULT_KINDS: &[&str] = &[
+const ALL_FAULT_KINDS: &[&str] = &[
     "validator-crash",
     "validator-latency",
     "validator-clock-skew",
@@ -42,7 +42,7 @@ pub const ALL_FAULT_KINDS: &[&str] = &[
 /// Which detectors are *expected* to catch a given fault kind. Alerts
 /// from other detectors during that fault's window are neither credited
 /// nor penalised — they are scored under their own kinds.
-pub fn relevant_detectors(kind: &str) -> &'static [&'static str] {
+fn relevant_detectors(kind: &str) -> &'static [&'static str] {
     match kind {
         "validator-crash" => &["client.staleness", "packet.stuck"],
         "validator-latency" => &["latency.regression"],
@@ -120,7 +120,7 @@ pub struct EvalReport {
     pub grace_ms: u64,
     /// Per-window detail.
     pub events: Vec<EventScore>,
-    /// Per-kind aggregates, in [`ALL_FAULT_KINDS`] order.
+    /// Per-kind aggregates, in `ALL_FAULT_KINDS` order.
     pub kinds: Vec<KindScore>,
     /// Every alert the monitor fired, relevant or not.
     pub alerts_total: u64,

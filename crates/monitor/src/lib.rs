@@ -60,5 +60,5 @@ pub use detectors::{
     ConservationDetector, Detector, LatencyRegressionDetector, RateSpikeDetector, RunwayDetector,
     StalenessDetector, StuckPacketDetector,
 };
-pub use eval::{relevant_detectors, score, EvalReport, EventScore, KindScore, ALL_FAULT_KINDS};
+pub use eval::{score, EvalReport, EventScore, KindScore};
 pub use monitor::Monitor;

@@ -148,11 +148,6 @@ impl Monitor {
     pub fn alert_records(&self) -> &[AlertRecord] {
         self.book.records()
     }
-
-    /// Alerts currently in the firing state.
-    pub fn firing_count(&self) -> usize {
-        self.book.firing_count()
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +217,7 @@ mod tests {
         assert_eq!(records.len(), 1, "{records:?}");
         assert_eq!(records[0].target, "histogram.a");
         assert_eq!(records[0].resolved_ms, None, "stays firing across ticks");
-        assert_eq!(monitor.firing_count(), 1);
+        assert_eq!(monitor.book.firing_count(), 1);
     }
 
     #[test]
@@ -249,6 +244,6 @@ mod tests {
         // 2 min → fires at 16 min.
         assert_eq!(records[0].pending_ms, 14 * 60_000);
         assert_eq!(records[0].fired_ms, 16 * 60_000);
-        assert_eq!(monitor.firing_count(), 1);
+        assert_eq!(monitor.book.firing_count(), 1);
     }
 }

@@ -2,8 +2,9 @@
 //! faults must surface as alerts with the documented lifecycle, and the
 //! whole alert stream must be deterministic.
 
+use chaos::{ChaosPlan, Fault};
 use monitor::{score, MonitorConfig};
-use testnet::{ChaosPlan, Fault, Testnet, TestnetConfig};
+use testnet::{Testnet, TestnetConfig};
 
 const MINUTE_MS: u64 = 60 * 1_000;
 
@@ -103,7 +104,7 @@ fn healthy_run_fires_no_alerts() {
     let mut net = Testnet::build(config);
     net.run_for(20 * MINUTE_MS);
     assert!(net.alert_records().is_empty(), "alerts: {:?}", net.alert_records());
-    assert!(net.telemetry().alert_transitions().is_empty());
+    assert!(net.run_report("t").alerts.is_empty());
 }
 
 #[test]
@@ -112,8 +113,8 @@ fn same_seed_same_plan_is_byte_identical() {
     let b = run_outage(42);
 
     // The journaled alert transitions agree exactly…
-    assert_eq!(a.telemetry().alert_transitions(), b.telemetry().alert_transitions());
-    assert!(!a.telemetry().alert_transitions().is_empty(), "scenario must alert");
+    assert_eq!(a.run_report("t").alerts, b.run_report("t").alerts);
+    assert!(!a.run_report("t").alerts.is_empty(), "scenario must alert");
     // …as do the fired records and the serialized evaluation report (the
     // payload of BENCH_monitor_eval.json).
     assert_eq!(a.alert_records(), b.alert_records());

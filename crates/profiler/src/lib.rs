@@ -139,11 +139,6 @@ impl Profiler {
         Self { inner: None }
     }
 
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Open a named scope; wall time until the guard drops is
     /// attributed to `name` nested under the currently-open scopes.
     #[inline]
@@ -262,7 +257,7 @@ impl ProfileReport {
 
     /// The `n` phases with the most self time, descending — where the
     /// wall clock actually goes, with pass-through parents excluded.
-    pub fn hot_paths(&self, n: usize) -> Vec<&ProfileEntry> {
+    fn hot_paths(&self, n: usize) -> Vec<&ProfileEntry> {
         let mut ranked: Vec<&ProfileEntry> = self.entries.iter().collect();
         ranked
             .sort_by(|a, b| b.self_ms.partial_cmp(&a.self_ms).unwrap_or(std::cmp::Ordering::Equal));
@@ -349,7 +344,6 @@ mod tests {
     #[test]
     fn disabled_profiler_is_a_no_op() {
         let profiler = Profiler::disabled();
-        assert!(!profiler.is_enabled());
         {
             let _a = profiler.scope("a");
             let _b = profiler.scope("b");

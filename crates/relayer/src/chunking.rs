@@ -28,7 +28,7 @@ pub fn chunk_capacity() -> usize {
 }
 
 /// [`chunk_capacity`] under an arbitrary host profile.
-pub fn chunk_capacity_for(profile: &HostProfile) -> usize {
+fn chunk_capacity_for(profile: &HostProfile) -> usize {
     max_chunk_payload_for(profile, 1) - GuestInstruction::CHUNK_FRAME_OVERHEAD
 }
 
@@ -86,13 +86,7 @@ fn inline_len(op_len: usize) -> usize {
     1 + r#"{"Inline":{"op":"#.len() + op_len + "}}".len()
 }
 
-/// The number of transactions [`plan_op`] will produce, without building
-/// them (for planning and tests).
-pub fn transaction_count(op: &GuestOp, num_sig_checks: usize) -> usize {
-    plan_op(op, 0, num_sig_checks).len()
-}
-
-/// [`transaction_count`] under an arbitrary host profile.
+/// The number of transactions [`plan_op_for`] will produce under `profile`.
 pub fn transaction_count_for(profile: &HostProfile, op: &GuestOp, num_sig_checks: usize) -> usize {
     plan_op_for(profile, op, 0, num_sig_checks).len()
 }

@@ -79,11 +79,6 @@ impl LinkFee {
     /// A free link (both charges zero).
     pub const FREE: Self = Self { per_message: 0, per_signature: 0 };
 
-    /// A flat per-message schedule with free client updates.
-    pub const fn per_message(fee: u64) -> Self {
-        Self { per_message: fee, per_signature: 0 }
-    }
-
     /// Cost of delivering one packet message.
     pub const fn message_cost(&self) -> u64 {
         self.per_message
@@ -122,7 +117,6 @@ mod tests {
     #[test]
     fn link_fee_schedules() {
         assert_eq!(LinkFee::FREE.message_cost(), 0);
-        assert_eq!(LinkFee::per_message(7).message_cost(), 7);
         let fee = LinkFee { per_message: 3, per_signature: 2 };
         assert_eq!(fee.update_cost(10), 20);
         assert_eq!(LinkFee::default(), LinkFee::FREE);

@@ -24,7 +24,7 @@
 //! ```
 //! use guest_chain::GuestOp;
 //! use ibc_core::ClientId;
-//! use relayer::chunking::{plan_op, transaction_count};
+//! use relayer::chunking::plan_op;
 //!
 //! let update = GuestOp::UpdateClient {
 //!     client: ClientId::new(0),
@@ -32,9 +32,8 @@
 //!     num_signatures: 105,
 //! };
 //! // ≈ 10 chunk txs + 27 signature-verification txs + 1 execution.
-//! assert!(transaction_count(&update, 105) > 30);
 //! let plan = plan_op(&update, 1, 105);
-//! assert_eq!(plan.len(), transaction_count(&update, 105));
+//! assert!(plan.len() > 30);
 //! ```
 
 #![forbid(unsafe_code)]

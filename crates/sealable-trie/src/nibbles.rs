@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let path = Nibbles::from_key(&[0xAB, 0x01]);
 /// assert_eq!(path.as_slice(), &[0xA, 0xB, 0x0, 0x1]);
-/// assert_eq!(path.to_key_bytes(), Some(vec![0xAB, 0x01]));
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Nibbles(Vec<u8>);
@@ -74,14 +73,6 @@ impl Nibbles {
     /// Whether the path is empty.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// Converts back to bytes if the nibble count is even.
-    pub fn to_key_bytes(&self) -> Option<Vec<u8>> {
-        if !self.0.len().is_multiple_of(2) {
-            return None;
-        }
-        Some(self.0.chunks_exact(2).map(|pair| (pair[0] << 4) | pair[1]).collect())
     }
 
     /// Length of the longest common prefix with `other`.
@@ -167,17 +158,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip() {
+    fn from_key_splits_each_byte_high_nibble_first() {
         let key = [0x12u8, 0x34, 0xFF, 0x00];
         let nibbles = Nibbles::from_key(&key);
         assert_eq!(nibbles.len(), 8);
-        assert_eq!(nibbles.to_key_bytes().unwrap(), key);
-    }
-
-    #[test]
-    fn odd_length_has_no_key_bytes() {
-        let nibbles = Nibbles::from_nibbles(vec![1, 2, 3]);
-        assert_eq!(nibbles.to_key_bytes(), None);
+        assert_eq!(nibbles.as_slice(), [1, 2, 3, 4, 0xF, 0xF, 0, 0]);
     }
 
     #[test]

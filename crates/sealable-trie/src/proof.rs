@@ -108,7 +108,7 @@ impl VerifyOutcome {
     }
 
     /// `true` for [`VerifyOutcome::NonMember`].
-    pub fn is_non_member(&self) -> bool {
+    fn is_non_member(&self) -> bool {
         matches!(self, Self::NonMember)
     }
 }
@@ -128,7 +128,7 @@ impl VerifyOutcome {
 /// assert!(proof.verify_member(&root, b"present", b"data"));
 ///
 /// let absent = trie.prove(b"absent")?;
-/// assert!(absent.verify(&root, b"absent").is_non_member());
+/// assert!(absent.verify_non_member(&root, b"absent"));
 /// # Ok::<(), sealable_trie::TrieError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

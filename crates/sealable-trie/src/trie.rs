@@ -28,36 +28,6 @@ pub(crate) fn encode_key(key: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes the internal encoding back to the user key.
-fn decode_key(encoded: &[u8]) -> Option<Vec<u8>> {
-    let mut len: u64 = 0;
-    let mut shift = 0;
-    let mut idx = 0;
-    loop {
-        let byte = *encoded.get(idx)?;
-        idx += 1;
-        len |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    let rest = &encoded[idx..];
-    (rest.len() as u64 == len).then(|| rest.to_vec())
-}
-
-/// The state of a key in the trie.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntryState {
-    /// The key has never been inserted (or has been removed).
-    Absent,
-    /// The key holds a readable value.
-    Live,
-    /// The key was inserted and then sealed; it can never be read or
-    /// written again.
-    Sealed,
-}
-
 /// A sealable Merkle-Patricia trie over a pluggable [`NodeStore`].
 ///
 /// See the crate-level documentation for semantics and an example. With
@@ -127,7 +97,7 @@ impl<S: NodeStore + serde::Serialize> serde::Serialize for Trie<S> {
 
 impl<S: NodeStore> Trie<S> {
     /// Creates an empty trie backed by `store`.
-    pub fn with_store(store: S) -> Self {
+    fn with_store(store: S) -> Self {
         Self { store, root: None, live_entries: 0, sealed_entries: 0 }
     }
 
@@ -385,16 +355,6 @@ impl<S: NodeStore> Trie<S> {
                     }
                 }
             }
-        }
-    }
-
-    /// Reports whether `key` is absent, live or sealed without copying the
-    /// value bytes out.
-    pub fn state(&self, key: &[u8]) -> EntryState {
-        match self.lookup(key) {
-            Ok(Some(_)) => EntryState::Live,
-            Ok(None) => EntryState::Absent,
-            Err(_) => EntryState::Sealed,
         }
     }
 
@@ -708,51 +668,6 @@ impl<S: NodeStore> Trie<S> {
         }
         Ok(visited)
     }
-
-    /// Returns all live `(key, value)` entries in unspecified order.
-    ///
-    /// Sealed entries and subtrees are skipped.
-    pub fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::with_capacity(self.live_entries);
-        if let Some(root) = &self.root {
-            self.collect(root, Vec::new(), &mut out);
-        }
-        out
-    }
-
-    fn collect(&self, current: &ChildRef, prefix: Vec<u8>, out: &mut Vec<(Vec<u8>, Vec<u8>)>) {
-        let Some(node) = self.store.get(current.ptr) else {
-            return; // Sealed subtree.
-        };
-        match node {
-            Node::Leaf { path, value } => {
-                if let Some(data) = &value.data {
-                    let mut full = prefix;
-                    full.extend_from_slice(path.as_slice());
-                    let nibbles = Nibbles::from_nibbles(full);
-                    if let Some(encoded) = nibbles.to_key_bytes() {
-                        if let Some(key) = decode_key(&encoded) {
-                            out.push((key, data.clone()));
-                        }
-                    }
-                }
-            }
-            Node::Branch { children } => {
-                for (slot, child) in children.iter().enumerate() {
-                    if let Some(child) = child {
-                        let mut next = prefix.clone();
-                        next.push(slot as u8);
-                        self.collect(child, next, out);
-                    }
-                }
-            }
-            Node::Extension { path, child } => {
-                let mut next = prefix;
-                next.extend_from_slice(path.as_slice());
-                self.collect(child, next, out);
-            }
-        }
-    }
 }
 
 /// The proof walk from `root` over any `Ptr → node` lookup, so proofs of
@@ -1013,18 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_lists_live_only() {
-        let mut trie = Trie::new();
-        trie.insert(b"a", b"1").unwrap();
-        trie.insert(b"b", b"2").unwrap();
-        trie.insert(b"c", b"3").unwrap();
-        trie.seal(b"b").unwrap();
-        let mut entries = trie.entries();
-        entries.sort();
-        assert_eq!(entries, vec![(b"a".to_vec(), b"1".to_vec()), (b"c".to_vec(), b"3".to_vec())]);
-    }
-
-    #[test]
     fn empty_key_and_value_rejected() {
         let mut trie = Trie::new();
         assert_eq!(trie.insert(b"", b"v"), Err(TrieError::EmptyKey));
@@ -1082,14 +985,14 @@ mod tests {
     }
 
     #[test]
-    fn state_reports_all_three_cases() {
+    fn get_reports_all_three_cases() {
         let mut trie = Trie::new();
         trie.insert(b"live", b"v").unwrap();
         trie.insert(b"gone", b"v").unwrap();
         trie.seal(b"gone").unwrap();
-        assert_eq!(trie.state(b"live"), EntryState::Live);
-        assert_eq!(trie.state(b"gone"), EntryState::Sealed);
-        assert_eq!(trie.state(b"nope"), EntryState::Absent);
+        assert_eq!(trie.get(b"live"), Ok(Some(b"v".to_vec())));
+        assert_eq!(trie.get(b"gone"), Err(TrieError::Sealed));
+        assert_eq!(trie.get(b"nope"), Ok(None));
     }
 
     #[test]

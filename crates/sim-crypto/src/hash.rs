@@ -6,7 +6,7 @@ use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Length in bytes of a [`struct@Hash`].
-pub const HASH_LEN: usize = 32;
+const HASH_LEN: usize = 32;
 
 /// A 32-byte digest (SHA-256 output).
 ///

@@ -46,5 +46,5 @@ pub mod rng;
 pub mod schnorr;
 mod sha2;
 
-pub use hash::{Hash, ParseHashError, HASH_LEN};
+pub use hash::{Hash, ParseHashError};
 pub use sha2::{sha256, Sha256};

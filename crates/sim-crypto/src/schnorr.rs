@@ -34,9 +34,9 @@ pub const Q: u64 = 1_152_921_504_606_845_789;
 pub const G: u64 = 4;
 
 /// Serialized public-key length (matches Ed25519).
-pub const PUBLIC_KEY_LEN: usize = 32;
+const PUBLIC_KEY_LEN: usize = 32;
 /// Serialized signature length (matches Ed25519).
-pub const SIGNATURE_LEN: usize = 64;
+const SIGNATURE_LEN: usize = 64;
 
 /// Reduces `x` modulo the pseudo-Mersenne prime `m = 2^bits − c` without
 /// dividing: `2^bits ≡ c (mod m)`, so the bits above `bits` fold down as
@@ -215,16 +215,11 @@ impl PublicKey {
     ///
     /// Returns [`KeyError::NotInGroup`] if `point` is not an element of the
     /// order-`q` subgroup (this includes 0, 1 and anything ≥ `p`).
-    pub fn from_point(point: u64) -> Result<Self, KeyError> {
+    fn from_point(point: u64) -> Result<Self, KeyError> {
         if point == 0 || point == 1 || point >= P || pow_mod(point, Q) != 1 {
             return Err(KeyError::NotInGroup);
         }
         Ok(Self { point })
-    }
-
-    /// The raw group element.
-    pub fn point(&self) -> u64 {
-        self.point
     }
 
     /// Verifies `signature` over `message`.
@@ -333,15 +328,6 @@ impl Keypair {
     pub fn sign(&self, message: &[u8]) -> Signature {
         self.private.sign_as(&self.public_bytes, message)
     }
-}
-
-/// Verifies a batch of `(public key, message, signature)` triples.
-///
-/// Returns `true` only if *every* triple verifies. (With toy parameters a
-/// real batched equation buys nothing, so this is a checked loop with the
-/// same API shape as batched Ed25519 verification.)
-pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> bool {
-    items.iter().all(|(pk, msg, sig)| pk.verify(msg, sig))
 }
 
 /// Errors decoding keys or signatures.
@@ -453,21 +439,10 @@ mod tests {
 
     #[test]
     fn distinct_seeds_distinct_keys() {
-        let keys: Vec<u64> = (0..100).map(|s| Keypair::from_seed(s).public().point()).collect();
+        let keys: Vec<_> = (0..100).map(|s| Keypair::from_seed(s).public().to_bytes()).collect();
         let mut dedup = keys.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), keys.len());
-    }
-
-    #[test]
-    fn batch_verify_all_or_nothing() {
-        let kps: Vec<Keypair> = (0..4).map(Keypair::from_seed).collect();
-        let msgs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 16]).collect();
-        let mut items: Vec<(PublicKey, &[u8], Signature)> =
-            kps.iter().zip(&msgs).map(|(kp, m)| (kp.public(), m.as_slice(), kp.sign(m))).collect();
-        assert!(batch_verify(&items));
-        items[2].2 = kps[2].sign(b"other");
-        assert!(!batch_verify(&items));
     }
 }

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{stages, CausalGraph};
+use crate::metrics::nearest_rank;
 use crate::report::{PacketTraceReport, RunReport};
 
 /// Exact `q`-quantile of a sorted `u64` sample (nearest-rank method).
@@ -20,7 +21,7 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
+    let rank = nearest_rank(q, sorted.len() as u64) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }
 

@@ -337,7 +337,7 @@ impl CausalGraph {
     /// The critical path: the stage segments whose durations partition
     /// `[start_ms, end_ms]` — they always sum to exactly
     /// [`CausalGraph::end_to_end_ms`].
-    pub fn critical_path(&self) -> Vec<&CausalEdge> {
+    fn critical_path(&self) -> Vec<&CausalEdge> {
         self.edges.iter().filter(|e| e.critical).collect()
     }
 

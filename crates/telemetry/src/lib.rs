@@ -68,15 +68,14 @@ pub use handle::{CounterHandle, GaugeHandle, HistogramHandle};
 pub use ids::{SpanId, TraceId};
 pub use journal::{FieldValue, Fields, JournalRecord, RecordKind};
 pub use metrics::{
-    validate_bounds, GaugeSeries, Histogram, HistogramBoundsError, MetricsRegistry,
-    MetricsSnapshot, CARDINALITY_LIMITED, DEFAULT_BUCKETS, GAUGE_SERIES_CAP,
-    METRIC_CARDINALITY_CAP,
+    GaugeSeries, Histogram, HistogramBoundsError, MetricsRegistry, MetricsSnapshot,
+    CARDINALITY_LIMITED, DEFAULT_BUCKETS,
 };
 pub use postmortem::{PostmortemBundle, PostmortemTrigger, TriggerKind, POSTMORTEM_TAIL};
 pub use report::{
     render_packet_trace_with_alerts, render_route_trace_with_alerts, AlertTransition,
-    AlertTransitionReport, DeliveryAccounting, HealthRow, PacketTraceReport, RouteTraceReport,
-    RunMeta, RunReport, SpanReport, TraceEvent, ViolationReport,
+    AlertTransitionReport, DeliveryAccounting, PacketTraceReport, RouteTraceReport, RunMeta,
+    RunReport, SpanReport, TraceEvent, ViolationReport,
 };
 
 /// Canonical event and span names, shared by every instrumented crate so
@@ -495,11 +494,6 @@ impl Telemetry {
         });
     }
 
-    /// Every alert transition recorded so far, in emission order.
-    pub fn alert_transitions(&self) -> Vec<AlertTransitionReport> {
-        self.inner.as_ref().map(|inner| inner.borrow().alerts.clone()).unwrap_or_default()
-    }
-
     /// Number of journal records so far.
     pub fn journal_len(&self) -> u64 {
         self.inner.as_ref().map(|inner| inner.borrow().journal.len() as u64).unwrap_or(0)
@@ -518,11 +512,6 @@ impl Telemetry {
             out.push('\n');
         }
         out
-    }
-
-    /// Snapshot of the metrics registry.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.as_ref().map(|inner| inner.borrow().metrics.snapshot()).unwrap_or_default()
     }
 
     /// Builds the aggregated [`RunReport`] for this run (an empty one for
@@ -641,7 +630,7 @@ mod tests {
         telemetry.observe("x", 1.0);
         telemetry.observe("x", f64::NAN);
         telemetry.observe("x", 3.0);
-        let snapshot = telemetry.metrics_snapshot();
+        let snapshot = telemetry.run_report("t", 0, 0).metrics;
         let histogram = &snapshot.histograms["x"];
         assert_eq!(histogram.count, 2);
         assert_eq!(histogram.nan_count, 1);
@@ -674,7 +663,6 @@ mod tests {
         assert!(route.delivered);
         assert!(!route.refunded);
         assert_eq!((route.first_ms, route.last_ms), (10, 35));
-        assert_eq!(report.slowest_route().unwrap().label, "route-0:a->c");
         // The rendering interleaves both legs on one timeline.
         let rendered = render_route_trace_with_alerts(route, &[]);
         assert!(rendered.contains("2 legs"));
@@ -705,7 +693,7 @@ mod tests {
         telemetry.span_start(8_500, "ack", &[packet]);
 
         let report = telemetry.run_report("t", 0, 10_000);
-        let alerts = telemetry.alert_transitions();
+        let alerts = report.alerts.clone();
         assert_eq!(
             render_packet_trace_with_alerts(&report.packets[0], &alerts),
             "packet chain-a/channel-0#7 (trace 1) — 1000 → 9000 ms (in flight):\n\
@@ -817,7 +805,7 @@ mod tests {
         telemetry.gauge_set("plain", 1.0);
         let plain = telemetry.gauge_handle("plain");
         assert_eq!((plain.get(), plain.last_change()), (Some(1.0), None));
-        let snapshot = telemetry.metrics_snapshot();
+        let snapshot = telemetry.run_report("t", 0, 0).metrics;
         assert_eq!(snapshot.gauges["g"], 12.0);
         assert_eq!(snapshot.gauges["plain"], 1.0);
     }

@@ -17,6 +17,13 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+/// The 1-based rank of the nearest-rank `q`-quantile in a sample of `n`: ⌈q·n⌉ with `q` clamped to
+/// [0, 1], at least 1. The crate's one quantile rule: [`Histogram::quantile`] and the latency
+/// attribution both read their rank here.
+pub(crate) fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1)
+}
+
 /// A fixed-bucket histogram: counts per `≤ bound` bucket plus an
 /// overflow bucket, running sum and extrema.
 ///
@@ -93,7 +100,7 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(q, self.count);
         let mut seen = 0u64;
         for (index, count) in self.counts.iter().enumerate() {
             seen += count;
@@ -176,7 +183,7 @@ impl std::error::Error for HistogramBoundsError {}
 /// Validates that `bounds` form a non-empty, finite, strictly ascending
 /// bucket layout (the precondition [`Histogram::observe`]'s bucket search
 /// silently assumes).
-pub fn validate_bounds(bounds: &[f64]) -> Result<(), HistogramBoundsError> {
+fn validate_bounds(bounds: &[f64]) -> Result<(), HistogramBoundsError> {
     if bounds.is_empty() {
         return Err(HistogramBoundsError::Empty);
     }
@@ -198,10 +205,10 @@ pub fn validate_bounds(bounds: &[f64]) -> Result<(), HistogramBoundsError> {
 /// a label built from packet sequence numbers — would otherwise grow the
 /// registry linearly with traffic. Writes to names beyond the cap are
 /// dropped and tallied under [`CARDINALITY_LIMITED`].
-pub const METRIC_CARDINALITY_CAP: usize = 1_024;
+const METRIC_CARDINALITY_CAP: usize = 1_024;
 
 /// Counter incremented when the registry refuses a new metric name
-/// because [`METRIC_CARDINALITY_CAP`] was reached. Always admitted
+/// because `METRIC_CARDINALITY_CAP` was reached. Always admitted
 /// itself, so the drop is visible in every snapshot.
 pub const CARDINALITY_LIMITED: &str = "telemetry.errors.cardinality_limited";
 
@@ -210,13 +217,13 @@ pub const CARDINALITY_LIMITED: &str = "telemetry.errors.cardinality_limited";
 /// this bounded list says *what* tripped it — enough names to identify
 /// the exploding label without the list itself becoming a cardinality
 /// leak.
-pub const CARDINALITY_REJECTED_NAMES_CAP: usize = 8;
+const CARDINALITY_REJECTED_NAMES_CAP: usize = 8;
 
 /// Retained change points per gauge series. Long runs write gauges every
 /// slot; the series keeps only value *changes* and compacts its oldest
 /// half when the cap is hit, so a 30-day run stays bounded while the
 /// recent window — what detectors actually query — stays exact.
-pub const GAUGE_SERIES_CAP: usize = 4_096;
+const GAUGE_SERIES_CAP: usize = 4_096;
 
 /// The timestamped change points of one gauge, as a right-continuous step
 /// function of simulated time.
@@ -333,7 +340,7 @@ pub const DEFAULT_BUCKETS: [f64; 12] = [
 
 impl MetricsRegistry {
     /// Whether a write to the *new* name `name` may create its entry: it
-    /// may while the registry is under [`METRIC_CARDINALITY_CAP`]. A
+    /// may while the registry is under `METRIC_CARDINALITY_CAP`. A
     /// refused name bumps [`CARDINALITY_LIMITED`] (which is always
     /// admitted, so the guard can never hide itself). Writers call this
     /// only after their look-up missed — a write to an existing name
@@ -356,7 +363,7 @@ impl MetricsRegistry {
     }
 
     /// The first distinct metric names the cardinality guard refused
-    /// (at most [`CARDINALITY_REJECTED_NAMES_CAP`]), in refusal order.
+    /// (at most `CARDINALITY_REJECTED_NAMES_CAP`), in refusal order.
     pub fn cardinality_rejected(&self) -> &[String] {
         &self.rejected_names
     }
@@ -878,7 +885,11 @@ mod tests {
         let sink = crate::Telemetry::recording();
         let handle = sink.counter_handle("c");
         handle.add(0);
-        assert_eq!(sink.metrics_snapshot().counters.get("c"), Some(&0), "first add(0) creates");
+        assert_eq!(
+            sink.run_report("t", 0, 0).metrics.counters.get("c"),
+            Some(&0),
+            "first add(0) creates"
+        );
         // A later add(0) does not even borrow the sink: with the sink held
         // borrowed, a write would panic.
         let held = sink.inner.as_ref().unwrap().borrow_mut();
@@ -903,7 +914,7 @@ mod tests {
         let histogram = sink.histogram_handle("h");
         assert_eq!((histogram.tallies(), histogram.snapshot().map(|h| h.count)), (None, None));
         assert_eq!(
-            serde_json::to_string(&sink.metrics_snapshot()).unwrap(),
+            serde_json::to_string(&sink.run_report("t", 0, 0).metrics).unwrap(),
             serde_json::to_string(&MetricsSnapshot::default()).unwrap()
         );
     }

@@ -370,16 +370,11 @@ impl RunReport {
         self.routes.iter().find(|r| r.label == label)
     }
 
-    /// The route trace with the longest end-to-end latency, if any.
-    pub fn slowest_route(&self) -> Option<&RouteTraceReport> {
-        self.routes.iter().max_by_key(|r| (r.latency_ms(), r.trace))
-    }
-
     /// Telemetry's own error counters (`telemetry.errors.*`): silent
     /// registration or capacity problems inside the observability layer
     /// itself — invalid histogram bounds, cardinality-limited metric
     /// names. Deterministic order (by counter name).
-    pub fn telemetry_errors(&self) -> Vec<(String, u64)> {
+    fn telemetry_errors(&self) -> Vec<(String, u64)> {
         self.metrics
             .counters
             .iter()
@@ -392,7 +387,7 @@ impl RunReport {
     /// alert fired, how often it resolved, and whether it was still
     /// firing when the run ended. Deterministic order (by detector, then
     /// target).
-    pub fn health_scorecard(&self) -> Vec<HealthRow> {
+    pub(crate) fn health_scorecard(&self) -> Vec<HealthRow> {
         let mut rows: std::collections::BTreeMap<(String, String), HealthRow> =
             std::collections::BTreeMap::new();
         for alert in &self.alerts {
@@ -562,9 +557,9 @@ impl RunReport {
     }
 }
 
-/// One row of [`RunReport::health_scorecard`].
+/// One row of `RunReport::health_scorecard`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthRow {
+pub(crate) struct HealthRow {
     /// Detector name.
     pub detector: String,
     /// Watched target.

@@ -25,9 +25,13 @@ pub struct ValidatorProfile {
     /// Median of its signing latency, in milliseconds (log-normal, with
     /// one shape σ = 0.45 shared by every validator).
     pub latency_median_ms: u64,
-    /// Probability of signing a block that is *already finalised* (needed
-    /// signatures are always submitted; this controls the Table-I spread of
-    /// per-validator signature counts).
+    /// Probability of running the signer for a given block at all: with
+    /// probability 1 − diligence the validator skips the block entirely,
+    /// whether or not quorum needs its signature. A block still unfinalised
+    /// after [`TestnetConfig::safety_net_ms`] is signed by every active
+    /// validator outside a crash window, so a shortfall delays finality
+    /// instead of stalling it. This controls the Table-I spread of
+    /// per-validator signature counts.
     pub diligence: f64,
 }
 
@@ -47,7 +51,7 @@ impl ValidatorProfile {
 /// A priority-fee policy costing `cents` per Sign transaction in total
 /// (2 base signatures = 0.2 ¢, remainder in priority fees over a 200 k CU
 /// budget), reproducing Table I's cost column.
-pub fn sign_fee_for_cents(cents: f64) -> FeePolicy {
+fn sign_fee_for_cents(cents: f64) -> FeePolicy {
     let total_lamports =
         (cents / 100.0 / host_sim::USD_PER_SOL * host_sim::LAMPORTS_PER_SOL as f64) as u64;
     let base = 2 * host_sim::LAMPORTS_PER_SIGNATURE;

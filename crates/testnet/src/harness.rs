@@ -428,21 +428,10 @@ impl Testnet {
         &self.telemetry
     }
 
-    /// The run's wall-clock self-profiler (disabled unless the config
-    /// sets `profile`).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
     /// The hierarchical wall-clock profile collected so far (empty when
     /// profiling is disabled).
     pub fn profile_report(&self) -> ProfileReport {
         self.profiler.report()
-    }
-
-    /// The online health monitor, when enabled.
-    pub fn monitor(&self) -> Option<&Monitor> {
-        self.monitor.as_ref()
     }
 
     /// Every alert the monitor fired so far (empty when monitoring is

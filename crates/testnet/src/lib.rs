@@ -31,22 +31,10 @@ pub mod experiments;
 mod harness;
 pub mod metrics;
 
-pub use chaos::{
-    ChaosPlan, Fault, FaultEvent, InvariantConfig, InvariantKind, InvariantSuite,
-    InvariantViolation,
-};
 pub use config::{
-    paper_outage_plan, paper_validators, sign_fee_for_cents, RogueConfig, TelemetryMode,
-    TestnetConfig, ValidatorProfile, Workload, DAY_MS, HOUR_MS,
+    paper_outage_plan, paper_validators, RogueConfig, TelemetryMode, TestnetConfig,
+    ValidatorProfile, Workload, DAY_MS, HOUR_MS,
 };
 pub use experiments::{evaluate, report_of, EvaluationReport, StorageReport, ValidatorRow};
 pub use harness::{Testnet, CP_DENOM, CP_USER, GUEST_DENOM, GUEST_USER};
 pub use metrics::{cdf, correlation, fraction_below, quantile, SendRecord, SignRecord, Summary};
-pub use monitor::{
-    relevant_detectors, score, AlertRecord, EvalReport, EventScore, KindScore, Monitor,
-    MonitorConfig, ALL_FAULT_KINDS,
-};
-pub use telemetry::{
-    Artifact, FieldValue, MetricsSnapshot, OutputOptions, PacketTraceReport, RunReport, Section,
-    Telemetry, TraceId,
-};

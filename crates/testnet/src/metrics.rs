@@ -66,7 +66,7 @@ fn sorted_finite(values: &[f64]) -> Vec<f64> {
 }
 
 /// The `q`-quantile (0.0–1.0) of pre-sorted values, linearly interpolated.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -81,7 +81,11 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// The `q`-quantile of unsorted values. NaN samples are discarded.
+/// The `q`-quantile of unsorted values, linearly interpolated between the
+/// two nearest ranks. NaN samples are discarded.
+///
+/// This stays interpolating, unlike telemetry's nearest-rank rule: Table I's
+/// quartiles and the Fig. 2 CDF rows are pinned on it.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     quantile_sorted(&sorted_finite(values), q)
 }

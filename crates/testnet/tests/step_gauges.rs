@@ -3,7 +3,8 @@
 //! direct read of its source, through halts of the relayer and of the
 //! counterparty and a forced congestion storm.
 
-use testnet::{ChaosPlan, Fault, Testnet, TestnetConfig, HOUR_MS};
+use chaos::{ChaosPlan, Fault};
+use testnet::{Testnet, TestnetConfig, HOUR_MS};
 use workload::TrafficConfig;
 
 const MINUTE_MS: u64 = 60_000;

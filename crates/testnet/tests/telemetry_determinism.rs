@@ -1,7 +1,7 @@
 //! Telemetry determinism regression: observability must be a pure function
 //! of the configuration seed, exactly like the simulation it watches. Two
 //! same-seed runs have to produce a byte-identical JSONL journal and a
-//! byte-identical serialised [`testnet::RunReport`] — any wall-clock
+//! byte-identical serialised [`telemetry::RunReport`] — any wall-clock
 //! timestamp, map-iteration leak, or nondeterministic id allocation in the
 //! telemetry layer shows up here as a diff.
 

@@ -53,8 +53,15 @@ fn different_seeds_diverge_in_traffic_mode() {
 }
 
 #[test]
-fn every_bench_shape_delivers_accounts_and_replays() {
-    for (name, traffic) in TrafficConfig::bench_shapes(100, 120_000) {
+fn every_traffic_shape_delivers_accounts_and_replays() {
+    let shapes = [
+        TrafficConfig::steady,
+        TrafficConfig::diurnal,
+        TrafficConfig::flash_crowd,
+        TrafficConfig::airdrop_storm,
+    ];
+    for traffic in shapes.map(|shape| shape(100, 120_000)) {
+        let name = traffic.shape_label();
         let run = || {
             let mut config = TestnetConfig::small(2026);
             config.traffic = Some(traffic.clone());

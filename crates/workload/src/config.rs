@@ -78,13 +78,6 @@ impl AppMix {
         Self { nft_fraction: 1.0 / 3.0, ica_fraction: 1.0 / 3.0 }
     }
 
-    /// Whether any arrival leaves the plain-transfer path. Harnesses use
-    /// this to skip the per-arrival app draw entirely for pure-transfer
-    /// configs, keeping their RNG timelines untouched.
-    pub fn is_mixed(&self) -> bool {
-        self.nft_fraction > 0.0 || self.ica_fraction > 0.0
-    }
-
     /// Classifies one uniform draw in `[0, 1)` into an application.
     pub fn classify(&self, draw: f64) -> AppKind {
         if draw < self.nft_fraction {
@@ -203,17 +196,6 @@ impl TrafficConfig {
     pub fn shape_label(&self) -> &'static str {
         self.curve.label()
     }
-
-    /// The four canonical shapes the throughput bench sweeps, with their
-    /// short labels.
-    pub fn bench_shapes(users: u32, mean_gap_ms: u64) -> Vec<(&'static str, Self)> {
-        vec![
-            ("steady", Self::steady(users, mean_gap_ms)),
-            ("diurnal", Self::diurnal(users, mean_gap_ms)),
-            ("flash_crowd", Self::flash_crowd(users, mean_gap_ms)),
-            ("airdrop_storm", Self::airdrop_storm(users, mean_gap_ms)),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -226,13 +208,5 @@ mod tests {
         assert_eq!(config.curve, ArrivalCurve::Steady);
         assert!(config.inbound_fraction > 0.0 && config.inbound_fraction < 1.0);
         assert!(config.amount.min <= config.amount.max);
-    }
-
-    #[test]
-    fn bench_shapes_cover_all_curves() {
-        let shapes = TrafficConfig::bench_shapes(100, 1_000);
-        assert_eq!(shapes.len(), 4);
-        let labels: Vec<_> = shapes.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["steady", "diurnal", "flash_crowd", "airdrop_storm"]);
     }
 }

@@ -55,13 +55,6 @@ impl UserPopulation {
         *balance -= debited;
         debited
     }
-
-    /// Credits `amount` to user `id` (delivery of an inbound transfer,
-    /// or a refund).
-    pub fn credit(&mut self, id: u32, amount: u128) {
-        let balance = &mut self.balances[id as usize];
-        *balance = balance.saturating_add(amount);
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +79,7 @@ mod tests {
         assert_eq!(pop.debit_up_to(0, 60), 60);
         assert_eq!(pop.debit_up_to(0, 60), 40, "only the remainder is spendable");
         assert_eq!(pop.debit_up_to(0, 60), 0, "broke users send nothing");
-        pop.credit(0, 25);
-        assert_eq!(pop.balance(0), 25);
+        assert_eq!(pop.balance(0), 0);
         assert_eq!(pop.balance(1), 100, "other users untouched");
     }
 }

@@ -22,7 +22,15 @@ fn schedule_bytes(config: TrafficConfig, seed: u64, horizon_ms: u64) -> String {
 }
 
 fn shapes() -> Vec<(&'static str, TrafficConfig)> {
-    TrafficConfig::bench_shapes(5_000, 3_000)
+    [
+        TrafficConfig::steady,
+        TrafficConfig::diurnal,
+        TrafficConfig::flash_crowd,
+        TrafficConfig::airdrop_storm,
+    ]
+    .map(|shape| shape(5_000, 3_000))
+    .map(|config| (config.shape_label(), config))
+    .to_vec()
 }
 
 #[test]

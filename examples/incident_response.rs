@@ -12,11 +12,12 @@
 //! cargo run --release --example incident_response
 //! ```
 
+use be_my_guest::chaos::{ChaosPlan, Fault};
 use be_my_guest::guest_chain::{GuestInstruction, GuestOp};
 use be_my_guest::host_sim::{FeePolicy, Instruction, Pubkey, Transaction};
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::testnet::config::RogueConfig;
-use be_my_guest::testnet::{ChaosPlan, Fault, Testnet, TestnetConfig, ValidatorProfile};
+use be_my_guest::testnet::{Testnet, TestnetConfig, ValidatorProfile};
 
 fn submit(net: &mut Testnet, payer: Pubkey, op: GuestOp) {
     let tx = Transaction::build(

@@ -12,8 +12,7 @@
 use be_my_guest::ibc_core::ics20::voucher_prefix;
 use be_my_guest::ibc_core::types::PortId;
 use be_my_guest::mesh::{Mesh, MeshConfig, PathPolicy};
-
-const HOUR_MS: u64 = 60 * 60 * 1_000;
+use be_my_guest::testnet::HOUR_MS;
 
 fn main() {
     // Three chains on one shared clock, a relayer per link. `line` wires

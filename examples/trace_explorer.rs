@@ -43,6 +43,7 @@
 //! ```
 
 use be_my_guest::apps::PacketFee;
+use be_my_guest::chaos::{ChaosPlan, Fault};
 use be_my_guest::ibc_core::types::PortId;
 use be_my_guest::mesh::{ica_port, nft_port, Mesh, MeshConfig, PathPolicy};
 use be_my_guest::profiler::ProfileReport;
@@ -50,10 +51,7 @@ use be_my_guest::telemetry::{
     render_packet_trace_with_alerts, render_route_trace_with_alerts, AttributionReport,
     CausalGraph, Flags, PostmortemBundle, POSTMORTEM_TAIL,
 };
-use be_my_guest::testnet::{ChaosPlan, Fault, Testnet, TestnetConfig};
-
-const HOUR_MS: u64 = 60 * 60 * 1_000;
-const DAY_MS: u64 = 24 * HOUR_MS;
+use be_my_guest::testnet::{Testnet, TestnetConfig, DAY_MS, HOUR_MS};
 
 fn main() {
     let mut flags = Flags::from_env();
