@@ -126,6 +126,18 @@ echo "==> one home for counterparty signing"
 tripwire 1 "crates/counterparty-sim/src must sign in exactly one place, the first read of a header" \
     '\.sign\(' crates/counterparty-sim/src
 
+echo "==> one stake-quorum light client"
+# The guest's client of the counterparty and the counterparty's client of the guest are one
+# `ibc_core::client::QuorumClient` over two header formats; the quorum, misbehaviour and
+# consensus-state rules are written there once, and the two clients it replaced survive only as the
+# oracles in crates/{core,counterparty-sim}/tests/. A tripwire for a second spelling of the stake
+# quorum, `* 2 / 3` or `* 3 <=`, and for a third `impl … LightClient for` beside QuorumClient and
+# MockClient, scanning each file up to its first column-0 #[cfg(test)].
+tripwire 1 "the 2/3 rule must have one home, ibc_core::client::quorum" \
+    '\* 2 / 3|\* 3 <=' crates/*/src
+tripwire 2 "crates/*/src must implement LightClient only for QuorumClient and MockClient" \
+    'impl.*LightClient for' crates/*/src
+
 echo "==> the payer balance is read behind the bank's stamp"
 # `Testnet::step` re-reads what the host bank holds (the relayer's payer balance, and the guest
 # contract, which changes only inside the bank's transactions) only when `Bank::stamp` moved; a

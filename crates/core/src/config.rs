@@ -2,6 +2,17 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Minimum stake to be considered a validator candidate.
+pub const MIN_STAKE: u64 = 1;
+
+/// Fee collected per sent packet, in lamports (Alg. 1 `collect_fees`).
+pub const SEND_FEE_LAMPORTS: u64 = 50_000;
+
+/// Share of collected packet fees distributed to the validators who sign
+/// each finalised block, in percent (the incentive mechanism the paper's
+/// deployment had not implemented yet, §V-C).
+pub const REWARD_SHARE_PERCENT: u64 = 80;
+
 /// Parameters of a guest-blockchain deployment.
 ///
 /// Defaults reproduce the paper's main-net configuration (§IV): Δ = 1 h,
@@ -18,10 +29,6 @@ pub struct GuestConfig {
     pub stake_hold_ms: u64,
     /// Maximum validator-set size per epoch.
     pub max_validators: usize,
-    /// Minimum stake to be considered a candidate.
-    pub min_stake: u64,
-    /// Fee collected per sent packet, in lamports (Alg. 1 `collect_fees`).
-    pub send_fee_lamports: u64,
     /// Whether misbehaving validators lose their stake. The paper's
     /// deployment had slashing *disabled* ("automatic slashing and rewards
     /// was not implemented", §V-C); Table-I parity runs use `false`.
@@ -34,10 +41,6 @@ pub struct GuestConfig {
     /// (rate limiting gives honest actors time to react to a compromised
     /// counterparty). 0 disables.
     pub max_client_updates_per_hour: u32,
-    /// Share of collected packet fees distributed to the validators who
-    /// sign each finalised block, in percent (the incentive mechanism the
-    /// paper's deployment had not implemented yet, §V-C). 0 disables.
-    pub reward_share_percent: u8,
 }
 
 impl Default for GuestConfig {
@@ -47,12 +50,9 @@ impl Default for GuestConfig {
             min_epoch_length_host_blocks: 100_000,
             stake_hold_ms: 7 * 24 * 60 * 60 * 1_000,
             max_validators: 24,
-            min_stake: 1,
-            send_fee_lamports: 50_000,
             slashing_enabled: true,
             abandonment_timeout_ms: 30 * 24 * 60 * 60 * 1_000,
             max_client_updates_per_hour: 600,
-            reward_share_percent: 80,
         }
     }
 }
@@ -66,12 +66,9 @@ impl GuestConfig {
             min_epoch_length_host_blocks: 100,
             stake_hold_ms: 60_000,
             max_validators: 24,
-            min_stake: 1,
-            send_fee_lamports: 50_000,
             slashing_enabled: true,
             abandonment_timeout_ms: 5 * 60 * 1_000,
             max_client_updates_per_hour: 600,
-            reward_share_percent: 80,
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
-use ibc_core::client::ConsensusState;
+use ibc_core::client::{ConsensusState, TrustedSet};
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
 use ibc_core::Module;
@@ -15,7 +15,7 @@ use sim_crypto::schnorr::{PublicKey, Signature};
 use sim_crypto::Hash;
 
 use crate::block::{GuestBlock, SignedVote};
-use crate::config::GuestConfig;
+use crate::config::{GuestConfig, MIN_STAKE, REWARD_SHARE_PERCENT, SEND_FEE_LAMPORTS};
 use crate::epoch::Epoch;
 use crate::staking::{StakeError, StakingPool};
 
@@ -238,11 +238,9 @@ impl GuestContract {
     ) -> Self {
         let mut staking = StakingPool::new();
         for (pubkey, stake) in &genesis_validators {
-            staking
-                .stake(*pubkey, *stake, config.min_stake)
-                .expect("genesis stakes meet the minimum");
+            staking.stake(*pubkey, *stake, MIN_STAKE).expect("genesis stakes meet the minimum");
         }
-        let epoch = staking.select_validators(config.max_validators, config.min_stake);
+        let epoch = staking.select_validators(config.max_validators, MIN_STAKE);
         let mut ibc = IbcHandler::new(Trie::new());
         let blocks = Rc::new(RefCell::new(Vec::new()));
         ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
@@ -400,8 +398,7 @@ impl GuestContract {
         let next_epoch = if host_height - self.epoch_start_host_height
             >= self.config.min_epoch_length_host_blocks
         {
-            let next =
-                self.staking.select_validators(self.config.max_validators, self.config.min_stake);
+            let next = self.staking.select_validators(self.config.max_validators, MIN_STAKE);
             // Never rotate into an empty set: that would halt the chain.
             (!next.is_empty()).then_some(next)
         } else {
@@ -481,8 +478,8 @@ impl GuestContract {
         // by stake — the incentive completing the §V-C design ("with a
         // full implementation of all the incentives, Validators will
         // engage in the system").
-        if self.config.reward_share_percent > 0 && self.undistributed_fees > 0 {
-            let pot = self.undistributed_fees * u64::from(self.config.reward_share_percent) / 100;
+        if self.undistributed_fees > 0 {
+            let pot = self.undistributed_fees * REWARD_SHARE_PERCENT / 100;
             let signer_stake: u64 =
                 sorted.iter().filter_map(|(pk, _)| self.current_epoch.stake_of(pk)).sum();
             let mut paid = 0;
@@ -545,8 +542,8 @@ impl GuestContract {
         timeout: Timeout,
         fee_paid: u64,
     ) -> Result<Packet, GuestError> {
-        if fee_paid < self.config.send_fee_lamports {
-            return Err(GuestError::InsufficientFee { required: self.config.send_fee_lamports });
+        if fee_paid < SEND_FEE_LAMPORTS {
+            return Err(GuestError::InsufficientFee { required: SEND_FEE_LAMPORTS });
         }
         self.fees_collected += fee_paid;
         self.undistributed_fees += fee_paid;
@@ -573,8 +570,8 @@ impl GuestContract {
         timeout: Timeout,
         fee_paid: u64,
     ) -> Result<Packet, GuestError> {
-        if fee_paid < self.config.send_fee_lamports {
-            return Err(GuestError::InsufficientFee { required: self.config.send_fee_lamports });
+        if fee_paid < SEND_FEE_LAMPORTS {
+            return Err(GuestError::InsufficientFee { required: SEND_FEE_LAMPORTS });
         }
         self.fees_collected += fee_paid;
         self.undistributed_fees += fee_paid;
@@ -796,7 +793,7 @@ impl GuestContract {
     ///
     /// [`GuestError::Stake`] on a below-minimum stake.
     pub fn stake(&mut self, pubkey: PublicKey, amount: u64) -> Result<u64, GuestError> {
-        Ok(self.staking.stake(pubkey, amount, self.config.min_stake)?)
+        Ok(self.staking.stake(pubkey, amount, MIN_STAKE)?)
     }
 
     /// Requests a validator exit (stake held for the configured period).
@@ -1287,9 +1284,7 @@ mod tests {
         let keypairs: Vec<Keypair> = (0..4).map(Keypair::from_seed).collect();
         let stakes = [400u64, 100, 100, 100];
         let validators = keypairs.iter().zip(stakes).map(|(kp, s)| (kp.public(), s)).collect();
-        let mut config = GuestConfig::fast();
-        config.reward_share_percent = 80;
-        let mut contract = GuestContract::new(config, validators, 0, 0);
+        let mut contract = GuestContract::new(GuestConfig::fast(), validators, 0, 0);
 
         // Two sends worth of fees accrue (the channel doesn't exist, but
         // fees are collected first per Alg. 1 ordering).

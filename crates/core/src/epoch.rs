@@ -1,5 +1,6 @@
 //! Validator epochs (Proof-of-Stake, §III-B).
 
+use ibc_core::client::{quorum, TrustedSet};
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::PublicKey;
 use sim_crypto::{Hash, Sha256};
@@ -23,6 +24,7 @@ pub struct Validator {
 ///
 /// ```
 /// use guest_chain::{Epoch, Validator};
+/// use ibc_core::client::TrustedSet;
 /// use sim_crypto::schnorr::Keypair;
 ///
 /// let epoch = Epoch::new(vec![
@@ -76,24 +78,24 @@ impl Epoch {
         hasher.finalize()
     }
 
-    /// Sum of all stake.
-    pub fn total_stake(&self) -> u64 {
-        self.validators.iter().map(|v| v.stake).sum()
-    }
-
     /// Stake required to finalise a block: strictly more than ⅔ of total.
     pub fn quorum_stake(&self) -> u64 {
-        self.total_stake() * 2 / 3 + 1
-    }
-
-    /// The stake of `pubkey`, or `None` if not a validator this epoch.
-    pub fn stake_of(&self, pubkey: &PublicKey) -> Option<u64> {
-        self.validators.iter().find(|v| v.pubkey == *pubkey).map(|v| v.stake)
+        quorum(self.total_stake())
     }
 
     /// Whether `pubkey` is in the validator set.
     pub fn contains(&self, pubkey: &PublicKey) -> bool {
         self.stake_of(pubkey).is_some()
+    }
+}
+
+impl TrustedSet for Epoch {
+    fn stake_of(&self, pubkey: &PublicKey) -> Option<u64> {
+        self.validators.iter().find(|v| v.pubkey == *pubkey).map(|v| v.stake)
+    }
+
+    fn total_stake(&self) -> u64 {
+        self.validators.iter().map(|v| v.stake).sum()
     }
 }
 

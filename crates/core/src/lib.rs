@@ -11,7 +11,7 @@
 //!   crate) whose root is committed in every guest block;
 //! * **light-client support** — guest blocks are finalised by a
 //!   Proof-of-Stake validator quorum ([`contract`], [`epoch`], [`staking`])
-//!   and verified on the counterparty by [`light_client::GuestLightClient`];
+//!   and verified on the counterparty by [`GuestLightClient`];
 //! * **block introspection** — the Guest Contract tracks past guest blocks
 //!   ([`contract::BlockHistory`]), enabling handshake self-validation.
 //!
@@ -23,17 +23,25 @@
 //! # Examples
 //!
 //! ```
-//! use guest_chain::{GuestConfig, GuestContract};
+//! use guest_chain::{GuestConfig, GuestContract, GuestHeader, GuestLightClient};
+//! use ibc_core::LightClient;
 //! use sim_crypto::schnorr::Keypair;
 //!
 //! let validator = Keypair::from_seed(1);
 //! let mut contract =
 //!     GuestContract::new(GuestConfig::fast(), vec![(validator.public(), 100)], 0, 0);
+//! let genesis = contract.block_at(0).unwrap();
+//! let mut client = GuestLightClient::from_genesis(&genesis, contract.current_epoch().clone());
 //!
 //! // Δ elapsed ⇒ a (timestamp-refreshing) empty block may be generated.
 //! let block = contract.generate_block(15_000, 10)?;
 //! contract.sign(block.height, validator.public(), validator.sign(&block.signing_bytes()))?;
 //! assert!(contract.is_finalised(block.height));
+//!
+//! // The counterparty's light client verifies the quorum.
+//! let signatures = contract.signatures_at(block.height);
+//! let header = GuestHeader { block: block.clone(), signatures };
+//! assert_eq!(client.update(&header.encode()).unwrap(), block.height);
 //! # Ok::<(), guest_chain::GuestError>(())
 //! ```
 
@@ -49,7 +57,7 @@ pub mod program;
 pub mod staking;
 
 pub use block::{GuestBlock, SignedVote};
-pub use config::GuestConfig;
+pub use config::{GuestConfig, MIN_STAKE, REWARD_SHARE_PERCENT, SEND_FEE_LAMPORTS};
 pub use contract::{BlockHistory, GuestContract, GuestError, GuestEvent};
 pub use epoch::{Epoch, Validator};
 pub use light_client::{GuestHeader, GuestLightClient, GuestMisbehaviour};

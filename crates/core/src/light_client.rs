@@ -1,15 +1,9 @@
-//! The guest blockchain's light client (runs on the counterparty chain).
-//!
-//! Verifies that a guest block was finalised by a quorum of the guest's
-//! validator epoch, tracks epoch rotations announced in epoch-closing
-//! blocks, and checks sealable-trie proofs against verified state roots.
-//! The paper notes this client is deliberately lightweight (§VI-D).
+//! The guest blockchain's light client (runs on the counterparty chain):
+//! guest headers as `ibc_core::client::QuorumClient` reads them. The paper
+//! notes this client is deliberately lightweight (§VI-D).
 
-use std::collections::BTreeMap;
-
-use ibc_core::client::ConsensusState;
+use ibc_core::client::{Anchor, ConsensusState, QuorumClient, QuorumHeader};
 use ibc_core::types::{Height, IbcError};
-use ibc_core::LightClient;
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
 
@@ -32,11 +26,6 @@ impl GuestHeader {
     pub fn encode(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("header serializes")
     }
-
-    /// Parses the wire encoding.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
-    }
 }
 
 /// Misbehaviour evidence freezing the client: two quorum-signed headers at
@@ -56,147 +45,56 @@ impl GuestMisbehaviour {
     }
 }
 
-/// The light client state.
-///
-/// # Examples
-///
-/// ```
-/// use guest_chain::{GuestConfig, GuestContract, GuestHeader, GuestLightClient};
-/// use ibc_core::LightClient;
-/// use sim_crypto::schnorr::Keypair;
-///
-/// // A guest chain finalises a block…
-/// let validators: Vec<Keypair> = (0..3).map(Keypair::from_seed).collect();
-/// let genesis_set = validators.iter().map(|kp| (kp.public(), 100)).collect();
-/// let mut contract = GuestContract::new(GuestConfig::fast(), genesis_set, 0, 0);
-/// let block = contract.generate_block(15_000, 10)?;
-/// for kp in &validators {
-///     if contract.sign(block.height, kp.public(), kp.sign(&block.signing_bytes()))? {
-///         break;
-///     }
-/// }
-///
-/// // …and the counterparty's light client verifies the quorum.
-/// let mut client = GuestLightClient::from_genesis(
-///     &contract.block_at(0).unwrap(),
-///     contract.current_epoch().clone(),
-/// );
-/// let header = GuestHeader {
-///     block: block.clone(),
-///     signatures: contract.signatures_at(block.height),
-/// };
-/// assert_eq!(client.update(&header.encode()).unwrap(), block.height);
-/// # Ok::<(), guest_chain::GuestError>(())
-/// ```
-#[derive(Debug)]
-pub struct GuestLightClient {
-    epoch: Epoch,
-    latest: Height,
-    consensus: BTreeMap<Height, ConsensusState>,
-    frozen: bool,
-}
+/// The guest's light client (runs on the counterparty): the stake-quorum
+/// client over guest blocks, following the epochs they announce.
+pub type GuestLightClient = QuorumClient<GuestHeader>;
 
-impl GuestLightClient {
-    /// Initializes from the guest's genesis block (whose contents are part
-    /// of the trusted setup).
-    pub fn from_genesis(genesis: &GuestBlock, epoch: Epoch) -> Self {
-        let mut consensus = BTreeMap::new();
-        consensus.insert(
-            genesis.height,
-            ConsensusState { root: genesis.state_root, timestamp_ms: genesis.timestamp_ms },
-        );
-        Self { epoch, latest: genesis.height, consensus, frozen: false }
-    }
-
-    /// Verifies a header against an arbitrary epoch (shared by `update` and
-    /// misbehaviour checking).
-    fn verify_header_against(epoch: &Epoch, header: &GuestHeader) -> Result<(), IbcError> {
-        if header.block.epoch_id != epoch.id() {
-            return Err(IbcError::ClientVerification(
-                "header epoch does not match the trusted epoch (epoch-boundary \
-                 blocks must be relayed in order)"
-                    .into(),
-            ));
-        }
-        let signing_bytes = header.block.signing_bytes();
-        let mut voted = 0u64;
-        let mut seen: Vec<PublicKey> = Vec::new();
-        for (pubkey, signature) in &header.signatures {
-            if seen.contains(pubkey) {
-                return Err(IbcError::ClientVerification("duplicate signer".into()));
-            }
-            seen.push(*pubkey);
-            let Some(stake) = epoch.stake_of(pubkey) else {
-                return Err(IbcError::ClientVerification(
-                    "signer is not a validator of the epoch".into(),
-                ));
-            };
-            if !pubkey.verify(&signing_bytes, signature) {
-                return Err(IbcError::ClientVerification("invalid signature".into()));
-            }
-            voted += stake;
-        }
-        if voted < epoch.quorum_stake() {
-            return Err(IbcError::ClientVerification(format!(
-                "no quorum: {voted} < {}",
-                epoch.quorum_stake()
-            )));
-        }
-        Ok(())
+/// A genesis block is the trusted setup a client starts from.
+impl Anchor for GuestBlock {
+    fn anchor(&self) -> (Height, ConsensusState) {
+        (self.height, ConsensusState { root: self.state_root, timestamp_ms: self.timestamp_ms })
     }
 }
 
-impl LightClient for GuestLightClient {
-    fn client_type(&self) -> &'static str {
-        "guest"
+impl Anchor for GuestHeader {
+    fn anchor(&self) -> (Height, ConsensusState) {
+        self.block.anchor()
+    }
+}
+
+impl QuorumHeader for GuestHeader {
+    type Set = Epoch;
+
+    const CLIENT_TYPE: &'static str = "guest";
+
+    fn decode_evidence(bytes: &[u8]) -> Option<(Self, Self)> {
+        let evidence = serde_json::from_slice::<GuestMisbehaviour>(bytes).ok()?;
+        Some((evidence.header_a, evidence.header_b))
     }
 
-    fn latest_height(&self) -> Height {
-        self.latest
+    fn signed_bytes(&self) -> Vec<u8> {
+        self.block.signing_bytes()
     }
 
-    fn consensus_state(&self, height: Height) -> Option<ConsensusState> {
-        self.consensus.get(&height).copied()
+    fn signatures(&self) -> &[(PublicKey, Signature)] {
+        &self.signatures
     }
 
-    fn update(&mut self, header: &[u8]) -> Result<Height, IbcError> {
-        let header = GuestHeader::decode(header)
-            .ok_or_else(|| IbcError::ClientVerification("malformed guest header".into()))?;
-        if header.block.height <= self.latest {
-            return Err(IbcError::ClientVerification("non-monotonic height".into()));
-        }
-        Self::verify_header_against(&self.epoch, &header)?;
-        self.latest = header.block.height;
-        self.consensus.insert(
-            header.block.height,
-            ConsensusState {
-                root: header.block.state_root,
-                timestamp_ms: header.block.timestamp_ms,
-            },
-        );
-        if let Some(next) = header.block.next_epoch {
-            self.epoch = next;
-        }
-        Ok(self.latest)
+    /// The next epoch, announced by the last block of an epoch.
+    fn into_next_set(self) -> Option<Epoch> {
+        self.block.next_epoch
     }
 
-    fn check_misbehaviour(&self, evidence: &[u8]) -> bool {
-        let Ok(evidence) = serde_json::from_slice::<GuestMisbehaviour>(evidence) else {
-            return false;
-        };
-        let (a, b) = (&evidence.header_a, &evidence.header_b);
-        a.block.height == b.block.height
-            && a.block.hash() != b.block.hash()
-            && Self::verify_header_against(&self.epoch, a).is_ok()
-            && Self::verify_header_against(&self.epoch, b).is_ok()
+    fn conflicts_with(&self, other: &Self) -> bool {
+        self.block.hash() != other.block.hash()
     }
 
-    fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    fn freeze(&mut self) {
-        self.frozen = true;
+    fn check_set(&self, epoch: &Epoch) -> Result<(), IbcError> {
+        (self.block.epoch_id == epoch.id()).then_some(()).ok_or_else(|| {
+            IbcError::ClientVerification(
+                "header is not of the trusted epoch (relay epochs in order)".into(),
+            )
+        })
     }
 }
 
@@ -204,6 +102,7 @@ impl LightClient for GuestLightClient {
 mod tests {
     use super::*;
     use crate::epoch::Validator;
+    use ibc_core::LightClient;
     use sim_crypto::schnorr::Keypair;
     use sim_crypto::sha256;
 
@@ -298,7 +197,6 @@ mod tests {
         let mut boundary = make_block(&genesis, &epoch, b"r1", 1_000);
         boundary.next_epoch = Some(next_epoch.clone());
         client.update(&sign_header(boundary.clone(), &keypairs[..3]).encode()).unwrap();
-        assert_eq!(client.epoch.id(), next_epoch.id());
 
         // Blocks of the new epoch are now verified against the new set.
         let b2 = make_block(&boundary, &next_epoch, b"r2", 2_000);

@@ -28,6 +28,7 @@ use sim_crypto::schnorr::{PublicKey, Signature};
 use telemetry::{names, Telemetry};
 
 use crate::block::SignedVote;
+use crate::config::SEND_FEE_LAMPORTS;
 use crate::contract::{GuestContract, GuestEvent};
 
 /// A logical Guest Contract operation (may be larger than one transaction;
@@ -380,7 +381,7 @@ impl GuestProgram {
                 ctx.consume(costs::TRIE_NODE_OP * 20)?;
                 ctx.consume(host_sim::compute::sha256_cost(payload.len()))?;
                 ctx.alloc(payload.len())?;
-                let fee = contract.config().send_fee_lamports;
+                let fee = SEND_FEE_LAMPORTS;
                 ctx.transfer(&ctx.payer.clone(), &self.vault, fee)?;
                 contract
                     .send_packet(&port, &channel, payload, timeout, fee)
@@ -397,7 +398,7 @@ impl GuestProgram {
                 timeout,
             } => {
                 ctx.consume(costs::TRIE_NODE_OP * 20 + 5_000)?;
-                let fee = contract.config().send_fee_lamports;
+                let fee = SEND_FEE_LAMPORTS;
                 ctx.transfer(&ctx.payer.clone(), &self.vault, fee)?;
                 contract
                     .send_transfer(
@@ -710,7 +711,6 @@ mod tests {
             fee_lamports: outcome.fee_lamports,
             compute_units: outcome.compute_units,
             events: outcome.events.clone(),
-            logs: outcome.logs.clone(),
         }
     }
 

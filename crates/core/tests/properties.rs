@@ -2,6 +2,7 @@
 //! epoch determinism, light-client quorum arithmetic.
 
 use guest_chain::{Epoch, GuestConfig, GuestContract, GuestHeader, GuestLightClient, Validator};
+use ibc_core::client::TrustedSet;
 use ibc_core::LightClient;
 use proptest::prelude::*;
 use sim_crypto::schnorr::Keypair;

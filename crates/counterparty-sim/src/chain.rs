@@ -1,5 +1,6 @@
 //! The counterparty chain itself.
 
+use ibc_core::client::quorum;
 use ibc_core::handler::{HandlerConfig, HostTime, IbcHandler};
 use ibc_core::handshake::ChainEnd;
 use ibc_core::{ClientId, IbcError, IbcEvent, LightClient};
@@ -256,9 +257,9 @@ impl CounterpartyChain {
                 voted += usize::from(votes.insert(i));
             }
         }
-        let quorum = validators * 2 / 3 + 1;
+        let needed = quorum(validators as u64) as usize;
         let mut idx = 0;
-        while voted < quorum {
+        while voted < needed {
             voted += usize::from(votes.insert(idx));
             idx += 1;
         }

@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 
+use ibc_core::client::QuorumHeader;
 use profiler::Profiler;
 use sim_crypto::schnorr::{Keypair, PublicKey, Signature};
 use sim_crypto::Hash;
@@ -102,7 +103,7 @@ impl CpCommit {
             Votes::Signed(signatures) => signatures.clone(),
             Votes::Cast { set_start, voters } => {
                 let _sign = profiler.scope("cp.sign");
-                let signing = header.own_signing_bytes();
+                let signing = header.signed_bytes();
                 let signatures: Vec<_> = voters
                     .iter()
                     .map(|i| {

@@ -55,30 +55,16 @@ impl CpHeader {
         hasher.finalize().into_bytes().to_vec()
     }
 
-    /// Convenience: the signing bytes of this header.
-    pub fn own_signing_bytes(&self) -> Vec<u8> {
-        Self::signing_bytes(
-            self.height,
-            &self.app_hash,
-            self.timestamp_ms,
-            self.next_validators.as_deref(),
-        )
-    }
-
     /// Wire encoding.
     pub fn encode(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("header serializes")
-    }
-
-    /// Parses the wire encoding.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibc_core::client::QuorumHeader;
     use sim_crypto::schnorr::Keypair;
     use sim_crypto::sha256;
 

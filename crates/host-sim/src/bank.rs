@@ -20,8 +20,6 @@ pub struct TxOutcome {
     pub compute_units: u64,
     /// Events emitted (empty if the transaction failed).
     pub events: Vec<Event>,
-    /// Program log lines.
-    pub logs: Vec<String>,
 }
 
 impl TxOutcome {
@@ -156,7 +154,6 @@ impl Bank {
                 fee_lamports: 0,
                 compute_units: 0,
                 events: Vec::new(),
-                logs: vec!["fee payment failed".into()],
             };
         }
         self.accounts.get_mut(&tx.payer).expect("payer checked above").lamports -= fee;
@@ -165,7 +162,6 @@ impl Bank {
         let mut compute = ComputeMeter::new(tx.compute_budget);
         let mut heap = HeapMeter::with_limit(tx.heap_limit);
         let mut events = Vec::new();
-        let mut logs = Vec::new();
         let mut result = Ok(());
 
         for instruction in &tx.instructions {
@@ -189,7 +185,6 @@ impl Bank {
                 compute: &mut compute,
                 heap: &mut heap,
                 events: &mut events,
-                logs: &mut logs,
             };
             let step = program.process_instruction(&mut ctx, &instruction.data);
             // Keep the state account's recorded size in sync with the
@@ -212,7 +207,7 @@ impl Bank {
         if result.is_err() {
             events.clear();
         }
-        TxOutcome { result, fee_lamports: fee, compute_units: compute.used(), events, logs }
+        TxOutcome { result, fee_lamports: fee, compute_units: compute.used(), events }
     }
 }
 

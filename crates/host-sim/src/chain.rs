@@ -109,11 +109,14 @@ pub struct Block {
     pub load: f64,
     /// Executed transactions: (mempool id, outcome).
     pub transactions: Vec<(u64, TxOutcome)>,
-    /// All events emitted in this block, in execution order.
-    pub events: Vec<Event>,
 }
 
 impl Block {
+    /// All events emitted in this block, in execution order.
+    pub fn events(&self) -> impl Iterator<Item = &Event> {
+        self.transactions.iter().flat_map(|(_, outcome)| &outcome.events)
+    }
+
     /// The outcome of transaction `id`, if it was included in this block.
     pub fn outcome_of(&self, id: u64) -> Option<&TxOutcome> {
         self.transactions.iter().find(|(tid, _)| *tid == id).map(|(_, o)| o)
@@ -325,7 +328,6 @@ impl HostChain {
         };
         let exec_scope = self.profiler.scope("tx.execute");
         let mut transactions = Vec::with_capacity(selected.len());
-        let mut events = Vec::new();
         let mut inclusion_failures = 0u64;
         let mut fee_lamports = 0u64;
         let mut compute_units = 0u64;
@@ -346,7 +348,6 @@ impl HostChain {
             if !outcome.is_ok() {
                 failed_txs += 1;
             }
-            events.extend(outcome.events.iter().cloned());
             transactions.push((pending.id, outcome));
         }
         drop(exec_scope);
@@ -369,13 +370,7 @@ impl HostChain {
             metrics.mempool_depth_histogram.observe(depth as f64);
             metrics.slot_load.observe(load);
         }
-        self.blocks.push(Block {
-            slot: self.slot,
-            time_ms: self.time_ms,
-            load,
-            transactions,
-            events,
-        });
+        self.blocks.push(Block { slot: self.slot, time_ms: self.time_ms, load, transactions });
         self.blocks.last().expect("just pushed")
     }
 

@@ -16,8 +16,8 @@ use crate::types::Pubkey;
 ///
 /// The value a payload was encoded from stays beside its bytes, so an
 /// observer in the same process that asks for that type gets it without a
-/// second parse. Both are shared between the copies of an event (a block
-/// lists each one under its transaction and again in execution order).
+/// second parse. Both sit behind one `Rc`, so a clone of an event copies a
+/// pointer.
 #[derive(Clone)]
 pub struct Event {
     /// The emitting program.

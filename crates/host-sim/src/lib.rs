@@ -20,7 +20,7 @@
 //! # Examples
 //!
 //! ```
-//! use host_sim::{CongestionModel, HostChain, Pubkey};
+//! use host_sim::{CongestionModel, Event, HostChain, Pubkey};
 //! use host_sim::transaction::{FeePolicy, Instruction, Transaction};
 //! use host_sim::program::{InvokeContext, Program, ProgramError};
 //!
@@ -31,7 +31,7 @@
 //!         ctx: &mut InvokeContext<'_>,
 //!         _data: &[u8],
 //!     ) -> Result<(), ProgramError> {
-//!         ctx.log("hello");
+//!         ctx.emit(Event::encode(Pubkey::from_label("greeter"), "Greeting", "hello"));
 //!         Ok(())
 //!     }
 //! }
@@ -51,6 +51,8 @@
 //! let id = chain.submit(tx);
 //! let block = chain.advance_slot();
 //! assert!(block.outcome_of(id).unwrap().is_ok());
+//! let greeting = block.events().next().unwrap();
+//! assert_eq!(greeting.decode::<String>("Greeting").as_deref(), Some("hello"));
 //! # Ok::<(), host_sim::transaction::TransactionError>(())
 //! ```
 

@@ -69,7 +69,6 @@ pub struct InvokeContext<'a> {
     pub(crate) compute: &'a mut ComputeMeter,
     pub(crate) heap: &'a mut HeapMeter,
     pub(crate) events: &'a mut Vec<Event>,
-    pub(crate) logs: &'a mut Vec<String>,
 }
 
 impl<'a> InvokeContext<'a> {
@@ -100,11 +99,6 @@ impl<'a> InvokeContext<'a> {
     /// Emits an event observable by off-chain actors (validators, relayers).
     pub fn emit(&mut self, event: Event) {
         self.events.push(event);
-    }
-
-    /// Appends a log line.
-    pub fn log(&mut self, message: impl Into<String>) {
-        self.logs.push(message.into());
     }
 
     /// Reads an account.
@@ -168,16 +162,15 @@ pub trait Program {
 mod tests {
     use super::*;
 
-    fn context_parts(
-    ) -> (HashMap<Pubkey, Account>, ComputeMeter, HeapMeter, Vec<Event>, Vec<String>) {
+    fn context_parts() -> (HashMap<Pubkey, Account>, ComputeMeter, HeapMeter, Vec<Event>) {
         let mut accounts = HashMap::new();
         accounts.insert(Pubkey::from_label("alice"), Account::wallet(1_000));
         accounts.insert(Pubkey::from_label("bob"), Account::wallet(0));
-        (accounts, ComputeMeter::new(10_000), HeapMeter::new(), Vec::new(), Vec::new())
+        (accounts, ComputeMeter::new(10_000), HeapMeter::new(), Vec::new())
     }
 
     fn with_ctx<R>(f: impl FnOnce(&mut InvokeContext<'_>) -> R) -> R {
-        let (mut accounts, mut compute, mut heap, mut events, mut logs) = context_parts();
+        let (mut accounts, mut compute, mut heap, mut events) = context_parts();
         let mut ctx = InvokeContext {
             slot: 1,
             now_ms: 400,
@@ -187,7 +180,6 @@ mod tests {
             compute: &mut compute,
             heap: &mut heap,
             events: &mut events,
-            logs: &mut logs,
         };
         f(&mut ctx)
     }

@@ -3,9 +3,14 @@
 //! A light client tracks a counterparty chain's consensus: it validates
 //! headers, stores consensus states (commitment root + timestamp per
 //! height) and verifies (non-)membership proofs against those roots.
-//! Concrete client implementations live with the chains they track (the
-//! guest light client in `guest-chain`, the Tendermint-like client in
-//! `counterparty-sim`); the handler talks to them through [`LightClient`].
+//! Both chains of the bridge are tracked by one [`QuorumClient`]; the
+//! chains supply its header formats (`GuestHeader` in `guest-chain`,
+//! `CpHeader` in `counterparty-sim`). The handler talks to every client
+//! through [`LightClient`].
+
+mod quorum;
+
+pub use quorum::{quorum, Anchor, QuorumClient, QuorumHeader, TrustedSet};
 
 use sealable_trie::{Proof, Trie};
 use serde::{Deserialize, Serialize};

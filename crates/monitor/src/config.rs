@@ -18,8 +18,6 @@ pub const DAY_MS: u64 = 24 * HOUR_MS;
 /// can persist the exact thresholds its alerts were judged against.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MonitorConfig {
-    /// Whether the harness should run a monitor at all.
-    pub enabled: bool,
     /// Detector evaluation cadence.
     pub cadence_ms: u64,
     /// An alert must stay unhealthy this long before it fires
@@ -72,7 +70,6 @@ impl MonitorConfig {
     /// order of magnitude under the §V-C outage.
     pub fn paper() -> Self {
         Self {
-            enabled: true,
             cadence_ms: MINUTE_MS,
             debounce_ms: 10 * MINUTE_MS,
             hold_down_ms: 30 * MINUTE_MS,
@@ -96,7 +93,6 @@ impl MonitorConfig {
     /// finality).
     pub fn small() -> Self {
         Self {
-            enabled: true,
             cadence_ms: 30 * 1_000,
             debounce_ms: 5 * MINUTE_MS,
             hold_down_ms: 10 * MINUTE_MS,
@@ -114,11 +110,6 @@ impl MonitorConfig {
             runway_slo_ms: 12 * HOUR_MS,
         }
     }
-
-    /// A disabled configuration (the harness wires no monitor).
-    pub fn disabled() -> Self {
-        Self { enabled: false, ..Self::small() }
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +118,7 @@ mod tests {
 
     #[test]
     fn profiles_round_trip_through_json() {
-        for config in [MonitorConfig::paper(), MonitorConfig::small(), MonitorConfig::disabled()] {
+        for config in [MonitorConfig::paper(), MonitorConfig::small()] {
             let json = serde_json::to_string(&config).unwrap();
             let back: MonitorConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, config);

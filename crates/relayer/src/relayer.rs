@@ -444,7 +444,7 @@ impl Relayer {
                     self.settle_failures(index, block.time_ms, contract);
                 }
             }
-            for event in &block.events {
+            for event in block.events() {
                 if event.program_id != self.guest_program {
                     continue;
                 }

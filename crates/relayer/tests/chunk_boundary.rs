@@ -192,7 +192,7 @@ impl World {
         self.host.advance_slot();
         let mut signs = Vec::new();
         for block in self.host.blocks_since(self.last_seen_slot) {
-            for event in &block.events {
+            for event in block.events() {
                 if let Ok(GuestEvent::NewBlock { block }) =
                     serde_json::from_slice::<GuestEvent>(event.payload())
                 {

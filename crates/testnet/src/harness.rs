@@ -137,8 +137,8 @@ pub struct Testnet {
     traffic_counters: Option<TrafficCounterNames>,
     /// Handles on `telemetry` for the gauges every step flushes.
     step_gauges: StepGauges,
-    /// Online health monitor (`None` when disabled in the config).
-    monitor: Option<Monitor>,
+    /// Online health monitor.
+    monitor: Monitor,
 }
 
 /// The harness-level gauges [`Testnet::step`] flushes for the monitor.
@@ -350,8 +350,7 @@ impl Testnet {
         let mut rng = seed_stream(config.seed, "testnet.workload");
         let first_out = Self::sample_exp(&mut rng, config.workload.outbound_mean_gap_ms);
         let first_in = Self::sample_exp(&mut rng, config.workload.inbound_mean_gap_ms);
-        let monitor =
-            config.monitor.enabled.then(|| Monitor::standard(&telemetry, config.monitor.clone()));
+        let monitor = Monitor::standard(&telemetry, config.monitor.clone());
 
         // Heavy-traffic mode: a seeded user population replaces the two
         // Poisson streams. Every user gets a funded ledger account on both
@@ -434,10 +433,9 @@ impl Testnet {
         self.profiler.report()
     }
 
-    /// Every alert the monitor fired so far (empty when monitoring is
-    /// disabled).
+    /// Every alert the monitor fired so far.
     pub fn alert_records(&self) -> &[AlertRecord] {
-        self.monitor.as_ref().map(|m| m.alert_records()).unwrap_or(&[])
+        self.monitor.alert_records()
     }
 
     /// Aggregates the telemetry collected so far into a structured run
@@ -565,9 +563,9 @@ impl Testnet {
             let mut sign_results = Vec::new();
             let mut send_results = Vec::new();
             let mut fisherman_fees = 0u64;
-            // `block.events` is the transactions' events in order; walking
-            // them per transaction decodes each guest event once, for the
-            // reactions below and for the sequence a tracked send was given.
+            // Walking the block's events per transaction decodes each guest
+            // event once, for the reactions below and for the sequence a
+            // tracked send was given.
             let mut guest_events = Vec::new();
             for (tx_id, outcome) in &block.transactions {
                 let emitted_from = guest_events.len();
@@ -782,9 +780,9 @@ impl Testnet {
             let _record = self.profiler.scope("telemetry.record");
             self.flush_step_gauges(now);
         }
-        if let Some(monitor) = self.monitor.as_mut() {
+        {
             let _monitor = self.profiler.scope("monitor.tick");
-            monitor.tick(now);
+            self.monitor.tick(now);
         }
         // Keep memory bounded on long runs, but never drop a block some
         // relayer has yet to scan: a halted relayer would lose the events

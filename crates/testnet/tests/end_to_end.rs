@@ -145,9 +145,7 @@ fn typed_event_payloads_are_what_their_bytes_parse_to() {
     while net.host.now_ms() < testnet::HOUR_MS {
         net.step();
         let block = net.host.latest_block().expect("a step produces a block");
-        let by_tx = block.transactions.iter().flat_map(|(_, outcome)| &outcome.events);
-        assert!(by_tx.eq(&block.events), "a block lists its events once per view");
-        for event in &block.events {
+        for event in block.events() {
             let parsed = serde_json::from_slice::<GuestEvent>(event.payload()).ok();
             assert_eq!(event.payload_as::<GuestEvent>(), parsed, "{event:?}");
             guest_events += usize::from(parsed.is_some());

@@ -106,9 +106,6 @@ pub struct TrafficConfig {
     /// Intensity shape over time (omitted ⇒ steady).
     #[serde(default)]
     pub curve: ArrivalCurve,
-    /// Fraction of arrivals flowing counterparty→guest (the rest flow
-    /// guest→counterparty).
-    pub inbound_fraction: f64,
     /// Transfer amount distribution.
     #[serde(default)]
     pub amount: AmountMix,
@@ -122,8 +119,9 @@ pub struct TrafficConfig {
     pub initial_balance: u128,
 }
 
-/// Default counterparty→guest share: main-net bridges skew outbound.
-const DEFAULT_INBOUND_FRACTION: f64 = 0.4;
+/// Fraction of arrivals flowing counterparty→guest (the rest flow
+/// guest→counterparty): main-net bridges skew outbound.
+pub const INBOUND_FRACTION: f64 = 0.4;
 
 /// Default per-user starting balance.
 const DEFAULT_INITIAL_BALANCE: u128 = 1_000_000;
@@ -135,7 +133,6 @@ impl TrafficConfig {
             users,
             mean_gap_ms,
             curve: ArrivalCurve::Steady,
-            inbound_fraction: DEFAULT_INBOUND_FRACTION,
             amount: AmountMix::default(),
             memo: MemoMix::default(),
             apps: AppMix::default(),
@@ -206,7 +203,6 @@ mod tests {
     fn defaults_are_sane() {
         let config = TrafficConfig::steady(1_000, 2_000);
         assert_eq!(config.curve, ArrivalCurve::Steady);
-        assert!(config.inbound_fraction > 0.0 && config.inbound_fraction < 1.0);
         assert!(config.amount.min <= config.amount.max);
     }
 }

@@ -3,7 +3,7 @@
 
 use sim_crypto::rng::{seed_stream, SplitMix64};
 
-use crate::config::TrafficConfig;
+use crate::config::{TrafficConfig, INBOUND_FRACTION};
 use crate::population::UserPopulation;
 
 /// Which way a transfer flows.
@@ -118,7 +118,7 @@ impl TrafficGenerator {
             }
         }
         let user = self.rng.next_below(self.config.users.max(1) as u64) as u32;
-        let direction = if self.rng.next_f64() < self.config.inbound_fraction {
+        let direction = if self.rng.next_f64() < INBOUND_FRACTION {
             Direction::Inbound
         } else {
             Direction::Outbound

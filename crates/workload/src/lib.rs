@@ -50,7 +50,7 @@ mod generator;
 mod population;
 mod queue;
 
-pub use config::{AmountMix, AppKind, AppMix, MemoMix, TrafficConfig};
+pub use config::{AmountMix, AppKind, AppMix, MemoMix, TrafficConfig, INBOUND_FRACTION};
 pub use curve::ArrivalCurve;
 pub use generator::{Arrival, Direction, TrafficGenerator};
 pub use population::UserPopulation;

@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use be_my_guest::counterparty_sim::{CounterpartyChain, CounterpartyConfig};
-use be_my_guest::guest_chain::{GuestConfig, GuestContract};
+use be_my_guest::guest_chain::{GuestConfig, GuestContract, SEND_FEE_LAMPORTS};
 use be_my_guest::ibc_core::channel::Timeout;
 use be_my_guest::ibc_core::handler::ProofData;
 use be_my_guest::ibc_core::ProvableStore;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Alice sends 400 wSOL to bob on the counterparty ----------------
     clock += 1_000;
     host_height += 2;
-    let fee = contract.borrow().config().send_fee_lamports;
+    let fee = SEND_FEE_LAMPORTS;
     let packet = contract.borrow_mut().send_transfer(
         &endpoints.port,
         &endpoints.guest_channel,

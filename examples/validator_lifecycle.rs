@@ -6,6 +6,7 @@
 //! ```
 
 use be_my_guest::guest_chain::{GuestBlock, GuestConfig, GuestContract, SignedVote};
+use be_my_guest::ibc_core::client::TrustedSet;
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::sim_crypto::sha256;
 

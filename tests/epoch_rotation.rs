@@ -5,6 +5,7 @@
 
 use be_my_guest::guest_chain::{GuestInstruction, GuestOp};
 use be_my_guest::host_sim::{FeePolicy, Instruction, Pubkey, Transaction};
+use be_my_guest::ibc_core::client::TrustedSet;
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::testnet::{Testnet, TestnetConfig};
 

@@ -145,6 +145,6 @@ fn packet_fees_are_collected() {
     let sends = net.send_records.len() as u64;
     assert!(sends > 0);
     let collected = net.contract.borrow().fees_collected();
-    let fee = net.contract.borrow().config().send_fee_lamports;
+    let fee = be_my_guest::guest_chain::SEND_FEE_LAMPORTS;
     assert_eq!(collected, sends * fee, "every send paid exactly the configured fee");
 }

@@ -201,7 +201,6 @@ fn paper_validator_profiles_stay_consistent() {
 #[test]
 fn validator_rewards_flow_through_the_vault() {
     let mut config = TestnetConfig::small(45);
-    config.guest.reward_share_percent = 80;
     config.workload.outbound_mean_gap_ms = 45_000;
     config.workload.inbound_mean_gap_ms = u64::MAX / 4;
     let mut net = Testnet::build(config);

@@ -7,7 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use be_my_guest::counterparty_sim::{CounterpartyChain, CounterpartyConfig};
-use be_my_guest::guest_chain::{GuestConfig, GuestContract};
+use be_my_guest::guest_chain::{GuestConfig, GuestContract, SEND_FEE_LAMPORTS};
 use be_my_guest::ibc_core::channel::Timeout;
 use be_my_guest::ibc_core::handshake::{open_channel, prove, publish, ChainEnd, LinkEnds};
 use be_my_guest::ibc_core::types::ChannelId;
@@ -52,7 +52,7 @@ fn two_channels_multiplex_independently() {
         let module = guard.ibc_mut().module_mut(&endpoints.port).unwrap();
         module.ics20_mut().unwrap().mint("alice", "wsol", 1_000);
     }
-    let fee = contract.borrow().config().send_fee_lamports;
+    let fee = SEND_FEE_LAMPORTS;
     let p1 = contract
         .borrow_mut()
         .send_transfer(

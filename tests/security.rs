@@ -5,7 +5,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use be_my_guest::counterparty_sim::{CounterpartyChain, CounterpartyConfig};
-use be_my_guest::guest_chain::{GuestConfig, GuestContract, GuestHeader, GuestMisbehaviour};
+use be_my_guest::guest_chain::{
+    GuestConfig, GuestContract, GuestHeader, GuestMisbehaviour, SEND_FEE_LAMPORTS,
+};
 use be_my_guest::ibc_core::channel::Timeout;
 use be_my_guest::ibc_core::handler::ProofData;
 use be_my_guest::ibc_core::types::IbcError;
@@ -43,7 +45,7 @@ fn world() -> World {
 impl World {
     fn send(&mut self) -> be_my_guest::ibc_core::Packet {
         self.clock += 1_000;
-        let fee = self.contract.borrow().config().send_fee_lamports;
+        let fee = SEND_FEE_LAMPORTS;
         self.contract
             .borrow_mut()
             .send_transfer(
