@@ -237,6 +237,23 @@ EXCEPT='pub use (config|experiments|harness|metrics)::' tripwire 0 \
     "crates/testnet/src/lib.rs re-exports another crate's item; import it from the crate that owns it" \
     '^pub use ' crates/testnet/src/lib.rs
 
+echo "==> one home for the guest account's size"
+# The bytes the guest holds are counted once, by `GuestContract::state_size` over the record layouts
+# of DESIGN decision 21, and the guest refuses growth past host_sim::MAX_ACCOUNT_SIZE itself; the host
+# no longer asks a program its size. A tripwire for a second `fn state_size` in crates/*/src and for
+# any in crates/host-sim/src, scanning each file up to its first column-0 #[cfg(test)].
+tripwire 1 "crates/*/src must size the guest account in one place, GuestContract::state_size" \
+    'fn state_size\(' crates/*/src
+tripwire 0 "crates/host-sim/src asks a program its size; the guest keeps its own limit" \
+    'fn state_size\(' crates/host-sim/src
+
+echo "==> one home for the time units"
+# MINUTE_MS, HOUR_MS and DAY_MS are written once, in sim_crypto::time; everything else imports them
+# (testnet's two keep their paths for the frozen benchmark/ as aliases, not numbers). A tripwire for
+# a numeric definition anywhere else, scanning each file up to its first column-0 #[cfg(test)].
+tripwire 3 "MINUTE_MS / HOUR_MS / DAY_MS must be defined once, in sim_crypto::time; import them" \
+    'const (MINUTE|HOUR|DAY)_MS: u64 = [0-9]' crates tests examples
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

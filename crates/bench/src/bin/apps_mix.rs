@@ -22,7 +22,8 @@
 
 use apps::PacketFee;
 use mesh::{ica_port, nft_port, Mesh, MeshConfig, TrafficOutcome};
-use monitor::{MonitorConfig, HOUR_MS};
+use monitor::MonitorConfig;
+use sim_crypto::time::HOUR_MS;
 use telemetry::{Artifact, Flags};
 use workload::{AppMix, TrafficConfig};
 

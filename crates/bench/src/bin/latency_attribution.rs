@@ -24,8 +24,9 @@
 //!   [--users N] [--hours N] [--seed N] [--quiet] [--json <path>]`
 
 use mesh::{Mesh, MeshConfig, TrafficOutcome};
+use sim_crypto::time::HOUR_MS;
 use telemetry::{Artifact, AttributionReport, CausalGraph, Flags, RunReport};
-use testnet::{Testnet, TestnetConfig, HOUR_MS};
+use testnet::{Testnet, TestnetConfig};
 use workload::{AppMix, TrafficConfig};
 
 /// One attributed run: the source report plus everything derived from it.

@@ -18,8 +18,8 @@
 
 use mesh::{chain_denom, chain_name, Mesh, MeshConfig, PathPolicy};
 use relayer::LinkFee;
+use sim_crypto::time::HOUR_MS;
 use telemetry::{Artifact, Flags, Section};
-use testnet::HOUR_MS;
 
 /// Generous per-route settle budget; healthy routes settle in minutes.
 const SETTLE_BUDGET_MS: u64 = 2 * HOUR_MS;

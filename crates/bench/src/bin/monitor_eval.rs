@@ -20,9 +20,10 @@
 
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig, PathPolicy};
-use monitor::{score, EvalReport, KindScore, MonitorConfig, MINUTE_MS};
+use monitor::{score, EvalReport, KindScore, MonitorConfig};
+use sim_crypto::time::{DAY_MS, MINUTE_MS};
 use telemetry::{Artifact, Flags, Section};
-use testnet::{Testnet, TestnetConfig, DAY_MS};
+use testnet::{Testnet, TestnetConfig};
 
 /// Length of the §V-C day-11 outage (9 h 59 m).
 const PAPER_OUTAGE_MS: u64 = 35_940_000;

@@ -15,10 +15,10 @@ use chaos::ChaosPlan;
 use host_sim::{lamports_to_usd, rent, MAX_ACCOUNT_SIZE};
 use relayer::FeeStrategy;
 use sealable_trie::Trie;
+use sim_crypto::time::{DAY_MS, HOUR_MS};
 use telemetry::{Artifact, Flags, Section};
 use testnet::{
-    evaluate, fraction_below, report_of, EvaluationReport, Summary, Testnet, TestnetConfig, DAY_MS,
-    HOUR_MS,
+    evaluate, fraction_below, report_of, EvaluationReport, Summary, Testnet, TestnetConfig,
 };
 
 /// The simulated deployment and what Fig. 6's Δ sweep re-runs from it.
@@ -496,13 +496,24 @@ fn storage_costs(month: &Month) -> Artifact {
     run.line(format!("nodes reclaimed:      {:>10}", report.storage.sealed_reclaimed))
         .value("sealed_reclaimed", report.storage.sealed_reclaimed as f64);
     run.line(format!(
-        "full state size:      {:>10} B  (of {} B allocated)",
+        "guest account:        {:>10} B  (of {} B allocated), by collection:",
         report.storage.state_bytes, MAX_ACCOUNT_SIZE
     ))
     .value("state_bytes", report.storage.state_bytes as f64);
+    for (name, bytes) in report.storage.account {
+        run.line(format!("  {name:<18}  {bytes:>10}"));
+        if name != "trie" {
+            run.value(&format!("{name}_bytes"), bytes as f64);
+        }
+    }
+    // The account starts empty at deployment: its bytes over the run's days
+    // are its growth rate, and the limit over that rate the day it fills.
+    let per_day = report.storage.state_bytes as f64 / report.duration_days;
+    let fill_day = MAX_ACCOUNT_SIZE as f64 / per_day;
     run.line(format!(
-        "headroom: state is {:.2} % of the account — \"sufficient in the long term\"",
-        report.storage.state_bytes as f64 / MAX_ACCOUNT_SIZE as f64 * 100.0
-    ));
+        "growth: {per_day:.0} B per simulated day ⇒ at that rate the account fills on day {fill_day:.0}"
+    ))
+    .value("growth_bytes_per_day", per_day)
+    .value("fill_day", fill_day);
     artifact
 }

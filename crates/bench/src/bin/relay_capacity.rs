@@ -25,10 +25,10 @@
 //!
 //! Usage: `cargo run --release -p bench --bin relay_capacity -- [--seed N] [--quiet] [--json <path>]`
 
-use monitor::MINUTE_MS;
 use relayer::{JobKind, Relayer};
+use sim_crypto::time::{HOUR_MS, MINUTE_MS};
 use telemetry::{Artifact, Flags, Section};
-use testnet::{quantile, Testnet, TestnetConfig, HOUR_MS};
+use testnet::{quantile, Testnet, TestnetConfig};
 use workload::TrafficConfig;
 
 /// Offered packets per simulated second, both directions together.

@@ -26,11 +26,12 @@
 //!   [--users N] [--gap-ms N] [--hours N] [--seed N] [--reps N] [--quiet] \
 //!   [--profile <path>] [--profile_summary <path>] [--overhead <path>]`
 
+use sim_crypto::time::HOUR_MS;
 use std::time::Instant;
 
 use profiler::ProfileReport;
 use telemetry::{Artifact, Flags};
-use testnet::{TelemetryMode, Testnet, TestnetConfig, HOUR_MS};
+use testnet::{TelemetryMode, Testnet, TestnetConfig};
 use workload::TrafficConfig;
 
 /// One timed storm run, with the profiler and the telemetry mode given.

@@ -6,10 +6,9 @@
 //! status 1 if the counterfeit mint goes undetected.
 
 use chaos::{ChaosPlan, Fault};
+use sim_crypto::time::MINUTE_MS;
 use telemetry::{Artifact, Flags};
 use testnet::{report_of, Testnet, TestnetConfig};
-
-const MINUTE_MS: u64 = 60 * 1_000;
 
 fn main() {
     let output = Flags::from_env().output();

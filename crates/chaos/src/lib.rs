@@ -24,9 +24,9 @@
 //!
 //! ```
 //! use chaos::{ChaosController, ChaosPlan, Fault};
+//! use sim_crypto::time::DAY_MS;
 //!
 //! // Crash validator 0 for ten hours starting on day 11 — the §V-C outage.
-//! const DAY_MS: u64 = 24 * 60 * 60 * 1_000;
 //! let plan = ChaosPlan::new(20240901)
 //!     .with(11 * DAY_MS, 11 * DAY_MS + 35_940_000, Fault::ValidatorCrash { validator: 0 });
 //! let controller = ChaosController::new(plan);

@@ -4,12 +4,10 @@
 
 use chaos::{ChaosPlan, Fault, InvariantKind};
 use ibc_core::channel::Timeout;
+use sim_crypto::time::{DAY_MS, MINUTE_MS};
 use testnet::{
-    report_of, Testnet, TestnetConfig, ValidatorProfile, CP_DENOM, CP_USER, DAY_MS, GUEST_DENOM,
-    GUEST_USER,
+    report_of, Testnet, TestnetConfig, ValidatorProfile, CP_DENOM, CP_USER, GUEST_DENOM, GUEST_USER,
 };
-
-const MINUTE_MS: u64 = 60 * 1_000;
 
 /// A small config whose first validator holds a dominant stake, so its
 /// crash stalls finality — the shape of the paper's §V-C incident.

@@ -4,14 +4,16 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use host_sim::{Pubkey, MAX_ACCOUNT_SIZE};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
-use ibc_core::client::{ConsensusState, TrustedSet};
+use ibc_core::client::{ConsensusState, TrustedSet, MEMBER_BYTES};
 use ibc_core::handler::{HostTime, IbcHandler, ProofData, SelfHistory};
 use ibc_core::types::{ChannelId, ClientId, IbcError, PortId};
 use ibc_core::Module;
 use sealable_trie::Trie;
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
+use sim_crypto::time::HOUR_MS;
 use sim_crypto::Hash;
 
 use crate::block::{GuestBlock, SignedVote};
@@ -53,6 +55,9 @@ pub enum GuestError {
         /// The configured abandonment timeout.
         required_ms: u64,
     },
+    /// The account holds this many bytes, [`MAX_ACCOUNT_SIZE`] or more: an
+    /// instruction that can add state is refused (DESIGN decision 21).
+    AccountFull(usize),
     /// An embedded IBC operation failed.
     Ibc(IbcError),
     /// A staking operation failed.
@@ -78,6 +83,7 @@ impl core::fmt::Display for GuestError {
             Self::NotAbandoned { idle_ms, required_ms } => {
                 write!(f, "chain is not abandoned: idle {idle_ms} ms of required {required_ms} ms")
             }
+            Self::AccountFull(held) => write!(f, "account full: {held} B of {MAX_ACCOUNT_SIZE}"),
             Self::Ibc(err) => write!(f, "ibc: {err}"),
             Self::Stake(err) => write!(f, "staking: {err}"),
         }
@@ -134,21 +140,124 @@ pub enum GuestEvent {
     Ibc(ibc_core::IbcEvent),
 }
 
-/// Shared guest-block history; doubles as the chain's [`SelfHistory`] for
-/// handshake self-validation (block introspection, §VI-D).
-#[derive(Clone, Debug, Default)]
+/// One height of the block log: the block, its hash, its signatures and
+/// whether it is final.
+#[derive(Debug)]
+struct BlockRecord {
+    block: GuestBlock,
+    /// `block.hash()`, taken once when the block is generated: every
+    /// signature on the block, and the next block's `prev_hash`, needs it.
+    hash: Hash,
+    /// Sorted by key.
+    signatures: Vec<(PublicKey, Signature)>,
+    finalised: bool,
+}
+
+impl BlockRecord {
+    fn new(block: GuestBlock) -> Self {
+        Self { hash: block.hash(), block, signatures: Vec::new(), finalised: false }
+    }
+}
+
+/// The guest's block log, shared; doubles as the chain's [`SelfHistory`]
+/// for handshake self-validation (block introspection, §VI-D).
+#[derive(Debug, Default)]
 pub struct BlockHistory {
-    blocks: Rc<RefCell<Vec<GuestBlock>>>,
+    log: Rc<RefCell<Vec<BlockRecord>>>,
 }
 
 impl SelfHistory for BlockHistory {
     fn self_consensus_at(&self, height: u64) -> Option<ConsensusState> {
-        self.blocks
-            .borrow()
-            .get(height as usize)
-            .map(|b| ConsensusState { root: b.state_root, timestamp_ms: b.timestamp_ms })
+        self.log.borrow().get(height as usize).map(|record| ConsensusState {
+            root: record.block.state_root,
+            timestamp_ms: record.block.timestamp_ms,
+        })
     }
 }
+
+/// A staged operation (§IV): its bytes, written chunk by chunk, and the
+/// header signatures verified for it so far.
+#[derive(Debug, Default)]
+pub(crate) struct StagingBuffer {
+    pub(crate) data: Vec<u8>,
+    pub(crate) verified_sigs: usize,
+}
+
+/// The staging buffers, namespaced by fee payer so that concurrent
+/// relayers (which are permissionless, §III-C) cannot corrupt each other's
+/// chunk sequences, and the bytes they hold, data included.
+#[derive(Debug, Default)]
+pub(crate) struct Staging {
+    buffers: HashMap<(Pubkey, u64), StagingBuffer>,
+    bytes: usize,
+}
+
+impl Staging {
+    /// Appends `data` to buffer `key`; `Err` with the buffer's length when
+    /// that is not `offset`.
+    pub(crate) fn write(
+        &mut self,
+        key: (Pubkey, u64),
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), usize> {
+        let buffer = self.buffers.entry(key).or_insert_with(|| {
+            self.bytes += layout::BUFFER;
+            StagingBuffer::default()
+        });
+        if buffer.data.len() != offset {
+            return Err(buffer.data.len());
+        }
+        buffer.data.extend_from_slice(data);
+        self.bytes += data.len();
+        Ok(())
+    }
+
+    /// Counts `count` more signatures verified for buffer `key`, if any.
+    pub(crate) fn verify(&mut self, key: &(Pubkey, u64), count: usize) -> Option<()> {
+        self.buffers.get_mut(key).map(|buffer| buffer.verified_sigs += count)
+    }
+
+    /// Removes buffer `key`, releasing its bytes.
+    pub(crate) fn take(&mut self, key: &(Pubkey, u64)) -> Option<StagingBuffer> {
+        let buffer = self.buffers.remove(key)?;
+        self.bytes -= layout::BUFFER + buffer.data.len();
+        Some(buffer)
+    }
+
+    /// Puts back a buffer [`Self::take`] removed.
+    pub(crate) fn put(&mut self, key: (Pubkey, u64), buffer: StagingBuffer) {
+        self.bytes += layout::BUFFER + buffer.data.len();
+        self.buffers.insert(key, buffer);
+    }
+}
+
+/// The binary layout of each record the guest holds in its account
+/// (DESIGN decision 21): keys and hashes 32 B, signatures 64 B, u64
+/// integers 8 B, flags 1 B. A validator, a stake and a reward balance are
+/// a key and an amount, [`MEMBER_BYTES`].
+mod layout {
+    use super::{Hash, Pubkey, PublicKey, Signature};
+    pub const INT: usize = 8;
+    /// Fees collected and undistributed, treasury; destroyed flag.
+    pub const HEADER: usize = 3 * INT + 1;
+    /// Height, timestamp, host height; previous hash, state root, epoch
+    /// id, own hash; final flag; the length of the set it announces.
+    pub const BLOCK: usize = 3 * INT + 4 * Hash::LEN + 1 + INT;
+    pub const SIGNATURE: usize = PublicKey::LEN + Signature::LEN;
+    /// The current epoch's id and first host height.
+    pub const EPOCH: usize = Hash::LEN + INT;
+    /// Key, amount, release time.
+    pub const WITHDRAWAL: usize = PublicKey::LEN + 2 * INT;
+    /// Payer, buffer id, verified-signature count.
+    pub const BUFFER: usize = size_of::<Pubkey>() + 2 * INT;
+}
+
+/// The bytes the guest holds in its host account, by collection
+/// ([`GuestContract::account_bytes`]). App ledgers (ICS-20 and NFT
+/// balances, fee escrow) are not among them: like token accounts on
+/// Solana, they live in accounts of their own.
+pub type AccountBytes = [(&'static str, usize); 10];
 
 /// The Guest Contract: the on-host smart contract that *is* the guest
 /// blockchain (paper §III-A, Alg. 1).
@@ -188,14 +297,11 @@ impl SelfHistory for BlockHistory {
 pub struct GuestContract {
     config: GuestConfig,
     ibc: IbcHandler<Trie>,
-    blocks: Rc<RefCell<Vec<GuestBlock>>>,
-    /// `blocks[h].hash()`, taken once when the block is generated: every
-    /// signature on the block, and the next block's `prev_hash`, needs it.
-    block_hashes: Vec<Hash>,
-    signatures: Vec<HashMap<PublicKey, Signature>>,
-    /// Signatures held over all heights, for [`Self::state_size`].
-    signature_count: usize,
-    finalised: Vec<bool>,
+    /// One record per height, shared with [`BlockHistory`].
+    log: Rc<RefCell<Vec<BlockRecord>>>,
+    /// Bytes of the log's blocks and of its signatures, kept as written.
+    block_bytes: usize,
+    signature_bytes: usize,
     current_epoch: Epoch,
     /// `current_epoch.id()`, which hashes the whole validator set: taken
     /// once per epoch, not once per `generate_block` and `sign`.
@@ -212,6 +318,8 @@ pub struct GuestContract {
     reward_balances: HashMap<PublicKey, u64>,
     /// The protocol's share of fees (everything not paid out as rewards).
     treasury: u64,
+    /// Written by `GuestProgram`'s chunked instructions.
+    pub(crate) staging: Staging,
 }
 
 /// How many generated blocks' committed states
@@ -221,9 +329,6 @@ pub struct GuestContract {
 /// grows without bound. Relayers prove against the latest finalised
 /// block, so a handful of heights of slack is plenty.
 const PROOF_SNAPSHOT_HISTORY: usize = 8;
-
-/// The window of the §VI-C client-update cap.
-const HOUR_MS: u64 = 3_600_000;
 
 impl GuestContract {
     /// Deploys the contract with an initial validator set.
@@ -242,20 +347,19 @@ impl GuestContract {
         }
         let epoch = staking.select_validators(config.max_validators, MIN_STAKE);
         let mut ibc = IbcHandler::new(Trie::new());
-        let blocks = Rc::new(RefCell::new(Vec::new()));
-        ibc.set_self_history(Box::new(BlockHistory { blocks: blocks.clone() }));
         let genesis = GuestBlock::genesis(&epoch, ibc.root(), now_ms, host_height);
         ibc.store_mut().checkpoint(genesis.height, PROOF_SNAPSHOT_HISTORY);
-        let block_hashes = vec![genesis.hash()];
-        blocks.borrow_mut().push(genesis);
+        let log = Rc::new(RefCell::new(vec![BlockRecord {
+            finalised: true,
+            ..BlockRecord::new(genesis)
+        }]));
+        ibc.set_self_history(Box::new(BlockHistory { log: log.clone() }));
         Self {
             config,
             ibc,
-            blocks,
-            block_hashes,
-            signatures: vec![HashMap::new()],
-            signature_count: 0,
-            finalised: vec![true],
+            log,
+            block_bytes: layout::BLOCK,
+            signature_bytes: 0,
             current_epoch_id: epoch.id(),
             current_epoch: epoch,
             epoch_start_host_height: host_height,
@@ -267,6 +371,7 @@ impl GuestContract {
             undistributed_fees: 0,
             reward_balances: HashMap::new(),
             treasury: 0,
+            staging: Staging::default(),
         }
     }
 
@@ -277,27 +382,27 @@ impl GuestContract {
 
     /// The current head block.
     pub fn head(&self) -> GuestBlock {
-        self.blocks.borrow().last().expect("genesis always exists").clone()
+        self.log.borrow().last().expect("genesis always exists").block.clone()
     }
 
     /// Height of the head block.
     pub fn head_height(&self) -> u64 {
-        self.blocks.borrow().len() as u64 - 1
+        self.log.borrow().len() as u64 - 1
     }
 
     /// The block at `height`, if produced.
     pub fn block_at(&self, height: u64) -> Option<GuestBlock> {
-        self.blocks.borrow().get(height as usize).cloned()
+        self.log.borrow().get(height as usize).map(|record| record.block.clone())
     }
 
     /// [`GuestBlock::hash`] of the block at `height`, if produced.
     pub fn block_hash_at(&self, height: u64) -> Option<Hash> {
-        self.block_hashes.get(height as usize).copied()
+        self.log.borrow().get(height as usize).map(|record| record.hash)
     }
 
     /// Whether the block at `height` is finalised.
     pub fn is_finalised(&self, height: u64) -> bool {
-        self.finalised.get(height as usize).copied().unwrap_or(false)
+        self.log.borrow().get(height as usize).is_some_and(|record| record.finalised)
     }
 
     /// The epoch whose validators sign new blocks.
@@ -368,15 +473,15 @@ impl GuestContract {
     /// once the state root moved past the head's, else the head's time
     /// plus Δ. Only the contract's state moves it, never the clock.
     pub fn block_due_from(&self) -> Option<u64> {
-        let blocks = self.blocks.borrow();
-        let head = blocks.last().expect("genesis always exists");
-        if !self.is_finalised(head.height) {
+        let log = self.log.borrow();
+        let head = log.last().expect("genesis always exists");
+        if !head.finalised {
             return None;
         }
-        if self.ibc.root() != head.state_root || self.config.delta_ms == 0 {
+        if self.ibc.root() != head.block.state_root || self.config.delta_ms == 0 {
             return Some(0);
         }
-        Some(head.timestamp_ms.saturating_add(self.config.delta_ms))
+        Some(head.block.timestamp_ms.saturating_add(self.config.delta_ms))
     }
 
     /// `GenerateBlock` (Alg. 1 l. 12–18): creates a new guest block when
@@ -407,17 +512,16 @@ impl GuestContract {
 
         let block = GuestBlock {
             height: self.head_height() + 1,
-            prev_hash: *self.block_hashes.last().expect("genesis always exists"),
+            prev_hash: self.log.borrow().last().expect("genesis always exists").hash,
             state_root,
             timestamp_ms: now_ms,
             host_height,
             epoch_id: self.current_epoch_id,
             next_epoch,
         };
-        self.block_hashes.push(block.hash());
-        self.blocks.borrow_mut().push(block.clone());
-        self.signatures.push(HashMap::new());
-        self.finalised.push(false);
+        self.block_bytes +=
+            layout::BLOCK + block.next_epoch.as_ref().map_or(0, |next| next.len() * MEMBER_BYTES);
+        self.log.borrow_mut().push(BlockRecord::new(block.clone()));
         self.events.push(GuestEvent::NewBlock { block: block.clone() });
         // Checkpoint the state this block committed to, so proofs against
         // its root keep verifying after the live trie moves on.
@@ -441,38 +545,34 @@ impl GuestContract {
         pubkey: PublicKey,
         signature: Signature,
     ) -> Result<bool, GuestError> {
-        let block_hash = self.block_hash_at(height).ok_or(GuestError::UnknownHeight(height))?;
+        let mut log = self.log.borrow_mut();
+        let record = log.get_mut(height as usize).ok_or(GuestError::UnknownHeight(height))?;
         // The epoch that must sign this block is the one recorded in it;
         // only the *current* epoch's blocks are still signable (older ones
         // are final by construction).
-        if self.blocks.borrow()[height as usize].epoch_id != self.current_epoch_id {
+        if record.block.epoch_id != self.current_epoch_id || !self.current_epoch.contains(&pubkey) {
             return Err(GuestError::NotAValidator);
         }
-        if !self.current_epoch.contains(&pubkey) {
-            return Err(GuestError::NotAValidator);
-        }
-        let signatures = &mut self.signatures[height as usize];
-        if signatures.contains_key(&pubkey) {
+        let Err(slot) = record.signatures.binary_search_by_key(&pubkey, |(pk, _)| *pk) else {
             return Err(GuestError::AlreadySigned);
-        }
-        if !pubkey.verify(&GuestBlock::signing_bytes_for(height, &block_hash), &signature) {
+        };
+        if !pubkey.verify(&GuestBlock::signing_bytes_for(height, &record.hash), &signature) {
             return Err(GuestError::BadSignature);
         }
-        signatures.insert(pubkey, signature);
-        self.signature_count += 1;
+        record.signatures.insert(slot, (pubkey, signature));
+        self.signature_bytes += layout::SIGNATURE;
 
-        if self.finalised[height as usize] {
+        if record.finalised {
             return Ok(false);
         }
-        let votes: u64 = signatures.keys().filter_map(|pk| self.current_epoch.stake_of(pk)).sum();
+        let votes: u64 =
+            record.signatures.iter().filter_map(|(pk, _)| self.current_epoch.stake_of(pk)).sum();
         if votes < self.current_epoch.quorum_stake() {
             return Ok(false);
         }
-        self.finalised[height as usize] = true;
-        let block = self.blocks.borrow()[height as usize].clone();
-        let mut sorted: Vec<(PublicKey, Signature)> =
-            self.signatures[height as usize].iter().map(|(pk, sig)| (*pk, *sig)).collect();
-        sorted.sort_by_key(|(pk, _)| *pk);
+        record.finalised = true;
+        let (block, sorted) = (record.block.clone(), record.signatures.clone());
+        drop(log);
 
         // Distribute the reward pot among this block's signers, pro rata
         // by stake — the incentive completing the §V-C design ("with a
@@ -512,15 +612,12 @@ impl GuestContract {
         Ok(true)
     }
 
-    /// Signatures recorded so far for `height`.
+    /// Signatures recorded so far for `height`, sorted by key.
     pub fn signatures_at(&self, height: u64) -> Vec<(PublicKey, Signature)> {
-        self.signatures
+        self.log
+            .borrow()
             .get(height as usize)
-            .map(|sigs| {
-                let mut v: Vec<_> = sigs.iter().map(|(pk, s)| (*pk, *s)).collect();
-                v.sort_by_key(|(pk, _)| *pk);
-                v
-            })
+            .map(|record| record.signatures.clone())
             .unwrap_or_default()
     }
 
@@ -839,14 +936,49 @@ impl GuestContract {
         }
     }
 
-    /// Serialized-state size estimate, for host account-allocation
-    /// accounting (rent, §V-D).
+    // ------------------------------------------------------------------
+    // §V-D — the guest's one host account (DESIGN decision 21)
+    // ------------------------------------------------------------------
+
+    /// The bytes the guest holds, by collection: the trie as it measures
+    /// itself, then running totals and record counts times their [`layout`]
+    /// (a read walks only the clients and their update windows).
+    pub fn account_bytes(&self) -> AccountBytes {
+        let staking = &self.staking;
+        let staking =
+            staking.stakes.len() * MEMBER_BYTES + staking.pending.len() * layout::WITHDRAWAL;
+        // Per client: its id's text, the number of times, the times.
+        let windows = self.client_update_times.iter();
+        let windows =
+            windows.map(|(id, times)| id.as_str().len() + (1 + times.len()) * layout::INT);
+        [
+            ("trie", self.ibc.store().stats().byte_count),
+            ("header", layout::HEADER),
+            ("blocks", self.block_bytes),
+            ("signatures", self.signature_bytes),
+            ("epoch", layout::EPOCH + self.current_epoch.len() * MEMBER_BYTES),
+            ("staking", staking),
+            ("rewards", self.reward_balances.len() * MEMBER_BYTES),
+            ("client_updates", windows.sum()),
+            ("clients", self.ibc.clients().map(|client| client.stored_bytes()).sum()),
+            ("staging", self.staging.bytes),
+        ]
+    }
+
+    /// The bytes the guest holds in its host account: the sum of
+    /// [`Self::account_bytes`].
     pub fn state_size(&self) -> usize {
-        let trie = self.ibc.store().stats().byte_count;
-        let blocks = self.blocks.borrow().len() * 130;
-        let sigs = self.signature_count * 96;
-        let epoch = self.current_epoch.len() * 40;
-        trie + blocks + sigs + epoch + 256
+        self.account_bytes().iter().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Errs with [`GuestError::AccountFull`] once the state reaches
+    /// [`MAX_ACCOUNT_SIZE`]. Asked before every instruction that can add
+    /// state, so the state overshoots the limit by at most one
+    /// instruction's growth; a relayer asks it before it pays for a
+    /// transaction the guest would refuse.
+    pub fn check_room(&self) -> Result<(), GuestError> {
+        let held = self.state_size();
+        (held < MAX_ACCOUNT_SIZE).then_some(()).ok_or(GuestError::AccountFull(held))
     }
 }
 
@@ -1037,24 +1169,18 @@ mod tests {
         assert!(contract.sign(b2.height, whale.public(), whale.sign(&b2.signing_bytes())).unwrap());
     }
 
-    /// The two figures the contract keeps rather than recomputes — the epoch
-    /// id and the signature count behind `state_size` — against the slow
-    /// way, across a rotation, a late fourth signature and a rejected one.
+    /// The figures the contract keeps rather than recomputes — the epoch id
+    /// and the running byte totals behind `state_size` — against the slow
+    /// way, the re-encoding oracle, across a rotation (whose last block
+    /// announces a set), a late fourth signature and a rejected one.
     #[test]
-    fn cached_epoch_id_and_signature_count_match_a_recount() {
+    fn cached_epoch_id_and_byte_totals_match_a_recount() {
         let (mut contract, keypairs) = contract();
         let whale = Keypair::from_seed(50);
         contract.stake(whale.public(), 1_000).unwrap();
         let check = |contract: &GuestContract| {
             assert_eq!(contract.current_epoch_id, contract.current_epoch.id());
-            let held: usize = contract.signatures.iter().map(HashMap::len).sum();
-            assert_eq!(contract.signature_count, held);
-            let expected = contract.ibc.store().stats().byte_count
-                + contract.blocks.borrow().len() * 130
-                + held * 96
-                + contract.current_epoch.len() * 40
-                + 256;
-            assert_eq!(contract.state_size(), expected);
+            assert_eq!(contract.state_size(), oracle::size(contract));
         };
         check(&contract);
         for (i, host_height) in [10, 150, 160].into_iter().enumerate() {
@@ -1075,7 +1201,8 @@ mod tests {
             check(&contract);
         }
         assert!(contract.current_epoch().contains(&whale.public()), "the run crossed a rotation");
-        assert_eq!(contract.signature_count, 4 + 3 + 1);
+        let held: usize = (0..=3).map(|height| contract.signatures_at(height).len()).sum();
+        assert_eq!(held, 4 + 3 + 1);
     }
 
     #[test]
@@ -1330,10 +1457,482 @@ mod tests {
         let (mut contract, keypairs) = contract();
         let b1 = contract.generate_block(10_000, 10).unwrap();
         finalise(&mut contract, &b1, &keypairs);
-        let history = BlockHistory { blocks: contract.blocks.clone() };
+        let history = BlockHistory { log: contract.log.clone() };
         let cs = history.self_consensus_at(1).unwrap();
         assert_eq!(cs.root, b1.state_root);
         assert_eq!(cs.timestamp_ms, 10_000);
         assert!(history.self_consensus_at(99).is_none());
+    }
+
+    /// The re-encoding oracle of [`GuestContract::state_size`].
+    mod oracle {
+        use super::*;
+
+        fn int(out: &mut Vec<u8>, value: u64) {
+            out.extend_from_slice(&value.to_le_bytes());
+        }
+
+        fn member(out: &mut Vec<u8>, key: &PublicKey, amount: u64) {
+            out.extend_from_slice(&key.to_bytes());
+            int(out, amount);
+        }
+
+        /// Every record the guest holds, written field by field: keys,
+        /// signatures and hashes as their bytes, integers as u64
+        /// little-endian, flags as one byte, client ids and staged data as
+        /// their bytes. Clients are read through `LightClient`, which shows
+        /// no trusted set: only mock clients are written.
+        fn encode(c: &GuestContract) -> Vec<u8> {
+            let mut out = Vec::new();
+            for value in [c.fees_collected, c.undistributed_fees, c.treasury] {
+                int(&mut out, value);
+            }
+            out.push(u8::from(c.destroyed));
+            for record in c.log.borrow().iter() {
+                let block = &record.block;
+                for value in [block.height, block.timestamp_ms, block.host_height] {
+                    int(&mut out, value);
+                }
+                for hash in [block.prev_hash, block.state_root, block.epoch_id, record.hash] {
+                    out.extend_from_slice(hash.as_bytes());
+                }
+                out.push(u8::from(record.finalised));
+                let announced = block.next_epoch.as_ref().map_or(&[][..], Epoch::validators);
+                int(&mut out, announced.len() as u64);
+                for validator in announced {
+                    member(&mut out, &validator.pubkey, validator.stake);
+                }
+                for (key, signature) in &record.signatures {
+                    out.extend_from_slice(&key.to_bytes());
+                    out.extend_from_slice(&signature.to_bytes());
+                }
+            }
+            out.extend_from_slice(c.current_epoch_id.as_bytes());
+            int(&mut out, c.epoch_start_host_height);
+            for validator in c.current_epoch.validators() {
+                member(&mut out, &validator.pubkey, validator.stake);
+            }
+            for (key, stake) in &c.staking.stakes {
+                member(&mut out, key, *stake);
+            }
+            for withdrawal in &c.staking.pending {
+                member(&mut out, &withdrawal.pubkey, withdrawal.amount);
+                int(&mut out, withdrawal.available_at_ms);
+            }
+            for (key, amount) in &c.reward_balances {
+                member(&mut out, key, *amount);
+            }
+            for (id, times) in &c.client_update_times {
+                out.extend_from_slice(id.as_str().as_bytes());
+                int(&mut out, times.len() as u64);
+                for time in times {
+                    int(&mut out, *time);
+                }
+            }
+            for client in c.ibc.clients() {
+                assert_eq!(client.client_type(), "mock", "only a mock client is readable here");
+                for height in 0..=client.latest_height() {
+                    if let Some(state) = client.consensus_state(height) {
+                        int(&mut out, height);
+                        out.extend_from_slice(state.root.as_bytes());
+                        int(&mut out, state.timestamp_ms);
+                    }
+                }
+                out.push(u8::from(client.is_frozen()));
+            }
+            for ((payer, id), staged) in &c.staging.buffers {
+                out.extend_from_slice(payer.as_bytes());
+                int(&mut out, *id);
+                int(&mut out, staged.verified_sigs as u64);
+                out.extend_from_slice(&staged.data);
+            }
+            out
+        }
+
+        /// What `state_size` must read: the trie as it measures itself, plus
+        /// the encoded records.
+        pub(super) fn size(c: &GuestContract) -> usize {
+            c.ibc.store().stats().byte_count + encode(c).len()
+        }
+    }
+
+    /// A guest behind a host [`Bank`], linked to a [`MockChain`] over one
+    /// echo channel: the bench of the account oracle and the fill test.
+    mod world {
+        use super::*;
+        use crate::program::{GuestInstruction, GuestOp, GuestProgram};
+        use host_sim::{Bank, FeePolicy, Instruction, ProgramError, Transaction};
+        use ibc_core::client::{LightClient, MockChain, MockClient, MockHeader};
+        use ibc_core::handler::HostTime;
+        use ibc_core::handshake::{open_link, publish, ChainEnd, LinkEnds};
+        use ibc_core::router::EchoModule;
+        use ibc_core::IbcEvent;
+        use relayer::{RelayMsg, Submitted};
+
+        /// Bytes of a staging chunk: a frame that fits one transaction.
+        pub(super) const CHUNK: usize = 900;
+
+        /// The guest as one end of a handshake: its headers are
+        /// [`MockHeader`]s over its root.
+        struct GuestEnd<'a> {
+            contract: &'a mut GuestContract,
+            height: &'a mut u64,
+        }
+
+        impl ChainEnd<IbcError> for GuestEnd<'_> {
+            fn handler(&mut self) -> &mut IbcHandler<Trie> {
+                self.contract.ibc_mut()
+            }
+
+            fn light_client(&self) -> Box<dyn LightClient> {
+                Box::new(MockClient::new())
+            }
+
+            fn commit(&mut self, now_ms: u64) -> Result<(u64, Vec<u8>), IbcError> {
+                *self.height += 1;
+                let header = MockHeader {
+                    height: *self.height,
+                    root: self.contract.state_root(),
+                    timestamp_ms: now_ms,
+                };
+                Ok((*self.height, serde_json::to_vec(&header).unwrap()))
+            }
+
+            fn accept(&mut self, client: &ClientId, header: &[u8], _: u64) -> Result<(), IbcError> {
+                self.contract.ibc_mut().update_client(client, header).map(drop)
+            }
+        }
+
+        pub(super) struct World {
+            bank: Bank,
+            program_id: Pubkey,
+            payer: Pubkey,
+            pub(super) contract: Rc<RefCell<GuestContract>>,
+            /// Four genesis validators, then two candidates.
+            pub(super) keypairs: Vec<Keypair>,
+            cp: MockChain,
+            link: LinkEnds,
+            guest_height: u64,
+            now_ms: u64,
+            slot: u64,
+            sent: Vec<Packet>,
+        }
+
+        impl World {
+            pub(super) fn new() -> Self {
+                let keypairs: Vec<Keypair> = (0..6).map(Keypair::from_seed).collect();
+                let validators = keypairs[..4].iter().map(|kp| (kp.public(), 100)).collect();
+                let mut contract = GuestContract::new(GuestConfig::fast(), validators, 0, 0);
+                let port = PortId::named("echo");
+                contract.bind_port(port.clone(), Box::new(EchoModule::default()));
+                let mut cp = MockChain::new();
+                cp.ibc.bind_port(port.clone(), Box::new(EchoModule::default()));
+                let (mut now_ms, mut guest_height) = (0, 0);
+                let mut guest = GuestEnd { contract: &mut contract, height: &mut guest_height };
+                let link = open_link(&mut guest, &mut cp, &[(port, "v1")], &mut now_ms).unwrap();
+                let (program_id, vault) =
+                    (Pubkey::from_label("guest"), Pubkey::from_label("vault"));
+                let payer = Pubkey::from_label("payer");
+                let mut bank = Bank::new();
+                bank.airdrop(payer, 1 << 50);
+                bank.airdrop(vault, 1);
+                let contract = Rc::new(RefCell::new(contract));
+                let program = GuestProgram::new(program_id, vault, contract.clone());
+                bank.register_program(program_id, Box::new(program));
+                let (slot, sent) = (0, Vec::new());
+                Self {
+                    bank,
+                    program_id,
+                    payer,
+                    contract,
+                    keypairs,
+                    cp,
+                    link,
+                    guest_height,
+                    now_ms,
+                    slot,
+                    sent,
+                }
+            }
+
+            /// Moves the host clock `slots` slots of 400 ms on.
+            pub(super) fn wait(&mut self, slots: u64) {
+                self.slot += slots;
+                self.now_ms += 400 * slots;
+            }
+
+            /// One instruction in one transaction, one slot on.
+            pub(super) fn submit(
+                &mut self,
+                instruction: &GuestInstruction,
+            ) -> Result<(), ProgramError> {
+                self.wait(1);
+                let ix = Instruction::new(self.program_id, vec![], instruction.encode());
+                let tx = Transaction::build(self.payer, 1, vec![ix], FeePolicy::BaseOnly).unwrap();
+                let outcome = self.bank.execute_transaction(&tx, self.slot, self.now_ms);
+                for event in &outcome.events {
+                    if let Some(GuestEvent::Ibc(IbcEvent::SendPacket { packet })) =
+                        event.payload_as()
+                    {
+                        self.sent.push(packet);
+                    }
+                }
+                outcome.result
+            }
+
+            pub(super) fn op(&mut self, op: GuestOp) -> Result<(), ProgramError> {
+                self.submit(&GuestInstruction::Inline { op })
+            }
+
+            /// Signs the block `back` below the head with validator `signer`.
+            pub(super) fn sign(&mut self, signer: usize, back: u64) -> Result<(), ProgramError> {
+                let head = self.contract.borrow().head_height();
+                let block = self.contract.borrow().block_at(head.saturating_sub(back)).unwrap();
+                let keypair = &self.keypairs[signer];
+                let (pubkey, signature) = (keypair.public(), keypair.sign(&block.signing_bytes()));
+                self.op(GuestOp::SignBlock { height: block.height, pubkey, signature })
+            }
+
+            pub(super) fn send(&mut self, len: usize) -> Result<(), ProgramError> {
+                let (port, channel) = (PortId::named("echo"), self.link.channels[0].0.clone());
+                let payload = vec![7; len];
+                self.op(GuestOp::SendPacket { port, channel, payload, timeout: Timeout::NEVER })
+            }
+
+            /// Writes `op` into `buffer` (dropped first) chunk by chunk, burns
+            /// `verify` header-signature checks on it, then executes it.
+            pub(super) fn staged(
+                &mut self,
+                buffer: u64,
+                op: &GuestOp,
+                verify: usize,
+            ) -> Result<(), ProgramError> {
+                self.submit(&GuestInstruction::DropBuffer { buffer })?;
+                for (i, chunk) in op.encode().chunks(CHUNK).enumerate() {
+                    let data = chunk.to_vec();
+                    self.submit(&GuestInstruction::WriteChunk { buffer, offset: i * CHUNK, data })?;
+                }
+                if verify > 0 {
+                    self.submit(&GuestInstruction::VerifySigs { buffer, count: verify })?;
+                }
+                self.submit(&GuestInstruction::ExecStaged { buffer })
+            }
+
+            /// A counterparty block, as an `UpdateClient` of the guest's
+            /// client of it that needs `signatures` verified.
+            pub(super) fn client_update(&mut self, signatures: usize) -> (u64, GuestOp) {
+                let (height, header) = self.cp.commit(self.now_ms).unwrap();
+                let (client, header) =
+                    (self.link.a_client.clone(), String::from_utf8(header).unwrap());
+                (height, GuestOp::UpdateClient { client, header, num_signatures: signatures })
+            }
+
+            /// The oldest packet the guest sent and nobody acked: received on
+            /// the counterparty against a fresh guest header, then its ack
+            /// proven back and staged, as a relayer delivers one (the relay
+            /// rule is `relayer::RelayMsg`'s).
+            pub(super) fn ack(&mut self) -> Result<(), ProgramError> {
+                if self.sent.is_empty() {
+                    return Ok(());
+                }
+                let packet = self.sent.remove(0);
+                let height = {
+                    let mut contract = self.contract.borrow_mut();
+                    let mut guest =
+                        GuestEnd { contract: &mut contract, height: &mut self.guest_height };
+                    publish(&mut guest, &mut self.cp, &self.link.b_client, &mut self.now_ms)
+                        .unwrap()
+                };
+                let client = self.cp.ibc.client(&self.link.b_client).unwrap();
+                let consensus = client.consensus_state(height).unwrap();
+                let recv = RelayMsg::Recv { packet: packet.clone() };
+                let guest = self.contract.borrow();
+                let proof = recv.prove(height, &consensus, |key| guest.ibc.store().prove(key).ok());
+                drop(guest);
+                let now = HostTime { height: self.cp.height(), timestamp_ms: self.now_ms };
+                let submitted = recv.submit(&mut self.cp.ibc, height, &proof.unwrap(), now);
+                assert!(matches!(submitted, Submitted::Accepted), "{submitted:?}");
+                let ack = self.cp.ibc.drain_events().into_iter().find_map(|event| match event {
+                    IbcEvent::WriteAcknowledgement { ack, .. } => Some(ack),
+                    _ => None,
+                });
+                let ack = ack.unwrap();
+                let (proof_height, update) = self.client_update(0);
+                self.op(update)?;
+                let guest = self.contract.borrow();
+                let client = guest.ibc.client(&self.link.a_client).unwrap();
+                let consensus = client.consensus_state(proof_height).unwrap();
+                drop(guest);
+                let msg = RelayMsg::Ack { packet: packet.clone(), ack: ack.clone() };
+                let proof =
+                    msg.prove(proof_height, &consensus, |key| self.cp.ibc.store().prove(key).ok());
+                let op = GuestOp::AckPacket { packet, ack, proof_height, proof: proof.unwrap() };
+                self.staged(99, &op, 0)
+            }
+        }
+    }
+
+    /// One step of a random sequence through the host.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Generate,
+        Sign { signer: usize, back: u64 },
+        Stake { who: usize, amount: u64 },
+        Unstake { who: usize },
+        Claim { who: usize },
+        ClaimRewards { who: usize },
+        ClientUpdate,
+        StagedClientUpdate { verify: bool },
+        Send { len: usize },
+        Ack,
+        WriteChunk { buffer: u64, len: usize, skew: bool },
+        ExecStaged { buffer: u64 },
+        DropBuffer { buffer: u64 },
+        Wait { slots: u64 },
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let buffer = || (0..4usize).prop_map(|i| [0u64, 1, 50, 99][i]);
+        prop_oneof![
+            3 => Just(Step::Generate),
+            6 => (0..6usize, 0..3u64).prop_map(|(signer, back)| Step::Sign { signer, back }),
+            1 => (0..6usize, 1..2_000u64).prop_map(|(who, amount)| Step::Stake { who, amount }),
+            1 => (0..6usize).prop_map(|who| Step::Unstake { who }),
+            1 => (0..6usize).prop_map(|who| Step::Claim { who }),
+            1 => (0..6usize).prop_map(|who| Step::ClaimRewards { who }),
+            1 => Just(Step::ClientUpdate),
+            1 => any::<bool>().prop_map(|verify| Step::StagedClientUpdate { verify }),
+            2 => (0..200usize).prop_map(|len| Step::Send { len }),
+            2 => Just(Step::Ack),
+            1 => (buffer(), 0..2_000usize, any::<bool>())
+                .prop_map(|(buffer, len, skew)| Step::WriteChunk { buffer, len, skew }),
+            1 => buffer().prop_map(|buffer| Step::ExecStaged { buffer }),
+            1 => buffer().prop_map(|buffer| Step::DropBuffer { buffer }),
+            1 => (1..200u64).prop_map(|slots| Step::Wait { slots }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// After every step of a random sequence driven through the host,
+        /// `state_size` equals the length of every record re-encoded field
+        /// by field: each collection is counted, at its layout, and every
+        /// write keeps its running total.
+        #[test]
+        fn state_size_matches_the_re_encoding_oracle(
+            steps in proptest::collection::vec(step(), 1..40),
+        ) {
+            use crate::program::{GuestInstruction, GuestOp};
+            let mut world = world::World::new();
+            proptest::prop_assert_eq!(world.contract.borrow().state_size(), oracle::size(&world.contract.borrow()));
+            for step in steps {
+                let key = |who: usize| world.keypairs[who].public();
+                // Each step may be refused; the count must hold either way.
+                let _ = match step.clone() {
+                    Step::Generate => world.op(GuestOp::GenerateBlock),
+                    Step::Sign { signer, back } => world.sign(signer, back),
+                    Step::Stake { who, amount } => world.op(GuestOp::Stake { pubkey: key(who), amount }),
+                    Step::Unstake { who } => world.op(GuestOp::RequestUnstake { pubkey: key(who) }),
+                    Step::Claim { who } => world.op(GuestOp::ClaimUnstaked { pubkey: key(who) }),
+                    Step::ClaimRewards { who } => world.op(GuestOp::ClaimRewards { pubkey: key(who) }),
+                    Step::ClientUpdate => {
+                        let (_, update) = world.client_update(0);
+                        world.op(update)
+                    }
+                    Step::StagedClientUpdate { verify } => {
+                        let (_, update) = world.client_update(2);
+                        world.staged(50, &update, if verify { 2 } else { 0 })
+                    }
+                    Step::Send { len } => world.send(len),
+                    Step::Ack => world.ack(),
+                    Step::WriteChunk { buffer, len, skew } => {
+                        let at = world.contract.borrow().staging.buffers.get(&(Pubkey::from_label("payer"), buffer))
+                            .map_or(0, |staged| staged.data.len());
+                        let offset = at + usize::from(skew);
+                        let data = vec![3; len.min(world::CHUNK)];
+                        world.submit(&GuestInstruction::WriteChunk { buffer, offset, data })
+                    }
+                    Step::ExecStaged { buffer } => world.submit(&GuestInstruction::ExecStaged { buffer }),
+                    Step::DropBuffer { buffer } => world.submit(&GuestInstruction::DropBuffer { buffer }),
+                    Step::Wait { slots } => {
+                        world.wait(slots);
+                        Ok(())
+                    }
+                };
+                let contract = world.contract.borrow();
+                proptest::prop_assert_eq!(contract.state_size(), oracle::size(&contract), "after {:?}", step);
+            }
+        }
+    }
+
+    /// Staging chunks fill the 10 MiB account until the guest refuses one
+    /// with [`GuestError::AccountFull`]. Refused instructions change
+    /// nothing; `DropBuffer` still runs and frees the bytes, after which
+    /// writes succeed again. The state overshoots the limit by at most one
+    /// instruction's growth.
+    #[test]
+    fn a_full_account_refuses_growth_until_a_buffer_is_dropped() {
+        use crate::program::{GuestInstruction, GuestOp};
+        use host_sim::ProgramError;
+        let mut world = world::World::new();
+        let payer = Pubkey::from_label("payer");
+        let chunk = vec![5u8; world::CHUNK];
+        let write = |buffer: u64, offset: usize| GuestInstruction::WriteChunk {
+            buffer,
+            offset,
+            data: chunk.clone(),
+        };
+        // The account starts non-empty, so it fills in fewer writes.
+        let (mut offset, mut refusal) = (0, None);
+        for _ in 0..=MAX_ACCOUNT_SIZE / world::CHUNK {
+            match world.submit(&write(1, offset)) {
+                Ok(()) => offset += world::CHUNK,
+                Err(refused) => {
+                    refusal = Some(refused);
+                    break;
+                }
+            }
+        }
+        let refusal = refusal.expect("the account filled without a refusal");
+        let held = world.contract.borrow().state_size();
+        assert!(held >= MAX_ACCOUNT_SIZE, "refused below the limit: {held}");
+        assert!(held < MAX_ACCOUNT_SIZE + world::CHUNK, "overshot by more than one write");
+        let full = GuestError::AccountFull(held);
+        assert_eq!(world.contract.borrow().check_room(), Err(full.clone()));
+        assert_eq!(refusal, ProgramError::Rejected(full.to_string()));
+
+        let snapshot = |world: &world::World| {
+            let contract = world.contract.borrow();
+            let staged = contract.staging.buffers.get(&(payer, 1)).map(|staged| staged.data.len());
+            (contract.state_root(), contract.state_size(), contract.staging.buffers.len(), staged)
+        };
+        let before = snapshot(&world);
+        for refused in [
+            write(1, offset),
+            write(2, 0),
+            GuestInstruction::Inline { op: GuestOp::GenerateBlock },
+            GuestInstruction::ExecStaged { buffer: 1 },
+        ] {
+            assert_eq!(world.submit(&refused), Err(ProgramError::Rejected(full.to_string())));
+            assert_eq!(snapshot(&world), before, "{refused:?} changed the account");
+        }
+        // An operation that only removes records is not refused for room:
+        // here the staking rule refuses it instead.
+        let pubkey = world.keypairs[0].public();
+        let nothing = GuestError::Stake(StakeError::NothingPending).to_string();
+        assert_eq!(
+            world.op(GuestOp::ClaimRewards { pubkey }),
+            Err(ProgramError::Rejected(nothing))
+        );
+        assert_eq!(snapshot(&world), before);
+
+        assert_eq!(world.submit(&GuestInstruction::DropBuffer { buffer: 1 }), Ok(()));
+        let freed = world.contract.borrow().state_size();
+        assert_eq!(held - freed, layout::BUFFER + offset);
+        assert_eq!(freed, oracle::size(&world.contract.borrow()));
+        assert_eq!(world.submit(&write(1, 0)), Ok(()));
+        assert_eq!(world.op(GuestOp::GenerateBlock), Ok(()), "growth is admitted again");
     }
 }

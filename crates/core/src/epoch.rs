@@ -97,6 +97,10 @@ impl TrustedSet for Epoch {
     fn total_stake(&self) -> u64 {
         self.validators.iter().map(|v| v.stake).sum()
     }
+
+    fn members(&self) -> usize {
+        self.validators.len()
+    }
 }
 
 #[cfg(test)]

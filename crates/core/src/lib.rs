@@ -58,7 +58,7 @@ pub mod staking;
 
 pub use block::{GuestBlock, SignedVote};
 pub use config::{GuestConfig, MIN_STAKE, REWARD_SHARE_PERCENT, SEND_FEE_LAMPORTS};
-pub use contract::{BlockHistory, GuestContract, GuestError, GuestEvent};
+pub use contract::{AccountBytes, BlockHistory, GuestContract, GuestError, GuestEvent};
 pub use epoch::{Epoch, Validator};
 pub use light_client::{GuestHeader, GuestLightClient, GuestMisbehaviour};
 pub use program::{GuestInstruction, GuestOp, GuestProgram};

@@ -15,13 +15,13 @@
 //! (Fig. 4) and 4–5-transaction packet deliveries (§V-A).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use host_sim::compute::costs;
 use host_sim::{Event, InvokeContext, Program, ProgramError, Pubkey};
 use ibc_core::channel::{Acknowledgement, Packet, Timeout};
 use ibc_core::handler::ProofData;
+use ibc_core::store::encode_proof;
 use ibc_core::types::{ChannelId, ClientId, PortId};
 use serde::{Deserialize, Serialize};
 use sim_crypto::schnorr::{PublicKey, Signature};
@@ -29,7 +29,7 @@ use telemetry::{names, Telemetry};
 
 use crate::block::SignedVote;
 use crate::config::SEND_FEE_LAMPORTS;
-use crate::contract::{GuestContract, GuestEvent};
+use crate::contract::{GuestContract, GuestError, GuestEvent};
 
 /// A logical Guest Contract operation (may be larger than one transaction;
 /// staged through a buffer when it is).
@@ -150,6 +150,18 @@ pub enum GuestOp {
 }
 
 impl GuestOp {
+    /// Whether the operation can add to the guest's account: claims, evidence
+    /// and self-destruction only remove records, so validators can always leave.
+    fn can_grow(&self) -> bool {
+        !matches!(
+            self,
+            GuestOp::ClaimUnstaked { .. }
+                | GuestOp::ClaimRewards { .. }
+                | GuestOp::ReportMisbehaviour { .. }
+                | GuestOp::SelfDestruct
+        )
+    }
+
     /// The operation's label and the name of its compute-unit counter,
     /// both static: they are looked up once per instruction.
     fn names(&self) -> (&'static str, &'static str) {
@@ -277,12 +289,6 @@ impl GuestInstruction {
     pub const CHUNK_FRAME_OVERHEAD: usize = 13;
 }
 
-#[derive(Debug, Default)]
-struct StagingBuffer {
-    data: Vec<u8>,
-    verified_sigs: usize,
-}
-
 /// The Solana-side program object wrapping a [`GuestContract`].
 ///
 /// The contract is shared behind `Rc<RefCell<…>>` so the simulation
@@ -293,10 +299,6 @@ pub struct GuestProgram {
     /// Account receiving packet fees and stake deposits.
     vault: Pubkey,
     contract: Rc<RefCell<GuestContract>>,
-    /// Staging buffers, namespaced by fee payer: concurrent relayers
-    /// (which are permissionless, §III-C) cannot corrupt each other's
-    /// chunk sequences.
-    buffers: HashMap<(Pubkey, u64), StagingBuffer>,
     /// Observability sink (disabled by default).
     telemetry: Telemetry,
 }
@@ -304,13 +306,7 @@ pub struct GuestProgram {
 impl GuestProgram {
     /// Wraps `contract` as a host program.
     pub fn new(program_id: Pubkey, vault: Pubkey, contract: Rc<RefCell<GuestContract>>) -> Self {
-        Self {
-            program_id,
-            vault,
-            contract,
-            buffers: HashMap::new(),
-            telemetry: Telemetry::disabled(),
-        }
+        Self { program_id, vault, contract, telemetry: Telemetry::disabled() }
     }
 
     /// Installs an observability sink: per-instruction compute-unit
@@ -318,15 +314,6 @@ impl GuestProgram {
     /// before the program is boxed into the bank.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The shared contract handle.
-    pub fn contract(&self) -> Rc<RefCell<GuestContract>> {
-        self.contract.clone()
-    }
-
-    fn reject(msg: impl Into<String>) -> ProgramError {
-        ProgramError::Rejected(msg.into())
     }
 
     /// Appends `data` to the payer's staging buffer (sequential offsets only).
@@ -337,17 +324,13 @@ impl GuestProgram {
         offset: usize,
         data: &[u8],
     ) -> Result<(), ProgramError> {
+        let mut contract = self.contract.borrow_mut();
+        contract.check_room()?;
         ctx.consume(costs::DATA_PER_BYTE * data.len() as u64)?;
         ctx.alloc(data.len())?;
-        let entry = self.buffers.entry((ctx.payer, buffer)).or_default();
-        if entry.data.len() != offset {
-            return Err(Self::reject(format!(
-                "non-sequential chunk: buffer at {}, offset {offset}",
-                entry.data.len()
-            )));
-        }
-        entry.data.extend_from_slice(data);
-        Ok(())
+        contract.staging.write((ctx.payer, buffer), offset, data).map_err(|at| {
+            ProgramError::Rejected(format!("non-sequential chunk: buffer at {at}, offset {offset}"))
+        })
     }
 
     fn execute_op(
@@ -383,9 +366,7 @@ impl GuestProgram {
                 ctx.alloc(payload.len())?;
                 let fee = SEND_FEE_LAMPORTS;
                 ctx.transfer(&ctx.payer.clone(), &self.vault, fee)?;
-                contract
-                    .send_packet(&port, &channel, payload, timeout, fee)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.send_packet(&port, &channel, payload, timeout, fee)?;
             }
             GuestOp::SendTransfer {
                 port,
@@ -400,97 +381,77 @@ impl GuestProgram {
                 ctx.consume(costs::TRIE_NODE_OP * 20 + 5_000)?;
                 let fee = SEND_FEE_LAMPORTS;
                 ctx.transfer(&ctx.payer.clone(), &self.vault, fee)?;
-                contract
-                    .send_transfer(
-                        &port, &channel, &denom, amount, &sender, &receiver, &memo, timeout, fee,
-                    )
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.send_transfer(
+                    &port, &channel, &denom, amount, &sender, &receiver, &memo, timeout, fee,
+                )?;
             }
             GuestOp::GenerateBlock => {
                 ctx.consume(10_000)?;
-                contract
-                    .generate_block(ctx.now_ms, ctx.slot)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.generate_block(ctx.now_ms, ctx.slot)?;
             }
             GuestOp::SignBlock { height, pubkey, signature } => {
                 // Validator signatures ride the cheap native-verification
                 // path (Solana's ed25519 precompile), unlike in-contract
                 // checks for foreign headers.
                 ctx.consume(5_000)?;
-                contract
-                    .sign(height, pubkey, signature)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.sign(height, pubkey, signature)?;
             }
             GuestOp::UpdateClient { client, header, num_signatures } => {
                 if verified_sigs < num_signatures {
-                    return Err(Self::reject(format!(
+                    return Err(ProgramError::Rejected(format!(
                         "{verified_sigs}/{num_signatures} header signatures verified"
                     )));
                 }
                 ctx.consume(20_000)?;
                 ctx.alloc(header.len())?;
-                contract
-                    .update_counterparty_client(&client, header.as_bytes(), ctx.now_ms)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.update_counterparty_client(&client, header.as_bytes(), ctx.now_ms)?;
             }
             GuestOp::RecvPacket { packet, proof_height, proof } => {
                 ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()))?;
                 ctx.consume(costs::TRIE_NODE_OP * 30)?;
                 ctx.alloc(packet.payload.len() + proof.encoded_len())?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .receive_packet(&packet, ProofData { height: proof_height, bytes }, ctx.now_ms)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                let proof = ProofData { height: proof_height, bytes: encode_proof(&proof) };
+                contract.receive_packet(&packet, proof, ctx.now_ms)?;
             }
             GuestOp::AckPacket { packet, ack, proof_height, proof } => {
                 ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()))?;
                 ctx.consume(costs::TRIE_NODE_OP * 20)?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .acknowledge_packet(&packet, &ack, ProofData { height: proof_height, bytes })
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                let proof = ProofData { height: proof_height, bytes: encode_proof(&proof) };
+                contract.acknowledge_packet(&packet, &ack, proof)?;
             }
             GuestOp::TimeoutPacket { packet, proof_height, proof } => {
                 ctx.consume(host_sim::compute::sha256_cost(proof.encoded_len()))?;
                 ctx.consume(costs::TRIE_NODE_OP * 20)?;
-                let bytes = ibc_core::store::encode_proof(&proof);
-                contract
-                    .timeout_packet(&packet, ProofData { height: proof_height, bytes })
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                let bytes = encode_proof(&proof);
+                contract.timeout_packet(&packet, ProofData { height: proof_height, bytes })?;
             }
             GuestOp::Stake { pubkey, amount } => {
                 ctx.consume(5_000)?;
                 ctx.transfer(&ctx.payer.clone(), &self.vault, amount)?;
-                contract.stake(pubkey, amount).map_err(|e| Self::reject(e.to_string()))?;
+                contract.stake(pubkey, amount)?;
             }
             GuestOp::RequestUnstake { pubkey } => {
                 ctx.consume(5_000)?;
-                contract
-                    .request_unstake(&pubkey, ctx.now_ms)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                contract.request_unstake(&pubkey, ctx.now_ms)?;
             }
             GuestOp::ClaimUnstaked { pubkey } => {
                 ctx.consume(5_000)?;
-                let amount = contract
-                    .claim_unstaked(&pubkey, ctx.now_ms)
-                    .map_err(|e| Self::reject(e.to_string()))?;
+                let amount = contract.claim_unstaked(&pubkey, ctx.now_ms)?;
                 ctx.transfer(&self.vault, &ctx.payer.clone(), amount)?;
             }
             GuestOp::ReportMisbehaviour { vote } => {
                 // One in-contract signature check to validate the evidence.
                 ctx.consume(costs::SIGNATURE_VERIFY)?;
-                contract.report_misbehaviour(&vote).map_err(|e| Self::reject(e.to_string()))?;
+                contract.report_misbehaviour(&vote)?;
             }
             GuestOp::ClaimRewards { pubkey } => {
                 ctx.consume(5_000)?;
-                let amount =
-                    contract.claim_rewards(&pubkey).map_err(|e| Self::reject(e.to_string()))?;
+                let amount = contract.claim_rewards(&pubkey)?;
                 ctx.transfer(&self.vault, &ctx.payer.clone(), amount)?;
             }
             GuestOp::SelfDestruct => {
                 ctx.consume(10_000)?;
-                let released =
-                    contract.self_destruct(ctx.now_ms).map_err(|e| Self::reject(e.to_string()))?;
+                let released = contract.self_destruct(ctx.now_ms)?;
                 let total: u64 = released.iter().map(|(_, amount)| amount).sum();
                 // Funds leave the vault; per-validator payout accounts are
                 // modelled as a single release to the payer (the caller
@@ -570,6 +531,13 @@ impl GuestProgram {
     }
 }
 
+/// A contract error, as the host reports a program's refusal.
+impl From<GuestError> for ProgramError {
+    fn from(err: GuestError) -> Self {
+        ProgramError::Rejected(err.to_string())
+    }
+}
+
 impl Program for GuestProgram {
     fn process_instruction(
         &mut self,
@@ -594,6 +562,9 @@ impl Program for GuestProgram {
                 .ok_or_else(|| ProgramError::InvalidInstruction("undecodable".into()))?
             {
                 GuestInstruction::Inline { op } => {
+                    if op.can_grow() {
+                        self.contract.borrow().check_room()?;
+                    }
                     (counters!("inline"), self.execute_op(ctx, op, 0))
                 }
                 GuestInstruction::WriteChunk { buffer, offset, data } => {
@@ -602,35 +573,38 @@ impl Program for GuestProgram {
                 }
                 GuestInstruction::VerifySigs { buffer, count } => {
                     ctx.consume(costs::SIGNATURE_VERIFY * count as u64)?;
-                    let entry = self
-                        .buffers
-                        .get_mut(&(ctx.payer, buffer))
-                        .ok_or_else(|| Self::reject("unknown staging buffer"))?;
-                    entry.verified_sigs += count;
+                    self.contract
+                        .borrow_mut()
+                        .staging
+                        .verify(&(ctx.payer, buffer), count)
+                        .ok_or_else(|| ProgramError::Rejected("unknown staging buffer".into()))?;
                     (counters!("verify_sigs"), Ok(()))
                 }
                 GuestInstruction::ExecStaged { buffer } => {
+                    self.contract.borrow().check_room()?;
                     // Staged bytes that do not decode drop their buffer. The
                     // pipelined relayer's batch-failure rule reads this
                     // (`Relayer::settle_failures` replays the whole plan);
                     // `undecodable_staged_bytes_drop_the_buffer` pins it.
                     let key = (ctx.payer, buffer);
-                    let staged = self
-                        .buffers
-                        .remove(&key)
-                        .ok_or_else(|| Self::reject("unknown staging buffer"))?;
-                    let op = GuestOp::decode(&staged.data)
-                        .ok_or_else(|| Self::reject("staged bytes do not decode to an op"))?;
+                    let staged =
+                        self.contract.borrow_mut().staging.take(&key).ok_or_else(|| {
+                            ProgramError::Rejected("unknown staging buffer".into())
+                        })?;
+                    let op = GuestOp::decode(&staged.data).ok_or_else(|| {
+                        ProgramError::Rejected("staged bytes do not decode to an op".into())
+                    })?;
                     let result = self.execute_op(ctx, op, staged.verified_sigs);
                     if result.is_err() {
                         // Keep the buffer so the relayer can retry (e.g.
                         // more VerifySigs transactions needed).
-                        self.buffers.insert(key, staged);
+                        self.contract.borrow_mut().staging.put(key, staged);
                     }
                     (counters!("exec_staged"), result)
                 }
                 GuestInstruction::DropBuffer { buffer } => {
-                    self.buffers.remove(&(ctx.payer, buffer));
+                    // Runs on a full account too: it only frees bytes.
+                    self.contract.borrow_mut().staging.take(&(ctx.payer, buffer));
                     (counters!("drop_buffer"), Ok(()))
                 }
             },
@@ -641,20 +615,6 @@ impl Program for GuestProgram {
             self.telemetry.counter_add(cu_counter, spent);
         }
         result
-    }
-
-    fn state_size(&self) -> usize {
-        let buffers: usize = self.buffers.values().map(|b| b.data.len() + 16).sum();
-        self.contract.borrow().state_size() + buffers
-    }
-}
-
-impl core::fmt::Debug for GuestProgram {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("GuestProgram")
-            .field("program_id", &self.program_id)
-            .field("buffers", &self.buffers.len())
-            .finish()
     }
 }
 

@@ -74,8 +74,8 @@ pub struct PendingWithdrawal {
 /// ```
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct StakingPool {
-    stakes: HashMap<PublicKey, u64>,
-    pending: Vec<PendingWithdrawal>,
+    pub(crate) stakes: HashMap<PublicKey, u64>,
+    pub(crate) pending: Vec<PendingWithdrawal>,
 }
 
 impl StakingPool {

@@ -12,6 +12,7 @@ use ibc_core::client::{ConsensusState, QuorumHeader, TrustedSet};
 use ibc_core::types::{Height, IbcError};
 use ibc_core::LightClient;
 use sim_crypto::schnorr::PublicKey;
+use sim_crypto::Hash;
 
 /// The light client state.
 #[derive(Debug)]
@@ -123,5 +124,12 @@ impl LightClient for GuestLightClient {
 
     fn freeze(&mut self) {
         self.frozen = true;
+    }
+
+    /// Field by field: each trusted key and its stake, the latest height,
+    /// the frozen flag, then each consensus state's height, root and
+    /// timestamp.
+    fn stored_bytes(&self) -> usize {
+        self.epoch.len() * (PublicKey::LEN + 8) + 8 + 1 + self.consensus.len() * (8 + Hash::LEN + 8)
     }
 }

@@ -11,6 +11,7 @@ use ibc_core::client::{ConsensusState, QuorumHeader};
 use ibc_core::types::{Height, IbcError};
 use ibc_core::LightClient;
 use sim_crypto::schnorr::PublicKey;
+use sim_crypto::Hash;
 
 /// Tendermint-like light client: accepts a header once signatures holding
 /// more than ⅔ of the known voting power endorse it.
@@ -113,5 +114,15 @@ impl LightClient for CpLightClient {
 
     fn freeze(&mut self) {
         self.frozen = true;
+    }
+
+    /// Field by field: each trusted key and its stake, the latest height,
+    /// the frozen flag, then each consensus state's height, root and
+    /// timestamp.
+    fn stored_bytes(&self) -> usize {
+        self.validators.len() * (PublicKey::LEN + 8)
+            + 8
+            + 1
+            + self.consensus.len() * (8 + Hash::LEN + 8)
     }
 }

@@ -197,6 +197,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(client.latest_height(), oracle.latest_height());
+            prop_assert_eq!(client.stored_bytes(), oracle.stored_bytes());
             for height in 0..=top + 1 {
                 prop_assert_eq!(client.consensus_state(height), oracle.consensus_state(height));
             }

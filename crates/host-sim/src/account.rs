@@ -1,6 +1,4 @@
-//! Accounts and the rent model.
-
-use serde::{Deserialize, Serialize};
+//! The rent model and account errors.
 
 use crate::types::{Pubkey, MAX_ACCOUNT_SIZE};
 
@@ -33,58 +31,11 @@ pub mod rent {
     }
 }
 
-/// A host-chain account.
-///
-/// `data_len` models the allocated byte size of the account (what rent is
-/// charged on). Program state itself is held natively by the registered
-/// program objects; the byte-level content of data accounts is modelled only
-/// where the protocol depends on it (chunk staging buffers carry real
-/// bytes).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Account {
-    /// Balance in lamports.
-    pub lamports: u64,
-    /// Allocated data size in bytes (drives rent).
-    pub data_len: usize,
-    /// Raw data for byte-addressed accounts (staging buffers); empty for
-    /// accounts whose state is modelled natively.
-    pub data: Vec<u8>,
-    /// The program that owns (may mutate) this account.
-    pub owner: Pubkey,
-    /// Whether this account is an executable program.
-    pub executable: bool,
-}
-
-impl Account {
-    /// Creates a plain wallet account.
-    pub fn wallet(lamports: u64) -> Self {
-        Self {
-            lamports,
-            data_len: 0,
-            data: Vec::new(),
-            owner: Pubkey::from_label("system"),
-            executable: false,
-        }
-    }
-
-    /// Creates a program-owned data account of `data_len` bytes.
-    pub fn data_account(owner: Pubkey, data_len: usize, lamports: u64) -> Self {
-        Self { lamports, data_len, data: Vec::new(), owner, executable: false }
-    }
-}
-
 /// Errors from account management.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AccountError {
     /// Requested allocation exceeds [`MAX_ACCOUNT_SIZE`].
     TooLarge(usize),
-    /// Balance below the rent-exemption threshold for the requested size.
-    NotRentExempt {
-        /// Lamports required.
-        required: u64,
-        /// Lamports available.
-        available: u64,
-    },
     /// Payer has insufficient balance.
     InsufficientFunds,
     /// The account does not exist.
@@ -96,9 +47,6 @@ impl core::fmt::Display for AccountError {
         match self {
             Self::TooLarge(size) => {
                 write!(f, "account size {size} exceeds maximum {MAX_ACCOUNT_SIZE}")
-            }
-            Self::NotRentExempt { required, available } => {
-                write!(f, "not rent exempt: requires {required} lamports, has {available}")
             }
             Self::InsufficientFunds => f.write_str("insufficient funds"),
             Self::Unknown(key) => write!(f, "unknown account {key}"),

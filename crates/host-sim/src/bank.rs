@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::account::{rent, Account, AccountError};
+use crate::account::{rent, AccountError};
 use crate::compute::{costs, ComputeMeter, HeapMeter};
 use crate::event::Event;
 use crate::program::{InvokeContext, Program, ProgramError};
@@ -40,7 +40,9 @@ impl TxOutcome {
 /// any registered program's state, has changed since.
 #[derive(Default)]
 pub struct Bank {
-    accounts: HashMap<Pubkey, Account>,
+    /// Lamports of every account. A program's state lives in the program
+    /// object; an allocated account holds only its rent deposit.
+    balances: HashMap<Pubkey, u64>,
     programs: HashMap<Pubkey, Box<dyn Program>>,
     /// Account that receives fees (block producer stand-in).
     fee_sink_lamports: u64,
@@ -57,21 +59,20 @@ impl Bank {
     /// faucet).
     pub fn airdrop(&mut self, key: Pubkey, lamports: u64) {
         self.stamp += 1;
-        self.accounts.entry(key).or_insert_with(|| Account::wallet(0)).lamports += lamports;
+        *self.balances.entry(key).or_default() += lamports;
     }
 
     /// Registers an executable program under `program_id`.
     pub fn register_program(&mut self, program_id: Pubkey, program: Box<dyn Program>) {
         self.stamp += 1;
-        let mut account = Account::wallet(0);
-        account.executable = true;
-        account.owner = Pubkey::from_label("loader");
-        self.accounts.insert(program_id, account);
+        self.balances.insert(program_id, 0);
         self.programs.insert(program_id, program);
     }
 
-    /// Allocates (or grows) a program-owned data account, transferring the
-    /// rent-exemption deposit from `payer`.
+    /// Allocates (or grows) a data account of `data_len` bytes for the
+    /// program `_owner`, transferring the rent-exemption deposit from
+    /// `payer`. The bank keeps only the deposit: the owning program holds
+    /// the state and keeps its own size limit.
     ///
     /// # Errors
     ///
@@ -81,40 +82,26 @@ impl Bank {
         &mut self,
         payer: &Pubkey,
         key: Pubkey,
-        owner: Pubkey,
+        _owner: Pubkey,
         data_len: usize,
     ) -> Result<(), AccountError> {
         self.stamp += 1;
         if data_len > MAX_ACCOUNT_SIZE {
             return Err(AccountError::TooLarge(data_len));
         }
-        let required = rent::minimum_balance(data_len);
-        let current = self.accounts.get(&key).map_or(0, |a| a.lamports);
-        let delta = required.saturating_sub(current);
-        {
-            let payer_account =
-                self.accounts.get_mut(payer).ok_or(AccountError::Unknown(*payer))?;
-            if payer_account.lamports < delta {
-                return Err(AccountError::InsufficientFunds);
-            }
-            payer_account.lamports -= delta;
+        let delta = rent::minimum_balance(data_len).saturating_sub(self.balance(&key));
+        let payer_balance = self.balances.get_mut(payer).ok_or(AccountError::Unknown(*payer))?;
+        if *payer_balance < delta {
+            return Err(AccountError::InsufficientFunds);
         }
-        let account =
-            self.accounts.entry(key).or_insert_with(|| Account::data_account(owner, 0, 0));
-        account.owner = owner;
-        account.data_len = data_len;
-        account.lamports += delta;
+        *payer_balance -= delta;
+        *self.balances.entry(key).or_default() += delta;
         Ok(())
-    }
-
-    /// Reads an account.
-    pub fn account(&self, key: &Pubkey) -> Option<&Account> {
-        self.accounts.get(key)
     }
 
     /// Balance helper (0 for unknown accounts).
     pub fn balance(&self, key: &Pubkey) -> u64 {
-        self.accounts.get(key).map_or(0, |a| a.lamports)
+        self.balances.get(key).copied().unwrap_or(0)
     }
 
     /// The change stamp: advanced by every `&mut self` method, including a
@@ -126,11 +113,6 @@ impl Bank {
     /// Total fees collected so far.
     pub fn fees_collected(&self) -> u64 {
         self.fee_sink_lamports
-    }
-
-    /// Immutable access to a registered program (downcast by the caller).
-    pub fn program(&self, program_id: &Pubkey) -> Option<&dyn Program> {
-        self.programs.get(program_id).map(|p| p.as_ref())
     }
 
     /// Executes `tx` at the given slot/time.
@@ -156,7 +138,7 @@ impl Bank {
                 events: Vec::new(),
             };
         }
-        self.accounts.get_mut(&tx.payer).expect("payer checked above").lamports -= fee;
+        *self.balances.get_mut(&tx.payer).expect("payer checked above") -= fee;
         self.fee_sink_lamports += fee;
 
         let mut compute = ComputeMeter::new(tx.compute_budget);
@@ -179,25 +161,14 @@ impl Bank {
             let mut ctx = InvokeContext {
                 slot,
                 now_ms,
-                instruction_accounts: &instruction.accounts,
                 payer: tx.payer,
-                accounts: &mut self.accounts,
+                balances: &mut self.balances,
                 compute: &mut compute,
                 heap: &mut heap,
                 events: &mut events,
             };
             let step = program.process_instruction(&mut ctx, &instruction.data);
-            // Keep the state account's recorded size in sync with the
-            // program's native state.
-            let state_size = program.state_size();
             self.programs.insert(instruction.program_id, program);
-            if let Some(state_key) = instruction.accounts.first() {
-                if let Some(account) = self.accounts.get_mut(state_key) {
-                    if account.owner == instruction.program_id {
-                        account.data_len = account.data_len.max(state_size);
-                    }
-                }
-            }
             if let Err(err) = step {
                 result = Err(err);
                 break;
@@ -214,7 +185,7 @@ impl Bank {
 impl core::fmt::Debug for Bank {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Bank")
-            .field("accounts", &self.accounts.len())
+            .field("accounts", &self.balances.len())
             .field("programs", &self.programs.len())
             .field("fees_collected", &self.fee_sink_lamports)
             .finish()
@@ -253,10 +224,6 @@ mod tests {
                 }
                 _ => Err(ProgramError::InvalidInstruction("unknown tag".into())),
             }
-        }
-
-        fn state_size(&self) -> usize {
-            8
         }
     }
 
@@ -325,11 +292,7 @@ mod tests {
         bank.allocate_account(&payer, state, program_id, 1_000_000).unwrap();
         let deposit = rent::minimum_balance(1_000_000);
         assert_eq!(bank.balance(&payer), before - deposit);
-        assert_eq!(
-            bank.account(&state).unwrap().lamports,
-            deposit,
-            "the account holds its deposit"
-        );
+        assert_eq!(bank.balance(&state), deposit, "the account holds its deposit");
     }
 
     #[test]
@@ -375,8 +338,7 @@ mod tests {
             assert_eq!(outcome.result, Err(ProgramError::InsufficientFunds));
         });
         let stamp = bank.stamp();
-        let _ = (bank.balance(&payer), bank.account(&payer), bank.fees_collected());
-        assert!(bank.program(&program_id).is_some());
+        let _ = (bank.balance(&payer), bank.fees_collected());
         assert_eq!(bank.stamp(), stamp, "reads leave the stamp alone");
     }
 

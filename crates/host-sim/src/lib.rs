@@ -69,7 +69,7 @@ pub mod program;
 pub mod transaction;
 pub mod types;
 
-pub use account::{rent, Account, AccountError};
+pub use account::{rent, AccountError};
 pub use bank::{Bank, TxOutcome};
 pub use chain::{Block, CongestionModel, Disturbance, HostChain, SLOT_CU_CAPACITY};
 pub use event::Event;

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use crate::account::Account;
 use crate::compute::{BudgetExceeded, ComputeMeter, HeapExceeded, HeapMeter};
 use crate::event::Event;
 use crate::types::{Pubkey, Slot, TimeMs};
@@ -61,11 +60,9 @@ pub struct InvokeContext<'a> {
     pub slot: Slot,
     /// Milliseconds since genesis (the "block time" programs can read).
     pub now_ms: TimeMs,
-    /// Accounts passed to the instruction.
-    pub instruction_accounts: &'a [Pubkey],
     /// The transaction's fee payer.
     pub payer: Pubkey,
-    pub(crate) accounts: &'a mut HashMap<Pubkey, Account>,
+    pub(crate) balances: &'a mut HashMap<Pubkey, u64>,
     pub(crate) compute: &'a mut ComputeMeter,
     pub(crate) heap: &'a mut HeapMeter,
     pub(crate) events: &'a mut Vec<Event>,
@@ -101,11 +98,6 @@ impl<'a> InvokeContext<'a> {
         self.events.push(event);
     }
 
-    /// Reads an account.
-    pub fn account(&self, key: &Pubkey) -> Option<&Account> {
-        self.accounts.get(key)
-    }
-
     /// Moves lamports between two accounts.
     ///
     /// # Errors
@@ -118,17 +110,15 @@ impl<'a> InvokeContext<'a> {
         to: &Pubkey,
         amount: u64,
     ) -> Result<(), ProgramError> {
-        if !self.accounts.contains_key(to) {
+        if !self.balances.contains_key(to) {
             return Err(ProgramError::MissingAccount(*to));
         }
-        {
-            let source = self.accounts.get_mut(from).ok_or(ProgramError::MissingAccount(*from))?;
-            if source.lamports < amount {
-                return Err(ProgramError::InsufficientFunds);
-            }
-            source.lamports -= amount;
+        let source = self.balances.get_mut(from).ok_or(ProgramError::MissingAccount(*from))?;
+        if *source < amount {
+            return Err(ProgramError::InsufficientFunds);
         }
-        self.accounts.get_mut(to).expect("destination checked above").lamports += amount;
+        *source -= amount;
+        *self.balances.get_mut(to).expect("destination checked above") += amount;
         Ok(())
     }
 }
@@ -137,9 +127,9 @@ impl<'a> InvokeContext<'a> {
 ///
 /// Programs are registered with the bank under their program id and invoked
 /// once per instruction addressed to them. State lives inside the program
-/// object; its serialized footprint must be reported through
-/// [`Program::state_size`] so the bank can enforce account allocation and
-/// rent (see `DESIGN.md` for this modelling choice).
+/// object, and a program keeps its own account's size limit (the guest
+/// counts its bytes against [`crate::MAX_ACCOUNT_SIZE`]; `DESIGN.md`
+/// decision 21).
 pub trait Program {
     /// Executes one instruction.
     ///
@@ -151,32 +141,26 @@ pub trait Program {
         ctx: &mut InvokeContext<'_>,
         data: &[u8],
     ) -> Result<(), ProgramError>;
-
-    /// Current serialized size of the program's state account, in bytes.
-    fn state_size(&self) -> usize {
-        0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn context_parts() -> (HashMap<Pubkey, Account>, ComputeMeter, HeapMeter, Vec<Event>) {
-        let mut accounts = HashMap::new();
-        accounts.insert(Pubkey::from_label("alice"), Account::wallet(1_000));
-        accounts.insert(Pubkey::from_label("bob"), Account::wallet(0));
-        (accounts, ComputeMeter::new(10_000), HeapMeter::new(), Vec::new())
+    fn context_parts() -> (HashMap<Pubkey, u64>, ComputeMeter, HeapMeter, Vec<Event>) {
+        let mut balances = HashMap::new();
+        balances.insert(Pubkey::from_label("alice"), 1_000);
+        balances.insert(Pubkey::from_label("bob"), 0);
+        (balances, ComputeMeter::new(10_000), HeapMeter::new(), Vec::new())
     }
 
     fn with_ctx<R>(f: impl FnOnce(&mut InvokeContext<'_>) -> R) -> R {
-        let (mut accounts, mut compute, mut heap, mut events) = context_parts();
+        let (mut balances, mut compute, mut heap, mut events) = context_parts();
         let mut ctx = InvokeContext {
             slot: 1,
             now_ms: 400,
-            instruction_accounts: &[],
             payer: Pubkey::from_label("alice"),
-            accounts: &mut accounts,
+            balances: &mut balances,
             compute: &mut compute,
             heap: &mut heap,
             events: &mut events,
@@ -190,8 +174,8 @@ mod tests {
             let alice = Pubkey::from_label("alice");
             let bob = Pubkey::from_label("bob");
             ctx.transfer(&alice, &bob, 400).unwrap();
-            assert_eq!(ctx.account(&alice).unwrap().lamports, 600);
-            assert_eq!(ctx.account(&bob).unwrap().lamports, 400);
+            assert_eq!(ctx.balances[&alice], 600);
+            assert_eq!(ctx.balances[&bob], 400);
         });
     }
 
@@ -201,7 +185,7 @@ mod tests {
             let alice = Pubkey::from_label("alice");
             let bob = Pubkey::from_label("bob");
             assert_eq!(ctx.transfer(&alice, &bob, 2_000), Err(ProgramError::InsufficientFunds));
-            assert_eq!(ctx.account(&alice).unwrap().lamports, 1_000);
+            assert_eq!(ctx.balances[&alice], 1_000);
         });
     }
 
@@ -214,7 +198,7 @@ mod tests {
                 ctx.transfer(&alice, &ghost, 100),
                 Err(ProgramError::MissingAccount(_))
             ));
-            assert_eq!(ctx.account(&alice).unwrap().lamports, 1_000);
+            assert_eq!(ctx.balances[&alice], 1_000);
         });
     }
 

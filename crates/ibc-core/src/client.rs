@@ -10,7 +10,7 @@
 
 mod quorum;
 
-pub use quorum::{quorum, Anchor, QuorumClient, QuorumHeader, TrustedSet};
+pub use quorum::{quorum, Anchor, QuorumClient, QuorumHeader, TrustedSet, MEMBER_BYTES};
 
 use sealable_trie::{Proof, Trie};
 use serde::{Deserialize, Serialize};
@@ -28,6 +28,10 @@ pub struct ConsensusState {
     /// The chain's timestamp at this height.
     pub timestamp_ms: TimestampMs,
 }
+
+/// Bytes of one stored consensus state: its height and timestamp (u64s)
+/// and its root.
+const CONSENSUS_STATE_BYTES: usize = 8 + Hash::LEN + 8;
 
 /// A light client instance tracking one counterparty chain.
 ///
@@ -104,6 +108,10 @@ pub trait LightClient {
 
     /// Freezes the client.
     fn freeze(&mut self);
+
+    /// Bytes the client holds when stored: its own state (trusted set,
+    /// latest height, frozen flag) and one record per consensus state.
+    fn stored_bytes(&self) -> usize;
 }
 
 /// The root `client` holds for `height` and `proof` decoded: what both
@@ -185,6 +193,11 @@ impl LightClient for MockClient {
 
     fn freeze(&mut self) {
         self.frozen = true;
+    }
+
+    fn stored_bytes(&self) -> usize {
+        // The frozen flag; the latest height is the last state's.
+        1 + self.states.len() * CONSENSUS_STATE_BYTES
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use serde::de::DeserializeOwned;
 use sim_crypto::schnorr::{PublicKey, Signature};
 
-use super::{ConsensusState, LightClient};
+use super::{ConsensusState, LightClient, CONSENSUS_STATE_BYTES};
 use crate::types::{Height, IbcError};
 
 /// The stake that finalises out of `total`: strictly more than ⅔ of it.
@@ -14,12 +14,18 @@ pub const fn quorum(total: u64) -> u64 {
     total * 2 / 3 + 1
 }
 
+/// Bytes of one member of a stored validator set: its key and its stake
+/// (a u64).
+pub const MEMBER_BYTES: usize = PublicKey::LEN + 8;
+
 /// A validator set a light client trusts, weighed by stake.
 pub trait TrustedSet {
     /// The stake of `key`, or `None` when it is not in the set.
     fn stake_of(&self, key: &PublicKey) -> Option<u64>;
     /// Sum of all stake.
     fn total_stake(&self) -> u64;
+    /// Number of members, each [`MEMBER_BYTES`] when stored.
+    fn members(&self) -> usize;
 }
 
 /// A Tendermint-style set: each validator's key and voting power.
@@ -30,6 +36,10 @@ impl TrustedSet for Vec<(PublicKey, u64)> {
 
     fn total_stake(&self) -> u64 {
         self.iter().map(|(_, power)| power).sum()
+    }
+
+    fn members(&self) -> usize {
+        self.len()
     }
 }
 
@@ -164,5 +174,10 @@ impl<H: QuorumHeader> LightClient for QuorumClient<H> {
 
     fn freeze(&mut self) {
         self.frozen = true;
+    }
+
+    fn stored_bytes(&self) -> usize {
+        // The trusted set, the latest height, the frozen flag.
+        self.trusted.members() * MEMBER_BYTES + 8 + 1 + self.consensus.len() * CONSENSUS_STATE_BYTES
     }
 }

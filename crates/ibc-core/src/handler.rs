@@ -186,6 +186,11 @@ impl<S: ProvableStore> IbcHandler<S> {
             .ok_or_else(|| IbcError::UnknownClient(client_id.clone()))
     }
 
+    /// Every client, in id order.
+    pub fn clients(&self) -> impl Iterator<Item = &dyn LightClient> {
+        self.clients.values().map(|client| client.as_ref())
+    }
+
     /// Feeds a header to a client (§II: light-client update).
     ///
     /// Also records the verified consensus state in our provable store so

@@ -6,10 +6,9 @@
 
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig};
+use sim_crypto::time::HOUR_MS;
 use telemetry::{AttributionReport, CausalGraph};
 use workload::{AppMix, TrafficConfig};
-
-const HOUR_MS: u64 = 60 * 60 * 1_000;
 
 /// Flash-crowd traffic over a 3-chain line with the B<>C link cut for
 /// half an hour mid-surge; returns every determinism fingerprint the

@@ -9,9 +9,8 @@ use apps::PacketFee;
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig, TrafficOutcome};
 use monitor::MonitorConfig;
+use sim_crypto::time::MINUTE_MS;
 use workload::{AppMix, TrafficConfig};
-
-const MINUTE_MS: u64 = 60 * 1_000;
 
 /// A fee-charging 3-chain line whose middle chain goes dark mid-run —
 /// the mesh-scale analogue of the paper's day-11 operator outage.

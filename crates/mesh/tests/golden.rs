@@ -8,9 +8,8 @@
 
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig};
+use sim_crypto::time::MINUTE_MS;
 use workload::{AppMix, TrafficConfig};
-
-const MINUTE_MS: u64 = 60_000;
 
 /// Re-captured when the mesh relayer began proving each step at its
 /// source's latest commit, once that commit holds it, instead of only at

@@ -7,10 +7,10 @@
 //! live store happens to equal its last commit.
 
 use mesh::{HostProfile, Mesh, MeshConfig};
+use sim_crypto::time::MINUTE_MS;
 use telemetry::names;
 use workload::{AppMix, TrafficConfig};
 
-const MINUTE_MS: u64 = 60_000;
 /// The mesh's harness step and relay interval (`topology.rs`).
 const STEP_MS: u64 = 1_000;
 const RELAY_INTERVAL_MS: u64 = 2_000;

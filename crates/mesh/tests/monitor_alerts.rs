@@ -5,8 +5,7 @@
 use chaos::{ChaosPlan, Fault};
 use mesh::{Mesh, MeshConfig, PathPolicy};
 use monitor::MonitorConfig;
-
-const MINUTE_MS: u64 = 60 * 1_000;
+use sim_crypto::time::MINUTE_MS;
 
 /// Minutes-compressed thresholds matching the mesh's second-scale blocks.
 fn fast_monitor() -> MonitorConfig {

@@ -1,13 +1,7 @@
 //! Tuning knobs of the monitoring subsystem.
 
 use serde::{Deserialize, Serialize};
-
-/// Milliseconds per minute (convenience).
-pub const MINUTE_MS: u64 = 60 * 1_000;
-/// Milliseconds per hour.
-pub const HOUR_MS: u64 = 60 * MINUTE_MS;
-/// Milliseconds per day.
-pub const DAY_MS: u64 = 24 * HOUR_MS;
+use sim_crypto::time::{DAY_MS, HOUR_MS, MINUTE_MS};
 
 /// Every threshold and cadence of the standard detector battery.
 ///

@@ -55,7 +55,7 @@ mod eval;
 mod monitor;
 
 pub use alerts::{AlertBook, AlertRecord, Finding};
-pub use config::{MonitorConfig, DAY_MS, HOUR_MS, MINUTE_MS};
+pub use config::MonitorConfig;
 pub use detectors::{
     ConservationDetector, Detector, LatencyRegressionDetector, RateSpikeDetector, RunwayDetector,
     StalenessDetector, StuckPacketDetector,

@@ -4,9 +4,8 @@
 
 use chaos::{ChaosPlan, Fault};
 use monitor::{score, MonitorConfig};
+use sim_crypto::time::MINUTE_MS;
 use testnet::{Testnet, TestnetConfig};
-
-const MINUTE_MS: u64 = 60 * 1_000;
 
 /// Minutes-compressed monitor thresholds so a fault scenario fits in a
 /// sub-hour simulated run.

@@ -713,7 +713,8 @@ impl Relayer {
         }
     }
 
-    /// Fires a `GenerateBlock` transaction when Alg. 1's conditions hold.
+    /// Fires a `GenerateBlock` transaction when Alg. 1's conditions hold
+    /// and the guest's account has room for the block.
     fn maybe_generate_block(
         &mut self,
         host: &mut HostChain,
@@ -731,7 +732,9 @@ impl Relayer {
                 due_from
             }
         };
-        if due_from.is_none_or(|from| host.now_ms() < from) {
+        if due_from.is_none_or(|from| host.now_ms() < from)
+            || contract.borrow().check_room().is_err()
+        {
             return;
         }
         let id =
@@ -765,8 +768,13 @@ impl Relayer {
         let Some(front) = self.intents.front() else { return };
         let window = self.config.window(host.profile());
         let mut unconfirmed: usize = self.jobs.iter().map(ActiveJob::unconfirmed).sum();
-        // Every intent needs a counterparty header covering the event.
-        if unconfirmed >= window || cp.height() < front.provable_from {
+        // Every intent needs a counterparty header covering the event, and
+        // a full guest account would refuse the job: it waits, rather than
+        // fail through its retries and be queued again, slot after slot.
+        if unconfirmed >= window
+            || cp.height() < front.provable_from
+            || contract.borrow().check_room().is_err()
+        {
             return;
         }
 

@@ -44,6 +44,9 @@ impl<'de> Deserialize<'de> for Hash {
 }
 
 impl Hash {
+    /// Length in bytes of a digest.
+    pub const LEN: usize = HASH_LEN;
+
     /// The all-zero hash, used as an "empty" sentinel.
     pub const ZERO: Hash = Hash([0; HASH_LEN]);
 

@@ -45,6 +45,7 @@ mod hash;
 pub mod rng;
 pub mod schnorr;
 mod sha2;
+pub mod time;
 
 pub use hash::{Hash, ParseHashError};
 pub use sha2::{sha256, Sha256};

@@ -175,6 +175,9 @@ pub struct PublicKey {
 }
 
 impl PublicKey {
+    /// Length of [`Self::to_bytes`].
+    pub const LEN: usize = PUBLIC_KEY_LEN;
+
     /// Serializes to a 32-byte, Ed25519-sized encoding.
     ///
     /// The group element occupies the first 8 bytes (little endian); the
@@ -255,6 +258,9 @@ pub struct Signature {
 }
 
 impl Signature {
+    /// Length of [`Self::to_bytes`].
+    pub const LEN: usize = SIGNATURE_LEN;
+
     /// Serializes to a 64-byte, Ed25519-sized encoding.
     pub fn to_bytes(self) -> [u8; SIGNATURE_LEN] {
         let mut out = [0u8; SIGNATURE_LEN];

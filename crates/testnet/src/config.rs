@@ -7,10 +7,12 @@ use host_sim::{CongestionModel, FeePolicy, HostProfile};
 use monitor::MonitorConfig;
 use relayer::RelayerConfig;
 
-/// Milliseconds per hour (convenience).
-pub const HOUR_MS: u64 = 60 * 60 * 1_000;
-/// Milliseconds per day.
-pub const DAY_MS: u64 = 24 * HOUR_MS;
+/// `sim_crypto::time::HOUR_MS`, kept at this path only because the frozen
+/// `benchmark/` crate names it here.
+pub const HOUR_MS: u64 = sim_crypto::time::HOUR_MS;
+/// `sim_crypto::time::DAY_MS`, kept at this path only because the frozen
+/// `benchmark/` crate names it here.
+pub const DAY_MS: u64 = sim_crypto::time::DAY_MS;
 
 /// Behaviour of one simulated validator.
 #[derive(Clone, Copy, Debug)]

@@ -4,6 +4,7 @@
 //! evaluation; [`evaluate`] packages them per figure/table, and the `bench`
 //! crate's `paper` binary renders them.
 
+use guest_chain::AccountBytes;
 use host_sim::{lamports_to_cents, lamports_to_usd};
 use relayer::JobKind;
 use serde::Serialize;
@@ -34,8 +35,11 @@ pub struct StorageReport {
     pub trie_peak_bytes: usize,
     /// Trie nodes reclaimed by sealing.
     pub sealed_reclaimed: usize,
-    /// Full (serialized) contract state size, in bytes.
+    /// Bytes the guest holds in its host account
+    /// (`GuestContract::state_size`).
     pub state_bytes: usize,
+    /// The same bytes by collection (`GuestContract::account_bytes`).
+    pub account: AccountBytes,
     /// Rent-exemption deposit of the 10 MiB account, in USD.
     pub deposit_usd: f64,
 }
@@ -166,6 +170,7 @@ pub fn report_of(net: &Testnet, duration_ms: u64) -> EvaluationReport {
         trie_peak_bytes: stats.peak_bytes,
         sealed_reclaimed: stats.sealed_reclaimed,
         state_bytes: contract.state_size(),
+        account: contract.account_bytes(),
         deposit_usd: host_sim::rent::deposit_usd(host_sim::MAX_ACCOUNT_SIZE),
     };
 

@@ -3,7 +3,8 @@
 //! older than Δ (Alg. 1 l. 15), and the clock must meet that deadline on
 //! time: no busy relayer or mempool wakes it up, only the deadline itself.
 
-use testnet::{Testnet, TestnetConfig, HOUR_MS};
+use sim_crypto::time::HOUR_MS;
+use testnet::{Testnet, TestnetConfig};
 
 /// A legacy Poisson mean gap whose first draw lands far beyond any
 /// horizon here; small enough that `−ln(u) ≤ 28` times it cannot overflow.

@@ -5,7 +5,8 @@
 //! nondeterminism (iteration-order leaks, stray entropy, chaos machinery
 //! consuming RNG at baseline) shows up here as a diff.
 
-use testnet::{report_of, Testnet, TestnetConfig, DAY_MS, HOUR_MS};
+use sim_crypto::time::{DAY_MS, HOUR_MS};
+use testnet::{report_of, Testnet, TestnetConfig};
 
 /// A week of simulated time with a sparse-but-nonzero workload, rendered
 /// to the serialised evaluation report.

@@ -2,6 +2,7 @@
 //! host transactions, guest contract, validators, relayer, counterparty.
 
 use relayer::JobKind;
+use sim_crypto::time::HOUR_MS;
 use testnet::{Testnet, TestnetConfig, CP_DENOM, CP_USER, GUEST_DENOM, GUEST_USER};
 
 fn cp_balance(net: &mut Testnet, account: &str, denom: &str) -> u128 {
@@ -142,7 +143,7 @@ fn typed_event_payloads_are_what_their_bytes_parse_to() {
 
     let mut net = Testnet::build(TestnetConfig::small(5));
     let (mut guest_events, mut finalised) = (0usize, 0usize);
-    while net.host.now_ms() < testnet::HOUR_MS {
+    while net.host.now_ms() < HOUR_MS {
         net.step();
         let block = net.host.latest_block().expect("a step produces a block");
         for event in block.events() {

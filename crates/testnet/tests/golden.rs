@@ -7,10 +7,9 @@
 //! timeline, and say so in the PR.
 
 use relayer::JobKind;
+use sim_crypto::time::MINUTE_MS;
 use testnet::{Testnet, TestnetConfig};
 use workload::TrafficConfig;
-
-const MINUTE_MS: u64 = 60_000;
 
 /// The timeline of 43bb6f3 (the commit before the relay core was unified),
 /// re-hashed once for a format change: `"sampling": null` left `meta` with

@@ -4,7 +4,8 @@
 
 use chaos::{ChaosPlan, Fault};
 use relayer::JobKind;
-use testnet::{TelemetryMode, Testnet, TestnetConfig, DAY_MS, HOUR_MS};
+use sim_crypto::time::{DAY_MS, HOUR_MS};
+use testnet::{TelemetryMode, Testnet, TestnetConfig};
 use workload::TrafficConfig;
 
 /// A few busy simulated hours with a mid-run validator outage, so the

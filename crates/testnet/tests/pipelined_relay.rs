@@ -10,10 +10,10 @@ use std::collections::BTreeMap;
 use ibc_core::channel::Timeout;
 use ibc_core::path;
 use relayer::JobKind;
-use testnet::{Testnet, TestnetConfig, CP_DENOM, CP_USER, DAY_MS, GUEST_USER, HOUR_MS};
+use sim_crypto::time::{DAY_MS, HOUR_MS, MINUTE_MS};
+use testnet::{Testnet, TestnetConfig, CP_DENOM, CP_USER, GUEST_USER};
 use workload::TrafficConfig;
 
-const MINUTE_MS: u64 = 60_000;
 const BURST: u64 = 40;
 
 /// `(origin, channel, sequence)` of every acknowledged packet, with the

@@ -4,10 +4,9 @@
 //! counterparty and a forced congestion storm.
 
 use chaos::{ChaosPlan, Fault};
-use testnet::{Testnet, TestnetConfig, HOUR_MS};
+use sim_crypto::time::{HOUR_MS, MINUTE_MS};
+use testnet::{Testnet, TestnetConfig};
 use workload::TrafficConfig;
-
-const MINUTE_MS: u64 = 60_000;
 
 /// Each gauge's value against a direct read of its source.
 fn gauges_against_sources(net: &Testnet) -> Vec<(&'static str, Option<f64>, Option<f64>)> {

@@ -5,7 +5,8 @@
 //! timestamp, map-iteration leak, or nondeterministic id allocation in the
 //! telemetry layer shows up here as a diff.
 
-use testnet::{Testnet, TestnetConfig, HOUR_MS};
+use sim_crypto::time::HOUR_MS;
+use testnet::{Testnet, TestnetConfig};
 
 /// A day of simulated time with traffic in both directions, rendered to
 /// the raw journal plus the aggregated run report.

@@ -2,7 +2,8 @@
 //! deliver packets end to end, keep the invariant suite quiet, and replay
 //! byte-identically under one seed.
 
-use testnet::{Testnet, TestnetConfig, HOUR_MS};
+use sim_crypto::time::HOUR_MS;
+use testnet::{Testnet, TestnetConfig};
 use workload::TrafficConfig;
 
 fn traffic_net(seed: u64) -> Testnet {

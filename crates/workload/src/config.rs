@@ -1,11 +1,9 @@
 //! Serde-configurable traffic parameters.
 
 use serde::{Deserialize, Serialize};
+use sim_crypto::time::HOUR_MS;
 
 use crate::curve::ArrivalCurve;
-
-/// Hours → milliseconds (convenience for presets).
-const HOUR_MS: u64 = 60 * 60 * 1_000;
 
 /// How transfer amounts are drawn: log-uniform between `min` and `max`,
 /// so a population mixes dust with whale-sized transfers like a real

@@ -124,9 +124,7 @@ impl ArrivalCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Milliseconds per day.
-    const DAY_MS: u64 = 24 * 60 * 60 * 1_000;
+    use sim_crypto::time::DAY_MS;
 
     #[test]
     fn steady_is_flat() {

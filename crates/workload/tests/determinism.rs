@@ -3,9 +3,8 @@
 //! must survive a serde round trip of the configuration — scenario files
 //! have to replay byte-identically.
 
+use sim_crypto::time::HOUR_MS;
 use workload::{TrafficConfig, TrafficGenerator};
-
-const HOUR_MS: u64 = 60 * 60 * 1_000;
 
 /// Renders a schedule to one canonical string (what "byte-identical"
 /// means for a schedule).

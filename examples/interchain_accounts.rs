@@ -12,8 +12,8 @@
 
 use be_my_guest::apps::{ica_account, IcaOp, IcaOutcome};
 use be_my_guest::mesh::{Mesh, MeshConfig, ICA_AIRDROP};
+use be_my_guest::sim_crypto::time::MINUTE_MS;
 
-const MINUTE_MS: u64 = 60 * 1_000;
 const CONTROLLER: &str = "chain-a";
 const HOST: &str = "chain-b";
 const HOST_DENOM: &str = "tok-b";

@@ -12,7 +12,7 @@
 use be_my_guest::ibc_core::ics20::voucher_prefix;
 use be_my_guest::ibc_core::types::PortId;
 use be_my_guest::mesh::{Mesh, MeshConfig, PathPolicy};
-use be_my_guest::testnet::HOUR_MS;
+use be_my_guest::sim_crypto::time::HOUR_MS;
 
 fn main() {
     // Three chains on one shared clock, a relayer per link. `line` wires

@@ -47,11 +47,12 @@ use be_my_guest::chaos::{ChaosPlan, Fault};
 use be_my_guest::ibc_core::types::PortId;
 use be_my_guest::mesh::{ica_port, nft_port, Mesh, MeshConfig, PathPolicy};
 use be_my_guest::profiler::ProfileReport;
+use be_my_guest::sim_crypto::time::{DAY_MS, HOUR_MS};
 use be_my_guest::telemetry::{
     render_packet_trace_with_alerts, render_route_trace_with_alerts, AttributionReport,
     CausalGraph, Flags, PostmortemBundle, POSTMORTEM_TAIL,
 };
-use be_my_guest::testnet::{Testnet, TestnetConfig, DAY_MS, HOUR_MS};
+use be_my_guest::testnet::{Testnet, TestnetConfig};
 
 fn main() {
     let mut flags = Flags::from_env();

@@ -7,8 +7,9 @@ use be_my_guest::guest_chain::{GuestBlock, GuestInstruction, GuestOp, SignedVote
 use be_my_guest::host_sim::{FeePolicy, Instruction, Pubkey, Transaction};
 use be_my_guest::sim_crypto::schnorr::Keypair;
 use be_my_guest::sim_crypto::sha256;
+use be_my_guest::sim_crypto::time::DAY_MS;
 use be_my_guest::testnet::config::RogueConfig;
-use be_my_guest::testnet::{paper_validators, Testnet, TestnetConfig, ValidatorProfile, DAY_MS};
+use be_my_guest::testnet::{paper_validators, Testnet, TestnetConfig, ValidatorProfile};
 
 fn submit_op(net: &mut Testnet, payer: Pubkey, op: GuestOp) -> u64 {
     let tx = Transaction::build(
